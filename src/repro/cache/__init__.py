@@ -13,7 +13,9 @@ memoization safe.  This package supplies the machinery:
 * :mod:`repro.cache.config` — an ambient :class:`CacheConfig` scope
   mirroring :mod:`repro.parallel`.
 
-Consumers (all opt-in through the ambient config):
+Consumers (all opt-in through the ambient config; each asks
+:func:`~repro.cache.store.ambient_cache` for the store, and the pure
+get-or-compute sites go through :func:`~repro.cache.store.memoize`):
 
 * :class:`~repro.workflow.executor.Executor` memoizes module outputs
   by signature across executor instances and processes, and serves
@@ -55,7 +57,9 @@ from repro.cache.store import (
     DiskTier,
     MemoryTier,
     ResultCache,
+    ambient_cache,
     get_cache,
+    memoize,
     reset_cache,
 )
 
@@ -65,12 +69,14 @@ __all__ = [
     "DiskTier",
     "MemoryTier",
     "ResultCache",
+    "ambient_cache",
     "cache_key",
     "configure",
     "default_cache_dir",
     "digest",
     "get_cache",
     "get_config",
+    "memoize",
     "reset_cache",
     "scene_digest",
     "set_config",

@@ -17,12 +17,12 @@ without any per-module plumbing.
 from __future__ import annotations
 
 import os
-from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, Optional
+from typing import Optional
 
 from repro.util.errors import CacheError
+from repro.util.scope import ConfigScope
 
 #: environment override for the default disk-tier location (the test
 #: suite points this at a per-test tmp dir so no test can leak entries
@@ -99,37 +99,9 @@ class CacheConfig:
 
 
 #: the ambient default — caching off unless the application opts in
-_DEFAULT = CacheConfig(enabled=False)
+_SCOPE = ConfigScope(CacheConfig(enabled=False))
 
-
-def get_config() -> CacheConfig:
-    """The ambient config consulted by hot paths when none is passed."""
-    return _DEFAULT
-
-
-def set_config(config: CacheConfig) -> CacheConfig:
-    """Install *config* as the ambient default; returns the previous one."""
-    global _DEFAULT
-    previous = _DEFAULT
-    _DEFAULT = config
-    return previous
-
-
-def configure(**kwargs) -> CacheConfig:
-    """Build a :class:`CacheConfig` and install it as the default."""
-    config = CacheConfig(**kwargs)
-    set_config(config)
-    return config
-
-
-@contextmanager
-def use_config(config: Optional[CacheConfig]) -> Iterator[CacheConfig]:
-    """Temporarily install *config* as the ambient default (None = no-op)."""
-    if config is None:
-        yield get_config()
-        return
-    previous = set_config(config)
-    try:
-        yield config
-    finally:
-        set_config(previous)
+get_config = _SCOPE.get
+set_config = _SCOPE.set
+configure = _SCOPE.configure
+use_config = _SCOPE.use

@@ -193,6 +193,7 @@ def _update_known(h, obj: Any) -> bool:
     from repro.rendering.framebuffer import Framebuffer
     from repro.rendering.geometry import PolyData
     from repro.rendering.image_data import ImageData
+    from repro.rendering.scene import Scene
     from repro.rendering.transfer_function import TransferFunction
 
     if isinstance(obj, Axis):
@@ -239,6 +240,10 @@ def _update_known(h, obj: Any) -> bool:
     if isinstance(obj, Framebuffer):
         _tag(h, b"b")
         _update_sequence(h, (obj.width, obj.height, obj.background, obj.color, obj.depth))
+        return True
+    if isinstance(obj, Scene):
+        _tag(h, b"c")
+        _raw(h, scene_digest(obj).encode("ascii"))
         return True
     return False
 

@@ -8,8 +8,8 @@ copied by their call sites).
 **Disk tier** — one pickle file per key under a two-level fan-out
 directory, shared safely between processes:
 
-* writes go to a private temp file (written, flushed, fsynced) and are
-  published with :func:`os.replace` — an atomic rename, so concurrent
+* writes are published with :func:`repro.util.atomic.atomic_publish`
+  (private temp file, flush, fsync, atomic rename), so concurrent
   writers of the same key race harmlessly (last published wins, readers
   never observe a torn file) and a writer killed mid-write leaves only
   a stale temp file, never a corrupt entry;
@@ -30,18 +30,17 @@ from __future__ import annotations
 
 import os
 import pickle
-import tempfile
 import threading
 import time
 from collections import OrderedDict
 from pathlib import Path
-from typing import Any, Dict, Iterable, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, Optional, Sequence, Tuple
 
 from repro import obs
+from repro.cache import keys
 from repro.cache.config import CacheConfig, get_config
+from repro.util.atomic import atomic_publish, reap_stale_tmp
 
-#: prefix of in-flight temp files (ignored by scans, reaped when stale)
-TMP_PREFIX = ".tmp-"
 #: temp files older than this are debris from killed writers
 STALE_TMP_SECONDS = 300.0
 #: pickle errors that mean "corrupt or incompatible entry", not a bug
@@ -49,11 +48,6 @@ _DECODE_ERRORS = (
     pickle.UnpicklingError, EOFError, AttributeError, ImportError,
     IndexError, MemoryError, ValueError, TypeError,
 )
-
-
-def _fsync(fd: int) -> None:
-    """Module-level so crash tests can intercept the pre-publish sync."""
-    os.fsync(fd)
 
 
 class MemoryTier:
@@ -191,24 +185,13 @@ class DiskTier:
             obs.counter("cache.unpicklable", tier="disk")
             return 0
         path = self._path(key)
-        tmp_path: Optional[str] = None
         try:
             path.parent.mkdir(parents=True, exist_ok=True)
-            fd, tmp_path = tempfile.mkstemp(dir=str(self.root), prefix=TMP_PREFIX)
-            with os.fdopen(fd, "wb") as handle:
+            # temp files live in the root, where the reaper looks
+            with atomic_publish(path, tmp_dir=self.root) as handle:
                 handle.write(payload)
-                handle.flush()
-                _fsync(handle.fileno())
-            os.replace(tmp_path, path)
-            tmp_path = None
         except OSError:
             return 0
-        finally:
-            if tmp_path is not None:
-                try:
-                    os.unlink(tmp_path)
-                except OSError:
-                    pass
         return self._evict_to_budget()
 
     def _evict_to_budget(self) -> int:
@@ -231,13 +214,7 @@ class DiskTier:
                 self._discard(path)
                 total -= size
                 evicted += 1
-        # reap temp debris from writers that died mid-publish
-        for tmp in self.root.glob(f"{TMP_PREFIX}*"):
-            try:
-                if now - tmp.stat().st_mtime > STALE_TMP_SECONDS:
-                    tmp.unlink()
-            except OSError:
-                pass
+        reap_stale_tmp(self.root, STALE_TMP_SECONDS, now)
         return evicted
 
     def clear(self) -> None:
@@ -356,6 +333,46 @@ def get_cache(config: Optional[CacheConfig] = None) -> ResultCache:
         if _ACTIVE is None or _ACTIVE.config != config:
             _ACTIVE = ResultCache(config)
         return _ACTIVE
+
+
+def ambient_cache() -> Optional[ResultCache]:
+    """The ambient :class:`ResultCache`, or None while caching is disabled."""
+    config = get_config()
+    return get_cache(config) if config.enabled else None
+
+
+#: what a *clone* passed to :func:`memoize` returns for a result it
+#: cannot safely copy — such a result is computed but never stored
+UNCACHEABLE = object()
+
+
+def memoize(
+    site: str,
+    parts: Sequence[Any],
+    compute: Callable[[], Any],
+    clone: Optional[Callable[[Any], Any]] = None,
+) -> Any:
+    """Serve *compute()* through the ambient result cache, when enabled.
+
+    The key is :func:`~repro.cache.keys.cache_key` over *site* and
+    *parts*.  With caching disabled — the ambient default — this is
+    exactly ``compute()``: no digest is even computed.  *clone* isolates
+    mutable results: entries are stored and served as ``clone(value)``
+    copies (the fresh result itself goes to the caller); without it the
+    stored object is shared, which suits immutable-by-contract values.
+    """
+    cache = ambient_cache()
+    if cache is None:
+        return compute()
+    key = keys.cache_key(site, *parts)
+    found, value = cache.get(key, site=site)
+    if found:
+        return value if clone is None else clone(value)
+    result = compute()
+    stored = result if clone is None else clone(result)
+    if stored is not UNCACHEABLE:
+        cache.put(key, stored, site=site)
+    return result
 
 
 def reset_cache() -> None:

@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
+from repro.cache.store import UNCACHEABLE, memoize
 from repro.util.errors import CDATError
 
 
@@ -92,33 +93,17 @@ class OperationRegistry:
         and served as deep copies, immune to caller mutation (e.g. the
         band-pass filter renaming its result in place).
         """
-        from repro.cache.config import get_config
-        from repro.cache.store import get_cache
-
         op = self.get(name)
-        config = get_config()
-        if not config.enabled:
-            return op(*args, **kwargs)
-        from repro.cache.keys import cache_key
-
-        key = cache_key("cdat.operation", name, list(args), sorted(kwargs.items()))
-        cache = get_cache(config)
-        hit, value = cache.get(key, site="cdat.operation")
-        if hit:
-            return _clone_result(value)
-        result = op(*args, **kwargs)
-        copy = _clone_result(result)
-        if copy is not _UNCACHEABLE:
-            cache.put(key, copy, site="cdat.operation")
-        return result
-
-
-#: sentinel for results apply_cached cannot safely copy (and so never stores)
-_UNCACHEABLE = object()
+        return memoize(
+            "cdat.operation",
+            (name, list(args), sorted(kwargs.items())),
+            lambda: op(*args, **kwargs),
+            clone=_clone_result,
+        )
 
 
 def _clone_result(value):
-    """A deep-enough copy of an operation result, or ``_UNCACHEABLE``.
+    """A deep-enough copy of an operation result, or ``UNCACHEABLE``.
 
     Variables are deep-cloned (reduction outputs are small); scalars
     pass through; tuples/dicts of the above recurse.  Anything else —
@@ -133,15 +118,15 @@ def _clone_result(value):
         return value.clone(deep=True)
     if isinstance(value, tuple):
         parts = [_clone_result(v) for v in value]
-        if any(p is _UNCACHEABLE for p in parts):
-            return _UNCACHEABLE
+        if any(p is UNCACHEABLE for p in parts):
+            return UNCACHEABLE
         return tuple(parts)
     if isinstance(value, dict):
         parts = {k: _clone_result(v) for k, v in value.items()}
-        if any(p is _UNCACHEABLE for p in parts.values()):
-            return _UNCACHEABLE
+        if any(p is UNCACHEABLE for p in parts.values()):
+            return UNCACHEABLE
         return parts
-    return _UNCACHEABLE
+    return UNCACHEABLE
 
 
 _DEFAULT: Optional[OperationRegistry] = None

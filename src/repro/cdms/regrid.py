@@ -23,6 +23,7 @@ from typing import Tuple
 import numpy as np
 
 from repro import obs
+from repro.cache.store import memoize
 from repro.cdms.grid import RectilinearGrid
 from repro.cdms.variable import Variable
 from repro.util.errors import CDMSError
@@ -181,26 +182,11 @@ def _memoized(scheme: str, var: Variable, target: RectilinearGrid, parallel, com
     so the key includes the effective parallel tiling — a serial run
     never serves a band-parallel product or vice versa.
     """
-    from repro.cache.config import get_config as get_cache_config
-
-    if not get_cache_config().enabled:
-        return compute()
-    from repro.cache.keys import cache_key
-    from repro.cache.store import get_cache
     from repro.parallel.config import get_config as get_parallel_config
 
     pconfig = parallel if parallel is not None else get_parallel_config()
-    key = cache_key(
-        "regrid", scheme, var, target,
-        (pconfig.enabled, pconfig.workers, pconfig.tile_rows, pconfig.min_items),
-    )
-    cache = get_cache()
-    found, out = cache.get(key, site="regrid")
-    if found:
-        return out
-    out = compute()
-    cache.put(key, out, site="regrid")
-    return out
+    tiling = (pconfig.enabled, pconfig.workers, pconfig.tile_rows, pconfig.min_items)
+    return memoize("regrid", (scheme, var, target, tiling), compute)
 
 
 def regrid_bilinear(var: Variable, target: RectilinearGrid, parallel=None) -> Variable:

@@ -19,9 +19,9 @@ byte-identically; :func:`write_cdz` writes v1 by default and v2 on
 request.
 
 Writes are crash-safe: the archive is assembled in a same-directory
-temporary file, fsynced, and atomically renamed into place (the
-``cache.store`` DiskTier publish idiom), so a writer killed mid-write
-can never leave a torn ``.cdz`` visible at the target path.
+temporary file, fsynced, and atomically renamed into place
+(:func:`repro.util.atomic.atomic_publish`), so a writer killed
+mid-write can never leave a torn ``.cdz`` visible at the target path.
 """
 
 from __future__ import annotations
@@ -29,29 +29,23 @@ from __future__ import annotations
 import contextlib
 import io
 import json
-import os
-import tempfile
 import zipfile
 import zlib
 from pathlib import Path
-from typing import BinaryIO, Dict, Iterator, List, Optional, Union
+from typing import Dict, Iterator, List, Optional, Union
 
 import numpy as np
 
 from repro.cdms.axis import Axis
 from repro.cdms.variable import Variable
 from repro.resilience import faults
+from repro.util.atomic import atomic_publish
 from repro.util.errors import CDMSError
 
 FORMAT_VERSION = 1
 SUPPORTED_VERSIONS = (1, 2)
 
 PathLike = Union[str, Path]
-
-#: patchable fsync hook (tests simulate crashes between write and publish)
-_fsync = os.fsync
-
-_TMP_PREFIX = ".tmp-"
 
 
 def _npy_bytes(array: np.ndarray) -> bytes:
@@ -86,30 +80,6 @@ def _shared_axes(variables: List[Variable]) -> Dict[str, Axis]:
                 )
             axes[axis.id] = axis
     return axes
-
-
-@contextlib.contextmanager
-def _atomic_publish(path: Path) -> Iterator[BinaryIO]:
-    """Write through a same-directory tmp file, fsync, atomically rename.
-
-    Nothing is ever visible at *path* until the full archive hit disk:
-    a writer killed at any point leaves only a ``.tmp-*`` file behind.
-    """
-    fd, tmp_name = tempfile.mkstemp(
-        dir=str(path.parent), prefix=_TMP_PREFIX, suffix=path.suffix or ".cdz"
-    )
-    tmp_path = Path(tmp_name)
-    try:
-        with os.fdopen(fd, "wb") as handle:
-            yield handle
-            handle.flush()
-            _fsync(handle.fileno())
-        faults.check("storage.write", path=str(path))
-        os.replace(tmp_path, path)
-    except BaseException:
-        with contextlib.suppress(OSError):
-            tmp_path.unlink()
-        raise
 
 
 def _write_archive_v1(
@@ -170,7 +140,9 @@ def write_cdz(
         )
     axes = _shared_axes(variables)
     path = Path(path)
-    with _atomic_publish(path) as handle:
+    with atomic_publish(
+        path, before_rename=lambda: faults.check("storage.write", path=str(path))
+    ) as handle:
         with zipfile.ZipFile(handle, "w", compression=zipfile.ZIP_DEFLATED) as archive:
             if version == 1:
                 _write_archive_v1(archive, variables, axes, dataset_id, attributes)

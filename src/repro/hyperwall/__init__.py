@@ -14,8 +14,8 @@ client display cells."
 * :mod:`repro.hyperwall.display` — wall tile geometry;
 * :mod:`repro.hyperwall.partition` — per-cell sub-workflow extraction
   and server-side resolution reduction;
-* :mod:`repro.hyperwall.protocol` — length-prefixed JSON messages over
-  sockets;
+* :mod:`repro.hyperwall.protocol` — the message kinds, sent as the
+  shared digest-stamped frames of :mod:`repro.util.framing`;
 * :mod:`repro.hyperwall.server` / :mod:`repro.hyperwall.client` — the
   socket-based control/display node implementations;
 * :mod:`repro.hyperwall.cluster` — a localhost multiprocessing harness
@@ -32,7 +32,6 @@ from repro.hyperwall.partition import (
     make_reduced_pipeline,
     partition_by_cell,
 )
-from repro.hyperwall.protocol import Message
 from repro.hyperwall.inproc import InProcessHyperwall
 from repro.hyperwall.server import FAILOVER_POLICIES, HyperwallServer
 from repro.hyperwall.client import HyperwallClient, run_client
@@ -44,7 +43,6 @@ __all__ = [
     "find_cell_modules",
     "make_reduced_pipeline",
     "partition_by_cell",
-    "Message",
     "InProcessHyperwall",
     "HyperwallServer",
     "HyperwallClient",

@@ -25,9 +25,9 @@ import numpy as np
 from repro import obs
 from repro.dv3d.cell import DV3DCell
 from repro.hyperwall import protocol
-from repro.hyperwall.protocol import Message
 from repro.resilience import faults
 from repro.util.errors import HyperwallError
+from repro.util.framing import WireFrame
 from repro.workflow.executor import Executor
 from repro.workflow.pipeline import Pipeline
 
@@ -74,7 +74,7 @@ class HyperwallClient:
         sock = socket.create_connection((self.host, self.port), timeout=timeout)
         sock.settimeout(self.io_timeout)
         self._sock = sock
-        protocol.send_message(sock, Message(protocol.KIND_HELLO, {"client_id": self.client_id}))
+        protocol.send_frame(sock, WireFrame(protocol.KIND_HELLO, {"client_id": self.client_id}))
 
     def close(self) -> None:
         if self._sock is not None:
@@ -85,31 +85,48 @@ class HyperwallClient:
 
     # -- message handling -------------------------------------------------------
 
-    def _handle(self, message: Message) -> Optional[Message]:
+    def _handle(self, message: WireFrame) -> Optional[WireFrame]:
         """Process one message; returns the reply (None = no reply)."""
         if message.kind == protocol.KIND_WORKFLOW:
-            cell_id = int(message.payload["cell_id"])
-            self.pipelines[cell_id] = Pipeline.from_dict(message.payload["pipeline"])
+            cell_id = int(message.meta["cell_id"])
+            self.pipelines[cell_id] = Pipeline.from_dict(message.meta["pipeline"])
             self.cells.pop(cell_id, None)  # a re-shipped workflow resets the cell
-            return Message(
+            return WireFrame(
                 protocol.KIND_ACK, {"client_id": self.client_id, "cell_id": cell_id}
             )
         if message.kind == protocol.KIND_EXECUTE:
-            return self._execute(message.payload)
+            return self._execute(message.meta)
         if message.kind == protocol.KIND_EVENT:
-            return self._apply_event(message.payload)
+            return self._apply_event(message.meta)
         if message.kind == protocol.KIND_RENDER:
-            return self._render(message.payload)
+            return self._render(message.meta)
         if message.kind == protocol.KIND_HEARTBEAT:
-            return Message(
+            return WireFrame(
                 protocol.KIND_HEARTBEAT,
                 {"client_id": self.client_id, "cells": sorted(self.cells)},
             )
         if message.kind == protocol.KIND_SHUTDOWN:
             return None
-        return Message(
-            protocol.KIND_ERROR,
-            {"client_id": self.client_id, "error": f"unknown kind {message.kind!r}"},
+        return self._error(f"unknown kind {message.kind!r}")
+
+    def _error(self, text: str) -> WireFrame:
+        return WireFrame(
+            protocol.KIND_ERROR, {"client_id": self.client_id, "error": text}
+        )
+
+    def _report(self, cell_id: int, start: float, image, **extra: Any) -> WireFrame:
+        """The per-frame summary sent instead of pixels."""
+        return WireFrame(
+            protocol.KIND_REPORT,
+            {
+                "client_id": self.client_id,
+                "cell_id": cell_id,
+                "duration": time.perf_counter() - start,
+                "image_shape": list(image.shape),
+                "image_mean": float(image.mean()),
+                "image_digest": image_digest(image),
+                **extra,
+            },
         )
 
     def _target_cell(self, payload: Dict[str, Any], executed: bool) -> Optional[int]:
@@ -126,13 +143,10 @@ class HyperwallClient:
                 return pending[0]
         return min(universe)
 
-    def _execute(self, payload: Dict[str, Any]) -> Message:
+    def _execute(self, payload: Dict[str, Any]) -> WireFrame:
         cell_id = self._target_cell(payload, executed=False)
         if cell_id is None or cell_id not in self.pipelines:
-            return Message(
-                protocol.KIND_ERROR,
-                {"client_id": self.client_id, "error": "no workflow received"},
-            )
+            return self._error("no workflow received")
         start = time.perf_counter()
         try:
             faults.check(
@@ -147,29 +161,15 @@ class HyperwallClient:
             self.cells[cell_id] = result.output(cell_id, "cell")
             image = result.output(cell_id, "image")
         except Exception as exc:  # noqa: BLE001 - reported to the server
-            return Message(
-                protocol.KIND_ERROR, {"client_id": self.client_id, "error": repr(exc)}
-            )
-        return Message(
-            protocol.KIND_REPORT,
-            {
-                "client_id": self.client_id,
-                "cell_id": cell_id,
-                "duration": time.perf_counter() - start,
-                "image_shape": list(image.shape),
-                "image_mean": float(image.mean()),
-                "image_digest": image_digest(image),
-                "cache_hits": result.cache_hits,
-                "cache_misses": result.cache_misses,
-            },
+            return self._error(repr(exc))
+        return self._report(
+            cell_id, start, image,
+            cache_hits=result.cache_hits, cache_misses=result.cache_misses,
         )
 
-    def _apply_event(self, payload: Dict[str, Any]) -> Message:
+    def _apply_event(self, payload: Dict[str, Any]) -> WireFrame:
         if not self.cells:
-            return Message(
-                protocol.KIND_ERROR,
-                {"client_id": self.client_id, "error": "event before execution"},
-            )
+            return self._error("event before execution")
         from repro.util.errors import DV3DError
 
         delta_keys: set = set()
@@ -184,17 +184,14 @@ class HyperwallClient:
                 # and ignored (heterogeneous-wall semantics)
                 delta = {}
             except Exception as exc:  # noqa: BLE001
-                return Message(
-                    protocol.KIND_ERROR,
-                    {"client_id": self.client_id, "error": repr(exc)},
-                )
+                return self._error(repr(exc))
             delta_keys.update(delta)
-        return Message(
+        return WireFrame(
             protocol.KIND_ACK,
             {"client_id": self.client_id, "delta_keys": sorted(delta_keys)},
         )
 
-    def _render(self, payload: Dict[str, Any]) -> Message:
+    def _render(self, payload: Dict[str, Any]) -> WireFrame:
         """Re-render a live cell (after propagated events changed it).
 
         This is the interactive refresh loop: events mutate the cell's
@@ -203,10 +200,7 @@ class HyperwallClient:
         """
         cell_id = self._target_cell(payload, executed=True)
         if cell_id is None or cell_id not in self.cells:
-            return Message(
-                protocol.KIND_ERROR,
-                {"client_id": self.client_id, "error": "render before execution"},
-            )
+            return self._error("render before execution")
         cell = self.cells[cell_id]
         width = int(payload.get("width", 0))
         height = int(payload.get("height", 0))
@@ -224,20 +218,8 @@ class HyperwallClient:
                     frame = cell.render(320, 240)
                 image = frame.to_uint8()
         except Exception as exc:  # noqa: BLE001
-            return Message(
-                protocol.KIND_ERROR, {"client_id": self.client_id, "error": repr(exc)}
-            )
-        return Message(
-            protocol.KIND_REPORT,
-            {
-                "client_id": self.client_id,
-                "cell_id": cell_id,
-                "duration": time.perf_counter() - start,
-                "image_shape": list(image.shape),
-                "image_mean": float(image.mean()),
-                "image_digest": image_digest(image),
-            },
-        )
+            return self._error(repr(exc))
+        return self._report(cell_id, start, image)
 
     # -- main loop ---------------------------------------------------------------
 
@@ -253,7 +235,7 @@ class HyperwallClient:
         handled = 0
         while True:
             try:
-                message = protocol.recv_message(self._sock)
+                message = protocol.recv_frame(self._sock)
                 if message is None:
                     break
                 handled += 1
@@ -261,7 +243,7 @@ class HyperwallClient:
                     break
                 reply = self._handle(message)
                 if reply is not None:
-                    protocol.send_message(self._sock, reply)
+                    protocol.send_frame(self._sock, reply)
             except (OSError, HyperwallError):
                 break
         self.close()

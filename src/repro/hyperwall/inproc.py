@@ -189,14 +189,17 @@ class InProcessHyperwall:
         if obs.enabled():
             # the simulation has no wire; account for the event frames a
             # socket deployment would have sent (one per client)
-            from repro.hyperwall.protocol import KIND_EVENT, Message
+            from repro.hyperwall.protocol import KIND_EVENT
+            from repro.util.framing import WireFrame, encode_frame
 
             frame = len(
-                Message(KIND_EVENT, {"event_kind": kind, "event": payload}).encode()
+                encode_frame(
+                    WireFrame(KIND_EVENT, {"event_kind": kind, "event": payload})
+                )
             )
             n_clients = sum(1 for c in self.clients if c.cell is not None)
-            obs.counter("hyperwall.messages.sent", n_clients, kind=KIND_EVENT)
-            obs.counter("hyperwall.bytes.sent", frame * n_clients, kind=KIND_EVENT)
+            obs.counter("protocol.frames.sent", n_clients, kind=KIND_EVENT)
+            obs.counter("protocol.bytes.sent", frame * n_clients, kind=KIND_EVENT)
         client_deltas = {}
         for client in self.clients:
             if client.cell is not None:

@@ -2,27 +2,30 @@
 
 "An instance of UV-CDAT runs on each node, coordinated using socket
 connections between the client nodes and the server node."  Messages
-are JSON objects with a 4-byte big-endian length prefix — simple,
-inspectable, and sufficient for workflow shipping and event
-propagation.  Pixel data never crosses the wire (each node renders its
-own display); clients report image *summaries* (shape, checksum,
-timing) instead.
+are the shared digest-stamped frames of :mod:`repro.util.framing` — a
+kind plus JSON metadata, inspectable and sufficient for workflow
+shipping and event propagation.  Pixel data never crosses the wire
+(each node renders its own display), so the binary payload stays empty;
+clients report image *summaries* (shape, checksum, timing) instead.
+
+This module names the hyperwall's frame kinds and binds the codec to
+the ``protocol.send`` fault site.  Every framing defect (truncation,
+digest mismatch, absurd lengths) reaches the hyperwall as a
+:class:`~repro.util.errors.HyperwallError` whose cause is the typed
+:class:`~repro.util.errors.WireError`, so the dead-client and failover
+paths handle a corrupt frame exactly like a lost connection.
 """
 
 from __future__ import annotations
 
-import json
 import socket
-import struct
-from dataclasses import dataclass, field
-from typing import Any, Dict, Optional
+from typing import Optional
 
-from repro import obs
-from repro.resilience import faults
-from repro.util.errors import HyperwallError
+from repro.util import framing
+from repro.util.errors import HyperwallError, WireError
+from repro.util.framing import WireFrame
 
-_LENGTH = struct.Struct(">I")
-MAX_MESSAGE_BYTES = 64 * 1024 * 1024
+SEND_SITE = "protocol.send"
 
 #: message kinds used by the server/client pair
 KIND_HELLO = "hello"
@@ -37,90 +40,16 @@ KIND_SHUTDOWN = "shutdown"
 KIND_ERROR = "error"
 
 
-@dataclass(frozen=True)
-class Message:
-    """One protocol message: a kind plus a JSON-serializable payload."""
-
-    kind: str
-    payload: Dict[str, Any] = field(default_factory=dict)
-
-    def encode(self) -> bytes:
-        body = json.dumps({"kind": self.kind, "payload": self.payload}).encode("utf-8")
-        if len(body) > MAX_MESSAGE_BYTES:
-            raise HyperwallError(f"message of {len(body)} bytes exceeds limit")
-        return _LENGTH.pack(len(body)) + body
-
-    @staticmethod
-    def decode(body: bytes) -> "Message":
-        try:
-            data = json.loads(body.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise HyperwallError(f"malformed message: {exc}") from exc
-        if not isinstance(data, dict) or "kind" not in data:
-            raise HyperwallError(f"malformed message structure: {data!r}")
-        return Message(str(data["kind"]), dict(data.get("payload", {})))
+def send_frame(sock: socket.socket, frame: WireFrame) -> None:
+    try:
+        framing.write_frame(sock, frame, SEND_SITE)
+    except WireError as exc:
+        raise HyperwallError(f"cannot send {frame.kind!r}: {exc}") from exc
 
 
-def send_message(sock: socket.socket, message: Message) -> None:
-    frame = message.encode()
-    fault = faults.check("protocol.send", kind=message.kind)
-    if fault is not None:
-        if fault.action == "drop":
-            return  # the message vanishes on the wire; the peer times out
-        if fault.action == "corrupt":
-            # keep the length header intact so the peer reads a full
-            # frame that then fails to decode (detected, not a hang)
-            frame = frame[: _LENGTH.size] + b"\xff" * (len(frame) - _LENGTH.size)
-    if obs.enabled():
-        obs.counter("hyperwall.messages.sent", kind=message.kind)
-        obs.counter("hyperwall.bytes.sent", len(frame), kind=message.kind)
-    sock.sendall(frame)
-
-
-def recv_message(sock: socket.socket) -> Optional[Message]:
-    """Read one framed message; None on orderly EOF at a frame boundary."""
-    header = _recv_exact(sock, _LENGTH.size)
-    if header is None:
-        return None
-    (length,) = _LENGTH.unpack(header)
-    if length > MAX_MESSAGE_BYTES:
-        raise HyperwallError(f"incoming message of {length} bytes exceeds limit")
-    body = _recv_exact(sock, length)
-    if body is None:
-        raise HyperwallError("connection closed mid-message")
-    message = Message.decode(body)
-    if obs.enabled():
-        obs.counter("hyperwall.messages.received", kind=message.kind)
-        obs.counter(
-            "hyperwall.bytes.received", _LENGTH.size + length, kind=message.kind
-        )
-    return message
-
-
-def recv_exact(
-    sock: socket.socket,
-    count: int,
-    on_truncation: type = HyperwallError,
-) -> Optional[bytes]:
-    """Read exactly *count* bytes; None on clean EOF before the first byte.
-
-    EOF after a partial read raises *on_truncation* — the hyperwall
-    raises :class:`HyperwallError`, the session wire protocol
-    (:mod:`repro.serving.wire`) passes its own typed truncation error.
-    Shared here because both protocols frame the same way.
-    """
-    chunks = []
-    remaining = count
-    while remaining:
-        chunk = sock.recv(remaining)
-        if not chunk:
-            if chunks:
-                raise on_truncation("connection closed mid-frame")
-            return None
-        chunks.append(chunk)
-        remaining -= len(chunk)
-    return b"".join(chunks)
-
-
-#: backwards-compatible private alias (pre-session-serving callers)
-_recv_exact = recv_exact
+def recv_frame(sock: socket.socket) -> Optional[WireFrame]:
+    """Read one frame; None on orderly EOF at a frame boundary."""
+    try:
+        return framing.read_frame(sock, SEND_SITE)
+    except WireError as exc:
+        raise HyperwallError(f"bad frame from peer: {exc}") from exc

@@ -12,7 +12,7 @@ local execution."  The server here:
    mirror spreadsheet),
 4. broadcasts interaction events to all clients and collects replies.
 
-Fault tolerance (see README "Fault tolerance"): every per-client send
+Fault tolerance (see docs/fault-tolerance.md): every per-client send
 and receive is deadline-bounded (*io_timeout*) and failure-checked.  A
 client whose connection dies mid-frame is marked dead and its cell is
 recovered according to *failover*:
@@ -51,9 +51,9 @@ from repro.hyperwall.partition import (
     partition_by_cell,
     set_cell_resolution,
 )
-from repro.hyperwall.protocol import Message
 from repro.resilience import RetryPolicy, faults
 from repro.util.errors import HyperwallError
+from repro.util.framing import WireFrame
 from repro.workflow.executor import Executor
 from repro.workflow.pipeline import Pipeline
 
@@ -132,7 +132,7 @@ class HyperwallServer:
                 conn, addr = self._listener.accept()
                 conn.settimeout(self.io_timeout)
                 try:
-                    hello = protocol.recv_message(conn)
+                    hello = protocol.recv_frame(conn)
                 except HyperwallError as exc:
                     raise HyperwallError(
                         f"client at {addr[0]}:{addr[1]} sent a bad hello: {exc}"
@@ -141,7 +141,7 @@ class HyperwallServer:
                     raise HyperwallError(
                         f"client at {addr[0]}:{addr[1]} failed to introduce itself"
                     )
-                client_id = int(hello.payload["client_id"])
+                client_id = int(hello.meta["client_id"])
                 with self._lock:
                     self._connections[client_id] = conn
                 conn = None
@@ -185,7 +185,7 @@ class HyperwallServer:
         self._dead[client_id] = reason
         obs.counter("hyperwall.clients.lost", client=str(client_id))
 
-    def _send(self, client_id: int, message: Message) -> bool:
+    def _send(self, client_id: int, message: WireFrame) -> bool:
         """Send to one client; False (and client marked dead) on failure."""
         conn = self._connections.get(client_id)
         if conn is None:
@@ -195,13 +195,13 @@ class HyperwallServer:
             self._mark_dead(client_id, "injected connection drop on send")
             return False
         try:
-            protocol.send_message(conn, message)
+            protocol.send_frame(conn, message)
             return True
         except (OSError, HyperwallError) as exc:
             self._mark_dead(client_id, f"send failed: {exc}")
             return False
 
-    def _recv(self, client_id: int) -> Optional[Message]:
+    def _recv(self, client_id: int) -> Optional[WireFrame]:
         """Receive one reply; None (and client marked dead) on EOF,
         timeout, connection error, or a corrupt frame."""
         conn = self._connections.get(client_id)
@@ -212,7 +212,7 @@ class HyperwallServer:
             self._mark_dead(client_id, "injected connection drop on recv")
             return None
         try:
-            reply = protocol.recv_message(conn)
+            reply = protocol.recv_frame(conn)
         except (OSError, HyperwallError) as exc:
             self._mark_dead(client_id, f"recv failed: {exc}")
             return None
@@ -240,13 +240,13 @@ class HyperwallServer:
         for client_id, cell_id in zip(client_ids, sorted(self._partitions)):
             sub = self._partitions[cell_id]
             set_cell_resolution(sub, cell_id, self.wall.tile_width, self.wall.tile_height)
-            message = Message(
+            message = WireFrame(
                 protocol.KIND_WORKFLOW,
                 {"pipeline": sub.to_dict(), "cell_id": cell_id},
             )
             conn = self._conn(client_id)
-            protocol.send_message(conn, message)
-            ack = protocol.recv_message(conn)
+            protocol.send_frame(conn, message)
+            ack = protocol.recv_frame(conn)
             if ack is None or ack.kind != protocol.KIND_ACK:
                 raise HyperwallError(f"client {client_id} failed to ack its workflow")
             assignment[client_id] = cell_id
@@ -279,7 +279,7 @@ class HyperwallServer:
         with obs.span("hyperwall.server.execute_clients", clients=len(client_ids)):
             triggered = []
             for client_id in client_ids:
-                if self._send(client_id, Message(protocol.KIND_EXECUTE)):
+                if self._send(client_id, WireFrame(protocol.KIND_EXECUTE)):
                     triggered.append(client_id)
                 elif self.failover == "fail_fast":
                     raise HyperwallError(
@@ -301,15 +301,15 @@ class HyperwallServer:
                     continue
                 if reply.kind == protocol.KIND_ERROR:
                     raise HyperwallError(
-                        f"client {client_id} failed: {reply.payload.get('error')}"
+                        f"client {client_id} failed: {reply.meta.get('error')}"
                     )
                 if obs.enabled():
                     obs.histogram(
                         "hyperwall.client.duration",
-                        float(reply.payload.get("duration", 0.0)),
+                        float(reply.meta.get("duration", 0.0)),
                         client=str(client_id),
                     )
-                report = dict(reply.payload)
+                report = dict(reply.meta)
                 report["status"] = "live"
                 reports.append(report)
             for client_id in lost:
@@ -348,7 +348,7 @@ class HyperwallServer:
             survivor = next(candidates, None)
             if survivor is None:
                 raise HyperwallError(f"no surviving client can take cell {cell_id}")
-            workflow = Message(
+            workflow = WireFrame(
                 protocol.KIND_WORKFLOW,
                 {"pipeline": sub.to_dict(), "cell_id": cell_id},
             )
@@ -358,7 +358,7 @@ class HyperwallServer:
             if ack is None or ack.kind != protocol.KIND_ACK:
                 raise HyperwallError(f"survivor {survivor} failed to ack cell {cell_id}")
             if not self._send(
-                survivor, Message(protocol.KIND_EXECUTE, {"cell_id": cell_id})
+                survivor, WireFrame(protocol.KIND_EXECUTE, {"cell_id": cell_id})
             ):
                 raise HyperwallError(f"survivor {survivor} lost during re-execution")
             reply = self._recv(survivor)
@@ -366,7 +366,7 @@ class HyperwallServer:
                 raise HyperwallError(
                     f"survivor {survivor} failed to execute cell {cell_id}"
                 )
-            report = dict(reply.payload)
+            report = dict(reply.meta)
             report["status"] = "reassigned"
             report["reassigned_to"] = survivor
             self._standby[cell_id] = survivor
@@ -419,7 +419,7 @@ class HyperwallServer:
         alive: Dict[int, bool] = {client_id: False for client_id in self._dead}
         for client_id in sorted(self._connections):
             ok = self._send(
-                client_id, Message(protocol.KIND_HEARTBEAT, {"ping": True})
+                client_id, WireFrame(protocol.KIND_HEARTBEAT, {"ping": True})
             )
             if ok:
                 reply = self._recv(client_id)
@@ -452,7 +452,7 @@ class HyperwallServer:
                 server_deltas[cid] = cell.handle_event(event_kind, **event)
             except DV3DError:
                 server_deltas[cid] = {}
-        message = Message(
+        message = WireFrame(
             protocol.KIND_EVENT, {"event_kind": event_kind, "event": event}
         )
         sent = [cid for cid in sorted(self._connections) if self._send(cid, message)]
@@ -467,9 +467,9 @@ class HyperwallServer:
                 continue
             if reply.kind == protocol.KIND_ERROR:
                 raise HyperwallError(
-                    f"client {client_id} failed to apply event: {reply.payload}"
+                    f"client {client_id} failed to apply event: {reply.meta}"
                 )
-            acks[client_id] = reply.payload
+            acks[client_id] = reply.meta
         return {"server": server_deltas, "clients": acks}
 
     def request_renders(self, width: int = 0, height: int = 0) -> List[Dict[str, Any]]:
@@ -483,7 +483,7 @@ class HyperwallServer:
         reports = []
         payload = {"width": width, "height": height}
         for client_id in sorted(self.assignment):
-            ok = self._send(client_id, Message(protocol.KIND_RENDER, dict(payload)))
+            ok = self._send(client_id, WireFrame(protocol.KIND_RENDER, dict(payload)))
             reply = self._recv(client_id) if ok else None
             if reply is None:
                 if self.failover == "fail_fast":
@@ -496,19 +496,19 @@ class HyperwallServer:
                 continue
             if reply.kind == protocol.KIND_ERROR:
                 raise HyperwallError(
-                    f"client {client_id} failed to render: {reply.payload.get('error')}"
+                    f"client {client_id} failed to render: {reply.meta.get('error')}"
                 )
-            report = dict(reply.payload)
+            report = dict(reply.meta)
             report["status"] = "live"
             reports.append(report)
         for cell_id, survivor in sorted(self._standby.items()):
             target = dict(payload, cell_id=cell_id)
-            ok = self._send(survivor, Message(protocol.KIND_RENDER, target))
+            ok = self._send(survivor, WireFrame(protocol.KIND_RENDER, target))
             reply = self._recv(survivor) if ok else None
             if reply is None or reply.kind != protocol.KIND_REPORT:
                 reports.append(self._degraded_report(cell_id))
                 continue
-            report = dict(reply.payload)
+            report = dict(reply.meta)
             report["status"] = "reassigned"
             report["reassigned_to"] = survivor
             reports.append(report)
@@ -519,8 +519,8 @@ class HyperwallServer:
     def shutdown(self) -> None:
         for client_id in sorted(self._connections):
             try:
-                protocol.send_message(
-                    self._connections[client_id], Message(protocol.KIND_SHUTDOWN)
+                protocol.send_frame(
+                    self._connections[client_id], WireFrame(protocol.KIND_SHUTDOWN)
                 )
             except OSError:
                 pass

@@ -13,7 +13,7 @@ strictly opt-in:
     with parallel.use_config(parallel.ParallelConfig(workers=4)):
         img = plot.render(width=640, height=480)    # scoped
 
-Guarantees (see README "Parallel kernels"):
+Guarantees (see docs/parallel-kernels.md):
 
 * **serial fallback** — ``workers <= 1``, missing POSIX shared memory,
   or workloads under ``min_items`` silently run the serial kernels;

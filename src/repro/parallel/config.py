@@ -18,11 +18,11 @@ when no explicit config is passed.
 from __future__ import annotations
 
 import multiprocessing
-from contextlib import contextmanager
 from dataclasses import dataclass, replace
-from typing import Iterator, Optional
+from typing import Optional
 
 from repro.util.errors import KernelPoolError
+from repro.util.scope import ConfigScope
 
 
 def shared_memory_supported() -> bool:
@@ -125,37 +125,9 @@ class ParallelConfig:
 
 
 #: the ambient default — serial unless the application opts in
-_DEFAULT = ParallelConfig()
+_SCOPE = ConfigScope(ParallelConfig())
 
-
-def get_config() -> ParallelConfig:
-    """The ambient config consulted by kernels when none is passed."""
-    return _DEFAULT
-
-
-def set_config(config: ParallelConfig) -> ParallelConfig:
-    """Install *config* as the ambient default; returns the previous one."""
-    global _DEFAULT
-    previous = _DEFAULT
-    _DEFAULT = config
-    return previous
-
-
-def configure(**kwargs) -> ParallelConfig:
-    """Build a :class:`ParallelConfig` and install it as the default."""
-    config = ParallelConfig(**kwargs)
-    set_config(config)
-    return config
-
-
-@contextmanager
-def use_config(config: Optional[ParallelConfig]) -> Iterator[ParallelConfig]:
-    """Temporarily install *config* as the ambient default (None = no-op)."""
-    if config is None:
-        yield get_config()
-        return
-    previous = set_config(config)
-    try:
-        yield config
-    finally:
-        set_config(previous)
+get_config = _SCOPE.get
+set_config = _SCOPE.set
+configure = _SCOPE.configure
+use_config = _SCOPE.use

@@ -16,6 +16,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
+from repro.cache.store import memoize
 from repro.rendering.camera import Camera
 from repro.rendering.framebuffer import Framebuffer
 from repro.rendering.geometry import PolyData
@@ -108,6 +109,12 @@ class Scene:
         return Camera.fit_bounds(self.bounds(), direction=direction)
 
 
+def _copy_framebuffer(fb: Framebuffer) -> Framebuffer:
+    return Framebuffer.from_arrays(
+        fb.color.copy(), fb.depth.copy(), background=fb.background
+    )
+
+
 class Renderer:
     """Renders a :class:`Scene` through a :class:`Camera` into a framebuffer.
 
@@ -126,35 +133,21 @@ class Renderer:
         self.parallel = parallel
 
     def render(self, scene: Scene, camera: Optional[Camera] = None) -> Framebuffer:
-        from repro.cache.config import get_config as get_cache_config
-        from repro.parallel.config import get_config
-
         camera = camera or scene.fit_camera()
-
         # the frame cache: whole frames keyed by (scene, camera, size).
         # The tiled parallel kernels are bitwise-identical to serial, so
         # the key deliberately excludes the parallel config.  Buffers
         # are copied both ways — callers (DV3D cells, the hyperwall)
         # blend overlays into the returned framebuffer in place.
-        frame_cache = None
-        if get_cache_config().enabled:
-            from repro.cache.keys import cache_key, scene_digest
-            from repro.cache.store import get_cache
+        return memoize(
+            "render",
+            (scene, camera, self.width, self.height),
+            lambda: self._draw(scene, camera),
+            clone=_copy_framebuffer,
+        )
 
-            frame_cache = get_cache()
-            frame_key = cache_key(
-                "render.frame",
-                scene_digest(scene),
-                camera.state(),
-                self.width,
-                self.height,
-            )
-            found, frame = frame_cache.get(frame_key, site="render")
-            if found:
-                color, depth, background = frame
-                return Framebuffer.from_arrays(
-                    color.copy(), depth.copy(), background=background
-                )
+    def _draw(self, scene: Scene, camera: Camera) -> Framebuffer:
+        from repro.parallel.config import get_config
 
         config = self.parallel if self.parallel is not None else get_config()
         if config.enabled:
@@ -196,12 +189,6 @@ class Renderer:
                 light_direction=tuple(light.direction),
             )
             fb.blend_image(rgba)
-        if frame_cache is not None:
-            frame_cache.put(
-                frame_key,
-                (fb.color.copy(), fb.depth.copy(), fb.background),
-                site="render",
-            )
         return fb
 
     def render_stereo(

@@ -62,7 +62,7 @@ from repro.serving.sessions import (
     SlotPool,
 )
 from repro.serving.speculative import NextFramePredictor
-from repro.serving.wire import WIRE_VERSION, WireFrame, decode_frame, encode_frame
+from repro.util.framing import WIRE_VERSION, WireFrame, decode_frame, encode_frame
 
 __all__ = [
     "AdmissionController",

@@ -30,11 +30,14 @@ Request ``params`` contract (all optional but ``template``)::
 ``timestep`` and ``azimuth`` are deliberately *excluded* from the scene
 digest: an animating or orbiting session mutates one long-lived scene
 slot instead of materializing a workflow per frame, which is exactly
-what sticky session affinity keeps warm.  When the plotted variable is
+what sticky session affinity keeps warm.  So are ``width`` / ``height``:
+every frame renders at its own request's size, and the first frame's
+size only replaces the cell module's 320 x 240 default for the one
+render its workflow does when it executes.  When the plotted variable is
 a streamed :class:`~repro.cdms.lazy.LazyVariable`, each timestep render
-also hints the variable's prefetch pipeline toward ``timestep + 1`` so
-the chunk for the session's likely next frame is in flight before the
-demand (or speculative) render asks for it.
+is followed by a hint steering the variable's prefetch pipeline toward
+``timestep + 1``, so the chunk for the session's likely next frame is in
+flight before the demand (or speculative) render asks for it.
 
 ``degraded=True`` renders at ``1/degraded_scale`` resolution (floored
 at 8 px) — the breaker-open fallback the server uses when the full
@@ -92,25 +95,30 @@ class AppBackend:
             width = max(width // scale, MIN_DEGRADED_PX)
             height = max(height // scale, MIN_DEGRADED_PX)
         with self._lock:
-            sheet_name, slot = self._ensure_scene(params)
+            sheet_name, slot = self._ensure_scene(params, width, height)
             cell = self._cell(sheet_name, slot)
             camera = None
+            timestep = None
             if "timestep" in params:
                 timestep = int(params["timestep"])
                 cell.plot.set_time_index(timestep)
-                self._hint_prefetch(cell, timestep + 1)
             if "azimuth" in params:
                 base = cell.plot.camera or cell.plot.default_camera()
                 camera = base.orbit(float(params["azimuth"]), 0.0)
             framebuffer = cell.render(width, height, camera=camera)
+            if timestep is not None:
+                # only now: a hint before the render moves the prefetch
+                # window past the chunk this frame still has to read
+                self._hint_prefetch(cell, timestep + 1)
         return ppm_bytes(framebuffer.to_uint8())
 
     # -- scene management ---------------------------------------------------
 
     def _ensure_scene(
-        self, params: Dict[str, Any]
+        self, params: Dict[str, Any], width: int, height: int
     ) -> Tuple[str, Tuple[int, int]]:
-        """One slot per distinct scene; build the workflow on first use."""
+        """One slot per distinct scene; build the workflow on first use
+        (its cell then renders once, at *width* x *height*)."""
         template = str(params.get("template", self.default_template))
         source = str(params.get("source", self.default_source))
         variables = dict(params.get("variables") or {"variable": "ta"})
@@ -129,9 +137,11 @@ class AppBackend:
             return known
         sheet_name = f"scene_{len(self._scenes):04d}_{digest[:8]}"
         slot = (0, 0)
+        # without a size the cell module would render at its 320x240 default
+        sized_params = {"width": width, "height": height, **(cell_params or {})}
         self.app.create_plot(
             template, sheet_name, slot, source, variables,
-            size=size, selector=selector, cell_params=cell_params,
+            size=size, selector=selector, cell_params=sized_params,
         )
         self._scenes[digest] = (sheet_name, slot)
         return self._scenes[digest]

@@ -52,7 +52,6 @@ from repro.serving import wire
 from repro.serving.config import ServingConfig
 from repro.serving.request import Request
 from repro.serving.server import Backend, ServingServer
-from repro.serving.wire import WireFrame
 from repro.util.errors import (
     ServingError,
     WireCorruptionError,
@@ -60,6 +59,7 @@ from repro.util.errors import (
     WireTruncatedError,
     WireVersionError,
 )
+from repro.util.framing import WIRE_VERSION, WireFrame
 
 
 class _SessionLog:
@@ -136,6 +136,12 @@ class WireSessionServer:
         if self._stopped:
             return
         self._stopped = True
+        try:
+            # close() alone does not wake a thread blocked in accept()
+            # on Linux; shutdown() makes that accept() return at once
+            self._listener.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass
         try:
             self._listener.close()
         except OSError:
@@ -226,7 +232,7 @@ class WireSessionServer:
             raise WireError(f"expected hello, got {hello.kind!r}")
         wire.write_frame(
             conn,
-            WireFrame(wire.KIND_WELCOME, {"wire_version": wire.WIRE_VERSION}),
+            WireFrame(wire.KIND_WELCOME, {"wire_version": WIRE_VERSION}),
         )
         session = ""
         tenant = "default"
@@ -323,9 +329,9 @@ class WireSessionClient:
         wire.write_frame(sock, WireFrame(wire.KIND_HELLO))
         welcome = self._expect(wire.KIND_WELCOME)
         version = int(welcome.meta.get("wire_version", -1))
-        if version != wire.WIRE_VERSION:
+        if version != WIRE_VERSION:
             raise WireVersionError(
-                f"server speaks wire version {version}, client {wire.WIRE_VERSION}"
+                f"server speaks wire version {version}, client {WIRE_VERSION}"
             )
         return self
 

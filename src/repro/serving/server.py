@@ -70,7 +70,7 @@ from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from repro import obs
-from repro.cache.store import ResultCache, get_cache
+from repro.cache.store import ResultCache, ambient_cache
 from repro.resilience import faults
 from repro.resilience.breaker import CircuitBreaker
 from repro.serving.admission import (
@@ -622,11 +622,7 @@ class ServingServer:
     def _cache(self) -> Optional[ResultCache]:
         if self._explicit_cache is not None:
             return self._explicit_cache
-        from repro.cache.config import get_config
-
-        if get_config().enabled:
-            return get_cache()
-        return None
+        return ambient_cache()
 
     def _store(self, tenant: str, key: str, payload: bytes) -> None:
         cache = self._cache()

@@ -1,65 +1,25 @@
-"""The session wire protocol: versioned, digest-stamped framed messages.
+"""The session wire protocol: the frame kinds of a serving dialogue.
 
-The hyperwall protocol (:mod:`repro.hyperwall.protocol`) generalized
-for remote serving clients.  The hyperwall never ships pixels — every
-node renders its own display — but a serving client *only* wants
-pixels, so frames here carry an arbitrary binary payload next to a
-JSON header, and every frame is stamped with a sha256 content digest
-so a client can prove the bytes it received are the bytes the server
-rendered (the same digest discipline the ``.cdz`` container applies to
-chunks on disk).
-
-Frame layout (all integers big-endian)::
-
-    magic    4 bytes   b"RSWP"
-    version  1 byte    WIRE_VERSION
-    hlen     4 bytes   header length
-    plen     8 bytes   payload length
-    header   hlen bytes   JSON: {"kind": ..., "meta": {...}}
-    payload  plen bytes   opaque binary (frame pixels, or empty)
-    digest   32 bytes  sha256(header + payload)
-
-Every way a peer can present a broken frame maps to a **typed**
-:class:`~repro.util.errors.ServingError` subclass — the corruption
-matrix the wire test suite walks:
-
-* bad magic / absurd lengths / malformed header → :class:`WireFormatError`
-* unknown version → :class:`WireVersionError` (refuse the peer)
-* stream or buffer ends mid-frame → :class:`WireTruncatedError`
-* digest mismatch (bit flip in flight) → :class:`WireCorruptionError`
-
-Framing I/O reuses the hyperwall's :func:`~repro.hyperwall.protocol.recv_exact`
-loop; a clean EOF *between* frames returns ``None`` (orderly close),
-anywhere else is truncation.
+Frames are the shared codec of :mod:`repro.util.framing` (layout,
+digests, size limits and typed errors are documented there); a serving
+client *only* wants pixels, so ``FRAME`` carries them as the binary
+payload next to the JSON header.  This module names the kinds of the
+HELLO/OPEN/RENDER/FRAME dialogue and binds the codec's socket I/O to
+this protocol's fault site, ``serving.wire.send`` (a ``drop`` there is
+what the reconnect-with-resume path recovers from), which also names
+its ``serving.wire.*`` traffic counters.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
-import socket
-import struct
-from dataclasses import dataclass, field
-from typing import Any, Dict, Optional, Tuple
+from functools import partial
 
-from repro import obs
-from repro.hyperwall.protocol import recv_exact
-from repro.resilience import faults
-from repro.util.errors import (
-    WireCorruptionError,
-    WireFormatError,
-    WireTruncatedError,
-    WireVersionError,
-)
+from repro.util import framing
 
-MAGIC = b"RSWP"
-WIRE_VERSION = 1
+SEND_SITE = "serving.wire.send"
 
-_PREFIX = struct.Struct(">4sBIQ")  # magic, version, header len, payload len
-_DIGEST_BYTES = 32
-
-MAX_HEADER_BYTES = 1 * 1024 * 1024
-MAX_PAYLOAD_BYTES = 256 * 1024 * 1024
+write_frame = partial(framing.write_frame, site=SEND_SITE)
+read_frame = partial(framing.read_frame, site=SEND_SITE)
 
 #: frame kinds of the session protocol
 KIND_HELLO = "hello"
@@ -71,133 +31,3 @@ KIND_FRAME = "frame"
 KIND_ERROR = "error"
 KIND_CLOSE = "close"
 KIND_BYE = "bye"
-
-
-@dataclass(frozen=True)
-class WireFrame:
-    """One framed message: a kind, JSON metadata, and binary payload."""
-
-    kind: str
-    meta: Dict[str, Any] = field(default_factory=dict)
-    payload: bytes = b""
-
-    def payload_digest(self) -> str:
-        """Hex sha256 of the payload alone (what FRAME meta advertises)."""
-        return hashlib.sha256(self.payload).hexdigest()
-
-
-def encode_frame(frame: WireFrame, version: int = WIRE_VERSION) -> bytes:
-    """Serialize *frame* to wire bytes (header + payload digest-stamped)."""
-    header = json.dumps(
-        {"kind": frame.kind, "meta": frame.meta}, sort_keys=True
-    ).encode("utf-8")
-    if len(header) > MAX_HEADER_BYTES:
-        raise WireFormatError(f"header of {len(header)} bytes exceeds limit")
-    if len(frame.payload) > MAX_PAYLOAD_BYTES:
-        raise WireFormatError(
-            f"payload of {len(frame.payload)} bytes exceeds limit"
-        )
-    digest = hashlib.sha256(header + frame.payload).digest()
-    return (
-        _PREFIX.pack(MAGIC, version, len(header), len(frame.payload))
-        + header
-        + frame.payload
-        + digest
-    )
-
-
-def _parse(header: bytes, payload: bytes, digest: bytes) -> WireFrame:
-    if hashlib.sha256(header + payload).digest() != digest:
-        raise WireCorruptionError(
-            "frame content digest mismatch (bytes corrupted in flight)"
-        )
-    try:
-        data = json.loads(header.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise WireFormatError(f"malformed frame header: {exc}") from exc
-    if not isinstance(data, dict) or "kind" not in data:
-        raise WireFormatError(f"malformed frame header structure: {data!r}")
-    meta = data.get("meta", {})
-    if not isinstance(meta, dict):
-        raise WireFormatError(f"frame meta is not an object: {meta!r}")
-    return WireFrame(str(data["kind"]), meta, payload)
-
-
-def _check_prefix(prefix: bytes) -> Tuple[int, int]:
-    """Validate a 17-byte frame prefix; returns (header len, payload len)."""
-    magic, version, hlen, plen = _PREFIX.unpack(prefix)
-    if magic != MAGIC:
-        raise WireFormatError(f"bad frame magic {magic!r}")
-    if version != WIRE_VERSION:
-        raise WireVersionError(
-            f"unsupported wire version {version} (this endpoint speaks "
-            f"{WIRE_VERSION})"
-        )
-    if hlen > MAX_HEADER_BYTES:
-        raise WireFormatError(f"frame header of {hlen} bytes exceeds limit")
-    if plen > MAX_PAYLOAD_BYTES:
-        raise WireFormatError(f"frame payload of {plen} bytes exceeds limit")
-    return hlen, plen
-
-
-def decode_frame(data: bytes) -> Tuple[WireFrame, int]:
-    """Decode one frame from a byte buffer; returns (frame, bytes consumed).
-
-    Raises :class:`WireTruncatedError` when the buffer holds less than
-    one whole frame — the streaming-socket analog is EOF mid-frame.
-    """
-    if len(data) < _PREFIX.size:
-        raise WireTruncatedError(
-            f"buffer of {len(data)} bytes is shorter than a frame prefix"
-        )
-    hlen, plen = _check_prefix(data[: _PREFIX.size])
-    total = _PREFIX.size + hlen + plen + _DIGEST_BYTES
-    if len(data) < total:
-        raise WireTruncatedError(
-            f"buffer ends mid-frame ({len(data)} of {total} bytes)"
-        )
-    start = _PREFIX.size
-    header = data[start : start + hlen]
-    payload = data[start + hlen : start + hlen + plen]
-    digest = data[start + hlen + plen : total]
-    return _parse(header, payload, digest), total
-
-
-def write_frame(sock: socket.socket, frame: WireFrame) -> None:
-    """Encode and send one frame (the ``serving.wire.send`` fault site).
-
-    A ``drop`` fault closes the connection instead of sending — the
-    deterministic stand-in for a server falling over mid-stream, which
-    is what the reconnect-with-resume path recovers from.
-    """
-    data = encode_frame(frame)
-    fault = faults.check("serving.wire.send", kind=frame.kind)
-    if fault is not None and fault.action == "drop":
-        sock.close()
-        return
-    if obs.enabled():
-        obs.counter("serving.wire.frames.sent", kind=frame.kind)
-        obs.counter("serving.wire.bytes.sent", len(data), kind=frame.kind)
-    sock.sendall(data)
-
-
-def read_frame(sock: socket.socket) -> Optional[WireFrame]:
-    """Read one frame; None on orderly EOF at a frame boundary."""
-    prefix = recv_exact(sock, _PREFIX.size, on_truncation=WireTruncatedError)
-    if prefix is None:
-        return None
-    hlen, plen = _check_prefix(prefix)
-    rest = recv_exact(
-        sock, hlen + plen + _DIGEST_BYTES, on_truncation=WireTruncatedError
-    )
-    if rest is None:
-        raise WireTruncatedError("connection closed after frame prefix")
-    frame = _parse(rest[:hlen], rest[hlen : hlen + plen], rest[hlen + plen :])
-    if obs.enabled():
-        obs.counter("serving.wire.frames.received", kind=frame.kind)
-        obs.counter(
-            "serving.wire.bytes.received",
-            _PREFIX.size + len(rest),
-            kind=frame.kind,
-        )
-    return frame

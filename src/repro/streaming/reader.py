@@ -34,6 +34,8 @@ from typing import Dict, Optional, Union
 import numpy as np
 
 from repro import obs
+from repro.cache.keys import cache_key
+from repro.cache.store import ambient_cache
 from repro.cdms.storage import _npy_load
 from repro.resilience import faults
 from repro.streaming.config import StreamingConfig
@@ -227,17 +229,7 @@ class ChunkReader:
     # -- result-cache plumbing ---------------------------------------------
 
     def _cache(self):
-        if not self.config.use_result_cache:
-            return None
-        from repro.cache.config import get_config
-
-        if not get_config().enabled:
-            return None
-        from repro.cache.store import get_cache
-
-        return get_cache()
+        return ambient_cache() if self.config.use_result_cache else None
 
     def _cache_key(self, chunk: ChunkMeta) -> str:
-        from repro.cache.keys import cache_key
-
         return cache_key("streaming.chunk", chunk.digest)

@@ -138,7 +138,7 @@ class SlotDeadError(ServingError):
 
 
 class WireError(ServingError):
-    """Base class for session wire-protocol failures (:mod:`repro.serving.wire`).
+    """Base class for framed-socket protocol failures (:mod:`repro.util.framing`).
 
     Every defect a remote peer can present — truncation, corruption,
     version skew, malformed framing — maps to a *typed* subclass so

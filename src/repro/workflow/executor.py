@@ -25,6 +25,9 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro import obs
+from repro.cache.config import use_config as use_cache_config
+from repro.cache.keys import cache_key
+from repro.cache.store import ambient_cache
 from repro.resilience import faults
 from repro.workflow.pipeline import Pipeline
 from repro.util.errors import ModuleExecutionError, WorkflowError
@@ -160,6 +163,27 @@ class Executor:
     def cache_size(self) -> int:
         return len(self._cache)
 
+    def _lookup(self, sig: str) -> Optional[Dict[str, Any]]:
+        """Memoized outputs for signature *sig*, or None: the private
+        memo first, then the shared (ambient or executor-scoped) result
+        cache, whose hits are promoted into the memo."""
+        outputs = self._cache.get(sig)
+        if outputs is None:
+            shared = ambient_cache()
+            if shared is not None:
+                found, value = shared.get(
+                    cache_key("executor.module", sig), site="executor"
+                )
+                if found:
+                    outputs = self._cache[sig] = value
+        return outputs
+
+    def _remember(self, sig: str, outputs: Dict[str, Any]) -> None:
+        self._cache[sig] = outputs
+        shared = ambient_cache()
+        if shared is not None:
+            shared.put(cache_key("executor.module", sig), outputs, site="executor")
+
     # -- signatures ---------------------------------------------------------
 
     @staticmethod
@@ -195,7 +219,6 @@ class Executor:
         finish); under ``continue_independent`` failures are recorded
         in the result and independent branches keep executing.
         """
-        from repro.cache.config import use_config as use_cache_config
         from repro.parallel.config import use_config
 
         with use_config(self.parallel), use_cache_config(self.cache):
@@ -218,20 +241,6 @@ class Executor:
             mid: {c.source_id for c in pipeline.incoming(mid)} for mid in order
         }
 
-        # the shared (ambient or executor-scoped) two-tier result cache;
-        # None keeps the seed behavior: executor-local memoization only
-        from repro.cache.config import get_config as get_cache_config
-
-        shared = None
-        if self.caching and get_cache_config().enabled:
-            from repro.cache.keys import cache_key
-            from repro.cache.store import get_cache
-
-            shared = get_cache()
-            module_key = {
-                mid: cache_key("executor.module", signatures[mid]) for mid in order
-            }
-
         # run_module executes on pool worker threads, whose obs span
         # stacks are empty — the execute-level span id is captured here
         # and passed explicitly so per-module spans nest under it.
@@ -248,22 +257,13 @@ class Executor:
             with obs.span(
                 "executor.module", parent_id=exec_span.id, module=spec.name
             ) as mspan:
-                if use_cache and sig in self._cache:
-                    outputs = self._cache[sig]
+                outputs = self._lookup(sig) if use_cache else None
+                if outputs is not None:
                     mspan.set(status="cached")
                     obs.counter("executor.cache.hit", module=spec.name)
                     return mid, outputs, ModuleRun(
                         mid, spec.name, "cached", time.perf_counter() - t0
                     )
-                if use_cache and shared is not None:
-                    found, outputs = shared.get(module_key[mid], site="executor")
-                    if found:
-                        self._cache[sig] = outputs
-                        mspan.set(status="cached")
-                        obs.counter("executor.cache.hit", module=spec.name)
-                        return mid, outputs, ModuleRun(
-                            mid, spec.name, "cached", time.perf_counter() - t0
-                        )
                 obs.counter("executor.cache.miss", module=spec.name)
                 instance = cls(spec.parameters)
                 inputs: Dict[str, Any] = {}
@@ -292,9 +292,7 @@ class Executor:
                         time.perf_counter() - t0, error=str(wrapped),
                     )
                 if use_cache:
-                    self._cache[sig] = outputs
-                    if shared is not None:
-                        shared.put(module_key[mid], outputs, site="executor")
+                    self._remember(sig, outputs)
                 mspan.set(status="ok")
             duration = time.perf_counter() - t0
             obs.histogram("executor.module.duration", duration, module=spec.name)
@@ -327,15 +325,7 @@ class Executor:
             cls = pipeline.registry.resolve(spec.name)
             if not (self.caching and cls.cacheable):
                 return None
-            sig = signatures[mid]
-            if sig in self._cache:
-                return self._cache[sig]
-            if shared is not None:
-                found, outputs = shared.get(module_key[mid], site="executor")
-                if found:
-                    self._cache[sig] = outputs
-                    return outputs
-            return None
+            return self._lookup(signatures[mid])
 
         def finish_blocked(mid: int, outputs: Dict[str, Any]) -> None:
             spec = pipeline.modules[mid]

@@ -23,13 +23,13 @@ from repro.cache.config import (
     use_config,
 )
 from repro.cache.store import (
-    TMP_PREFIX,
     DiskTier,
     MemoryTier,
     ResultCache,
     get_cache,
     reset_cache,
 )
+from repro.util.atomic import TMP_PREFIX
 from repro.util.errors import CacheError
 
 

@@ -21,6 +21,7 @@ from repro.hyperwall.display import WallGeometry
 from repro.hyperwall.server import HyperwallServer
 from repro.resilience import RetryPolicy, faults
 from repro.util.errors import HyperwallError
+from repro.util.framing import WireFrame
 from repro.workflow.pipeline import Pipeline
 from tests.conftest import build_cell_chain
 
@@ -171,16 +172,19 @@ class TestFailFast:
 class TestCorruptPayload:
     def test_corrupt_report_detected_and_recovered(self, two_cell_pipeline):
         # corrupt one client's execution report on the wire: the server
-        # must detect the malformed frame and recover the cell, never
-        # propagate garbage
+        # must detect it by the frame's content digest (not by the JSON
+        # happening not to parse) and recover the cell, never propagate
+        # garbage
         faults.arm("protocol.send", "corrupt", match={"kind": "report"})
         server, threads = start_wall(two_cell_pipeline, 2, "reassign")
         try:
             server.distribute_workflows()
             server.execute_server()
             reports = server.execute_clients()
+            causes = list(server.dead_clients.values())
         finally:
             stop_wall(server, threads)
+        assert causes and all("digest mismatch" in cause for cause in causes)
         assert len(reports) == 2
         statuses = [r["status"] for r in reports]
         assert statuses.count("live") == 1
@@ -211,13 +215,13 @@ class TestAcceptRobustness:
         good.connect()
         rogue = socket_module.create_connection((server.host, server.port), timeout=5)
         try:
-            protocol.send_message(rogue, protocol.Message("execute", {}))
+            protocol.send_frame(rogue, WireFrame("execute", {}))
             with pytest.raises(HyperwallError, match=r"at 127\.0\.0\.1:\d+"):
                 server.accept_clients(2, timeout=5)
             # the previously accepted connection was closed too, not leaked
             assert server._connections == {}
             good._sock.settimeout(5.0)
-            assert protocol.recv_message(good._sock) is None  # EOF
+            assert protocol.recv_frame(good._sock) is None  # EOF
         finally:
             rogue.close()
             good.close()

@@ -8,9 +8,9 @@ import pytest
 from repro.hyperwall import protocol
 from repro.hyperwall.client import HyperwallClient
 from repro.hyperwall.display import WallGeometry
-from repro.hyperwall.protocol import Message
 from repro.hyperwall.server import HyperwallServer
-from repro.util.errors import HyperwallError
+from repro.util.errors import HyperwallError, WireFormatError, WireTruncatedError
+from repro.util.framing import MAX_HEADER_BYTES, WireFrame, encode_frame
 from repro.workflow.pipeline import Pipeline
 from tests.conftest import build_cell_chain
 
@@ -40,10 +40,10 @@ class TestClientSideFailures:
             server.accept_clients(1)
             # skip distribute_workflows: trigger execution directly
             conn = server._conn(0)
-            protocol.send_message(conn, Message(protocol.KIND_EXECUTE))
-            reply = protocol.recv_message(conn)
+            protocol.send_frame(conn, WireFrame(protocol.KIND_EXECUTE))
+            reply = protocol.recv_frame(conn)
             assert reply.kind == protocol.KIND_ERROR
-            assert "no workflow" in reply.payload["error"]
+            assert "no workflow" in reply.meta["error"]
         finally:
             server.shutdown()
             thread.join(5.0)
@@ -58,16 +58,16 @@ class TestClientSideFailures:
         try:
             server.accept_clients(1)
             conn = server._conn(0)
-            protocol.send_message(
+            protocol.send_frame(
                 conn,
-                Message(protocol.KIND_WORKFLOW,
+                WireFrame(protocol.KIND_WORKFLOW,
                         {"pipeline": bad.to_dict(), "cell_id": ids["cell"]}),
             )
-            assert protocol.recv_message(conn).kind == protocol.KIND_ACK
-            protocol.send_message(conn, Message(protocol.KIND_EXECUTE))
-            reply = protocol.recv_message(conn)
+            assert protocol.recv_frame(conn).kind == protocol.KIND_ACK
+            protocol.send_frame(conn, WireFrame(protocol.KIND_EXECUTE))
+            reply = protocol.recv_frame(conn)
             assert reply.kind == protocol.KIND_ERROR
-            assert "no_such_catalog_entry" in reply.payload["error"]
+            assert "no_such_catalog_entry" in reply.meta["error"]
         finally:
             server.shutdown()
             thread.join(5.0)
@@ -94,8 +94,8 @@ class TestClientSideFailures:
         try:
             server.accept_clients(1)
             conn = server._conn(0)
-            protocol.send_message(conn, Message("teleport", {}))
-            reply = protocol.recv_message(conn)
+            protocol.send_frame(conn, WireFrame("teleport", {}))
+            reply = protocol.recv_frame(conn)
             assert reply.kind == protocol.KIND_ERROR
         finally:
             server.shutdown()
@@ -106,13 +106,13 @@ class TestProtocolRobustness:
     def test_mid_frame_disconnect_detected(self):
         server_sock, client_sock = socket.socketpair()
         try:
-            # announce a 100-byte frame, deliver 10, hang up
-            import struct
-
-            client_sock.sendall(struct.pack(">I", 100) + b"x" * 10)
+            # deliver the prefix and 10 bytes of the announced frame, hang up
+            data = encode_frame(WireFrame(protocol.KIND_REPORT, {"x": "y" * 100}))
+            client_sock.sendall(data[:27])
             client_sock.close()
-            with pytest.raises(HyperwallError, match="mid-frame"):
-                protocol.recv_message(server_sock)
+            with pytest.raises(HyperwallError, match="mid-frame") as info:
+                protocol.recv_frame(server_sock)
+            assert isinstance(info.value.__cause__, WireTruncatedError)
         finally:
             server_sock.close()
 
@@ -121,9 +121,12 @@ class TestProtocolRobustness:
         try:
             import struct
 
-            client_sock.sendall(struct.pack(">I", protocol.MAX_MESSAGE_BYTES + 1))
-            with pytest.raises(HyperwallError, match="exceeds"):
-                protocol.recv_message(server_sock)
+            client_sock.sendall(
+                struct.pack(">4sBIQ", b"RSWP", 1, MAX_HEADER_BYTES + 1, 0)
+            )
+            with pytest.raises(HyperwallError, match="exceeds") as info:
+                protocol.recv_frame(server_sock)
+            assert isinstance(info.value.__cause__, WireFormatError)
         finally:
             server_sock.close()
             client_sock.close()
@@ -132,7 +135,7 @@ class TestProtocolRobustness:
         server = HyperwallServer(one_cell_pipeline, wall=TINY_WALL)
         try:
             rogue = socket.create_connection((server.host, server.port), timeout=5)
-            protocol.send_message(rogue, Message("execute", {}))  # not a hello
+            protocol.send_frame(rogue, WireFrame("execute", {}))  # not a hello
             with pytest.raises(HyperwallError, match="introduce"):
                 server.accept_clients(1, timeout=5)
             rogue.close()

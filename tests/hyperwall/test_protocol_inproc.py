@@ -1,37 +1,58 @@
 """The wire protocol and the in-process hyperwall simulation."""
 
+import hashlib
 import socket
+import struct
 
 import numpy as np
 import pytest
 
 from repro.hyperwall.inproc import InProcessHyperwall
-from repro.hyperwall.protocol import Message, recv_message, send_message
-from repro.util.errors import HyperwallError
+from repro.hyperwall.protocol import recv_frame, send_frame
+from repro.util.errors import HyperwallError, WireFormatError
+from repro.util.framing import WireFrame, decode_frame, encode_frame
 from repro.workflow.pipeline import Pipeline
 from tests.conftest import build_cell_chain
 
 
+def recv_raw_header(header: bytes):
+    """Deliver a frame whose digest is valid but whose header is *header*."""
+    server, client = socket.socketpair()
+    try:
+        client.sendall(
+            struct.pack(">4sBIQ", b"RSWP", 1, len(header), 0)
+            + header
+            + hashlib.sha256(header).digest()
+        )
+        return recv_frame(server)
+    finally:
+        server.close()
+        client.close()
+
+
 class TestMessage:
     def test_encode_decode_roundtrip(self):
-        msg = Message("workflow", {"pipeline": {"modules": []}, "cell_id": 3})
-        decoded = Message.decode(msg.encode()[4:])
+        msg = WireFrame("workflow", {"pipeline": {"modules": []}, "cell_id": 3})
+        decoded, _ = decode_frame(encode_frame(msg))
         assert decoded == msg
 
     def test_malformed_body(self):
-        with pytest.raises(HyperwallError):
-            Message.decode(b"not json at all")
+        # an intact (digest-valid) frame that is not JSON: typed for the
+        # hyperwall, with the codec's own error as the cause
+        with pytest.raises(HyperwallError) as info:
+            recv_raw_header(b"not json at all")
+        assert isinstance(info.value.__cause__, WireFormatError)
 
     def test_missing_kind(self):
         with pytest.raises(HyperwallError):
-            Message.decode(b'{"payload": {}}')
+            recv_raw_header(b'{"meta": {}}')
 
     def test_socket_roundtrip(self):
         server, client = socket.socketpair()
         try:
-            sent = Message("event", {"event_kind": "key", "event": {"key": "c"}})
-            send_message(client, sent)
-            received = recv_message(server)
+            sent = WireFrame("event", {"event_kind": "key", "event": {"key": "c"}})
+            send_frame(client, sent)
+            received = recv_frame(server)
             assert received == sent
         finally:
             server.close()
@@ -41,9 +62,9 @@ class TestMessage:
         server, client = socket.socketpair()
         try:
             for i in range(3):
-                send_message(client, Message("ack", {"n": i}))
+                send_frame(client, WireFrame("ack", {"n": i}))
             for i in range(3):
-                assert recv_message(server).payload["n"] == i
+                assert recv_frame(server).meta["n"] == i
         finally:
             server.close()
             client.close()
@@ -52,7 +73,7 @@ class TestMessage:
         server, client = socket.socketpair()
         client.close()
         try:
-            assert recv_message(server) is None
+            assert recv_frame(server) is None
         finally:
             server.close()
 

@@ -103,6 +103,51 @@ class TestEndToEnd:
         frame = backend(Request(params=scene_params(width=64, height=48)), True)
         assert frame.startswith(b"P6\n16 12\n255\n")
 
+    def test_open_draws_nothing_larger_than_the_requested_frame(self):
+        """The cell module's execute-time render uses the request's size,
+        not the module's 320x240 default (cell_params names no size)."""
+        backend = AppBackend()
+        params = dict(scene_params(width=64, height=48), template="Volume")
+        recorder = obs.enable(obs.Recorder())
+        try:
+            frame = backend(Request(params=params), False)
+        finally:
+            obs.disable()
+        assert frame.startswith(b"P6\n64 48\n255\n")
+        # one render when the workflow executes, one for the frame itself
+        assert recorder.counter_total("raycast.rays") <= 2 * 64 * 48
+
+    def test_animation_hints_the_next_chunk_after_rendering_this_one(self, tmp_path):
+        """A 12-step animation over a v2 container: the prefetch window
+        must still hold chunk t when frame t renders, so each chunk is
+        read about once — hinting t+1 first evicted t and re-read it."""
+        from repro.data import catalog
+
+        steps = 12
+        path = str(tmp_path / "anim.cdz")
+        catalog.synthetic_reanalysis(nlat=12, nlon=18, nlev=4, ntime=steps).save(
+            path, version=2, chunk_timesteps=1
+        )
+        backend = AppBackend()
+        recorder = obs.enable(obs.Recorder())
+        demand = []
+        try:
+            for t in range(steps):
+                params = {
+                    "template": "Volume", "source": path,
+                    "variables": {"variable": "ta"},
+                    "width": 32, "height": 24, "timestep": t,
+                }
+                backend(Request(params=params), False)
+                demand.append(recorder.counter_total("streaming.prefetch.misses"))
+        finally:
+            obs.disable()
+        per_step = [b - a for a, b in zip(demand, demand[1:])]
+        assert max(per_step) <= 1
+        # every chunk once, plus the lookahead wrapping past the last step
+        assert recorder.counter_total("streaming.chunks.read") <= steps + 3
+        assert recorder.counter_total("streaming.prefetch.hits") >= steps - 2
+
     def test_unknown_kind_surfaces_as_error_response(self, app_server):
         async def scenario():
             async with app_server:

@@ -100,6 +100,23 @@ class TestServerTeardown:
 
 
 @pytest.mark.skipif(not POOL_AVAILABLE, reason="POSIX shared memory unavailable")
+class TestWireEndpointTeardown:
+    def test_stop_wakes_the_accept_thread_at_once(self):
+        """Closing a listener does not wake accept() on Linux; stop()
+        must shut it down, not sit out the accept thread's join timeout."""
+        from repro.serving.endpoint import WireSessionServer
+
+        server = WireSessionServer(CountingBackend(), ServingConfig(workers=1))
+        server.start()
+        time.sleep(0.2)  # let the accept thread block in accept()
+        t0 = time.monotonic()
+        server.stop()
+        assert time.monotonic() - t0 < 1.0
+        assert not [
+            t for t in threading.enumerate() if t.name == "repro-wire-accept"
+        ]
+
+
 class TestKernelPoolThroughServing:
     """The serving path on top of :mod:`repro.parallel` must clean up
     even when the pool dies mid-request."""

@@ -20,7 +20,7 @@ import pytest
 from repro.resilience import faults
 from repro.serving import ServingConfig
 from repro.serving.endpoint import WireSessionClient, WireSessionServer
-from repro.serving.wire import (
+from repro.util.framing import (
     MAX_HEADER_BYTES,
     MAX_PAYLOAD_BYTES,
     WIRE_VERSION,
@@ -206,6 +206,27 @@ class TestEndpoint:
             cont = client.render({"scene": "r", "timestep": 4})
             assert cont.meta["seq"] == 4
             assert [f.meta["seq"] for f in served] == [0, 1, 2]
+            client.close()
+
+    def test_frame_corrupted_in_flight_fails_its_digest_and_is_replayed(self):
+        """The send site's other action, ``corrupt``, flips a byte behind
+        the prefix: the client's digest check refuses the frame, and the
+        resume path delivers it intact."""
+        from repro.serving.request import Request
+
+        backend, server = self.make_server()
+        with server:
+            client = WireSessionClient(server.host, server.port).connect()
+            client.open("wire-5")
+            faults.arm("serving.wire.send", "corrupt",
+                       match={"kind": "frame"}, times=1)
+            with pytest.raises(WireCorruptionError):
+                client.render({"scene": "c", "timestep": 0})
+
+            replayed = client.reconnect()
+            assert [f.meta["seq"] for f in replayed] == [0]
+            assert replayed[0].payload == backend.payload_for(
+                Request(params={"scene": "c", "timestep": 0}))
             client.close()
 
     def test_resume_replays_nothing_when_nothing_was_missed(self):

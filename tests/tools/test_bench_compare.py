@@ -170,82 +170,3 @@ class TestCli:
         assert not any(row["regression"] for row in rows)
         speedups = bench_compare.check_speedup(fresh, pre, floor=3.0)
         assert all(row["ok"] for row in speedups), speedups
-
-
-def cdat_streaming_artifact(**overrides):
-    report = {
-        "kind": "cdat_streaming",
-        "meta": {"seed": "bench-cdat-streaming"},
-        "dataset_bytes": 400_000,
-        "budget_bytes": 100_000,
-        "peak_resident_bytes": 80_000,
-        "materialize_full_count": 0,
-        "peak_rss_bytes": 50_000_000,
-        "ops": [
-            {"name": name, "elapsed_s": 0.01, "throughput_mb_s": 40.0,
-             "digest_match": True}
-            for name in ("monthly_climatology", "zonal_mean",
-                         "running_mean", "variance")
-        ],
-    }
-    report.update(overrides)
-    return report
-
-
-class TestValidateCdatStreaming:
-    def test_valid_artifact_passes(self):
-        report = cdat_streaming_artifact()
-        assert bench_compare.validate_cdat_streaming(report) is report
-
-    def test_dataset_must_dwarf_budget(self):
-        report = cdat_streaming_artifact(dataset_bytes=300_000)
-        with pytest.raises(bench_compare.CompareError, match="4x"):
-            bench_compare.validate_cdat_streaming(report)
-
-    def test_peak_resident_over_budget_fails(self):
-        report = cdat_streaming_artifact(peak_resident_bytes=100_001)
-        with pytest.raises(bench_compare.CompareError, match="exceeded"):
-            bench_compare.validate_cdat_streaming(report)
-
-    def test_any_full_materialization_fails(self):
-        report = cdat_streaming_artifact(materialize_full_count=1)
-        with pytest.raises(bench_compare.CompareError, match="materialized"):
-            bench_compare.validate_cdat_streaming(report)
-
-    def test_digest_mismatch_fails(self):
-        report = cdat_streaming_artifact()
-        report["ops"][2]["digest_match"] = False
-        with pytest.raises(
-            bench_compare.CompareError, match="running_mean"
-        ):
-            bench_compare.validate_cdat_streaming(report)
-
-    def test_too_few_ops_fails(self):
-        report = cdat_streaming_artifact()
-        report["ops"] = report["ops"][:2]
-        with pytest.raises(bench_compare.CompareError, match=">= 3 ops"):
-            bench_compare.validate_cdat_streaming(report)
-
-    def test_missing_throughput_fails(self):
-        report = cdat_streaming_artifact()
-        del report["ops"][0]["throughput_mb_s"]
-        with pytest.raises(bench_compare.CompareError, match="throughput_mb_s"):
-            bench_compare.validate_cdat_streaming(report)
-
-    def test_cli_dispatch_and_summary(self, tmp_path, monkeypatch, capsys):
-        path = tmp_path / "cdat.json"
-        path.write_text(json.dumps(cdat_streaming_artifact()))
-        summary = tmp_path / "summary.md"
-        monkeypatch.setenv("GITHUB_STEP_SUMMARY", str(summary))
-        assert bench_compare.main([str(path)]) == 0
-        out = capsys.readouterr().out
-        assert "Out-of-core analysis bench" in out
-        assert "Out-of-core analysis bench" in summary.read_text()
-
-    def test_cli_exit_two_on_violation(self, tmp_path, capsys):
-        path = tmp_path / "cdat.json"
-        path.write_text(
-            json.dumps(cdat_streaming_artifact(materialize_full_count=2))
-        )
-        assert bench_compare.main([str(path)]) == 2
-        assert "materialized" in capsys.readouterr().err

@@ -33,14 +33,7 @@ p50/p99 latency — rendered as a table in the job summary.
 zero byte-identity mismatches against the demand-render oracle, a
 speculative hit-rate floor over predictable frames, and a p99
 improvement of the session-aware configuration over the stateless
-baseline run on the same trace.  Artifacts
-with ``"kind": "streaming"`` (from ``tools/bench_streaming.py``) are
-gated the same way, plus the two machine-independent invariants: the
-benched container is >= 4x the memory budget and peak resident chunk
-bytes stayed under it, with a completed chaos replay.  Artifacts with
-``"kind": "cdat_streaming"`` (from ``tools/bench_cdat_streaming.py``)
-add the analysis-plane invariants: zero whole-array materializations
-and byte-identical eager/streamed digests for every benched reduction.
+baseline run on the same trace.
 
 Exit codes: 0 ok, 1 regression (or missing speedup), 2 usage/IO error.
 
@@ -264,165 +257,6 @@ def validate_serving_sessions(report: Dict[str, Any]) -> List[Dict[str, Any]]:
             f"{len(points)} load points"
         )
     return points
-
-
-def validate_streaming(report: Dict[str, Any]) -> Dict[str, Any]:
-    """Schema-check a ``kind: streaming`` artifact (``tools/bench_streaming.py``).
-
-    Streaming throughput is machine-bound, so like serving runs the gate
-    is structural plus the two invariants the bench can check on any
-    machine: the container is at least 4x the memory budget, and the
-    prefetcher's peak resident chunk bytes stayed within that budget.
-    The chaos replay must have completed with its counters matching the
-    per-frame records.  Raises :class:`CompareError` on any violation.
-    """
-    meta = report.get("meta", {})
-    if not isinstance(meta.get("seed"), (str, int)):
-        raise CompareError("streaming artifact has no meta.seed")
-    for field in ("frames", "dataset_bytes", "budget_bytes", "peak_resident_bytes"):
-        value = report.get(field)
-        if not isinstance(value, int) or value <= 0:
-            raise CompareError(f"streaming artifact needs a positive int {field}")
-    fps = report.get("frames_per_s")
-    if not isinstance(fps, (int, float)) or fps <= 0:
-        raise CompareError("streaming artifact has no usable frames_per_s")
-    rss = report.get("peak_rss_bytes")
-    if not isinstance(rss, int) or rss <= 0:
-        raise CompareError("streaming artifact has no usable peak_rss_bytes")
-    if report["dataset_bytes"] < 4 * report["budget_bytes"] - 3:
-        # -3 absorbs the integer division when budget = dataset // 4
-        raise CompareError(
-            "streaming bench dataset must be >= 4x the memory budget "
-            f"({report['dataset_bytes']} < 4 * {report['budget_bytes']})"
-        )
-    if report["peak_resident_bytes"] > report["budget_bytes"]:
-        raise CompareError(
-            "streaming peak resident bytes exceeded the budget "
-            f"({report['peak_resident_bytes']} > {report['budget_bytes']})"
-        )
-    chaos = report.get("fault_pass")
-    if not isinstance(chaos, dict):
-        raise CompareError("streaming artifact has no fault_pass object")
-    for field in ("frames", "ok_frames", "degraded_frames"):
-        if not isinstance(chaos.get(field), int) or chaos[field] < 0:
-            raise CompareError(f"fault_pass.{field} must be a non-negative int")
-    if chaos["ok_frames"] + chaos["degraded_frames"] != chaos["frames"]:
-        raise CompareError("fault_pass frames are not fully accounted")
-    if not chaos.get("counters_match"):
-        raise CompareError("fault_pass counters do not match frame records")
-    if not chaos.get("completed"):
-        raise CompareError("fault_pass did not complete")
-    return report
-
-
-def validate_cdat_streaming(report: Dict[str, Any]) -> Dict[str, Any]:
-    """Schema-check a ``kind: cdat_streaming`` artifact
-    (``tools/bench_cdat_streaming.py``).
-
-    Reduction throughput is machine-bound, so the gate is structural
-    plus the machine-independent invariants: the benched container is
-    >= 4x the streaming memory budget, peak resident chunk bytes stayed
-    under that budget, no reduction fell through the whole-array
-    materialization escape hatch, and every streamed reduction digested
-    byte-identically to its eager twin.  Raises :class:`CompareError`
-    on any violation.
-    """
-    meta = report.get("meta", {})
-    if not isinstance(meta.get("seed"), (str, int)):
-        raise CompareError("cdat_streaming artifact has no meta.seed")
-    for field in ("dataset_bytes", "budget_bytes", "peak_resident_bytes"):
-        value = report.get(field)
-        if not isinstance(value, int) or value <= 0:
-            raise CompareError(
-                f"cdat_streaming artifact needs a positive int {field}"
-            )
-    rss = report.get("peak_rss_bytes")
-    if not isinstance(rss, int) or rss <= 0:
-        raise CompareError("cdat_streaming artifact has no usable peak_rss_bytes")
-    if report["dataset_bytes"] < 4 * report["budget_bytes"] - 3:
-        # -3 absorbs the integer division when budget = dataset // 4
-        raise CompareError(
-            "cdat_streaming bench dataset must be >= 4x the memory budget "
-            f"({report['dataset_bytes']} < 4 * {report['budget_bytes']})"
-        )
-    if report["peak_resident_bytes"] > report["budget_bytes"]:
-        raise CompareError(
-            "cdat_streaming peak resident bytes exceeded the budget "
-            f"({report['peak_resident_bytes']} > {report['budget_bytes']})"
-        )
-    full = report.get("materialize_full_count")
-    if not isinstance(full, int) or full < 0:
-        raise CompareError(
-            "cdat_streaming artifact needs a non-negative materialize_full_count"
-        )
-    if full != 0:
-        raise CompareError(
-            f"cdat_streaming run materialized a streamed input {full} time(s)"
-        )
-    ops = report.get("ops")
-    if not isinstance(ops, list) or len(ops) < 3:
-        raise CompareError(
-            "cdat_streaming artifact needs >= 3 ops, got "
-            f"{len(ops) if isinstance(ops, list) else type(ops).__name__}"
-        )
-    for index, op in enumerate(ops):
-        if not isinstance(op, dict) or not isinstance(op.get("name"), str):
-            raise CompareError(f"ops[{index}] has no name")
-        for field in ("elapsed_s", "throughput_mb_s"):
-            value = op.get(field)
-            if not isinstance(value, (int, float)) or value <= 0:
-                raise CompareError(
-                    f"ops[{index}].{field} missing or non-positive"
-                )
-        if op.get("digest_match") is not True:
-            raise CompareError(
-                f"streamed reduction {op['name']!r} is not byte-identical "
-                "to its eager twin"
-            )
-    return report
-
-
-def format_cdat_streaming_table(report: Dict[str, Any]) -> str:
-    lines = [
-        "| reduction | elapsed | throughput | digest |",
-        "|---|---|---|---|",
-    ]
-    for op in report["ops"]:
-        lines.append(
-            "| {name} | {elapsed_s:.3f}s | {throughput_mb_s:.1f} MB/s "
-            "| {status} |".format(
-                status="match" if op["digest_match"] else "MISMATCH", **op
-            )
-        )
-    lines.append("")
-    lines.append(
-        "dataset {ds} B, budget {budget} B, peak resident {resident} B, "
-        "full materializations {full}".format(
-            ds=report["dataset_bytes"], budget=report["budget_bytes"],
-            resident=report["peak_resident_bytes"],
-            full=report["materialize_full_count"],
-        )
-    )
-    return "\n".join(lines)
-
-
-def format_streaming_table(report: Dict[str, Any]) -> str:
-    chaos = report["fault_pass"]
-    lines = [
-        "| frames/s | dataset | budget | peak resident | peak RSS "
-        "| chaos degraded |",
-        "|---|---|---|---|---|---|",
-        "| {fps:.2f} | {ds} | {budget} | {resident} | {rss} | {deg}/{total} |".format(
-            fps=report["frames_per_s"],
-            ds=report["dataset_bytes"],
-            budget=report["budget_bytes"],
-            resident=report["peak_resident_bytes"],
-            rss=report["peak_rss_bytes"],
-            deg=chaos["degraded_frames"],
-            total=chaos["frames"],
-        ),
-    ]
-    return "\n".join(lines)
 
 
 def format_serving_sessions_table(points: List[Dict[str, Any]]) -> str:
@@ -650,24 +484,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                 f"trace digest `{fresh['meta']['trace_digest'][:16]}…` "
                 f"(seed {fresh['meta'].get('seed')!r})\n\n"
                 + format_serving_sessions_table(points)
-            )
-            print(markdown)
-            write_job_summary(markdown)
-            return 0
-        if fresh.get("kind") == "streaming":
-            validate_streaming(fresh)
-            markdown = (
-                "## Out-of-core streaming bench\n\n"
-                + format_streaming_table(fresh)
-            )
-            print(markdown)
-            write_job_summary(markdown)
-            return 0
-        if fresh.get("kind") == "cdat_streaming":
-            validate_cdat_streaming(fresh)
-            markdown = (
-                "## Out-of-core analysis bench\n\n"
-                + format_cdat_streaming_table(fresh)
             )
             print(markdown)
             write_job_summary(markdown)

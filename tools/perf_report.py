@@ -754,7 +754,7 @@ def main(argv=None) -> int:
     missing = [n for n in required_spans if n not in payload["aggregates"]["spans"]]
     counters = payload["aggregates"]["counters"]
     for counter in ("executor.cache.hit", "executor.cache.miss",
-                    "hyperwall.messages.sent", "hyperwall.bytes.sent"):
+                    "protocol.frames.sent", "protocol.bytes.sent"):
         if counters.get(counter, 0) <= 0:
             missing.append(counter)
     if missing:
