@@ -16,8 +16,7 @@ matter in practice:
 
 All regimes are measured and reported.  The speedup assertions apply
 to the latency-bound case (threads overlap waiting) and — on machines
-with enough cores — to the process-pool CPU-bound case, where the
-tiled kernels claim a >= 2x win at 4 workers.
+with enough cores — to the process-pool CPU-bound case.
 """
 
 from __future__ import annotations
@@ -141,8 +140,8 @@ def test_ablation_parallel_report(registry):
     assert speedups["latency-bound (threads)"] > 2.0
     # CPU-bound pure-Python work is GIL-serialized: no claim beyond "runs"
     assert speedups["cpu-bound (threads)"] > 0.0
-    # the tiled kernel pool is where the CPU-bound win lives — but only
-    # when the machine actually has the cores to back it up
+    # the tiled kernel pool (rasterize, streamlines) only wins when the
+    # machine actually has the cores to back it up
     if _usable_cores() >= 4:
         assert speedups["cpu-bound (process pool)"] > 1.2
     else:

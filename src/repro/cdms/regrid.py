@@ -100,34 +100,12 @@ def _overlap_matrix(
     return matrix
 
 
-def _separable_products(
-    filled: np.ndarray,
-    valid: np.ndarray,
-    lat_matrix: np.ndarray,
-    lon_matrix: np.ndarray,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """(numerator, denominator) of the separable operator application.
-
-    The parallel path (:mod:`repro.parallel`) calls this on
-    output-latitude bands of *lat_matrix* and concatenates — the banded
-    results agree with the full application to einsum/BLAS rounding
-    (the regrid kernel is near-exact, not bitwise, see docs).
-    """
-    # numerator and normalisation share the same operator application
-    numerator = np.einsum("li,...ij,mj->...lm", lat_matrix, filled, lon_matrix, optimize=True)
-    denominator = np.einsum(
-        "li,...ij,mj->...lm", lat_matrix, valid.astype(np.float64), lon_matrix, optimize=True
-    )
-    return numerator, denominator
-
-
 def _apply_separable(
     var: Variable,
     target: RectilinearGrid,
     lat_matrix: np.ndarray,
     lon_matrix: np.ndarray,
     weight_floor: float,
-    parallel=None,
 ) -> Variable:
     """Apply 1-D operators along the latitude and longitude dimensions."""
     lat_dim = var.axis_index("latitude")
@@ -136,18 +114,11 @@ def _apply_separable(
     valid = ~np.isnan(data)
     filled = np.where(valid, data, 0.0)
 
-    from repro.parallel.config import get_config
-
-    config = parallel if parallel is not None else get_config()
-    n_out = int(np.prod(filled.shape[:-2])) * lat_matrix.shape[0] * lon_matrix.shape[0]
-    if config.wants(n_out) and lat_matrix.shape[0] >= 2:
-        from repro.parallel.kernels import parallel_separable_products
-
-        numerator, denominator = parallel_separable_products(
-            filled, valid, lat_matrix, lon_matrix, config
-        )
-    else:
-        numerator, denominator = _separable_products(filled, valid, lat_matrix, lon_matrix)
+    # numerator and normalisation share the same operator application
+    numerator = np.einsum("li,...ij,mj->...lm", lat_matrix, filled, lon_matrix, optimize=True)
+    denominator = np.einsum(
+        "li,...ij,mj->...lm", lat_matrix, valid.astype(np.float64), lon_matrix, optimize=True
+    )
 
     with np.errstate(invalid="ignore", divide="ignore"):
         result = numerator / denominator
@@ -174,22 +145,7 @@ def _require_grid(var: Variable) -> RectilinearGrid:
     return grid
 
 
-def _memoized(scheme: str, var: Variable, target: RectilinearGrid, parallel, compute):
-    """Serve *compute()* through the ambient result cache, when enabled.
-
-    Unlike the render kernels, the parallel regrid path is only
-    near-exact (banded einsum rounding differs from the full product),
-    so the key includes the effective parallel tiling — a serial run
-    never serves a band-parallel product or vice versa.
-    """
-    from repro.parallel.config import get_config as get_parallel_config
-
-    pconfig = parallel if parallel is not None else get_parallel_config()
-    tiling = (pconfig.enabled, pconfig.workers, pconfig.tile_rows, pconfig.min_items)
-    return memoize("regrid", (scheme, var, target, tiling), compute)
-
-
-def regrid_bilinear(var: Variable, target: RectilinearGrid, parallel=None) -> Variable:
+def regrid_bilinear(var: Variable, target: RectilinearGrid) -> Variable:
     """Bilinear regrid of *var* onto *target* (mask-aware)."""
     source = _require_grid(var)
     periodic = source.is_global()
@@ -198,26 +154,20 @@ def regrid_bilinear(var: Variable, target: RectilinearGrid, parallel=None) -> Va
         with obs.span("regrid.bilinear", src=str(var.shape)) as _span:
             lat_matrix = _bilinear_matrix(source.latitude.values, target.latitude.values, periodic=False)
             lon_matrix = _bilinear_matrix(source.longitude.values, target.longitude.values, periodic=periodic)
-            out = _apply_separable(
-                var, target, lat_matrix, lon_matrix, weight_floor=1e-9, parallel=parallel
-            )
+            out = _apply_separable(var, target, lat_matrix, lon_matrix, weight_floor=1e-9)
             if obs.enabled():
                 obs.counter("regrid.cells", int(np.prod(out.shape)))
                 _span.set(dst=str(out.shape))
         return out
 
-    return _memoized("bilinear", var, target, parallel, compute)
+    return memoize("regrid", ("bilinear", var, target), compute)
 
 
-def regrid_conservative(var: Variable, target: RectilinearGrid, parallel=None) -> Variable:
+def regrid_conservative(var: Variable, target: RectilinearGrid) -> Variable:
     """First-order conservative regrid of *var* onto *target*.
 
     For global grids and unmasked data the area-weighted global mean is
     preserved to numerical precision.
-
-    *parallel* (a :class:`repro.parallel.ParallelConfig`, defaulting to
-    the ambient config) splits the operator application over
-    output-latitude bands on worker processes.
     """
     source = _require_grid(var)
     periodic = source.is_global()
@@ -235,12 +185,11 @@ def regrid_conservative(var: Variable, target: RectilinearGrid, parallel=None) -
                 periodic=periodic,
             )
             out = _apply_separable(
-                var, target, lat_matrix, lon_matrix,
-                weight_floor=_VALID_WEIGHT_FLOOR, parallel=parallel,
+                var, target, lat_matrix, lon_matrix, weight_floor=_VALID_WEIGHT_FLOOR
             )
             if obs.enabled():
                 obs.counter("regrid.cells", int(np.prod(out.shape)))
                 _span.set(dst=str(out.shape))
         return out
 
-    return _memoized("conservative", var, target, parallel, compute)
+    return memoize("regrid", ("conservative", var, target), compute)

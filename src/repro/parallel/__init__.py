@@ -1,10 +1,11 @@
 """Process-parallel tiled rendering kernels (shared-memory pool; serial fallback, deterministic output, crash containment).
 
-The software-rendering hot paths — ray casting, rasterization,
-isosurface extraction, streamline integration and conservative
-regridding — tile their domains across worker processes that write
-into ``multiprocessing.shared_memory`` buffers.  Parallelism is
-strictly opt-in:
+Rasterization and streamline integration — the two hot paths whose
+pool variant beats the serial one (docs/parallel-kernels.md has the
+numbers) — tile their domains across worker processes that write into
+``multiprocessing.shared_memory`` buffers.  Ray casting, isosurface
+extraction and regridding always run serially.  Parallelism is strictly
+opt-in:
 
     from repro import parallel
 
@@ -17,9 +18,8 @@ Guarantees (see docs/parallel-kernels.md):
 
 * **serial fallback** — ``workers <= 1``, missing POSIX shared memory,
   or workloads under ``min_items`` silently run the serial kernels;
-* **determinism** — the render kernels produce *bitwise identical*
-  framebuffers/surfaces/lines at any worker count (golden-image tested);
-  regridding is near-exact (einsum reassociation only);
+* **determinism** — the kernels produce *bitwise identical*
+  framebuffers/lines at any worker count (golden-image tested);
 * **crash containment with recovery** — a crashed worker's tiles are
   retried on replacement workers (``respawn_budget``) and then
   serially in the parent, so a transient worker loss still completes
@@ -36,14 +36,8 @@ from repro.parallel.config import (
     shared_memory_supported,
     use_config,
 )
-from repro.parallel.kernels import (
-    parallel_integrate_streamlines,
-    parallel_marching_tetrahedra,
-    parallel_rasterize,
-    parallel_raycast,
-    parallel_separable_products,
-)
-from repro.parallel.partition import index_bands, row_bands, sized_bands, z_slabs
+from repro.parallel.kernels import parallel_integrate_streamlines, parallel_rasterize
+from repro.parallel.partition import index_bands, row_bands, sized_bands
 from repro.parallel.pool import KernelPool, attach_ndarray, run_tiles, shared_ndarray
 from repro.util.errors import KernelPoolError
 
@@ -56,10 +50,7 @@ __all__ = [
     "get_config",
     "index_bands",
     "parallel_integrate_streamlines",
-    "parallel_marching_tetrahedra",
     "parallel_rasterize",
-    "parallel_raycast",
-    "parallel_separable_products",
     "row_bands",
     "run_tiles",
     "set_config",
@@ -67,5 +58,4 @@ __all__ = [
     "shared_ndarray",
     "sized_bands",
     "use_config",
-    "z_slabs",
 ]

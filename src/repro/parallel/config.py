@@ -2,7 +2,7 @@
 
 A :class:`ParallelConfig` describes how the tiled rendering kernels
 distribute work: how many worker processes, how the framebuffer /
-volume / seed domain is partitioned, and the pool-wide timeout.  The
+seed domain is partitioned, and the pool-wide timeout.  The
 pool is strictly **opt-in**: the default configuration has ``workers=1``
 and every kernel falls back to its serial implementation whenever the
 config is not :attr:`ParallelConfig.enabled` — including on platforms
@@ -10,9 +10,8 @@ without POSIX shared memory.
 
 The ambient default config (:func:`get_config` / :func:`set_config` /
 :func:`use_config`) is what lets DV3D plot types pick up parallelism
-without API changes: ``Renderer``, ``marching_tetrahedra``,
-``integrate_streamlines`` and ``regrid_conservative`` all consult it
-when no explicit config is passed.
+without API changes: ``Renderer`` (for its rasterization pass) and
+``integrate_streamlines`` consult it when no explicit config is passed.
 """
 
 from __future__ import annotations
@@ -53,15 +52,13 @@ class ParallelConfig:
     workers:
         Worker process count; ``<= 1`` selects the serial path.
     tile_rows:
-        Framebuffer row-band height for raycast/rasterize tiles
+        Framebuffer row-band height for rasterize tiles
         (0 = one contiguous band per worker).
-    slab_cells:
-        Isosurface z-slab thickness in cells (0 = one slab per worker).
     min_items:
-        Work-size floor (rays, triangles, cells, seeds, output rows)
-        below which kernels run serially — fork + IPC overhead dwarfs
-        tiny workloads.  Determinism is unaffected: the parallel path
-        is bitwise-identical to the serial one for the render kernels.
+        Work-size floor (triangles + line vertices, seeds) below which
+        kernels run serially — fork + IPC overhead dwarfs tiny
+        workloads.  Determinism is unaffected: the parallel path is
+        bitwise-identical to the serial one.
     timeout:
         Pool-wide wall-clock limit in seconds; exceeding it raises
         :class:`~repro.util.errors.KernelPoolError` after the pool
@@ -75,31 +72,22 @@ class ParallelConfig:
     start_method:
         ``multiprocessing`` start method (default: ``fork`` where
         available — zero-copy payload inheritance — else ``spawn``).
-    adaptive:
-        Let kernels choose cost-weighted tile boundaries (expected ray
-        samples per row, candidate cells per z-layer) instead of
-        equal-count bands.  Only consulted when ``tile_rows`` /
-        ``slab_cells`` leave the partition to the kernel; the weighting
-        is a deterministic function of the scene, and kernel outputs
-        are bitwise independent of the tiling either way.
     """
 
     workers: int = 1
     tile_rows: int = 0
-    slab_cells: int = 0
     min_items: int = 2048
     timeout: float = 120.0
     respawn_budget: int = 2
     start_method: Optional[str] = None
-    adaptive: bool = True
 
     def __post_init__(self) -> None:
         if self.workers < 1:
             raise KernelPoolError(f"workers must be >= 1, got {self.workers}")
         if self.timeout <= 0:
             raise KernelPoolError(f"timeout must be positive, got {self.timeout}")
-        if self.tile_rows < 0 or self.slab_cells < 0 or self.min_items < 0:
-            raise KernelPoolError("tile_rows, slab_cells and min_items must be >= 0")
+        if self.tile_rows < 0 or self.min_items < 0:
+            raise KernelPoolError("tile_rows and min_items must be >= 0")
         if self.respawn_budget < 0:
             raise KernelPoolError(
                 f"respawn_budget must be >= 0, got {self.respawn_budget}"

@@ -1,26 +1,24 @@
-"""Process-parallel tiled versions of the rendering hot paths.
+"""Process-parallel tiled rasterization and streamline integration.
 
-Each kernel here partitions its domain (framebuffer rows, volume
-z-slabs, seed chunks, output-latitude bands), runs the existing serial
-kernel on each tile in a worker process, and merges the results:
+Each kernel here partitions its domain (framebuffer rows, seed chunks),
+runs the existing serial kernel on each tile in a worker process, and
+merges the results:
 
-=====================  =========================  =====================
-kernel                 partition                  merge
-=====================  =========================  =====================
-``parallel_raycast``   framebuffer row bands      write into shared RGBA
-``parallel_rasterize``  framebuffer row bands     shared color+depth
-``parallel_marching_tetrahedra``  volume z-slabs  concat + dedup + sort
-``parallel_integrate_streamlines``  seed chunks   ordered concat
-``parallel_separable_products``  output-lat bands  ordered concat
-=====================  =========================  =====================
+==================================  ======================  ==================
+kernel                              partition               merge
+==================================  ======================  ==================
+``parallel_rasterize``              framebuffer row bands   shared color+depth
+``parallel_integrate_streamlines``  seed chunks             ordered concat
+==================================  ======================  ==================
 
-Determinism: the render kernels (raycast, rasterize, isosurface,
-streamlines) are **bitwise identical** to their serial counterparts —
-every per-ray / per-pixel / per-cell / per-seed quantity is computed
-elementwise by the shared serial code paths, and the isosurface output
-is canonicalized (vertex dedup + triangle lexsort) on both paths.  The
-regrid products are near-exact only (banded einsum may reassociate
-BLAS reductions).
+Only kernels whose pool variant beats the serial one at some served
+size have one; ray casting, isosurface extraction and regridding lost
+at every size and are serial-only (numbers and the rule in
+docs/parallel-kernels.md).
+
+Determinism: both kernels are **bitwise identical** to their serial
+counterparts — every per-pixel / per-seed quantity is computed
+elementwise by the shared serial code paths.
 
 Every kernel takes a ``config`` (:class:`~repro.parallel.config.ParallelConfig`)
 and falls back to the serial implementation when the config is
@@ -35,104 +33,9 @@ from typing import Any, List, Optional, Tuple
 
 import numpy as np
 
-from repro import obs
 from repro.parallel.config import ParallelConfig, get_config
-from repro.parallel.partition import index_bands, row_bands, weighted_bands, z_slabs
+from repro.parallel.partition import index_bands, row_bands
 from repro.parallel.pool import attach_ndarray, run_tiles, shared_ndarray
-
-# ---------------------------------------------------------------------------
-# raycast
-
-
-def _raycast_tile(payload: Tuple[Any, ...], band: Tuple[int, int]) -> int:
-    from repro.rendering.raycast import raycast_rows
-
-    (volume, transfer, camera, width, height, step_size, array_name,
-     depth_limit, lighting, light_direction, empty_space_skipping,
-     shm_name) = payload
-    row0, row1 = band
-    block = raycast_rows(
-        volume, transfer, camera, width, height, row0, row1,
-        step_size=step_size, array_name=array_name, depth_limit=depth_limit,
-        lighting=lighting, light_direction=light_direction,
-        empty_space_skipping=empty_space_skipping,
-    )
-    with attach_ndarray(shm_name, (height, width, 4), np.float32) as out:
-        out[row0:row1] = block
-    return row1 - row0
-
-
-def _raycast_bands(
-    volume, transfer, camera, width, height, step_size, array_name, config
-):
-    """Row partition for the ray caster — cost-weighted when adaptive.
-
-    The weighting charges each row its expected in-volume sample count
-    against the occupied region's bounding box (a deterministic
-    function of the scene), so rows crossing the data cost more and
-    bands equalize wall-clock instead of row count.  Kernel outputs
-    are bitwise independent of the tiling, so this only moves work.
-    """
-    if config.tile_rows > 0 or not config.adaptive:
-        return row_bands(height, config.workers, config.tile_rows)
-    from repro.rendering.accel import raycast_row_weights
-    from repro.rendering.raycast import _skip_setup
-
-    name = array_name or volume.active_scalars_name
-    skip = _skip_setup(volume, transfer, name)
-    if skip is None:
-        box = volume.bounds()
-    else:
-        box = skip[2]  # None when nothing contributes: every row is cheap
-    step = float(step_size) if step_size else float(min(volume.spacing))
-    weights = raycast_row_weights(volume, camera, width, height, step, box)
-    return weighted_bands(weights.tolist(), config.workers)
-
-
-def parallel_raycast(
-    volume,
-    transfer,
-    camera,
-    width: int,
-    height: int,
-    step_size: Optional[float] = None,
-    array_name: Optional[str] = None,
-    depth_limit: Optional[np.ndarray] = None,
-    lighting: bool = True,
-    light_direction: Tuple[float, float, float] = (0.4, -0.5, 0.8),
-    empty_space_skipping: bool = True,
-    config: Optional[ParallelConfig] = None,
-) -> np.ndarray:
-    """Tiled :func:`repro.rendering.raycast.raycast_volume` — bitwise identical."""
-    from repro.rendering.raycast import raycast_volume
-
-    config = config if config is not None else get_config()
-    if not config.wants(width * height):
-        return raycast_volume(
-            volume, transfer, camera, width, height,
-            step_size=step_size, array_name=array_name, depth_limit=depth_limit,
-            lighting=lighting, light_direction=light_direction,
-            empty_space_skipping=empty_space_skipping,
-        )
-    bands = _raycast_bands(
-        volume, transfer, camera, width, height, step_size, array_name, config
-    )
-    with obs.span(
-        "raycast.render", rays=int(width * height), width=int(width),
-        height=int(height), parallel=True,
-    ):
-        with shared_ndarray((height, width, 4), np.float32) as (shm_name, out):
-            payload = (
-                volume, transfer, camera, width, height, step_size, array_name,
-                depth_limit, lighting, light_direction, empty_space_skipping,
-                shm_name,
-            )
-            run_tiles(config, _raycast_tile, bands, payload=payload, label="raycast")
-            rgba = out.copy()
-        if obs.enabled():
-            obs.counter("raycast.rays", int(width * height))
-    return rgba
-
 
 # ---------------------------------------------------------------------------
 # rasterize
@@ -199,95 +102,6 @@ def parallel_rasterize(
 
 
 # ---------------------------------------------------------------------------
-# isosurface
-
-
-def _isosurface_tile(payload: Tuple[Any, ...], slab: Tuple[int, int]) -> np.ndarray:
-    from repro.rendering.isosurface import _slab_triangle_points
-
-    values, isovalue, candidates = payload
-    return _slab_triangle_points(
-        values, isovalue, slab[0], slab[1], candidates=candidates
-    )
-
-
-def parallel_marching_tetrahedra(
-    volume,
-    isovalue: float,
-    array_name: Optional[str] = None,
-    config: Optional[ParallelConfig] = None,
-    accelerate: bool = True,
-):
-    """Z-slab-parallel marching tetrahedra — identical surface to serial.
-
-    Slab triangle lists are concatenated in slab order, then vertices
-    are deduplicated and triangles canonically ordered by the same
-    finalization the serial path uses, so the merged surface is
-    array-identical (shared-edge vertices appear once).  The candidate
-    cell mask is computed once in the parent and shared with every
-    worker; with ``config.adaptive`` it also weights the z-slab
-    boundaries so slabs carry near-equal candidate counts.
-    """
-    from repro.rendering.geometry import PolyData
-    from repro.rendering.isosurface import (
-        _finalize_surface,
-        _prepared_values,
-        candidate_cells,
-        marching_tetrahedra,
-    )
-    from repro.util.errors import RenderingError
-
-    config = config if config is not None else get_config()
-    name = array_name or volume.active_scalars_name
-    scalars = volume.get_array(name)
-    if scalars.ndim != 3:
-        raise RenderingError("marching_tetrahedra requires a scalar array")
-    nx, ny, nz = scalars.shape
-    if min(nx, ny, nz) < 2:
-        return PolyData(np.zeros((0, 3)))
-    n_cells = (nx - 1) * (ny - 1) * (nz - 1)
-    if not config.wants(n_cells) or nz - 1 < 2:
-        return marching_tetrahedra(
-            volume, isovalue, array_name=array_name, parallel=config.serial(),
-            accelerate=accelerate,
-        )
-    with obs.span(
-        "isosurface.marching_tetrahedra",
-        cells=int(n_cells), isovalue=float(isovalue), parallel=True,
-    ) as _span:
-        candidates = (
-            candidate_cells(volume, float(isovalue), name) if accelerate else None
-        )
-        if candidates is not None and obs.enabled():
-            obs.counter(
-                "isosurface.cells.skipped",
-                int(n_cells - np.count_nonzero(candidates)),
-            )
-        values = _prepared_values(scalars)
-        if candidates is not None and config.adaptive and config.slab_cells == 0:
-            from repro.rendering.accel import z_layer_weights
-
-            slabs = weighted_bands(
-                z_layer_weights(candidates).tolist(), config.workers
-            )
-        else:
-            slabs = z_slabs(nz - 1, config.workers, config.slab_cells)
-        blocks = run_tiles(
-            config, _isosurface_tile, slabs,
-            payload=(values, float(isovalue), candidates), label="isosurface",
-        )
-        non_empty = [block for block in blocks if block.shape[0]]
-        tri_pts = (
-            np.concatenate(non_empty) if non_empty
-            else np.zeros((0, 3, 3), dtype=np.float64)
-        )
-        surface = _finalize_surface(
-            volume, tri_pts, float(isovalue), True, n_cells, _span
-        )
-    return surface
-
-
-# ---------------------------------------------------------------------------
 # streamlines
 
 
@@ -333,36 +147,3 @@ def parallel_integrate_streamlines(
     results = run_tiles(config, _streamline_tile, chunks, payload=payload, label="streamline")
     return [line for chunk_lines in results for line in chunk_lines]
 
-
-# ---------------------------------------------------------------------------
-# regrid
-
-
-def _regrid_tile(payload: Tuple[Any, ...], band: Tuple[int, int]):
-    from repro.cdms.regrid import _separable_products
-
-    filled, valid, lat_matrix, lon_matrix = payload
-    l0, l1 = band
-    return _separable_products(filled, valid, lat_matrix[l0:l1], lon_matrix)
-
-
-def parallel_separable_products(
-    filled: np.ndarray,
-    valid: np.ndarray,
-    lat_matrix: np.ndarray,
-    lon_matrix: np.ndarray,
-    config: Optional[ParallelConfig] = None,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Output-latitude-banded separable regrid products (near-exact)."""
-    from repro.cdms.regrid import _separable_products
-
-    config = config if config is not None else get_config()
-    n_lat = lat_matrix.shape[0]
-    if not config.enabled or n_lat < 2:
-        return _separable_products(filled, valid, lat_matrix, lon_matrix)
-    bands = index_bands(n_lat, config.workers)
-    payload = (filled, valid, lat_matrix, lon_matrix)
-    parts = run_tiles(config, _regrid_tile, bands, payload=payload, label="regrid")
-    numerator = np.concatenate([p[0] for p in parts], axis=-2)
-    denominator = np.concatenate([p[1] for p in parts], axis=-2)
-    return numerator, denominator

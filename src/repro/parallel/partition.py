@@ -7,7 +7,7 @@ no overlap, in ascending order, and never returns an empty range.
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import List, Tuple
 
 from repro.util.errors import KernelPoolError
 
@@ -52,56 +52,3 @@ def row_bands(height: int, workers: int, tile_rows: int = 0) -> List[Range]:
     if tile_rows > 0:
         return sized_bands(height, tile_rows)
     return index_bands(height, workers)
-
-
-def z_slabs(n_cells: int, workers: int, slab_cells: int = 0) -> List[Range]:
-    """Volume cell slabs along z: fixed-thickness when *slab_cells* > 0,
-    else one near-equal slab per worker."""
-    if slab_cells > 0:
-        return sized_bands(n_cells, slab_cells)
-    return index_bands(n_cells, workers)
-
-
-def weighted_bands(weights: Sequence[float], n_bands: int) -> List[Range]:
-    """Split ``[0, len(weights))`` into at most *n_bands* contiguous bands
-    of near-equal total weight.
-
-    This is the adaptive variant of :func:`index_bands`: *weights* are
-    per-item cost estimates (expected ray samples per image row,
-    candidate cells per z-layer) and band boundaries are chosen so each
-    band carries about ``total / n_bands`` of the cost.  Deterministic
-    — boundaries are a pure function of the weights — and it upholds
-    the partition invariants: exact cover of ``[0, n)``, ascending,
-    non-overlapping, never an empty band.  Non-finite or negative
-    weights are treated as zero; an all-zero weighting degrades to
-    :func:`index_bands`.
-    """
-    n = len(weights)
-    if n_bands < 1:
-        raise KernelPoolError(f"n_bands must be >= 1, got {n_bands}")
-    if n == 0:
-        return []
-    cleaned = [
-        w if (w > 0.0 and w == w and w != float("inf")) else 0.0
-        for w in (float(w) for w in weights)
-    ]
-    total = sum(cleaned)
-    if total <= 0.0:
-        return index_bands(n, n_bands)
-    n_bands = min(n_bands, n)
-    bands: List[Range] = []
-    start = 0
-    cumulative = 0.0
-    for index in range(n_bands - 1):
-        target = total * (index + 1) / n_bands
-        stop = start
-        # advance until this band reaches its share of the total cost,
-        # but always leave at least one item per remaining band
-        limit = n - (n_bands - 1 - index)
-        while stop < limit and (stop == start or cumulative < target):
-            cumulative += cleaned[stop]
-            stop += 1
-        bands.append((start, stop))
-        start = stop
-    bands.append((start, n))
-    return bands

@@ -8,9 +8,8 @@ cheap to identify *conservatively* — per-tile value bounds guarantee
 that every trilinear sample and every cell-corner value inside a tile
 lies within the tile's ``[min, max]`` interval, so a tile whose bounds
 rule out any contribution can be skipped without changing a single
-output byte.  The same structure feeds the adaptive tile scheduler in
-:mod:`repro.parallel` (occupancy-weighted partitions) and is the shape
-the future chunked-storage work needs for per-slab culling.
+output byte.  The same structure is the shape the future
+chunked-storage work needs for per-slab culling.
 
 Level 0 tiles are ``tile``³ cells; each coarser level merges 2×2×2
 finer tiles.  Bounds are computed over *cell corner* values (the 8
@@ -203,11 +202,6 @@ class MinMaxPyramid:
             out = np.repeat(out, lvl.tile, axis=axis)
         return out[:cx, :cy, :cz]
 
-    @staticmethod
-    def occupancy(tile_mask: np.ndarray) -> float:
-        """Fraction of ``True`` tiles (the adaptive scheduler's signal)."""
-        return float(np.count_nonzero(tile_mask)) / max(tile_mask.size, 1)
-
     def active_cell_bounds(
         self, tile_mask: np.ndarray, level: int = 0
     ) -> Optional[Tuple[int, int, int, int, int, int]]:
@@ -227,48 +221,3 @@ class MinMaxPyramid:
             t0, t1 = int(occupied[0]), int(occupied[-1]) + 1
             bounds.extend((t0 * lvl.tile, min(t1 * lvl.tile, n_cells)))
         return tuple(bounds)  # type: ignore[return-value]
-
-
-# -- cost models for the adaptive tile scheduler -----------------------------
-
-
-def z_layer_weights(cell_mask: np.ndarray) -> np.ndarray:
-    """Per-z-cell-layer extraction cost estimate from a candidate mask.
-
-    One unit per candidate cell plus a small per-layer base cost, so an
-    all-empty layer still costs something (slicing, classification
-    setup) and weighted partitions never degenerate.
-    """
-    counts = cell_mask.sum(axis=(0, 1)).astype(np.float64)
-    base = max(1.0, 0.02 * cell_mask.shape[0] * cell_mask.shape[1])
-    return counts + base
-
-
-def raycast_row_weights(
-    volume,
-    camera,
-    width: int,
-    height: int,
-    step: float,
-    bounds_world: Optional[Tuple[float, float, float, float, float, float]],
-) -> np.ndarray:
-    """Per-image-row cost estimate for the ray caster.
-
-    Cost of a row ≈ expected sample count: each pixel ray is intersected
-    with the world-space bounding box of the occupied region and charged
-    its in-box step count, plus one unit of fixed per-ray overhead.
-    Deterministic — depends only on camera/size/volume, never on
-    runtime measurements — so the partition (and therefore the tiling)
-    is reproducible across runs.
-    """
-    weights = np.ones(height, dtype=np.float64)
-    if bounds_world is None or step <= 0:
-        return weights
-    from repro.rendering.raycast import _ray_box_intersection
-
-    origins, dirs = camera.pixel_rays(width, height)
-    t_enter, t_exit = _ray_box_intersection(origins, dirs, bounds_world)
-    t_enter = np.maximum(t_enter, camera.near)
-    span = np.maximum(t_exit - t_enter, 0.0)
-    steps = (span / step).reshape(height, width)
-    return weights + steps.sum(axis=1)

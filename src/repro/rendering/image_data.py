@@ -243,7 +243,7 @@ class ImageData:
 
         Built lazily on first use and re-used by every subsequent
         render of the same volume (empty-space skipping, isosurface
-        cell culling, adaptive tile scheduling).
+        cell culling).
         """
         from repro.rendering.accel import MinMaxPyramid
 

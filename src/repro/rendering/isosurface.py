@@ -82,7 +82,6 @@ def marching_tetrahedra(
     isovalue: float,
     array_name: Optional[str] = None,
     deduplicate: bool = True,
-    parallel=None,
     accelerate: bool = True,
 ) -> PolyData:
     """Extract the *isovalue* surface of a scalar array as triangles.
@@ -99,12 +98,6 @@ def marching_tetrahedra(
     deduplicate:
         Merge coincident vertices so shared edges produce shared points
         (needed for smooth point normals).  Costs one vertex sort.
-    parallel:
-        Optional :class:`repro.parallel.ParallelConfig`; defaults to
-        the ambient config.  When enabled (and *deduplicate* is on) the
-        volume is partitioned into z-slabs extracted on worker
-        processes, with an identical final surface (vertices are
-        deduplicated and triangles canonically ordered either way).
     accelerate:
         Preselect candidate cells with the volume's min/max tile
         pyramid: only cells whose tile straddles the isovalue are
@@ -125,17 +118,6 @@ def marching_tetrahedra(
     if min(nx, ny, nz) < 2:
         return PolyData(np.zeros((0, 3)))
 
-    from repro.parallel.config import get_config
-
-    config = parallel if parallel is not None else get_config()
-    if deduplicate and config.enabled:
-        from repro.parallel.kernels import parallel_marching_tetrahedra
-
-        return parallel_marching_tetrahedra(
-            volume, isovalue, array_name=array_name, config=config,
-            accelerate=accelerate,
-        )
-
     n_cells = (nx - 1) * (ny - 1) * (nz - 1)
     with obs.span(
         "isosurface.marching_tetrahedra",
@@ -150,10 +132,9 @@ def marching_tetrahedra(
                 "isosurface.cells.skipped",
                 int(n_cells - np.count_nonzero(candidates)),
             )
-        values = _prepared_values(scalars)
-        tri_pts = _slab_triangle_points(
-            values, float(isovalue), 0, nz - 1, candidates=candidates
-        )
+        # NaNs become -inf: "outside" at any isovalue
+        values = np.where(np.isfinite(scalars), scalars, -np.inf).astype(np.float64)
+        tri_pts = _triangle_points(values, float(isovalue), candidates)
         surface = _finalize_surface(
             volume, tri_pts, float(isovalue), deduplicate, n_cells, _span,
         )
@@ -169,65 +150,51 @@ def candidate_cells(
     corner above the isovalue or none at-or-below it, so every one of
     its tetrahedra classifies to the empty case.  Exact — the pyramid
     stores corner-value bounds and treats non-finite voxels as
-    unbounded-below, matching :func:`_prepared_values`.
+    unbounded-below, matching the NaN → ``-inf`` mapping of
+    :func:`marching_tetrahedra`.
     """
     pyramid = volume.min_max_pyramid(array_name)
     return pyramid.cell_mask(pyramid.straddling(isovalue))
 
 
-def _prepared_values(scalars: np.ndarray) -> np.ndarray:
-    """Scalars with NaNs mapped to -inf ("outside" at any isovalue)."""
-    return np.where(np.isfinite(scalars), scalars, -np.inf).astype(np.float64)
-
-
-def _slab_triangle_points(
+def _triangle_points(
     values: np.ndarray,
     isovalue: float,
-    z0: int,
-    z1: int,
-    candidates: Optional[np.ndarray] = None,
+    candidates: Optional[np.ndarray],
 ) -> np.ndarray:
-    """Triangle corner points (index coords) for cells with z in [z0, z1).
+    """Triangle corner points (index coords) for every cell of *values*.
 
-    Works on the grid slab ``values[:, :, z0:z1+1]`` — every cell's
-    corner values and edge interpolation are computed exactly as in a
-    full-volume pass, so concatenating slab outputs covers each cell
-    once with bitwise-identical coordinates.  *candidates* (optional)
-    is a full-grid boolean cell mask from :func:`candidate_cells`;
-    cells outside it are never classified.  Because excluded cells
-    produce no triangles, and candidates are visited in the same
-    ascending flat order as the dense pass, the concatenated output is
-    array-identical either way.  Returns ``(n_tri, 3, 3)`` (possibly
-    empty).
+    *candidates* is a full-grid boolean cell mask from
+    :func:`candidate_cells`, or None to classify every cell; cells
+    outside it are never classified.  Because excluded cells produce no
+    triangles, and candidates are visited in the same ascending flat
+    order as the dense pass, the output is array-identical either way.
+    Returns ``(n_tri, 3, 3)`` (possibly empty).
     """
     nx, ny, nz = values.shape
-    cx, cy = nx - 1, ny - 1
-    if not 0 <= z0 < z1 <= nz - 1:
-        raise RenderingError(f"bad z-slab [{z0}, {z1}) for {nz - 1} cell layers")
-    cz = z1 - z0
-    slab = values[:, :, z0 : z1 + 1]
+    cx, cy, cz = nx - 1, ny - 1, nz - 1
 
     if candidates is None:
-        # corner values for every slab cell: shape (8, cx, cy, cz)
+        # corner values for every cell: shape (8, cx, cy, cz)
         corner_vals = np.empty((8, cx, cy, cz), dtype=np.float64)
         for c, (ox, oy, oz) in enumerate(_CORNER_OFFSETS):
-            corner_vals[c] = slab[ox : ox + cx, oy : oy + cy, oz : oz + cz]
+            corner_vals[c] = values[ox : ox + cx, oy : oy + cy, oz : oz + cz]
         corner_vals = corner_vals.reshape(8, -1)  # (8, n_cells)
 
         base_idx = np.stack(
-            np.meshgrid(np.arange(cx), np.arange(cy), np.arange(z0, z1), indexing="ij"),
+            np.meshgrid(np.arange(cx), np.arange(cy), np.arange(cz), indexing="ij"),
             axis=-1,
         ).reshape(-1, 3)  # (n_cells, 3) integer cell origins
     else:
-        if candidates.shape != (cx, cy, nz - 1):
+        if candidates.shape != (cx, cy, cz):
             raise RenderingError(
                 f"candidate mask shape {candidates.shape} != cell grid "
-                f"{(cx, cy, nz - 1)}"
+                f"{(cx, cy, cz)}"
             )
-        # ascending flat indices of candidate cells in this slab — same
-        # C-order flattening as the dense meshgrid above, so downstream
+        # ascending flat indices of candidate cells — same C-order
+        # flattening as the dense meshgrid above, so downstream
         # per-code grouping sees cells in an identical order
-        cand = np.nonzero(candidates[:, :, z0:z1].reshape(-1))[0]
+        cand = np.nonzero(candidates.reshape(-1))[0]
         if cand.size == 0:
             return np.zeros((0, 3, 3), dtype=np.float64)
         cyz = cy * cz
@@ -237,8 +204,8 @@ def _slab_triangle_points(
         ck = rem - cj * cz
         corner_vals = np.empty((8, cand.size), dtype=np.float64)
         for c, (ox, oy, oz) in enumerate(_CORNER_OFFSETS):
-            corner_vals[c] = slab[ci + ox, cj + oy, ck + oz]
-        base_idx = np.stack([ci, cj, ck + z0], axis=1)
+            corner_vals[c] = values[ci + ox, cj + oy, ck + oz]
+        base_idx = np.stack([ci, cj, ck], axis=1)
 
     triangles_xyz: List[np.ndarray] = []
     for tet in _CUBE_TETS:
@@ -341,8 +308,8 @@ def _finalize_surface(
     """Build the output PolyData from raw triangle corner points.
 
     With *deduplicate* the result is canonical: vertices come out of
-    ``np.unique`` sorted and triangle rows are lexsorted, so serial and
-    slab-merged extractions of the same volume are array-identical.
+    ``np.unique`` sorted and triangle rows are lexsorted, independent
+    of the order triangles were generated in.
     """
     if tri_pts.shape[0] == 0:
         return PolyData(np.zeros((0, 3)))

@@ -28,9 +28,7 @@ so the output is bitwise identical with skipping on or off.
 Tiling: :func:`raycast_rows` renders any horizontal band of the image.
 Every per-ray quantity is computed strictly elementwise (no batched
 BLAS reductions whose rounding could depend on cohort size), so a band
-render is bitwise identical to the same rows of a full-frame render —
-the invariant the process-parallel path in :mod:`repro.parallel`
-depends on.
+render is bitwise identical to the same rows of a full-frame render.
 """
 
 from __future__ import annotations

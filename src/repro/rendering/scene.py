@@ -119,10 +119,10 @@ class Renderer:
     """Renders a :class:`Scene` through a :class:`Camera` into a framebuffer.
 
     *parallel* (a :class:`repro.parallel.ParallelConfig`) tiles the
-    rasterization and ray-casting passes across worker processes; it
-    defaults to the ambient config (serial unless the application
-    opted in), and the tiled passes produce a bitwise-identical
-    framebuffer.
+    rasterization pass across worker processes; it defaults to the
+    ambient config (serial unless the application opted in), and the
+    tiled pass produces a bitwise-identical framebuffer.  Ray casting
+    is always serial.
     """
 
     def __init__(self, width: int = 400, height: int = 300, parallel=None) -> None:
@@ -135,8 +135,8 @@ class Renderer:
     def render(self, scene: Scene, camera: Optional[Camera] = None) -> Framebuffer:
         camera = camera or scene.fit_camera()
         # the frame cache: whole frames keyed by (scene, camera, size).
-        # The tiled parallel kernels are bitwise-identical to serial, so
-        # the key deliberately excludes the parallel config.  Buffers
+        # The tiled rasterizer is bitwise-identical to serial, so the
+        # key deliberately excludes the parallel config.  Buffers
         # are copied both ways — callers (DV3D cells, the hyperwall)
         # blend overlays into the returned framebuffer in place.
         return memoize(
@@ -151,12 +151,11 @@ class Renderer:
 
         config = self.parallel if self.parallel is not None else get_config()
         if config.enabled:
-            from repro.parallel import kernels
+            from repro.parallel.kernels import parallel_rasterize
 
-            do_rasterize = functools.partial(kernels.parallel_rasterize, config=config)
-            do_raycast = functools.partial(kernels.parallel_raycast, config=config)
+            do_rasterize = functools.partial(parallel_rasterize, config=config)
         else:
-            do_rasterize, do_raycast = rasterize, raycast_volume
+            do_rasterize = rasterize
 
         fb = Framebuffer(self.width, self.height, background=scene.background)
         light = scene.lights[0] if scene.lights else DirectionalLight()
@@ -176,7 +175,7 @@ class Renderer:
         for vactor in scene.volume_actors:
             if not vactor.visible:
                 continue
-            rgba = do_raycast(
+            rgba = raycast_volume(
                 vactor.volume,
                 vactor.transfer,
                 camera,

@@ -107,7 +107,7 @@ class Executor:
     parallel:
         Optional :class:`repro.parallel.ParallelConfig` installed as
         the ambient config for the duration of each execution, so
-        rendering modules (plots, isosurfaces, regrids) run their
+        rendering modules run their rasterization and streamline
         kernels on the process pool without any module-level plumbing.
     cache:
         Optional :class:`repro.cache.CacheConfig` installed the same

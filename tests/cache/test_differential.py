@@ -204,23 +204,18 @@ class TestRegridDifferential:
         rg.regrid_bilinear(var, other)
         assert get_cache().stats()["misses"] == 2
 
-    def test_parallel_tiling_partitions_keys(self, grids, cache_on):
-        # the parallel regrid kernel is only near-exact, so a serial
-        # product must never be served for a parallel request
-        from repro.cache.keys import cache_key
+    def test_parallel_config_shares_entries(self, grids, cache_on):
+        # one regrid implementation: a run under an enabled parallel
+        # config computes the serial bytes, so it is served the serial
+        # run's entry
+        from repro.cdms import regrid as rg
         from repro.parallel.config import ParallelConfig
+        from repro.parallel.config import use_config as use_parallel_config
 
         var, target = grids
-        serial = ParallelConfig()
-        banded = ParallelConfig(workers=4, min_items=1)
-
-        def key(pc):
-            return cache_key(
-                "regrid", "conservative", var, target,
-                (pc.enabled, pc.workers, pc.tile_rows, pc.min_items),
-            )
-
-        if banded.enabled:
-            assert key(serial) != key(banded)
-        else:  # no shared memory on this platform: both resolve serial
-            assert key(serial) == key(ParallelConfig())
+        cold = rg.regrid_conservative(var, target)
+        with use_parallel_config(ParallelConfig(workers=4, min_items=1)):
+            warm = rg.regrid_conservative(var, target)
+        assert np.array_equal(np.ma.getdata(cold.data), np.ma.getdata(warm.data))
+        stats = get_cache().stats()
+        assert stats["hits"] == 1 and stats["misses"] == 1

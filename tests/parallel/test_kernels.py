@@ -1,22 +1,19 @@
 """Serial vs parallel kernel equivalence, with real worker processes.
 
-The render kernels promise *bitwise identical* output at any worker
-count; the regrid kernel promises near-exact agreement (einsum
-reassociation only).  Fallback behavior (worker floor, ``min_items``)
-and the ambient-config wiring through ``Renderer`` / ``Plot3D`` /
-``Executor`` are covered here too.
+The two pooled kernels (rasterize, streamlines) promise *bitwise
+identical* output at any worker count.  Ray casting, isosurface
+extraction and regridding have no pool variant: under an enabled
+config they must start no pool run and return the serial bytes.  The
+ambient-config wiring through ``Renderer`` / ``Plot3D`` / ``Executor``
+is covered here too.
 """
 
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.parallel import ParallelConfig, use_config
-from repro.parallel.kernels import (
-    parallel_integrate_streamlines,
-    parallel_marching_tetrahedra,
-    parallel_rasterize,
-    parallel_raycast,
-)
+from repro.parallel.kernels import parallel_integrate_streamlines, parallel_rasterize
 from repro.rendering.camera import Camera
 from repro.rendering.framebuffer import Framebuffer
 from repro.rendering.image_data import ImageData
@@ -53,39 +50,20 @@ def transfer():
     return TransferFunction((-2.5, 2.5), center=0.6, width=0.5)
 
 
-class TestRaycast:
-    def test_bitwise_identical(self, volume, camera, transfer):
-        serial = raycast_volume(volume, transfer, camera, 48, 36, array_name="f")
-        par = parallel_raycast(volume, transfer, camera, 48, 36, array_name="f", config=CFG)
-        assert par.dtype == serial.dtype and par.shape == serial.shape
-        assert np.array_equal(serial, par)
+def _pool_run_kernels(recorder):
+    """The kernel label of every pool run *recorder* saw."""
+    return {s.attrs["kernel"] for s in recorder.spans if s.name == "parallel.run"}
 
+
+class TestRaycast:
     def test_row_band_equals_full_frame_slice(self, volume, camera, transfer):
-        """The tiling invariant, without processes: any band is a slice."""
+        """Any band of :func:`raycast_rows` is a slice of the full frame."""
         full = raycast_volume(volume, transfer, camera, 40, 30, array_name="f")
         for row0, row1 in [(0, 7), (7, 19), (19, 30)]:
             band = raycast_rows(
                 volume, transfer, camera, 40, 30, row0, row1, array_name="f"
             )
             assert np.array_equal(band, full[row0:row1])
-
-    def test_with_depth_limit(self, volume, camera, transfer):
-        depth = np.full((36, 48), np.inf, dtype=np.float32)
-        depth[10:20, 15:35] = 4.0
-        serial = raycast_volume(
-            volume, transfer, camera, 48, 36, array_name="f", depth_limit=depth
-        )
-        par = parallel_raycast(
-            volume, transfer, camera, 48, 36, array_name="f", depth_limit=depth, config=CFG
-        )
-        assert np.array_equal(serial, par)
-
-    def test_min_items_floor_falls_back(self, volume, camera, transfer):
-        cfg = ParallelConfig(workers=4, min_items=10**9)
-        out = parallel_raycast(volume, transfer, camera, 16, 12, array_name="f", config=cfg)
-        assert np.array_equal(
-            out, raycast_volume(volume, transfer, camera, 16, 12, array_name="f")
-        )
 
 
 class TestRasterize:
@@ -126,30 +104,12 @@ class TestRasterize:
 
 
 class TestIsosurface:
-    def test_identical_surface(self, volume):
-        serial = marching_tetrahedra(volume, 0.2, "f")
-        par = parallel_marching_tetrahedra(volume, 0.2, "f", config=CFG)
-        assert par.n_triangles == serial.n_triangles
-        assert np.array_equal(serial.points, par.points)
-        assert np.array_equal(serial.triangles, par.triangles)
-        assert np.array_equal(serial.scalars, par.scalars)
-
-    def test_slab_cells_override(self, volume):
-        cfg = ParallelConfig(workers=3, min_items=1, slab_cells=2, timeout=120.0)
-        serial = marching_tetrahedra(volume, -0.3, "f")
-        par = parallel_marching_tetrahedra(volume, -0.3, "f", config=cfg)
-        assert np.array_equal(serial.points, par.points)
-        assert np.array_equal(serial.triangles, par.triangles)
-
-    def test_empty_surface(self, volume):
-        par = parallel_marching_tetrahedra(volume, 1e9, "f", config=CFG)
-        assert par.n_points == 0 and par.n_triangles == 0
-
     def test_ambient_config_dispatch(self, volume):
-        """marching_tetrahedra() itself picks up the ambient config."""
+        """No pool variant: an enabled ambient config changes nothing."""
         serial = marching_tetrahedra(volume, 0.0, "f")
-        with use_config(CFG):
+        with obs.recording() as recorder, use_config(CFG):
             ambient = marching_tetrahedra(volume, 0.0, "f")
+        assert not _pool_run_kernels(recorder)
         assert np.array_equal(serial.points, ambient.points)
         assert np.array_equal(serial.triangles, ambient.triangles)
 
@@ -195,43 +155,24 @@ class TestRegrid:
         arr[5:9, 10:20] = np.ma.masked
         return Variable(arr, (grid.latitude, grid.longitude), id="f", units="K")
 
-    def test_conservative_near_exact(self):
+    def test_ambient_config_is_serial_and_exact(self):
+        """One regrid implementation: no pool run, the serial bytes."""
         from repro.cdms.grid import uniform_grid
-        from repro.cdms.regrid import regrid_conservative
+        from repro.cdms.regrid import regrid_bilinear, regrid_conservative
 
         src = self._field()
         target = uniform_grid(46, 72)
-        serial = regrid_conservative(src, target)
-        par = regrid_conservative(src, target, parallel=CFG)
-        assert np.array_equal(
-            np.ma.getmaskarray(serial.data), np.ma.getmaskarray(par.data)
-        )
-        np.testing.assert_allclose(
-            serial.filled(0.0), par.filled(0.0), rtol=1e-12, atol=1e-12
-        )
-
-    def test_conservation_holds_in_parallel(self):
-        from repro.cdms.grid import uniform_grid
-        from repro.cdms.regrid import regrid_conservative
-
-        grid = uniform_grid(36, 72)
-        lat = np.radians(grid.latitude.values)
-        from repro.cdms.variable import Variable
-
-        data = 280.0 + 20.0 * np.outer(np.cos(lat), np.ones(72))
-        src = Variable(
-            np.ma.MaskedArray(data), (grid.latitude, grid.longitude), id="f", units="K"
-        )
-
-        def area_mean(var):
-            g = var.get_grid()
-            w = g.area_weights()
-            valid = ~np.ma.getmaskarray(var.data)
-            ww = np.where(valid, w, 0.0)
-            return float((var.filled(0.0) * ww).sum() / ww.sum())
-
-        out = regrid_conservative(src, uniform_grid(18, 36), parallel=CFG)
-        assert area_mean(out) == pytest.approx(area_mean(src), rel=1e-10)
+        for regrid in (regrid_bilinear, regrid_conservative):
+            serial = regrid(src, target)
+            with obs.recording() as recorder, use_config(CFG):
+                ambient = regrid(src, target)
+            assert not _pool_run_kernels(recorder)
+            assert np.array_equal(
+                np.ma.getmaskarray(serial.data), np.ma.getmaskarray(ambient.data)
+            )
+            assert np.array_equal(
+                np.ma.getdata(serial.data), np.ma.getdata(ambient.data)
+            )
 
 
 class TestWiring:
@@ -261,3 +202,37 @@ class TestWiring:
         serial_img = serial_result.output(ids["cell"], "image")
         par_img = par_result.output(ids["cell"], "image")
         assert np.array_equal(serial_img, par_img)
+
+    def test_only_surviving_kernels_reach_the_pool(self, reanalysis):
+        """Volume + Isosurface renders and a regrid under an enabled
+        config: the pool sees rasterize/streamline runs and nothing
+        else, and every result equals the serial one."""
+        from repro.cdms.grid import uniform_grid
+        from repro.cdms.regrid import regrid_conservative
+        from repro.dv3d.isosurface import IsosurfacePlot
+        from repro.dv3d.volume import VolumePlot
+
+        def frames_and_regrid():
+            plots = [
+                VolumePlot(reanalysis("ta"), center=0.6, width=0.25),
+                IsosurfacePlot(reanalysis("ta"), color_variable=reanalysis("hus")),
+            ]
+            frames = [plot.render(64, 48) for plot in plots]
+            regridded = regrid_conservative(
+                reanalysis("ta")[0], uniform_grid(12, 18)
+            )
+            return frames, regridded
+
+        serial_frames, serial_regrid = frames_and_regrid()
+        cfg = ParallelConfig(workers=2, min_items=1, timeout=300.0)
+        with obs.recording() as recorder, use_config(cfg):
+            pool_frames, pool_regrid = frames_and_regrid()
+        kernels = _pool_run_kernels(recorder)
+        assert "rasterize" in kernels
+        assert kernels <= {"rasterize", "streamline"}
+        for serial_fb, pool_fb in zip(serial_frames, pool_frames):
+            assert np.array_equal(serial_fb.color, pool_fb.color)
+            assert np.array_equal(serial_fb.depth, pool_fb.depth)
+        assert np.array_equal(
+            np.ma.getdata(serial_regrid.data), np.ma.getdata(pool_regrid.data)
+        )

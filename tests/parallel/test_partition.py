@@ -1,23 +1,14 @@
-"""Property tests for domain partitioning and slab merging.
+"""Property tests for domain partitioning.
 
 The partition functions carry the pool's correctness: every parallel
 kernel assumes its bands exactly cover the domain with no overlap.
-Hypothesis sweeps random sizes; the slab-merge test checks the
-isosurface invariant end to end (without processes — the merge logic
-is pure).
+Hypothesis sweeps random sizes.
 """
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.parallel.partition import index_bands, row_bands, sized_bands, z_slabs
-from repro.rendering.image_data import ImageData
-from repro.rendering.isosurface import (
-    _prepared_values,
-    _slab_triangle_points,
-    marching_tetrahedra,
-)
+from repro.parallel.partition import index_bands, row_bands, sized_bands
 from repro.util.errors import KernelPoolError
 
 
@@ -77,83 +68,3 @@ class TestKernelPartitions:
     @settings(max_examples=100)
     def test_row_bands_cover(self, h, w, rows):
         _assert_exact_cover(row_bands(h, w, rows), h)
-
-    @given(n=st.integers(1, 400), w=st.integers(1, 8), cells=st.integers(0, 32))
-    @settings(max_examples=100)
-    def test_z_slabs_cover(self, n, w, cells):
-        _assert_exact_cover(z_slabs(n, w, cells), n)
-
-
-class TestSlabMerge:
-    """Isosurface z-slab decomposition (no worker processes involved)."""
-
-    @given(
-        nx=st.integers(2, 7),
-        ny=st.integers(2, 7),
-        nz=st.integers(3, 9),
-        workers=st.integers(2, 5),
-        seed=st.integers(0, 2**16),
-    )
-    @settings(max_examples=40, deadline=None)
-    def test_slab_merge_matches_serial(self, nx, ny, nz, workers, seed):
-        rng = np.random.default_rng(seed)
-        volume = ImageData((nx, ny, nz))
-        volume.add_array("f", rng.normal(size=(nx, ny, nz)))
-        values = _prepared_values(volume.get_array("f"))
-
-        full = _slab_triangle_points(values, 0.0, 0, nz - 1)
-        slabs = z_slabs(nz - 1, workers)
-        parts = [_slab_triangle_points(values, 0.0, z0, z1) for z0, z1 in slabs]
-
-        # raw triangle count is conserved by the partition
-        assert sum(p.shape[0] for p in parts) == full.shape[0]
-        merged = (
-            np.concatenate([p for p in parts if p.shape[0]])
-            if any(p.shape[0] for p in parts)
-            else np.zeros((0, 3, 3))
-        )
-        # the slab-major merge is a permutation of the serial tet-major
-        # output: identical multisets of triangle rows
-        key = lambda arr: arr.reshape(arr.shape[0], -1)  # noqa: E731
-        assert np.array_equal(
-            np.unique(key(full), axis=0), np.unique(key(merged), axis=0)
-        )
-        if full.shape[0]:
-            assert np.array_equal(
-                np.sort(key(full), axis=0), np.sort(key(merged), axis=0)
-            )
-
-    @given(
-        nx=st.integers(2, 6),
-        ny=st.integers(2, 6),
-        nz=st.integers(3, 8),
-        seed=st.integers(0, 2**16),
-    )
-    @settings(max_examples=25, deadline=None)
-    def test_finalized_surface_triangle_count(self, nx, ny, nz, seed):
-        """Dedup + canonical ordering makes the serial surface equal the
-        merged one, triangle for triangle."""
-        from repro.parallel import ParallelConfig
-        from repro.parallel.kernels import parallel_marching_tetrahedra
-
-        rng = np.random.default_rng(seed)
-        volume = ImageData((nx, ny, nz))
-        volume.add_array("f", rng.normal(size=(nx, ny, nz)))
-        serial = marching_tetrahedra(volume, 0.0, "f")
-        # workers=1 → serial fallback inside the kernel; the slab path is
-        # exercised (with real processes) in test_kernels.py
-        merged = parallel_marching_tetrahedra(
-            volume, 0.0, "f", config=ParallelConfig(workers=1)
-        )
-        assert merged.n_triangles == serial.n_triangles
-        assert np.array_equal(merged.points, serial.points)
-        assert np.array_equal(merged.triangles, serial.triangles)
-
-    def test_bad_slab_bounds(self):
-        values = np.zeros((3, 3, 3))
-        from repro.util.errors import RenderingError
-
-        with pytest.raises(RenderingError):
-            _slab_triangle_points(values, 0.0, 1, 1)
-        with pytest.raises(RenderingError):
-            _slab_triangle_points(values, 0.0, 0, 3)

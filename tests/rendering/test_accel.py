@@ -13,12 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.rendering.accel import (
-    DEFAULT_TILE,
-    MinMaxPyramid,
-    raycast_row_weights,
-    z_layer_weights,
-)
+from repro.rendering.accel import DEFAULT_TILE, MinMaxPyramid
 from repro.rendering.camera import Camera
 from repro.rendering.image_data import ImageData
 from repro.rendering.isosurface import candidate_cells, marching_tetrahedra
@@ -137,6 +132,9 @@ class TestPyramidBounds:
         with pytest.raises(RenderingError):
             MinMaxPyramid.build(np.zeros((4, 4), dtype=np.float32))
 
+    def test_default_tile_sane(self):
+        assert DEFAULT_TILE >= 1
+
     def test_active_cell_bounds_tight_and_clipped(self):
         values = np.zeros((9, 9, 9), dtype=np.float32)
         pyramid = MinMaxPyramid.build(values, tile=4)
@@ -224,33 +222,3 @@ class TestDifferentialSkipping:
         # the pyramid behind the mask is cached per array
         assert volume.min_max_pyramid("blob") is volume.min_max_pyramid("blob")
         assert np.array_equal(first, again)
-
-
-class TestCostModels:
-    def test_z_layer_weights_track_candidates(self):
-        mask = np.zeros((6, 6, 6), dtype=bool)
-        mask[:, :, 2] = True
-        weights = z_layer_weights(mask)
-        assert weights.shape == (6,)
-        assert weights[2] == weights.max()
-        assert (weights > 0).all()  # base cost keeps every layer nonzero
-
-    def test_raycast_row_weights_deterministic_and_positive(self):
-        volume = _blob_volume(12)
-        camera = Camera.fit_bounds(volume.bounds())
-        a = raycast_row_weights(volume, camera, 32, 24, 0.1, volume.bounds())
-        b = raycast_row_weights(volume, camera, 32, 24, 0.1, volume.bounds())
-        assert np.array_equal(a, b)
-        assert a.shape == (24,)
-        assert (a >= 1.0).all()
-        # rows through the volume cost more than rows that miss it
-        assert a.max() > a.min()
-
-    def test_raycast_row_weights_without_box_are_uniform(self):
-        volume = _blob_volume(12)
-        camera = Camera.fit_bounds(volume.bounds())
-        weights = raycast_row_weights(volume, camera, 32, 24, 0.1, None)
-        assert np.array_equal(weights, np.ones(24))
-
-    def test_default_tile_sane(self):
-        assert DEFAULT_TILE >= 1
