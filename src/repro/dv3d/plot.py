@@ -114,11 +114,10 @@ class Plot3D:
         width: int = 400,
         height: int = 300,
         camera: Optional[Camera] = None,
-        parallel=None,
     ) -> Framebuffer:
         scene = self.build_scene()
         cam = camera or self.camera or self.default_camera()
-        return Renderer(width, height, parallel=parallel).render(scene, cam)
+        return Renderer(width, height).render(scene, cam)
 
     # -- colormap commands (shared key commands) ------------------------------
 

@@ -1,9 +1,8 @@
-"""Process-parallel tiled rendering kernels (shared-memory pool; serial fallback, deterministic output, crash containment).
+"""Process-parallel kernel pool (serial fallback, deterministic output, crash containment).
 
-Rasterization and streamline integration — the two hot paths whose
-pool variant beats the serial one (docs/parallel-kernels.md has the
-numbers) — tile their domains across worker processes that write into
-``multiprocessing.shared_memory`` buffers.  Ray casting, isosurface
+Streamline integration — the one hot path whose pool variant beats the
+serial one (docs/parallel-kernels.md has the numbers) — chunks its
+seeds across worker processes.  Rasterization, ray casting, isosurface
 extraction and regridding always run serially.  Parallelism is strictly
 opt-in:
 
@@ -18,8 +17,8 @@ Guarantees (see docs/parallel-kernels.md):
 
 * **serial fallback** — ``workers <= 1``, missing POSIX shared memory,
   or workloads under ``min_items`` silently run the serial kernels;
-* **determinism** — the kernels produce *bitwise identical*
-  framebuffers/lines at any worker count (golden-image tested);
+* **determinism** — the pooled kernel produces *bitwise identical*
+  lines at any worker count (golden-image tested);
 * **crash containment with recovery** — a crashed worker's tiles are
   retried on replacement workers (``respawn_budget``) and then
   serially in the parent, so a transient worker loss still completes
@@ -36,8 +35,8 @@ from repro.parallel.config import (
     shared_memory_supported,
     use_config,
 )
-from repro.parallel.kernels import parallel_integrate_streamlines, parallel_rasterize
-from repro.parallel.partition import index_bands, row_bands, sized_bands
+from repro.parallel.kernels import parallel_integrate_streamlines
+from repro.parallel.partition import index_bands, sized_bands
 from repro.parallel.pool import KernelPool, attach_ndarray, run_tiles, shared_ndarray
 from repro.util.errors import KernelPoolError
 
@@ -50,8 +49,6 @@ __all__ = [
     "get_config",
     "index_bands",
     "parallel_integrate_streamlines",
-    "parallel_rasterize",
-    "row_bands",
     "run_tiles",
     "set_config",
     "shared_memory_supported",

@@ -1,17 +1,17 @@
 """Configuration for the process-parallel kernel pool.
 
-A :class:`ParallelConfig` describes how the tiled rendering kernels
-distribute work: how many worker processes, how the framebuffer /
-seed domain is partitioned, and the pool-wide timeout.  The
-pool is strictly **opt-in**: the default configuration has ``workers=1``
-and every kernel falls back to its serial implementation whenever the
-config is not :attr:`ParallelConfig.enabled` — including on platforms
-without POSIX shared memory.
+A :class:`ParallelConfig` describes how the pooled kernels distribute
+work: how many worker processes, the work-size floor, and the pool-wide
+timeout.  The pool is strictly **opt-in**: the default configuration
+has ``workers=1`` and every kernel falls back to its serial
+implementation whenever the config is not
+:attr:`ParallelConfig.enabled` — including on platforms without POSIX
+shared memory.
 
 The ambient default config (:func:`get_config` / :func:`set_config` /
 :func:`use_config`) is what lets DV3D plot types pick up parallelism
-without API changes: ``Renderer`` (for its rasterization pass) and
-``integrate_streamlines`` consult it when no explicit config is passed.
+without API changes: ``integrate_streamlines`` consults it when no
+explicit config is passed.
 """
 
 from __future__ import annotations
@@ -45,20 +45,17 @@ _SHM_SUPPORTED: Optional[bool] = None
 
 @dataclass(frozen=True)
 class ParallelConfig:
-    """How the kernel pool tiles and distributes work.
+    """How the kernel pool distributes work.
 
     Parameters
     ----------
     workers:
         Worker process count; ``<= 1`` selects the serial path.
-    tile_rows:
-        Framebuffer row-band height for rasterize tiles
-        (0 = one contiguous band per worker).
     min_items:
-        Work-size floor (triangles + line vertices, seeds) below which
-        kernels run serially — fork + IPC overhead dwarfs tiny
-        workloads.  Determinism is unaffected: the parallel path is
-        bitwise-identical to the serial one.
+        Work-size floor (seeds) below which kernels run serially —
+        fork + IPC overhead dwarfs tiny workloads.  Determinism is
+        unaffected: the parallel path is bitwise-identical to the
+        serial one.
     timeout:
         Pool-wide wall-clock limit in seconds; exceeding it raises
         :class:`~repro.util.errors.KernelPoolError` after the pool
@@ -75,7 +72,6 @@ class ParallelConfig:
     """
 
     workers: int = 1
-    tile_rows: int = 0
     min_items: int = 2048
     timeout: float = 120.0
     respawn_budget: int = 2
@@ -86,8 +82,8 @@ class ParallelConfig:
             raise KernelPoolError(f"workers must be >= 1, got {self.workers}")
         if self.timeout <= 0:
             raise KernelPoolError(f"timeout must be positive, got {self.timeout}")
-        if self.tile_rows < 0 or self.min_items < 0:
-            raise KernelPoolError("tile_rows and min_items must be >= 0")
+        if self.min_items < 0:
+            raise KernelPoolError(f"min_items must be >= 0, got {self.min_items}")
         if self.respawn_budget < 0:
             raise KernelPoolError(
                 f"respawn_budget must be >= 0, got {self.respawn_budget}"

@@ -45,10 +45,3 @@ def sized_bands(n: int, band_size: int) -> List[Range]:
         raise KernelPoolError(f"band_size must be >= 1, got {band_size}")
     return [(start, min(start + band_size, n)) for start in range(0, n, band_size)]
 
-
-def row_bands(height: int, workers: int, tile_rows: int = 0) -> List[Range]:
-    """Framebuffer row tiles: fixed-height when *tile_rows* > 0, else one
-    near-equal band per worker."""
-    if tile_rows > 0:
-        return sized_bands(height, tile_rows)
-    return index_bands(height, workers)

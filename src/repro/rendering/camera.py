@@ -14,6 +14,7 @@ NDC x/y in [-1, 1]; screen origin at the top-left pixel.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Dict, Tuple
 
 import numpy as np
@@ -50,7 +51,13 @@ class Camera:
     # -- basis ------------------------------------------------------------
 
     def basis(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Right-handed (right, up, forward) unit vectors."""
+        """Right-handed (right, up, forward) unit vectors (read-only)."""
+        return self._basis
+
+    @cached_property
+    def _basis(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        # computed once per camera: every actor of a frame projects through
+        # it.  Not a field, so ``==``, ``hash`` and the cache key ignore it.
         pos = np.asarray(self.position, dtype=np.float64)
         foc = np.asarray(self.focal_point, dtype=np.float64)
         forward = _normalize(foc - pos)
@@ -61,6 +68,8 @@ class Camera:
             right = np.cross(forward, up_hint)
         right = _normalize(right)
         up = _normalize(np.cross(right, forward))
+        for vector in (right, up, forward):
+            vector.flags.writeable = False
         return right, up, forward
 
     @property

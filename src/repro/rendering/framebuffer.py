@@ -42,10 +42,9 @@ class Framebuffer:
     ) -> "Framebuffer":
         """Wrap existing ``(h, w, 3)`` color / ``(h, w)`` depth arrays.
 
-        The arrays are used in place — not copied, not cleared — so a
-        pool worker can rasterize straight into a shared-memory segment
-        (:mod:`repro.parallel`).  Both must be float32 and agree on
-        ``(h, w)``.
+        The arrays are used in place — not copied, not cleared.  Both
+        must be C-contiguous float32 (pixel writes address them flat)
+        and agree on ``(h, w)``.
         """
         color = np.asarray(color)
         depth = np.asarray(depth)
@@ -53,6 +52,8 @@ class Framebuffer:
             raise RenderingError(f"from_arrays: bad color buffer {color.shape} {color.dtype}")
         if depth.shape != color.shape[:2] or depth.dtype != np.float32:
             raise RenderingError(f"from_arrays: bad depth buffer {depth.shape} {depth.dtype}")
+        if not (color.flags.c_contiguous and depth.flags.c_contiguous):
+            raise RenderingError("from_arrays: buffers must be C-contiguous")
         fb = cls.__new__(cls)
         fb.height, fb.width = int(color.shape[0]), int(color.shape[1])
         fb.background = tuple(float(c) for c in background)
@@ -65,6 +66,60 @@ class Framebuffer:
 
     # -- pixel writes ----------------------------------------------------
 
+    def resolve(
+        self, pixels: np.ndarray, groups: np.ndarray, depths: np.ndarray
+    ) -> Tuple[np.ndarray, int]:
+        """Depth-test a batch of fragments; returns ``(winners, passed)``.
+
+        Fragments arrive in draw order: *pixels* are flat in-range
+        indices (``row * width + col``), *groups* the non-decreasing id
+        of the primitive each fragment belongs to, *depths* float32.
+        The outcome is what drawing the groups one after another would
+        leave behind:
+
+        * a fragment passes iff it is strictly nearer than the incoming
+          depth buffer and than every fragment of an *earlier* group on
+          its pixel — *passed* counts those, not the pixels that survive;
+        * per pixel the nearest passing fragment wins; equal depths go
+          to the earliest group and, inside it, to the latest fragment.
+
+        The depth buffer is updated; *winners* indexes the fragments
+        whose color the caller still has to write (one per pixel won).
+        """
+        alive = np.flatnonzero(depths < self.depth.reshape(-1)[pixels])
+        if alive.size == 0:
+            return alive, 0
+        # one sort brings each pixel's fragments together, draw order kept:
+        # the fragment's position rides in the low bits of a unique key
+        shift = max(int(alive.size - 1).bit_length(), 1)
+        order = np.sort((pixels[alive] << shift) | np.arange(alive.size))
+        frag = alive[order & ((1 << shift) - 1)]
+        pix = order >> shift
+        # float32 -> int32 with the same ordering (+0.0 folds -0.0 into 0.0),
+        # offset per pixel so that one running minimum over the whole
+        # batch restarts at every pixel: later pixels sit strictly below
+        bits = (depths[frag] + 0.0).view(np.int32)
+        key = (bits ^ ((bits >> 31) & 0x7FFFFFFF)).astype(np.int64) - (pix << 32)
+        nearest = np.minimum.accumulate(key)
+        # a group is compared against the minimum *before* its first fragment
+        # on the pixel; at a pixel's first fragment that is the previous
+        # pixel's (larger) minimum, i.e. the incoming buffer it already beat
+        new_run = np.ones(key.size, dtype=bool)
+        group = groups[frag]
+        new_run[1:] = (pix[1:] != pix[:-1]) | (group[1:] != group[:-1])
+        run_first = np.maximum.accumulate(np.where(new_run, np.arange(key.size), 0))
+        before = np.concatenate(([np.iinfo(np.int64).max], nearest[:-1]))
+        passed = key < before[run_first]
+        # the pixel's last fragment that passed *and* equals the running
+        # minimum is in the earliest group to reach the final depth
+        record = np.flatnonzero(passed & (key == nearest))
+        last = np.ones(record.size, dtype=bool)
+        last[:-1] = pix[record[1:]] != pix[record[:-1]]
+        won = record[last]
+        winners = frag[won]
+        self.depth.reshape(-1)[pix[won]] = depths[winners]
+        return winners, int(np.count_nonzero(passed))
+
     def write_pixels(
         self,
         rows: np.ndarray,
@@ -74,23 +129,21 @@ class Framebuffer:
     ) -> int:
         """Depth-tested opaque write of scattered pixels; returns count drawn.
 
-        Duplicate pixels within one call are resolved nearest-first.
+        One :meth:`resolve` group: every fragment is tested against the
+        incoming buffer and duplicate pixels are resolved nearest-first.
         """
         rows = np.asarray(rows, dtype=np.intp)
         cols = np.asarray(cols, dtype=np.intp)
         depths = np.asarray(depths, dtype=np.float32)
-        inside = (rows >= 0) & (rows < self.height) & (cols >= 0) & (cols < self.width)
-        rows, cols, depths, colors = rows[inside], cols[inside], depths[inside], colors[inside]
-        if rows.size == 0:
-            return 0
-        # sort far-to-near so the final (nearest) write wins per pixel
-        order = np.argsort(-depths, kind="stable")
-        rows, cols, depths, colors = rows[order], cols[order], depths[order], colors[order]
-        passed = depths < self.depth[rows, cols]
-        rows, cols, depths, colors = rows[passed], cols[passed], depths[passed], colors[passed]
-        self.color[rows, cols] = colors.astype(np.float32)
-        self.depth[rows, cols] = depths
-        return int(rows.size)
+        inside = np.flatnonzero(
+            (rows >= 0) & (rows < self.height) & (cols >= 0) & (cols < self.width)
+        )
+        pixels = rows[inside] * self.width + cols[inside]
+        winners, passed = self.resolve(
+            pixels, np.zeros(pixels.size, dtype=np.intp), depths[inside]
+        )
+        self.color.reshape(-1, 3)[pixels[winners]] = np.asarray(colors)[inside[winners]]
+        return passed
 
     def blend_image(self, rgba: np.ndarray) -> None:
         """Alpha-blend a full-frame ``(h, w, 4)`` image over the buffer

@@ -10,7 +10,6 @@ opaque geometry correctly occludes translucent volume.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
@@ -116,28 +115,18 @@ def _copy_framebuffer(fb: Framebuffer) -> Framebuffer:
 
 
 class Renderer:
-    """Renders a :class:`Scene` through a :class:`Camera` into a framebuffer.
+    """Renders a :class:`Scene` through a :class:`Camera` into a framebuffer."""
 
-    *parallel* (a :class:`repro.parallel.ParallelConfig`) tiles the
-    rasterization pass across worker processes; it defaults to the
-    ambient config (serial unless the application opted in), and the
-    tiled pass produces a bitwise-identical framebuffer.  Ray casting
-    is always serial.
-    """
-
-    def __init__(self, width: int = 400, height: int = 300, parallel=None) -> None:
+    def __init__(self, width: int = 400, height: int = 300) -> None:
         if width < 1 or height < 1:
             raise RenderingError("bad renderer size")
         self.width = int(width)
         self.height = int(height)
-        self.parallel = parallel
 
     def render(self, scene: Scene, camera: Optional[Camera] = None) -> Framebuffer:
         camera = camera or scene.fit_camera()
         # the frame cache: whole frames keyed by (scene, camera, size).
-        # The tiled rasterizer is bitwise-identical to serial, so the
-        # key deliberately excludes the parallel config.  Buffers
-        # are copied both ways — callers (DV3D cells, the hyperwall)
+        # Buffers are copied both ways — callers (DV3D cells, the hyperwall)
         # blend overlays into the returned framebuffer in place.
         return memoize(
             "render",
@@ -147,23 +136,13 @@ class Renderer:
         )
 
     def _draw(self, scene: Scene, camera: Camera) -> Framebuffer:
-        from repro.parallel.config import get_config
-
-        config = self.parallel if self.parallel is not None else get_config()
-        if config.enabled:
-            from repro.parallel.kernels import parallel_rasterize
-
-            do_rasterize = functools.partial(parallel_rasterize, config=config)
-        else:
-            do_rasterize = rasterize
-
         fb = Framebuffer(self.width, self.height, background=scene.background)
         light = scene.lights[0] if scene.lights else DirectionalLight()
 
         for actor in scene.actors:
             if not actor.visible or actor.poly.n_points == 0:
                 continue
-            do_rasterize(
+            rasterize(
                 actor.poly,
                 camera,
                 fb,

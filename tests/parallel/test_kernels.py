@@ -1,11 +1,11 @@
 """Serial vs parallel kernel equivalence, with real worker processes.
 
-The two pooled kernels (rasterize, streamlines) promise *bitwise
-identical* output at any worker count.  Ray casting, isosurface
-extraction and regridding have no pool variant: under an enabled
-config they must start no pool run and return the serial bytes.  The
-ambient-config wiring through ``Renderer`` / ``Plot3D`` / ``Executor``
-is covered here too.
+The pooled kernel (streamlines) promises *bitwise identical* output at
+any worker count.  Rasterization, ray casting, isosurface extraction
+and regridding have no pool variant: under an enabled config they must
+start no pool run and return the serial bytes.  The ambient-config
+wiring through ``Renderer`` / ``Plot3D`` / ``Executor`` is covered here
+too.
 """
 
 import numpy as np
@@ -13,12 +13,10 @@ import pytest
 
 from repro import obs
 from repro.parallel import ParallelConfig, use_config
-from repro.parallel.kernels import parallel_integrate_streamlines, parallel_rasterize
+from repro.parallel.kernels import parallel_integrate_streamlines
 from repro.rendering.camera import Camera
-from repro.rendering.framebuffer import Framebuffer
 from repro.rendering.image_data import ImageData
 from repro.rendering.isosurface import marching_tetrahedra
-from repro.rendering.rasterizer import rasterize
 from repro.rendering.raycast import raycast_rows, raycast_volume
 from repro.rendering.streamline import integrate_streamlines, plane_seed_grid
 from repro.rendering.transfer_function import TransferFunction
@@ -64,43 +62,6 @@ class TestRaycast:
                 volume, transfer, camera, 40, 30, row0, row1, array_name="f"
             )
             assert np.array_equal(band, full[row0:row1])
-
-
-class TestRasterize:
-    def test_bitwise_identical(self, volume, camera):
-        surf = marching_tetrahedra(volume, 0.1, "f")
-        assert surf.n_triangles > 0
-        light = np.array([0.3, -0.4, 0.8])
-        fb_serial = Framebuffer(64, 48)
-        n_serial = rasterize(surf, camera, fb_serial, light_direction=light)
-        fb_par = Framebuffer(64, 48)
-        n_par = parallel_rasterize(surf, camera, fb_par, light_direction=light, config=CFG)
-        assert n_par == n_serial
-        assert np.array_equal(fb_serial.color, fb_par.color)
-        assert np.array_equal(fb_serial.depth, fb_par.depth)
-
-    def test_lines_and_tile_rows(self, volume, camera):
-        """Polylines across many small row tiles (exercises the band filter)."""
-        from repro.rendering.geometry import PolyData
-
-        rng = np.random.default_rng(5)
-        pts = rng.uniform(0, 8, size=(60, 3))
-        lines = [np.arange(i * 6, (i + 1) * 6) for i in range(10)]
-        poly = PolyData(pts, lines=lines)
-        cfg = ParallelConfig(workers=4, min_items=1, tile_rows=7, timeout=120.0)
-        fb_serial = Framebuffer(48, 40)
-        rasterize(poly, camera, fb_serial, line_color=(1.0, 0.5, 0.2), point_size=2)
-        fb_par = Framebuffer(48, 40)
-        parallel_rasterize(
-            poly, camera, fb_par, line_color=(1.0, 0.5, 0.2), point_size=2, config=cfg
-        )
-        assert np.array_equal(fb_serial.color, fb_par.color)
-        assert np.array_equal(fb_serial.depth, fb_par.depth)
-
-    def test_row_range_validation(self, volume, camera):
-        surf = marching_tetrahedra(volume, 0.1, "f")
-        with pytest.raises(ValueError):
-            rasterize(surf, camera, Framebuffer(32, 24), row_range=(10, 5))
 
 
 class TestIsosurface:
@@ -177,18 +138,18 @@ class TestRegrid:
 
 class TestWiring:
     def test_renderer_ambient_config(self, volume, camera, transfer):
-        """Renderer picks parallelism from the ambient config — no API change."""
-        from repro.rendering.scene import Renderer, Scene, VolumeActor
+        """Renderer has one path: an enabled ambient config changes nothing."""
+        from repro.rendering.scene import Actor, Renderer, Scene, VolumeActor
 
         scene = Scene()
+        scene.add_actor(Actor(marching_tetrahedra(volume, 0.1, "f")))
         scene.add_volume(VolumeActor(volume=volume, transfer=transfer, array_name="f"))
         serial_fb = Renderer(40, 30).render(scene, camera)
-        with use_config(CFG):
+        with obs.recording() as recorder, use_config(CFG):
             ambient_fb = Renderer(40, 30).render(scene, camera)
-        explicit_fb = Renderer(40, 30, parallel=CFG).render(scene, camera)
+        assert not _pool_run_kernels(recorder)
         assert np.array_equal(serial_fb.color, ambient_fb.color)
-        assert np.array_equal(serial_fb.color, explicit_fb.color)
-        assert np.array_equal(serial_fb.depth, explicit_fb.depth)
+        assert np.array_equal(serial_fb.depth, ambient_fb.depth)
 
     def test_executor_parallel_config(self, cell_pipeline):
         """Executor(parallel=...) installs the config around execution."""
@@ -204,18 +165,22 @@ class TestWiring:
         assert np.array_equal(serial_img, par_img)
 
     def test_only_surviving_kernels_reach_the_pool(self, reanalysis):
-        """Volume + Isosurface renders and a regrid under an enabled
-        config: the pool sees rasterize/streamline runs and nothing
+        """Volume, Isosurface and streamline renders and a regrid under
+        an enabled config: the pool sees streamline runs and nothing
         else, and every result equals the serial one."""
         from repro.cdms.grid import uniform_grid
         from repro.cdms.regrid import regrid_conservative
         from repro.dv3d.isosurface import IsosurfacePlot
+        from repro.dv3d.vector_slicer import VectorSlicerPlot
         from repro.dv3d.volume import VolumePlot
 
         def frames_and_regrid():
             plots = [
                 VolumePlot(reanalysis("ta"), center=0.6, width=0.25),
                 IsosurfacePlot(reanalysis("ta"), color_variable=reanalysis("hus")),
+                VectorSlicerPlot(
+                    reanalysis("ua"), reanalysis("va"), mode="streamlines", seed_density=8
+                ),
             ]
             frames = [plot.render(64, 48) for plot in plots]
             regridded = regrid_conservative(
@@ -228,8 +193,7 @@ class TestWiring:
         with obs.recording() as recorder, use_config(cfg):
             pool_frames, pool_regrid = frames_and_regrid()
         kernels = _pool_run_kernels(recorder)
-        assert "rasterize" in kernels
-        assert kernels <= {"rasterize", "streamline"}
+        assert kernels == {"streamline"}
         for serial_fb, pool_fb in zip(serial_frames, pool_frames):
             assert np.array_equal(serial_fb.color, pool_fb.color)
             assert np.array_equal(serial_fb.depth, pool_fb.depth)

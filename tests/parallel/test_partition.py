@@ -8,7 +8,7 @@ Hypothesis sweeps random sizes.
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.parallel.partition import index_bands, row_bands, sized_bands
+from repro.parallel.partition import index_bands, sized_bands
 from repro.util.errors import KernelPoolError
 
 
@@ -62,9 +62,3 @@ class TestSizedBands:
         with pytest.raises(KernelPoolError):
             sized_bands(5, 0)
 
-
-class TestKernelPartitions:
-    @given(h=st.integers(1, 400), w=st.integers(1, 8), rows=st.integers(0, 32))
-    @settings(max_examples=100)
-    def test_row_bands_cover(self, h, w, rows):
-        _assert_exact_cover(row_bands(h, w, rows), h)

@@ -269,7 +269,7 @@ class TestConfig:
         with pytest.raises(KernelPoolError):
             ParallelConfig(timeout=0.0)
         with pytest.raises(KernelPoolError):
-            ParallelConfig(tile_rows=-1)
+            ParallelConfig(min_items=-1)
 
     def test_wants_floor(self):
         cfg = ParallelConfig(workers=4, min_items=100)

@@ -48,6 +48,33 @@ class TestFramebuffer:
         )
         assert drawn == 0
 
+    @pytest.mark.parametrize(
+        "groups, depths, winner, passed",
+        [
+            # drawn one group after another: 5 then 3 pass, 3 ties (fails), 2 passes
+            ([0, 0, 1, 2], [5.0, 3.0, 3.0, 2.0], 3, 3),
+            ([0, 1], [3.0, 3.0], 0, 1),  # tie between groups: the earliest keeps the pixel
+            ([0, 0], [3.0, 3.0], 1, 2),  # tie inside a group: the latest fragment wins
+            ([0, 1, 2], [9.0, 2.0, 4.0], 1, 1),  # 9 loses to the incoming 7
+        ],
+    )
+    def test_resolve_is_the_sequential_depth_test(self, groups, depths, winner, passed):
+        fb = Framebuffer(3, 2)
+        fb.depth[1, 2] = 7.0
+        pixels = np.full(len(groups), 1 * 3 + 2)
+        winners, count = fb.resolve(
+            pixels, np.asarray(groups), np.asarray(depths, dtype=np.float32)
+        )
+        assert (winners.tolist(), count) == ([winner], passed)
+        assert fb.depth[1, 2] == depths[winner]
+
+    def test_from_arrays_needs_contiguous_buffers(self):
+        color = np.zeros((4, 6, 3), dtype=np.float32)
+        depth = np.zeros((4, 6), dtype=np.float32)
+        assert Framebuffer.from_arrays(color, depth).width == 6
+        with pytest.raises(RenderingError):
+            Framebuffer.from_arrays(color[:, ::2], depth[:, ::2])
+
     def test_blend_image_alpha(self):
         fb = Framebuffer(2, 2, background=(0.0, 0.0, 0.0))
         rgba = np.zeros((2, 2, 4), dtype=np.float32)
