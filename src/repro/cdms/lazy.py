@@ -25,15 +25,17 @@ animation running over a corrupt chunk.
 from __future__ import annotations
 
 import contextlib
-from typing import Any, Dict, Iterator, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, Iterator, Optional, Tuple
 
 import numpy as np
 
 from repro import obs
 from repro.cdms.variable import Variable
-from repro.streaming.dataset import StreamingSource
-from repro.streaming.format import ChunkMeta, VariableLayout
 from repro.util.errors import CDMSError, StreamingError
+
+if TYPE_CHECKING:  # repro.streaming imports repro.cdms: annotations only
+    from repro.streaming.dataset import StreamingSource
+    from repro.streaming.format import ChunkMeta, VariableLayout
 
 
 class LazyVariable(Variable):
@@ -228,5 +230,7 @@ class LazyVariable(Variable):
 
 
 def _rebuild_lazy(path: str, config, var_id: str) -> LazyVariable:
+    from repro.streaming.dataset import StreamingSource
+
     source = StreamingSource(path, config)
     return LazyVariable(source, source.layout(var_id))

@@ -30,7 +30,9 @@ from __future__ import annotations
 import hashlib
 import json
 import zipfile
+from bisect import bisect_right
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -80,6 +82,9 @@ class ChunkMeta:
         return self.stop - self.start
 
 
+_chunk_start = attrgetter("start")
+
+
 @dataclass(frozen=True)
 class VariableLayout:
     """One variable's manifest entry: metadata plus its chunk table."""
@@ -120,9 +125,10 @@ class VariableLayout:
                 f"variable {self.id!r}: index {coordinate_index} outside "
                 f"chunked dimension of extent {n}"
             )
-        for chunk in self.chunks:
-            if chunk.start <= coordinate_index < chunk.stop:
-                return chunk
+        # parse_layouts proved the table tiles the dimension in order
+        position = bisect_right(self.chunks, coordinate_index, key=_chunk_start) - 1
+        if position >= 0 and self.chunks[position].stop > coordinate_index:
+            return self.chunks[position]
         raise StreamingError(
             f"variable {self.id!r}: no chunk covers index {coordinate_index} "
             "(corrupt chunk table)"
@@ -344,15 +350,16 @@ def parse_layouts(manifest: Dict[str, object], axes: Dict[str, Axis]) -> List[Va
                 f"variable {meta.get('id')!r}: chunk_axis {chunk_axis} outside "
                 f"{len(dimensions)} dimensions"
             )
-        covered = sorted((c.start, c.stop) for c in chunks)
+        # in manifest order: chunk_of bisects the table and a full read
+        # concatenates it as listed
         cursor = 0
-        for start, stop in covered:
-            if start != cursor or stop <= start:
+        for chunk in chunks:
+            if chunk.start != cursor or chunk.stop <= chunk.start:
                 raise StreamingError(
                     f"variable {meta.get('id')!r}: chunk table does not tile the "
-                    f"chunked dimension (gap at {cursor})"
+                    f"chunked dimension in order (gap at {cursor})"
                 )
-            cursor = stop
+            cursor = chunk.stop
         if cursor != shape[chunk_axis]:
             raise StreamingError(
                 f"variable {meta.get('id')!r}: chunk table covers {cursor} of "

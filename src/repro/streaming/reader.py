@@ -5,11 +5,17 @@ chunk read passes three instrumented stages, each a named fault site
 for deterministic chaos testing (:mod:`repro.resilience.faults`):
 
 ``streaming.read``
-    open the archive and pull the member's raw bytes;
+    pull the member's raw bytes: one positioned read at the extent the
+    :class:`~repro.streaming.dataset.StreamingSource` recorded when it
+    opened the container (the zip directory is not parsed again and no
+    handle is kept between reads);
 ``streaming.verify``
     compare the payload's sha256 against the manifest digest (a
     ``corrupt`` fault flips a payload byte here so verification fails
-    exactly as a disk/NFS bit-flip would);
+    exactly as a disk/NFS bit-flip would).  This is the only integrity
+    check on the bytes and it supersedes the CRC32 of the zip member,
+    which the positioned read does not look at: it also catches a
+    container truncated or replaced underneath an open source;
 ``streaming.decode``
     parse the ``.npy`` payload into an array of the manifest's dtype
     and shape.
@@ -27,9 +33,7 @@ proof of integrity, so cached reads skip I/O *and* verification.
 from __future__ import annotations
 
 import threading
-import zipfile
-from pathlib import Path
-from typing import Dict, Optional, Union
+from typing import TYPE_CHECKING, Dict
 
 import numpy as np
 
@@ -38,17 +42,16 @@ from repro.cache.keys import cache_key
 from repro.cache.store import ambient_cache
 from repro.cdms.storage import _npy_load
 from repro.resilience import faults
-from repro.streaming.config import StreamingConfig
 from repro.streaming.format import (
     ChunkMeta,
     VariableLayout,
-    read_member,
     upsample,
     verify_digest,
 )
 from repro.util.errors import ChunkCorruptionError, InjectedFault, StreamingError
 
-PathLike = Union[str, Path]
+if TYPE_CHECKING:
+    from repro.streaming.dataset import StreamingSource
 
 #: failures worth retrying — typed streaming errors, injected faults,
 #: and raw I/O errors from the filesystem underneath the archive
@@ -68,15 +71,10 @@ def _flip_byte(payload: bytes) -> bytes:
 class ChunkReader:
     """Verified chunk access for one variable of a v2 archive."""
 
-    def __init__(
-        self,
-        path: PathLike,
-        layout: VariableLayout,
-        config: Optional[StreamingConfig] = None,
-    ) -> None:
-        self.path = Path(path)
+    def __init__(self, source: StreamingSource, layout: VariableLayout) -> None:
+        self.source = source
         self.layout = layout
-        self.config = config or StreamingConfig()
+        self.config = source.config
         self._policy = self.config.retry_policy(seed=f"streaming/{layout.id}")
         self._lock = threading.Lock()
         self._quarantined: Dict[int, StreamingError] = {}
@@ -104,19 +102,10 @@ class ChunkReader:
 
     # -- the read pipeline -------------------------------------------------
 
-    def _open(self) -> zipfile.ZipFile:
-        try:
-            return zipfile.ZipFile(self.path, "r")
-        except (zipfile.BadZipFile, OSError) as exc:
-            raise StreamingError(
-                f"streaming archive {self.path} unreadable: {exc}"
-            ) from exc
-
     def _attempt(self, chunk: ChunkMeta, attempt: int) -> np.ndarray:
         labels = {"var": self.layout.id, "chunk": chunk.index, "attempt": attempt}
         faults.check("streaming.read", **labels)
-        with self._open() as archive:
-            payload = read_member(archive, chunk.member)
+        payload = self.source.read_stored(chunk.member)
         fault = faults.check("streaming.verify", **labels)
         if fault is not None and fault.action == "corrupt":
             payload = _flip_byte(payload)
@@ -207,8 +196,7 @@ class ChunkReader:
             raise StreamingError(
                 f"chunk {chunk.member!r} has no low-resolution fallback"
             )
-        with self._open() as archive:
-            payload = read_member(archive, chunk.lowres_member)
+        payload = self.source.read_stored(chunk.lowres_member)
         verify_digest(chunk.lowres_member, payload, chunk.lowres_digest)
         try:
             lowres = _npy_load(payload)

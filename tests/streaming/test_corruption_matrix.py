@@ -132,6 +132,13 @@ class TestCorruptionMatrix:
         with pytest.raises(StreamingError):
             StreamingSource(junk)
 
+    def test_directory_in_place_of_container(self, tmp_path):
+        # the open fails with an OSError, not a BadZipFile
+        with pytest.raises(StreamingError, match="not a readable archive"):
+            StreamingSource(tmp_path)
+        with pytest.raises(CDMSError):
+            open_dataset(tmp_path, streaming="auto")
+
     def test_manifest_not_json(self, tmp_path, container, version):
         broken = tmp_path / "badjson.cdz"
         with zipfile.ZipFile(container) as a, zipfile.ZipFile(broken, "w") as b:

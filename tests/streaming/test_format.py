@@ -57,6 +57,11 @@ class TestLayout:
         layout = source.layout("ta")
         assert [c.extent for c in layout.chunks] == [3, 3, 2]
         assert layout.chunk_of(5).start == 3
+        # every index, both sides of each chunk boundary, and one past each end
+        assert [layout.chunk_of(i).index for i in range(8)] == [0, 0, 0, 1, 1, 1, 2, 2]
+        for outside in (-1, 8):
+            with pytest.raises(StreamingError, match="outside"):
+                layout.chunk_of(outside)
 
     def test_lowres_disabled(self, tmp_path, variable):
         path = tmp_path / "nolr.cdz"
@@ -108,17 +113,24 @@ class TestParseErrors:
             StreamingSource(tmp_path / "absent.cdz")
 
     def test_gap_in_chunk_table_rejected(self, tmp_path, v2_path):
-        broken = tmp_path / "gap.cdz"
-        with zipfile.ZipFile(v2_path) as src, zipfile.ZipFile(broken, "w") as dst:
-            for info in src.infolist():
-                payload = src.read(info.filename)
-                if info.filename == "manifest.json":
-                    manifest = json.loads(payload)
-                    del manifest["variables"][0]["chunks"][3]
-                    payload = json.dumps(manifest).encode()
-                dst.writestr(info, payload)
-        with pytest.raises(StreamingError, match="tile"):
-            StreamingSource(broken)
+        def drop_row(chunks):
+            del chunks[3]
+
+        def swap_rows(chunks):  # covers the axis, but not in the order listed
+            chunks[2], chunks[3] = chunks[3], chunks[2]
+
+        for mutate in (drop_row, swap_rows):
+            broken = tmp_path / f"{mutate.__name__}.cdz"
+            with zipfile.ZipFile(v2_path) as src, zipfile.ZipFile(broken, "w") as dst:
+                for info in src.infolist():
+                    payload = src.read(info.filename)
+                    if info.filename == "manifest.json":
+                        manifest = json.loads(payload)
+                        mutate(manifest["variables"][0]["chunks"])
+                        payload = json.dumps(manifest).encode()
+                    dst.writestr(info, payload)
+            with pytest.raises(StreamingError, match="tile"):
+                StreamingSource(broken)
 
     def test_unknown_axis_rejected(self, tmp_path, v2_path):
         broken = tmp_path / "ax.cdz"
