@@ -11,7 +11,7 @@ memoization safe.  This package supplies the machinery:
   on-disk tier shared between processes via atomic renames) with
   size/TTL bounds and full :mod:`repro.obs` instrumentation;
 * :mod:`repro.cache.config` — an ambient :class:`CacheConfig` scope
-  mirroring :mod:`repro.parallel`.
+  (:class:`~repro.util.scope.ConfigScope`).
 
 Consumers (all opt-in through the ambient config; each asks
 :func:`~repro.cache.store.ambient_cache` for the store, and the pure
@@ -26,7 +26,7 @@ get-or-compute sites go through :func:`~repro.cache.store.memoize`):
   cell rides on this;
 * :func:`~repro.cdms.regrid.regrid_bilinear` /
   :func:`~repro.cdms.regrid.regrid_conservative` memoize regrid
-  products by (variable, target grid, scheme, parallel-tiling) digest;
+  products by (variable, target grid, scheme) digest;
 * :class:`~repro.serving.server.ServingServer` keys every request by
   its canonical digest — the coalescing key for concurrent sessions —
   and serves repeat requests (and stale frames under overload) from

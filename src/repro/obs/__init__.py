@@ -6,9 +6,7 @@ distributed hyperwall execution.  This package makes that loop
 observable: every hot path (executor module runs, ray casting,
 isosurface extraction, streamline integration, rasterization,
 regridding, hyperwall message traffic) emits spans and metrics into a
-process-global :class:`Recorder`, exportable as JSON
-(``tools/perf_report.py`` turns a benchmark replay into the
-``BENCH_obs.json`` artifact CI tracks across PRs) or as a
+process-global :class:`Recorder`, exportable as JSON or as a
 human-readable summary tree.
 
 Design constraints:
@@ -52,7 +50,6 @@ from repro.obs.recorder import (
     gauge,
     get_recorder,
     histogram,
-    record_span,
     recording,
     set_recorder,
     span,
@@ -75,7 +72,6 @@ __all__ = [
     "gauge",
     "get_recorder",
     "histogram",
-    "record_span",
     "recording",
     "render_summary_tree",
     "set_recorder",

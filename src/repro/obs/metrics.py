@@ -5,7 +5,7 @@ a sorted tuple of ``(label, value)`` pairs — so the same instrument
 name can fan out per module, per message kind, per node, etc.
 Histograms keep streaming statistics (count/sum/min/max) plus
 power-of-two bucket counts, which is enough to spot latency-tail
-regressions in ``BENCH_obs.json`` without storing every sample.
+regressions without storing every sample.
 """
 
 from __future__ import annotations

@@ -203,39 +203,6 @@ class Recorder:
                 hist = self.histograms[key] = HistogramData()
             hist.observe(value)
 
-    def record_span(
-        self,
-        name: str,
-        duration: float,
-        parent_id: Optional[int] = None,
-        start: Optional[float] = None,
-        thread: Optional[str] = None,
-        **attrs: Any,
-    ) -> SpanRecord:
-        """Record a completed span whose timing was measured elsewhere.
-
-        The process-parallel kernel pool measures tile execution inside
-        worker *processes*, whose recorders are forked copies; the
-        parent re-reports each tile here with the worker-measured
-        duration (``start`` is seconds on the shared monotonic clock,
-        converted against this recorder's epoch).
-        """
-        with self._lock:
-            span_id = self._next_id
-            self._next_id += 1
-        record = SpanRecord(
-            span_id=span_id,
-            parent_id=parent_id,
-            name=name,
-            thread=thread if thread is not None else threading.current_thread().name,
-            start=(start - self.epoch) if start is not None else (time.perf_counter() - self.epoch - duration),
-            duration=float(duration),
-            attrs=dict(attrs),
-        )
-        with self._lock:
-            self.spans.append(record)
-        return record
-
     def counter_value(self, name: str, **labels: Any) -> float:
         """Current value of one counter series (0 if never incremented)."""
         return self.counters.get(MetricKey.make(name, labels), 0.0)
@@ -359,22 +326,6 @@ def histogram(name: str, value: float, **labels: Any) -> None:
     if not _ENABLED:
         return
     _RECORDER.histogram(name, value, **labels)
-
-
-def record_span(
-    name: str,
-    duration: float,
-    parent_id: Optional[int] = None,
-    start: Optional[float] = None,
-    thread: Optional[str] = None,
-    **attrs: Any,
-) -> None:
-    """Record an externally-timed span (no-op while disabled)."""
-    if not _ENABLED:
-        return
-    _RECORDER.record_span(
-        name, duration, parent_id=parent_id, start=start, thread=thread, **attrs
-    )
 
 
 class recording:

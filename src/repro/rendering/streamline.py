@@ -27,7 +27,6 @@ def integrate_streamlines(
     max_steps: int = 200,
     min_speed: float = 1e-6,
     bidirectional: bool = False,
-    parallel=None,
 ) -> List[np.ndarray]:
     """Integrate streamlines from *seeds* → list of ``(n_i, 3)`` polylines.
 
@@ -39,28 +38,12 @@ def integrate_streamlines(
         so lines advance uniformly regardless of field magnitude.
     bidirectional:
         Also integrate upstream and join the two halves.
-    parallel:
-        Optional :class:`repro.parallel.ParallelConfig` (defaults to
-        the ambient config).  Seeds are independent, so chunking them
-        across worker processes returns the identical list of lines.
     """
     seeds = np.atleast_2d(np.asarray(seeds, dtype=np.float64))
     if seeds.shape[1] != 3:
         raise RenderingError("seeds must be (n, 3)")
     if max_steps < 1:
         raise RenderingError("max_steps must be >= 1")
-
-    from repro.parallel.config import get_config
-
-    config = parallel if parallel is not None else get_config()
-    if config.wants(seeds.shape[0]):
-        from repro.parallel.kernels import parallel_integrate_streamlines
-
-        return parallel_integrate_streamlines(
-            volume, vector_name, seeds,
-            step_size=step_size, max_steps=max_steps, min_speed=min_speed,
-            bidirectional=bidirectional, config=config,
-        )
     h = float(step_size) if step_size else 0.5 * float(min(volume.spacing))
 
     def field(points: np.ndarray) -> np.ndarray:

@@ -3,8 +3,8 @@
 The paper's headline deployment — DV3D driving a multi-node hyperwall
 over long-running, time-varying data — makes node loss the steady
 state, not the exception.  This package is the shared vocabulary the
-distributed seams (hyperwall server, kernel pool, workflow executor,
-ESG federation) use to survive it:
+distributed seams (hyperwall server, workflow executor, ESG
+federation) use to survive it:
 
 * :class:`RetryPolicy` — attempt budgets, exponential backoff with
   *deterministic* jitter (seeded via :mod:`repro.util.rng`), and
@@ -13,15 +13,14 @@ ESG federation) use to survive it:
   half-open probing and an injectable clock;
 * :mod:`repro.resilience.faults` — a deterministic fault-injection
   registry: tests arm ``drop``/``exit``/``raise``/``delay``/``corrupt``
-  faults at named sites (``hyperwall.server.recv``, ``parallel.tile``,
-  ``executor.module``, ...) so every recovery path is exercised
-  exactly, not probabilistically.
+  faults at named sites (``hyperwall.server.recv``,
+  ``hyperwall.client.execute``, ``executor.module``, ...) so every
+  recovery path is exercised exactly, not probabilistically.
 
 Observability: ``resilience.retries`` / ``resilience.degraded`` /
 ``resilience.faults.fired`` counters, ``resilience.breaker.state``
 gauges and ``resilience.recovery.seconds`` histograms flow into
-:mod:`repro.obs`, and ``tools/perf_report.py --resilience`` turns them
-into the ``BENCH_resilience.json`` artifact CI tracks.
+:mod:`repro.obs`.
 """
 
 from repro.resilience import faults

@@ -3,13 +3,13 @@
 Every recovery path in the distributed layers is exercised by *armed*
 faults, not by probabilistic chaos: a test (or benchmark) arms a
 :class:`Fault` at a named **site** — a string like ``"hyperwall.server.recv"``
-or ``"parallel.tile"`` — and the instrumented code calls
+or ``"executor.module"`` — and the instrumented code calls
 :func:`check` at that site on every pass, supplying its labels
-(client id, tile index, respawn attempt, module name, ...).  A fault
+(client id, cell, module name, ...).  A fault
 fires only when its ``match`` predicate is a subset of the supplied
 labels, only after ``after`` matching visits have passed, and at most
 ``times`` times — so "kill client 2 on its first execute" or "drop the
-socket on the second reply from tile 3" are exact, repeatable
+socket on the second reply from client 3" are exact, repeatable
 scenarios.
 
 Fault actions:
@@ -17,7 +17,7 @@ Fault actions:
 ``raise``
     raise :class:`~repro.util.errors.InjectedFault` at the site;
 ``exit``
-    ``os._exit(exit_code)`` — a hard process kill (worker/client
+    ``os._exit(exit_code)`` — a hard process kill (hyperwall client
     processes; never fired in the test runner's own process by the
     instrumented sites, which only place it in child processes);
 ``delay``
@@ -28,9 +28,9 @@ Fault actions:
     flips payload bytes for ``corrupt``).
 
 Fork semantics: the registry is plain process-global state, so faults
-armed *before* worker/client processes fork are inherited by the
+armed *before* client processes fork are inherited by the
 children; fire counts are per-process.  Sites therefore pass
-discriminating labels (``attempt``, ``client``, ``tile``) and faults
+discriminating labels (``client``, ``cell``) and faults
 match on them, keeping injection deterministic across process trees.
 """
 

@@ -24,10 +24,8 @@ sharing one render substrate.  An asyncio :class:`ServingServer` fronts
   reconnect-and-resume (:mod:`repro.serving.wire`,
   :mod:`repro.serving.endpoint`).
 
-``tools/loadgen.py`` drives this layer open-loop with deterministic
-seeded zipf traffic and emits the ``BENCH_serving.json`` artifact;
-``--session-locality`` adds session-correlated animation traces and
-``BENCH_serving_sessions.json``.
+``benchmarks/e2e`` (the ``serve_sessions`` workload) drives this layer
+through the wire with :class:`AppBackend` behind it.
 """
 
 from repro.serving.admission import (

@@ -12,8 +12,7 @@ PPM, so byte-identical responses are a meaningful equality.
 The Application and its workflow machinery are not thread-safe; the
 backend serializes every call under one lock.  Parallelism at the
 serving tier comes from coalescing and caching, not from concurrent
-workflow mutation — and the kernels below may still fan out to their
-own process pool.
+workflow mutation.
 
 Request ``params`` contract (all optional but ``template``)::
 

@@ -22,8 +22,7 @@ class ServingConfig:
     ----------
     workers:
         Executor threads draining the admission queue.  Each runs one
-        request at a time through the backend (which may itself fan out
-        to a process-parallel kernel pool).
+        request at a time through the backend.
     queue_limit:
         Maximum queued-but-not-executing requests.  A full queue sheds
         new non-coalescing requests with reason ``queue_full``.
@@ -42,7 +41,7 @@ class ServingConfig:
         Consecutive backend failures that open the kernel circuit
         breaker, and how long it stays open before half-open probing.
         While open, requests are served from cache or degraded instead
-        of hammering the failing kernel pool.
+        of hammering the failing backend.
     allow_degraded:
         Whether an open breaker may fall back to a reduced-resolution
         render (``degraded_scale`` divides each frame dimension).  With

@@ -109,8 +109,8 @@ class WireSessionServer:
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._loop_thread: Optional[threading.Thread] = None
         self._accept_thread: Optional[threading.Thread] = None
-        self._conn_threads: List[threading.Thread] = []
-        self._conns: List[socket.socket] = []
+        #: live connections: socket -> the thread serving it
+        self._conn_threads: Dict[socket.socket, threading.Thread] = {}
         self._lock = threading.Lock()
         self._logs: Dict[str, _SessionLog] = {}
         self._stopped = False
@@ -147,7 +147,7 @@ class WireSessionServer:
         except OSError:
             pass
         with self._lock:
-            conns = list(self._conns)
+            conns = list(self._conn_threads)
         for conn in conns:
             try:
                 conn.close()
@@ -155,7 +155,9 @@ class WireSessionServer:
                 pass
         if self._accept_thread is not None:
             self._accept_thread.join(timeout=5.0)
-        for thread in list(self._conn_threads):
+        with self._lock:
+            conn_threads = list(self._conn_threads.values())
+        for thread in conn_threads:
             thread.join(timeout=5.0)
         if self._loop is not None:
             self._submit_coro(self.server.aclose())
@@ -186,15 +188,14 @@ class WireSessionServer:
             except OSError:
                 return  # listener closed: orderly shutdown
             conn.settimeout(self.io_timeout)
-            with self._lock:
-                self._conns.append(conn)
             thread = threading.Thread(
                 target=self._serve_connection,
                 args=(conn,),
                 name="repro-wire-conn",
                 daemon=True,
             )
-            self._conn_threads.append(thread)
+            with self._lock:
+                self._conn_threads[conn] = thread
             thread.start()
 
     def _serve_connection(self, conn: socket.socket) -> None:
@@ -221,8 +222,7 @@ class WireSessionServer:
             except OSError:
                 pass
             with self._lock:
-                if conn in self._conns:
-                    self._conns.remove(conn)
+                self._conn_threads.pop(conn, None)
 
     def _dialogue(self, conn: socket.socket) -> None:
         hello = wire.read_frame(conn)

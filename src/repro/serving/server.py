@@ -15,11 +15,10 @@ server:
    (:mod:`repro.serving.admission`); overload produces
    ``Response(status="shed")``, never unbounded queueing;
 4. **executes** — worker tasks drain the queue onto a thread pool that
-   calls the backend (which may fan out to process-parallel kernels);
-   consecutive backend failures open a circuit breaker
-   (:mod:`repro.resilience`), under which requests are served stale
-   from cache or re-rendered at reduced resolution instead of
-   hammering the failing kernel pool;
+   calls the backend; consecutive backend failures open a circuit
+   breaker (:mod:`repro.resilience`), under which requests are served
+   stale from cache or re-rendered at reduced resolution instead of
+   hammering the failing backend;
 5. **accounts** — per-tenant quota eviction through
    :class:`~repro.serving.quota.QuotaLedger` and full :mod:`repro.obs`
    instrumentation.
@@ -130,9 +129,8 @@ class ServingServer:
     ----------
     backend:
         ``(request, degraded) -> bytes``; runs on the executor thread
-        pool, so it may block (and may itself use process-parallel
-        kernels).  ``degraded=True`` asks for a cheaper reduced-fidelity
-        product (the breaker-open fallback).
+        pool, so it may block.  ``degraded=True`` asks for a cheaper
+        reduced-fidelity product (the breaker-open fallback).
     config:
         :class:`~repro.serving.config.ServingConfig` bounds.
     cache:
@@ -221,9 +219,8 @@ class ServingServer:
 
         Safe to call repeatedly and from ``finally`` blocks: a failed
         test that closes the server leaves no worker task, no executor
-        thread and no unresolved submission behind (in-flight kernel
-        pools finish and tear down their own processes/segments first —
-        the pool shutdown waits for them).
+        thread and no unresolved submission behind (the pool shutdown
+        waits for in-flight backend calls).
         """
         if self._closed:
             return
@@ -395,7 +392,7 @@ class ServingServer:
                 STATUS_OK, payload=payload, digest=item.key, source="render"
             )
 
-        # breaker open: the kernel pool is sick or saturated — degrade
+        # breaker open: the backend is failing or saturated — degrade
         cache = self._cache()
         if cache is not None:
             found, payload = cache.get(item.key, site="serving.degraded")

@@ -3,9 +3,9 @@
 A :class:`StreamingConfig` is a frozen value object bounding how much
 decoded chunk data may be resident at once, how far the prefetch
 pipeline runs ahead of the animation cursor, and how stubbornly the
-reader retries failing chunks before degrading.  It mirrors the
-``repro.parallel`` / ``repro.cache`` config idiom: explicit, validated
-at construction, and passed down rather than ambient — a streaming
+reader retries failing chunks before degrading.  Like
+``repro.cache``'s config it is explicit and validated at construction;
+unlike it, it is passed down rather than ambient — a streaming
 dataset opened with one budget never silently inherits another's.
 """
 

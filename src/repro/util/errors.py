@@ -65,16 +65,6 @@ class ModuleExecutionError(WorkflowError):
         super().__init__(f"module {module_name!r} failed: {original!r}")
 
 
-class KernelPoolError(ReproError):
-    """Raised by the process-parallel kernel pool (:mod:`repro.parallel`).
-
-    Covers worker crashes (a tile process dying mid-kernel), pool-wide
-    timeouts, and tile functions that raised: the pool converts all of
-    them into this single, catchable failure after tearing down its
-    worker processes and unlinking its shared-memory segments.
-    """
-
-
 class ResilienceError(ReproError):
     """Raised by the fault-tolerance subsystem (:mod:`repro.resilience`).
 

@@ -1,11 +1,10 @@
 """An ambient configuration scope: one process-wide default, swappable.
 
 Hot paths that take no explicit config (``repro.cache``: the executor,
-the frame cache, regrid; ``repro.parallel``: the kernels) consult an
-ambient default instead, so whole pipelines opt in without per-module
-plumbing.  Each subsystem owns one :class:`ConfigScope` and binds its
-public ``get_config`` / ``set_config`` / ``configure`` / ``use_config``
-names to it.
+the frame cache, regrid) consult an ambient default instead, so whole
+pipelines opt in without per-module plumbing.  A subsystem owns one
+:class:`ConfigScope` and binds its public ``get_config`` /
+``set_config`` / ``configure`` / ``use_config`` names to it.
 """
 
 from __future__ import annotations

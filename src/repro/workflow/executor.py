@@ -104,15 +104,11 @@ class Executor:
         Keep module results keyed by signature across executions.
     max_workers:
         Thread-pool width for parallel branch execution; 1 = serial.
-    parallel:
-        Optional :class:`repro.parallel.ParallelConfig` installed as
-        the ambient config for the duration of each execution, so
-        rendering modules run their rasterization and streamline
-        kernels on the process pool without any module-level plumbing.
     cache:
-        Optional :class:`repro.cache.CacheConfig` installed the same
-        way.  When the effective (explicit or ambient) config is
-        enabled, module results are additionally memoized in the
+        Optional :class:`repro.cache.CacheConfig` installed as the
+        ambient config for the duration of each execution.  When the
+        effective (explicit or ambient) config is enabled, module
+        results are additionally memoized in the
         shared two-tier result cache keyed by their provenance
         signature — so warm results survive across executor instances
         and, through the disk tier, across processes.  Under
@@ -135,7 +131,6 @@ class Executor:
         caching: bool = True,
         max_workers: int = 1,
         on_module_complete=None,
-        parallel=None,
         cache=None,
         failure_policy: str = "fail_fast",
     ) -> None:
@@ -151,7 +146,6 @@ class Executor:
         #: optional callable(ModuleRun, done_count, total_count) — the
         #: progress hook a GUI's status bar would subscribe to
         self.on_module_complete = on_module_complete
-        self.parallel = parallel
         self.cache = cache
         self.failure_policy = failure_policy
         self._cache: Dict[str, Dict[str, Any]] = {}
@@ -219,9 +213,7 @@ class Executor:
         finish); under ``continue_independent`` failures are recorded
         in the result and independent branches keep executing.
         """
-        from repro.parallel.config import use_config
-
-        with use_config(self.parallel), use_cache_config(self.cache):
+        with use_cache_config(self.cache):
             return self._execute_inner(pipeline, targets)
 
     def _execute_inner(

@@ -203,19 +203,3 @@ class TestRegridDifferential:
         other = RectilinearGrid(uniform_latitude(7), uniform_longitude(9))
         rg.regrid_bilinear(var, other)
         assert get_cache().stats()["misses"] == 2
-
-    def test_parallel_config_shares_entries(self, grids, cache_on):
-        # one regrid implementation: a run under an enabled parallel
-        # config computes the serial bytes, so it is served the serial
-        # run's entry
-        from repro.cdms import regrid as rg
-        from repro.parallel.config import ParallelConfig
-        from repro.parallel.config import use_config as use_parallel_config
-
-        var, target = grids
-        cold = rg.regrid_conservative(var, target)
-        with use_parallel_config(ParallelConfig(workers=4, min_items=1)):
-            warm = rg.regrid_conservative(var, target)
-        assert np.array_equal(np.ma.getdata(cold.data), np.ma.getdata(warm.data))
-        stats = get_cache().stats()
-        assert stats["hits"] == 1 and stats["misses"] == 1

@@ -1,0 +1,68 @@
+"""The kernel spans and traffic counters downstream consumers name.
+
+``benchmarks/e2e/layers.py::OBS_COUNTERS`` and the request-scoped
+tracing planned in ROADMAP item 3 build on these names; a kernel that
+stops emitting one would otherwise only show up as a hole in a traced
+benchmark run.
+"""
+
+import numpy as np
+
+from repro import obs
+from repro.hyperwall.inproc import InProcessHyperwall
+from repro.rendering.camera import Camera
+from repro.rendering.framebuffer import Framebuffer
+from repro.rendering.isosurface import marching_tetrahedra
+from repro.rendering.rasterizer import rasterize
+from repro.rendering.raycast import raycast_volume
+from repro.rendering.streamline import integrate_streamlines, plane_seed_grid
+from repro.rendering.transfer_function import TransferFunction
+from repro.workflow.executor import Executor
+from repro.workflow.pipeline import Pipeline
+from tests.conftest import build_cell_chain
+from tests.rendering.reference_rasterizer import make_volume
+
+SPANS = (
+    "raycast.render",
+    "isosurface.marching_tetrahedra",
+    "streamline.integrate",
+    "rasterizer.rasterize",
+    "executor.execute",
+)
+COUNTERS = (
+    "executor.cache.hit",
+    "executor.cache.miss",
+    "protocol.frames.sent",
+    "protocol.bytes.sent",
+)
+
+
+def test_kernels_executor_and_wall_emit_their_signals(registry):
+    volume = make_volume(24)
+    camera = Camera.fit_bounds(volume.bounds())
+    width, height = 48, 36
+    pipeline = Pipeline(registry)
+    build_cell_chain(pipeline, width=64, height=48)
+
+    with obs.recording() as rec:
+        transfer = TransferFunction(volume.scalar_range(), center=0.8, width=0.4)
+        raycast_volume(volume, transfer, camera, width, height, lighting=True)
+        surface = marching_tetrahedra(volume, 0.5)
+        rasterize(surface, camera, Framebuffer(width, height),
+                  light_direction=np.array([0.3, -0.4, 0.8]))
+        seeds = plane_seed_grid(volume, 2, 0.0, 6, 6)
+        integrate_streamlines(volume, "swirl", seeds, max_steps=100)
+
+        executor = Executor(caching=True, max_workers=2)
+        executor.execute(pipeline)
+        executor.execute(pipeline)  # warm: the memo answers
+
+        wall = InProcessHyperwall(
+            pipeline, reduction=4, client_resolution=(64, 48), max_workers=2
+        )
+        wall.execute_all()
+        wall.propagate_event("key", key="c")  # the frames an event would send
+
+    emitted = {span.name for span in rec.spans}
+    assert [name for name in SPANS if name not in emitted] == []
+    assert [name for name in COUNTERS if rec.counter_total(name) <= 0] == []

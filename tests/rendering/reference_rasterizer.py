@@ -18,7 +18,20 @@ import numpy as np
 from repro.rendering.camera import Camera
 from repro.rendering.framebuffer import Framebuffer
 from repro.rendering.geometry import PolyData
+from repro.rendering.image_data import ImageData
 from repro.rendering.rasterizer import shade_colors
+
+
+def make_volume(n: int) -> ImageData:
+    """Gaussian-blob scalar + swirling vector field on one grid (the
+    differential suite's sweep meshes are its 0.5 isosurface)."""
+    x = np.linspace(-1, 1, n)
+    X, Y, Z = np.meshgrid(x, x, x, indexing="ij")
+    vol = ImageData((n, n, n), origin=(-1, -1, -1), spacing=(2 / (n - 1),) * 3)
+    vol.add_array("blob", np.exp(-3 * (X**2 + Y**2 + Z**2)))
+    vec = np.stack([-Y, X, 0.2 * np.ones_like(Z)], axis=-1)
+    vol.add_array("swirl", vec, set_active=False)
+    return vol
 
 
 def write_pixels(

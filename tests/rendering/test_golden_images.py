@@ -3,11 +3,7 @@
 Each plot type is rendered at a fixed seed and size and its uint8
 image must match the committed golden PPM under ``tests/goldens/``
 within a small per-channel tolerance (absorbing cross-platform
-libm/BLAS jitter without letting real regressions through).  The plot
-type that integrates streamlines — the one kernel with a pool variant —
-is also rendered under a 4-worker ambient config, and the two
-framebuffers must be **byte identical** (the determinism contract of
-:mod:`repro.parallel`).
+libm/BLAS jitter without letting real regressions through).
 
 Regenerate the goldens after an intentional rendering change with::
 
@@ -32,17 +28,13 @@ from repro.dv3d.isosurface import IsosurfacePlot
 from repro.dv3d.slicer import SlicerPlot
 from repro.dv3d.vector_slicer import VectorSlicerPlot
 from repro.dv3d.volume import VolumePlot
-from repro.parallel import ParallelConfig, use_config
 from repro.rendering.ppm import read_ppm, write_ppm
 
 GOLDEN_DIR = Path(__file__).resolve().parents[1] / "goldens"
 WIDTH, HEIGHT = 96, 72
-WORKERS = 4
-#: per-channel uint8 tolerance vs the committed goldens (the serial-vs-
-#: pool comparison is exact; this only absorbs platform jitter)
+#: per-channel uint8 tolerance vs the committed goldens (absorbs
+#: platform jitter only)
 GOLDEN_ATOL = 2
-
-PARALLEL = ParallelConfig(workers=WORKERS, min_items=1, timeout=300.0)
 
 
 def _regen_summary(golden_path, image):
@@ -84,19 +76,7 @@ def _build_plot(name, reanalysis, waves):
 )
 def test_golden_image(name, reanalysis, waves, request):
     plot = _build_plot(name, reanalysis, waves)
-    serial_fb = plot.render(WIDTH, HEIGHT)
-    if name == "vector_slicer":
-        # determinism contract: pooled streamlines are invisible in the output
-        with use_config(PARALLEL):
-            parallel_fb = plot.render(WIDTH, HEIGHT)
-        assert np.array_equal(serial_fb.color, parallel_fb.color), (
-            f"{name}: parallel framebuffer differs from serial"
-        )
-        assert np.array_equal(serial_fb.depth, parallel_fb.depth), (
-            f"{name}: parallel depth buffer differs from serial"
-        )
-
-    image = serial_fb.to_uint8()
+    image = plot.render(WIDTH, HEIGHT).to_uint8()
     golden_path = GOLDEN_DIR / f"{name}.ppm"
     regen = request.config.getoption("--regen-goldens")
     if regen is not None:

@@ -12,7 +12,6 @@ property without reading a clock.
 
 import sys
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,10 +25,6 @@ from repro.rendering.geometry import PolyData
 from repro.rendering.isosurface import marching_tetrahedra
 from tests.rendering import reference_rasterizer as reference
 from tests.rendering.test_golden_images import HEIGHT, WIDTH, _build_plot
-
-sys.path.insert(0, str(Path(__file__).resolve().parents[2] / "tools"))
-
-from perf_report import make_volume  # noqa: E402  (the documented sweep meshes)
 
 CAMERA = Camera(position=(0.0, 0.0, 6.0), focal_point=(0.0, 0.0, 0.0))
 LIGHT = np.array([0.3, -0.4, 0.8])
@@ -188,7 +183,7 @@ class TestNearEyePlanePolyline:
 
 
 def _sweep_mesh(n):
-    volume = make_volume(n)
+    volume = reference.make_volume(n)
     return marching_tetrahedra(volume, 0.5), Camera.fit_bounds(volume.bounds())
 
 

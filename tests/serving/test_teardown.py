@@ -1,11 +1,10 @@
-"""Process/thread/shm hygiene when serving tests fail.
+"""Process/thread hygiene when serving tests fail.
 
 A failed serving test must not leak: no executor threads after
-``aclose()``, no ``repro-parallel-`` worker processes or shared-memory
-segments when a kernel-pool-backed render dies mid-request, and no
-``repro-hyperwall-client-`` processes when a cluster fails during
+``aclose()``, no dead connection threads kept by the wire endpoint, and
+no ``repro-hyperwall-client-`` processes when a cluster fails during
 startup.  These are the leaks that turn one red test into a cascade of
-unrelated failures (ports held, cores busy, /dev/shm full).
+unrelated failures (ports held, cores busy).
 """
 
 from __future__ import annotations
@@ -15,16 +14,11 @@ import multiprocessing
 import threading
 import time
 
-import numpy as np
 import pytest
 
-from repro.parallel import ParallelConfig, run_tiles, shared_ndarray
-from repro.resilience import faults
 from repro.serving import Request, ServingConfig, ServingServer
 
-from tests.serving.conftest import CountingBackend, memory_cache
-
-POOL_AVAILABLE = ParallelConfig(workers=2).enabled
+from tests.serving.conftest import CountingBackend
 
 
 def _no_children(prefix: str, wait_s: float = 10.0) -> bool:
@@ -43,17 +37,6 @@ def _serving_threads() -> list:
     return [
         t for t in threading.enumerate() if t.name.startswith("repro-serving")
     ]
-
-
-# -- module-level tile function (must be importable in forked workers) --------
-
-def _kernel_tile(shm_name, band):
-    from repro.parallel.pool import attach_ndarray
-
-    b0, b1 = band
-    with attach_ndarray(shm_name, (8,), np.float64) as out:
-        out[b0:b1] = 1.0
-    return b1 - b0
 
 
 class TestServerTeardown:
@@ -99,7 +82,6 @@ class TestServerTeardown:
         assert stats["closed"] and stats["inflight"] == 0
 
 
-@pytest.mark.skipif(not POOL_AVAILABLE, reason="POSIX shared memory unavailable")
 class TestWireEndpointTeardown:
     def test_stop_wakes_the_accept_thread_at_once(self):
         """Closing a listener does not wake accept() on Linux; stop()
@@ -117,71 +99,30 @@ class TestWireEndpointTeardown:
         ]
 
 
-class TestKernelPoolThroughServing:
-    """The serving path on top of :mod:`repro.parallel` must clean up
-    even when the pool dies mid-request."""
+    def test_closed_connections_leave_no_thread_behind(self):
+        """A connection's thread is dropped with its socket: after many
+        short sessions the endpoint tracks live connections only."""
+        from repro.serving.endpoint import WireSessionClient, WireSessionServer
 
-    @pytest.fixture(autouse=True)
-    def clean_registry(self):
-        faults.disarm()
-        yield
-        faults.disarm()
-
-    def test_pool_backed_render_completes_and_cleans_up(self):
-        def pool_backend(request: Request, degraded: bool) -> bytes:
-            with shared_ndarray((8,), np.float64) as (name, out):
-                run_tiles(
-                    ParallelConfig(workers=2, min_items=1, timeout=30.0),
-                    _kernel_tile, [(0, 4), (4, 8)], payload=name,
-                )
-                return out.tobytes()
-
-        async def scenario():
-            server = ServingServer(pool_backend, cache=memory_cache())
-            async with server:
-                return await server.submit(Request(params={"scene": 1}))
-
-        response = asyncio.run(scenario())
-        assert response.status == "ok"
-        assert np.frombuffer(response.payload).tolist() == [1.0] * 8
-        assert _no_children("repro-parallel-")
-
-    def test_worker_death_mid_request_leaks_nothing(self):
-        """A SIGKILLed pool worker inside a serving request: the request
-        errors, the shm segment is unlinked, no processes survive."""
-        from multiprocessing import shared_memory
-
-        faults.arm("parallel.tile", "exit", match={"tile": 1}, times=0)
-        leaked: dict = {}
-
-        def doomed_backend(request: Request, degraded: bool) -> bytes:
-            with shared_ndarray((8,), np.float64) as (name, _out):
-                leaked["shm"] = name
-                run_tiles(
-                    ParallelConfig(
-                        workers=2, min_items=1, timeout=30.0, respawn_budget=2
-                    ),
-                    _kernel_tile, [(0, 4), (4, 8)], payload=name,
-                )
-            raise AssertionError("the injected kill never fired")
-
-        async def scenario():
-            server = ServingServer(
-                doomed_backend,
-                config=ServingConfig(workers=2, breaker_failures=10),
-                cache=memory_cache(),
-            )
-            async with server:
-                return await server.submit(Request(params={"scene": 1}))
-
-        response = asyncio.run(scenario())
-        assert response.status == "error"
-        assert "died with exit code" in response.reason
-        # the failed request tore its own resources down
-        assert _no_children("repro-parallel-")
-        with pytest.raises(FileNotFoundError):
-            shared_memory.SharedMemory(name=leaked["shm"])
-        assert _serving_threads() == []
+        server = WireSessionServer(CountingBackend(), ServingConfig(workers=1))
+        server.start()
+        try:
+            for i in range(50):
+                with WireSessionClient(server.host, server.port) as client:
+                    client.open(f"short-{i}")
+                    client.render({"scene": "s", "timestep": i})
+            with WireSessionClient(server.host, server.port) as live:
+                live.open("still-here")
+                deadline = time.monotonic() + 5.0
+                while len(server._conn_threads) > 1 and time.monotonic() < deadline:
+                    time.sleep(0.01)  # the last closed peer's thread is unwinding
+                assert len(server._conn_threads) == 1
+                assert all(t.is_alive() for t in server._conn_threads.values())
+        finally:
+            t0 = time.monotonic()
+            server.stop()
+        assert time.monotonic() - t0 < 1.0
+        assert not server._conn_threads
 
 
 class TestHyperwallStartupTeardown:

@@ -1,4 +1,4 @@
-"""The ambient config scope shared by ``repro.cache`` and ``repro.parallel``."""
+"""The ambient config scope (``repro.cache`` binds its config names to one)."""
 
 from __future__ import annotations
 
@@ -7,7 +7,6 @@ from dataclasses import dataclass
 import pytest
 
 from repro.cache import config as cache_config
-from repro.parallel import config as parallel_config
 from repro.util.scope import ConfigScope
 
 
@@ -56,15 +55,15 @@ def test_use_restores_on_exception(scope):
     assert scope.get() == Knob(0)
 
 
-def test_cache_and_parallel_scopes_are_independent():
+def test_two_scopes_are_independent(scope):
     cache_before = cache_config.get_config()
-    parallel_before = parallel_config.get_config()
+    knob_before = scope.get()
     with cache_config.use_config(cache_config.CacheConfig(use_disk=False)):
-        assert parallel_config.get_config() is parallel_before
-        with parallel_config.use_config(parallel_config.ParallelConfig(workers=2)):
+        assert scope.get() is knob_before
+        with scope.use(Knob(2)):
             assert cache_config.get_config().use_disk is False
-            assert parallel_config.get_config().workers == 2
-        assert parallel_config.get_config() is parallel_before
+            assert scope.get().level == 2
+        assert scope.get() is knob_before
     assert cache_config.get_config() is cache_before
 
 
