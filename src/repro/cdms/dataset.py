@@ -13,7 +13,7 @@ from pathlib import Path
 from typing import Any, Dict, Iterator, List, Optional, Union
 
 from repro.cdms.selectors import Selector
-from repro.cdms.storage import read_cdz, write_cdz
+from repro.cdms.storage import open_cdz, read_cdz, write_cdz
 from repro.cdms.variable import Variable
 from repro.util.errors import CDMSError
 
@@ -95,7 +95,7 @@ class Dataset:
     def save(
         self,
         path: PathLike,
-        version: int = 1,
+        version: int = 2,
         chunk_timesteps: Optional[int] = None,
         lowres_factor: Optional[int] = None,
     ) -> None:
@@ -135,18 +135,15 @@ class Dataset:
         self.close()
 
 
-def _streaming_mode(streaming: Union[bool, str]) -> str:
-    if streaming is True:
-        return "on"
-    if streaming is False or streaming is None:
-        return "off"
+def _streaming_on(streaming: Union[bool, str]) -> bool:
+    if isinstance(streaming, bool):
+        return streaming
     mode = str(streaming).lower()
-    if mode not in ("auto", "on", "off"):
+    if mode not in ("on", "off"):
         raise CDMSError(
-            f"open_dataset: streaming must be True/False/'auto'/'on'/'off', "
-            f"got {streaming!r}"
+            f"open_dataset: streaming must be True/False/'on'/'off', got {streaming!r}"
         )
-    return mode
+    return mode == "on"
 
 
 def open_dataset(
@@ -156,42 +153,27 @@ def open_dataset(
 ) -> Dataset:
     """Open a ``.cdz`` dataset from disk (the ``cdms2.open`` analog).
 
-    *streaming* selects the ingest path:
+    *streaming* selects how much is read now:
 
     ``False`` / ``"off"``
-        materialize every variable in memory (v1 behaviour, any format);
+        every variable is loaded whole into memory;
     ``True`` / ``"on"``
-        require a v2 container and return lazy out-of-core variables
-        (:class:`~repro.cdms.lazy.LazyVariable`) backed by the
-        verified, prefetching streaming layer;
-    ``"auto"``
-        stream when the container is v2, load eagerly when it is v1.
+        wherever the container has chunks, variables are lazy
+        out-of-core :class:`~repro.cdms.lazy.LazyVariable` handles
+        backed by the verified, prefetching streaming layer, and the
+        dataset must be closed.  A legacy v1 container has no chunks
+        and loads whole.
 
-    *streaming_config* is an optional
+    Both are the same reader — one open of the archive, one parse of
+    its manifest, every chunk through
+    :meth:`~repro.streaming.reader.ChunkReader.read_chunk` — so the two
+    modes agree to the byte.  *streaming_config* is an optional
     :class:`~repro.streaming.config.StreamingConfig` (memory budget,
-    prefetch depth, retry policy) for the streaming path.
+    prefetch depth, retry policy) for the streaming mode.
     """
-    mode = _streaming_mode(streaming)
-    if mode == "off":
+    if not _streaming_on(streaming):
         return Dataset.load(path)
-    from repro.cdms.storage import detect_version
-
-    version = detect_version(path)
-    if version != 2:
-        if mode == "on":
-            raise CDMSError(
-                f"open_dataset: {path} is a v{version} container; streaming "
-                "requires format v2 (write with version=2)"
-            )
-        return Dataset.load(path)
-    from repro.cdms.lazy import LazyVariable
-    from repro.streaming.dataset import StreamingSource
-
-    source = StreamingSource(path, streaming_config)
-    dataset = Dataset(
-        id=source.dataset_id,
-        variables=[LazyVariable(source, layout) for layout in source.layouts],
-        attributes=source.attributes,
-    )
+    dataset_id, attributes, variables, source = open_cdz(path, streaming_config)
+    dataset = Dataset(id=dataset_id, variables=variables, attributes=attributes)
     dataset.streaming_source = source
     return dataset

@@ -44,12 +44,8 @@ class LazyVariable(Variable):
     def __init__(self, source: StreamingSource, layout: VariableLayout) -> None:
         # deliberately no super().__init__: there is no array to bind.
         self.id = layout.id
-        try:
-            self._axes = tuple(source.axes[dim] for dim in layout.dimensions)
-        except KeyError as exc:
-            raise StreamingError(
-                f"variable {layout.id!r} references unknown axis {exc.args[0]!r}"
-            ) from None
+        # parse_layouts proved every dimension names one of the source's axes
+        self._axes = tuple(source.axes[dim] for dim in layout.dimensions)
         self.missing_value = float(layout.missing_value)
         self.attributes: Dict[str, object] = dict(layout.attributes)
         self.source = source

@@ -4,19 +4,25 @@ The real CDMS reads NetCDF; with no NetCDF library available offline we
 define an equivalent self-describing container: a ZIP archive holding
 
 * ``manifest.json`` — dataset id, global attributes, axis and variable
-  metadata (units, calendars, attributes, dimension lists);
+  metadata (units, calendars, attributes, dimension lists) and, per
+  variable, a table of digest-pinned chunks;
 * ``axes/<name>.npy`` and ``axes/<name>.bounds.npy`` — axis coordinate
   and bounds arrays;
-* ``vars/<name>.npy`` — variable payloads with masked elements encoded
-  as the variable's ``missing_value``.
+* ``chunks/v<i>/c<j>.npy`` — variable payloads split along time, with
+  masked elements encoded as the variable's ``missing_value``.
 
-That is **format version 1**: whole-array members, read all at once.
-**Format version 2** (:mod:`repro.streaming.format`) keeps the same
-axis/metadata model but splits payloads into per-timestep chunks with
-manifest-pinned content digests, enabling out-of-core streaming reads.
-:func:`read_cdz` auto-detects the version and materializes either one
-byte-identically; :func:`write_cdz` writes v1 by default and v2 on
-request.
+That is **format version 2** (:mod:`repro.streaming.format` has the
+layout in full), the one format :func:`write_cdz` writes.  There is one
+read path too: :func:`open_cdz` opens the archive once, parses the
+manifest once and hands every variable out as a chunk-backed
+:class:`~repro.cdms.lazy.LazyVariable`; :func:`read_cdz` (an eager
+load) indexes each of them whole through the same
+:class:`~repro.streaming.reader.ChunkReader` — positioned read, sha256
+verification, shape check, fault sites, retry — that streaming uses.
+
+**Format version 1** (whole deflated arrays, ``vars/<name>.npy``) is
+read-only legacy: files that exist keep loading, eagerly, through
+:func:`_read_all_v1`; nothing writes them.
 
 Writes are crash-safe: the archive is assembled in a same-directory
 temporary file, fsynced, and atomically renamed into place
@@ -32,7 +38,7 @@ import json
 import zipfile
 import zlib
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Union
+from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -40,10 +46,11 @@ from repro.cdms.axis import Axis
 from repro.cdms.variable import Variable
 from repro.resilience import faults
 from repro.util.atomic import atomic_publish
-from repro.util.errors import CDMSError
+from repro.util.errors import CDMSError, StreamingError
 
-FORMAT_VERSION = 1
-SUPPORTED_VERSIONS = (1, 2)
+if TYPE_CHECKING:  # repro.streaming imports this module: annotations only
+    from repro.streaming.config import StreamingConfig
+    from repro.streaming.dataset import StreamingSource
 
 PathLike = Union[str, Path]
 
@@ -82,160 +89,127 @@ def _shared_axes(variables: List[Variable]) -> Dict[str, Axis]:
     return axes
 
 
-def _write_archive_v1(
-    archive: zipfile.ZipFile,
-    variables: List[Variable],
-    axes: Dict[str, Axis],
-    dataset_id: str,
-    attributes: Optional[Dict[str, object]],
-) -> None:
-    manifest = {
-        "format_version": 1,
-        "id": dataset_id,
-        "attributes": attributes or {},
-        "axes": [_axis_manifest(a) for a in axes.values()],
-        "variables": [
-            {
-                "id": var.id,
-                "dimensions": [a.id for a in var.axes],
-                "attributes": var.attributes,
-                "missing_value": var.missing_value,
-                "dtype": str(var.dtype),
-            }
-            for var in variables
-        ],
-    }
-    archive.writestr("manifest.json", json.dumps(manifest, indent=1))
-    for axis in axes.values():
-        archive.writestr(f"axes/{axis.id}.npy", _npy_bytes(axis.values))
-        bounds = axis.get_bounds()
-        if bounds is not None:
-            archive.writestr(f"axes/{axis.id}.bounds.npy", _npy_bytes(bounds))
-    for var in variables:
-        archive.writestr(f"vars/{var.id}.npy", _npy_bytes(var.filled()))
-
-
 def write_cdz(
     path: PathLike,
     variables: List[Variable],
     dataset_id: str = "dataset",
     attributes: Dict[str, object] | None = None,
-    version: int = FORMAT_VERSION,
+    version: int = 2,
     chunk_timesteps: Optional[int] = None,
     lowres_factor: Optional[int] = None,
 ) -> None:
     """Write *variables* (sharing axes by id) to a ``.cdz`` file.
 
-    ``version=1`` (the default) writes the whole-array format;
-    ``version=2`` writes the chunked streaming format, honouring
-    *chunk_timesteps* (coordinate points per chunk) and *lowres_factor*
-    (decimation of the fallback companions; 1 disables them).
+    *chunk_timesteps* is the number of coordinate points per chunk and
+    *lowres_factor* the decimation of the fallback companions (1
+    disables them); ``None`` takes :mod:`repro.streaming.format`'s
+    defaults.  *version* names the format written; ``2`` is its one
+    legal value — v1 is read-only.
     """
+    from repro.streaming.format import FORMAT_VERSION, write_archive_v2
+
     if not variables:
         raise CDMSError("write_cdz: no variables to write")
-    if version not in SUPPORTED_VERSIONS:
+    if version != FORMAT_VERSION:
         raise CDMSError(
-            f"write_cdz: unsupported format version {version!r} "
-            f"(supported: {SUPPORTED_VERSIONS})"
+            f"write_cdz: cannot write format version {version!r}: "
+            f"v{FORMAT_VERSION} is the only writable format (v1 is read-only)"
         )
+    for var in variables:
+        if var.ndim == 0:
+            raise CDMSError(
+                f"write_cdz: variable {var.id!r} is rank-0; a stored variable "
+                "needs at least one axis"
+            )
     axes = _shared_axes(variables)
     path = Path(path)
     with atomic_publish(
         path, before_rename=lambda: faults.check("storage.write", path=str(path))
     ) as handle:
         with zipfile.ZipFile(handle, "w", compression=zipfile.ZIP_DEFLATED) as archive:
-            if version == 1:
-                _write_archive_v1(archive, variables, axes, dataset_id, attributes)
-            else:
-                from repro.streaming.format import (
-                    DEFAULT_CHUNK_TIMESTEPS,
-                    DEFAULT_LOWRES_FACTOR,
-                    write_archive_v2,
-                )
+            write_archive_v2(
+                archive, variables, axes, dataset_id, attributes, chunk_timesteps, lowres_factor
+            )
 
-                write_archive_v2(
-                    archive,
-                    variables,
-                    axes,
-                    dataset_id,
-                    attributes,
-                    chunk_timesteps=(
-                        DEFAULT_CHUNK_TIMESTEPS
-                        if chunk_timesteps is None
-                        else chunk_timesteps
-                    ),
-                    lowres_factor=(
-                        DEFAULT_LOWRES_FACTOR if lowres_factor is None else lowres_factor
-                    ),
-                )
+
+def read_member(archive: zipfile.ZipFile, member: str) -> bytes:
+    """Read one archive member, raising typed errors instead of ``KeyError``."""
+    try:
+        return archive.read(member)
+    except KeyError:
+        raise StreamingError(
+            f"{archive.filename}: archive member {member!r} is missing"
+        ) from None
+    except (zipfile.BadZipFile, zlib.error, OSError) as exc:
+        raise StreamingError(
+            f"{archive.filename}: archive member {member!r} unreadable: {exc}"
+        ) from exc
 
 
 @contextlib.contextmanager
-def _open_archive(path: Path) -> Iterator[zipfile.ZipFile]:
+def opened_container(path: Path) -> Iterator[Tuple[zipfile.ZipFile, Dict[str, object]]]:
+    """``(archive, manifest)`` of the container at *path*, open for the block.
+
+    The one place a ``.cdz`` is opened for reading and its manifest
+    decoded.  Every way that can fail is a :class:`StreamingError`, and
+    so is a ``BadZipFile`` or ``OSError`` the archive raises inside the
+    block.
+    """
     if not path.exists():
-        raise CDMSError(f"read_cdz: no such file {path}")
+        raise StreamingError(f"no such .cdz container: {path}")
     try:
-        archive = zipfile.ZipFile(path, "r")
+        with zipfile.ZipFile(path, "r") as archive:
+            try:
+                manifest = json.loads(read_member(archive, "manifest.json"))
+            except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+                raise StreamingError(
+                    f"{path}: manifest.json is not valid JSON: {exc}"
+                ) from exc
+            if not isinstance(manifest, dict):
+                raise StreamingError(f"{path}: manifest.json is not an object")
+            yield archive, manifest
     except (zipfile.BadZipFile, OSError) as exc:
-        raise CDMSError(f"read_cdz: {path} is not a readable archive: {exc}") from exc
-    with archive:
-        yield archive
+        raise StreamingError(f"{path} is not a readable archive: {exc}") from exc
 
 
-def _load_manifest(archive: zipfile.ZipFile, path: Path) -> Dict[str, object]:
+@contextlib.contextmanager
+def typed_manifest_errors(path: Path) -> Iterator[None]:
+    """Type what a well-formed-JSON manifest of the wrong shape raises.
+
+    A manifest is outside input: a missing field, a list where an object
+    belongs or an unknown dtype name would otherwise escape the code
+    that interprets it as a bare ``KeyError``, ``AttributeError``,
+    ``TypeError`` or ``ValueError``.
+    """
     try:
-        payload = archive.read("manifest.json")
-    except KeyError:
-        raise CDMSError(f"read_cdz: {path} has no manifest.json") from None
-    except (zipfile.BadZipFile, zlib.error, OSError) as exc:
-        raise CDMSError(f"read_cdz: {path} manifest unreadable: {exc}") from exc
+        yield
+    except (KeyError, AttributeError, TypeError, ValueError) as exc:
+        raise StreamingError(
+            f"{path}: malformed manifest ({type(exc).__name__}: {exc})"
+        ) from exc
+
+
+def _member_array(archive: zipfile.ZipFile, name: str) -> np.ndarray:
     try:
-        manifest = json.loads(payload)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise CDMSError(f"read_cdz: {path} manifest is not valid JSON: {exc}") from exc
-    if not isinstance(manifest, dict):
-        raise CDMSError(f"read_cdz: {path} manifest is not an object")
-    return manifest
-
-
-def _member(archive: zipfile.ZipFile, name: str, path: Path) -> bytes:
-    try:
-        return archive.read(name)
-    except KeyError:
-        raise CDMSError(f"read_cdz: {path} is missing member {name!r}") from None
-    except (zipfile.BadZipFile, zlib.error, OSError) as exc:
-        raise CDMSError(f"read_cdz: {path} member {name!r} unreadable: {exc}") from exc
-
-
-def _member_array(archive: zipfile.ZipFile, name: str, path: Path) -> np.ndarray:
-    try:
-        return _npy_load(_member(archive, name, path))
+        return _npy_load(read_member(archive, name))
     except (ValueError, EOFError) as exc:
-        raise CDMSError(f"read_cdz: {path} member {name!r} corrupt: {exc}") from exc
-
-
-def detect_version(path: PathLike) -> int:
-    """The format version of the ``.cdz`` container at *path*."""
-    path = Path(path)
-    with _open_archive(path) as archive:
-        manifest = _load_manifest(archive, path)
-    version = manifest.get("format_version")
-    if version not in SUPPORTED_VERSIONS:
-        raise CDMSError(f"read_cdz: unsupported format version {version!r}")
-    return int(version)
+        raise CDMSError(
+            f"{archive.filename}: archive member {name!r} corrupt: {exc}"
+        ) from exc
 
 
 def _read_all_v1(
-    archive: zipfile.ZipFile, manifest: Dict[str, object], path: Path
+    archive: zipfile.ZipFile, manifest: Dict[str, object]
 ) -> tuple[str, Dict[str, object], List[Variable]]:
+    """Load a legacy v1 container: whole deflated arrays, no digests."""
     names = set(archive.namelist())
     axes: Dict[str, Axis] = {}
     for meta in manifest.get("axes", []):
         axis_id = meta["id"]
-        values = _member_array(archive, f"axes/{axis_id}.npy", path)
+        values = _member_array(archive, f"axes/{axis_id}.npy")
         bounds = None
         if meta.get("has_bounds") and f"axes/{axis_id}.bounds.npy" in names:
-            bounds = _member_array(archive, f"axes/{axis_id}.bounds.npy", path)
+            bounds = _member_array(archive, f"axes/{axis_id}.bounds.npy")
         axes[axis_id] = Axis(
             axis_id,
             values,
@@ -247,15 +221,15 @@ def _read_all_v1(
     variables: List[Variable] = []
     for meta in manifest.get("variables", []):
         var_id = meta["id"]
-        raw = _member_array(archive, f"vars/{var_id}.npy", path)
+        raw = _member_array(archive, f"vars/{var_id}.npy")
         missing = float(meta.get("missing_value", 1.0e20))
         data = np.ma.masked_values(raw, missing, rtol=1e-6, atol=0.0)
+        dimensions = meta["dimensions"]
         try:
-            var_axes = [axes[dim] for dim in meta["dimensions"]]
+            var_axes = [axes[dim] for dim in dimensions]
         except KeyError as exc:
             raise CDMSError(
-                f"read_cdz: variable {var_id!r} references unknown axis "
-                f"{exc.args[0]!r}"
+                f"variable {var_id!r} references unknown axis {exc.args[0]!r}"
             ) from None
         variables.append(
             Variable(
@@ -268,28 +242,57 @@ def _read_all_v1(
         )
     dataset_id = manifest.get("id")
     if not isinstance(dataset_id, str):
-        raise CDMSError(f"read_cdz: {path} manifest has no dataset id")
+        raise CDMSError("manifest has no dataset id")
     return dataset_id, manifest.get("attributes", {}), variables
 
 
-def read_cdz(path: PathLike) -> tuple[str, Dict[str, object], List[Variable]]:
-    """Read a ``.cdz`` file → ``(dataset_id, attributes, variables)``.
+def open_cdz(
+    path: PathLike, config: Optional[StreamingConfig] = None
+) -> Tuple[str, Dict[str, object], List[Variable], Optional[StreamingSource]]:
+    """Open a ``.cdz`` → ``(dataset_id, attributes, variables, source)``.
 
-    Auto-detects the format version: v1 reads exactly as it always has;
-    v2 materializes every chunk (digest-verified) into the identical
-    in-memory representation.  All corruption — truncation, missing
-    members, bad payloads — surfaces as :class:`CDMSError` (or its
-    :class:`~repro.util.errors.StreamingError` subclass), never as a
-    bare ``KeyError`` or ``zipfile`` traceback.
+    The archive is opened once, the manifest parsed once, and its
+    ``format_version`` dispatched on once.  A v2 container comes back
+    as lazy variables over an open
+    :class:`~repro.streaming.dataset.StreamingSource` (*config* is its
+    :class:`~repro.streaming.config.StreamingConfig`), which the caller
+    closes; a legacy v1 container has no chunks to hand out, so its
+    variables come back loaded and *source* is ``None``.
     """
-    path = Path(path)
-    with _open_archive(path) as archive:
-        manifest = _load_manifest(archive, path)
-        version = manifest.get("format_version")
-        if version == 1:
-            return _read_all_v1(archive, manifest, path)
-        if version == 2:
-            from repro.streaming.format import read_all_v2
+    from repro.cdms.lazy import LazyVariable
+    from repro.streaming.dataset import StreamingSource
 
-            return read_all_v2(archive, manifest)
-        raise CDMSError(f"read_cdz: unsupported format version {version!r}")
+    path = Path(path)
+    with opened_container(path) as (archive, manifest):
+        if manifest.get("format_version") == 1:
+            with typed_manifest_errors(path):
+                return (*_read_all_v1(archive, manifest), None)
+        # any other version is the source's to take or to reject
+        source = StreamingSource(path, config, opened=(archive, manifest))
+    variables = [LazyVariable(source, layout) for layout in source.layouts]
+    return source.dataset_id, source.attributes, variables, source
+
+
+def read_cdz(path: PathLike) -> tuple[str, Dict[str, object], List[Variable]]:
+    """Read a ``.cdz`` file whole → ``(dataset_id, attributes, variables)``.
+
+    An eager load is the streaming reader with the prefetch thread off:
+    every variable :func:`open_cdz` hands out is indexed whole, so each
+    chunk takes the positioned read, digest verification, shape check
+    and retries of :meth:`~repro.streaming.reader.ChunkReader.read_chunk`,
+    and the source is closed before returning.  All corruption —
+    truncation, missing members, bad payloads, a manifest of the wrong
+    shape — surfaces as :class:`CDMSError` (or its
+    :class:`~repro.util.errors.StreamingError` subclass), never as a
+    bare ``KeyError`` or ``zipfile`` traceback, and never as a partial
+    dataset.
+    """
+    from repro.streaming.config import StreamingConfig
+
+    dataset_id, attributes, variables, source = open_cdz(
+        path, StreamingConfig(prefetch=False)
+    )
+    if source is not None:
+        with source:
+            variables = [variable[()] for variable in variables]
+    return dataset_id, attributes, variables

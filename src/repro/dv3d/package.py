@@ -51,6 +51,9 @@ class CDMSDatasetReader(Module):
     synthetic catalog name (``synthetic_reanalysis``,
     ``storm_case_study``, ``wave_case_study``).  ``size`` optionally
     overrides generator dimensions, e.g. ``{"nlat": 24, "nlon": 36}``.
+    ``streaming`` applies to ``.cdz`` paths: ``on`` (the default) hands
+    out lazy variables wherever the container has chunks, ``off`` loads
+    every variable whole.
     """
 
     name = "CDMSDatasetReader"
@@ -61,8 +64,8 @@ class CDMSDatasetReader(Module):
         ParameterSpec("seed", "default", "generator seed namespace"),
         ParameterSpec(
             "streaming",
-            "auto",
-            "out-of-core ingest for .cdz paths: auto | on | off",
+            "on",
+            "out-of-core ingest for .cdz paths: on | off",
         ),
     )
 
@@ -84,11 +87,10 @@ class CDMSDatasetReader(Module):
         if source.startswith("esg://"):
             return {"dataset": self._esg().fetch(source[len("esg://"):])}
         if source.endswith(".cdz"):
-            # "auto" streams v2 containers and loads v1 eagerly — each
-            # hyperwall cell executing this module then reads only the
-            # chunks its own subset touches, instead of a whole-array
-            # broadcast
-            streaming = str(self.parameter_values.get("streaming", "auto"))
+            # streamed, each hyperwall cell executing this module reads
+            # only the chunks its own subset touches, instead of a
+            # whole-array broadcast
+            streaming = str(self.parameter_values.get("streaming", "on"))
             return {"dataset": open_dataset(source, streaming=streaming)}
         from repro.data import catalog
 

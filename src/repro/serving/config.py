@@ -61,13 +61,8 @@ class ServingConfig:
     speculation_budget:
         Maximum concurrent speculative next-frame renders (0 disables
         speculation).  Speculative work only launches when the demand
-        queue is at most ``speculation_idle_depth`` deep — idle backend
-        capacity, never capacity demand traffic is waiting for.
-    speculation_idle_depth:
-        Queue-depth ceiling below which speculation may launch.
-    session_history:
-        Request-history window kept per session (the speculative
-        predictor's input; must cover its 3-request stride window).
+        queue is empty — idle backend capacity, never capacity demand
+        traffic is waiting for.
     session_log_frames:
         Per-session frame-log ring bound (0 = unbounded; the chaos
         suite audits every frame, the wire endpoint replays from it).
@@ -86,8 +81,6 @@ class ServingConfig:
     tenant_max_bytes: int = 0
     slots: int = 0
     speculation_budget: int = 0
-    speculation_idle_depth: int = 0
-    session_history: int = 8
     session_log_frames: int = 64
 
     def __post_init__(self) -> None:
@@ -126,16 +119,6 @@ class ServingConfig:
         if self.speculation_budget < 0:
             raise ServingError(
                 f"speculation_budget must be >= 0, got {self.speculation_budget}"
-            )
-        if self.speculation_idle_depth < 0:
-            raise ServingError(
-                "speculation_idle_depth must be >= 0, got "
-                f"{self.speculation_idle_depth}"
-            )
-        if self.session_history < 3:
-            raise ServingError(
-                "session_history must be >= 3 (the predictor's stride "
-                f"window), got {self.session_history}"
             )
         if self.session_log_frames < 0:
             raise ServingError(

@@ -190,7 +190,7 @@ class ServingServer:
             raise ServingError("slot_backends given but config.slots is 0")
         self.sessions: Optional[SessionRegistry] = None
         if self.config.slots > 0 or self.config.speculation_budget > 0:
-            self.sessions = SessionRegistry(history=self.config.session_history)
+            self.sessions = SessionRegistry()
         self._predictor = NextFramePredictor()
         self._speculations: Dict[str, "asyncio.Task[None]"] = {}
 
@@ -531,16 +531,16 @@ class ServingServer:
     def _maybe_speculate(self, state: SessionState, request: Request) -> None:
         """Launch a speculative render of the session's predicted next frame.
 
-        Only on idle capacity (queue at most ``speculation_idle_depth``
-        deep), within the speculation budget, with running workers, and
-        only when the predictor sees a constant-stride gesture.
+        Only on idle capacity (an empty demand queue), within the
+        speculation budget, with running workers, and only when the
+        predictor sees a constant-stride gesture.
         """
         config = self.config
         if config.speculation_budget <= 0 or not self._workers:
             return
         if len(self._speculations) >= config.speculation_budget:
             return
-        if self._queue.qsize() > config.speculation_idle_depth:
+        if not self._queue.empty():
             return
         predicted = self._predictor.predict(state.history)
         if predicted is None:

@@ -41,6 +41,11 @@ from repro.util.errors import ServingError
 #: sessions are plain opaque strings (Request.session)
 SessionId = str
 
+#: request params remembered per session — the speculative predictor's
+#: input, so at least :class:`~repro.serving.speculative.NextFramePredictor`'s
+#: three-request stride window
+HISTORY_WINDOW = 8
+
 
 def _score(slot_id: str, session_id: str) -> int:
     """Deterministic rendezvous weight of (slot, session).
@@ -122,10 +127,9 @@ class SessionState:
     (the asyncio event loop serializes ``submit`` bookkeeping).
     """
 
-    def __init__(self, session_id: SessionId, tenant: str, history: int = 8) -> None:
+    def __init__(self, session_id: SessionId, tenant: str) -> None:
         self.id = session_id
         self.tenant = tenant
-        self.history_limit = max(int(history), 2)
         #: most-recent request params, oldest first
         self.history: List[Mapping[str, Any]] = []
         #: FrameRecord-style accounting of every served frame
@@ -140,8 +144,7 @@ class SessionState:
 
     def observe(self, params: Mapping[str, Any]) -> None:
         self.history.append(dict(params))
-        if len(self.history) > self.history_limit:
-            del self.history[: len(self.history) - self.history_limit]
+        del self.history[:-HISTORY_WINDOW]
 
     def pin(self, slot_id: str) -> None:
         if slot_id != self.slot:
@@ -168,14 +171,13 @@ class Speculation:
 class SessionRegistry:
     """Session id -> :class:`SessionState`, with open/active accounting."""
 
-    def __init__(self, history: int = 8) -> None:
-        self.history = history
+    def __init__(self) -> None:
         self._states: Dict[SessionId, SessionState] = {}
 
     def observe(self, session_id: SessionId, tenant: str) -> SessionState:
         state = self._states.get(session_id)
         if state is None:
-            state = SessionState(session_id, tenant, history=self.history)
+            state = SessionState(session_id, tenant)
             self._states[session_id] = state
             obs.counter("serving.sessions.opened", tenant=tenant)
             if obs.enabled():

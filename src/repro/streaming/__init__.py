@@ -1,10 +1,11 @@
-"""Fault-tolerant out-of-core streaming over the chunked ``.cdz`` v2 format.
+"""Fault-tolerant out-of-core streaming over the chunked ``.cdz`` format.
 
 The paper's claim is interactive exploration of datasets far larger
 than a workstation's memory; this package supplies the missing layer
 between the ``.cdz`` container and the DV3D animation loop:
 
-* :mod:`repro.streaming.format` — the v2 container: per-timestep
+* :mod:`repro.streaming.format` — the container (format v2, the one
+  format written; v1 is read-only legacy): per-timestep
   chunks with manifest-pinned sha256 content digests, per-chunk
   finite-value statistics (scalar ranges without payload reads), and
   low-resolution fallback companions;
@@ -22,14 +23,15 @@ between the ``.cdz`` container and the DV3D animation loop:
 
 The consumer-facing entry points live in :mod:`repro.cdms`:
 ``open_dataset(path, streaming=True)`` yields lazy variables whose
-slabs materialize through this package, byte-identical to the
-in-memory path; :class:`repro.dv3d.animation.StreamingAnimator` adds
+slabs materialize through this package; ``streaming=False`` reads
+every chunk through the same reader and closes it, so the two agree to
+the byte; :class:`repro.dv3d.animation.StreamingAnimator` adds
 the degradation ladder (retry → low-res substitute → previous verified
 frame → blank) so corruption never aborts an animation.
 """
 
 from repro.streaming.config import DEFAULT_MEMORY_BUDGET, StreamingConfig
-from repro.streaming.dataset import StreamingSource, open_source
+from repro.streaming.dataset import StreamingSource
 from repro.streaming.format import (
     DEFAULT_CHUNK_TIMESTEPS,
     DEFAULT_LOWRES_FACTOR,
@@ -55,6 +57,5 @@ __all__ = [
     "StreamingSource",
     "VariableLayout",
     "content_digest",
-    "open_source",
     "write_archive_v2",
 ]

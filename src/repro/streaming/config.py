@@ -7,6 +7,10 @@ reader retries failing chunks before degrading.  Like
 ``repro.cache``'s config it is explicit and validated at construction;
 unlike it, it is passed down rather than ambient — a streaming
 dataset opened with one budget never silently inherits another's.
+
+Whether verified chunks are also published to the result cache is not
+decided here: the reader uses :func:`repro.cache.store.ambient_cache`,
+and that cache's own ``enabled`` is the switch.
 """
 
 from __future__ import annotations
@@ -43,10 +47,6 @@ class StreamingConfig:
     retry_base_delay:
         Backoff before the first retry, in seconds (exponential with
         deterministic jitter, the :class:`RetryPolicy` contract).
-    use_result_cache:
-        Publish verified decoded chunks into the ambient
-        :mod:`repro.cache` keyed by their content digest (effective
-        only when that cache is enabled); hits skip read + verify.
     """
 
     memory_budget_bytes: int = DEFAULT_MEMORY_BUDGET
@@ -54,7 +54,6 @@ class StreamingConfig:
     prefetch: bool = True
     read_retries: int = 3
     retry_base_delay: float = 0.005
-    use_result_cache: bool = True
 
     def __post_init__(self) -> None:
         if self.memory_budget_bytes <= 0:

@@ -1,11 +1,14 @@
-"""Archive-level access to a streaming (v2) ``.cdz`` container.
+"""Archive-level access to a ``.cdz`` container (format v2).
 
 A :class:`StreamingSource` opens the container once, verifies the
 manifest and axes eagerly (metadata is tiny; corruption there should
 fail at open, not mid-animation), and hands out one
 :class:`~repro.streaming.reader.ChunkReader` and one lazily-started
 :class:`~repro.streaming.prefetch.Prefetcher` per variable.  Payload
-chunks are *not* touched at open — that is the whole point.
+chunks are *not* touched at open — that is the whole point.  Every load
+of a v2 container is one of these: streaming keeps it open behind lazy
+variables, an eager :func:`~repro.cdms.storage.read_cdz` reads every
+chunk through it with prefetch off and closes it.
 
 That one open is also the only time the zip central directory is
 parsed.  From it (and each member's local header) the source keeps an
@@ -25,20 +28,20 @@ workflow specs to hyperwall cells that then stream their own chunks.
 
 from __future__ import annotations
 
-import json
 import struct
 import zipfile
+from contextlib import nullcontext
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
 
 from repro.cdms.axis import Axis
+from repro.cdms.storage import opened_container, typed_manifest_errors
 from repro.streaming.config import StreamingConfig
 from repro.streaming.format import (
     FORMAT_VERSION,
     VariableLayout,
     load_axes,
     parse_layouts,
-    read_member,
 )
 from repro.streaming.prefetch import Prefetcher
 from repro.streaming.reader import ChunkReader
@@ -76,32 +79,32 @@ def _stored_extents(archive: zipfile.ZipFile) -> Dict[str, Tuple[int, int]]:
 class StreamingSource:
     """One open v2 container: verified metadata, on-demand payloads."""
 
-    def __init__(self, path: PathLike, config: Optional[StreamingConfig] = None) -> None:
+    def __init__(
+        self,
+        path: PathLike,
+        config: Optional[StreamingConfig] = None,
+        opened: Optional[Tuple[zipfile.ZipFile, Dict[str, object]]] = None,
+    ) -> None:
+        """Open *path* — or, when a caller has it open already, take the
+        ``(archive, manifest)`` it passes as *opened* (used only here;
+        the caller still closes the archive)."""
         self.path = Path(path)
         self.config = config or StreamingConfig()
-        if not self.path.exists():
-            raise StreamingError(f"no such streaming archive: {self.path}")
-        try:
-            with zipfile.ZipFile(self.path, "r") as archive:
-                try:
-                    manifest = json.loads(read_member(archive, "manifest.json"))
-                except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-                    raise StreamingError(
-                        f"{self.path}: manifest.json is not valid JSON: {exc}"
-                    ) from exc
-                version = manifest.get("format_version")
-                if version != FORMAT_VERSION:
-                    raise StreamingError(
-                        f"{self.path}: not a v2 streaming container "
-                        f"(format_version={version!r})"
-                    )
-                self.axes: Dict[str, Axis] = load_axes(archive, manifest, verify=True)
-                self._extents = _stored_extents(archive)
-        except (zipfile.BadZipFile, OSError) as exc:
-            raise StreamingError(f"{self.path} is not a readable archive: {exc}") from exc
-        self.dataset_id = str(manifest.get("id", self.path.stem))
-        self.attributes: Dict[str, object] = dict(manifest.get("attributes", {}))
-        self.layouts: List[VariableLayout] = parse_layouts(manifest, self.axes)
+        with (
+            opened_container(self.path) if opened is None else nullcontext(opened)
+        ) as (archive, manifest):
+            version = manifest.get("format_version")
+            if version != FORMAT_VERSION:
+                raise StreamingError(
+                    f"{self.path}: not a v2 streaming container "
+                    f"(format_version={version!r})"
+                )
+            with typed_manifest_errors(self.path):
+                self.axes: Dict[str, Axis] = load_axes(archive, manifest)
+                self.layouts: List[VariableLayout] = parse_layouts(manifest, self.axes)
+                self.dataset_id = str(manifest.get("id", self.path.stem))
+                self.attributes: Dict[str, object] = dict(manifest.get("attributes", {}))
+            self._extents = _stored_extents(archive)
         self._by_id: Dict[str, VariableLayout] = {l.id: l for l in self.layouts}
         self._readers: Dict[str, ChunkReader] = {}
         self._prefetchers: Dict[str, Prefetcher] = {}
@@ -176,8 +179,3 @@ class StreamingSource:
 
     def __reduce__(self) -> Tuple[object, ...]:
         return (StreamingSource, (str(self.path), self.config))
-
-
-def open_source(path: PathLike, config: Optional[StreamingConfig] = None) -> StreamingSource:
-    """Open a v2 container for streaming access."""
-    return StreamingSource(path, config)

@@ -1,6 +1,6 @@
-"""The chunked ``.cdz`` format, version 2.
+"""The ``.cdz`` container format (version 2, the one format written).
 
-Layout of a v2 container (a ZIP archive, like v1):
+Layout of a container (a ZIP archive):
 
 * ``manifest.json`` — dataset id, attributes, axis metadata, and per
   variable a **chunk table**: the chunked dimension, each chunk's
@@ -8,8 +8,8 @@ Layout of a v2 container (a ZIP archive, like v1):
   (``sha256:<hex>`` over the member's raw bytes), its stored size, and
   summary statistics (finite-value min/max/count) so scalar ranges are
   known without touching payload data;
-* ``axes/<name>.npy`` (+ ``.bounds.npy``) — axis arrays, exactly as in
-  v1 but digest-pinned by the manifest;
+* ``axes/<name>.npy`` (+ ``.bounds.npy``) — axis arrays, digest-pinned
+  by the manifest;
 * ``chunks/v<i>/c<j>.npy`` — one ``.npy`` payload per chunk, stored
   **uncompressed** (``ZIP_STORED``) so byte ranges on disk are the
   payload bytes the digest covers;
@@ -20,9 +20,15 @@ Layout of a v2 container (a ZIP archive, like v1):
 Chunks split the variable along its **time dimension** (or the leading
 dimension when there is no time axis), ``chunk_timesteps`` coordinate
 points per chunk — the per-timestep/per-slab granularity the animation
-cursor consumes.  Values are stored exactly as v1 stores them (masked
-elements encoded as ``missing_value``), so a v2 container materializes
-byte-identically to its v1 equivalent.
+cursor consumes.  Masked elements are encoded as the variable's
+``missing_value`` — what the read-only legacy v1 format
+(:mod:`repro.cdms.storage`: whole deflated arrays, no digests) stored
+too, so the same variable reads byte-identically from either.
+
+This module is the format only: the manifest model, the writer
+(:func:`write_archive_v2`) and the manifest parser.  Bytes become
+arrays in exactly one place, :mod:`repro.streaming.reader`, for eager
+and streamed loads alike.
 """
 
 from __future__ import annotations
@@ -38,9 +44,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.cdms.axis import Axis
-from repro.cdms.storage import _axis_manifest, _npy_bytes, _npy_load
+from repro.cdms.storage import _axis_manifest, _npy_bytes, _npy_load, read_member
 from repro.cdms.variable import Variable
-from repro.util.errors import CDMSError, StreamingError
+from repro.util.errors import ChunkCorruptionError, StreamingError
 
 FORMAT_VERSION = 2
 
@@ -151,14 +157,10 @@ class VariableLayout:
 # ---------------------------------------------------------------------------
 
 
-def _roundtrip_mask(raw: np.ndarray, missing: float) -> np.ma.MaskedArray:
-    """Exactly the masking a reader applies to decoded payload bytes."""
-    return np.ma.masked_values(raw, missing, rtol=1e-6, atol=0.0)
-
-
 def _chunk_stats(raw: np.ndarray, missing: float) -> Tuple[Optional[float], Optional[float], int]:
     """Finite-value (min, max, count) as a reader would compute them."""
-    values = _roundtrip_mask(raw, missing).compressed()
+    # exactly the masking LazyVariable applies to decoded payload bytes
+    values = np.ma.masked_values(raw, missing, rtol=1e-6, atol=0.0).compressed()
     values = values[np.isfinite(values)]
     if values.size == 0:
         return None, None, 0
@@ -213,14 +215,19 @@ def write_archive_v2(
     axes: Dict[str, Axis],
     dataset_id: str,
     attributes: Optional[Dict[str, object]],
-    chunk_timesteps: int = DEFAULT_CHUNK_TIMESTEPS,
-    lowres_factor: int = DEFAULT_LOWRES_FACTOR,
+    chunk_timesteps: Optional[int] = None,
+    lowres_factor: Optional[int] = None,
 ) -> None:
     """Write the v2 members into an open (empty) ZIP archive.
 
     The caller (:func:`repro.cdms.storage.write_cdz`) owns the archive
-    lifecycle and the atomic tmp+rename publish.
+    lifecycle and the atomic tmp+rename publish.  ``None`` means
+    :data:`DEFAULT_CHUNK_TIMESTEPS` / :data:`DEFAULT_LOWRES_FACTOR`.
     """
+    if chunk_timesteps is None:
+        chunk_timesteps = DEFAULT_CHUNK_TIMESTEPS
+    if lowres_factor is None:
+        lowres_factor = DEFAULT_LOWRES_FACTOR
     if chunk_timesteps < 1:
         raise StreamingError(f"chunk_timesteps must be >= 1, got {chunk_timesteps}")
     if lowres_factor < 1:
@@ -311,10 +318,6 @@ def write_archive_v2(
 
 def parse_layouts(manifest: Dict[str, object], axes: Dict[str, Axis]) -> List[VariableLayout]:
     """The typed chunk tables of a v2 manifest."""
-    if manifest.get("format_version") != FORMAT_VERSION:
-        raise StreamingError(
-            f"not a v2 manifest (format_version={manifest.get('format_version')!r})"
-        )
     layouts: List[VariableLayout] = []
     for var_index, meta in enumerate(manifest.get("variables", [])):
         dimensions = tuple(meta["dimensions"])
@@ -381,22 +384,20 @@ def parse_layouts(manifest: Dict[str, object], axes: Dict[str, Axis]) -> List[Va
     return layouts
 
 
-def load_axes(archive: zipfile.ZipFile, manifest: Dict[str, object], verify: bool = True) -> Dict[str, Axis]:
+def load_axes(archive: zipfile.ZipFile, manifest: Dict[str, object]) -> Dict[str, Axis]:
     """Reconstruct the axes of a v2 archive, digest-verifying each member."""
     axes: Dict[str, Axis] = {}
     for meta in manifest.get("axes", []):
         axis_id = str(meta["id"])
         member = str(meta.get("member", f"axes/{axis_id}.npy"))
         payload = read_member(archive, member)
-        if verify:
-            verify_digest(member, payload, meta.get("digest"))
+        verify_digest(member, payload, meta.get("digest"))
         values = _npy_load(payload)
         bounds = None
         if meta.get("has_bounds"):
             bounds_member = str(meta.get("bounds_member", f"axes/{axis_id}.bounds.npy"))
             bounds_payload = read_member(archive, bounds_member)
-            if verify:
-                verify_digest(bounds_member, bounds_payload, meta.get("bounds_digest"))
+            verify_digest(bounds_member, bounds_payload, meta.get("bounds_digest"))
             bounds = _npy_load(bounds_payload)
         axes[axis_id] = Axis(
             axis_id,
@@ -409,19 +410,7 @@ def load_axes(archive: zipfile.ZipFile, manifest: Dict[str, object], verify: boo
     return axes
 
 
-def read_member(archive: zipfile.ZipFile, member: str) -> bytes:
-    """Read one archive member, raising typed errors instead of KeyError."""
-    try:
-        return archive.read(member)
-    except KeyError:
-        raise StreamingError(f"archive member {member!r} is missing") from None
-    except (zipfile.BadZipFile, OSError) as exc:
-        raise StreamingError(f"archive member {member!r} unreadable: {exc}") from exc
-
-
 def verify_digest(member: str, payload: bytes, expected: object) -> None:
-    from repro.util.errors import ChunkCorruptionError
-
     if not isinstance(expected, str) or not expected:
         raise StreamingError(f"archive member {member!r} has no manifest digest")
     actual = content_digest(payload)
@@ -430,55 +419,3 @@ def verify_digest(member: str, payload: bytes, expected: object) -> None:
             f"archive member {member!r} failed verification: "
             f"digest {actual} != manifest {expected}"
         )
-
-
-# ---------------------------------------------------------------------------
-# strict full materialization (the read_cdz v2 path)
-# ---------------------------------------------------------------------------
-
-
-def read_all_v2(
-    archive: zipfile.ZipFile, manifest: Dict[str, object]
-) -> Tuple[str, Dict[str, object], List[Variable]]:
-    """Materialize every variable of a v2 archive, verifying every chunk.
-
-    This is the strict (non-streaming) path behind
-    :func:`repro.cdms.storage.read_cdz`: any missing or corrupt member
-    raises a typed error; values are byte-identical to what the v1
-    format would materialize for the same dataset.
-    """
-    axes = load_axes(archive, manifest, verify=True)
-    layouts = parse_layouts(manifest, axes)
-    variables: List[Variable] = []
-    for layout in layouts:
-        pieces: List[np.ndarray] = []
-        for chunk in layout.chunks:
-            payload = read_member(archive, chunk.member)
-            verify_digest(chunk.member, payload, chunk.digest)
-            try:
-                pieces.append(_npy_load(payload))
-            except (ValueError, OSError, EOFError) as exc:
-                raise StreamingError(
-                    f"chunk {chunk.member!r} failed to decode: {exc}"
-                ) from exc
-        raw = pieces[0] if len(pieces) == 1 else np.concatenate(pieces, axis=layout.chunk_axis)
-        data = _roundtrip_mask(raw, layout.missing_value)
-        try:
-            var_axes = [axes[dim] for dim in layout.dimensions]
-        except KeyError as exc:
-            raise StreamingError(
-                f"variable {layout.id!r} references unknown axis {exc.args[0]!r}"
-            ) from None
-        variables.append(
-            Variable(
-                data,
-                var_axes,
-                id=layout.id,
-                missing_value=layout.missing_value,
-                attributes=dict(layout.attributes),
-            )
-        )
-    dataset_id = manifest.get("id")
-    if not isinstance(dataset_id, str):
-        raise CDMSError("v2 manifest has no dataset id")
-    return dataset_id, dict(manifest.get("attributes", {})), variables

@@ -1,7 +1,10 @@
 """The resilient chunk reader: read → verify → decode with retries.
 
-One :class:`ChunkReader` serves one variable of one v2 container.  A
-chunk read passes three instrumented stages, each a named fault site
+One :class:`ChunkReader` serves one variable of one v2 container, and
+it is the only code that turns a container's payload bytes into arrays:
+a streamed slab and an eager :func:`~repro.cdms.storage.read_cdz` both
+come through :meth:`ChunkReader.read_chunk`.  A chunk read passes three
+instrumented stages, each a named fault site
 for deterministic chaos testing (:mod:`repro.resilience.faults`):
 
 ``streaming.read``
@@ -138,7 +141,7 @@ class ChunkReader:
         quarantine.  Returned arrays are shared (possibly with the
         result cache) — callers must not mutate them.
         """
-        cache = self._cache()
+        cache = ambient_cache()
         if cache is not None:
             key = self._cache_key(chunk)
             found, value = cache.get(key, site="streaming")
@@ -215,9 +218,6 @@ class ChunkReader:
         return full
 
     # -- result-cache plumbing ---------------------------------------------
-
-    def _cache(self):
-        return ambient_cache() if self.config.use_result_cache else None
 
     def _cache_key(self, chunk: ChunkMeta) -> str:
         return cache_key("streaming.chunk", chunk.digest)

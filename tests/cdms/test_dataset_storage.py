@@ -11,6 +11,7 @@ from repro.cdms.dataset import Dataset, open_dataset
 from repro.cdms.storage import read_cdz, write_cdz
 from repro.cdms.variable import Variable
 from repro.util.errors import CDMSError
+from tests.streaming.conftest import LEGACY_V1, make_variable
 
 
 @pytest.fixture()
@@ -87,13 +88,12 @@ class TestStorageRoundtrip:
 
 
 class TestVersionCompat:
-    """Both container versions round-trip the same bytes (satellite of
-    the streaming PR: v2 must be adoptable without rewriting v1 data)."""
+    """One writable format; the legacy one keeps reading the same bytes."""
 
-    @pytest.mark.parametrize("version", [1, 2])
-    def test_roundtrip_byte_identical(self, dataset, tmp_path, version):
-        path = tmp_path / f"rt{version}.cdz"
-        dataset.save(path, version=version)
+    @pytest.mark.parametrize("how", [{}, {"version": 2}], ids=["default", "2"])
+    def test_roundtrip_byte_identical(self, dataset, tmp_path, how):
+        path = tmp_path / "rt.cdz"
+        dataset.save(path, **how)
         loaded = open_dataset(path)
         for vid in dataset.variable_ids:
             original = dataset.get_variable(vid)
@@ -104,25 +104,48 @@ class TestVersionCompat:
                 np.ma.getmaskarray(original.data),
             )
 
-    def test_v1_and_v2_reads_agree(self, dataset, tmp_path):
-        p1, p2 = tmp_path / "a1.cdz", tmp_path / "a2.cdz"
-        dataset.save(p1, version=1)
-        dataset.save(p2, version=2)
-        _, _, from_v1 = read_cdz(p1)
-        _, _, from_v2 = read_cdz(p2)
-        for a, b in zip(from_v1, from_v2):
-            assert a.id == b.id
+    def test_v1_and_v2_reads_agree(self, tmp_path):
+        """The committed v1 file (``tests/cdms/data``) against a fresh
+        save of the variable it was written from, in both ingest modes."""
+        fresh = tmp_path / "fresh.cdz"
+        write_cdz(
+            fresh,
+            [make_variable()],
+            dataset_id="streaming-test",
+            attributes={"title": "legacy fixture"},
+        )
+        for streaming in (False, True):
+            with open_dataset(LEGACY_V1, streaming=streaming) as legacy, open_dataset(
+                fresh, streaming=streaming
+            ) as current:
+                assert not legacy.is_streaming and current.is_streaming is streaming
+                assert (legacy.id, legacy.attributes) == (current.id, current.attributes)
+                assert legacy.variable_ids == current.variable_ids == ["ta"]
+                a, b = legacy("ta"), current("ta")[()]
             assert a.filled().tobytes() == b.filled().tobytes()
-            assert [ax.id for ax in a.axes] == [ax.id for ax in b.axes]
+            assert np.ma.getmaskarray(a.data).sum() == 4
+            assert np.array_equal(np.ma.getmaskarray(a.data), np.ma.getmaskarray(b.data))
+            assert (a.missing_value, a.attributes) == (b.missing_value, b.attributes)
+            assert a.attributes == {"cell_methods": "time: mean", "units": "K"}
+            for ours, theirs in zip(a.axes, b.axes):
+                assert ours == theirs  # id, units, calendar, values
+                assert ours.attributes == theirs.attributes
+                if ours.id == "latitude":
+                    assert np.array_equal(ours.get_bounds(), theirs.get_bounds())
+                else:
+                    assert ours.get_bounds() is None and theirs.get_bounds() is None
+            assert a.get_time().calendar.name == "noleap"
 
-    def test_detect_version(self, dataset, tmp_path):
-        from repro.cdms.storage import detect_version
+    def test_default_save_streams(self, dataset, tmp_path):
+        path = tmp_path / "default.cdz"
+        dataset.save(path)
+        with open_dataset(path, streaming=True) as loaded:
+            assert loaded.is_streaming
 
-        p1, p2 = tmp_path / "d1.cdz", tmp_path / "d2.cdz"
-        dataset.save(p1, version=1)
-        dataset.save(p2, version=2)
-        assert detect_version(p1) == 1
-        assert detect_version(p2) == 2
+    def test_v1_is_not_writable(self, dataset, tmp_path):
+        with pytest.raises(CDMSError, match="read-only"):
+            dataset.save(tmp_path / "old.cdz", version=1)
+        assert not (tmp_path / "old.cdz").exists()
 
 
 class TestStorageErrors:
@@ -135,6 +158,12 @@ class TestStorageErrors:
         b = Variable(np.zeros(2), (latitude_axis([0.0, 20.0]),), id="b")
         with pytest.raises(CDMSError, match="conflicting"):
             write_cdz(tmp_path / "x.cdz", [a, b])
+
+    def test_rank_zero_variable_rejected(self, tmp_path):
+        scalar = Variable(np.float64(3.0), (), id="scalar")
+        with pytest.raises(CDMSError, match="rank-0"):
+            write_cdz(tmp_path / "x.cdz", [scalar])
+        assert not (tmp_path / "x.cdz").exists()
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(CDMSError):

@@ -6,7 +6,7 @@ import pytest
 from repro.rendering.camera import Camera
 from repro.rendering.contour2d import contour_levels, marching_squares
 from repro.rendering.image_data import ImageData
-from repro.rendering.raycast import _ray_box_intersection, raycast_rows, raycast_volume
+from repro.rendering.raycast import _ray_box_intersection, raycast_volume
 from repro.rendering.transfer_function import TransferFunction
 from repro.util.errors import RenderingError
 
@@ -159,12 +159,3 @@ class TestRaycast:
         tf = TransferFunction(blob_volume.scalar_range())
         with pytest.raises(RenderingError):
             raycast_volume(blob_volume, tf, self._camera(blob_volume), 8, 8, step_size=-1.0)
-
-    def test_row_band_equals_full_frame_slice(self, blob_volume):
-        """Any band of :func:`raycast_rows` is a slice of the full frame."""
-        tf = TransferFunction(blob_volume.scalar_range(), center=0.8, width=0.5)
-        cam = self._camera(blob_volume)
-        full = raycast_volume(blob_volume, tf, cam, 40, 30)
-        for row0, row1 in [(0, 7), (7, 19), (19, 30)]:
-            band = raycast_rows(blob_volume, tf, cam, 40, 30, row0, row1)
-            assert np.array_equal(band, full[row0:row1])

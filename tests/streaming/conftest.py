@@ -1,11 +1,15 @@
 """Fixtures for the out-of-core streaming suite.
 
-Every test gets a pristine fault registry and a disabled recorder; the
-dataset fixtures write both container versions of the same variables so
-differential assertions always have an eager twin to compare against.
+Every test gets a pristine fault registry and a disabled recorder.
+``v2_path`` is :func:`make_variable` written by today's writer;
+``v1_path`` is the same variable as the parent of PR 19 — the last
+commit with a v1 writer — wrote it once (``tests/cdms/data``), so
+differential assertions always have a legacy twin to compare against.
 """
 
 from __future__ import annotations
+
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +19,10 @@ from repro.cdms.axis import level_axis, time_axis, uniform_latitude, uniform_lon
 from repro.cdms.storage import write_cdz
 from repro.cdms.variable import Variable
 from repro.resilience import faults
+
+
+#: ``make_variable()`` (defaults, seed 11) in the read-only v1 format
+LEGACY_V1 = Path(__file__).resolve().parents[1] / "cdms" / "data" / "legacy_v1.cdz"
 
 
 @pytest.fixture(autouse=True)
@@ -42,13 +50,17 @@ def make_variable(
     if masked:
         data[0, 0, 0, :3] = np.ma.masked
         data[-1, -1, -1, -1] = np.ma.masked
+    latitude = uniform_latitude(nlat)
+    latitude.gen_bounds()
     axes = (
-        time_axis(np.arange(ntime) * 30.0),
+        time_axis(np.arange(ntime) * 30.0, calendar="noleap"),
         level_axis(np.linspace(1000.0, 100.0, nlev).tolist()),
-        uniform_latitude(nlat),
+        latitude,
         uniform_longitude(nlon),
     )
-    return Variable(data, axes, id=var_id, units="K")
+    return Variable(
+        data, axes, id=var_id, units="K", attributes={"cell_methods": "time: mean"}
+    )
 
 
 @pytest.fixture()
@@ -59,12 +71,10 @@ def variable():
 @pytest.fixture()
 def v2_path(tmp_path, variable):
     path = tmp_path / "data_v2.cdz"
-    write_cdz(path, [variable], dataset_id="streaming-test", version=2)
+    write_cdz(path, [variable], dataset_id="streaming-test")
     return path
 
 
 @pytest.fixture()
-def v1_path(tmp_path, variable):
-    path = tmp_path / "data_v1.cdz"
-    write_cdz(path, [variable], dataset_id="streaming-test", version=1)
-    return path
+def v1_path():
+    return LEGACY_V1

@@ -1,8 +1,7 @@
 """Crash-safe publication, checked once for every ``atomic_publish`` user.
 
-The ``.cdz`` writer (both format versions) and the result cache's disk
-tier publish through :func:`repro.util.atomic.atomic_publish`: the file
-is staged in a temp file and appears with a single ``os.replace``.  A
+The ``.cdz`` writer and the result cache's disk tier publish through
+:func:`repro.util.atomic.atomic_publish`: the file is staged in a temp file and appears with a single ``os.replace``.  A
 writer SIGKILLed at the fsync hook must leave nothing but ``.tmp-*``
 debris at the destination — never a readable-but-partial file — and a
 failing fsync must leave the previous file byte-for-byte intact.
@@ -26,22 +25,15 @@ KEY = "ab" + "c" * 62
 
 
 class CdzUser:
-    """Publishes a ``.cdz`` container of one format version."""
+    """Publishes a ``.cdz`` container."""
 
     raises_on_failure = True
-
-    def __init__(self, version):
-        self.version = version
 
     def target(self, directory):
         return directory / "data.cdz"
 
     def write(self, directory, generation):
-        write_cdz(
-            self.target(directory),
-            [make_variable(ntime=4, seed=generation)],
-            version=self.version,
-        )
+        write_cdz(self.target(directory), [make_variable(ntime=4, seed=generation)])
 
     def read(self, directory):
         if not self.target(directory).exists():
@@ -72,7 +64,7 @@ class DiskTierUser:
         return value["generation"] if found else None
 
 
-USERS = {"1": CdzUser(1), "2": CdzUser(2), "disk-tier": DiskTierUser()}
+USERS = {"2": CdzUser(), "disk-tier": DiskTierUser()}  # "2": the .cdz format version
 
 
 @pytest.fixture(params=list(USERS))
@@ -141,7 +133,7 @@ class TestKilledWriter:
 
         monkeypatch.setattr(atomic.os, "replace", spy)
         path = tmp_path / "atomic.cdz"
-        write_cdz(path, [make_variable(ntime=2)], version=2)
+        write_cdz(path, [make_variable(ntime=2)])
         assert observed["dst"] == str(path)
         assert os.path.dirname(observed["src"]) == str(tmp_path)
         assert os.path.basename(observed["src"]).startswith(atomic.TMP_PREFIX)

@@ -1,4 +1,4 @@
-"""The v2 container format: layout, digests, statistics, fallbacks."""
+"""The container format: layout, digests, statistics, fallbacks."""
 
 from __future__ import annotations
 
@@ -8,7 +8,8 @@ import zipfile
 import numpy as np
 import pytest
 
-from repro.cdms.storage import detect_version, read_cdz, write_cdz
+from repro.cdms.dataset import open_dataset
+from repro.cdms.storage import read_cdz, write_cdz
 from repro.streaming.config import StreamingConfig
 from repro.streaming.dataset import StreamingSource
 from repro.streaming.format import content_digest, decimate, upsample
@@ -19,8 +20,10 @@ from .conftest import make_variable
 
 class TestLayout:
     def test_version_detected(self, v1_path, v2_path):
-        assert detect_version(v1_path) == 1
-        assert detect_version(v2_path) == 2
+        """One dispatch on ``format_version``: chunks stream, v1 loads whole."""
+        assert not open_dataset(v1_path, streaming=True).is_streaming
+        with open_dataset(v2_path, streaming=True) as dataset:
+            assert dataset.is_streaming
 
     def test_members_and_manifest(self, v2_path):
         with zipfile.ZipFile(v2_path) as archive:

@@ -33,18 +33,15 @@ class TestOpenModes:
         assert dataset.is_streaming
         dataset.close()
 
-    def test_auto_on_v1_is_eager(self, v1_path):
-        dataset = open_dataset(v1_path, streaming="auto")
-        assert not isinstance(dataset.get_variable("ta"), LazyVariable)
-        assert not dataset.is_streaming
+    def test_on_loads_v1_whole(self, v1_path):
+        """A v1 container has no chunks to hand out lazily."""
+        with open_dataset(v1_path, streaming="on") as dataset:
+            assert not isinstance(dataset.get_variable("ta"), LazyVariable)
+            assert not dataset.is_streaming
 
-    def test_auto_on_v2_is_lazy(self, v2_path):
-        with open_dataset(v2_path, streaming="auto") as dataset:
-            assert isinstance(dataset.get_variable("ta"), LazyVariable)
-
-    def test_on_requires_v2(self, v1_path):
-        with pytest.raises(CDMSError, match="format v2"):
-            open_dataset(v1_path, streaming="on")
+    def test_auto_is_rejected(self, v2_path):
+        with pytest.raises(CDMSError, match="'on'/'off'"):
+            open_dataset(v2_path, streaming="auto")
 
     def test_off_is_eager_even_on_v2(self, v2_path):
         dataset = open_dataset(v2_path, streaming="off")

@@ -16,6 +16,7 @@ import zipfile
 import pytest
 
 from repro import obs
+from repro.cdms.dataset import open_dataset
 from repro.cdms.lazy import LazyVariable
 from repro.cdms.storage import read_cdz, write_cdz
 from repro.streaming.config import StreamingConfig
@@ -102,21 +103,41 @@ class TestDifferential:
             StreamingSource(v2_path).read_stored("chunks/v000/c999999.npy")
 
 
+@pytest.fixture()
+def opened(monkeypatch):
+    """Every ``zipfile.ZipFile`` constructed during the test."""
+    opened = []
+    real_init = zipfile.ZipFile.__init__
+
+    def counting_init(self, *args, **kwargs):
+        opened.append(args)
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(zipfile.ZipFile, "__init__", counting_init)
+    return opened
+
+
 class TestNoArchiveOpenPerChunk:
-    def test_one_open_per_source_none_per_read(self, v2_path, monkeypatch):
-        opened = []
-        real_init = zipfile.ZipFile.__init__
-
-        def counting_init(self, *args, **kwargs):
-            opened.append(args)
-            real_init(self, *args, **kwargs)
-
-        monkeypatch.setattr(zipfile.ZipFile, "__init__", counting_init)
+    def test_one_open_per_source_none_per_read(self, v2_path, opened):
         with StreamingSource(v2_path) as source:  # default config: prefetch thread on
             assert len(opened) == 1
             lazy = LazyVariable(source, source.layout("ta"))
             assert sum(1 for _ in lazy.iter_slabs()) == 8
             source.reader("ta").read_lowres(lazy.layout.chunks[0])
+        assert len(opened) == 1
+
+    @pytest.mark.parametrize(
+        "load",
+        [
+            read_cdz,
+            lambda path: open_dataset(path, streaming=False),
+            lambda path: open_dataset(path, streaming=True).close(),
+        ],
+        ids=["read_cdz", "eager", "streamed"],
+    )
+    def test_one_open_per_load(self, v2_path, opened, load):
+        """Every entry point constructs the archive, and parses its manifest, once."""
+        load(v2_path)
         assert len(opened) == 1
 
 

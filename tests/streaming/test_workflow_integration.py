@@ -1,8 +1,9 @@
 """Streaming through the workflow layer and hyperwall partitions.
 
-``CDMSDatasetReader`` grows a ``streaming`` parameter: for ``.cdz``
-sources, ``auto`` streams v2 containers and eagerly loads v1; the
-rendered image must not depend on the ingest mode.  A partitioned
+``CDMSDatasetReader`` has a ``streaming`` parameter: for ``.cdz``
+sources, ``on`` streams wherever the container has chunks (a legacy v1
+file has none and loads whole); the rendered image must not depend on
+the ingest mode.  A partitioned
 hyperwall pipeline exercises the per-cell path: each cell's
 sub-workflow opens its own streaming source and reads only the chunks
 its plot touches.
@@ -16,7 +17,6 @@ import pytest
 from repro.cdms.lazy import LazyVariable
 from repro.data import catalog
 from repro.hyperwall.partition import partition_by_cell
-from repro.util.errors import ModuleExecutionError
 from repro.workflow.executor import Executor
 from repro.workflow.pipeline import Pipeline
 
@@ -25,16 +25,9 @@ SIZE = dict(nlat=12, nlon=16, nlev=4, ntime=3)
 
 
 @pytest.fixture(scope="module")
-def v1_file(tmp_path_factory):
-    path = tmp_path_factory.mktemp("wf") / "r1.cdz"
-    catalog.synthetic_reanalysis(**SIZE).save(path, version=1)
-    return path
-
-
-@pytest.fixture(scope="module")
 def v2_file(tmp_path_factory):
     path = tmp_path_factory.mktemp("wf") / "r2.cdz"
-    catalog.synthetic_reanalysis(**SIZE).save(path, version=2)
+    catalog.synthetic_reanalysis(**SIZE).save(path)
     return path
 
 
@@ -63,18 +56,13 @@ class TestReaderParameter:
         ds = executor.execute(p).output(reader, "dataset")
         assert isinstance(ds.get_variable("ta"), LazyVariable)
 
-    def test_auto_streams_v2_loads_v1(self, registry, executor, v1_file, v2_file):
-        p, reader, _ = slicer_pipeline(registry, v1_file, "auto")
-        eager = executor.execute(p).output(reader, "dataset")
-        assert not eager.is_streaming
-        p, reader, _ = slicer_pipeline(registry, v2_file, "auto")
-        lazy = executor.execute(p).output(reader, "dataset")
-        assert lazy.is_streaming
-
-    def test_streaming_on_requires_v2(self, registry, executor, v1_file):
-        p, _, _ = slicer_pipeline(registry, v1_file, "on")
-        with pytest.raises(ModuleExecutionError):
-            executor.execute(p)
+    def test_default_streams_v2_loads_v1(self, registry, executor, v1_path, v2_file):
+        for source, streams in ((v1_path, False), (v2_file, True)):
+            p = Pipeline(registry)
+            reader = p.add_module("CDMSDatasetReader", {"source": str(source)})
+            dataset = executor.execute(p).output(reader, "dataset")
+            assert dataset.is_streaming is streams
+            dataset.close()
 
     def test_image_identical_across_modes(self, registry, executor, v2_file):
         images = {}
