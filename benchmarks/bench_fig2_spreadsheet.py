@@ -11,7 +11,7 @@ first execution, cached re-execution, and frame rendering.
 from __future__ import annotations
 
 
-from benchmarks.conftest import BENCH_SIZE, report
+from benchmarks.conftest import BENCH_SIZE, redraw, report
 from repro.app.application import Application
 
 CELLS = [("Slicer", (0, 0)), ("Volume", (0, 1))]
@@ -71,7 +71,7 @@ def test_fig2_render_frames(benchmark, registry):
     app = build_session(registry)
     cells = app.project.execute_sheet("sheet")
     benchmark.group = "fig2-spreadsheet"
-    frames = benchmark(lambda: [cell.render(200, 150) for cell in cells])
+    frames = benchmark(lambda: [redraw(cell, 200, 150) for cell in cells])
     assert all(f.color.shape == (150, 200, 3) for f in frames)
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from benchmarks.conftest import report
+from benchmarks.conftest import redraw, report
 from repro.data.catalog import storm_case_study
 from repro.dv3d.isosurface import IsosurfacePlot
 from repro.dv3d.slicer import SlicerPlot
@@ -67,7 +67,7 @@ def test_fig3_isosurface_render(benchmark, n):
     """Full cell render of the colored isosurface."""
     plot = storm_plot(n)
     benchmark.group = "fig3-render"
-    fb = benchmark(lambda: plot.render(200, 150))
+    fb = benchmark(lambda: redraw(plot, 200, 150))
     assert fb.coverage() > 0.005
 
 

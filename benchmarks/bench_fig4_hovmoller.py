@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from benchmarks.conftest import report
+from benchmarks.conftest import redraw, report
 from repro.cdat.spectral import dominant_wave
 from repro.data.catalog import wave_case_study
 from repro.data.fields import equatorial_wave
@@ -44,7 +44,7 @@ def test_fig4_slicer_render(benchmark, ntime):
     plot = HovmollerSlicerPlot(wave_variable(ntime), colormap="coolwarm")
     cell = DV3DCell(plot, show_basemap=False, dataset_label="WAVES")
     benchmark.group = "fig4-render"
-    fb = benchmark(lambda: cell.render(200, 150))
+    fb = benchmark(lambda: redraw(cell, 200, 150))
     assert fb.coverage() > 0.02
 
 
@@ -53,7 +53,7 @@ def test_fig4_volume_render(benchmark):
     plot = HovmollerVolumePlot(wave_variable(60), center=0.85, width=0.2,
                                colormap="coolwarm")
     benchmark.group = "fig4-render"
-    fb = benchmark(lambda: plot.render(160, 120))
+    fb = benchmark(lambda: redraw(plot, 160, 120))
     assert fb.color.shape == (120, 160, 3)
 
 

@@ -111,7 +111,11 @@ class Application:
 
         This is the serving layer's front door into a session: repeat
         renders of an already-executed slot skip workflow execution
-        entirely and go straight to the (cache-aware) renderer.
+        entirely and go straight to the live cell, which re-draws only
+        what changed since its last frame (its kept scene survives a
+        resize or camera move; an unchanged request returns the kept
+        frame).  The ambient result cache, when enabled, adds what the
+        cell cannot: frames shared across cells and processes, on disk.
         Returns the :class:`~repro.rendering.framebuffer.Framebuffer`.
         """
         sheet = self.project.sheets[sheet_name]

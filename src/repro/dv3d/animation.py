@@ -30,7 +30,8 @@ class Animator:
     """Renders an animation sequence from a plot or cell."""
 
     def __init__(self, target: Union[Plot3D, DV3DCell]) -> None:
-        self.cell = target if isinstance(target, DV3DCell) else None
+        #: what renders the frames: the cell (furnished) or the bare plot
+        self.target = target
         self.plot = target.plot if isinstance(target, DV3DCell) else target
         if self.plot.n_timesteps < 1:
             raise DV3DError("nothing to animate")
@@ -68,12 +69,7 @@ class Animator:
                 self.plot.set_time_index(index)
                 if cam is None:
                     cam = self.plot.default_camera()
-                fb = (
-                    self.cell.render(width, height, camera=cam)
-                    if self.cell is not None
-                    else self.plot.render(width, height, camera=cam)
-                )
-                frames.append(fb.to_uint8())
+                frames.append(self.target.render(width, height, camera=cam).to_uint8())
         finally:
             self.plot.set_time_index(original)
         return frames
@@ -190,12 +186,7 @@ class StreamingAnimator(Animator):
         # which depends only on axes — identical across ladder rungs
         if cam is None:
             cam = self.plot.default_camera()
-        fb = (
-            self.cell.render(width, height, camera=cam)
-            if self.cell is not None
-            else self.plot.render(width, height, camera=cam)
-        )
-        return fb.to_uint8(), cam
+        return self.target.render(width, height, camera=cam).to_uint8(), cam
 
     def _render_one(
         self,
@@ -217,6 +208,11 @@ class StreamingAnimator(Animator):
                 frame, cam = self._render_raw(width, height, cam)
             return frame, FrameRecord(index, "degraded", "lowres"), cam
         except StreamingError:
+            pass
+        finally:
+            # neither the low-resolution volume nor any scene or frame made
+            # from it may outlive the degraded() context: the next render
+            # of this index reads the chunk again
             self.plot.invalidate()
         if previous_frames:
             return (
@@ -241,7 +237,7 @@ class CameraTour:
     """
 
     def __init__(self, target: Union[Plot3D, DV3DCell]) -> None:
-        self.cell = target if isinstance(target, DV3DCell) else None
+        self.target = target
         self.plot = target.plot if isinstance(target, DV3DCell) else target
 
     def render_orbit(
@@ -263,12 +259,7 @@ class CameraTour:
         try:
             for i in range(n_frames):
                 view = camera.orbit(step * i, elevation_deg)
-                fb = (
-                    self.cell.render(width, height, camera=view)
-                    if self.cell is not None
-                    else self.plot.render(width, height, camera=view)
-                )
-                frames.append(fb.to_uint8())
+                frames.append(self.target.render(width, height, camera=view).to_uint8())
         finally:
             self.plot.camera = original
         return frames

@@ -14,15 +14,17 @@ a hyperwall client.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro import obs
 from repro.dv3d.basemap import basemap_polydata
 from repro.dv3d.plot import Plot3D
+from repro.rendering.annotation import AxisLabel, axis_annotations, project_labels
 from repro.rendering.camera import Camera
 from repro.rendering.framebuffer import Framebuffer
-from repro.rendering.scene import Actor, Renderer
+from repro.rendering.scene import Actor, Renderer, Scene
 from repro.rendering.text import render_text, text_width
 from repro.util.errors import DV3DError
 
@@ -48,6 +50,11 @@ class DV3DCell:
         self.show_axes = bool(show_axes)
         self.active = bool(active)
         self.last_pick: Optional[Dict[str, float]] = None
+        #: (key, furnished scene, axis labels) — see _furnished_scene()
+        self._furnished: Optional[Tuple[Any, Scene, List[AxisLabel]]] = None
+        #: (key, the last finished frame) — see render(); 16 B per pixel
+        #: that die with the cell
+        self._frame: Optional[Tuple[Any, Framebuffer]] = None
 
     def __repr__(self) -> str:
         return (
@@ -81,48 +88,67 @@ class DV3DCell:
 
     # -- rendering ------------------------------------------------------------------
 
+    def _furnished_scene(self) -> Tuple[Scene, List[AxisLabel]]:
+        """The plot's scene plus base map and axis ticks, and the axis
+        labels to project; rebuilt only when the plot's scene was."""
+        scene = self.plot.scene()
+        key = (scene.stamp, self.show_basemap, self.show_axes)
+        if self._furnished is None or self._furnished[0] != key:
+            axis_labels: List[AxisLabel] = []
+            bounds = self.plot.volume.bounds()
+            if self.show_basemap:
+                basemap = basemap_polydata(bounds)
+                if basemap.n_points:
+                    scene.add_actor(
+                        Actor(basemap, line_color=(0.45, 0.42, 0.3), lighting=False,
+                              name="basemap")
+                    )
+            if self.show_axes:
+                ticks, axis_labels = axis_annotations(bounds)
+                if ticks.n_points:
+                    scene.add_actor(
+                        Actor(ticks, line_color=(0.8, 0.8, 0.8), lighting=False,
+                              name="axis-ticks")
+                    )
+            scene.stamp = object()
+            self._furnished = (key, scene, axis_labels)
+        return self._furnished[1:]
+
     def render(
         self,
         width: int = 400,
         height: int = 300,
         camera: Optional[Camera] = None,
     ) -> Framebuffer:
-        """Render the plot plus base map, labels, colorbar and pick display."""
-        scene = self.plot.build_scene()
-        if self.show_basemap:
-            basemap = basemap_polydata(self.plot.volume.bounds())
-            if basemap.n_points:
-                scene.add_actor(
-                    Actor(basemap, line_color=(0.45, 0.42, 0.3), lighting=False,
-                          name="basemap")
-                )
-        axis_labels = []
-        if self.show_axes:
-            from repro.rendering.annotation import axis_annotations
+        """Render the plot plus base map, labels, colorbar and pick display.
 
-            ticks, axis_labels = axis_annotations(self.plot.volume.bounds())
-            if ticks.n_points:
-                scene.add_actor(
-                    Actor(ticks, line_color=(0.8, 0.8, 0.8), lighting=False,
-                          name="axis-ticks")
-                )
+        The last finished frame is kept against everything it was drawn
+        from, so an unchanged request is a lookup.  Callers blend into
+        what they get: a hit returns a copy and a store keeps one.
+        """
+        scene, axis_labels = self._furnished_scene()
         cam = camera or self.plot.camera or self.plot.default_camera()
+        pick_text = self._pick_text() if self.show_labels else None
+        key = (scene.stamp, cam, width, height, self.show_labels,
+               self.show_colorbar, self.dataset_label, pick_text)
+        hit = self._frame is not None and self._frame[0] == key
+        obs.counter("dv3d.frame.hits" if hit else "dv3d.frame.misses",
+                    plot=self.plot.plot_type)
+        if hit:
+            return self._frame[1].copy()
         fb = Renderer(width, height).render(scene, cam)
-        if axis_labels:
-            from repro.rendering.annotation import project_labels
-
-            for text, row, col in project_labels(axis_labels, cam, width, height):
-                patch = render_text(text, color=(0.85, 0.85, 0.85))
-                fb.blend_patch(row - patch.shape[0] // 2,
-                               col - patch.shape[1] // 2, patch)
+        for text, row, col in project_labels(axis_labels, cam, width, height):
+            patch = render_text(text, color=(0.85, 0.85, 0.85))
+            fb.blend_patch(row - patch.shape[0] // 2,
+                           col - patch.shape[1] // 2, patch)
         if self.show_labels:
             self._draw_labels(fb)
         if self.show_colorbar:
             self._draw_colorbar(fb)
-        pick_text = self._pick_text()
-        if self.show_labels and pick_text:
+        if pick_text:
             patch = render_text(pick_text, color=(1.0, 1.0, 0.6), background_alpha=0.35)
             fb.blend_patch(fb.height - patch.shape[0] - 4, 4, patch)
+        self._frame = (key, fb.copy())
         return fb
 
     def _draw_labels(self, fb: Framebuffer) -> None:

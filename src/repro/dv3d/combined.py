@@ -14,13 +14,13 @@ configuration state.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence
-
+from dataclasses import replace
+from typing import Any, Dict, List, Sequence
 
 from repro.dv3d.plot import Plot3D
 from repro.rendering.camera import Camera
-from repro.rendering.framebuffer import Framebuffer
-from repro.rendering.scene import Renderer, Scene
+from repro.rendering.image_data import ImageData
+from repro.rendering.scene import Scene
 from repro.util.errors import DV3DError
 
 
@@ -56,39 +56,56 @@ class CombinedPlot(Plot3D):
     def primary(self) -> Plot3D:
         return self.components[0]
 
-    def _build_volume(self):
+    @property
+    def volume(self) -> ImageData:
+        # not cached here: the primary replaces its volume whenever its
+        # own time step or data changes, whoever asked it to
         return self.primary.volume
+
+    def invalidate(self) -> None:
+        super().invalidate()
+        for component in self.components:
+            component.invalidate()
 
     @property
     def n_timesteps(self) -> int:
         return max(c.n_timesteps for c in self.components)
 
     def set_time_index(self, index: int) -> None:
-        index = int(index) % max(self.n_timesteps, 1)
-        self.time_index = index
+        # each component drops its own volume, and only if its index moved
+        self.time_index = int(index) % max(self.n_timesteps, 1)
         for component in self.components:
             if component.n_timesteps > 1:
-                component.set_time_index(index)
-        self.invalidate()
+                component.set_time_index(self.time_index)
 
     # -- scene composition ---------------------------------------------------
+
+    def _scene_key(self) -> Any:
+        # camera-free all the way down: state() embeds each component's
+        # state with the camera it is handed on every navigation gesture.
+        # A component's own key holds its volume, so a rebuild this
+        # plot's state cannot see (its invalidate()) shows here too
+        volume, state = super()._scene_key()
+        state["components"] = [c._scene_key() for c in self.components]
+        return volume, state
 
     def build_scene(self) -> Scene:
         merged = Scene()
         seen_frames = 0
         for i, component in enumerate(self.components):
-            scene = component.build_scene()
+            scene = component.scene()
             for actor in scene.actors:
                 if actor.name == "frame":
                     # keep only one bounding frame
                     seen_frames += 1
                     if seen_frames > 1:
                         continue
-                actor.name = f"c{i}:{actor.name}" if actor.name != "frame" else "frame"
-                merged.add_actor(actor)
+                    merged.add_actor(actor)
+                else:
+                    # a renamed copy: the component keeps its actors
+                    merged.add_actor(replace(actor, name=f"c{i}:{actor.name}"))
             for vactor in scene.volume_actors:
-                vactor.name = f"c{i}:{vactor.name}"
-                merged.add_volume(vactor)
+                merged.add_volume(replace(vactor, name=f"c{i}:{vactor.name}"))
         return merged
 
     def default_camera(self) -> Camera:
@@ -158,12 +175,3 @@ class CombinedPlot(Plot3D):
         if self.camera is not None:
             for component in self.components:
                 component.camera = self.camera
-
-    def render(
-        self,
-        width: int = 400,
-        height: int = 300,
-        camera: Optional[Camera] = None,
-    ) -> Framebuffer:
-        cam = camera or self.camera or self.default_camera()
-        return Renderer(width, height).render(self.build_scene(), cam)

@@ -44,6 +44,23 @@ class _HovmollerTranslation:
     def n_timesteps(self) -> int:  # time is spatialized; no animation axis
         return 1
 
+    def set_level_index(self, index: int) -> None:
+        """Pick the level the (lon, lat, time) volume is cut at."""
+        index = int(index)
+        if index != self.level_index:
+            self.level_index = index
+            self.invalidate()
+
+    def state(self) -> Dict[str, Any]:
+        base = super().state()
+        base["level_index"] = self.level_index
+        return base
+
+    def apply_state(self, state: Dict[str, Any]) -> None:
+        super().apply_state(state)
+        if "level_index" in state:
+            self.set_level_index(state["level_index"])
+
 
 class HovmollerSlicerPlot(_HovmollerTranslation, SlicerPlot):
     """Slice planes through a (lon, lat, time) volume."""
@@ -75,11 +92,6 @@ class HovmollerSlicerPlot(_HovmollerTranslation, SlicerPlot):
         )
         return values, lons, times
 
-    def state(self) -> Dict[str, Any]:
-        base = super().state()
-        base["level_index"] = self.level_index
-        return base
-
 
 class HovmollerVolumePlot(_HovmollerTranslation, VolumePlot):
     """Volume rendering of a (lon, lat, time) volume."""
@@ -96,8 +108,3 @@ class HovmollerVolumePlot(_HovmollerTranslation, VolumePlot):
             raise DV3DError(f"variable {variable.id!r} has no time axis for a Hovmöller plot")
         self.level_index = int(level_index)
         super().__init__(variable, **kwargs)
-
-    def state(self) -> Dict[str, Any]:
-        base = super().state()
-        base["level_index"] = self.level_index
-        return base

@@ -19,6 +19,7 @@ from typing import Any, Dict, Optional, Tuple
 
 import numpy as np
 
+from repro import obs
 from repro.cdms.slabs import padded_range, require_finite_range
 from repro.cdms.variable import Variable
 from repro.dv3d.translation import translate_variable
@@ -65,6 +66,8 @@ class Plot3D:
         self.scalar_range: Tuple[float, float] = padded_range(scalar_range)
         self.camera: Optional[Camera] = None
         self._volume: Optional[ImageData] = None
+        #: (what the scene was built from, the built scene) — see scene()
+        self._scene_memo: Optional[Tuple[Any, Scene]] = None
 
     # -- data ------------------------------------------------------------
 
@@ -86,13 +89,22 @@ class Plot3D:
         return self._volume
 
     def invalidate(self) -> None:
-        """Drop the cached volume (after a time step or data change)."""
+        """Drop the cached volume (after a time step or data change) and
+        the scene built from it."""
         self._volume = None
+        self._scene_memo = None
 
     def set_time_index(self, index: int) -> None:
         index = int(index) % max(self.n_timesteps, 1)
         if index != self.time_index:
             self.time_index = index
+            self.invalidate()
+
+    def set_vertical_exaggeration(self, value: Optional[float]) -> None:
+        """Rescale the z axis (``None``: the translation's default)."""
+        value = None if value is None else float(value)
+        if value != self.vertical_exaggeration:
+            self.vertical_exaggeration = value
             self.invalidate()
 
     def step_time(self, delta: int = 1) -> int:
@@ -106,6 +118,34 @@ class Plot3D:
         """Construct the plot's scene (implemented by each plot type)."""
         raise NotImplementedError
 
+    def _scene_key(self) -> Any:
+        """What :meth:`build_scene` reads: the translated volume (by
+        identity — :meth:`invalidate` replaces it) and the configuration
+        minus the camera."""
+        state = self.state()
+        del state["camera"]
+        return self.volume, state
+
+    def scene(self) -> Scene:
+        """The plot's scene, rebuilt only when what it reads has changed.
+
+        VTK's modified-time rule: a camera move, a resize or an
+        unchanged repeat re-executes nothing upstream of the renderer.
+        Every call returns a fresh :meth:`Scene.shell` over the kept
+        build's actors, stamped with that build's token, so a caller
+        may add furnishings to what it gets.
+        """
+        key = self._scene_key()
+        memo = self._scene_memo
+        hit = memo is not None and memo[0] == key
+        if not hit:
+            built = self.build_scene()
+            built.stamp = object()
+            memo = self._scene_memo = (key, built)
+        obs.counter("dv3d.scene.hits" if hit else "dv3d.scene.misses",
+                    plot=self.plot_type)
+        return memo[1].shell()
+
     def default_camera(self) -> Camera:
         return Camera.fit_bounds(self.volume.bounds())
 
@@ -115,9 +155,8 @@ class Plot3D:
         height: int = 300,
         camera: Optional[Camera] = None,
     ) -> Framebuffer:
-        scene = self.build_scene()
         cam = camera or self.camera or self.default_camera()
-        return Renderer(width, height).render(scene, cam)
+        return Renderer(width, height).render(self.scene(), cam)
 
     # -- colormap commands (shared key commands) ------------------------------
 
@@ -193,6 +232,7 @@ class Plot3D:
             "time_index": self.time_index,
             "colormap": self.colormap.state(),
             "scalar_range": list(self.scalar_range),
+            "vertical_exaggeration": self.vertical_exaggeration,
             "camera": None if self.camera is None else self.camera.state(),
         }
 
@@ -204,6 +244,8 @@ class Plot3D:
         """
         if "time_index" in state:
             self.set_time_index(int(state["time_index"]))
+        if "vertical_exaggeration" in state:
+            self.set_vertical_exaggeration(state["vertical_exaggeration"])
         if "colormap" in state and state["colormap"] is not None:
             self.colormap = Colormap.from_state(state["colormap"])
         if "scalar_range" in state and state["scalar_range"] is not None:

@@ -76,6 +76,11 @@ class VolumePlot(Plot3D):
             color_window=self.transfer.color_window,
         )
 
+    def set_scalar_range(self, vmin: float, vmax: float) -> None:
+        super().set_scalar_range(vmin, vmax)
+        # the transfer function normalizes by its own copy of the range
+        self.set_window(self.transfer.center, self.transfer.width)
+
     def cycle_colormap(self) -> str:
         name = super().cycle_colormap()
         self.transfer = self.transfer.with_colormap(self.colormap)
@@ -117,6 +122,7 @@ class VolumePlot(Plot3D):
                 "peak_opacity": self.transfer.peak_opacity,
                 "color_window": list(self.transfer.color_window),
                 "lighting": self.lighting,
+                "step_size": self.step_size,
             }
         )
         return base
@@ -129,6 +135,9 @@ class VolumePlot(Plot3D):
         color_window = tuple(state.get("color_window", self.transfer.color_window))
         if "lighting" in state:
             self.lighting = bool(state["lighting"])
+        if "step_size" in state:
+            step = state["step_size"]
+            self.step_size = None if step is None else float(step)
         self.transfer = TransferFunction(
             self.scalar_range, colormap=self.colormap,
             center=center, width=width, peak_opacity=peak,

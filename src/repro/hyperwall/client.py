@@ -256,7 +256,9 @@ def run_client(
     """Process entry point: connect, serve, exit (used by the cluster)."""
     if cache is not None:
         # install process-wide so interactive re-renders (which happen
-        # outside executor.execute) also hit the frame cache
+        # outside executor.execute) also reach the ambient result cache —
+        # the tier shared with other processes; the cell's own kept
+        # scene and frame need no config
         from repro.cache.config import set_config
 
         set_config(cache)

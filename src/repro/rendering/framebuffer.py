@@ -61,6 +61,12 @@ class Framebuffer:
         fb.depth = depth
         return fb
 
+    def copy(self) -> "Framebuffer":
+        """An independent framebuffer with the same pixels and depths."""
+        return Framebuffer.from_arrays(
+            self.color.copy(), self.depth.copy(), background=self.background
+        )
+
     def __repr__(self) -> str:
         return f"Framebuffer({self.width}x{self.height})"
 

@@ -74,6 +74,23 @@ class Scene:
         self.actors: List[Actor] = []
         self.volume_actors: List[VolumeActor] = []
         self.lights: List[DirectionalLight] = [DirectionalLight()]
+        #: names the build this scene came from: whoever keeps a built
+        #: scene sets a new token per build, and two scenes with the
+        #: same (non-None) stamp were handed out from the same build
+        self.stamp: Optional[object] = None
+
+    def shell(self) -> "Scene":
+        """A new scene over the same actors, carrying the same stamp.
+
+        Adding to or removing from the shell leaves this scene as it
+        was; the actors themselves are shared and must not be edited.
+        """
+        twin = Scene(self.background)
+        twin.actors = list(self.actors)
+        twin.volume_actors = list(self.volume_actors)
+        twin.lights = list(self.lights)
+        twin.stamp = self.stamp
+        return twin
 
     def add_actor(self, actor: Actor) -> Actor:
         self.actors.append(actor)
@@ -108,12 +125,6 @@ class Scene:
         return Camera.fit_bounds(self.bounds(), direction=direction)
 
 
-def _copy_framebuffer(fb: Framebuffer) -> Framebuffer:
-    return Framebuffer.from_arrays(
-        fb.color.copy(), fb.depth.copy(), background=fb.background
-    )
-
-
 class Renderer:
     """Renders a :class:`Scene` through a :class:`Camera` into a framebuffer."""
 
@@ -132,7 +143,7 @@ class Renderer:
             "render",
             (scene, camera, self.width, self.height),
             lambda: self._draw(scene, camera),
-            clone=_copy_framebuffer,
+            clone=Framebuffer.copy,
         )
 
     def _draw(self, scene: Scene, camera: Camera) -> Framebuffer:

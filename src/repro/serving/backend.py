@@ -4,10 +4,16 @@
 (:class:`~repro.app.application.Application`) to the server's backend
 contract ``(request, degraded) -> bytes``.  Each distinct *scene* — the
 (template, source, variables, size, selector, cell_params) tuple — gets
-one spreadsheet slot, built lazily with ``create_plot`` on first use
-and re-rendered thereafter through ``render_slot`` (which rides the
-renderer's frame cache).  Frames are encoded as deterministic binary
-PPM, so byte-identical responses are a meaningful equality.
+one spreadsheet slot, built lazily with ``create_plot`` on first use;
+every later frame is that slot's live cell rendered again, so it rides
+the cell's own memos (:meth:`~repro.dv3d.cell.DV3DCell.render`): an
+orbit keeps the built scene and an unchanged request is a lookup of the
+kept frame.  Those are always on and die with the cell; the ambient
+content-keyed cache under ``Renderer.render`` is separate — opt-in,
+shared across cells and processes, optionally on disk — and off here
+unless the caller's ``CacheConfig`` enables it.  Frames are encoded as
+deterministic binary PPM, so byte-identical responses are a meaningful
+equality.
 
 The Application and its workflow machinery are not thread-safe; the
 backend serializes every call under one lock.  Parallelism at the

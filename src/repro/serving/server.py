@@ -44,7 +44,10 @@ Session-aware serving (``config.slots`` / ``config.speculation_budget``):
 * **sticky affinity** — with ``slots > 0`` every execution routes
   through a :class:`~repro.serving.sessions.SlotPool`; a session's
   requests serialize through the slot the rendezvous router pins it
-  to, so camera orbits keep hitting that slot's renderer frame cache.
+  to, so with per-slot backends (``slot_backends``) a session's camera
+  orbits keep reaching the one backend that holds its live cell — and
+  the scene and last frame that cell keeps
+  (:meth:`~repro.dv3d.cell.DV3DCell.render`).
   A slot that dies mid-request (crash, or the armed ``serving.slot``
   fault site) is retired, its sessions re-pin to survivors, and the
   request retries there — the caller still gets its frame;

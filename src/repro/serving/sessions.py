@@ -13,8 +13,10 @@ instead:
   that slot's sessions (the minimal-disruption property the hypothesis
   suite pins);
 * :class:`SlotPool` — one single-threaded executor per backend slot, so
-  a pinned session's frames serialize through one slot and keep hitting
-  that slot's renderer frame cache and ``ImageData._derived`` caches.
+  a pinned session's frames serialize through one slot.  What they
+  keep warm lives below the slot, on the session's live cell: the
+  scene and last frame :class:`~repro.dv3d.cell.DV3DCell` keeps and
+  the volume's ``ImageData._derived`` caches.
   Slots can die (a crash, or the armed ``serving.slot`` fault site);
   the pool retires them and the router re-pins;
 * :class:`SessionRegistry` / :class:`SessionState` — per-session

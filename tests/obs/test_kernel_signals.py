@@ -9,6 +9,7 @@ benchmark run.
 import numpy as np
 
 from repro import obs
+from repro.dv3d import DV3DCell, IsosurfacePlot
 from repro.hyperwall.inproc import InProcessHyperwall
 from repro.rendering.camera import Camera
 from repro.rendering.framebuffer import Framebuffer
@@ -28,6 +29,9 @@ SPANS = (
     "streamline.integrate",
     "rasterizer.rasterize",
     "executor.execute",
+)
+MEMO_COUNTERS = (
+    "dv3d.scene.hits", "dv3d.scene.misses", "dv3d.frame.hits", "dv3d.frame.misses",
 )
 COUNTERS = (
     "executor.cache.hit",
@@ -66,3 +70,22 @@ def test_kernels_executor_and_wall_emit_their_signals(registry):
     emitted = {span.name for span in rec.spans}
     assert [name for name in SPANS if name not in emitted] == []
     assert [name for name in COUNTERS if rec.counter_total(name) <= 0] == []
+
+
+def test_the_dv3d_memos_count_which_tier_answered(ta):
+    """``dv3d.scene.*`` / ``dv3d.frame.*`` say, per render, whether the
+    kept scene and the kept frame answered or were rebuilt — and cost
+    nothing while recording is off."""
+    cell = DV3DCell(IsosurfacePlot(ta))
+    cell.render(32, 24)  # recording off: nothing is counted
+    with obs.recording() as rec:
+        cell.render(32, 24)                      # unchanged: both tiers answer
+        cell.render(32, 24, camera=cell.plot.default_camera().orbit(30.0, 0.0))
+        cell.plot.adjust_isovalue(0.1)           # a new surface
+        cell.render(32, 24)
+    totals = {name: rec.counter_total(name) for name in MEMO_COUNTERS}
+    assert totals == {
+        "dv3d.scene.hits": 2, "dv3d.scene.misses": 1,
+        "dv3d.frame.hits": 1, "dv3d.frame.misses": 2,
+    }
+    assert rec.counter_value("dv3d.frame.hits", plot="isosurface") == 1

@@ -18,7 +18,7 @@ import pytest
 from repro import obs
 from repro.cdms.dataset import open_dataset
 from repro.cdms.storage import write_cdz
-from repro.dv3d import Animator, SlicerPlot, StreamingAnimator
+from repro.dv3d import Animator, DV3DCell, SlicerPlot, StreamingAnimator
 from repro.resilience import faults
 from repro.streaming.config import StreamingConfig
 from repro.streaming.format import content_digest
@@ -111,6 +111,33 @@ class TestChaosRun:
         assert all(r.status == "ok" for r in records)
         for index, (a, b) in enumerate(zip(healed, eager)):
             assert np.array_equal(a, b), f"frame {index} not recovered"
+
+    def test_a_degraded_volume_does_not_outlive_its_frame(self, pristine):
+        """The lowres rung must not leave the low-resolution volume (or a
+        scene or frame made from it) behind: with the chunk readable
+        again, the same time index — no step in between to drop it —
+        renders the healthy picture, for a bare plot and a furnished cell."""
+        index = 4
+        eager = SlicerPlot(open_dataset(pristine, streaming="off").get_variable("ta"))
+        eager.set_time_index(index)
+        oracles = {"plot": eager, "cell": DV3DCell(eager)}
+
+        for kind, oracle in oracles.items():
+            with open_dataset(pristine, streaming="on", streaming_config=FAST) as ds:
+                plot = SlicerPlot(ds.get_variable("ta"))
+                plot.set_time_index(index)
+                animator = StreamingAnimator(plot if kind == "plot" else DV3DCell(plot))
+                faults.arm("streaming.read", "raise", match={"chunk": index}, times=0)
+                low, records = animator.render_frames_with_status(start=index, count=1)
+                assert (records[0].status, records[0].source) == ("degraded", "lowres")
+
+                faults.disarm()
+                healed, records = animator.render_frames_with_status(start=index, count=1)
+            assert (records[0].status, records[0].source) == ("ok", "stream")
+            camera = eager.default_camera()
+            expected = oracle.render(320, 240, camera=camera).to_uint8()
+            assert np.array_equal(healed[0], expected), kind
+            assert not np.array_equal(low[0], expected), kind  # it was degraded
 
     def test_corrupt_container_still_round_trips_elsewhere(self, corrupted, pristine):
         # the flip is real: the on-disk digest no longer matches
