@@ -6,16 +6,18 @@ resolution 15-cell mirror while each client runs its own full-resolution
 1-cell sub-workflow, and interactions propagate server → clients.
 
 The benchmark reproduces that execution pattern with the in-process
-cluster (deterministic) at reduced tile sizes, and reports the numbers
-that make the architecture worthwhile: the server-mirror speedup from
-resolution reduction, the client-side parallel scaling, and the cost of
-interaction propagation.
+wall (the cluster's control node and display nodes on inline links:
+deterministic) at reduced tile sizes, and reports the numbers that make
+the architecture worthwhile: the server-mirror speedup from resolution
+reduction, the cost of the full-resolution tiles, process distribution
+next to what this host's cores can give, and the cost of interaction
+propagation.
 """
 
 from __future__ import annotations
 
+import multiprocessing as mp
 import time
-
 
 from benchmarks.conftest import build_cell_chain, report
 from repro.hyperwall.display import NCCS_WALL, WallGeometry
@@ -59,23 +61,24 @@ def test_fig5_server_reduced_mirror(benchmark, registry):
     result = benchmark(run)
     assert result["n_cells"] == N_CELLS
     for shape in result["image_shapes"].values():
-        assert shape == (TILE[1] // 4, TILE[0] // 4, 3)
+        assert shape == [TILE[1] // 4, TILE[0] // 4, 3]
 
 
 def test_fig5_clients_full_resolution(benchmark, registry):
-    """All 15 clients' full-resolution sub-workflow executions (parallel)."""
+    """All 15 display nodes' full-resolution sub-workflow executions."""
     hw = InProcessHyperwall(wall_workflow(registry), wall=make_wall(N_CELLS),
-                            reduction=4, max_workers=8)
+                            reduction=4)
     benchmark.group = "fig5-hyperwall"
 
     def run():
-        for client in hw.clients:
-            client.executor.clear_cache()
+        for node in hw.nodes:
+            node.executor.clear_cache()
         return hw.execute_clients()
 
     reports = benchmark(run)
     assert len(reports) == N_CELLS
-    assert all(r.image_shape == (TILE[1], TILE[0], 3) for r in reports)
+    assert all(r["image_shape"] == [TILE[1], TILE[0], 3] for r in reports)
+    assert all(r["status"] == "live" for r in reports)
 
 
 def test_fig5_interaction_propagation(benchmark, registry):
@@ -84,10 +87,37 @@ def test_fig5_interaction_propagation(benchmark, registry):
                             reduction=4)
     hw.execute_all()
     benchmark.group = "fig5-hyperwall"
-    result = benchmark(lambda: hw.propagate_event("drag", dx=0.02, dy=0.01,
+    result = benchmark(lambda: hw.broadcast_event("drag", dx=0.02, dy=0.01,
                                                   mode="camera"))
     assert len(result["clients"]) == N_CELLS
     assert all(hw.consistency_check().values())
+
+
+def _spin(n: int = 2_000_000) -> int:
+    total = 0
+    for i in range(n):
+        total += i * i
+    return total
+
+
+def host_probe() -> float:
+    """What two processes buy on this host: the time of two pure-Python
+    loops run one after the other over the time of the same two run in
+    two forked processes.  ~2 on two idle cores, ~1 on one (or on two
+    hyperthreads of one) — the ceiling the distribution row below is
+    read against."""
+    t0 = time.perf_counter()
+    _spin()
+    _spin()
+    serial = time.perf_counter() - t0
+    ctx = mp.get_context("fork")
+    workers = [ctx.Process(target=_spin) for _ in range(2)]
+    t0 = time.perf_counter()
+    for worker in workers:
+        worker.start()
+    for worker in workers:
+        worker.join()
+    return serial / (time.perf_counter() - t0)
 
 
 def test_fig5_scaling_report(registry):
@@ -96,13 +126,15 @@ def test_fig5_scaling_report(registry):
     * reduced-resolution mirror vs full-resolution work (the server's
       reason to run a low-res mirror);
     * **process-level** distribution (the real cluster pattern: one
-      process per display node, as on the physical wall) vs executing
-      every tile serially in one process.
+      process per display node, as on the physical wall) vs the same
+      control node driving the same display nodes inline, one after
+      the other, in this process — the two rows differ only in the link.
 
-    Thread-level parallelism is deliberately *not* used here — the
-    render stages are GIL-bound pure Python; see the parallel ablation.
-    The process speedup is bounded by the host's cores (the physical
-    wall has one node per tile).
+    What the pattern guarantees on any host is asserted: every
+    distributed tile is ``live`` and is, digest for digest, the tile the
+    in-process wall drew.  What the host gives is printed: the process
+    speedup is bounded by its cores (the probe row; the physical wall
+    has one node per tile), so no wall-clock ratio is asserted.
     """
     import os
 
@@ -112,13 +144,13 @@ def test_fig5_scaling_report(registry):
     workflow = wall_workflow(registry, n_cells)
     wall = make_wall(n_cells)
 
-    # serial baseline: all tiles in one process (best of two runs,
-    # fresh caches each time, to tame scheduler noise on small hosts)
+    # serial baseline: all tiles in one process (best of two walls,
+    # fresh caches each, to tame scheduler noise on small hosts)
     serial_times = []
     for _ in range(2):
-        hw_serial = InProcessHyperwall(workflow, wall=wall, reduction=4, max_workers=1)
+        hw_serial = InProcessHyperwall(workflow, wall=wall, reduction=4)
         t0 = time.perf_counter()
-        hw_serial.execute_clients()
+        serial_reports = hw_serial.execute_clients()
         serial_times.append(time.perf_counter() - t0)
     serial = min(serial_times)
 
@@ -128,7 +160,7 @@ def test_fig5_scaling_report(registry):
         cluster.start()
         cluster.server.distribute_workflows()
         t0 = time.perf_counter()
-        cluster.server.execute_clients()
+        distributed_reports = cluster.server.execute_clients()
         distributed = time.perf_counter() - t0
     finally:
         cluster.stop()
@@ -147,17 +179,16 @@ def test_fig5_scaling_report(registry):
         ("metric", "value"),
         ("paper wall", f"{NCCS_WALL.n_tiles} tiles, {NCCS_WALL.total_pixels/1e6:.1f} Mpixel"),
         ("host cores available", cores),
-        (f"tiles serial, 1 process ({n_cells} tiles)", f"{serial:.2f} s"),
+        ("host probe: 2 processes vs 1", f"{host_probe():.2f}x"),
+        (f"tiles inline, 1 process ({n_cells} tiles)", f"{serial:.2f} s"),
         (f"tiles distributed, {n_cells} processes", f"{distributed:.2f} s  ({speedup:.2f}x)"),
         ("server mirror, reduction 1", f"{mirror_times[1]:.2f} s"),
         ("server mirror, reduction 2", f"{mirror_times[2]:.2f} s"),
         ("server mirror, reduction 4", f"{mirror_times[4]:.2f} s"),
     ]
     report("Fig.5: hyperwall execution pattern", rows)
-    if cores >= 2:
-        # even with socket/report overhead, distributing across processes
-        # must not be slower than serial on a multi-core host; genuine
-        # speedup is typically 1.1-1.9x on 2 cores (and ~n_tiles on the
-        # real wall, which has one node per tile)
-        assert speedup > 0.95, "process distribution must not lose to serial"
+    assert [r["status"] for r in distributed_reports] == ["live"] * n_cells
+    assert {r["cell_id"]: r["image_digest"] for r in distributed_reports} == {
+        r["cell_id"]: r["image_digest"] for r in serial_reports
+    }, "a distributed tile must be the tile the in-process wall draws"
     assert mirror_times[4] < mirror_times[1], "reduction must cut mirror cost"

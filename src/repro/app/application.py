@@ -100,34 +100,6 @@ class Application:
             return project.execute_cell(sheet_name, slot[0], slot[1])
         return None
 
-    def render_slot(
-        self,
-        sheet_name: str,
-        slot: Tuple[int, int],
-        width: int = 400,
-        height: int = 300,
-    ):
-        """Render the live cell bound to *slot*, executing it first if needed.
-
-        This is the serving layer's front door into a session: repeat
-        renders of an already-executed slot skip workflow execution
-        entirely and go straight to the live cell, which re-draws only
-        what changed since its last frame (its kept scene survives a
-        resize or camera move; an unchanged request returns the kept
-        frame).  The ambient result cache, when enabled, adds what the
-        cell cannot: frames shared across cells and processes, on disk.
-        Returns the :class:`~repro.rendering.framebuffer.Framebuffer`.
-        """
-        sheet = self.project.sheets[sheet_name]
-        cell_slot = sheet.get(slot[0], slot[1])
-        if cell_slot is None:
-            raise SpreadsheetError(
-                f"slot {slot!r} of {sheet_name!r} is empty; create_plot() first"
-            )
-        if cell_slot.cell is None:
-            self.project.execute_cell(sheet_name, slot[0], slot[1])
-        return cell_slot.cell.render(width, height)
-
     # -- synchronized interaction ---------------------------------------------------
 
     def sync_group(self, sheet_name: str) -> SyncGroup:

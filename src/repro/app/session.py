@@ -70,7 +70,7 @@ class Macro:
         """Replay through a generic ``handler(kind, **payload)``.
 
         This is how a recorded desktop exploration is shipped to a
-        hyperwall: ``macro.replay_events(hw.propagate_event)`` applies
+        hyperwall: ``macro.replay_events(hw.broadcast_event)`` applies
         every recorded gesture to the server mirror and all displays.
         """
         for step in self.steps:

@@ -17,13 +17,17 @@ client display cells."
 * :mod:`repro.hyperwall.protocol` — the message kinds, sent as the
   shared digest-stamped frames of :mod:`repro.util.framing`;
 * :mod:`repro.hyperwall.server` / :mod:`repro.hyperwall.client` — the
-  socket-based control/display node implementations;
+  control node (orchestration and failover: dead clients' cells are
+  reassigned to survivors or served from the server's reduced-
+  resolution mirror, see :data:`FAILOVER_POLICIES`) and the display
+  node (:class:`DisplayNode`: messages in, replies out), each with its
+  socket form (:class:`HyperwallServer`, :class:`HyperwallClient`);
 * :mod:`repro.hyperwall.cluster` — a localhost multiprocessing harness
-  standing in for the physical cluster (with failover: dead clients'
-  cells are reassigned to survivors or served from the server's
-  reduced-resolution mirror, see :data:`FAILOVER_POLICIES`);
-* :mod:`repro.hyperwall.inproc` — a deterministic in-process simulation
-  of the same protocol for tests and benchmarks.
+  standing in for the physical cluster;
+* :mod:`repro.hyperwall.inproc` — the same control node talking to the
+  same display nodes in one process, for tests and benchmarks.
+
+There is one orchestration; the two walls differ only in the link.
 """
 
 from repro.hyperwall.display import WallGeometry
@@ -34,7 +38,7 @@ from repro.hyperwall.partition import (
 )
 from repro.hyperwall.inproc import InProcessHyperwall
 from repro.hyperwall.server import FAILOVER_POLICIES, HyperwallServer
-from repro.hyperwall.client import HyperwallClient, run_client
+from repro.hyperwall.client import DisplayNode, HyperwallClient, run_client
 from repro.hyperwall.cluster import LocalCluster
 
 __all__ = [
@@ -44,6 +48,7 @@ __all__ = [
     "make_reduced_pipeline",
     "partition_by_cell",
     "InProcessHyperwall",
+    "DisplayNode",
     "HyperwallServer",
     "HyperwallClient",
     "run_client",

@@ -6,11 +6,15 @@ server, receives its sub-workflow(s), executes them at full display
 resolution, applies propagated interaction events, and reports results
 (timings and image summaries — pixels stay local to the display node).
 
-A client normally owns exactly one cell, but failover can hand it a
-dead neighbor's cell too: workflows are keyed by ``cell_id``, and
-``execute``/``render`` messages may target a specific cell.  The
-``hyperwall.client.execute`` fault site lets tests kill or fail a
-client deterministically mid-execution (``client``/``cell`` labels).
+A node normally owns exactly one cell, but failover can hand it a
+dead neighbor's cell too, so workflows are keyed by ``cell_id`` and
+every ``execute``/``event``/``render`` message names the cell it is
+for.  :class:`DisplayNode` is the node itself — messages in, replies
+out, no transport; :class:`HyperwallClient` is the socket loop around
+one, and :class:`~repro.hyperwall.inproc.InProcessHyperwall` drives the
+same nodes on the caller's thread.  The ``hyperwall.client.execute``
+fault site lets tests kill or fail a node deterministically
+mid-execution (``client``/``cell`` labels).
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from repro import obs
 from repro.dv3d.cell import DV3DCell
 from repro.hyperwall import protocol
 from repro.resilience import faults
-from repro.util.errors import HyperwallError
+from repro.util.errors import DV3DError, HyperwallError
 from repro.util.framing import WireFrame
 from repro.workflow.executor import Executor
 from repro.workflow.pipeline import Pipeline
@@ -44,48 +48,25 @@ def image_digest(image: np.ndarray) -> str:
     return hashlib.sha256(arr.tobytes()).hexdigest()
 
 
-class HyperwallClient:
-    """One display node's control loop.
+class DisplayNode:
+    """One display node, transport-free: :meth:`handle` takes a message
+    and returns the reply.
 
-    *io_timeout* bounds every socket read/write once connected, so a
-    dead server (or a dropped reply) surfaces as a timeout instead of a
-    hang.  *cache* (a :class:`repro.cache.CacheConfig`) opts this
-    node's executor into the shared result cache.
+    *cache* (a :class:`repro.cache.CacheConfig`) opts this node's
+    executor into the shared result cache.
     """
 
-    def __init__(
-        self, host: str, port: int, client_id: int, io_timeout: float = 60.0,
-        cache=None,
-    ) -> None:
-        self.host = host
-        self.port = port
+    def __init__(self, client_id: int, cache=None) -> None:
         self.client_id = int(client_id)
-        self.io_timeout = float(io_timeout)
         #: sub-workflows and their executed cells, keyed by cell id —
         #: more than one entry only after a failover reassignment
         self.pipelines: Dict[int, Pipeline] = {}
         self.cells: Dict[int, DV3DCell] = {}
         self.executor = Executor(caching=True, cache=cache)
-        self._sock: Optional[socket.socket] = None
-
-    # -- connection -------------------------------------------------------
-
-    def connect(self, timeout: float = 10.0) -> None:
-        sock = socket.create_connection((self.host, self.port), timeout=timeout)
-        sock.settimeout(self.io_timeout)
-        self._sock = sock
-        protocol.send_frame(sock, WireFrame(protocol.KIND_HELLO, {"client_id": self.client_id}))
-
-    def close(self) -> None:
-        if self._sock is not None:
-            try:
-                self._sock.close()
-            finally:
-                self._sock = None
 
     # -- message handling -------------------------------------------------------
 
-    def _handle(self, message: WireFrame) -> Optional[WireFrame]:
+    def handle(self, message: WireFrame) -> Optional[WireFrame]:
         """Process one message; returns the reply (None = no reply)."""
         if message.kind == protocol.KIND_WORKFLOW:
             cell_id = int(message.meta["cell_id"])
@@ -129,23 +110,9 @@ class HyperwallClient:
             },
         )
 
-    def _target_cell(self, payload: Dict[str, Any], executed: bool) -> Optional[int]:
-        """Which cell a message addresses: explicit ``cell_id``, else the
-        first un-executed workflow (*executed* False) or first live cell."""
-        if payload.get("cell_id") is not None:
-            return int(payload["cell_id"])
-        universe = self.cells if executed else self.pipelines
-        if not universe:
-            return None
-        if not executed:
-            pending = [cid for cid in sorted(self.pipelines) if cid not in self.cells]
-            if pending:
-                return pending[0]
-        return min(universe)
-
     def _execute(self, payload: Dict[str, Any]) -> WireFrame:
-        cell_id = self._target_cell(payload, executed=False)
-        if cell_id is None or cell_id not in self.pipelines:
+        cell_id = payload.get("cell_id")
+        if cell_id not in self.pipelines:
             return self._error("no workflow received")
         start = time.perf_counter()
         try:
@@ -168,27 +135,27 @@ class HyperwallClient:
         )
 
     def _apply_event(self, payload: Dict[str, Any]) -> WireFrame:
-        if not self.cells:
+        cell_id = payload.get("cell_id")
+        if cell_id not in self.cells:
             return self._error("event before execution")
-        from repro.util.errors import DV3DError
-
-        delta_keys: set = set()
-        for cell in (self.cells[cid] for cid in sorted(self.cells)):
-            try:
-                delta = cell.handle_event(
-                    str(payload.get("event_kind", "key")),
-                    **dict(payload.get("event", {})),
-                )
-            except DV3DError:
-                # incompatible gesture for this cell's plot type: acknowledged
-                # and ignored (heterogeneous-wall semantics)
-                delta = {}
-            except Exception as exc:  # noqa: BLE001
-                return self._error(repr(exc))
-            delta_keys.update(delta)
+        try:
+            delta = self.cells[cell_id].handle_event(
+                str(payload.get("event_kind", "key")),
+                **dict(payload.get("event", {})),
+            )
+        except DV3DError:
+            # incompatible gesture for this cell's plot type: acknowledged
+            # and ignored (heterogeneous-wall semantics)
+            delta = {}
+        except Exception as exc:  # noqa: BLE001
+            return self._error(repr(exc))
         return WireFrame(
             protocol.KIND_ACK,
-            {"client_id": self.client_id, "delta_keys": sorted(delta_keys)},
+            {
+                "client_id": self.client_id,
+                "cell_id": cell_id,
+                "delta_keys": sorted(delta),
+            },
         )
 
     def _render(self, payload: Dict[str, Any]) -> WireFrame:
@@ -196,32 +163,61 @@ class HyperwallClient:
 
         This is the interactive refresh loop: events mutate the cell's
         plot state cheaply; a render message produces the new frame for
-        the display without re-executing the data pipeline.
+        the display without re-executing the data pipeline.  A message
+        without a size means the size the cell's sub-workflow was
+        shipped with.
         """
-        cell_id = self._target_cell(payload, executed=True)
-        if cell_id is None or cell_id not in self.cells:
+        cell_id = payload.get("cell_id")
+        if cell_id not in self.cells:
             return self._error("render before execution")
-        cell = self.cells[cell_id]
-        width = int(payload.get("width", 0))
-        height = int(payload.get("height", 0))
         start = time.perf_counter()
         try:
+            shipped = self.pipelines[cell_id].modules[cell_id].parameters
+            width = int(payload.get("width") or shipped["width"])
+            height = int(payload.get("height") or shipped["height"])
             with obs.span(
                 "hyperwall.client.render",
                 node=f"client-{self.client_id}",
                 cell=cell_id,
             ):
-                if width > 0 and height > 0:
-                    frame = cell.render(width, height)
-                else:
-                    # reuse the executed cell's own size via a fresh render
-                    frame = cell.render(320, 240)
-                image = frame.to_uint8()
+                image = self.cells[cell_id].render(width, height).to_uint8()
         except Exception as exc:  # noqa: BLE001
             return self._error(repr(exc))
         return self._report(cell_id, start, image)
 
-    # -- main loop ---------------------------------------------------------------
+
+class HyperwallClient:
+    """The socket loop around one :class:`DisplayNode`.
+
+    *io_timeout* bounds every socket read/write once connected, so a
+    dead server (or a dropped reply) surfaces as a timeout instead of a
+    hang.  *cache* is the node's.
+    """
+
+    def __init__(
+        self, host: str, port: int, client_id: int, io_timeout: float = 60.0,
+        cache=None,
+    ) -> None:
+        self.host = host
+        self.port = port
+        self.io_timeout = float(io_timeout)
+        self.node = DisplayNode(client_id, cache=cache)
+        self._sock: Optional[socket.socket] = None
+
+    def connect(self, timeout: float = 10.0) -> None:
+        sock = socket.create_connection((self.host, self.port), timeout=timeout)
+        sock.settimeout(self.io_timeout)
+        self._sock = sock
+        protocol.send_frame(
+            sock, WireFrame(protocol.KIND_HELLO, {"client_id": self.node.client_id})
+        )
+
+    def close(self) -> None:
+        if self._sock is not None:
+            try:
+                self._sock.close()
+            finally:
+                self._sock = None
 
     def run(self) -> int:
         """Serve until shutdown; returns the number of messages handled.
@@ -241,7 +237,7 @@ class HyperwallClient:
                 handled += 1
                 if message.kind == protocol.KIND_SHUTDOWN:
                     break
-                reply = self._handle(message)
+                reply = self.node.handle(message)
                 if reply is not None:
                     protocol.send_frame(self._sock, reply)
             except (OSError, HyperwallError):

@@ -27,13 +27,6 @@ from repro.hyperwall.server import HyperwallServer
 from repro.workflow.pipeline import Pipeline
 
 
-def _client_main(
-    host: str, port: int, client_id: int, io_timeout: float, cache=None
-) -> None:
-    # child-process entry point; exceptions surface via exit code
-    run_client(host, port, client_id, io_timeout=io_timeout, cache=cache)
-
-
 class LocalCluster:
     """Run a server plus N client processes for one hyperwall session.
 
@@ -80,7 +73,7 @@ class LocalCluster:
         ctx = mp.get_context("fork")
         for client_id in range(self.n_clients):
             proc = ctx.Process(
-                target=_client_main,
+                target=run_client,  # exceptions surface via the exit code
                 args=(
                     self.server.host, self.server.port, client_id,
                     self.io_timeout, self.cache,

@@ -3,23 +3,31 @@
 "In a typical scenario the user would open (or construct) a workflow
 with 15 cell modules on the server node.  At execution time the server
 instance sends edited versions of the workflow to each client node for
-local execution."  The server here:
+local execution."  :class:`ControlNode` is that orchestration over
+whatever links it is given:
 
-1. accepts client connections (one per wall tile),
-2. partitions the multi-cell workflow and ships each client its
+1. partitions the multi-cell workflow and ships each client its
    1-cell sub-workflow (full tile resolution),
-3. executes the reduced-resolution full workflow locally (the GUI
+2. executes the reduced-resolution full workflow locally (the GUI
    mirror spreadsheet),
-4. broadcasts interaction events to all clients and collects replies.
+3. broadcasts interaction events to every cell and collects replies,
+4. asks for fresh frames, and recovers the cells of clients it lost.
+
+A link is a connected socket, or anything with a socket's ``sendall`` /
+``recv`` / ``close`` (:class:`~repro.hyperwall.protocol.InlineLink`);
+every exchange goes through :meth:`ControlNode._send` /
+:meth:`ControlNode._recv`.  :class:`HyperwallServer` is the control node
+that listens on a port and accepts one connection per wall tile.
 
 Fault tolerance (see docs/fault-tolerance.md): every per-client send
-and receive is deadline-bounded (*io_timeout*) and failure-checked.  A
-client whose connection dies mid-frame is marked dead and its cell is
-recovered according to *failover*:
+and receive is failure-checked (and, on a socket, deadline-bounded by
+*io_timeout*).  A client whose link dies mid-frame is marked dead and
+its cell is recovered according to *failover*:
 
 * ``"reassign"`` (default) — the dead client's full-resolution
   sub-workflow is re-shipped to a surviving client (survivors tried
-  under the *retry* :class:`~repro.resilience.RetryPolicy`), falling
+  under the *retry* :class:`~repro.resilience.RetryPolicy`), executed
+  there and brought up to date with the session's events, falling
   back to the degraded mirror when no survivor can take it;
 * ``"degrade"`` — the cell is served from the server's own
   reduced-resolution mirror cell;
@@ -30,29 +38,30 @@ Recovered frames are *partial, never silent*: each per-cell report
 carries ``status`` (``live`` | ``reassigned`` | ``degraded``).
 Application-level errors (a client replying ``KIND_ERROR``) still
 raise — failover covers lost nodes, not broken workflows.  Tests drop
-connections deterministically through the ``hyperwall.server.send`` /
+links deterministically through the ``hyperwall.server.send`` /
 ``hyperwall.server.recv`` fault sites (``client`` label).
 """
 
 from __future__ import annotations
 
 import socket
-import threading
 import time
+from contextlib import suppress
 from typing import Any, Dict, List, Optional
 
 from repro import obs
+from repro.cache.config import use_config as use_cache_config
 from repro.dv3d.cell import DV3DCell
 from repro.hyperwall import protocol
+from repro.hyperwall.client import image_digest
 from repro.hyperwall.display import WallGeometry
 from repro.hyperwall.partition import (
-    find_cell_modules,
     make_reduced_pipeline,
     partition_by_cell,
     set_cell_resolution,
 )
 from repro.resilience import RetryPolicy, faults
-from repro.util.errors import HyperwallError
+from repro.util.errors import DV3DError, HyperwallError
 from repro.util.framing import WireFrame
 from repro.workflow.executor import Executor
 from repro.workflow.pipeline import Pipeline
@@ -61,17 +70,14 @@ from repro.workflow.pipeline import Pipeline
 FAILOVER_POLICIES = ("reassign", "degrade", "fail_fast")
 
 
-class HyperwallServer:
-    """The control node: owns the listening socket and the mirror cells."""
+class ControlNode:
+    """The control node: owns the mirror cells and one link per client."""
 
     def __init__(
         self,
         workflow: Pipeline,
         wall: Optional[WallGeometry] = None,
         reduction: int = 4,
-        host: str = "127.0.0.1",
-        port: int = 0,
-        io_timeout: float = 120.0,
         failover: str = "reassign",
         retry: Optional[RetryPolicy] = None,
         cache=None,
@@ -80,18 +86,17 @@ class HyperwallServer:
             raise HyperwallError(
                 f"failover must be one of {FAILOVER_POLICIES}, got {failover!r}"
             )
-        self.workflow = workflow
-        cells = find_cell_modules(workflow)
-        if not cells:
-            raise HyperwallError("workflow has no DV3DCell modules")
-        self.wall = wall or WallGeometry(columns=max(len(cells), 1), rows=1)
-        if len(cells) > self.wall.n_tiles:
+        #: full-resolution 1-cell sub-workflows, keyed by cell id
+        self._partitions = partition_by_cell(workflow)
+        self.cell_ids = sorted(self._partitions)
+        self.wall = wall or WallGeometry(columns=len(self.cell_ids), rows=1)
+        if len(self.cell_ids) > self.wall.n_tiles:
             raise HyperwallError(
-                f"{len(cells)} cells exceed the wall's {self.wall.n_tiles} tiles"
+                f"{len(self.cell_ids)} cells exceed the wall's {self.wall.n_tiles} tiles"
             )
-        self.cell_ids = cells
+        for cell_id, sub in self._partitions.items():
+            set_cell_resolution(sub, cell_id, self.wall.tile_width, self.wall.tile_height)
         self.reduction = int(reduction)
-        self.io_timeout = float(io_timeout)
         self.failover = failover
         self.retry = retry or RetryPolicy(
             max_attempts=3, base_delay=0.05, max_delay=0.5, seed="hyperwall"
@@ -101,69 +106,21 @@ class HyperwallServer:
         self.cache = cache
         self.server_executor = Executor(caching=True, cache=cache)
         self.server_cells: Dict[int, DV3DCell] = {}
-        self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        self._listener.bind((host, port))
-        self._listener.listen(self.wall.n_tiles)
-        self.host, self.port = self._listener.getsockname()
-        self._connections: Dict[int, socket.socket] = {}
-        self._lock = threading.Lock()
+        #: one link per connected client
+        self._connections: Dict[int, Any] = {}
         #: primary cell ownership from :meth:`distribute_workflows`
         self.assignment: Dict[int, int] = {}
-        self._partitions: Dict[int, Pipeline] = {}
         #: cells re-homed by failover: cell_id -> surviving client
         self._standby: Dict[int, int] = {}
         #: clients lost this session: client_id -> reason
         self._dead: Dict[int, str] = {}
+        #: events broadcast since the clients last executed — what a
+        #: re-homed cell is brought up to date with
+        self.event_history: List[Dict[str, Any]] = []
 
-    # -- connection management ------------------------------------------------
+    # -- links ----------------------------------------------------------------
 
-    def accept_clients(self, count: int, timeout: float = 30.0) -> List[int]:
-        """Accept *count* client connections; returns their ids in order.
-
-        On any error every socket accepted so far is closed — a failed
-        accept round must not leak connections.
-        """
-        self._listener.settimeout(timeout)
-        accepted: List[int] = []
-        conn: Optional[socket.socket] = None
-        try:
-            while len(accepted) < count:
-                conn, addr = self._listener.accept()
-                conn.settimeout(self.io_timeout)
-                try:
-                    hello = protocol.recv_frame(conn)
-                except HyperwallError as exc:
-                    raise HyperwallError(
-                        f"client at {addr[0]}:{addr[1]} sent a bad hello: {exc}"
-                    ) from exc
-                if hello is None or hello.kind != protocol.KIND_HELLO:
-                    raise HyperwallError(
-                        f"client at {addr[0]}:{addr[1]} failed to introduce itself"
-                    )
-                client_id = int(hello.meta["client_id"])
-                with self._lock:
-                    self._connections[client_id] = conn
-                conn = None
-                accepted.append(client_id)
-        except Exception:
-            if conn is not None:
-                try:
-                    conn.close()
-                except OSError:
-                    pass
-            with self._lock:
-                for client_id in accepted:
-                    leaked = self._connections.pop(client_id, None)
-                    if leaked is not None:
-                        try:
-                            leaked.close()
-                        except OSError:
-                            pass
-            raise
-        return accepted
-
-    def _conn(self, client_id: int) -> socket.socket:
+    def _conn(self, client_id: int):
         try:
             return self._connections[client_id]
         except KeyError:
@@ -175,13 +132,10 @@ class HyperwallServer:
         return dict(self._dead)
 
     def _mark_dead(self, client_id: int, reason: str) -> None:
-        with self._lock:
-            conn = self._connections.pop(client_id, None)
+        conn = self._connections.pop(client_id, None)
         if conn is not None:
-            try:
+            with suppress(OSError):
                 conn.close()
-            except OSError:
-                pass
         self._dead[client_id] = reason
         obs.counter("hyperwall.clients.lost", client=str(client_id))
 
@@ -221,37 +175,45 @@ class HyperwallServer:
             return None
         return reply
 
+    def _ask(self, client_id: int, message: WireFrame) -> Optional[WireFrame]:
+        """One request/reply exchange; None when the client was lost."""
+        return self._recv(client_id) if self._send(client_id, message) else None
+
+    def _owners(self) -> Dict[int, int]:
+        """``{cell_id: client_id}`` for every cell some client holds now."""
+        owners = {cell_id: client_id for client_id, cell_id in self.assignment.items()}
+        owners.update(self._standby)
+        return dict(sorted(owners.items()))
+
     # -- workflow distribution --------------------------------------------------
 
     def distribute_workflows(self) -> Dict[int, int]:
         """Ship each connected client its 1-cell sub-workflow.
 
         Clients are assigned cells in (client_id-sorted, cell_id-sorted)
-        order.  Returns ``{client_id: cell_id}``.
+        order.  Returns ``{client_id: cell_id}``.  A client lost here is
+        marked dead and keeps its assignment, so :meth:`execute_clients`
+        recovers its cell (or raises, under ``fail_fast``).
         """
-        self._partitions = partition_by_cell(self.workflow)
-        assignment: Dict[int, int] = {}
         client_ids = sorted(self._connections)
-        if len(client_ids) < len(self._partitions):
+        if len(client_ids) < len(self.cell_ids):
             raise HyperwallError(
-                f"{len(self._partitions)} cells need {len(self._partitions)} clients; "
+                f"{len(self.cell_ids)} cells need {len(self.cell_ids)} clients; "
                 f"only {len(client_ids)} connected"
             )
-        for client_id, cell_id in zip(client_ids, sorted(self._partitions)):
-            sub = self._partitions[cell_id]
-            set_cell_resolution(sub, cell_id, self.wall.tile_width, self.wall.tile_height)
-            message = WireFrame(
-                protocol.KIND_WORKFLOW,
-                {"pipeline": sub.to_dict(), "cell_id": cell_id},
-            )
-            conn = self._conn(client_id)
-            protocol.send_frame(conn, message)
-            ack = protocol.recv_frame(conn)
-            if ack is None or ack.kind != protocol.KIND_ACK:
+        self.assignment = dict(zip(client_ids, self.cell_ids))
+        self._standby.clear()
+        for client_id, cell_id in self.assignment.items():
+            ack = self._ask(client_id, self._workflow_frame(cell_id))
+            if ack is not None and ack.kind != protocol.KIND_ACK:
                 raise HyperwallError(f"client {client_id} failed to ack its workflow")
-            assignment[client_id] = cell_id
-        self.assignment = dict(assignment)
-        return assignment
+        return dict(self.assignment)
+
+    def _workflow_frame(self, cell_id: int) -> WireFrame:
+        return WireFrame(
+            protocol.KIND_WORKFLOW,
+            {"pipeline": self._partitions[cell_id].to_dict(), "cell_id": cell_id},
+        )
 
     # -- execution ------------------------------------------------------------------
 
@@ -260,14 +222,18 @@ class HyperwallServer:
         start = time.perf_counter()
         with obs.span("hyperwall.server.execute", node="server"):
             result = self.server_executor.execute(self.server_pipeline)
-        self.server_cells = {
-            cid: result.output(cid, "cell")
-            for cid in find_cell_modules(self.server_pipeline)
+        self.server_cells = {cid: result.output(cid, "cell") for cid in self.cell_ids}
+        return {
+            "duration": time.perf_counter() - start,
+            "n_cells": len(self.server_cells),
+            "image_shapes": {
+                cid: list(result.output(cid, "image").shape)
+                for cid in self.server_cells
+            },
         }
-        return {"duration": time.perf_counter() - start, "n_cells": len(self.server_cells)}
 
     def execute_clients(self) -> List[Dict[str, Any]]:
-        """Trigger all clients and gather their per-cell reports.
+        """Trigger every cell's client and gather the per-cell reports.
 
         Every report carries ``status``: ``live`` for a healthy client,
         ``reassigned``/``degraded`` for cells recovered from a dead one
@@ -275,102 +241,112 @@ class HyperwallServer:
         raises instead; an application-level ``KIND_ERROR`` reply
         always raises.
         """
-        client_ids = sorted(self._connections)
-        with obs.span("hyperwall.server.execute_clients", clients=len(client_ids)):
-            triggered = []
-            for client_id in client_ids:
-                if self._send(client_id, WireFrame(protocol.KIND_EXECUTE)):
-                    triggered.append(client_id)
-                elif self.failover == "fail_fast":
-                    raise HyperwallError(
-                        f"client {client_id} disconnected during execution"
-                    )
-            reports = []
-            lost: List[int] = []
-            for client_id in client_ids:
-                if client_id not in triggered:
-                    lost.append(client_id)
-                    continue
-                reply = self._recv(client_id)
-                if reply is None:
-                    if self.failover == "fail_fast":
-                        raise HyperwallError(
-                            f"client {client_id} disconnected during execution"
-                        )
-                    lost.append(client_id)
-                    continue
-                if reply.kind == protocol.KIND_ERROR:
-                    raise HyperwallError(
-                        f"client {client_id} failed: {reply.meta.get('error')}"
-                    )
-                if obs.enabled():
-                    obs.histogram(
-                        "hyperwall.client.duration",
-                        float(reply.meta.get("duration", 0.0)),
-                        client=str(client_id),
-                    )
-                report = dict(reply.meta)
-                report["status"] = "live"
-                reports.append(report)
-            for client_id in lost:
-                cell_id = self.assignment.pop(client_id, None)
-                if cell_id is not None:
-                    reports.append(self._recover_cell(cell_id))
+        self.event_history.clear()  # an execute builds the cells anew
+        with obs.span("hyperwall.server.execute_clients", clients=len(self._connections)):
+            return self._round(protocol.KIND_EXECUTE, "execution")
+
+    def request_renders(self, width: int = 0, height: int = 0) -> List[Dict[str, Any]]:
+        """Ask every cell's client for a fresh frame of its (possibly
+        event-mutated) cell — the display refresh after interaction.
+        Without a size each cell renders at the size it was shipped.
+
+        A cell whose client is lost here is recovered as in
+        :meth:`execute_clients` and rendered with the session's events
+        applied.
+        """
+        return self._round(protocol.KIND_RENDER, "render", width=width, height=height)
+
+    def _round(self, kind: str, what: str, **size: int) -> List[Dict[str, Any]]:
+        """Send *kind* to every cell's owner (all triggered before any
+        reply is awaited, so clients work in parallel), gather one report
+        per cell and recover the cells whose owner is, or was just, lost."""
+        owners = self._owners()
+        triggered = {
+            cell_id: self._send(client_id, WireFrame(kind, dict(size, cell_id=cell_id)))
+            for cell_id, client_id in owners.items()
+        }
+        reports, lost = [], []
+        for cell_id in self.cell_ids:
+            client_id = owners.get(cell_id)
+            reply = self._recv(client_id) if triggered.get(cell_id) else None
+            if reply is None:
+                if self.failover == "fail_fast":
+                    raise HyperwallError(f"client {client_id} disconnected during {what}")
+                lost.append(cell_id)
+                continue
+            if reply.kind == protocol.KIND_ERROR:
+                raise HyperwallError(f"client {client_id} failed: {reply.meta.get('error')}")
+            obs.histogram(
+                "hyperwall.client.duration",
+                float(reply.meta.get("duration", 0.0)),
+                client=str(client_id),
+            )
+            if cell_id in self._standby:
+                reports.append(dict(reply.meta, status="reassigned", reassigned_to=client_id))
+            else:
+                reports.append(dict(reply.meta, status="live"))
+        for cell_id in lost:
+            if cell_id in self._standby:
+                del self._standby[cell_id]
+            elif cell_id in owners:
+                del self.assignment[owners[cell_id]]
+            reports.append(self._recover_cell(cell_id, size))
         return reports
 
     # -- failover -------------------------------------------------------------------
 
-    def _recover_cell(self, cell_id: int) -> Dict[str, Any]:
-        """Produce a report for a cell whose client died."""
+    def _recover_cell(self, cell_id: int, size: Dict[str, int]) -> Dict[str, Any]:
+        """Produce a report for a cell whose client died; *size* is the
+        render a refresh asked for (empty during an execute)."""
         t0 = time.monotonic()
         report = None
         if self.failover == "reassign":
-            report = self._reassign_cell(cell_id)
+            report = self._reassign_cell(cell_id, size)
         if report is None:
             report = self._degraded_report(cell_id)
-        if obs.enabled():
-            obs.histogram(
-                "resilience.recovery.seconds",
-                time.monotonic() - t0,
-                site="hyperwall",
-                cell=str(cell_id),
-            )
+        obs.histogram(
+            "resilience.recovery.seconds",
+            time.monotonic() - t0,
+            site="hyperwall",
+            cell=str(cell_id),
+        )
         return report
 
-    def _reassign_cell(self, cell_id: int) -> Optional[Dict[str, Any]]:
-        """Re-home *cell_id* on a survivor; None when none can take it."""
-        sub = self._partitions.get(cell_id)
-        if sub is None:
-            return None
+    def _reassign_cell(self, cell_id: int, size: Dict[str, int]) -> Optional[Dict[str, Any]]:
+        """Re-home *cell_id* on a survivor; None when none can take it.
+
+        The survivor is shipped the workflow, executes it, applies the
+        session's events in order and — when a refresh is what found the
+        client gone — renders, so the report is the picture the lost
+        client would have shown.
+        """
+        steps = [
+            self._workflow_frame(cell_id),
+            WireFrame(protocol.KIND_EXECUTE, {"cell_id": cell_id}),
+            *(
+                WireFrame(protocol.KIND_EVENT, dict(event, cell_id=cell_id))
+                for event in self.event_history
+            ),
+        ]
+        if size:
+            steps.append(WireFrame(protocol.KIND_RENDER, dict(size, cell_id=cell_id)))
         candidates = iter(sorted(self._connections))
 
         def try_next_survivor() -> Dict[str, Any]:
             survivor = next(candidates, None)
             if survivor is None:
                 raise HyperwallError(f"no surviving client can take cell {cell_id}")
-            workflow = WireFrame(
-                protocol.KIND_WORKFLOW,
-                {"pipeline": sub.to_dict(), "cell_id": cell_id},
-            )
-            if not self._send(survivor, workflow):
-                raise HyperwallError(f"survivor {survivor} lost while re-homing")
-            ack = self._recv(survivor)
-            if ack is None or ack.kind != protocol.KIND_ACK:
-                raise HyperwallError(f"survivor {survivor} failed to ack cell {cell_id}")
-            if not self._send(
-                survivor, WireFrame(protocol.KIND_EXECUTE, {"cell_id": cell_id})
-            ):
-                raise HyperwallError(f"survivor {survivor} lost during re-execution")
-            reply = self._recv(survivor)
-            if reply is None or reply.kind != protocol.KIND_REPORT:
-                raise HyperwallError(
-                    f"survivor {survivor} failed to execute cell {cell_id}"
-                )
-            report = dict(reply.meta)
-            report["status"] = "reassigned"
-            report["reassigned_to"] = survivor
+            report: Dict[str, Any] = {}
+            for step in steps:
+                reply = self._ask(survivor, step)
+                if reply is None or reply.kind == protocol.KIND_ERROR:
+                    raise HyperwallError(
+                        f"survivor {survivor} failed at {step.kind!r} of cell {cell_id}"
+                    )
+                if reply.kind == protocol.KIND_REPORT:
+                    report = reply.meta  # the last frame drawn is the one shown
             self._standby[cell_id] = survivor
-            return report
+            return dict(report, status="reassigned", reassigned_to=survivor)
 
         try:
             return self.retry.run(
@@ -388,9 +364,6 @@ class HyperwallServer:
         cell = self.server_cells.get(cell_id)
         if cell is None:
             raise HyperwallError(f"no mirror cell for lost cell {cell_id}")
-        from repro.cache.config import use_config as use_cache_config
-        from repro.hyperwall.client import image_digest
-
         width = max(self.wall.tile_width // self.reduction, 16)
         height = max(self.wall.tile_height // self.reduction, 16)
         start = time.perf_counter()
@@ -418,33 +391,29 @@ class HyperwallServer:
         """
         alive: Dict[int, bool] = {client_id: False for client_id in self._dead}
         for client_id in sorted(self._connections):
-            ok = self._send(
-                client_id, WireFrame(protocol.KIND_HEARTBEAT, {"ping": True})
-            )
-            if ok:
-                reply = self._recv(client_id)
-                ok = reply is not None and reply.kind == protocol.KIND_HEARTBEAT
-                if not ok and client_id in self._connections:
-                    self._mark_dead(client_id, "bad heartbeat reply")
-            alive[client_id] = ok
-        if obs.enabled():
-            obs.gauge(
-                "hyperwall.clients.alive", float(sum(1 for v in alive.values() if v))
-            )
+            reply = self._ask(client_id, WireFrame(protocol.KIND_HEARTBEAT, {"ping": True}))
+            alive[client_id] = reply is not None and reply.kind == protocol.KIND_HEARTBEAT
+            if reply is not None and not alive[client_id]:
+                self._mark_dead(client_id, "bad heartbeat reply")
+        obs.gauge("hyperwall.clients.alive", float(sum(alive.values())))
         return alive
 
     # -- interaction propagation -------------------------------------------------------
 
     def broadcast_event(self, event_kind: str, **event: Any) -> Dict[str, Any]:
-        """Apply an interaction locally, then propagate to every client.
+        """Apply an interaction to the mirror, then propagate it to every
+        cell a client holds.
 
         Cells whose plot type has no binding for the gesture ignore it
         (heterogeneous-wall semantics, mirroring the spreadsheet).
         Clients lost mid-broadcast are skipped (their acks simply do
-        not appear) unless *failover* is ``fail_fast``.
+        not appear; the next refresh recovers their cells, this event
+        included) unless *failover* is ``fail_fast``.  Returns the
+        mirror's deltas per cell and, per client, the state keys each of
+        its cells changed: ``{"server": {cell_id: delta}, "clients":
+        {client_id: {cell_id: delta_keys}}}``.
         """
-        from repro.util.errors import DV3DError
-
+        owners = self._owners()
         obs.counter("hyperwall.events.broadcast", kind=event_kind)
         server_deltas: Dict[int, Any] = {}
         for cid, cell in self.server_cells.items():
@@ -452,13 +421,17 @@ class HyperwallServer:
                 server_deltas[cid] = cell.handle_event(event_kind, **event)
             except DV3DError:
                 server_deltas[cid] = {}
-        message = WireFrame(
-            protocol.KIND_EVENT, {"event_kind": event_kind, "event": event}
-        )
-        sent = [cid for cid in sorted(self._connections) if self._send(cid, message)]
-        acks = {}
-        for client_id in sent:
-            reply = self._recv(client_id)
+        record = {"event_kind": event_kind, "event": event}
+        self.event_history.append(record)
+        sent = {
+            cell_id: self._send(
+                client_id, WireFrame(protocol.KIND_EVENT, dict(record, cell_id=cell_id))
+            )
+            for cell_id, client_id in owners.items()
+        }
+        acks: Dict[int, Dict[int, List[str]]] = {}
+        for cell_id, client_id in owners.items():
+            reply = self._recv(client_id) if sent[cell_id] else None
             if reply is None:
                 if self.failover == "fail_fast":
                     raise HyperwallError(
@@ -469,65 +442,80 @@ class HyperwallServer:
                 raise HyperwallError(
                     f"client {client_id} failed to apply event: {reply.meta}"
                 )
-            acks[client_id] = reply.meta
+            acks.setdefault(client_id, {})[cell_id] = reply.meta["delta_keys"]
         return {"server": server_deltas, "clients": acks}
-
-    def request_renders(self, width: int = 0, height: int = 0) -> List[Dict[str, Any]]:
-        """Ask every client for a fresh frame of its (possibly event-
-        mutated) cell — the display refresh after interaction.
-
-        Cells re-homed by an earlier reassignment are rendered by their
-        standby client; cells with no live owner come back degraded
-        from the mirror (``fail_fast`` raises instead).
-        """
-        reports = []
-        payload = {"width": width, "height": height}
-        for client_id in sorted(self.assignment):
-            ok = self._send(client_id, WireFrame(protocol.KIND_RENDER, dict(payload)))
-            reply = self._recv(client_id) if ok else None
-            if reply is None:
-                if self.failover == "fail_fast":
-                    raise HyperwallError(
-                        f"client {client_id} disconnected during render"
-                    )
-                cell_id = self.assignment[client_id]
-                reports.append(self._recover_cell(cell_id))
-                del self.assignment[client_id]
-                continue
-            if reply.kind == protocol.KIND_ERROR:
-                raise HyperwallError(
-                    f"client {client_id} failed to render: {reply.meta.get('error')}"
-                )
-            report = dict(reply.meta)
-            report["status"] = "live"
-            reports.append(report)
-        for cell_id, survivor in sorted(self._standby.items()):
-            target = dict(payload, cell_id=cell_id)
-            ok = self._send(survivor, WireFrame(protocol.KIND_RENDER, target))
-            reply = self._recv(survivor) if ok else None
-            if reply is None or reply.kind != protocol.KIND_REPORT:
-                reports.append(self._degraded_report(cell_id))
-                continue
-            report = dict(reply.meta)
-            report["status"] = "reassigned"
-            report["reassigned_to"] = survivor
-            reports.append(report)
-        return reports
 
     # -- teardown -------------------------------------------------------------------------
 
     def shutdown(self) -> None:
-        for client_id in sorted(self._connections):
-            try:
-                protocol.send_frame(
-                    self._connections[client_id], WireFrame(protocol.KIND_SHUTDOWN)
-                )
-            except OSError:
-                pass
         for conn in self._connections.values():
-            try:
+            with suppress(OSError, HyperwallError):
+                protocol.send_frame(conn, WireFrame(protocol.KIND_SHUTDOWN))
+            with suppress(OSError):
                 conn.close()
-            except OSError:
-                pass
         self._connections.clear()
+
+
+class HyperwallServer(ControlNode):
+    """The control node of a cluster: a listening socket, one accepted
+    connection per display node, every read and write bounded by
+    *io_timeout*."""
+
+    def __init__(
+        self,
+        workflow: Pipeline,
+        wall: Optional[WallGeometry] = None,
+        reduction: int = 4,
+        host: str = "127.0.0.1",
+        port: int = 0,
+        io_timeout: float = 120.0,
+        failover: str = "reassign",
+        retry: Optional[RetryPolicy] = None,
+        cache=None,
+    ) -> None:
+        super().__init__(workflow, wall, reduction, failover, retry, cache)
+        self.io_timeout = float(io_timeout)
+        self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+        self._listener.bind((host, port))
+        self._listener.listen(self.wall.n_tiles)
+        self.host, self.port = self._listener.getsockname()
+
+    def accept_clients(self, count: int, timeout: float = 30.0) -> List[int]:
+        """Accept *count* client connections; returns their ids in order.
+
+        On any error every socket accepted so far is closed — a failed
+        accept round must not leak connections.
+        """
+        self._listener.settimeout(timeout)
+        accepted: List[int] = []
+        conn: Optional[socket.socket] = None
+        try:
+            while len(accepted) < count:
+                conn, addr = self._listener.accept()
+                conn.settimeout(self.io_timeout)
+                try:
+                    hello = protocol.recv_frame(conn)
+                except HyperwallError as exc:
+                    raise HyperwallError(
+                        f"client at {addr[0]}:{addr[1]} sent a bad hello: {exc}"
+                    ) from exc
+                if hello is None or hello.kind != protocol.KIND_HELLO:
+                    raise HyperwallError(
+                        f"client at {addr[0]}:{addr[1]} failed to introduce itself"
+                    )
+                client_id = int(hello.meta["client_id"])
+                self._connections[client_id] = conn
+                conn = None
+                accepted.append(client_id)
+        except Exception:
+            for leaked in [conn, *(self._connections.pop(c) for c in accepted)]:
+                if leaked is not None:
+                    with suppress(OSError):
+                        leaked.close()
+            raise
+        return accepted
+
+    def shutdown(self) -> None:
+        super().shutdown()
         self._listener.close()

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Union
+from typing import Any, Dict, Optional, Union
 
 from repro.provenance.actions import (
     Action,
@@ -131,9 +131,6 @@ class Vistrail:
 
     def tag(self, name: str, version: Optional[int] = None) -> None:
         self.tree.tag(self.current_version if version is None else version, name)
-
-    def branches_from_current(self) -> List[int]:
-        return self.tree.children(self.current_version)
 
     # -- persistence ----------------------------------------------------------------
 

@@ -150,10 +150,6 @@ class FaultRegistry:
 _REGISTRY = FaultRegistry()
 
 
-def get_registry() -> FaultRegistry:
-    return _REGISTRY
-
-
 def arm(site: str, action: str, **kwargs: Any) -> Fault:
     """Arm a fault on the global registry (see :meth:`FaultRegistry.arm`)."""
     return _REGISTRY.arm(site, action, **kwargs)

@@ -15,7 +15,7 @@ and that cache's own ``enabled`` is the switch.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from repro.resilience.policy import RetryPolicy
 from repro.util.errors import StreamingError
@@ -70,9 +70,6 @@ class StreamingConfig:
             )
         if self.retry_base_delay < 0:
             raise StreamingError("retry_base_delay must be >= 0")
-
-    def with_budget(self, memory_budget_bytes: int) -> "StreamingConfig":
-        return replace(self, memory_budget_bytes=int(memory_budget_bytes))
 
     def retry_policy(self, seed: str = "streaming") -> RetryPolicy:
         """The reader's per-chunk retry policy under this config."""

@@ -140,9 +140,6 @@ class VariableLayout:
             "(corrupt chunk table)"
         )
 
-    def chunks_covering(self, start: int, stop: int) -> List[ChunkMeta]:
-        return [c for c in self.chunks if c.stop > start and c.start < stop]
-
     def finite_range(self) -> Optional[Tuple[float, float]]:
         """Dataset-wide finite min/max from the chunk statistics."""
         mins = [c.stat_min for c in self.chunks if c.stat_valid > 0]

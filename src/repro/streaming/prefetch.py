@@ -150,11 +150,6 @@ class Prefetcher:
                 "streaming.prefetch.depth", len(self._slots), var=self.layout.id
             )
 
-    @property
-    def resident_bytes(self) -> int:
-        with self._cond:
-            return self._resident
-
     def close(self) -> None:
         with self._cond:
             self._stopped = True

@@ -91,6 +91,29 @@ class TestServerClientThreads:
             for thread in threads:
                 thread.join(5.0)
 
+    def test_refresh_without_a_size_redraws_the_executed_frame(self, two_cell_pipeline):
+        server = HyperwallServer(two_cell_pipeline, wall=TINY_WALL, reduction=4)
+        threads = []
+        for cid in range(2):
+            client = HyperwallClient(server.host, server.port, cid)
+            client.connect()
+            threads.append(threading.Thread(target=client.run, daemon=True))
+            threads[-1].start()
+        try:
+            server.accept_clients(2)
+            server.distribute_workflows()
+            executed = server.execute_clients()
+            refreshed = server.request_renders()
+        finally:
+            server.shutdown()
+            for thread in threads:
+                thread.join(5.0)
+        # each cell at the size it was shipped, not a size of the node's own
+        assert [r["image_shape"] for r in refreshed] == [[36, 48, 3], [36, 48, 3]]
+        assert [r["image_digest"] for r in refreshed] == [
+            r["image_digest"] for r in executed
+        ]
+
     def test_event_broadcast(self, two_cell_pipeline):
         _, _, _, acks = self.run_session(
             two_cell_pipeline,

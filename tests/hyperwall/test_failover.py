@@ -280,3 +280,29 @@ class TestLocalClusterFailover:
             out = cluster.run_session()
         statuses = sorted(out["cell_status"].values())
         assert statuses == ["degraded", "live"]
+
+    def test_rehomed_cell_shows_the_post_event_picture(self, registry):
+        """Lose client 0 on the refresh after an event: one report per
+        cell, and the re-homed cell's frame is the one an undisturbed
+        wall draws — executed, the event replayed, addressed by name."""
+        from repro.hyperwall.inproc import InProcessHyperwall
+
+        p = Pipeline(registry)
+        for variable in ("ta", "zg"):
+            build_cell_chain(p, width=48, height=36, variable=variable)
+        reference = InProcessHyperwall(p, TINY_WALL)
+        reference.execute_all()
+        reference.broadcast_event("key", key="c")
+        expected = {
+            r["cell_id"]: r["image_digest"] for r in reference.request_renders(48, 36)
+        }
+        with LocalCluster(p, n_clients=2, wall=TINY_WALL, io_timeout=30.0) as cluster:
+            cluster.run_session(events=[{"event_kind": "key", "key": "c"}])
+            faults.arm(
+                "hyperwall.server.send", "drop", match={"client": 0, "kind": "render"}
+            )
+            renders = cluster.server.request_renders(48, 36)
+        assert sorted((r["cell_id"], r["status"]) for r in renders) == [
+            (3, "reassigned"), (7, "live"),
+        ]
+        assert {r["cell_id"]: r["image_digest"] for r in renders} == expected

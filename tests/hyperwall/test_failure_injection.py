@@ -64,7 +64,9 @@ class TestClientSideFailures:
                         {"pipeline": bad.to_dict(), "cell_id": ids["cell"]}),
             )
             assert protocol.recv_frame(conn).kind == protocol.KIND_ACK
-            protocol.send_frame(conn, WireFrame(protocol.KIND_EXECUTE))
+            protocol.send_frame(
+                conn, WireFrame(protocol.KIND_EXECUTE, {"cell_id": ids["cell"]})
+            )
             reply = protocol.recv_frame(conn)
             assert reply.kind == protocol.KIND_ERROR
             assert "no_such_catalog_entry" in reply.meta["error"]
@@ -149,9 +151,9 @@ class TestProtocolRobustness:
         p = Pipeline(registry)
         build_cell_chain(p, plot="Slicer", width=24, height=18)
         build_cell_chain(p, plot="VolumeRender", width=24, height=18)
-        hw = InProcessHyperwall(p, client_resolution=(24, 18))
+        hw = InProcessHyperwall(p, WallGeometry(2, 1, tile_width=24, tile_height=18))
         hw.execute_all()
-        result = hw.propagate_event("drag", dx=0.1, dy=0.0, mode="leveling")
-        deltas = list(result["clients"].values())
-        assert {} in deltas  # the slicer ignored it
+        result = hw.broadcast_event("drag", dx=0.1, dy=0.0, mode="leveling")
+        deltas = [keys for ack in result["clients"].values() for keys in ack.values()]
+        assert [] in deltas  # the slicer ignored it
         assert any(d for d in deltas)  # the volume applied it

@@ -8,6 +8,7 @@ from repro.app.session import Macro, MacroRecorder, MacroStep
 from repro.dv3d.animation import CameraTour
 from repro.dv3d.cell import DV3DCell
 from repro.dv3d.slicer import SlicerPlot
+from repro.hyperwall.display import WallGeometry
 from repro.hyperwall.inproc import InProcessHyperwall
 from repro.spreadsheet.sheet import CellBinding, Spreadsheet
 from repro.spreadsheet.sync import SyncGroup
@@ -68,14 +69,14 @@ class TestMacroToHyperwall:
         p = Pipeline(registry)
         for _ in range(2):
             build_cell_chain(p, width=24, height=18)
-        hw = InProcessHyperwall(p, client_resolution=(24, 18))
+        hw = InProcessHyperwall(p, WallGeometry(2, 1, tile_width=24, tile_height=18))
         hw.execute_all()
-        applied = macro.replay_events(hw.propagate_event)
+        applied = macro.replay_events(hw.broadcast_event)
         assert applied == 2
         assert all(hw.consistency_check().values())
         # the wall cells now match the desktop cell's colormap/time state
         desk_state = slot.cell.plot.state()
-        wall_state = hw.clients[0].cell.plot.state()
+        wall_state = hw.nodes[0].cells[hw.assignment[0]].plot.state()
         assert wall_state["colormap"] == desk_state["colormap"]
         assert wall_state["time_index"] == desk_state["time_index"]
 

@@ -6,6 +6,7 @@ import pytest
 
 from repro.app.application import Application
 from repro.dv3d.animation import Animator
+from repro.hyperwall.display import WallGeometry
 from repro.hyperwall.inproc import InProcessHyperwall
 from repro.provenance.query import diff_versions
 from repro.workflow.executor import Executor
@@ -154,19 +155,23 @@ class TestSectionIIIH_Hyperwall:
         p = Pipeline(registry)
         for _ in range(2):
             build_cell_chain(p, width=64, height=64)
-        hw = InProcessHyperwall(p, reduction=4, client_resolution=(64, 64))
+        hw = InProcessHyperwall(
+            p, WallGeometry(2, 1, tile_width=64, tile_height=64), reduction=4
+        )
         out = hw.execute_all()
         server_shapes = list(out["server"]["image_shapes"].values())
-        assert all(s == (16, 16, 3) for s in server_shapes)
-        assert all(r.image_shape == (64, 64, 3) for r in out["clients"])
+        assert all(s == [16, 16, 3] for s in server_shapes)
+        assert all(r["image_shape"] == [64, 64, 3] for r in out["clients"])
 
     def test_interaction_propagates_server_to_clients(self, registry):
         p = Pipeline(registry)
         for _ in range(2):
             build_cell_chain(p, width=32, height=24)
-        hw = InProcessHyperwall(p, reduction=2, client_resolution=(32, 24))
+        hw = InProcessHyperwall(
+            p, WallGeometry(2, 1, tile_width=32, tile_height=24), reduction=2
+        )
         hw.execute_all()
-        result = hw.propagate_event("key", key="t")  # animation step
+        result = hw.broadcast_event("key", key="t")  # animation step
         assert len(result["server"]) == 2 and len(result["clients"]) == 2
         assert all(hw.consistency_check().values())
 

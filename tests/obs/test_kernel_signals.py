@@ -10,6 +10,7 @@ import numpy as np
 
 from repro import obs
 from repro.dv3d import DV3DCell, IsosurfacePlot
+from repro.hyperwall.display import WallGeometry
 from repro.hyperwall.inproc import InProcessHyperwall
 from repro.rendering.camera import Camera
 from repro.rendering.framebuffer import Framebuffer
@@ -62,10 +63,10 @@ def test_kernels_executor_and_wall_emit_their_signals(registry):
         executor.execute(pipeline)  # warm: the memo answers
 
         wall = InProcessHyperwall(
-            pipeline, reduction=4, client_resolution=(64, 48), max_workers=2
+            pipeline, WallGeometry(1, 1, tile_width=64, tile_height=48), reduction=4
         )
         wall.execute_all()
-        wall.propagate_event("key", key="c")  # the frames an event would send
+        wall.broadcast_event("key", key="c")  # the frames an event sends
 
     emitted = {span.name for span in rec.spans}
     assert [name for name in SPANS if name not in emitted] == []
