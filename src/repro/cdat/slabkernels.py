@@ -512,9 +512,6 @@ class ScalarStats:
     def variance_a(self) -> float:
         return self._second_moments()[0] / self.wtot
 
-    def variance_b(self) -> float:
-        return self._second_moments()[1] / self.wtot
-
     def covariance(self) -> float:
         return self._second_moments()[2] / self.wtot
 

@@ -198,9 +198,6 @@ class ESGFederation:
         )
         return dataset
 
-    def is_local(self, dataset_id: str) -> bool:
-        return dataset_id in self._local
-
 
 def default_federation(seed: str = "esg") -> ESGFederation:
     """A three-node federation publishing the synthetic case studies.

@@ -211,10 +211,6 @@ class Recorder:
         """Sum of a counter across all label combinations."""
         return sum(v for k, v in self.counters.items() if k.name == name)
 
-    def gauge_value(self, name: str, default: float = 0.0, **labels: Any) -> float:
-        """Last value of one gauge series (*default* if never set)."""
-        return self.gauges.get(MetricKey.make(name, labels), default)
-
     # -- lifecycle -----------------------------------------------------------
 
     def reset(self) -> None:

@@ -52,20 +52,19 @@ class ServingConfig:
         A tenant exceeding its quota evicts its *own* least-recent
         entries; other tenants' entries are never touched.
     slots:
-        Backend slots for sticky session affinity (0 = disabled, the
-        stateless pre-session behavior).  With ``slots > 0`` the server
-        routes every request through a :class:`~repro.serving.sessions.SlotPool`
-        — a session's frames serialize through one pinned slot and keep
-        hitting that slot's renderer/``_derived`` caches; a dead slot's
-        sessions re-pin to survivors.
+        Backend slots for sticky session affinity (0 = one shared
+        pool).  With ``slots > 0`` the server routes every request
+        through a :class:`~repro.serving.sessions.SlotPool` — a session's
+        frames serialize through one pinned slot; a dead slot's sessions
+        re-pin to survivors.
     speculation_budget:
         Maximum concurrent speculative next-frame renders (0 disables
         speculation).  Speculative work only launches when the demand
         queue is empty — idle backend capacity, never capacity demand
         traffic is waiting for.
     session_log_frames:
-        Per-session frame-log ring bound (0 = unbounded; the chaos
-        suite audits every frame, the wire endpoint replays from it).
+        Per-session frame ring bound, payloads included (0 = unbounded;
+        the chaos suite audits every frame, the wire endpoint replays it).
     """
 
     workers: int = 2

@@ -10,7 +10,7 @@ to remote clients over the versioned framed protocol of
                               <-    WELCOME {wire_version}
     OPEN {session, tenant,    ->
           resume_from}
-                              <-    OPENED {session, replay, next_seq}
+                              <-    OPENED {session, replay, next_seq, first_seq}
                               <-    FRAME * replay      (missed frames)
     RENDER {params}           ->
                               <-    FRAME {seq, status, source, digest}
@@ -18,15 +18,17 @@ to remote clients over the versioned framed protocol of
     CLOSE                     ->
                               <-    BYE
 
-Reconnect-with-resume: every frame served to a session is also logged
-in a per-session replay ring (seq, metadata, payload) before it goes on
-the wire.  A client whose connection dies mid-stream — the armed
-``serving.wire.send`` fault closes the socket, the deterministic stand-
-in for a network partition — reconnects and OPENs the same session with
-``resume_from`` set to the first sequence number it never received; the
-server replays the missed frames from the ring byte-identically, then
-the stream continues.  The ring is bounded by
-``ServingConfig.session_log_frames`` (oldest entries trimmed first).
+Reconnect-with-resume: the endpoint keeps no session state.  A ``FRAME``
+is the :class:`~repro.serving.sessions.SessionFrame` that ``submit``
+logged in the session's ring before returning, so before it goes on the
+wire.  A client whose connection dies mid-stream — the armed
+``serving.wire.send`` fault, the stand-in for a network partition —
+reconnects and OPENs the session with ``resume_from`` set to the first
+sequence number it never received; the server replays the missed frames
+from that ring byte-identically.  The ring keeps the last
+``ServingConfig.session_log_frames``: ``first_seq`` is the oldest seq
+replayed (``next_seq`` when none is), older frames asked for are counted
+in ``serving.wire.resume.lost``, and ``reconnect()`` raises on them.
 
 Protocol violations never hang a peer: a malformed, truncated, corrupt
 or wrong-version frame raises a typed
@@ -34,17 +36,16 @@ or wrong-version frame raises a typed
 server answers what it can with a ``KIND_ERROR`` frame before closing.
 
 The asyncio serving loop runs on a dedicated thread; connection threads
-bridge into it with ``run_coroutine_threadsafe``, so blocking socket
-I/O never stalls admission, coalescing or speculation.
+bridge into it with ``run_coroutine_threadsafe`` to render and to read a
+ring, so blocking socket I/O never stalls it and the ring needs no lock.
 """
 
 from __future__ import annotations
 
 import asyncio
-import hashlib
 import socket
 import threading
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional
 
 from repro import obs
 from repro.cache.store import ResultCache
@@ -52,6 +53,7 @@ from repro.serving import wire
 from repro.serving.config import ServingConfig
 from repro.serving.request import Request
 from repro.serving.server import Backend, ServingServer
+from repro.serving.sessions import SessionFrame
 from repro.util.errors import (
     ServingError,
     WireCorruptionError,
@@ -60,26 +62,6 @@ from repro.util.errors import (
     WireVersionError,
 )
 from repro.util.framing import WIRE_VERSION, WireFrame
-
-
-class _SessionLog:
-    """One session's replay ring: frames already served, by sequence."""
-
-    def __init__(self, bound: int) -> None:
-        self.bound = int(bound)
-        self.next_seq = 0
-        self.frames: List[Tuple[int, Dict[str, Any], bytes]] = []
-
-    def append(self, meta: Dict[str, Any], payload: bytes) -> int:
-        seq = self.next_seq
-        self.next_seq += 1
-        self.frames.append((seq, dict(meta, seq=seq), payload))
-        if self.bound and len(self.frames) > self.bound:
-            del self.frames[: len(self.frames) - self.bound]
-        return seq
-
-    def since(self, resume_from: int) -> List[Tuple[int, Dict[str, Any], bytes]]:
-        return [entry for entry in self.frames if entry[0] >= resume_from]
 
 
 class WireSessionServer:
@@ -98,8 +80,7 @@ class WireSessionServer:
         port: int = 0,
         io_timeout: float = 30.0,
     ) -> None:
-        self.config = config if config is not None else ServingConfig()
-        self.server = ServingServer(backend, config=self.config, cache=cache)
+        self.server = ServingServer(backend, config=config, cache=cache)
         self.io_timeout = float(io_timeout)
         self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
@@ -111,8 +92,7 @@ class WireSessionServer:
         self._accept_thread: Optional[threading.Thread] = None
         #: live connections: socket -> the thread serving it
         self._conn_threads: Dict[socket.socket, threading.Thread] = {}
-        self._lock = threading.Lock()
-        self._logs: Dict[str, _SessionLog] = {}
+        self._lock = threading.Lock()  # guards _conn_threads
         self._stopped = False
 
     # -- lifecycle -----------------------------------------------------------
@@ -215,7 +195,7 @@ class WireSessionServer:
             except OSError:
                 pass
         except OSError:
-            pass  # peer vanished; its session log survives for resume
+            pass  # peer vanished; the session's ring survives for resume
         finally:
             try:
                 conn.close()
@@ -246,50 +226,35 @@ class WireSessionServer:
                 if not session:
                     raise WireError("open frame carries no session id")
                 resume_from = int(frame.meta.get("resume_from", 0))
-                log = self._log_for(session)
-                replay = log.since(resume_from)
-                wire.write_frame(
-                    conn,
-                    WireFrame(
-                        wire.KIND_OPENED,
-                        {
-                            "session": session,
-                            "replay": len(replay),
-                            "next_seq": log.next_seq,
-                        },
-                    ),
+                replay, next_seq = self._submit_coro(
+                    self.server.replay(session, tenant, resume_from)
                 )
-                for _seq, meta, payload in replay:
+                first_seq = replay[0].seq if replay else next_seq
+                if first_seq > resume_from:  # the ring no longer reaches back
+                    obs.counter("serving.wire.resume.lost", first_seq - resume_from)
+                opened = {"session": session, "replay": len(replay),
+                          "next_seq": next_seq, "first_seq": first_seq}
+                wire.write_frame(conn, WireFrame(wire.KIND_OPENED, opened))
+                for logged in replay:
+                    meta = dict(logged.meta(), replayed=True)
                     wire.write_frame(
-                        conn,
-                        WireFrame(wire.KIND_FRAME, dict(meta, replayed=True), payload),
+                        conn, WireFrame(wire.KIND_FRAME, meta, logged.payload)
                     )
             elif frame.kind == wire.KIND_RENDER:
                 if not session:
                     raise WireError("render before open")
-                params = frame.meta.get("params", {})
-                response = self._submit_coro(
-                    self.server.submit(
+                logged = self._submit_coro(
+                    self._render(
                         Request(
                             kind=str(frame.meta.get("kind", "render")),
-                            params=params,
+                            params=frame.meta.get("params", {}),
                             tenant=tenant,
                             session=session,
                         )
                     )
                 )
-                payload = response.payload or b""
-                meta = {
-                    "status": response.status,
-                    "source": response.source if response.completed else "",
-                    "reason": response.reason,
-                    "key": response.digest,
-                    "digest": hashlib.sha256(payload).hexdigest(),
-                }
-                with self._lock:
-                    seq = self._log_for(session).append(meta, payload)
                 wire.write_frame(
-                    conn, WireFrame(wire.KIND_FRAME, dict(meta, seq=seq), payload)
+                    conn, WireFrame(wire.KIND_FRAME, logged.meta(), logged.payload)
                 )
             elif frame.kind == wire.KIND_CLOSE:
                 wire.write_frame(conn, WireFrame(wire.KIND_BYE))
@@ -297,11 +262,11 @@ class WireSessionServer:
             else:
                 raise WireError(f"unexpected frame kind {frame.kind!r}")
 
-    def _log_for(self, session: str) -> _SessionLog:
-        log = self._logs.get(session)
-        if log is None:
-            log = self._logs[session] = _SessionLog(self.config.session_log_frames)
-        return log
+    async def _render(self, request: Request) -> SessionFrame:
+        """Serve *request*; the frame ``submit`` logged for it."""
+        await self.server.submit(request)
+        # no suspension since submit logged it: the newest entry is this one
+        return self.server.sessions.get(request.session).frames[-1]
 
 
 class WireSessionClient:
@@ -309,7 +274,8 @@ class WireSessionClient:
 
     Tracks the next sequence number it expects, so
     :meth:`reconnect` can resume exactly where the stream broke and
-    receive every missed frame from the server's replay ring.
+    receive every missed frame from the session's ring.  ``first_seq``
+    is where the last ``OPENED`` said its replay starts.
     """
 
     def __init__(self, host: str, port: int, timeout: float = 30.0) -> None:
@@ -319,6 +285,7 @@ class WireSessionClient:
         self.session = ""
         self.tenant = "default"
         self.next_seq = 0
+        self.first_seq = 0
         self._sock: Optional[socket.socket] = None
 
     # -- connection ----------------------------------------------------------
@@ -338,10 +305,23 @@ class WireSessionClient:
     def open(
         self, session: str, tenant: str = "default", resume_from: Optional[int] = None
     ) -> List[WireFrame]:
-        """Open (or resume) *session*; returns the replayed frames."""
+        """Open (or resume) *session*; returns the replayed frames — from
+        ``first_seq`` on when the ring no longer reaches *resume_from*."""
+        resume = self.next_seq if resume_from is None else int(resume_from)
+        return self._open(session, tenant, resume, strict=False)
+
+    def reconnect(self) -> List[WireFrame]:
+        """Dial a fresh connection and resume mid-stream: every missed
+        frame, or a :class:`WireError` (and ``next_seq`` left alone)."""
+        self.close_socket()
+        self.connect()
+        return self._open(self.session, self.tenant, self.next_seq, strict=True)
+
+    def _open(
+        self, session: str, tenant: str, resume: int, strict: bool
+    ) -> List[WireFrame]:
         self.session = session
         self.tenant = tenant
-        resume = self.next_seq if resume_from is None else int(resume_from)
         wire.write_frame(
             self._require_sock(),
             WireFrame(
@@ -350,18 +330,19 @@ class WireSessionClient:
             ),
         )
         opened = self._expect(wire.KIND_OPENED)
+        self.first_seq = int(opened.meta.get("first_seq", resume))
+        if strict and self.first_seq > resume:
+            self.close_socket()
+            raise WireError(
+                f"cannot resume session {session!r} from seq {resume}: the "
+                f"oldest frame the server still holds is seq {self.first_seq}"
+            )
         replayed = []
         for _ in range(int(opened.meta.get("replay", 0))):
             frame = self._expect(wire.KIND_FRAME)
             self._account(frame)
             replayed.append(frame)
         return replayed
-
-    def reconnect(self) -> List[WireFrame]:
-        """Dial a fresh connection and resume the session mid-stream."""
-        self.close_socket()
-        self.connect()
-        return self.open(self.session, self.tenant, resume_from=self.next_seq)
 
     def close(self) -> None:
         sock = self._sock

@@ -39,37 +39,33 @@ dispatch path, and ``start()`` may be deferred — submissions enqueue
 and coalesce without any worker running, so "N identical requests,
 exactly one execution" is assertable without racing the event loop.
 
-Session-aware serving (``config.slots`` / ``config.speculation_budget``):
+Session-aware serving (``docs/session-serving.md`` has the long form):
 
-* **sticky affinity** — with ``slots > 0`` every execution routes
-  through a :class:`~repro.serving.sessions.SlotPool`; a session's
-  requests serialize through the slot the rendezvous router pins it
-  to, so with per-slot backends (``slot_backends``) a session's camera
-  orbits keep reaching the one backend that holds its live cell — and
-  the scene and last frame that cell keeps
-  (:meth:`~repro.dv3d.cell.DV3DCell.render`).
-  A slot that dies mid-request (crash, or the armed ``serving.slot``
-  fault site) is retired, its sessions re-pin to survivors, and the
-  request retries there — the caller still gets its frame;
+* **one record per session** — under every config a request naming a
+  ``session`` lands in its :class:`~repro.serving.sessions.SessionState`:
+  params in the history, the served frame (its ``FRAME`` header, the
+  payload hashed once, the payload bytes) in the ring the wire endpoint
+  sends and replays from — so in-process callers that pass a ``session``
+  keep up to ``config.session_log_frames`` payloads alive per session;
+* **sticky affinity** — with ``slots > 0`` every execution runs on the
+  :class:`~repro.serving.sessions.SlotPool` slot the rendezvous router
+  pins its session to.  A slot that dies mid-request (crash, or the
+  armed ``serving.slot`` fault site) is retired, its sessions re-pin to
+  survivors, and the request retries there;
 * **speculative rendering** — with ``speculation_budget > 0`` the
-  server predicts an animating/orbiting session's next frame from its
-  request history and pre-renders it on idle capacity through the same
-  backend path (byte-identical by construction); the speculative
-  result registers as an in-flight key (demand requests coalesce onto
-  it) and lands in the serving cache.  A misprediction cancels the
-  speculation, audits any stored cache entry back out, and counts
-  ``serving.speculative.waste``; a correct prediction counts
-  ``serving.speculative.hit``.
+  server pre-renders an animating/orbiting session's predicted next
+  frame on idle capacity through the same backend path: it registers as
+  an in-flight key and lands in the serving cache.  A misprediction is
+  cancelled, or audited back out (``serving.speculative.waste``).
 """
 
 from __future__ import annotations
 
 import asyncio
-import hashlib
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro import obs
 from repro.cache.store import ResultCache, ambient_cache
@@ -153,7 +149,6 @@ class ServingServer:
         cache: Optional[ResultCache] = None,
         clock: Callable[[], float] = time.monotonic,
         salt: Optional[str] = None,
-        slot_backends: Optional[Sequence[Backend]] = None,
     ) -> None:
         self.backend = backend
         self.config = config if config is not None else ServingConfig()
@@ -175,25 +170,11 @@ class ServingServer:
         self._workers: List["asyncio.Task[None]"] = []
         self._pool: Optional[ThreadPoolExecutor] = None
         self._closed = False
-        # -- session-aware state (inert when slots/speculation are off) --
+        # -- session-aware state --
         self.slot_pool: Optional[SlotPool] = None
         if self.config.slots > 0:
-            backends = (
-                list(slot_backends)
-                if slot_backends is not None
-                else [backend] * self.config.slots
-            )
-            if len(backends) != self.config.slots:
-                raise ServingError(
-                    f"slot_backends has {len(backends)} entries for "
-                    f"{self.config.slots} slots"
-                )
-            self.slot_pool = SlotPool(backends)
-        elif slot_backends is not None:
-            raise ServingError("slot_backends given but config.slots is 0")
-        self.sessions: Optional[SessionRegistry] = None
-        if self.config.slots > 0 or self.config.speculation_budget > 0:
-            self.sessions = SessionRegistry()
+            self.slot_pool = SlotPool([backend] * self.config.slots)
+        self.sessions = SessionRegistry()
         self._predictor = NextFramePredictor()
         self._speculations: Dict[str, "asyncio.Task[None]"] = {}
 
@@ -266,7 +247,7 @@ class ServingServer:
         Overload comes back as ``status="shed"`` (with a reason),
         backend failures as ``status="error"`` — only lifecycle misuse
         raises.  For session-carrying requests the submission also
-        feeds the session's history/frame log and reconciles any
+        feeds the session's history and frame ring and reconciles any
         outstanding speculation (hit, or cancelled-and-audited waste).
         """
         if self._closed:
@@ -276,7 +257,7 @@ class ServingServer:
         obs.counter("serving.requests", tenant=request.tenant, kind=request.kind)
 
         state: Optional[SessionState] = None
-        if self.sessions is not None and request.session:
+        if request.session:
             state = self.sessions.observe(request.session, request.tenant)
             obs.counter("serving.sessions.requests", tenant=request.tenant)
             self._reconcile_speculation(state, key)
@@ -285,10 +266,14 @@ class ServingServer:
         response = await self._serve(request, key, t0)
 
         if state is not None:
-            self._log_frame(state, key, response)
+            state.log(key, response, self.config.session_log_frames)
             if response.completed and not self._closed:
                 self._maybe_speculate(state, request)
-        return self._finish(response)
+        if obs.enabled():
+            obs.histogram(
+                "serving.latency.seconds", response.latency_s, status=response.status
+            )
+        return response
 
     async def _serve(self, request: Request, key: str, t0: float) -> Response:
         """The pre-session serving pipeline: coalesce / cache / admit / queue."""
@@ -303,7 +288,8 @@ class ServingServer:
         if cache is not None:
             found, payload = cache.get(key, site="serving")
             if found:
-                self.quota.touch(request.tenant, key)
+                if self.quota.enforcing:
+                    self.quota.touch(request.tenant, key)
                 obs.counter("serving.cache.served", tenant=request.tenant)
                 return Response(
                     STATUS_OK, payload=payload, digest=key, source="cache",
@@ -333,13 +319,6 @@ class ServingServer:
             obs.gauge("serving.inflight", len(self._inflight))
         base = await entry.future
         return base.fan_out(request.tenant, self.clock() - t0, coalesced=False)
-
-    def _finish(self, response: Response) -> Response:
-        if obs.enabled():
-            obs.histogram(
-                "serving.latency.seconds", response.latency_s, status=response.status
-            )
-        return response
 
     # -- workers -------------------------------------------------------------
 
@@ -436,11 +415,7 @@ class ServingServer:
         last_death: Optional[SlotDeadError] = None
         for _ in range(len(self.slot_pool.live_slots) + 1):
             slot = self.slot_pool.slot_for(request.session, fallback_key=key)
-            state = (
-                self.sessions.get(request.session)
-                if self.sessions is not None and request.session
-                else None
-            )
+            state = self.sessions.get(request.session)
             if state is not None:
                 state.pin(slot.id)
             try:
@@ -449,10 +424,7 @@ class ServingServer:
                 )
             except SlotDeadError as exc:
                 last_death = exc
-                self.slot_pool.retire(
-                    slot.id,
-                    self.sessions.states() if self.sessions is not None else (),
-                )
+                self.slot_pool.retire(slot.id, self.sessions.states())
         raise last_death if last_death is not None else ServingError(
             "no live slots"
         )
@@ -473,33 +445,17 @@ class ServingServer:
             raise SlotDeadError(f"slot {slot.id} died: {exc}") from exc
         payload = slot.backend(request, degraded)
         slot.frames += 1
-        if request.session:
-            slot.sessions_seen.add(request.session)
         return payload
 
     # -- sessions and speculation --------------------------------------------
 
-    def _log_frame(self, state: SessionState, key: str, response: Response) -> None:
-        """Account one served frame in the session's FrameRecord-style log."""
-        digest = (
-            hashlib.sha256(response.payload).hexdigest()
-            if response.payload is not None
-            else ""
-        )
-        state.frames.append(
-            SessionFrame(
-                seq=state.next_seq(),
-                key=key,
-                status=response.status,
-                source=(response.source if response.completed else response.reason)
-                or "",
-                digest=digest,
-                slot=state.slot,
-            )
-        )
-        bound = self.config.session_log_frames
-        if bound and len(state.frames) > bound:
-            del state.frames[: len(state.frames) - bound]
+    async def replay(
+        self, session: str, tenant: str, resume_from: int
+    ) -> Tuple[List[SessionFrame], int]:
+        """*session*'s ring from *resume_from* on, and its next seq — a
+        coroutine, so other threads read the ring on the loop that writes it."""
+        state = self.sessions.observe(session, tenant)
+        return [f for f in state.frames if f.seq >= resume_from], state.next_seq
 
     def _reconcile_speculation(self, state: SessionState, key: str) -> None:
         """Judge the session's outstanding speculation against reality.
@@ -515,7 +471,6 @@ class ServingServer:
             return
         state.speculation = None
         if spec.key == key:
-            spec.hit = True
             obs.counter("serving.speculative.hit", tenant=state.tenant)
             return
         obs.counter("serving.speculative.waste", tenant=state.tenant)
@@ -559,7 +514,7 @@ class ServingServer:
                 return  # the predicted frame is already a guaranteed hit
         loop = asyncio.get_running_loop()
         self._inflight[spec_key] = _Inflight(future=loop.create_future(), waiters=0)
-        spec = Speculation(key=spec_key, params=predicted)
+        spec = Speculation(key=spec_key)
         task = loop.create_task(
             self._speculate(spec_request, spec_key, spec),
             name=f"repro-serving-speculate-{spec_key[:8]}",
@@ -629,6 +584,8 @@ class ServingServer:
         if cache is None:
             return
         cache.put(key, payload, site="serving")
+        if not self.quota.enforcing:
+            return  # no bound to enforce: nothing would ever leave the ledger
         for evicted_key in self.quota.charge(
             tenant, key, len(payload) if payload else 0
         ):
@@ -645,10 +602,9 @@ class ServingServer:
             "ewma_service_s": self.admission.ewma_service_s,
             "quota": self.quota.stats(),
             "closed": self._closed,
+            "sessions": len(self.sessions),
+            "speculations_inflight": len(self._speculations),
         }
-        if self.sessions is not None:
-            snapshot["sessions"] = len(self.sessions)
-            snapshot["speculations_inflight"] = len(self._speculations)
         if self.slot_pool is not None:
-            snapshot["slots"] = self.slot_pool.stats()
+            snapshot["slots"] = self.slot_pool.stats(self.sessions.states())
         return snapshot

@@ -19,11 +19,11 @@ instead:
   the volume's ``ImageData._derived`` caches.
   Slots can die (a crash, or the armed ``serving.slot`` fault site);
   the pool retires them and the router re-pins;
-* :class:`SessionRegistry` / :class:`SessionState` — per-session
-  request history (the speculative predictor's input) and a
-  :class:`SessionFrame` log in the style of the streaming animator's
-  ``FrameRecord``: every frame a session was served is accounted with
-  its sequence number, digest and provenance.
+* :class:`SessionRegistry` / :class:`SessionState` — the one record of
+  a session: request history (the speculative predictor's input), pin,
+  and the :class:`SessionFrame` ring — each served frame as the wire
+  advertises it (sequence number, status, provenance, payload digest)
+  plus its payload, which is what the wire endpoint sends and replays.
 
 Observability: ``serving.sessions.opened`` / ``serving.sessions.repinned``
 counters and the ``serving.sessions.active`` gauge.
@@ -33,11 +33,13 @@ from __future__ import annotations
 
 import hashlib
 import threading
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro import obs
+from repro.serving.request import Response
 from repro.util.errors import ServingError
 
 #: sessions are plain opaque strings (Request.session)
@@ -109,16 +111,23 @@ class SessionFrame:
 
     ``source`` says who produced the pixels: ``render`` (demand),
     ``cache`` (serving-cache hit), ``speculative`` (a pre-rendered
-    next-frame the session then asked for), or the degradation sources
-    the server already reports.
+    next-frame the session then asked for); a frame without pixels
+    (shed, error) has ``reason`` instead.  ``digest`` hashes ``payload``.
     """
 
     seq: int
-    key: str
     status: str
     source: str
+    reason: str
+    key: str
     digest: str
     slot: str = ""
+    payload: bytes = b""
+
+    def meta(self) -> Dict[str, Any]:
+        """The ``FRAME`` header this record goes on the wire under."""
+        names = ("status", "source", "reason", "key", "digest", "seq")
+        return {name: getattr(self, name) for name in names}
 
 
 class SessionState:
@@ -134,15 +143,16 @@ class SessionState:
         self.tenant = tenant
         #: most-recent request params, oldest first
         self.history: List[Mapping[str, Any]] = []
-        #: FrameRecord-style accounting of every served frame
+        #: the frame ring: the last ``session_log_frames`` served frames
         self.frames: List[SessionFrame] = []
+        #: the sequence number the next served frame gets
+        self.next_seq = 0
         #: the slot this session's last request ran on (router decision)
         self.slot: str = ""
         #: slots this session has been pinned to, in order (re-pin audit)
         self.slot_history: List[str] = []
         #: the one outstanding speculation for this session, if any
         self.speculation: Optional["Speculation"] = None
-        self._seq = 0
 
     def observe(self, params: Mapping[str, Any]) -> None:
         self.history.append(dict(params))
@@ -153,10 +163,25 @@ class SessionState:
             self.slot = slot_id
             self.slot_history.append(slot_id)
 
-    def next_seq(self) -> int:
-        seq = self._seq
-        self._seq += 1
-        return seq
+    def log(self, key: str, response: Response, bound: int) -> None:
+        """Account one served frame — the one place its payload is
+        hashed — and keep the last *bound* (0: all)."""
+        payload = response.payload or b""
+        self.frames.append(
+            SessionFrame(
+                seq=self.next_seq,
+                status=response.status,
+                source=response.source if response.completed else "",
+                reason=response.reason,
+                key=key,
+                digest=hashlib.sha256(payload).hexdigest(),
+                slot=self.slot,
+                payload=payload,
+            )
+        )
+        self.next_seq += 1
+        if bound:
+            del self.frames[:-bound]
 
 
 @dataclass
@@ -164,10 +189,8 @@ class Speculation:
     """One in-flight (or completed) speculative next-frame render."""
 
     key: str
-    params: Mapping[str, Any]
     task: Optional[Any] = None  # asyncio.Task while rendering
     stored: bool = False  # payload reached the serving cache
-    hit: bool = False  # the session demanded the predicted frame
 
 
 class SessionRegistry:
@@ -205,17 +228,15 @@ class BackendSlot:
     executor: ThreadPoolExecutor
     alive: bool = True
     frames: int = 0
-    sessions_seen: set = field(default_factory=set)
 
 
 class SlotPool:
     """The fixed set of backend slots the affinity router routes over.
 
     Every slot runs one request at a time on its own thread, so a
-    session pinned to a slot gets strict per-session ordering and warm
-    per-slot caches.  ``kill`` (tests) or an armed ``serving.slot``
-    fault marks a slot dead; :meth:`retire` removes it from the router
-    and reports which sessions were re-pinned where.
+    session pinned to a slot gets strict per-session ordering.  ``kill``
+    (tests) or an armed ``serving.slot`` fault marks a slot dead;
+    :meth:`retire` removes it from the router and reports the re-pins.
     """
 
     def __init__(self, backends: Sequence[Any], router: Optional[AffinityRouter] = None) -> None:
@@ -289,12 +310,14 @@ class SlotPool:
         for slot in self._slots.values():
             slot.executor.shutdown(wait=True)
 
-    def stats(self) -> Dict[str, Dict[str, Any]]:
+    def stats(self, sessions: Sequence[SessionState] = ()) -> Dict[str, Dict[str, Any]]:
+        """Per slot: liveness, frames run, and how many of *sessions* it holds."""
+        pinned = Counter(state.slot for state in sessions)
         return {
             slot.id: {
                 "alive": slot.alive,
                 "frames": slot.frames,
-                "sessions": len(slot.sessions_seen),
+                "sessions": pinned[slot.id],
             }
             for slot in self._slots.values()
         }

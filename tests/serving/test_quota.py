@@ -161,3 +161,22 @@ class TestQuotaThroughServer:
         # exactly one tenant was charged, exactly once
         assert sum(s["charged"] for s in stats.values()) == 1
         assert sum(s["entries"] for s in stats.values()) == 1
+
+    def test_no_quota_set_means_no_ledger_growth(self, backend):
+        """With both bounds 0 nothing would ever leave the ledger (the
+        cache's own LRU never tells it), so nothing may enter it."""
+
+        async def scenario():
+            cache = memory_cache(entries=8)
+            server = ServingServer(backend, config=ServingConfig(), cache=cache)
+            async with server:
+                for i in range(200):
+                    await server.submit(Request(params={"scene": i}))
+                await server.submit(Request(params={"scene": 199}))  # a hit
+            return cache, server
+
+        cache, server = asyncio.run(scenario())
+        assert cache.stats()["memory_entries"] == 8
+        assert not server.quota.enforcing
+        assert server.quota.totals() == (0, 0)
+        assert server.quota.holdings("default") == []

@@ -24,7 +24,6 @@ import pytest
 from repro import obs
 from repro.resilience import faults
 from repro.serving import Request, ServingConfig, ServingServer
-from repro.util.errors import ServingError
 
 from tests.serving.conftest import CountingBackend, memory_cache
 
@@ -215,14 +214,3 @@ def test_sessionless_requests_route_by_request_key():
             assert sum(s["frames"] for s in stats["slots"].values()) == 1
     run(scenario())
 
-
-def test_slot_backends_must_match_slot_count():
-    backend = CountingBackend()
-    with pytest.raises(ServingError):
-        ServingServer(
-            backend,
-            config=ServingConfig(slots=3),
-            slot_backends=[backend, backend],
-        )
-    with pytest.raises(ServingError):
-        ServingServer(backend, config=ServingConfig(), slot_backends=[backend])
