@@ -1,10 +1,10 @@
 """Ablation — vectorized ray casting vs a naive per-ray Python loop.
 
 The session coding guides demand vectorized inner loops; this ablation
-quantifies why.  The production ray caster marches all active rays in
-lock-step with one ``map_coordinates`` call per step; the reference
-implementation below is the textbook per-ray loop.  Both produce the
-same image (asserted), at wildly different cost.
+quantifies why.  The production ray caster marches all active rays a
+block of steps at a time, with one ``map_coordinates`` call per block;
+the reference implementation below is the textbook per-ray loop.  Both
+produce the same image (asserted), at wildly different cost.
 """
 
 from __future__ import annotations

@@ -42,7 +42,7 @@ class ImageData:
         self.spacing = tuple(float(v) for v in spacing)
         self._arrays: Dict[str, np.ndarray] = {}
         self._active_scalars: Optional[str] = None
-        #: per-array derived products (gradients, min/max pyramids) —
+        #: per-array derived products (gradients, per-cell min/max) —
         #: invalidated whenever the array is (re)attached
         self._derived: Dict[tuple, object] = {}
 
@@ -158,10 +158,19 @@ class ImageData:
         *points_world* is ``(n, 3)``; points outside the grid yield
         *fill*.  Uses :func:`scipy.ndimage.map_coordinates` (order 1).
         """
+        idx = self.world_to_index(np.atleast_2d(points_world)).T  # (3, n)
+        return self.sample_index(idx, name, fill)
+
+    def sample_index(
+        self,
+        idx: np.ndarray,
+        name: Optional[str] = None,
+        fill: float = np.nan,
+    ) -> np.ndarray:
+        """:meth:`sample` at continuous index coordinates shaped ``(3, n)``."""
         arr = self.get_array(name or self.active_scalars_name)
         if arr.ndim != 3:
             raise RenderingError("sample() requires a scalar array")
-        idx = self.world_to_index(np.atleast_2d(points_world)).T  # (3, n)
         # output dtype pinned to the array's own (float32) — relying on
         # the implicit default would let a library change silently
         # promote samples and shift goldens/cache digests
@@ -238,7 +247,21 @@ class ImageData:
             self._derived[key] = cached
         return cached  # type: ignore[return-value]
 
-    def min_max_pyramid(self, name: Optional[str] = None, tile: int = 4):
+    def gradient_has_inf(self, name: Optional[str] = None) -> bool:
+        """Whether :meth:`gradient` holds any ±inf (cached per array).
+
+        Only then can a gradient-shaded sample be NaN: the ray caster
+        asks before it shades only the samples that carry opacity.
+        """
+        name = name or self.active_scalars_name
+        key = (name, "gradient_has_inf")
+        cached = self._derived.get(key)
+        if cached is None:
+            cached = bool(np.isinf(self.gradient(name)).any())
+            self._derived[key] = cached
+        return cached  # type: ignore[return-value]
+
+    def min_max_pyramid(self, name: Optional[str] = None):
         """The cached :class:`repro.rendering.accel.MinMaxPyramid` of an array.
 
         Built lazily on first use and re-used by every subsequent
@@ -248,12 +271,12 @@ class ImageData:
         from repro.rendering.accel import MinMaxPyramid
 
         name = name or self.active_scalars_name
-        key = (name, "minmax", int(tile))
+        key = (name, "minmax")
         cached = self._derived.get(key)
         if cached is None:
             arr = self.get_array(name)
             if arr.ndim != 3:
                 raise RenderingError("min_max_pyramid() requires a scalar array")
-            cached = MinMaxPyramid.build(arr, tile=tile)
+            cached = MinMaxPyramid.build(arr)
             self._derived[key] = cached
         return cached

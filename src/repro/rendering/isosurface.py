@@ -99,8 +99,8 @@ def marching_tetrahedra(
         Merge coincident vertices so shared edges produce shared points
         (needed for smooth point normals).  Costs one vertex sort.
     accelerate:
-        Preselect candidate cells with the volume's min/max tile
-        pyramid: only cells whose tile straddles the isovalue are
+        Preselect candidate cells with the volume's per-cell min/max
+        bounds: only cells whose bounds straddle the isovalue are
         classified.  A skipped cell provably yields no triangles for
         any of its six tetrahedra, so the output is array-identical
         with acceleration on or off (the flag exists for differential
@@ -146,15 +146,14 @@ def candidate_cells(
 ) -> np.ndarray:
     """Conservative boolean cell mask of isovalue-straddling candidates.
 
-    Uses the volume's cached min/max pyramid: a ``False`` cell has no
+    Uses the volume's cached per-cell bounds: a ``False`` cell has no
     corner above the isovalue or none at-or-below it, so every one of
-    its tetrahedra classifies to the empty case.  Exact — the pyramid
-    stores corner-value bounds and treats non-finite voxels as
+    its tetrahedra classifies to the empty case.  Exact — the bounds
+    are over corner values and treat non-finite voxels as
     unbounded-below, matching the NaN → ``-inf`` mapping of
     :func:`marching_tetrahedra`.
     """
-    pyramid = volume.min_max_pyramid(array_name)
-    return pyramid.cell_mask(pyramid.straddling(isovalue))
+    return volume.min_max_pyramid(array_name).straddling(isovalue)
 
 
 def _triangle_points(

@@ -7,27 +7,48 @@ the scalar field is trilinearly sampled at fixed world-space steps, the
 transfer function converts samples to (color, opacity), and samples
 composite front-to-back with early termination.
 
-Vectorization strategy (per the session guides): all rays advance in
-lock-step through one Python loop over *steps*; each step samples every
-still-active ray with a single ``map_coordinates`` call.  Rays whose
-transmittance drops below a threshold, or that pass behind already-
-rasterized opaque geometry (the framebuffer depth), are retired from
-the active set.
+Only samples that can contribute are evaluated, and the march advances
+a block of steps per round of numpy calls:
 
-Empty-space skipping: a cached per-tile min/max pyramid
-(:mod:`repro.rendering.accel`) marks tiles whose value bounds fall
-entirely outside the opacity transfer function's support — every
-sample in such a tile has opacity *exactly* zero, so it is never
-evaluated.  Rays are clipped to the occupied region's bounding box
-(skipping leading/trailing all-blocked runs without changing the
-fixed ``t_enter + k*step`` sample positions), and inside the box each
-step only samples rays currently inside a potentially-contributing
-tile.  Skipped samples would have contributed nothing byte-for-byte,
-so the output is bitwise identical with skipping on or off.
+* **Empty-space skipping, per cell.**  The volume's cached per-cell
+  min/max bounds (:mod:`repro.rendering.accel`) mark cells whose corner
+  values fall entirely outside the opacity transfer function's support
+  — every sample in such a cell has opacity *exactly* zero.  Rays are
+  clipped to the occupied cells' bounding box (skipping leading and
+  trailing all-blocked runs without changing the fixed sample
+  positions), and inside it only samples in a live cell are sampled.
+* **Shading only visible samples.**  Gradient lighting and compositing
+  run only on samples with opacity > 0: a zero-opacity sample adds
+  ``(T·0)·rgb = +0`` and multiplies transmittance by exactly 1.  The
+  one exception is a NaN shade, which needs a ±inf gradient; for such
+  a volume every live sample is shaded and composited.
+* **K steps per block.**  The active rays advance
+  ``K = _SAMPLE_BUDGET // rays`` steps at a time (at least 1, at most
+  ``_MAX_BLOCK_STEPS``).  A block lays out every ray's K sample
+  positions by repeated addition (``t, t + step, (t + step) + step,
+  …`` — never ``t + k·step``, which rounds differently), tests, samples
+  and shades them in one call each, and composites along the step axis
+  with a running product of ``1 − α`` and a running sum of
+  ``(T·α)·rgb``.  Block arrays are step-major, so each running
+  product / sum is one vectorised multiply / add per step over every
+  ray of the block, in step order: every ray sees the same float
+  operations in the same order as a march of one step per iteration.
+  (``np.multiply.accumulate`` / ``np.add.accumulate`` give the same
+  bytes but run one inner loop per ray along the short step axis: 5–70×
+  slower with 1k–300k rays in a block.)  A ray's result is read after
+  the step at which it would retire (transmittance at or below
+  ``_MIN_TRANSMITTANCE``, or past the end of its interval); a prefix
+  never depends on later steps, so the samples past it are wasted work,
+  not error.  Rays are compacted between blocks.
 
-Every per-ray quantity is computed strictly elementwise (no batched
-BLAS reductions whose rounding could depend on cohort size), so a
-pixel's value does not depend on how many other rays share its frame.
+Every elimination is exact: the output is byte-identical to the march
+of one step per iteration — all active rays in lock-step through one
+Python loop over steps — kept as the oracle in
+``tests/rendering/reference_raycast.py``, and so are the sample,
+skipped-sample and step counts.  Every per-ray quantity is computed
+strictly elementwise (no batched BLAS reductions whose rounding could
+depend on cohort size), so a pixel's value does not depend on how many
+other rays share its frame or its block.
 """
 
 from __future__ import annotations
@@ -44,6 +65,14 @@ from repro.rendering.transfer_function import TransferFunction
 from repro.util.errors import RenderingError
 
 _MIN_TRANSMITTANCE = 5e-3
+
+#: samples one block of the march may lay out: bounds rays × K the way
+#: the rasterizer's ``_FRAGMENT_BUDGET`` bounds fragments
+_SAMPLE_BUDGET = 1 << 14
+
+#: most steps one block marches — past early termination a longer block
+#: lays out samples no ray reaches
+_MAX_BLOCK_STEPS = 16
 
 
 def _ray_box_intersection(
@@ -92,19 +121,18 @@ def _skip_setup(
     transfer: TransferFunction,
     name: str,
 ):
-    """Empty-space-skipping state: (live-tile flat mask, tile shape, world box).
+    """Empty-space-skipping state: (live-cell flat mask, cell shape, world box).
 
     Returns ``None`` when skipping is unavailable (degenerate volume),
     and ``(None, None, None)`` when *nothing* can contribute (opacity
-    support empty, or every tile blocked).
+    support empty, or every cell blocked).
     """
     if min(volume.dimensions) < 2:
         return None
     support = transfer.opacity_support()
-    pyramid = volume.min_max_pyramid(name)
-    level = pyramid.levels[0]
     if support is None:
         return (None, None, None)
+    pyramid = volume.min_max_pyramid(name)
     blocked = pyramid.blocked_outside(support[0], support[1])
     cell_bounds = pyramid.active_cell_bounds(~blocked)
     if cell_bounds is None:
@@ -117,7 +145,67 @@ def _skip_setup(
         float(lo_w[1]), float(hi_w[1]),
         float(lo_w[2]), float(hi_w[2]),
     )
-    return (~blocked).ravel(), level.shape, box
+    return (~blocked).ravel(), blocked.shape, box
+
+
+def _shading(gradient: np.ndarray, idx: np.ndarray, light: np.ndarray) -> np.ndarray:
+    """Lambertian shade factor at index coordinates ``(3, n)``."""
+    g = np.empty((idx.shape[1], 3), dtype=np.float64)
+    for c in range(3):
+        g[:, c] = ndimage.map_coordinates(
+            gradient[..., c], idx, order=1, mode="nearest", prefilter=False,
+        )
+    glen = np.linalg.norm(g, axis=1)
+    return np.where(
+        glen > 1e-12,
+        0.4 + 0.6 * np.abs(_rows_dot(g / np.maximum(glen, 1e-12)[:, None], light)),
+        1.0,
+    )
+
+
+def _composite(
+    pos: np.ndarray,
+    alpha: np.ndarray,
+    rgb: np.ndarray,
+    k: int,
+    trans: np.ndarray,
+    col: np.ndarray,
+    ok: np.ndarray,
+) -> None:
+    """Composite one block's visible samples into its rays, in place.
+
+    *pos* are the samples' step-major flat positions (step j of ray r is
+    ``j * n + r``), ascending.  Only rays with a visible sample get a
+    column: row 0 holds the ray's transmittance / color before the
+    block, row j + 1 the factor ``1 − α`` / the term ``(T·α)·rgb`` of its
+    step j (1 and 0 where the step is invisible), and one multiply / add
+    per step runs them in step order — the single-step loop's own
+    operations.  *ok* (per ray, after how many steps it still marches
+    on, by its interval) is lowered where transmittance falls to the
+    threshold, and each ray's transmittance and color are read after its
+    last step.
+    """
+    n = ok.size
+    step_of, ray = np.divmod(pos, n)
+    has = np.zeros(n, dtype=bool)
+    has[ray] = True
+    rows = np.flatnonzero(has)
+    width = rows.size
+    before = step_of * width + (np.cumsum(has) - 1)[ray]
+    tr = np.ones((k + 1, width))
+    tr[0] = trans[rows]
+    tr.reshape(-1)[before + width] = 1.0 - alpha
+    for j in range(k):
+        np.multiply(tr[j], tr[j + 1], out=tr[j + 1])
+    c = np.zeros((k + 1, width, 3))
+    col.take(rows, axis=0, out=c[0])
+    c.reshape(-1, 3)[before + width] = (tr.reshape(-1)[before] * alpha)[:, None] * rgb
+    for j in range(k):
+        np.add(c[j], c[j + 1], out=c[j + 1])
+    ok[rows] = np.minimum(ok[rows], np.count_nonzero(tr[1:] > _MIN_TRANSMITTANCE, axis=0))
+    last = np.minimum(ok[rows] + 1, k) * width + np.arange(width)
+    trans[rows] = tr.reshape(-1)[last]
+    col[rows] = c.reshape(-1, 3).take(last, axis=0)
 
 
 def raycast_volume(
@@ -131,7 +219,6 @@ def raycast_volume(
     depth_limit: Optional[np.ndarray] = None,
     lighting: bool = True,
     light_direction: Tuple[float, float, float] = (0.4, -0.5, 0.8),
-    empty_space_skipping: bool = True,
 ) -> np.ndarray:
     """Render *volume* → an ``(height, width, 4)`` float32 RGBA image.
 
@@ -145,9 +232,6 @@ def raycast_volume(
         geometry; rays stop there so opaque geometry occludes volume.
     lighting:
         Modulate sample colors by gradient-based Lambertian shading.
-    empty_space_skipping:
-        Use the min/max tile pyramid to avoid evaluating samples whose
-        opacity is provably zero.  Bitwise identical on or off.
     """
     if width < 1 or height < 1:
         raise RenderingError("bad image size")
@@ -179,12 +263,12 @@ def raycast_volume(
 
         # -- empty-space skipping setup --------------------------------------
         live_flat: Optional[np.ndarray] = None
-        tile_shape: Optional[Tuple[int, int, int]] = None
+        cell_shape: Optional[Tuple[int, int, int]] = None
         t_start, t_limit = t_enter, t_exit
-        skip = _skip_setup(volume, transfer, name) if empty_space_skipping else None
+        skip = _skip_setup(volume, transfer, name)
         nothing_contributes = False
         if skip is not None:
-            live_flat, tile_shape, occupied_box = skip
+            live_flat, cell_shape, occupied_box = skip
             if live_flat is None:
                 nothing_contributes = True
             else:
@@ -200,85 +284,96 @@ def raycast_volume(
         hit = (t_enter < t_exit) & (t_start < t_limit)
         if nothing_contributes:
             hit = np.zeros(n_rays, dtype=bool)
-        t_current = np.where(hit, t_start, np.inf)
-        active = np.nonzero(hit)[0]
 
         gradient = volume.gradient(name) if lighting else None
-        light = np.asarray(light_direction, dtype=np.float64)
+        # a NaN shade poisons even a zero-opacity sample's (T·0)·rgb
+        shade_all = lighting and volume.gradient_has_inf(name)
+        light = np.array(light_direction, dtype=np.float64)
         light /= max(np.linalg.norm(light), 1e-30)
 
         # opacity correction reference: transfer functions are defined per
         # unit step of the smallest spacing
         reference_step = float(min(volume.spacing))
-        if tile_shape is not None:
-            cell_hi = np.array(
-                [max(d - 2, 0) for d in volume.dimensions], dtype=np.float64
-            )
-            tile_edge = volume.min_max_pyramid(name).tile
+        exponent = step / reference_step
+        origin = np.asarray(volume.origin)[:, None, None]
+        spacing = np.asarray(volume.spacing)[:, None, None]
 
         # instrumentation state is accumulated in plain locals so the
-        # per-step cost with recording off is a single branch
+        # per-block cost with recording off is a single branch
         _obs_on = obs.enabled()
         _samples = 0
         _skipped = 0
         _steps = 0
 
+        # the active rays, compacted: pixel id, origin and direction
+        # (3, n), next t, interval end, transmittance and color so far
+        ids = np.nonzero(hit)[0]
+        o = np.ascontiguousarray(origins[ids].T)
+        d = np.ascontiguousarray(dirs[ids].T)
+        t, t_end = t_start[ids], t_limit[ids]
+        trans = np.ones(ids.size)
+        col = np.zeros((ids.size, 3))
         max_steps = int(np.ceil(volume.diagonal() / step)) + 2
-        for _ in range(max_steps):
-            if active.size == 0:
-                break
-            t = t_current[active]
-            pts = origins[active] + dirs[active] * t[:, None]
+        done = 0
+        while ids.size and done < max_steps:
+            n = ids.size
+            k = max(1, min(_SAMPLE_BUDGET // n, _MAX_BLOCK_STEPS, max_steps - done))
+            # block arrays are step-major — sample (j, r) is j-th step of
+            # ray r, flat j * n + r — so each running product and sum
+            # below is one vectorised call per step, in step order
+            ts = np.empty((k + 1, n))
+            ts[0] = t
+            for j in range(k):
+                np.add(ts[j], step, out=ts[j + 1])
+            pts = o[:, None, :] + d[:, None, :] * ts[:k]
+            idx = ((pts - origin) / spacing).reshape(3, k * n)
             if live_flat is None:
-                live = None
-                sub = active
-                spts = pts
+                live = np.arange(k * n)
             else:
-                idxf = volume.world_to_index(pts)
-                cell = np.clip(np.floor(idxf), 0.0, cell_hi).astype(np.intp)
-                tx, ty, tz = (cell // tile_edge).T
-                flat = (tx * tile_shape[1] + ty) * tile_shape[2] + tz
-                live = live_flat[flat]
-                sub = active[live]
-                spts = pts[live]
-            if _obs_on:
-                _samples += int(sub.size)
-                _skipped += int(active.size - sub.size)
-                _steps += 1
-            if sub.size:
-                samples = volume.sample(spts, name=name)
-                rgb, alpha = transfer.evaluate(samples)
-                # correct opacity for the actual step length
-                alpha = 1.0 - np.power(
-                    1.0 - np.clip(alpha, 0.0, 0.999), step / reference_step
+                cells = np.floor(idx).astype(np.intp)
+                flat = np.ravel_multi_index(cells, cell_shape, mode="clip")
+                live = np.flatnonzero(live_flat[flat])
+
+            # after how many of the block's steps each ray still marches
+            # on: it takes min(ok + 1, k) steps and survives the block
+            # iff ok == k.  Both keep tests hold on a prefix of the block
+            # (t only grows, transmittance only shrinks), so a count of
+            # passes is the step of the first failure.
+            ok = np.count_nonzero(ts[1:] < t_end, axis=0)
+            if live.size:
+                # (2-D gathers go through take(): fancy indexing copies
+                # rows several times slower)
+                rgb, alpha = transfer.evaluate(
+                    volume.sample_index(idx.take(live, axis=1), name)
                 )
-                if gradient is not None:
-                    idx = (idxf[live] if live is not None
-                           else volume.world_to_index(spts)).T
-                    g = np.empty((spts.shape[0], 3), dtype=np.float64)
-                    for c in range(3):
-                        g[:, c] = ndimage.map_coordinates(
-                            gradient[..., c], idx, order=1, mode="nearest",
-                            prefilter=False,
-                        )
-                    glen = np.linalg.norm(g, axis=1)
-                    shading = np.where(
-                        glen > 1e-12,
-                        0.4 + 0.6 * np.abs(
-                            _rows_dot(g / np.maximum(glen, 1e-12)[:, None], light)
-                        ),
-                        1.0,
-                    )
-                    rgb = rgb * shading[:, None]
-                tr = transmittance[sub]
-                color[sub] += (tr * alpha)[:, None] * rgb
-                transmittance[sub] = tr * (1.0 - alpha)
-            t_current[active] = t + step
-            keep = (
-                (transmittance[active] > _MIN_TRANSMITTANCE)
-                & (t_current[active] < t_limit[active])
-            )
-            active = active[keep]
+                alpha = 1.0 - np.power(1.0 - np.clip(alpha, 0.0, 0.999), exponent)
+                pos = live
+                if not shade_all:
+                    vis = np.flatnonzero(alpha)
+                    pos, alpha, rgb = live[vis], alpha[vis], rgb.take(vis, axis=0)
+                if gradient is not None and pos.size:
+                    rgb = rgb * _shading(gradient, idx.take(pos, axis=1), light)[:, None]
+                _composite(pos, alpha, rgb, k, trans, col, ok)
+            if _obs_on:
+                taken = np.minimum(ok + 1, k)
+                step_of, ray = np.divmod(live, n)
+                counted = np.count_nonzero(step_of < taken[ray])
+                _samples += counted
+                _skipped += int(taken.sum()) - counted
+                _steps += int(taken.max())
+            done += k
+            alive = ok == k
+            if alive.all():
+                t = ts[k]
+                continue
+            gone = ~alive
+            transmittance[ids[gone]] = trans[gone]
+            color[ids[gone]] = np.compress(gone, col, axis=0)
+            ids, t, t_end, trans = (a[alive] for a in (ids, ts[k], t_end, trans))
+            col = np.compress(alive, col, axis=0)
+            o, d = (np.compress(alive, a, axis=1) for a in (o, d))
+        transmittance[ids] = trans
+        color[ids] = col
 
         if _obs_on:
             obs.counter("raycast.samples", _samples)

@@ -168,7 +168,7 @@ class TransferFunction:
         """Raw-scalar interval outside which opacity is exactly zero.
 
         ``None`` means the opacity function is zero everywhere.  The
-        ray caster's empty-space skipping compares per-tile value
+        ray caster's empty-space skipping compares per-cell value
         bounds against this interval; anything outside contributes
         nothing to the image, byte for byte.
         """

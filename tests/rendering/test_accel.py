@@ -1,25 +1,27 @@
-"""Property tests for the min/max tile pyramid and empty-space skipping.
+"""Property tests for the per-cell min/max bounds and empty-space skipping.
 
-The pyramid's entire value is a conservativeness guarantee: a tile it
-rules out must truly contain nothing — no voxel outside the tile's
-bounds, no straddling cell in a non-straddling tile, and, end to end,
-no sample whose skipping could change a rendered byte.  Hypothesis
-sweeps volume shapes, value distributions (including NaN holes), tile
-sizes and isovalues; the differential tests then pin the ray caster
-and isosurface outputs with acceleration on vs off.
+The bounds' entire value is a conservativeness guarantee: a cell they
+rule out must truly contain nothing — no corner voxel outside the
+cell's bounds, no straddling cell reported as non-straddling, and, end
+to end, no sample whose skipping could change a rendered byte.
+Hypothesis sweeps volume shapes, value distributions (including NaN
+holes) and isovalues; the differential tests then pin the ray caster
+against the skipping-off reference loop and the isosurface with
+acceleration on vs off.
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.rendering.accel import DEFAULT_TILE, MinMaxPyramid
+from repro.rendering.accel import MinMaxPyramid
 from repro.rendering.camera import Camera
 from repro.rendering.image_data import ImageData
 from repro.rendering.isosurface import candidate_cells, marching_tetrahedra
 from repro.rendering.raycast import raycast_volume
 from repro.rendering.transfer_function import TransferFunction
 from repro.util.errors import RenderingError
+from tests.rendering import reference_raycast as reference
 
 
 @st.composite
@@ -38,58 +40,34 @@ def scalar_volumes(draw):
     return values
 
 
-@st.composite
-def tiles(draw):
-    return draw(st.integers(min_value=1, max_value=5))
-
-
 class TestPyramidBounds:
     @settings(max_examples=60, deadline=None)
-    @given(values=scalar_volumes(), tile=tiles())
-    def test_cell_bounds_cover_all_corner_voxels(self, values, tile):
-        """Every finite voxel of every cell lies within its tile's bounds."""
-        pyramid = MinMaxPyramid.build(values, tile=tile)
-        level = pyramid.levels[0]
+    @given(values=scalar_volumes())
+    def test_cell_bounds_cover_all_corner_voxels(self, values):
+        """Each cell's bounds are exactly its finite corners' min and max."""
+        pyramid = MinMaxPyramid.build(values)
+        assert pyramid.vmin.shape == pyramid.cell_dims
         nx, ny, nz = values.shape
         for i in range(nx - 1):
             for j in range(ny - 1):
                 for k in range(nz - 1):
                     cell = values[i : i + 2, j : j + 2, k : k + 2]
-                    ti, tj, tk = i // tile, j // tile, k // tile
                     finite = cell[np.isfinite(cell)]
                     if finite.size:
-                        assert level.vmin[ti, tj, tk] <= finite.min()
-                        assert level.vmax[ti, tj, tk] >= finite.max()
-                    if np.isnan(cell).any():
-                        assert level.nonfinite[ti, tj, tk]
-
-    @settings(max_examples=40, deadline=None)
-    @given(values=scalar_volumes(), tile=tiles())
-    def test_coarser_levels_contain_finer(self, values, tile):
-        pyramid = MinMaxPyramid.build(values, tile=tile)
-        for fine, coarse in zip(pyramid.levels, pyramid.levels[1:]):
-            for ti in range(fine.shape[0]):
-                for tj in range(fine.shape[1]):
-                    for tk in range(fine.shape[2]):
-                        ci, cj, ck = ti // 2, tj // 2, tk // 2
-                        if fine.vmin[ti, tj, tk] <= fine.vmax[ti, tj, tk]:
-                            assert coarse.vmin[ci, cj, ck] <= fine.vmin[ti, tj, tk]
-                            assert coarse.vmax[ci, cj, ck] >= fine.vmax[ti, tj, tk]
-                        if fine.nonfinite[ti, tj, tk]:
-                            assert coarse.nonfinite[ci, cj, ck]
+                        assert pyramid.vmin[i, j, k] == finite.min()
+                        assert pyramid.vmax[i, j, k] == finite.max()
+                    else:
+                        assert pyramid.vmin[i, j, k] > pyramid.vmax[i, j, k]
+                    assert pyramid.nonfinite[i, j, k] == (finite.size < cell.size)
 
     @settings(max_examples=60, deadline=None)
     @given(
         values=scalar_volumes(),
-        tile=tiles(),
         isovalue=st.floats(min_value=-2.5, max_value=2.5),
     )
-    def test_straddling_never_excludes_a_contributing_cell(
-        self, values, tile, isovalue
-    ):
-        """A cell that would emit triangles always lies in a True tile."""
-        pyramid = MinMaxPyramid.build(values, tile=tile)
-        mask = pyramid.cell_mask(pyramid.straddling(isovalue))
+    def test_straddling_never_excludes_a_contributing_cell(self, values, isovalue):
+        """A cell that would emit triangles is always a candidate."""
+        mask = MinMaxPyramid.build(values).straddling(isovalue)
         prepared = np.where(np.isfinite(values), values, -np.inf)
         nx, ny, nz = values.shape
         for i in range(nx - 1):
@@ -100,31 +78,36 @@ class TestPyramidBounds:
                     if crosses:
                         assert mask[i, j, k], (
                             f"cell ({i},{j},{k}) straddles isovalue {isovalue} "
-                            "but its tile was culled"
+                            "but was culled"
                         )
 
     @settings(max_examples=60, deadline=None)
     @given(
         values=scalar_volumes(),
-        tile=tiles(),
         lo=st.floats(min_value=-2.0, max_value=2.0),
         span=st.floats(min_value=0.0, max_value=2.0),
     )
-    def test_blocked_tiles_hold_no_in_support_value(self, values, tile, lo, span):
-        """Every finite voxel of a blocked tile is outside [lo, hi]."""
+    def test_blocked_cells_hold_no_in_support_value(self, values, lo, span):
+        """Every finite corner of a blocked cell is outside [lo, hi]."""
         hi = lo + span
-        pyramid = MinMaxPyramid.build(values, tile=tile)
-        blocked = pyramid.blocked_outside(lo, hi)
-        mask = pyramid.cell_mask(blocked)
+        blocked = MinMaxPyramid.build(values).blocked_outside(lo, hi)
         nx, ny, nz = values.shape
         for i in range(nx - 1):
             for j in range(ny - 1):
                 for k in range(nz - 1):
-                    if not mask[i, j, k]:
+                    if not blocked[i, j, k]:
                         continue
                     cell = values[i : i + 2, j : j + 2, k : k + 2]
                     finite = cell[np.isfinite(cell)]
                     assert not ((finite >= lo) & (finite <= hi)).any()
+
+    def test_straddling_compares_in_float64(self):
+        """Bounds are kept in float32, the isovalue is not: 0.50000003
+        lies between the float32 neighbours 0.5 and 0.50000006, and a
+        float32 comparison would round it up and cull the cell."""
+        values = np.zeros((2, 2, 2), dtype=np.float32)
+        values[1, 1, 1] = np.nextafter(np.float32(0.5), np.float32(1.0))
+        assert MinMaxPyramid.build(values).straddling(0.50000003)[0, 0, 0]
 
     def test_degenerate_volume_rejected(self):
         with pytest.raises(RenderingError):
@@ -132,19 +115,15 @@ class TestPyramidBounds:
         with pytest.raises(RenderingError):
             MinMaxPyramid.build(np.zeros((4, 4), dtype=np.float32))
 
-    def test_default_tile_sane(self):
-        assert DEFAULT_TILE >= 1
-
     def test_active_cell_bounds_tight_and_clipped(self):
-        values = np.zeros((9, 9, 9), dtype=np.float32)
-        pyramid = MinMaxPyramid.build(values, tile=4)
-        mask = np.zeros(pyramid.levels[0].shape, dtype=bool)
+        pyramid = MinMaxPyramid.build(np.zeros((9, 9, 9), dtype=np.float32))
+        mask = np.zeros(pyramid.cell_dims, dtype=bool)
         assert pyramid.active_cell_bounds(mask) is None
-        mask[1, 0, 1] = True
-        i0, i1, j0, j1, k0, k1 = pyramid.active_cell_bounds(mask)
-        assert (i0, i1) == (4, 8)
-        assert (j0, j1) == (0, 4)
-        assert (k0, k1) == (4, 8)
+        mask[4, 0, 5] = True
+        mask[6, 2, 5] = True
+        assert pyramid.active_cell_bounds(mask) == (4, 7, 0, 3, 5, 6)
+        mask[7, 7, 7] = True
+        assert pyramid.active_cell_bounds(mask) == (4, 8, 0, 8, 5, 8)
 
 
 def _blob_volume(n=20):
@@ -155,8 +134,17 @@ def _blob_volume(n=20):
     return vol
 
 
+def _skipping_off(volume, transfer, camera, width, height):
+    """The reference loop evaluating every sample: what skipping must equal."""
+    return reference.raycast_volume(
+        volume, transfer, camera, width, height, empty_space_skipping=False
+    )
+
+
 class TestDifferentialSkipping:
-    """Acceleration on vs off must be byte-for-byte invisible."""
+    """Acceleration must be byte-for-byte invisible: the ray caster
+    against the reference loop with skipping off, the isosurface with
+    culling on vs off."""
 
     @settings(max_examples=8, deadline=None)
     @given(
@@ -169,12 +157,8 @@ class TestDifferentialSkipping:
         transfer = TransferFunction(
             volume.scalar_range(), center=center, width=width
         )
-        on = raycast_volume(
-            volume, transfer, camera, 32, 24, empty_space_skipping=True
-        )
-        off = raycast_volume(
-            volume, transfer, camera, 32, 24, empty_space_skipping=False
-        )
+        on = raycast_volume(volume, transfer, camera, 32, 24)
+        off = _skipping_off(volume, transfer, camera, 32, 24)
         assert on.tobytes() == off.tobytes()
 
     @settings(max_examples=10, deadline=None)
@@ -193,12 +177,8 @@ class TestDifferentialSkipping:
         volume.add_array("blob", blob)
         camera = Camera.fit_bounds(volume.bounds())
         transfer = TransferFunction((0.0, 1.0), center=0.7, width=0.3)
-        on = raycast_volume(
-            volume, transfer, camera, 32, 24, empty_space_skipping=True
-        )
-        off = raycast_volume(
-            volume, transfer, camera, 32, 24, empty_space_skipping=False
-        )
+        on = raycast_volume(volume, transfer, camera, 32, 24)
+        off = _skipping_off(volume, transfer, camera, 32, 24)
         assert on.tobytes() == off.tobytes()
 
     def test_zero_opacity_short_circuit_matches_brute_force(self):
@@ -206,12 +186,8 @@ class TestDifferentialSkipping:
         camera = Camera.fit_bounds(volume.bounds())
         # window entirely above the data range: opacity support empty
         transfer = TransferFunction((5.0, 6.0), center=0.5, width=0.2)
-        on = raycast_volume(
-            volume, transfer, camera, 24, 18, empty_space_skipping=True
-        )
-        off = raycast_volume(
-            volume, transfer, camera, 24, 18, empty_space_skipping=False
-        )
+        on = raycast_volume(volume, transfer, camera, 24, 18)
+        off = _skipping_off(volume, transfer, camera, 24, 18)
         assert on.tobytes() == off.tobytes()
 
     def test_candidate_cells_cached_on_volume(self):
