@@ -1,4 +1,4 @@
-"""The hyperwall client (display) node.
+"""The hyperwall client (display) node, and the one host of live cells.
 
 "Each client instance opens a single-cell visualization spreadsheet
 window, covering its hyperwall display."  The client connects to the
@@ -6,15 +6,16 @@ server, receives its sub-workflow(s), executes them at full display
 resolution, applies propagated interaction events, and reports results
 (timings and image summaries — pixels stay local to the display node).
 
-A node normally owns exactly one cell, but failover can hand it a
-dead neighbor's cell too, so workflows are keyed by ``cell_id`` and
-every ``execute``/``event``/``render`` message names the cell it is
-for.  :class:`DisplayNode` is the node itself — messages in, replies
-out, no transport; :class:`HyperwallClient` is the socket loop around
-one, and :class:`~repro.hyperwall.inproc.InProcessHyperwall` drives the
-same nodes on the caller's thread.  The ``hyperwall.client.execute``
-fault site lets tests kill or fail a node deterministically
-mid-execution (``client``/``cell`` labels).
+Every live cell — a wall tile's, the mirror's, a spreadsheet's, the
+serving backend's — lives in a :class:`DisplayNode`, whose
+:meth:`~DisplayNode.execute` is the one rule: an unchanged workflow
+returns the kept cell.  Failover can hand a node a dead neighbor's
+cell, so cells are keyed by ``cell_id`` and every message names its
+cell.  :class:`HyperwallClient` is the socket loop around one node, and
+:class:`~repro.hyperwall.inproc.InProcessHyperwall` drives the same
+nodes on the caller's thread.  The ``hyperwall.client.execute`` fault
+site lets tests kill or fail a node deterministically mid-execution
+(``client``/``cell`` labels).
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from __future__ import annotations
 import hashlib
 import socket
 import time
-from typing import Any, Dict, Optional
+from typing import Any, Dict, Hashable, Optional
 
 import numpy as np
 
@@ -32,7 +33,7 @@ from repro.hyperwall import protocol
 from repro.resilience import faults
 from repro.util.errors import DV3DError, HyperwallError
 from repro.util.framing import WireFrame
-from repro.workflow.executor import Executor
+from repro.workflow.executor import ExecutionResult, Executor, ModuleRun
 from repro.workflow.pipeline import Pipeline
 
 
@@ -49,8 +50,8 @@ def image_digest(image: np.ndarray) -> str:
 
 
 class DisplayNode:
-    """One display node, transport-free: :meth:`handle` takes a message
-    and returns the reply.
+    """One display node, transport-free: the live cells it hosts, and
+    :meth:`handle`, which takes a message and returns the reply.
 
     *cache* (a :class:`repro.cache.CacheConfig`) opts this node's
     executor into the shared result cache.
@@ -58,11 +59,36 @@ class DisplayNode:
 
     def __init__(self, client_id: int, cache=None) -> None:
         self.client_id = int(client_id)
-        #: sub-workflows and their executed cells, keyed by cell id —
-        #: more than one entry only after a failover reassignment
+        #: shipped sub-workflows, keyed by cell id — more than one entry
+        #: only after a failover reassignment
         self.pipelines: Dict[int, Pipeline] = {}
-        self.cells: Dict[int, DV3DCell] = {}
+        #: live cells by key, and the signature of the sink that built each
+        self.cells: Dict[Hashable, DV3DCell] = {}
+        self._signatures: Dict[Hashable, str] = {}
         self.executor = Executor(caching=True, cache=cache)
+
+    def execute(self, key: Hashable, pipeline: Pipeline, sink: int) -> ExecutionResult:
+        """The cell *pipeline*'s *sink* module builds, kept under *key*.
+
+        When the sink's signature equals the kept one, the kept cell —
+        camera, picks, scene and frame memos — is the result, recorded as
+        one ``cached`` run of the sink, and nothing executes.  Otherwise
+        the sink's upstream closure executes and its cell replaces it.
+        """
+        signature = self.executor.signatures(pipeline)[sink]
+        if self._signatures.get(key) == signature:
+            run = ModuleRun(sink, pipeline.modules[sink].name, "cached", 0.0)
+            return ExecutionResult({(sink, "cell"): self.cells[key]}, [run], cache_hits=1)
+        self.release(key)
+        result = self.executor.execute(pipeline, targets=[sink])
+        self.cells[key] = result.output(sink, "cell")
+        self._signatures[key] = signature
+        return result
+
+    def release(self, key: Hashable) -> None:
+        """Drop *key*'s live cell, and with it the cell's memos."""
+        self.cells.pop(key, None)
+        self._signatures.pop(key, None)
 
     # -- message handling -------------------------------------------------------
 
@@ -71,7 +97,7 @@ class DisplayNode:
         if message.kind == protocol.KIND_WORKFLOW:
             cell_id = int(message.meta["cell_id"])
             self.pipelines[cell_id] = Pipeline.from_dict(message.meta["pipeline"])
-            self.cells.pop(cell_id, None)  # a re-shipped workflow resets the cell
+            self.release(cell_id)  # a re-shipped workflow starts the cell over
             return WireFrame(
                 protocol.KIND_ACK, {"client_id": self.client_id, "cell_id": cell_id}
             )
@@ -80,12 +106,7 @@ class DisplayNode:
         if message.kind == protocol.KIND_EVENT:
             return self._apply_event(message.meta)
         if message.kind == protocol.KIND_RENDER:
-            return self._render(message.meta)
-        if message.kind == protocol.KIND_HEARTBEAT:
-            return WireFrame(
-                protocol.KIND_HEARTBEAT,
-                {"client_id": self.client_id, "cells": sorted(self.cells)},
-            )
+            return self._render(message.meta, time.perf_counter())
         if message.kind == protocol.KIND_SHUTDOWN:
             return None
         return self._error(f"unknown kind {message.kind!r}")
@@ -124,13 +145,11 @@ class DisplayNode:
                 node=f"client-{self.client_id}",
                 cell=cell_id,
             ):
-                result = self.executor.execute(self.pipelines[cell_id])
-            self.cells[cell_id] = result.output(cell_id, "cell")
-            image = result.output(cell_id, "image")
+                result = self.execute(cell_id, self.pipelines[cell_id], cell_id)
         except Exception as exc:  # noqa: BLE001 - reported to the server
             return self._error(repr(exc))
-        return self._report(
-            cell_id, start, image,
+        return self._render(
+            payload, start,
             cache_hits=result.cache_hits, cache_misses=result.cache_misses,
         )
 
@@ -158,19 +177,18 @@ class DisplayNode:
             },
         )
 
-    def _render(self, payload: Dict[str, Any]) -> WireFrame:
+    def _render(self, payload: Dict[str, Any], start: float, **extra: Any) -> WireFrame:
         """Re-render a live cell (after propagated events changed it).
 
         This is the interactive refresh loop: events mutate the cell's
         plot state cheaply; a render message produces the new frame for
         the display without re-executing the data pipeline.  A message
         without a size means the size the cell's sub-workflow was
-        shipped with.
+        shipped with.  An execute reports its cell's frame this way too.
         """
         cell_id = payload.get("cell_id")
         if cell_id not in self.cells:
             return self._error("render before execution")
-        start = time.perf_counter()
         try:
             shipped = self.pipelines[cell_id].modules[cell_id].parameters
             width = int(payload.get("width") or shipped["width"])
@@ -183,7 +201,7 @@ class DisplayNode:
                 image = self.cells[cell_id].render(width, height).to_uint8()
         except Exception as exc:  # noqa: BLE001
             return self._error(repr(exc))
-        return self._report(cell_id, start, image)
+        return self._report(cell_id, start, image, **extra)
 
 
 class HyperwallClient:

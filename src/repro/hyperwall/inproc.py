@@ -2,7 +2,7 @@
 
 :class:`InProcessHyperwall` is the control node of
 :mod:`repro.hyperwall.server` — partition, mirror, execute, broadcast,
-refresh, failover, heartbeat, all inherited — talking to real
+refresh, failover, all inherited — talking to real
 :class:`~repro.hyperwall.client.DisplayNode` objects over
 :class:`~repro.hyperwall.protocol.InlineLink` instead of sockets: no
 port, no fork, no thread, so it is deterministic and can look inside
@@ -51,7 +51,7 @@ class InProcessHyperwall(ControlNode):
         owners = self._owners()
         result = {}
         for cell_id in self.cell_ids:
-            mirror = self.server_cells.get(cell_id)
+            mirror = self.mirror.cells.get(cell_id)
             held = self.nodes[owners[cell_id]].cells if cell_id in owners else {}
             result[cell_id] = (
                 mirror is not None

@@ -37,7 +37,6 @@ KIND_EVENT = "event"
 KIND_RENDER = "render"
 KIND_REPORT = "report"
 KIND_ACK = "ack"
-KIND_HEARTBEAT = "heartbeat"
 KIND_SHUTDOWN = "shutdown"
 KIND_ERROR = "error"
 

@@ -9,7 +9,7 @@ whatever links it is given:
 1. partitions the multi-cell workflow and ships each client its
    1-cell sub-workflow (full tile resolution),
 2. executes the reduced-resolution full workflow locally (the GUI
-   mirror spreadsheet),
+   mirror spreadsheet, a :class:`~repro.hyperwall.client.DisplayNode`),
 3. broadcasts interaction events to every cell and collects replies,
 4. asks for fresh frames, and recovers the cells of clients it lost.
 
@@ -27,8 +27,8 @@ its cell is recovered according to *failover*:
 * ``"reassign"`` (default) — the dead client's full-resolution
   sub-workflow is re-shipped to a surviving client (survivors tried
   under the *retry* :class:`~repro.resilience.RetryPolicy`), executed
-  there and brought up to date with the session's events, falling
-  back to the degraded mirror when no survivor can take it;
+  there, brought up to date with the session's events and drawn,
+  falling back to the degraded mirror when no survivor can take it;
 * ``"degrade"`` — the cell is served from the server's own
   reduced-resolution mirror cell;
 * ``"fail_fast"`` — the pre-resilience behavior: raise
@@ -51,9 +51,8 @@ from typing import Any, Dict, List, Optional
 
 from repro import obs
 from repro.cache.config import use_config as use_cache_config
-from repro.dv3d.cell import DV3DCell
 from repro.hyperwall import protocol
-from repro.hyperwall.client import image_digest
+from repro.hyperwall.client import DisplayNode, image_digest
 from repro.hyperwall.display import WallGeometry
 from repro.hyperwall.partition import (
     make_reduced_pipeline,
@@ -63,7 +62,6 @@ from repro.hyperwall.partition import (
 from repro.resilience import RetryPolicy, faults
 from repro.util.errors import DV3DError, HyperwallError
 from repro.util.framing import WireFrame
-from repro.workflow.executor import Executor
 from repro.workflow.pipeline import Pipeline
 
 #: how the server recovers a cell whose client died mid-session
@@ -104,8 +102,8 @@ class ControlNode:
         self.server_pipeline = make_reduced_pipeline(workflow, self.reduction)
         #: optional CacheConfig shared with degraded mirror renders
         self.cache = cache
-        self.server_executor = Executor(caching=True, cache=cache)
-        self.server_cells: Dict[int, DV3DCell] = {}
+        #: the mirror's cells, keyed by cell id
+        self.mirror = DisplayNode(-1, cache=cache)
         #: one link per connected client
         self._connections: Dict[int, Any] = {}
         #: primary cell ownership from :meth:`distribute_workflows`
@@ -114,8 +112,8 @@ class ControlNode:
         self._standby: Dict[int, int] = {}
         #: clients lost this session: client_id -> reason
         self._dead: Dict[int, str] = {}
-        #: events broadcast since the clients last executed — what a
-        #: re-homed cell is brought up to date with
+        #: events broadcast since the session started — what a re-homed
+        #: cell is brought up to date with
         self.event_history: List[Dict[str, Any]] = []
 
     # -- links ----------------------------------------------------------------
@@ -188,7 +186,11 @@ class ControlNode:
     # -- workflow distribution --------------------------------------------------
 
     def distribute_workflows(self) -> Dict[int, int]:
-        """Ship each connected client its 1-cell sub-workflow.
+        """Start the session over: ship each connected client its 1-cell
+        sub-workflow (which releases that cell on the client), release
+        the mirror's cells and clear the event history.  Until the next
+        call, an execute keeps each unchanged cell with the events it
+        received, so a cell re-homed at any point replays the history.
 
         Clients are assigned cells in (client_id-sorted, cell_id-sorted)
         order.  Returns ``{client_id: cell_id}``.  A client lost here is
@@ -203,6 +205,9 @@ class ControlNode:
             )
         self.assignment = dict(zip(client_ids, self.cell_ids))
         self._standby.clear()
+        self.event_history.clear()
+        for cell_id in self.cell_ids:
+            self.mirror.release(cell_id)
         for client_id, cell_id in self.assignment.items():
             ack = self._ask(client_id, self._workflow_frame(cell_id))
             if ack is not None and ack.kind != protocol.KIND_ACK:
@@ -221,14 +226,14 @@ class ControlNode:
         """Run the reduced-resolution mirror workflow on this node."""
         start = time.perf_counter()
         with obs.span("hyperwall.server.execute", node="server"):
-            result = self.server_executor.execute(self.server_pipeline)
-        self.server_cells = {cid: result.output(cid, "cell") for cid in self.cell_ids}
+            for cid in self.cell_ids:
+                self.mirror.execute(cid, self.server_pipeline, cid)
+        sizes = {cid: self.server_pipeline.modules[cid].parameters for cid in self.cell_ids}
         return {
             "duration": time.perf_counter() - start,
-            "n_cells": len(self.server_cells),
+            "n_cells": len(self.cell_ids),
             "image_shapes": {
-                cid: list(result.output(cid, "image").shape)
-                for cid in self.server_cells
+                cid: [size["height"], size["width"], 3] for cid, size in sizes.items()
             },
         }
 
@@ -241,7 +246,6 @@ class ControlNode:
         raises instead; an application-level ``KIND_ERROR`` reply
         always raises.
         """
-        self.event_history.clear()  # an execute builds the cells anew
         with obs.span("hyperwall.server.execute_clients", clients=len(self._connections)):
             return self._round(protocol.KIND_EXECUTE, "execution")
 
@@ -316,9 +320,9 @@ class ControlNode:
         """Re-home *cell_id* on a survivor; None when none can take it.
 
         The survivor is shipped the workflow, executes it, applies the
-        session's events in order and — when a refresh is what found the
-        client gone — renders, so the report is the picture the lost
-        client would have shown.
+        session's events in order and renders — at the size a refresh
+        asked for, or at the shipped size — so the report is the picture
+        the lost client would have shown.
         """
         steps = [
             self._workflow_frame(cell_id),
@@ -327,9 +331,8 @@ class ControlNode:
                 WireFrame(protocol.KIND_EVENT, dict(event, cell_id=cell_id))
                 for event in self.event_history
             ),
+            WireFrame(protocol.KIND_RENDER, dict(size, cell_id=cell_id)),
         ]
-        if size:
-            steps.append(WireFrame(protocol.KIND_RENDER, dict(size, cell_id=cell_id)))
         candidates = iter(sorted(self._connections))
 
         def try_next_survivor() -> Dict[str, Any]:
@@ -359,11 +362,9 @@ class ControlNode:
 
     def _degraded_report(self, cell_id: int) -> Dict[str, Any]:
         """Serve a lost cell from the reduced-resolution mirror."""
-        if cell_id not in self.server_cells:
+        if cell_id not in self.mirror.cells:
             self.execute_server()  # mirror not built yet: build it lazily
-        cell = self.server_cells.get(cell_id)
-        if cell is None:
-            raise HyperwallError(f"no mirror cell for lost cell {cell_id}")
+        cell = self.mirror.cells[cell_id]
         width = max(self.wall.tile_width // self.reduction, 16)
         height = max(self.wall.tile_height // self.reduction, 16)
         start = time.perf_counter()
@@ -380,23 +381,6 @@ class ControlNode:
             "image_digest": image_digest(image),
             "status": "degraded",
         }
-
-    # -- health ---------------------------------------------------------------------
-
-    def check_health(self) -> Dict[int, bool]:
-        """Heartbeat every client; marks unresponsive ones dead.
-
-        Returns ``{client_id: alive}`` covering connected clients and
-        any already known dead.
-        """
-        alive: Dict[int, bool] = {client_id: False for client_id in self._dead}
-        for client_id in sorted(self._connections):
-            reply = self._ask(client_id, WireFrame(protocol.KIND_HEARTBEAT, {"ping": True}))
-            alive[client_id] = reply is not None and reply.kind == protocol.KIND_HEARTBEAT
-            if reply is not None and not alive[client_id]:
-                self._mark_dead(client_id, "bad heartbeat reply")
-        obs.gauge("hyperwall.clients.alive", float(sum(alive.values())))
-        return alive
 
     # -- interaction propagation -------------------------------------------------------
 
@@ -416,7 +400,7 @@ class ControlNode:
         owners = self._owners()
         obs.counter("hyperwall.events.broadcast", kind=event_kind)
         server_deltas: Dict[int, Any] = {}
-        for cid, cell in self.server_cells.items():
+        for cid, cell in self.mirror.cells.items():
             try:
                 server_deltas[cid] = cell.handle_event(event_kind, **event)
             except DV3DError:

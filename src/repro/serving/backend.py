@@ -3,12 +3,14 @@
 :class:`AppBackend` adapts a headless UV-CDAT session
 (:class:`~repro.app.application.Application`) to the server's backend
 contract ``(request, degraded) -> bytes``.  Each distinct *scene* — the
-(template, source, variables, size, selector, cell_params) tuple — gets
-one spreadsheet slot, built lazily with ``create_plot`` on first use;
-every later frame is that slot's live cell rendered again, so it rides
-the cell's own memos (:meth:`~repro.dv3d.cell.DV3DCell.render`): an
-orbit keeps the built scene and an unchanged request is a lookup of the
-kept frame.  Those are always on and die with the cell; the ambient
+(template, source, variables, size, selector, cell_params) tuple — is
+a palette workflow, built on first use into a vistrail of the backend's
+project, whose :class:`~repro.hyperwall.client.DisplayNode` hosts the
+cell under the scene's digest.  Every frame re-executes it, which
+returns the live cell, so a frame rides the cell's own memos
+(:meth:`~repro.dv3d.cell.DV3DCell.render`): an orbit keeps the built
+scene and an unchanged request is a lookup of the kept frame.  Those
+are always on and die with the cell; the ambient
 content-keyed cache under ``Renderer.render`` is separate — opt-in,
 shared across cells and processes, optionally on disk — and off here
 unless the caller's ``CacheConfig`` enables it.  Frames are encoded as
@@ -34,7 +36,7 @@ Request ``params`` contract (all optional but ``template``)::
 
 ``timestep`` and ``azimuth`` are deliberately *excluded* from the scene
 digest: an animating or orbiting session mutates one long-lived scene
-slot instead of materializing a workflow per frame, which is exactly
+cell instead of building a workflow per frame, which is exactly
 what sticky session affinity keeps warm.  So are ``width`` / ``height``:
 every frame renders at its own request's size, and the first frame's
 size only replaces the cell module's 320 x 240 default for the one
@@ -52,10 +54,11 @@ pipeline is failing or saturated.
 from __future__ import annotations
 
 import threading
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Optional
 
 from repro.app.application import Application
 from repro.cache.keys import cache_key
+from repro.provenance.vistrail import Vistrail
 from repro.rendering.ppm import ppm_bytes
 from repro.serving.config import ServingConfig
 from repro.serving.request import Request
@@ -81,8 +84,6 @@ class AppBackend:
         self.default_source = default_source
         self.default_template = default_template
         self._lock = threading.Lock()
-        #: scene digest -> (sheet_name, slot)
-        self._scenes: Dict[str, Tuple[str, Tuple[int, int]]] = {}
         if project not in self.app.projects:
             self.app.new_project(project)
         self.app.current_project = project
@@ -100,8 +101,7 @@ class AppBackend:
             width = max(width // scale, MIN_DEGRADED_PX)
             height = max(height // scale, MIN_DEGRADED_PX)
         with self._lock:
-            sheet_name, slot = self._ensure_scene(params, width, height)
-            cell = self._cell(sheet_name, slot)
+            cell = self._scene_cell(params, width, height)
             camera = None
             timestep = None
             if "timestep" in params:
@@ -119,11 +119,10 @@ class AppBackend:
 
     # -- scene management ---------------------------------------------------
 
-    def _ensure_scene(
-        self, params: Dict[str, Any], width: int, height: int
-    ) -> Tuple[str, Tuple[int, int]]:
-        """One slot per distinct scene; build the workflow on first use
-        (its cell then renders once, at *width* x *height*)."""
+    def _scene_cell(self, params: Dict[str, Any], width: int, height: int):
+        """The scene's live cell, hosted under the scene's digest; its
+        workflow is built on first use (the cell then renders once, at
+        *width* x *height*)."""
         template = str(params.get("template", self.default_template))
         source = str(params.get("source", self.default_source))
         variables = dict(params.get("variables") or {"variable": "ta"})
@@ -131,34 +130,26 @@ class AppBackend:
         selector = params.get("selector")
         cell_params = params.get("cell_params")
         # timestep / azimuth are per-frame animation state, not scene
-        # identity — one scene slot serves the whole gesture
+        # identity — one scene cell serves the whole gesture
         digest = cache_key(
             "serving.backend.scene",
             template, source, variables,
             size or {}, selector or {}, cell_params or {},
         )
-        known = self._scenes.get(digest)
-        if known is not None:
-            return known
-        sheet_name = f"scene_{len(self._scenes):04d}_{digest[:8]}"
-        slot = (0, 0)
-        # without a size the cell module would render at its 320x240 default
-        sized_params = {"width": width, "height": height, **(cell_params or {})}
-        self.app.create_plot(
-            template, sheet_name, slot, source, variables,
-            size=size, selector=selector, cell_params=sized_params,
-        )
-        self._scenes[digest] = (sheet_name, slot)
-        return self._scenes[digest]
-
-    def _cell(self, sheet_name: str, slot: Tuple[int, int]):
-        """The live cell bound to *slot*, executing the workflow if needed."""
-        sheet = self.app.project.sheets[sheet_name]
-        cell_slot = sheet.get(slot[0], slot[1])
-        if cell_slot is None or cell_slot.cell is None:
-            self.app.project.execute_cell(sheet_name, slot[0], slot[1])
-            cell_slot = sheet.get(slot[0], slot[1])
-        return cell_slot.cell
+        project = self.app.project
+        name = f"scene_{digest}"
+        if name not in project.vistrails:
+            vistrail = Vistrail(name, project.registry)
+            # without a size the cell module would render at its 320x240 default
+            sized_params = {"width": width, "height": height, **(cell_params or {})}
+            self.app.palette.get(template).instantiate(
+                vistrail, source, variables,
+                size=size, selector=selector, cell_params=sized_params,
+            )
+            project.vistrails[name] = vistrail
+        pipeline = project.vistrails[name].pipeline
+        sink = pipeline.sinks()[0]
+        return project.node.execute(digest, pipeline, sink).output(sink, "cell")
 
     @staticmethod
     def _hint_prefetch(cell: Any, next_timestep: int) -> None:
@@ -166,9 +157,3 @@ class AppBackend:
         hint = getattr(cell.plot.variable, "prefetch_hint", None)
         if hint is not None:
             hint(next_timestep)
-
-    @property
-    def scene_count(self) -> int:
-        """How many distinct scenes this session has materialized."""
-        with self._lock:
-            return len(self._scenes)

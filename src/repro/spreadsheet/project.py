@@ -5,21 +5,24 @@ spreadsheets into projects."  A :class:`Project` owns spreadsheets,
 the vistrails their cells bind to, and the execution log; it persists
 as a directory of JSON files and can re-execute every bound cell after
 reload ("spreadsheets maintain their provenance and can be saved and
-reloaded").
+reloaded").  Its live cells are kept by one
+:class:`~repro.hyperwall.client.DisplayNode`, keyed by slot identity:
+a slot keeps its cell when moved and releases it when gone.
 """
 
 from __future__ import annotations
 
 import json
+import weakref
 from pathlib import Path
 from typing import Dict, List, Optional, Union
 
 from repro.dv3d.cell import DV3DCell
+from repro.hyperwall.client import DisplayNode
 from repro.provenance.log import ExecutionLog
 from repro.provenance.vistrail import Vistrail
 from repro.spreadsheet.sheet import Spreadsheet
 from repro.util.errors import SpreadsheetError
-from repro.workflow.executor import Executor
 from repro.workflow.registry import ModuleRegistry
 
 PathLike = Union[str, Path]
@@ -36,7 +39,9 @@ class Project:
         self.sheets: Dict[str, Spreadsheet] = {}
         self.vistrails: Dict[str, Vistrail] = {}
         self.log = ExecutionLog()
-        self.executor = Executor(caching=True)
+        #: the host of every live cell of this project's sheets
+        self.node = DisplayNode(0)
+        self.executor = self.node.executor
 
     def __repr__(self) -> str:
         return (
@@ -73,8 +78,8 @@ class Project:
     def execute_cell(self, sheet_name: str, row: int, column: int) -> DV3DCell:
         """(Re)execute the workflow version bound to one slot.
 
-        Populates the slot's live cell and records the run in the
-        execution log.
+        Populates the slot's live cell — the kept one when the version is
+        unchanged — and records the run in the execution log.
         """
         sheet = self.sheets[sheet_name]
         slot = sheet.get(row, column)
@@ -83,14 +88,16 @@ class Project:
         binding = slot.binding
         vistrail = self.get_vistrail(binding.vistrail_name)
         pipeline = vistrail.tree.materialize(binding.version, self.registry)
-        result = self.executor.execute(pipeline, targets=[binding.sink_module_id])
-        cell = result.output(binding.sink_module_id, "cell")
-        slot.cell = cell
+        key = id(slot)
+        if key not in self.node.cells:  # the cell goes when the slot does
+            weakref.finalize(slot, self.node.release, key)
+        result = self.node.execute(key, pipeline, binding.sink_module_id)
+        slot.cell = result.output(binding.sink_module_id, "cell")
         self.log.record(
             binding.vistrail_name, binding.version, result,
             sheet=sheet_name, slot=[row, column],
         )
-        return cell
+        return slot.cell
 
     def execute_sheet(self, sheet_name: str) -> List[DV3DCell]:
         """Execute every occupied slot of a sheet (in grid order)."""

@@ -4,9 +4,11 @@ A :class:`Spreadsheet` is a rows × columns grid of optional
 :class:`SheetCell` slots.  Each occupied slot binds a **workflow
 version** (vistrail name + version + the sink DV3DCell module id) and,
 after execution, holds the live :class:`~repro.dv3d.cell.DV3DCell`.
-The binding — not the live object — is what persists; re-executing the
-bound version regenerates the cell, which is exactly the provenance
-promise ("visualizations ... fully customizable and reproducible").
+The binding — not the live object — is what persists: executing the
+bound version after a reload regenerates the cell, which is exactly the
+provenance promise ("visualizations ... fully customizable and
+reproducible").  Re-executing it in the session returns the slot's live
+cell while the version is unchanged, and builds a new one once it is not.
 """
 
 from __future__ import annotations
@@ -137,8 +139,8 @@ class Spreadsheet:
         """Drag-copy: duplicate a cell's *binding* into an empty slot.
 
         The copy shares the workflow version (it is the same
-        visualization); executing the sheet regenerates both
-        independently, after which they diverge via their own edits.
+        visualization) but not the live cell: executing the sheet builds
+        one for each slot, and they diverge via their own edits.
         """
         self._check(*src)
         if src not in self._slots:

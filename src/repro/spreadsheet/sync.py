@@ -59,27 +59,3 @@ class SyncGroup:
     def animate_step(self, delta: int = 1) -> List[Dict[str, Any]]:
         """Advance all active cells' animation dimension together."""
         return self.key("t" if delta >= 0 else "T")
-
-    def synchronize_cameras(self, reference: Tuple[int, int]) -> int:
-        """Copy one cell's camera to every other active cell.
-
-        Returns the number of cells updated.  (The spreadsheet's
-        coordinated-views behavior: compare variables from the same
-        viewpoint.)
-        """
-        slot = self.sheet.get(*reference)
-        if slot is None or slot.cell is None:
-            return 0
-        camera_state = slot.cell.plot.state().get("camera")
-        if camera_state is None:
-            camera = slot.cell.plot.default_camera()
-            slot.cell.plot.camera = camera
-            camera_state = camera.state()
-        updated = 0
-        for cell in self.sheet.active_cells():
-            if cell is slot.cell:
-                continue
-            cell.apply_state({"plot": {"camera": camera_state}})
-            updated += 1
-        self.history.append(("sync_cameras", {"reference": list(reference)}))
-        return updated

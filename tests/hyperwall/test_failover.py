@@ -192,20 +192,6 @@ class TestCorruptPayload:
         assert recovered in (["reassigned"], ["degraded"])
 
 
-class TestHealthCheck:
-    def test_heartbeat_reports_alive_clients(self, two_cell_pipeline):
-        server, threads = start_wall(two_cell_pipeline, 2, "reassign")
-        try:
-            assert server.check_health() == {0: True, 1: True}
-            faults.arm("hyperwall.server.recv", "drop", match={"client": 0})
-            assert server.check_health() == {0: False, 1: True}
-            assert 0 in server.dead_clients
-            # once dead, stays reported dead
-            assert server.check_health() == {0: False, 1: True}
-        finally:
-            stop_wall(server, threads)
-
-
 class TestAcceptRobustness:
     def test_malformed_hello_closes_all_accepted(self, two_cell_pipeline):
         import socket as socket_module
@@ -302,6 +288,31 @@ class TestLocalClusterFailover:
                 "hyperwall.server.send", "drop", match={"client": 0, "kind": "render"}
             )
             renders = cluster.server.request_renders(48, 36)
+        assert sorted((r["cell_id"], r["status"]) for r in renders) == [
+            (3, "reassigned"), (7, "live"),
+        ]
+        assert {r["cell_id"]: r["image_digest"] for r in renders} == expected
+
+    def test_rehomed_after_an_execute_replays_the_sessions_events(self, registry):
+        """Events, then an execute that keeps the live cells, then a lost
+        node: the re-homed cell matches a wall that lost no node."""
+        from repro.hyperwall.inproc import InProcessHyperwall
+
+        p = Pipeline(registry)
+        for variable in ("ta", "zg"):
+            build_cell_chain(p, width=48, height=36, variable=variable)
+        reference = InProcessHyperwall(p, TINY_WALL)
+        reference.execute_all()
+        reference.broadcast_event("key", key="c")
+        expected = {r["cell_id"]: r["image_digest"] for r in reference.request_renders()}
+        with LocalCluster(p, n_clients=2, wall=TINY_WALL, io_timeout=30.0) as cluster:
+            cluster.run_session(events=[{"event_kind": "key", "key": "c"}])
+            executed = cluster.server.execute_clients()
+            faults.arm(
+                "hyperwall.server.send", "drop", match={"client": 0, "kind": "render"}
+            )
+            renders = cluster.server.request_renders()
+        assert {r["cell_id"]: r["image_digest"] for r in executed} == expected
         assert sorted((r["cell_id"], r["status"]) for r in renders) == [
             (3, "reassigned"), (7, "live"),
         ]

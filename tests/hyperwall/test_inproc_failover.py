@@ -2,9 +2,9 @@
 
 The in-process wall is the cluster's control node over inline links, so
 the ``hyperwall.server.send`` / ``hyperwall.server.recv`` fault sites,
-the three failover policies, ``request_renders`` and ``check_health``
-work here exactly as over sockets — and only here can a test look
-inside the cells afterwards (``consistency_check``).  The matrix loses
+the three failover policies and ``request_renders`` work here exactly
+as over sockets — and only here can a test look inside the cells
+afterwards (``consistency_check``).  The matrix loses
 client 0 on send and on recv at each stage of a session (workflow,
 execute, event, render) under each policy: every cell ends ``live``,
 ``reassigned`` or ``degraded`` exactly once, or the call raises
@@ -184,6 +184,39 @@ class TestEveryFrameNamesItsCell:
         }
 
 
+class TestAnExecuteKeepsTheSession:
+    """An execute of unchanged workflows returns the live cells, with the
+    events they already received, so the event history runs from
+    ``distribute_workflows``: a cell re-homed after the execute replays
+    every event its neighbours hold."""
+
+    def test_rehomed_after_an_execute_matches_an_intact_wall(self, registry, undisturbed):
+        hw = make_wall(registry)
+        hw.execute_all()
+        hw.broadcast_event("key", key="c")
+        executed = hw.execute_clients()
+        assert {r["cell_id"]: r["image_digest"] for r in executed} == undisturbed
+        faults.arm("hyperwall.server.send", "drop", match={"client": 0, "kind": "render"})
+        renders = hw.request_renders()
+        assert sorted((r["cell_id"], r["status"]) for r in renders) == [
+            (3, "reassigned"), (7, "live"), (11, "live"),
+        ]
+        assert {r["cell_id"]: r["image_digest"] for r in renders} == undisturbed
+        assert hw.consistency_check() == {3: True, 7: True, 11: True}
+
+    def test_distribution_starts_the_session_over(self, registry):
+        hw = make_wall(registry)
+        hw.execute_all()
+        hw.broadcast_event("key", key="c")
+        mirror = dict(hw.mirror.cells)
+        hw.distribute_workflows()
+        assert hw.event_history == []
+        assert hw.mirror.cells == {}
+        assert all(node.cells == {} for node in hw.nodes)
+        hw.execute_all()
+        assert all(hw.mirror.cells[c] is not mirror[c] for c in hw.cell_ids)
+
+
 class TestLostDuringDistribution:
     """A client that dies while its workflow is shipped is a lost client:
     marked dead, its cell recovered by the policy at the first execute."""
@@ -214,13 +247,6 @@ class TestNodeFaults:
         with pytest.raises(HyperwallError, match="client 2 failed"):
             hw.execute_clients()
         assert hw.dead_clients == {}
-
-    def test_heartbeat_finds_the_dropped_node(self, registry):
-        hw = make_wall(registry)
-        assert hw.check_health() == {0: True, 1: True, 2: True}
-        faults.arm("hyperwall.server.recv", "drop", match={"client": 1})
-        assert hw.check_health() == {0: True, 1: False, 2: True}
-        assert hw.check_health() == {0: True, 1: False, 2: True}
 
     def test_a_corrupt_frame_hangs_the_link_up(self, registry):
         """``protocol.send`` reaches inline frames too: the node cannot

@@ -186,7 +186,6 @@ class TestInProcessHyperwall:
         for key in "ctc":
             hw.broadcast_event("key", key=key)
         hw.request_renders(32, 24)
-        assert hw.check_health() == {0: True, 1: True, 2: True}
         assert len(os.listdir("/proc/self/fd")) == before
 
     def test_frames_cross_the_codec(self, wall_pipeline):

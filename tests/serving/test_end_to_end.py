@@ -94,9 +94,12 @@ class TestEndToEnd:
                 await server.submit(Request(params=scene_params("zg")))
 
         asyncio.run(scenario())
-        # 2 distinct scenes -> 2 sheets, however many renders
-        assert backend.scene_count == 2
-        assert len(backend.app.project.sheets) == 2
+        # 2 distinct scenes -> 2 hosted cells and 2 vistrails, however
+        # many renders, and no sheet
+        project = backend.app.project
+        assert len(project.node.cells) == 2
+        assert len(project.vistrails) == 2
+        assert project.sheets == {}
 
     def test_degraded_render_is_smaller_but_real(self):
         backend = AppBackend(config=ServingConfig(degraded_scale=4))

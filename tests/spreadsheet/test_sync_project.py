@@ -62,16 +62,6 @@ class TestSync:
         group.key("c")
         assert len(seen) == 1
 
-    def test_synchronize_cameras(self, synced):
-        sheet, group = synced
-        reference = sheet.get(0, 0).cell
-        reference.plot.camera = reference.plot.default_camera().orbit(45, 0)
-        updated = group.synchronize_cameras((0, 0))
-        assert updated == 2
-        cam_state = reference.plot.camera.state()
-        for col in (1, 2):
-            assert sheet.get(0, col).cell.plot.camera.state() == cam_state
-
     def test_animate_step(self, synced):
         sheet, group = synced
         group.animate_step(+1)
