@@ -176,9 +176,9 @@ def _update_streamed_variable(h, obj: Any) -> bool:
         h.update(struct.pack("<Q", size * itemsize))
         for slab in obj.iter_slabs():
             if kind == "data":
-                block = slab.data.filled(0)
+                block = slab.filled(0)
             else:
-                block = np.ma.getmaskarray(slab.data)
+                block = np.ma.getmaskarray(slab)
             h.update(np.ascontiguousarray(block).tobytes())
     return True
 

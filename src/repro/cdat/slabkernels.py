@@ -112,7 +112,7 @@ def iter_blocks(
         var = materialize(var, op=op or f"axis{dim}")
     pos = 0
     for slab in var.iter_slabs():
-        block = np.moveaxis(slab.data, dim, 0)
+        block = slab if dim == 0 else np.moveaxis(slab, dim, 0)
         yield pos, pos + block.shape[0], block
         pos += block.shape[0]
 

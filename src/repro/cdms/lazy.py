@@ -7,13 +7,17 @@ the chunks covering the request (through the variable's bounded-memory
 :class:`~repro.streaming.prefetch.Prefetcher`) and returns an ordinary
 in-memory :class:`Variable`, byte-identical to what slicing the eagerly
 loaded equivalent would produce — the correctness contract the
-differential tests pin.
+differential tests pin.  A request inside one chunk is a read-only
+view of the verified chunk, not a copy; ``clone()`` gives a writable
+one.  A chunk the manifest counts as wholly valid and finite gets no
+mask at all.
 
 Operations that genuinely need the whole array (arithmetic, global
 reductions) still work: the ``_data`` escape hatch materializes the
 full variable once, counts ``streaming.materialize.full`` so the leak
 is observable, and caches it.  Folds should use :meth:`iter_slabs`
-instead, which walks the chunk table within the memory budget.
+instead, which walks the chunk table within the memory budget and
+yields each chunk's masked array, no :class:`Variable` around it.
 
 The :meth:`degraded` context arms the degradation ladder: inside it, a
 chunk whose full-resolution read fails (after retries) is substituted
@@ -30,8 +34,9 @@ from typing import TYPE_CHECKING, Any, Dict, Iterator, Optional, Tuple
 import numpy as np
 
 from repro import obs
+from repro.cdms.storage import mask_missing
 from repro.cdms.variable import Variable
-from repro.util.errors import CDMSError, StreamingError
+from repro.util.errors import StreamingError
 
 if TYPE_CHECKING:  # repro.streaming imports repro.cdms: annotations only
     from repro.streaming.dataset import StreamingSource
@@ -81,14 +86,9 @@ class LazyVariable(Variable):
     def slab_axis(self) -> int:
         return int(self.layout.chunk_axis)
 
-    def iter_slabs(self) -> Iterator[Variable]:
-        axis = self.layout.chunk_axis
+    def iter_slabs(self) -> Iterator[np.ma.MaskedArray]:
         for chunk in self.layout.chunks:
-            index = tuple(
-                slice(chunk.start, chunk.stop) if dim == axis else slice(None)
-                for dim in range(self.ndim)
-            )
-            yield self[index]
+            yield self._chunk_view(chunk, (slice(None),) * self.ndim)
 
     def prefetch_hint(self, axis_index: int) -> None:
         """Hint that *axis_index* along the chunk axis is wanted next.
@@ -120,67 +120,60 @@ class LazyVariable(Variable):
 
     # -- chunk delivery -----------------------------------------------------
 
-    def _get_chunk(self, chunk: ChunkMeta) -> np.ndarray:
+    def _chunk_view(
+        self, chunk: ChunkMeta, index: Tuple[slice, ...]
+    ) -> np.ma.MaskedArray:
+        """``payload[index]`` of *chunk*: a read-only view, masked once.
+
+        A chunk whose manifest counts every value valid and finite gets
+        ``nomask`` (the writer counted with the same :func:`mask_missing`
+        rule); any other chunk, and every low-resolution fallback, has
+        its mask computed on the requested view only.
+        """
         try:
             if self.source.config.prefetch:
-                return self.source.prefetcher(self.id).get(chunk.index)
-            return self.source.reader(self.id).read_chunk(chunk)
+                raw = self.source.prefetcher(self.id).get(chunk.index)
+            else:
+                raw = self.source.reader(self.id).read_chunk(chunk)
+            full = chunk.stat_valid == raw.size
         except StreamingError:
             if self._degraded_depth <= 0:
                 raise
             if obs.enabled():
                 obs.counter("streaming.slabs.degraded", var=self.id)
-            return self.source.reader(self.id).read_lowres(chunk)
+            raw = self.source.reader(self.id).read_lowres(chunk)
+            full = False
+        view = raw[index]
+        if full:
+            return np.ma.MaskedArray(view, fill_value=self.missing_value)
+        return mask_missing(view, self.missing_value)
 
     # -- indexing -----------------------------------------------------------
 
     def __getitem__(self, key: Any) -> Variable:
-        if not isinstance(key, tuple):
-            key = (key,)
-        if len(key) > self.ndim:
-            raise CDMSError(f"variable {self.id!r}: too many indices {key!r}")
-        key = key + (slice(None),) * (self.ndim - len(key))
-        norm: list = []
-        for k in key:
-            if isinstance(k, (int, np.integer)):
-                k = slice(int(k), int(k) + 1 or None)
-            if not isinstance(k, slice):
-                raise CDMSError(
-                    f"variable {self.id!r}: only int/slice indexing supported, got {k!r}"
-                )
-            norm.append(k)
-
+        index = self._index(key)
+        axes = self._sub_axes(index)  # raises on an empty selection
         axis = self.layout.chunk_axis
-        selected = list(range(*norm[axis].indices(self.shape[axis])))
+        selected = range(*index[axis].indices(self.shape[axis]))
+        step = selected.step
         pieces = []
         i = 0
         while i < len(selected):
             chunk = self.layout.chunk_of(selected[i])
-            j = i
-            while j < len(selected) and chunk.start <= selected[j] < chunk.stop:
-                j += 1
-            local = np.asarray(
-                [s - chunk.start for s in selected[i:j]], dtype=np.intp
+            # the run of selected indices inside this chunk, as a slice of it
+            edge = chunk.stop if step > 0 else chunk.start - 1
+            run = selected[i : i + len(range(selected[i], edge, step))]
+            stop = run[-1] - chunk.start + (1 if step > 0 else -1)
+            local = slice(run[0] - chunk.start, stop if stop >= 0 else None, step)
+            pieces.append(
+                self._chunk_view(chunk, index[:axis] + (local,) + index[axis + 1 :])
             )
-            raw = self._get_chunk(chunk)
-            taker = tuple(
-                local if dim == axis else norm[dim] for dim in range(self.ndim)
-            )
-            pieces.append(raw[taker])
-            i = j
-        if pieces:
-            raw_out = (
-                pieces[0]
-                if len(pieces) == 1
-                else np.concatenate(pieces, axis=axis)
-            )
+            i += len(run)
+        if len(pieces) == 1:
+            data = pieces[0]
         else:
-            shape = [
-                len(range(*k.indices(n))) for k, n in zip(norm, self.shape)
-            ]
-            raw_out = np.empty(tuple(shape), dtype=self.dtype)
-        data = np.ma.masked_values(raw_out, self.missing_value, rtol=1e-6, atol=0.0)
-        axes = tuple(a.subaxis_slice(k) for a, k in zip(self._axes, norm))
+            data = np.ma.concatenate(pieces, axis=axis)
+            data.fill_value = self.missing_value
         return Variable(
             data,
             axes,

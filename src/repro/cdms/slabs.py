@@ -10,10 +10,10 @@ that exposes:
     the (min, max) over valid finite values, or ``None`` — answered
     from manifest statistics by streaming variables;
 ``slab_count()`` and ``iter_slabs()``
-    partition of the payload into storage-order slabs along
+    partition of the payload into storage-order masked arrays along
     ``slab_axis()``; an in-memory :class:`~repro.cdms.variable.Variable`
-    is one slab, a :class:`~repro.cdms.lazy.LazyVariable` yields one
-    materialized sub-variable per container chunk;
+    is one slab, its own data, a :class:`~repro.cdms.lazy.LazyVariable`
+    yields one read-only view per container chunk;
 ``slab_axis()``
     the dimension index along which ``iter_slabs`` partitions.
 

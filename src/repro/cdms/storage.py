@@ -65,6 +65,18 @@ def _npy_load(blob: bytes) -> np.ndarray:
     return np.load(io.BytesIO(blob), allow_pickle=False)
 
 
+def mask_missing(raw: np.ndarray, missing: float) -> np.ma.MaskedArray:
+    """*raw* with every value within ``rtol=1e-6`` of *missing* masked.
+
+    The one missing-value rule of a stored payload: the v1 reader, the
+    streamed slab and the v2 writer's chunk statistics all apply it, so
+    a chunk the manifest counts as wholly valid and finite is one this
+    masks nothing in.  The result shares *raw*'s memory; its mask is
+    ``nomask`` when nothing matched and ``NaN`` is never masked.
+    """
+    return np.ma.masked_values(raw, missing, rtol=1e-6, atol=0.0, copy=False)
+
+
 def _axis_manifest(axis: Axis) -> Dict[str, object]:
     return {
         "id": axis.id,
@@ -223,7 +235,7 @@ def _read_all_v1(
         var_id = meta["id"]
         raw = _member_array(archive, f"vars/{var_id}.npy")
         missing = float(meta.get("missing_value", 1.0e20))
-        data = np.ma.masked_values(raw, missing, rtol=1e-6, atol=0.0)
+        data = mask_missing(raw, missing)
         dimensions = meta["dimensions"]
         try:
             var_axes = [axes[dim] for dim in dimensions]
@@ -285,7 +297,9 @@ def read_cdz(path: PathLike) -> tuple[str, Dict[str, object], List[Variable]]:
     shape — surfaces as :class:`CDMSError` (or its
     :class:`~repro.util.errors.StreamingError` subclass), never as a
     bare ``KeyError`` or ``zipfile`` traceback, and never as a partial
-    dataset.
+    dataset.  The variables own writable arrays: a one-chunk variable,
+    which indexing hands out as a read-only view of the verified chunk,
+    is copied once.
     """
     from repro.streaming.config import StreamingConfig
 
@@ -295,4 +309,7 @@ def read_cdz(path: PathLike) -> tuple[str, Dict[str, object], List[Variable]]:
     if source is not None:
         with source:
             variables = [variable[()] for variable in variables]
+        variables = [
+            var if var.data.flags.writeable else var.clone() for var in variables
+        ]
     return dataset_id, attributes, variables

@@ -166,15 +166,15 @@ class Variable:
                 return dim
         return 0
 
-    def iter_slabs(self) -> "Iterator[Variable]":
-        """Yield the variable as storage-order slabs along ``slab_axis``.
+    def iter_slabs(self) -> Iterator[np.ma.MaskedArray]:
+        """Yield the payload as storage-order masked arrays along ``slab_axis``.
 
-        In-memory variables are one slab.  Lazy variables yield one
-        materialized sub-variable per chunk, so reductions written as
-        folds over slabs (the ``repro.cdat`` accumulator kernels) stay
-        within the streaming memory budget.
+        In-memory variables are one slab, their own data.  Lazy
+        variables yield one read-only view per chunk, so reductions
+        written as folds over slabs (the ``repro.cdat`` accumulator
+        kernels) stay within the streaming memory budget.
         """
-        yield self
+        yield self._data
 
     # -- axes -----------------------------------------------------------
 
@@ -254,7 +254,8 @@ class Variable:
 
     # -- indexing -----------------------------------------------------------
 
-    def __getitem__(self, key: Any) -> "Variable":
+    def _index(self, key: Any) -> Tuple[slice, ...]:
+        """*key* as one slice per dimension (an int keeps its dimension)."""
         if not isinstance(key, tuple):
             key = (key,)
         if len(key) > self.ndim:
@@ -271,9 +272,20 @@ class Variable:
                     f"variable {self.id!r}: only int/slice indexing supported, got {k!r}"
                 )
             norm.append(k)
-        data = self._data[tuple(norm)]
-        axes = tuple(axis.subaxis_slice(k) for axis, k in zip(self._axes, norm))
-        return self._rewrap(data, axes)
+        return tuple(norm)
+
+    def _sub_axes(self, index: Tuple[slice, ...]) -> Tuple[Axis, ...]:
+        """The axes of ``self[index]``: a dimension taken whole keeps its axis."""
+        return tuple(
+            axis
+            if k.indices(len(axis)) == (0, len(axis), 1)
+            else axis.subaxis_slice(k)
+            for axis, k in zip(self.axes, index)
+        )
+
+    def __getitem__(self, key: Any) -> "Variable":
+        index = self._index(key)
+        return self._rewrap(self._data[index], self._sub_axes(index))
 
     def squeeze(self) -> "Variable":
         """Drop all length-1 dimensions (and their axes)."""

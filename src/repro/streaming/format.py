@@ -44,7 +44,13 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.cdms.axis import Axis
-from repro.cdms.storage import _axis_manifest, _npy_bytes, _npy_load, read_member
+from repro.cdms.storage import (
+    _axis_manifest,
+    _npy_bytes,
+    _npy_load,
+    mask_missing,
+    read_member,
+)
 from repro.cdms.variable import Variable
 from repro.util.errors import ChunkCorruptionError, StreamingError
 
@@ -155,9 +161,13 @@ class VariableLayout:
 
 
 def _chunk_stats(raw: np.ndarray, missing: float) -> Tuple[Optional[float], Optional[float], int]:
-    """Finite-value (min, max, count) as a reader would compute them."""
-    # exactly the masking LazyVariable applies to decoded payload bytes
-    values = np.ma.masked_values(raw, missing, rtol=1e-6, atol=0.0).compressed()
+    """Finite-value (min, max, count) as a reader would compute them.
+
+    ``count == raw.size`` exactly when :func:`mask_missing` masks nothing
+    and every value is finite: the rule by which a reader hands out the
+    chunk with no mask at all.
+    """
+    values = mask_missing(raw, missing).compressed()
     values = values[np.isfinite(values)]
     if values.size == 0:
         return None, None, 0

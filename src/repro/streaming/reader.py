@@ -131,6 +131,7 @@ class ChunkReader:
                 f"chunk {chunk.member!r} decoded to shape {tuple(raw.shape)}, "
                 f"manifest says {expected}"
             )
+        raw.flags.writeable = False
         return raw
 
     def read_chunk(self, chunk: ChunkMeta) -> np.ndarray:
@@ -138,8 +139,9 @@ class ChunkReader:
 
         Retries under the config's policy; quarantines on exhaustion
         and re-raises the final failure.  A success clears any prior
-        quarantine.  Returned arrays are shared (possibly with the
-        result cache) — callers must not mutate them.
+        quarantine.  Returned arrays are shared (with the prefetch
+        slots, the result cache and every slab view of the chunk), so
+        they are read-only.
         """
         cache = ambient_cache()
         if cache is not None:
@@ -150,6 +152,7 @@ class ChunkReader:
                     if obs.enabled():
                         obs.counter("streaming.chunks.cache_hits", var=self.layout.id)
                     self._release(chunk)
+                    value.flags.writeable = False  # a disk hit is a fresh unpickle
                     return value
 
         counter = {"attempt": 0}
@@ -189,7 +192,7 @@ class ChunkReader:
         return raw
 
     def read_lowres(self, chunk: ChunkMeta) -> np.ndarray:
-        """The upsampled low-resolution fallback payload of *chunk*.
+        """The upsampled low-resolution fallback payload of *chunk* (read-only).
 
         Deliberately fault-site-free: this is the emergency path taken
         *because* the full-resolution read is failing.  Still digest
@@ -215,6 +218,7 @@ class ChunkReader:
         )
         if obs.enabled():
             obs.counter("streaming.chunks.lowres", var=self.layout.id)
+        full.flags.writeable = False
         return full
 
     # -- result-cache plumbing ---------------------------------------------

@@ -7,12 +7,13 @@ import zipfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.cdms.dataset import open_dataset
-from repro.cdms.storage import read_cdz, write_cdz
+from repro.cdms.storage import mask_missing, read_cdz, write_cdz
 from repro.streaming.config import StreamingConfig
 from repro.streaming.dataset import StreamingSource
-from repro.streaming.format import content_digest, decimate, upsample
+from repro.streaming.format import _chunk_stats, content_digest, decimate, upsample
 from repro.util.errors import CDMSError, StreamingError
 
 from .conftest import make_variable
@@ -88,6 +89,42 @@ class TestStatistics:
         assert layout.chunks[0].stat_valid == 0
         assert layout.chunks[0].stat_min is None
         assert layout.finite_range() == var.finite_range()
+
+
+NEAR = {
+    "value": lambda m: 280.5,
+    "missing": lambda m: m,
+    "within_rtol": lambda m: m + abs(m) * 5e-7,
+    "beyond_rtol": lambda m: m + abs(m) * 5e-6 + 1.0,
+    "nan": lambda m: np.nan,
+    "inf": lambda m: np.inf,
+    "-inf": lambda m: -np.inf,
+}
+
+
+class TestMissingValueRule:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        missing=st.sampled_from([1.0e20, -999.0, 0.0]),
+        kinds=st.lists(st.sampled_from(sorted(NEAR)), min_size=1, max_size=10),
+        dtype=st.sampled_from([np.float32, np.float64]),
+    )
+    def test_full_count_iff_nothing_masked_and_all_finite(self, missing, kinds, dtype):
+        raw = np.array([NEAR[kind](missing) for kind in kinds], dtype=dtype)
+        masked = mask_missing(raw, missing)
+        nothing_masked = not np.ma.getmaskarray(masked).any()
+        assert (_chunk_stats(raw, missing)[2] == raw.size) == (
+            nothing_masked and bool(np.isfinite(raw).all())
+        )
+        if nothing_masked:
+            assert masked.mask is np.ma.nomask
+        assert np.shares_memory(masked.data, raw)
+
+    def test_exact_and_near_missing_masked_nan_kept(self):
+        raw = np.array([1.0e20, 1.0e20 * (1 + 5e-7), 1.0e20 * (1 + 5e-6), np.nan, 1.0])
+        assert np.ma.getmaskarray(mask_missing(raw, 1.0e20)).tolist() == [
+            True, True, False, False, False,
+        ]
 
 
 class TestLowresResampling:
