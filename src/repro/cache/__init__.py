@@ -13,35 +13,41 @@ memoization safe.  This package supplies the machinery:
 * :mod:`repro.cache.config` — an ambient :class:`CacheConfig` scope
   (:class:`~repro.util.scope.ConfigScope`).
 
-Consumers (all opt-in through the ambient config; each asks
+Ambient consumers opt in through the one ambient config scope — there
+is no per-object cache knob; each asks
 :func:`~repro.cache.store.ambient_cache` for the store, and the pure
-get-or-compute sites go through :func:`~repro.cache.store.memoize`):
+get-or-compute sites go through :func:`~repro.cache.store.memoize`:
 
 * :class:`~repro.workflow.executor.Executor` memoizes module outputs
-  by signature across executor instances and processes, and serves
-  cached results for branches blocked by an upstream failure under
-  ``continue_independent``;
+  by signature across executor instances and processes;
 * :class:`~repro.rendering.scene.Renderer` memoizes whole frames by
   (scene, camera, size) digest — every DV3D plot type and hyperwall
   cell rides on this;
 * :func:`~repro.cdms.regrid.regrid_bilinear` /
   :func:`~repro.cdms.regrid.regrid_conservative` memoize regrid
-  products by (variable, target grid, scheme) digest;
-* :class:`~repro.serving.server.ServingServer` keys every request by
-  its canonical digest — the coalescing key for concurrent sessions —
-  and serves repeat requests (and stale frames under overload) from
-  this cache, with per-tenant quota eviction via
-  :meth:`~repro.cache.store.ResultCache.delete`.
+  products by (variable, target grid, scheme) digest.
+
+:class:`~repro.serving.server.ServingServer` is the one explicit
+consumer: it keys every request by its canonical digest — the
+coalescing key for concurrent sessions — and serves repeat requests
+(and stale frames under overload) from the :class:`ResultCache` it is
+given, with per-tenant quota eviction via
+:meth:`~repro.cache.store.ResultCache.delete`; it never reads the
+ambient scope.
 
 Usage::
 
     from repro import cache
 
-    cache.configure(memory_entries=512, disk_bytes=1 << 30,
-                    path="/tmp/repro-cache")
-    plot.render(800, 600)      # cold: rendered and stored
-    plot.render(800, 600)      # warm: served byte-identical from cache
-    print(cache.get_cache().stats())
+    cfg = cache.CacheConfig(memory_entries=512, disk_bytes=1 << 30,
+                            path="/tmp/repro-cache")
+    with cache.use_config(cfg):
+        plot.render(800, 600)  # cold: rendered and stored
+        plot.render(800, 600)  # warm: served byte-identical from cache
+        print(cache.get_cache().stats())
+
+Processes forked inside the block (a ``LocalCluster``'s clients)
+inherit the scope.
 """
 
 from repro.cache.config import (

@@ -10,8 +10,8 @@ hot path behaves exactly as the seed until an application calls
 The ambient default (:func:`get_config` / :func:`set_config` /
 :func:`use_config`) is a :class:`~repro.util.scope.ConfigScope`: the
 executor, the renderer's frame cache and the regrid operators all
-consult it when no explicit config is passed, so whole pipelines pick
-up memoization without any per-module plumbing.
+consult it and take no config of their own, so whole pipelines pick up
+memoization without any per-module plumbing.
 """
 
 from __future__ import annotations

@@ -52,12 +52,9 @@ def image_digest(image: np.ndarray) -> str:
 class DisplayNode:
     """One display node, transport-free: the live cells it hosts, and
     :meth:`handle`, which takes a message and returns the reply.
-
-    *cache* (a :class:`repro.cache.CacheConfig`) opts this node's
-    executor into the shared result cache.
     """
 
-    def __init__(self, client_id: int, cache=None) -> None:
+    def __init__(self, client_id: int) -> None:
         self.client_id = int(client_id)
         #: shipped sub-workflows, keyed by cell id — more than one entry
         #: only after a failover reassignment
@@ -65,7 +62,7 @@ class DisplayNode:
         #: live cells by key, and the signature of the sink that built each
         self.cells: Dict[Hashable, DV3DCell] = {}
         self._signatures: Dict[Hashable, str] = {}
-        self.executor = Executor(caching=True, cache=cache)
+        self.executor = Executor(caching=True)
 
     def execute(self, key: Hashable, pipeline: Pipeline, sink: int) -> ExecutionResult:
         """The cell *pipeline*'s *sink* module builds, kept under *key*.
@@ -209,17 +206,16 @@ class HyperwallClient:
 
     *io_timeout* bounds every socket read/write once connected, so a
     dead server (or a dropped reply) surfaces as a timeout instead of a
-    hang.  *cache* is the node's.
+    hang.
     """
 
     def __init__(
-        self, host: str, port: int, client_id: int, io_timeout: float = 60.0,
-        cache=None,
+        self, host: str, port: int, client_id: int, io_timeout: float = 60.0
     ) -> None:
         self.host = host
         self.port = port
         self.io_timeout = float(io_timeout)
-        self.node = DisplayNode(client_id, cache=cache)
+        self.node = DisplayNode(client_id)
         self._sock: Optional[socket.socket] = None
 
     def connect(self, timeout: float = 10.0) -> None:
@@ -264,19 +260,9 @@ class HyperwallClient:
         return handled
 
 
-def run_client(
-    host: str, port: int, client_id: int, io_timeout: float = 60.0, cache=None
-) -> int:
+def run_client(host: str, port: int, client_id: int, io_timeout: float = 60.0) -> int:
     """Process entry point: connect, serve, exit (used by the cluster)."""
-    if cache is not None:
-        # install process-wide so interactive re-renders (which happen
-        # outside executor.execute) also reach the ambient result cache —
-        # the tier shared with other processes; the cell's own kept
-        # scene and frame need no config
-        from repro.cache.config import set_config
-
-        set_config(cache)
-    client = HyperwallClient(host, port, client_id, io_timeout=io_timeout, cache=cache)
+    client = HyperwallClient(host, port, client_id, io_timeout=io_timeout)
     client.connect()
     try:
         return client.run()

@@ -13,6 +13,12 @@ process mid-execution deterministically::
     faults.arm("hyperwall.client.execute", "exit", match={"client": 2})
     with LocalCluster(p, n_clients=4, wall=wall) as cluster:
         out = cluster.run_session()   # completes; cell 2 is recovered
+
+The ambient result-cache scope is inherited the same way: start the
+cluster inside ``with repro.cache.use_config(cfg):`` and every node —
+the server's mirror and each forked client — memoizes through *cfg*
+(with the disk tier on a shared path, a replayed frame sequence is
+served from cache on every node).
 """
 
 from __future__ import annotations
@@ -32,11 +38,7 @@ class LocalCluster:
 
     *io_timeout* bounds every socket operation on both sides;
     *failover* selects the server's recovery policy for dead clients
-    (``reassign`` | ``degrade`` | ``fail_fast``).  *cache* (a
-    :class:`repro.cache.CacheConfig`) is installed on the server's
-    executor and in every client process — with the disk tier on a
-    shared path, a replayed frame sequence is served from cache on
-    every node, including reassigned cells and degraded mirrors.
+    (``reassign`` | ``degrade`` | ``fail_fast``).
     """
 
     def __init__(
@@ -47,17 +49,14 @@ class LocalCluster:
         reduction: int = 4,
         io_timeout: float = 60.0,
         failover: str = "reassign",
-        cache=None,
     ) -> None:
         self.io_timeout = float(io_timeout)
-        self.cache = cache
         self.server = HyperwallServer(
             workflow,
             wall=wall,
             reduction=reduction,
             io_timeout=self.io_timeout,
             failover=failover,
-            cache=cache,
         )
         self.n_clients = int(n_clients)
         self._processes: List[mp.Process] = []
@@ -74,10 +73,7 @@ class LocalCluster:
         for client_id in range(self.n_clients):
             proc = ctx.Process(
                 target=run_client,  # exceptions surface via the exit code
-                args=(
-                    self.server.host, self.server.port, client_id,
-                    self.io_timeout, self.cache,
-                ),
+                args=(self.server.host, self.server.port, client_id, self.io_timeout),
                 daemon=True,
                 name=f"repro-hyperwall-client-{client_id}",
             )

@@ -50,7 +50,6 @@ from contextlib import suppress
 from typing import Any, Dict, List, Optional
 
 from repro import obs
-from repro.cache.config import use_config as use_cache_config
 from repro.hyperwall import protocol
 from repro.hyperwall.client import DisplayNode, image_digest
 from repro.hyperwall.display import WallGeometry
@@ -78,7 +77,6 @@ class ControlNode:
         reduction: int = 4,
         failover: str = "reassign",
         retry: Optional[RetryPolicy] = None,
-        cache=None,
     ) -> None:
         if failover not in FAILOVER_POLICIES:
             raise HyperwallError(
@@ -100,10 +98,8 @@ class ControlNode:
             max_attempts=3, base_delay=0.05, max_delay=0.5, seed="hyperwall"
         )
         self.server_pipeline = make_reduced_pipeline(workflow, self.reduction)
-        #: optional CacheConfig shared with degraded mirror renders
-        self.cache = cache
         #: the mirror's cells, keyed by cell id
-        self.mirror = DisplayNode(-1, cache=cache)
+        self.mirror = DisplayNode(-1)
         #: one link per connected client
         self._connections: Dict[int, Any] = {}
         #: primary cell ownership from :meth:`distribute_workflows`
@@ -369,8 +365,7 @@ class ControlNode:
         height = max(self.wall.tile_height // self.reduction, 16)
         start = time.perf_counter()
         with obs.span("hyperwall.server.degraded_render", cell=cell_id):
-            with use_cache_config(self.cache):
-                image = cell.render(width, height).to_uint8()
+            image = cell.render(width, height).to_uint8()
         obs.counter("resilience.degraded", site="hyperwall.mirror", cell=str(cell_id))
         return {
             "client_id": None,
@@ -455,9 +450,8 @@ class HyperwallServer(ControlNode):
         io_timeout: float = 120.0,
         failover: str = "reassign",
         retry: Optional[RetryPolicy] = None,
-        cache=None,
     ) -> None:
-        super().__init__(workflow, wall, reduction, failover, retry, cache)
+        super().__init__(workflow, wall, reduction, failover, retry)
         self.io_timeout = float(io_timeout)
         self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)

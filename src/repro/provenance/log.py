@@ -94,7 +94,6 @@ class ExecutionLog:
                     "module_name": run.module_name,
                     "status": run.status,
                     "duration": run.duration,
-                    "error": run.error,
                 }
                 for run in result.runs
             ],

@@ -86,25 +86,3 @@ def interlaced(left: FrameLike, right: FrameLike) -> np.ndarray:
     out = l.copy()
     out[1::2] = r[1::2]
     return _to_uint8(out)
-
-
-def disparity_estimate(left: FrameLike, right: FrameLike, max_shift: int = 16) -> float:
-    """Mean horizontal disparity (pixels) between the two eyes.
-
-    A cheap global estimate by phase of the best whole-image shift —
-    used by tests to verify the stereo rig actually produced parallax
-    of the expected sign and magnitude.
-    """
-    l = _as_float_rgb(left).mean(axis=2)
-    r = _as_float_rgb(right).mean(axis=2)
-    _check_pair(l[..., None], r[..., None])
-    best_shift, best_score = 0, np.inf
-    for shift in range(-max_shift, max_shift + 1):
-        if shift >= 0:
-            diff = l[:, shift:] - r[:, : l.shape[1] - shift]
-        else:
-            diff = l[:, :shift] - r[:, -shift:]
-        score = float(np.mean(diff * diff))
-        if score < best_score:
-            best_score, best_shift = score, shift
-    return float(best_shift)

@@ -68,7 +68,7 @@ from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro import obs
-from repro.cache.store import ResultCache, ambient_cache
+from repro.cache.store import ResultCache
 from repro.resilience import faults
 from repro.resilience.breaker import CircuitBreaker
 from repro.serving.admission import (
@@ -133,9 +133,9 @@ class ServingServer:
     config:
         :class:`~repro.serving.config.ServingConfig` bounds.
     cache:
-        Explicit :class:`~repro.cache.store.ResultCache` for the
-        serving tier.  Default: the ambient cache when the ambient
-        :class:`~repro.cache.config.CacheConfig` is enabled, else none.
+        The serving tier's :class:`~repro.cache.store.ResultCache`;
+        without one nothing is served from cache (the ambient
+        :mod:`repro.cache` scope is not consulted).
     clock:
         Injectable monotonic clock shared by deadlines and the breaker.
     salt:
@@ -164,7 +164,7 @@ class ServingServer:
             clock=clock,
             name="serving.kernels",
         )
-        self._explicit_cache = cache
+        self.cache = cache
         self._queue: "asyncio.Queue[Optional[_WorkItem]]" = asyncio.Queue()
         self._inflight: Dict[str, _Inflight] = {}
         self._workers: List["asyncio.Task[None]"] = []
@@ -284,9 +284,8 @@ class ServingServer:
             base = await entry.future
             return base.fan_out(request.tenant, self.clock() - t0, coalesced=True)
 
-        cache = self._cache()
-        if cache is not None:
-            found, payload = cache.get(key, site="serving")
+        if self.cache is not None:
+            found, payload = self.cache.get(key, site="serving")
             if found:
                 if self.quota.enforcing:
                     self.quota.touch(request.tenant, key)
@@ -375,9 +374,8 @@ class ServingServer:
             )
 
         # breaker open: the backend is failing or saturated — degrade
-        cache = self._cache()
-        if cache is not None:
-            found, payload = cache.get(item.key, site="serving.degraded")
+        if self.cache is not None:
+            found, payload = self.cache.get(item.key, site="serving.degraded")
             if found:
                 obs.counter("serving.degraded", source="cache")
                 return Response(
@@ -481,10 +479,8 @@ class ServingServer:
             and (entry is None or entry.waiters == 0)
         ):
             spec.task.cancel()
-        elif spec.stored:
-            cache = self._cache()
-            if cache is not None:
-                cache.delete(spec.key, site="serving.speculative.waste")
+        elif spec.stored and self.cache is not None:
+            self.cache.delete(spec.key, site="serving.speculative.waste")
 
     def _maybe_speculate(self, state: SessionState, request: Request) -> None:
         """Launch a speculative render of the session's predicted next frame.
@@ -507,9 +503,8 @@ class ServingServer:
         spec_key = request_key(spec_request, salt=self.salt)
         if spec_key in self._inflight:
             return
-        cache = self._cache()
-        if cache is not None:
-            found, _ = cache.get(spec_key, site="serving.speculative.probe")
+        if self.cache is not None:
+            found, _ = self.cache.get(spec_key, site="serving.speculative.probe")
             if found:
                 return  # the predicted frame is already a guaranteed hit
         loop = asyncio.get_running_loop()
@@ -574,13 +569,8 @@ class ServingServer:
 
     # -- cache / quota -------------------------------------------------------
 
-    def _cache(self) -> Optional[ResultCache]:
-        if self._explicit_cache is not None:
-            return self._explicit_cache
-        return ambient_cache()
-
     def _store(self, tenant: str, key: str, payload: bytes) -> None:
-        cache = self._cache()
+        cache = self.cache
         if cache is None:
             return
         cache.put(key, payload, site="serving")

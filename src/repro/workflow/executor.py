@@ -13,7 +13,9 @@ implemented and benchmarked here:
 
 Every execution produces an :class:`ExecutionResult` carrying outputs,
 per-module timing/status records (consumed by the provenance execution
-log) and cache statistics.
+log) and cache statistics.  The first module failure raises
+:class:`~repro.util.errors.ModuleExecutionError`; modules already
+running on the pool finish, and nothing new is dispatched.
 """
 
 from __future__ import annotations
@@ -25,17 +27,11 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro import obs
-from repro.cache.config import use_config as use_cache_config
 from repro.cache.keys import cache_key
 from repro.cache.store import ambient_cache
 from repro.resilience import faults
 from repro.workflow.pipeline import Pipeline
 from repro.util.errors import ModuleExecutionError, WorkflowError
-
-#: executor failure policies: abort on the first module failure, or
-#: keep executing branches not downstream of a failed module and
-#: return a partial result with per-module status
-FAILURE_POLICIES = ("fail_fast", "continue_independent")
 
 
 @dataclass
@@ -44,9 +40,8 @@ class ModuleRun:
 
     module_id: int
     module_name: str
-    status: str  # "ok" | "cached" | "error" | "skipped"
+    status: str  # "ok" | "cached"
     duration: float
-    error: str = ""
 
 
 @dataclass
@@ -81,19 +76,6 @@ class ExecutionResult:
                 return run.status
         raise WorkflowError(f"module {module_id} was not executed")
 
-    @property
-    def ok(self) -> bool:
-        """Whether every module ran (or came from cache) successfully."""
-        return all(run.status in ("ok", "cached") for run in self.runs)
-
-    def failures(self) -> List[ModuleRun]:
-        """Runs that failed (``continue_independent`` partial results)."""
-        return [run for run in self.runs if run.status == "error"]
-
-    def skipped(self) -> List[ModuleRun]:
-        """Runs skipped because an upstream module failed."""
-        return [run for run in self.runs if run.status == "skipped"]
-
 
 class Executor:
     """Executes pipelines against a module registry.
@@ -101,29 +83,14 @@ class Executor:
     Parameters
     ----------
     caching:
-        Keep module results keyed by signature across executions.
+        Keep module results keyed by signature across executions.  While
+        the ambient :mod:`repro.cache` config is enabled (``with
+        use_config(cfg):``), results are also memoized in the shared
+        two-tier result cache keyed by their provenance signature — so
+        warm results survive across executor instances and, through the
+        disk tier, across processes.
     max_workers:
         Thread-pool width for parallel branch execution; 1 = serial.
-    cache:
-        Optional :class:`repro.cache.CacheConfig` installed as the
-        ambient config for the duration of each execution.  When the
-        effective (explicit or ambient) config is enabled, module
-        results are additionally memoized in the
-        shared two-tier result cache keyed by their provenance
-        signature — so warm results survive across executor instances
-        and, through the disk tier, across processes.  Under
-        ``continue_independent`` the shared cache is also consulted
-        for modules blocked by an upstream failure: a branch whose
-        results were cached by an earlier run completes (status
-        ``"cached"``) instead of being skipped.
-    failure_policy:
-        ``"fail_fast"`` (default) raises on the first module failure;
-        ``"continue_independent"`` keeps executing every branch not
-        downstream of a failed module and returns a partial
-        :class:`ExecutionResult` whose runs carry per-module status
-        (``error`` for the failed module, ``skipped`` for its
-        downstream closure) — the hyperwall's partial-frame semantics
-        applied to a single workflow.
     """
 
     def __init__(
@@ -131,23 +98,14 @@ class Executor:
         caching: bool = True,
         max_workers: int = 1,
         on_module_complete=None,
-        cache=None,
-        failure_policy: str = "fail_fast",
     ) -> None:
         if max_workers < 1:
             raise WorkflowError("max_workers must be >= 1")
-        if failure_policy not in FAILURE_POLICIES:
-            raise WorkflowError(
-                f"failure_policy must be one of {FAILURE_POLICIES}, "
-                f"got {failure_policy!r}"
-            )
         self.caching = caching
         self.max_workers = int(max_workers)
         #: optional callable(ModuleRun, done_count, total_count) — the
         #: progress hook a GUI's status bar would subscribe to
         self.on_module_complete = on_module_complete
-        self.cache = cache
-        self.failure_policy = failure_policy
         self._cache: Dict[str, Dict[str, Any]] = {}
 
     def clear_cache(self) -> None:
@@ -159,8 +117,8 @@ class Executor:
 
     def _lookup(self, sig: str) -> Optional[Dict[str, Any]]:
         """Memoized outputs for signature *sig*, or None: the private
-        memo first, then the shared (ambient or executor-scoped) result
-        cache, whose hits are promoted into the memo."""
+        memo first, then the ambient shared result cache, whose hits are
+        promoted into the memo."""
         outputs = self._cache.get(sig)
         if outputs is None:
             shared = ambient_cache()
@@ -208,17 +166,9 @@ class Executor:
     ) -> ExecutionResult:
         """Execute *pipeline* (or just the upstream closure of *targets*).
 
-        Under ``fail_fast`` raises :class:`ModuleExecutionError` on the
-        first module failure (modules already running are allowed to
-        finish); under ``continue_independent`` failures are recorded
-        in the result and independent branches keep executing.
+        Raises :class:`ModuleExecutionError` on the first module failure
+        (modules already running are allowed to finish).
         """
-        with use_cache_config(self.cache):
-            return self._execute_inner(pipeline, targets)
-
-    def _execute_inner(
-        self, pipeline: Pipeline, targets: Optional[List[int]] = None
-    ) -> ExecutionResult:
         start_wall = time.perf_counter()
         if targets is not None:
             pipeline = pipeline.subpipeline(targets)
@@ -264,25 +214,11 @@ class Executor:
                 try:
                     faults.check("executor.module", module=spec.name)
                     outputs = instance.check_outputs(instance.compute(inputs))
-                except ModuleExecutionError as exc:
-                    if self.failure_policy == "fail_fast":
-                        raise
-                    mspan.set(status="error")
-                    obs.counter("executor.module.failed", module=spec.name)
-                    return mid, {}, ModuleRun(
-                        mid, spec.name, "error",
-                        time.perf_counter() - t0, error=str(exc),
-                    )
                 except Exception as exc:  # noqa: BLE001 - attributed and re-raised
-                    wrapped = ModuleExecutionError(spec.name, exc)
-                    if self.failure_policy == "fail_fast":
-                        raise wrapped from exc
-                    mspan.set(status="error")
                     obs.counter("executor.module.failed", module=spec.name)
-                    return mid, {}, ModuleRun(
-                        mid, spec.name, "error",
-                        time.perf_counter() - t0, error=str(wrapped),
-                    )
+                    if isinstance(exc, ModuleExecutionError):
+                        raise
+                    raise ModuleExecutionError(spec.name, exc) from exc
                 if use_cache:
                     self._remember(sig, outputs)
                 mspan.set(status="ok")
@@ -298,49 +234,10 @@ class Executor:
             if self.on_module_complete is not None:
                 self.on_module_complete(run, len(result.runs), len(order))
 
-        def skip(mid: int) -> None:
-            spec = pipeline.modules[mid]
-            obs.counter("executor.module.skipped", module=spec.name)
-            finish(mid, {}, ModuleRun(
-                mid, spec.name, "skipped", 0.0, error="upstream module failed"
-            ))
-
-        def resolve_blocked(mid: int) -> Optional[Dict[str, Any]]:
-            """Cached outputs for a module blocked by an upstream failure.
-
-            A blocked module's signature is computable without running
-            its (failed) upstreams, so a result memoized by an earlier
-            run can still complete this branch under
-            ``continue_independent``.
-            """
-            spec = pipeline.modules[mid]
-            cls = pipeline.registry.resolve(spec.name)
-            if not (self.caching and cls.cacheable):
-                return None
-            return self._lookup(signatures[mid])
-
-        def finish_blocked(mid: int, outputs: Dict[str, Any]) -> None:
-            spec = pipeline.modules[mid]
-            obs.counter("executor.cache.hit", module=spec.name)
-            finish(mid, outputs, ModuleRun(mid, spec.name, "cached", 0.0))
-
-        failed: Set[int] = set()  # error or skipped module ids
-
         with exec_span:
             if self.max_workers == 1:
                 for mid in order:
-                    if dependencies[mid] & failed:
-                        outputs = resolve_blocked(mid)
-                        if outputs is None:
-                            skip(mid)
-                            failed.add(mid)
-                        else:
-                            finish_blocked(mid, outputs)
-                        continue
-                    mid, outputs, run = run_module(mid)
-                    finish(mid, outputs, run)
-                    if run.status == "error":
-                        failed.add(mid)
+                    finish(*run_module(mid))
             else:
                 with ThreadPoolExecutor(max_workers=self.max_workers) as pool:
                     pending: Dict[Future, int] = {}
@@ -359,52 +256,23 @@ class Executor:
                         done, _ = wait(pending, return_when=FIRST_COMPLETED)
                         for future in done:
                             mid = pending.pop(future)
+                            remaining.discard(mid)
                             try:
-                                fmid, outputs, run = future.result()
+                                record = future.result()
                             except BaseException as exc:  # noqa: BLE001
                                 if first_error is None:
                                     first_error = exc
-                                remaining.discard(mid)
                                 continue
-                            finish(fmid, outputs, run)
-                            remaining.discard(mid)
-                            if run.status == "error":
-                                failed.add(mid)
-                            else:
-                                done_set.add(mid)
+                            finish(*record)
+                            done_set.add(mid)
                         if first_error is None:
                             dispatch_ready()
                     if first_error is not None:
                         raise first_error
-                # everything still remaining is downstream of a failure
-                # (otherwise dispatch_ready would have scheduled it); a
-                # cached result can still complete such a branch, and a
-                # module whose upstreams all resolved from cache runs
-                # inline (topological order keeps its inputs available)
-                for mid in order:
-                    if mid not in remaining:
-                        continue
-                    if dependencies[mid] <= done_set:
-                        fmid, outputs, run = run_module(mid)
-                        finish(fmid, outputs, run)
-                        if run.status == "error":
-                            failed.add(mid)
-                        else:
-                            done_set.add(mid)
-                        continue
-                    outputs = resolve_blocked(mid)
-                    if outputs is None:
-                        skip(mid)
-                        failed.add(mid)
-                    else:
-                        finish_blocked(mid, outputs)
-                        done_set.add(mid)
 
         # cache statistics are derived from the run records (the obs
         # counters above carry the per-module breakdown)
         result.cache_hits = sum(1 for run in result.runs if run.status == "cached")
-        result.cache_misses = sum(
-            1 for run in result.runs if run.status in ("ok", "error")
-        )
+        result.cache_misses = sum(1 for run in result.runs if run.status == "ok")
         result.wall_time = time.perf_counter() - start_wall
         return result

@@ -1,10 +1,9 @@
 """Executor-level memoization through the shared result cache.
 
 The executor's own per-instance signature cache is seed behavior; these
-tests cover what the shared two-tier cache adds: results that survive
-across executor instances and processes, and the cache-aware
-``continue_independent`` semantics (a branch blocked by an upstream
-failure completes from cache instead of being skipped).
+tests cover what the ambient two-tier cache adds (``with
+use_config(cfg):`` is the one switch): results that survive across
+executor instances and processes, on the serial and the parallel path.
 """
 
 from __future__ import annotations
@@ -15,7 +14,7 @@ import sys
 
 import pytest
 
-from repro.cache.config import CacheConfig
+from repro.cache.config import CacheConfig, use_config
 from repro.cache.store import DiskTier
 from repro.workflow.executor import Executor
 from repro.workflow.module import Module
@@ -23,7 +22,7 @@ from repro.workflow.pipeline import Pipeline
 from repro.workflow.ports import PortSpec
 from repro.workflow.registry import ModuleRegistry
 
-CALLS = {"source": 0, "fail": False}
+CALLS = {"source": 0}
 
 
 class Source(Module):
@@ -34,31 +33,12 @@ class Source(Module):
         return {"out": 41}
 
 
-class FlakySource(Module):
-    """A non-cacheable source (like a live DV3D module) that can fail."""
-
-    cacheable = False
-    output_ports = (PortSpec("out"),)
-
-    def compute(self, inputs):
-        if CALLS["fail"]:
-            raise RuntimeError("source is down")
-        return {"out": 41}
-
-
 class AddOne(Module):
     input_ports = (PortSpec("x"),)
     output_ports = (PortSpec("out"),)
 
     def compute(self, inputs):
         return {"out": inputs["x"] + 1}
-
-
-class Independent(Module):
-    output_ports = (PortSpec("out"),)
-
-    def compute(self, inputs):
-        return {"out": "independent"}
 
 
 class Scaled(Module):
@@ -74,19 +54,19 @@ class Scaled(Module):
 @pytest.fixture()
 def registry_():
     reg = ModuleRegistry()
-    for cls in (Source, FlakySource, AddOne, Independent, Scaled):
+    for cls in (Source, AddOne, Scaled):
         reg.register("t", cls)
     return reg
 
 
 @pytest.fixture(autouse=True)
 def reset_calls():
-    CALLS.update(source=0, fail=False)
+    CALLS.update(source=0)
 
 
-def chain(reg, source="Source"):
+def chain(reg):
     p = Pipeline(registry=reg)
-    s = p.add_module(source)
+    s = p.add_module("Source")
     a = p.add_module("AddOne")
     p.add_connection(s, "out", a, "x")
     return p, s, a
@@ -96,11 +76,13 @@ class TestSharedMemoization:
     def test_results_survive_across_executor_instances(self, registry_, tmp_path):
         cfg = CacheConfig(path=str(tmp_path / "cache"))
         p1, _, a1 = chain(registry_)
-        r1 = Executor(cache=cfg).execute(p1)
+        with use_config(cfg):
+            r1 = Executor().execute(p1)
         assert r1.output(a1, "out") == 42 and r1.cache_misses == 2
 
         p2, _, a2 = chain(registry_)
-        r2 = Executor(cache=cfg).execute(p2)  # a brand-new executor
+        with use_config(cfg):
+            r2 = Executor().execute(p2)  # a brand-new executor
         assert r2.output(a2, "out") == 42
         assert r2.cache_hits == 2 and r2.cache_misses == 0
         assert CALLS["source"] == 1
@@ -108,9 +90,10 @@ class TestSharedMemoization:
     def test_disk_tier_alone_serves_a_fresh_process_view(self, registry_, tmp_path):
         cfg = CacheConfig(path=str(tmp_path / "cache"), memory_entries=0)
         p1, _, _ = chain(registry_)
-        Executor(cache=cfg).execute(p1)
         p2, _, a2 = chain(registry_)
-        r2 = Executor(cache=cfg).execute(p2)
+        with use_config(cfg):
+            Executor().execute(p1)
+            r2 = Executor().execute(p2)
         assert r2.cache_hits == 2 and r2.output(a2, "out") == 42
 
     def test_disabled_cache_preserves_seed_behavior(self, registry_, tmp_path):
@@ -128,7 +111,8 @@ class TestSharedMemoization:
         def run(factor):
             p = Pipeline(registry=registry_)
             mid = p.add_module("Scaled", {"factor": factor})
-            result = Executor(cache=cfg).execute(p)
+            with use_config(cfg):
+                result = Executor().execute(p)
             return result, result.output(mid, "out")
 
         r1, v1 = run(2)
@@ -138,60 +122,35 @@ class TestSharedMemoization:
         r3, v3 = run(3)  # a single parameter change: a miss
         assert (r3.cache_misses, v3) == (1, 30)
 
+    def test_parallel_executor_memoizes_through_the_disk_tier(self, registry_, tmp_path):
+        cache_dir = str(tmp_path / "cache")
+        cfg = CacheConfig(path=cache_dir, memory_entries=0)
 
-class TestCacheAwareContinueIndependent:
-    def warm(self, registry_, tmp_path):
-        cfg = CacheConfig(path=str(tmp_path / "cache"))
-        p, _, _ = chain(registry_, source="FlakySource")
-        assert Executor(cache=cfg).execute(p).ok
-        CALLS["fail"] = True
-        return cfg
+        def run():
+            p = Pipeline(registry=registry_)
+            tips = []
+            for factor in (2, 3):  # two independent branches for the pool
+                s = p.add_module("Scaled", {"factor": factor})
+                a = p.add_module("AddOne")
+                p.add_connection(s, "out", a, "x")
+                tips.append(a)
+            with use_config(cfg):
+                result = Executor(max_workers=4).execute(p)
+            return result, [result.output(a, "out") for a in tips]
 
-    @pytest.mark.parametrize("workers", [1, 4])
-    def test_blocked_branch_completes_from_cache(self, registry_, tmp_path, workers):
-        cfg = self.warm(registry_, tmp_path)
-        p, s, a = chain(registry_, source="FlakySource")
-        result = Executor(
-            cache=cfg, failure_policy="continue_independent", max_workers=workers
-        ).execute(p)
-        assert result.status_of(s) == "error"
-        assert result.status_of(a) == "cached"  # not skipped: served warm
-        assert result.output(a, "out") == 42
-        assert not result.ok and len(result.skipped()) == 0
-
-    @pytest.mark.parametrize("workers", [1, 4])
-    def test_without_cache_blocked_branch_is_skipped(self, registry_, tmp_path, workers):
-        self.warm(registry_, tmp_path)
-        p, s, a = chain(registry_, source="FlakySource")
-        result = Executor(
-            failure_policy="continue_independent", max_workers=workers
-        ).execute(p)  # no cache config: seed semantics
-        assert result.status_of(s) == "error"
-        assert result.status_of(a) == "skipped"
-
-    def test_cold_cache_still_skips(self, registry_, tmp_path):
-        CALLS["fail"] = True
-        cfg = CacheConfig(path=str(tmp_path / "cold"))
-        p, s, a = chain(registry_, source="FlakySource")
-        result = Executor(
-            cache=cfg, failure_policy="continue_independent"
-        ).execute(p)
-        assert result.status_of(a) == "skipped"  # nothing cached to serve
-
-    def test_independent_branch_still_runs(self, registry_, tmp_path):
-        cfg = self.warm(registry_, tmp_path)
-        p, s, a = chain(registry_, source="FlakySource")
-        ind = p.add_module("Independent")
-        result = Executor(
-            cache=cfg, failure_policy="continue_independent", max_workers=4
-        ).execute(p)
-        assert result.status_of(ind) == "ok"
-        assert result.status_of(a) == "cached"
+        cold, cold_values = run()
+        assert (cold.cache_hits, cold.cache_misses) == (0, 4)
+        entries = len(DiskTier(cache_dir, max_bytes=1 << 30))
+        assert entries == 4
+        warm, warm_values = run()  # a brand-new executor: the disk tier answers
+        assert (warm.cache_hits, warm.cache_misses) == (4, 0)
+        assert warm_values == cold_values == [21, 31]
+        assert len(DiskTier(cache_dir, max_bytes=1 << 30)) == entries
 
 
 _CHILD = r"""
 import sys
-from repro.cache.config import CacheConfig
+from repro.cache.config import CacheConfig, use_config
 from repro.workflow.executor import Executor
 from repro.workflow.pipeline import Pipeline
 from repro.workflow.registry import global_registry
@@ -202,8 +161,8 @@ from tests.conftest import build_cell_chain
 pipeline = Pipeline(global_registry())
 ids = build_cell_chain(pipeline, width=48, height=36)
 cfg = CacheConfig(path=sys.argv[1])
-result = Executor(cache=cfg).execute(pipeline)
-assert result.ok
+with use_config(cfg):
+    result = Executor().execute(pipeline)
 sys.stdout.write(f"{result.cache_hits},{result.cache_misses}")
 """
 

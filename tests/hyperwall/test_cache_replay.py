@@ -1,18 +1,20 @@
 """Hyperwall replay through the shared result cache.
 
 A 2x2 wall of real client processes runs a 3-frame animation sequence
-twice, sharing one disk-tier cache directory.  The second pass must be
-byte-identical to the first (proved by the wire-level image digests —
-pixels never leave the display nodes) and fully served from cache (the
-disk tier gains no entries).  Killing a client during the warm pass
-must hand its cell to a survivor that reproduces the exact same bytes.
+twice, sharing one disk-tier cache directory: each cluster starts inside
+``with use_config(cfg):``, and its forked clients inherit the scope.
+The second pass must be byte-identical to the first (proved by the
+wire-level image digests — pixels never leave the display nodes) and
+fully served from cache (the disk tier gains no entries).  Killing a
+client during the warm pass must hand its cell to a survivor that
+reproduces the exact same bytes.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.cache.config import CacheConfig
+from repro.cache.config import CacheConfig, use_config
 from repro.cache.store import DiskTier
 from repro.hyperwall.cluster import LocalCluster
 from repro.hyperwall.display import WallGeometry
@@ -66,8 +68,8 @@ def test_replayed_sequence_is_cached_and_byte_identical(quad_pipeline, tmp_path)
     cache_dir = str(tmp_path / "wall-cache")
     cfg = CacheConfig(path=cache_dir)
 
-    with LocalCluster(
-        quad_pipeline, n_clients=N_CELLS, wall=QUAD_WALL, io_timeout=60.0, cache=cfg
+    with use_config(cfg), LocalCluster(
+        quad_pipeline, n_clients=N_CELLS, wall=QUAD_WALL, io_timeout=60.0
     ) as cluster:
         cold = play_sequence(cluster)
 
@@ -77,8 +79,8 @@ def test_replayed_sequence_is_cached_and_byte_identical(quad_pipeline, tmp_path)
     assert entries_after_cold > 0
 
     # a brand-new cluster (fresh client processes) replays the sequence
-    with LocalCluster(
-        quad_pipeline, n_clients=N_CELLS, wall=QUAD_WALL, io_timeout=60.0, cache=cfg
+    with use_config(cfg), LocalCluster(
+        quad_pipeline, n_clients=N_CELLS, wall=QUAD_WALL, io_timeout=60.0
     ) as cluster:
         warm = play_sequence(cluster)
 
@@ -95,8 +97,8 @@ def test_client_killed_on_warm_frame_reassigned_byte_identical(
     cache_dir = str(tmp_path / "wall-cache")
     cfg = CacheConfig(path=cache_dir)
 
-    with LocalCluster(
-        quad_pipeline, n_clients=N_CELLS, wall=QUAD_WALL, io_timeout=60.0, cache=cfg
+    with use_config(cfg), LocalCluster(
+        quad_pipeline, n_clients=N_CELLS, wall=QUAD_WALL, io_timeout=60.0
     ) as cluster:
         cold = play_sequence(cluster)
     assert set(cold["status"].values()) == {"live"}
@@ -104,9 +106,9 @@ def test_client_killed_on_warm_frame_reassigned_byte_identical(
     # warm pass: client 2 dies mid-execution; its cell must come back
     # from a survivor with the exact bytes the dead client produced
     faults.arm("hyperwall.client.execute", "exit", match={"client": 2})
-    with LocalCluster(
+    with use_config(cfg), LocalCluster(
         quad_pipeline, n_clients=N_CELLS, wall=QUAD_WALL,
-        io_timeout=60.0, failover="reassign", cache=cfg,
+        io_timeout=60.0, failover="reassign",
     ) as cluster:
         cluster.server.distribute_workflows()
         cluster.server.execute_server()

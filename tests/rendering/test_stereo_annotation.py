@@ -6,7 +6,7 @@ import pytest
 from repro.rendering.annotation import axis_annotations, nice_ticks, project_labels
 from repro.rendering.camera import Camera
 from repro.rendering.framebuffer import Framebuffer
-from repro.rendering.stereo import anaglyph, disparity_estimate, interlaced, side_by_side
+from repro.rendering.stereo import anaglyph, interlaced, side_by_side
 from repro.util.errors import RenderingError
 
 
@@ -42,12 +42,6 @@ class TestStereoComposition:
         out = interlaced(frame(1.0), frame(0.0))
         assert out[0, 0, 0] == 255  # even row: left
         assert out[1, 0, 0] == 0  # odd row: right
-
-    def test_disparity_estimate_detects_shift(self):
-        rng = np.random.default_rng(5)
-        base = rng.random((20, 60, 3)).astype(np.float32)
-        shifted = np.roll(base, 3, axis=1)
-        assert disparity_estimate(base, shifted, max_shift=8) == pytest.approx(-3, abs=1)
 
     def test_stereo_pipeline_end_to_end(self, reanalysis):
         """A real stereo pair composes into a frame with parallax."""

@@ -280,73 +280,48 @@ def make_two_branch(registry):
 
 
 class TestFailurePolicy:
-    def test_invalid_policy_rejected(self):
-        with pytest.raises(WorkflowError, match="failure_policy"):
-            Executor(failure_policy="retry_forever")
-
-    def test_continue_independent_serial(self, registry):
-        p, ids = make_two_branch(registry)
-        result = Executor(caching=False,
-                          failure_policy="continue_independent").execute(p)
-        assert not result.ok
-        assert result.status_of(ids["good_dbl"]) == "ok"
-        assert result.output(ids["good_dbl"], "out") == 6.0
-        assert result.status_of(ids["bad"]) == "error"
-        assert result.status_of(ids["bad_dbl"]) == "skipped"
-        assert len(result.runs) == 4  # every module accounted for
-
-    def test_continue_independent_parallel(self, registry):
-        p, ids = make_two_branch(registry)
-        result = Executor(caching=False, max_workers=3,
-                          failure_policy="continue_independent").execute(p)
-        assert result.status_of(ids["good_dbl"]) == "ok"
-        assert result.status_of(ids["bad"]) == "error"
-        assert result.status_of(ids["bad_dbl"]) == "skipped"
-        assert len(result.runs) == 4
-
-    def test_failure_recorded_with_module_name(self, registry):
-        p, _ids = make_two_branch(registry)
-        result = Executor(caching=False,
-                          failure_policy="continue_independent").execute(p)
-        (failure,) = result.failures()
-        assert "Exploder" in failure.error and "kaboom" in failure.error
-        (skipped,) = result.skipped()
-        assert skipped.error == "upstream module failed"
-
-    def test_transitive_skip(self, registry):
-        # bad -> double -> double: the whole downstream closure skips
-        p = Pipeline(registry)
-        bad = p.add_module("Exploder")
-        d1 = p.add_module("Double")
-        d2 = p.add_module("Double")
-        p.add_connection(bad, "out", d1, "in")
-        p.add_connection(d1, "out", d2, "in")
-        result = Executor(caching=False,
-                          failure_policy="continue_independent").execute(p)
-        assert result.status_of(d1) == "skipped"
-        assert result.status_of(d2) == "skipped"
-
-    def test_partial_result_missing_outputs_raise_cleanly(self, registry):
-        p, ids = make_two_branch(registry)
-        result = Executor(caching=False,
-                          failure_policy="continue_independent").execute(p)
-        with pytest.raises(WorkflowError):
-            result.output(ids["bad_dbl"], "out")
+    """The executor fails fast: the first module failure raises,
+    attributed to its module, and nothing downstream of it runs."""
 
     def test_fail_fast_remains_default(self, registry):
         p, _ids = make_two_branch(registry)
         with pytest.raises(ModuleExecutionError, match="Exploder"):
             Executor(caching=False).execute(p)
 
+    def test_failure_recorded_with_module_name(self, registry):
+        p, _ids = make_two_branch(registry)
+        for workers in (1, 3):
+            with pytest.raises(ModuleExecutionError) as info:
+                Executor(caching=False, max_workers=workers).execute(p)
+            assert str(info.value) == (
+                "module 'test:Exploder' failed: ValueError('kaboom')"
+            )
+            assert info.value.module_name == "test:Exploder"
+            assert isinstance(info.value.__cause__, ValueError)
+
+    def test_transitive_skip(self, registry):
+        # bad -> double -> double: nothing downstream of the failure runs
+        p = Pipeline(registry)
+        bad = p.add_module("Exploder")
+        d1 = p.add_module("Double")
+        d2 = p.add_module("Double")
+        p.add_connection(bad, "out", d1, "in")
+        p.add_connection(d1, "out", d2, "in")
+        for workers in (1, 3):
+            with pytest.raises(ModuleExecutionError, match="Exploder"):
+                Executor(caching=False, max_workers=workers).execute(p)
+        assert "Double" not in CALL_COUNTS
+
     def test_failed_module_not_cached(self, registry):
         from repro.resilience import faults
 
-        p, source = Pipeline(registry), None
+        p = Pipeline(registry)
         source = p.add_module("Source", {"value": 2.0})
-        executor = Executor(caching=True, failure_policy="continue_independent")
+        executor = Executor(caching=True)
         with faults.injected("executor.module", "raise", match={"module": "test:Source"}):
-            first = executor.execute(p)
-        assert first.status_of(source) == "error"
+            with pytest.raises(ModuleExecutionError, match="Source"):
+                executor.execute(p)
+        assert executor.cache_size == 0
         # fault exhausted: the module recomputes (no poisoned cache entry)
         second = executor.execute(p)
         assert second.status_of(source) == "ok"
@@ -362,8 +337,8 @@ class TestFailurePolicy:
         try:
             with faults.injected("executor.module", "raise",
                                  match={"module": "test:Source"}):
-                Executor(caching=False,
-                         failure_policy="continue_independent").execute(p)
+                with pytest.raises(ModuleExecutionError):
+                    Executor(caching=False).execute(p)
         finally:
             obs.disable()
         assert recorder.counter_total("executor.module.failed") == 1
