@@ -11,13 +11,14 @@ sharing one render substrate.  An asyncio :class:`ServingServer` fronts
 * **admission control + load shedding** — bounded queues and
   deadline-aware rejection (:mod:`repro.serving.admission`), and
   graceful degradation through a :mod:`repro.resilience` circuit
-  breaker (cached/low-res frames when the kernel path is saturated);
+  breaker (cached/low-res frames while the kernel path is failing);
 * **per-tenant fairness** — cache-residency quotas so one noisy tenant
   cannot evict another's working set (:mod:`repro.serving.quota`);
 * **observability** — queue depth, coalesced fan-out, shed counters
   and latency histograms via :mod:`repro.obs`;
-* **session-aware serving** — sticky session→slot affinity by
-  rendezvous hashing with re-pinning on slot death
+* **session-aware serving** — every render runs on one of
+  ``ServingConfig.slots`` single-threaded backend slots, a session
+  pinned to one by rendezvous hashing with re-pinning on slot death
   (:mod:`repro.serving.sessions`), speculative next-frame rendering
   from per-session request history (:mod:`repro.serving.speculative`),
   and a versioned digest-stamped wire protocol with
@@ -33,7 +34,6 @@ from repro.serving.admission import (
     REASON_DEADLINE,
     REASON_EXPIRED,
     REASON_QUEUE_FULL,
-    REASON_SATURATED,
     AdmissionController,
 )
 from repro.serving.backend import AppBackend
@@ -74,7 +74,6 @@ __all__ = [
     "REASON_DEADLINE",
     "REASON_EXPIRED",
     "REASON_QUEUE_FULL",
-    "REASON_SATURATED",
     "Request",
     "Response",
     "STATUS_DEGRADED",

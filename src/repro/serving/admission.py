@@ -12,9 +12,10 @@ non-coalescing request.  Two checks, both O(1):
   whose deadline is shorter than that estimate is shed immediately
   rather than executed for nobody.
 
-The clock is injectable (mirroring :mod:`repro.resilience`): tests
-drive deadline expiry with a fake clock instead of sleeping on the
-event loop.
+A deadline is the request's own ``deadline_s``; a request without one
+never misses.  The clock is injectable (mirroring
+:mod:`repro.resilience`): tests drive deadline expiry with a fake clock
+instead of sleeping on the event loop.
 """
 
 from __future__ import annotations
@@ -29,8 +30,10 @@ from repro.serving.request import Request
 REASON_QUEUE_FULL = "queue_full"
 REASON_DEADLINE = "deadline"
 REASON_EXPIRED = "expired"
-REASON_SATURATED = "saturated"
 REASON_CLOSED = "closed"
+
+#: smoothing factor of the service-time estimate
+EWMA_ALPHA = 0.2
 
 
 class AdmissionController:
@@ -58,44 +61,37 @@ class AdmissionController:
         if self._ewma_service_s == 0.0:
             self._ewma_service_s = seconds
         else:
-            alpha = self.config.ewma_alpha
             self._ewma_service_s = (
-                alpha * seconds + (1.0 - alpha) * self._ewma_service_s
+                EWMA_ALPHA * seconds + (1.0 - EWMA_ALPHA) * self._ewma_service_s
             )
 
     def estimated_wait_s(self, queue_depth: int) -> float:
         """Predicted queue wait for a request arriving now.
 
-        ``(depth + 1)`` requests must be served across ``workers``
+        ``(depth + 1)`` requests must be served across ``slots``
         parallel drains before the newcomer completes; with no service
         observations yet the estimate is 0 (admit optimistically).
         """
         if self._ewma_service_s == 0.0:
             return 0.0
-        return (queue_depth + 1) * self._ewma_service_s / self.config.workers
+        return (queue_depth + 1) * self._ewma_service_s / self.config.slots
 
     # -- the admission decision ---------------------------------------------
 
     def deadline_of(self, request: Request) -> Optional[float]:
         """Absolute deadline for *request* admitted now (None = none)."""
-        relative = request.deadline_s
-        if relative is None and self.config.default_deadline_s > 0:
-            relative = self.config.default_deadline_s
-        if relative is None or relative <= 0:
+        if request.deadline_s is None or request.deadline_s <= 0:
             return None
-        return self.clock() + float(relative)
+        return self.clock() + float(request.deadline_s)
 
     def admit(self, request: Request, queue_depth: int) -> Tuple[bool, str]:
         """``(admitted, shed_reason)``; reason is ``""`` when admitted."""
         if queue_depth >= self.config.queue_limit:
             return False, REASON_QUEUE_FULL
         relative = request.deadline_s
-        if relative is None and self.config.default_deadline_s > 0:
-            relative = self.config.default_deadline_s
         if (
             relative is not None
             and relative > 0
-            and self.config.shed_on_predicted_miss
             and self.estimated_wait_s(queue_depth) > relative
         ):
             return False, REASON_DEADLINE

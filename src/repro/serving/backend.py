@@ -18,9 +18,9 @@ deterministic binary PPM, so byte-identical responses are a meaningful
 equality.
 
 The Application and its workflow machinery are not thread-safe; the
-backend serializes every call under one lock.  Parallelism at the
-serving tier comes from coalescing and caching, not from concurrent
-workflow mutation.
+backend serializes every call under one lock, so the server's slots
+share one render at a time.  Parallelism at the serving tier comes from
+coalescing and caching, not from concurrent workflow mutation.
 
 Request ``params`` contract (all optional but ``template``)::
 
@@ -46,9 +46,9 @@ is followed by a hint steering the variable's prefetch pipeline toward
 ``timestep + 1``, so the chunk for the session's likely next frame is in
 flight before the demand (or speculative) render asks for it.
 
-``degraded=True`` renders at ``1/degraded_scale`` resolution (floored
-at 8 px) — the breaker-open fallback the server uses when the full
-pipeline is failing or saturated.
+``degraded=True`` renders at ``1/DEGRADED_SCALE`` of each frame
+dimension (floored at 8 px) — the fallback the server uses while its
+circuit breaker is open.
 """
 
 from __future__ import annotations
@@ -60,10 +60,11 @@ from repro.app.application import Application
 from repro.cache.keys import cache_key
 from repro.provenance.vistrail import Vistrail
 from repro.rendering.ppm import ppm_bytes
-from repro.serving.config import ServingConfig
 from repro.serving.request import Request
 from repro.util.errors import ServingError
 
+#: a degraded render divides each frame dimension by this
+DEGRADED_SCALE = 4
 #: floor for degraded renders; below this frames stop being pictures
 MIN_DEGRADED_PX = 8
 
@@ -74,13 +75,11 @@ class AppBackend:
     def __init__(
         self,
         app: Optional[Application] = None,
-        config: Optional[ServingConfig] = None,
         project: str = "serving",
         default_source: str = "synthetic_reanalysis",
         default_template: str = "Slicer",
     ) -> None:
         self.app = app if app is not None else Application()
-        self.config = config if config is not None else ServingConfig()
         self.default_source = default_source
         self.default_template = default_template
         self._lock = threading.Lock()
@@ -97,9 +96,8 @@ class AppBackend:
         width = int(params.get("width", 64))
         height = int(params.get("height", 48))
         if degraded:
-            scale = self.config.degraded_scale
-            width = max(width // scale, MIN_DEGRADED_PX)
-            height = max(height // scale, MIN_DEGRADED_PX)
+            width = max(width // DEGRADED_SCALE, MIN_DEGRADED_PX)
+            height = max(height // DEGRADED_SCALE, MIN_DEGRADED_PX)
         with self._lock:
             cell = self._scene_cell(params, width, height)
             camera = None

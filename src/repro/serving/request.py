@@ -75,16 +75,17 @@ class Response:
 
     ``status`` is one of ``ok`` (full-fidelity product), ``shed``
     (refused: ``reason`` says why — ``queue_full``, ``deadline``,
-    ``expired``, ``saturated``, ``closed``), ``degraded``
-    (reduced-fidelity product served under overload; ``source`` says
-    whether it came from ``cache`` or a degraded ``render``) or
-    ``error`` (the backend raised; ``reason`` carries the repr).
+    ``expired``, ``closed``), ``degraded``
+    (reduced-fidelity product served while the breaker is open;
+    ``source`` says whether it came from ``cache`` or a degraded
+    ``render``) or ``error`` (the backend raised; ``reason`` carries
+    the repr).
     """
 
     status: str
     payload: Optional[bytes] = None
     digest: str = ""
-    source: str = "render"  # "render" | "cache"
+    source: str = "render"  # "render" | "cache" | "speculative"
     reason: str = ""
     tenant: str = ""
     latency_s: float = 0.0

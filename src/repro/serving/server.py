@@ -14,11 +14,12 @@ server:
 3. **admits or sheds** — a bounded queue plus deadline-aware rejection
    (:mod:`repro.serving.admission`); overload produces
    ``Response(status="shed")``, never unbounded queueing;
-4. **executes** — worker tasks drain the queue onto a thread pool that
-   calls the backend; consecutive backend failures open a circuit
-   breaker (:mod:`repro.resilience`), under which requests are served
-   stale from cache or re-rendered at reduced resolution instead of
-   hammering the failing backend;
+4. **executes** — one worker task per backend slot drains the queue;
+   every backend call runs on the slot its request routes to (below).
+   ``BREAKER_FAILURES`` consecutive backend failures open a circuit
+   breaker (:mod:`repro.resilience`) for ``BREAKER_RESET_S``, under
+   which requests are served stale from cache or re-rendered at reduced
+   resolution instead of hammering the failing backend;
 5. **accounts** — per-tenant quota eviction through
    :class:`~repro.serving.quota.QuotaLedger` and full :mod:`repro.obs`
    instrumentation.
@@ -46,12 +47,15 @@ Session-aware serving (``docs/session-serving.md`` has the long form):
   params in the history, the served frame (its ``FRAME`` header, the
   payload hashed once, the payload bytes) in the ring the wire endpoint
   sends and replays from — so in-process callers that pass a ``session``
-  keep up to ``config.session_log_frames`` payloads alive per session;
-* **sticky affinity** — with ``slots > 0`` every execution runs on the
-  :class:`~repro.serving.sessions.SlotPool` slot the rendezvous router
-  pins its session to.  A slot that dies mid-request (crash, or the
-  armed ``serving.slot`` fault site) is retired, its sessions re-pin to
-  survivors, and the request retries there;
+  keep up to ``config.session_log_frames`` payloads alive per session.
+  A session belongs to the tenant that opened it; naming it as another
+  tenant raises :class:`~repro.util.errors.ServingError`;
+* **sticky affinity** — every execution runs on the
+  :class:`~repro.serving.sessions.SlotPool` slot (``config.slots`` of
+  them) the rendezvous router pins its session to, or, for a
+  sessionless request, its request key.  A slot that dies mid-request
+  (crash, or the armed ``serving.slot`` fault site) is retired, its
+  sessions re-pin to survivors, and the request retries there;
 * **speculative rendering** — with ``speculation_budget > 0`` the
   server pre-renders an animating/orbiting session's predicted next
   frame on idle capacity through the same backend path: it registers as
@@ -63,7 +67,6 @@ from __future__ import annotations
 
 import asyncio
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
@@ -71,12 +74,7 @@ from repro import obs
 from repro.cache.store import ResultCache
 from repro.resilience import faults
 from repro.resilience.breaker import CircuitBreaker
-from repro.serving.admission import (
-    REASON_CLOSED,
-    REASON_EXPIRED,
-    REASON_SATURATED,
-    AdmissionController,
-)
+from repro.serving.admission import REASON_CLOSED, REASON_EXPIRED, AdmissionController
 from repro.serving.config import ServingConfig
 from repro.serving.quota import QuotaLedger
 from repro.serving.request import (
@@ -89,7 +87,6 @@ from repro.serving.request import (
     request_key,
 )
 from repro.serving.sessions import (
-    BackendSlot,
     SessionFrame,
     SessionRegistry,
     SessionState,
@@ -97,10 +94,15 @@ from repro.serving.sessions import (
     Speculation,
 )
 from repro.serving.speculative import NextFramePredictor
-from repro.util.errors import InjectedFault, ServingError, SlotDeadError
+from repro.util.errors import ServingError, SlotDeadError
 
 #: the backend contract: ``(request, degraded) -> bytes``
 Backend = Callable[[Request, bool], bytes]
+
+#: consecutive backend failures that open the circuit breaker
+BREAKER_FAILURES = 3
+#: seconds an open breaker waits before half-open probing
+BREAKER_RESET_S = 5.0
 
 
 @dataclass
@@ -127,8 +129,8 @@ class ServingServer:
     Parameters
     ----------
     backend:
-        ``(request, degraded) -> bytes``; runs on the executor thread
-        pool, so it may block.  ``degraded=True`` asks for a cheaper
+        ``(request, degraded) -> bytes``; runs on the slots' threads,
+        so it may block.  ``degraded=True`` asks for a cheaper
         reduced-fidelity product (the breaker-open fallback).
     config:
         :class:`~repro.serving.config.ServingConfig` bounds.
@@ -150,7 +152,6 @@ class ServingServer:
         clock: Callable[[], float] = time.monotonic,
         salt: Optional[str] = None,
     ) -> None:
-        self.backend = backend
         self.config = config if config is not None else ServingConfig()
         self.clock = clock
         self.salt = salt
@@ -159,8 +160,8 @@ class ServingServer:
             self.config.tenant_max_entries, self.config.tenant_max_bytes
         )
         self.breaker = CircuitBreaker(
-            failure_threshold=self.config.breaker_failures,
-            reset_timeout=self.config.breaker_reset_s,
+            failure_threshold=BREAKER_FAILURES,
+            reset_timeout=BREAKER_RESET_S,
             clock=clock,
             name="serving.kernels",
         )
@@ -168,12 +169,8 @@ class ServingServer:
         self._queue: "asyncio.Queue[Optional[_WorkItem]]" = asyncio.Queue()
         self._inflight: Dict[str, _Inflight] = {}
         self._workers: List["asyncio.Task[None]"] = []
-        self._pool: Optional[ThreadPoolExecutor] = None
         self._closed = False
-        # -- session-aware state --
-        self.slot_pool: Optional[SlotPool] = None
-        if self.config.slots > 0:
-            self.slot_pool = SlotPool([backend] * self.config.slots)
+        self.slot_pool = SlotPool(backend, self.config.slots)
         self.sessions = SessionRegistry()
         self._predictor = NextFramePredictor()
         self._speculations: Dict[str, "asyncio.Task[None]"] = {}
@@ -181,29 +178,24 @@ class ServingServer:
     # -- lifecycle -----------------------------------------------------------
 
     async def start(self) -> "ServingServer":
-        """Spawn the worker tasks and executor pool (idempotent)."""
+        """Spawn one worker task per slot (idempotent)."""
         if self._closed:
             raise ServingError("cannot start a closed ServingServer")
         if self._workers:
             return self
-        if self._pool is None:
-            self._pool = ThreadPoolExecutor(
-                max_workers=self.config.workers,
-                thread_name_prefix="repro-serving",
-            )
         loop = asyncio.get_running_loop()
         self._workers = [
             loop.create_task(self._worker_loop(), name=f"repro-serving-worker-{i}")
-            for i in range(self.config.workers)
+            for i in range(self.config.slots)
         ]
         return self
 
     async def aclose(self) -> None:
-        """Drain queued work, stop workers, resolve stragglers, free the pool.
+        """Drain queued work, stop workers, resolve stragglers, free the slots.
 
         Safe to call repeatedly and from ``finally`` blocks: a failed
-        test that closes the server leaves no worker task, no executor
-        thread and no unresolved submission behind (the pool shutdown
+        test that closes the server leaves no worker task, no slot
+        thread and no unresolved submission behind (the slot shutdown
         waits for in-flight backend calls).
         """
         if self._closed:
@@ -227,11 +219,7 @@ class ServingServer:
                     Response(STATUS_SHED, digest=key, reason=REASON_CLOSED)
                 )
             self._inflight.pop(key, None)
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
-        if self.slot_pool is not None:
-            self.slot_pool.shutdown()
+        self.slot_pool.shutdown()
 
     async def __aenter__(self) -> "ServingServer":
         return await self.start()
@@ -246,9 +234,10 @@ class ServingServer:
 
         Overload comes back as ``status="shed"`` (with a reason),
         backend failures as ``status="error"`` — only lifecycle misuse
-        raises.  For session-carrying requests the submission also
-        feeds the session's history and frame ring and reconciles any
-        outstanding speculation (hit, or cancelled-and-audited waste).
+        and naming another tenant's session raise.  For
+        session-carrying requests the submission also feeds the
+        session's history and frame ring and reconciles any outstanding
+        speculation (hit, or cancelled-and-audited waste).
         """
         if self._closed:
             raise ServingError("ServingServer is closed")
@@ -373,7 +362,7 @@ class ServingServer:
                 STATUS_OK, payload=payload, digest=item.key, source="render"
             )
 
-        # breaker open: the backend is failing or saturated — degrade
+        # breaker open: the backend is failing — degrade
         if self.cache is not None:
             found, payload = self.cache.get(item.key, site="serving.degraded")
             if found:
@@ -381,69 +370,44 @@ class ServingServer:
                 return Response(
                     STATUS_DEGRADED, payload=payload, digest=item.key, source="cache"
                 )
-        if self.config.allow_degraded:
-            try:
-                payload = await self._run_backend(request, degraded=True, key=item.key)
-            except Exception as exc:  # noqa: BLE001
-                obs.counter("serving.errors", tenant=request.tenant)
-                return Response(STATUS_ERROR, digest=item.key, reason=repr(exc))
-            obs.counter("serving.degraded", source="render")
-            return Response(
-                STATUS_DEGRADED, payload=payload, digest=item.key, source="render"
-            )
-        obs.counter("serving.shed", reason=REASON_SATURATED, tenant=request.tenant)
-        return Response(STATUS_SHED, digest=item.key, reason=REASON_SATURATED)
+        try:
+            payload = await self._run_backend(request, degraded=True, key=item.key)
+        except Exception as exc:  # noqa: BLE001
+            obs.counter("serving.errors", tenant=request.tenant)
+            return Response(STATUS_ERROR, digest=item.key, reason=repr(exc))
+        obs.counter("serving.degraded", source="render")
+        return Response(
+            STATUS_DEGRADED, payload=payload, digest=item.key, source="render"
+        )
 
-    async def _run_backend(
-        self, request: Request, degraded: bool, key: str = ""
-    ) -> bytes:
-        """Run the backend — on the shared pool, or the session's slot.
+    async def _run_backend(self, request: Request, degraded: bool, key: str) -> bytes:
+        """Run the backend on the slot *request* routes to.
 
-        With a slot pool, a dead slot (killed, or felled by the armed
+        A session routes to its pinned slot, a sessionless request by
+        its *key*.  A dead slot (killed, or felled by the armed
         ``serving.slot`` fault) is retired mid-request: its sessions
         re-pin to survivors via the rendezvous router and the request
         retries on its new slot, so the caller still gets bytes — the
         chaos suite pins that the retried bytes are identical.
         """
         loop = asyncio.get_running_loop()
-        if self.slot_pool is None:
-            return await loop.run_in_executor(
-                self._pool, self.backend, request, degraded
-            )
+        pool = self.slot_pool
         last_death: Optional[SlotDeadError] = None
-        for _ in range(len(self.slot_pool.live_slots) + 1):
-            slot = self.slot_pool.slot_for(request.session, fallback_key=key)
+        for _ in range(len(pool.live_slots) + 1):
+            slot = pool.slot_for(request.session, fallback_key=key)
             state = self.sessions.get(request.session)
             if state is not None:
                 state.pin(slot.id)
             try:
                 return await loop.run_in_executor(
-                    slot.executor, self._call_slot, slot, request, degraded
+                    slot.executor, pool.run, slot, request, degraded
                 )
             except SlotDeadError as exc:
                 last_death = exc
-                self.slot_pool.retire(slot.id, self.sessions.states())
+                pool.retire(slot.id, self.sessions.states())
         raise last_death if last_death is not None else ServingError(
             "no live slots"
         )
-
-    def _call_slot(self, slot: BackendSlot, request: Request, degraded: bool) -> bytes:
-        """One backend call on a slot's thread (the ``serving.slot`` site)."""
-        if not slot.alive:
-            raise SlotDeadError(f"slot {slot.id} is dead")
-        try:
-            faults.check(
-                "serving.slot",
-                slot=slot.id,
-                session=request.session,
-                tenant=request.tenant,
-            )
-        except InjectedFault as exc:
-            slot.alive = False
-            raise SlotDeadError(f"slot {slot.id} died: {exc}") from exc
-        payload = slot.backend(request, degraded)
-        slot.frames += 1
-        return payload
 
     # -- sessions and speculation --------------------------------------------
 
@@ -585,7 +549,7 @@ class ServingServer:
 
     def stats(self) -> Dict[str, Any]:
         """Live snapshot for dashboards and tests."""
-        snapshot: Dict[str, Any] = {
+        return {
             "queue_depth": self._queue.qsize(),
             "inflight": len(self._inflight),
             "breaker": self.breaker.state,
@@ -594,7 +558,5 @@ class ServingServer:
             "closed": self._closed,
             "sessions": len(self.sessions),
             "speculations_inflight": len(self._speculations),
+            "slots": self.slot_pool.stats(self.sessions.states()),
         }
-        if self.slot_pool is not None:
-            snapshot["slots"] = self.slot_pool.stats(self.sessions.states())
-        return snapshot

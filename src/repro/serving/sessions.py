@@ -12,18 +12,21 @@ instead:
   order joins and leaves happened in, and removing a slot moves only
   that slot's sessions (the minimal-disruption property the hypothesis
   suite pins);
-* :class:`SlotPool` — one single-threaded executor per backend slot, so
-  a pinned session's frames serialize through one slot.  What they
-  keep warm lives below the slot, on the session's live cell: the
+* :class:`SlotPool` — the server's one execution path: every backend
+  call runs on one of ``slots`` single-threaded slots, so a pinned
+  session's frames serialize through one slot (a sessionless request
+  routes by its request key).  Every slot calls the pool's one backend;
+  what a session keeps warm lives below the slot, on its live cell: the
   scene and last frame :class:`~repro.dv3d.cell.DV3DCell` keeps and
   the volume's ``ImageData._derived`` caches.
   Slots can die (a crash, or the armed ``serving.slot`` fault site);
   the pool retires them and the router re-pins;
 * :class:`SessionRegistry` / :class:`SessionState` — the one record of
-  a session: request history (the speculative predictor's input), pin,
-  and the :class:`SessionFrame` ring — each served frame as the wire
-  advertises it (sequence number, status, provenance, payload digest)
-  plus its payload, which is what the wire endpoint sends and replays.
+  a session, owned by the tenant that opened it: request history (the
+  speculative predictor's input), pin, and the :class:`SessionFrame`
+  ring — each served frame as the wire advertises it (sequence number,
+  status, provenance, payload digest) plus its payload, which is what
+  the wire endpoint sends and replays.
 
 Observability: ``serving.sessions.opened`` / ``serving.sessions.repinned``
 counters and the ``serving.sessions.active`` gauge.
@@ -39,8 +42,9 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro import obs
-from repro.serving.request import Response
-from repro.util.errors import ServingError
+from repro.resilience import faults
+from repro.serving.request import Request, Response
+from repro.util.errors import InjectedFault, ServingError, SlotDeadError
 
 #: sessions are plain opaque strings (Request.session)
 SessionId = str
@@ -200,7 +204,15 @@ class SessionRegistry:
         self._states: Dict[SessionId, SessionState] = {}
 
     def observe(self, session_id: SessionId, tenant: str) -> SessionState:
+        """*session_id*'s state, opened for *tenant* on first use.
+
+        A session belongs to the tenant that opened it: naming it as
+        another tenant raises :class:`ServingError`, so nobody reads or
+        appends to another tenant's frame ring.
+        """
         state = self._states.get(session_id)
+        if state is not None and state.tenant != tenant:
+            raise ServingError(f"session {session_id!r} belongs to another tenant")
         if state is None:
             state = SessionState(session_id, tenant)
             self._states[session_id] = state
@@ -221,10 +233,9 @@ class SessionRegistry:
 
 @dataclass
 class BackendSlot:
-    """One pinned execution lane: a backend plus its single thread."""
+    """One pinned execution lane: a single thread running the pool's backend."""
 
     id: str
-    backend: Any  # the (request, degraded) -> bytes callable
     executor: ThreadPoolExecutor
     alive: bool = True
     frames: int = 0
@@ -239,16 +250,17 @@ class SlotPool:
     :meth:`retire` removes it from the router and reports the re-pins.
     """
 
-    def __init__(self, backends: Sequence[Any], router: Optional[AffinityRouter] = None) -> None:
-        if not backends:
+    def __init__(self, backend: Any, slots: int) -> None:
+        if slots < 1:
             raise ServingError("SlotPool needs at least one backend slot")
-        self.router = router if router is not None else AffinityRouter()
+        #: the (request, degraded) -> bytes callable every slot runs
+        self.backend = backend
+        self.router = AffinityRouter()
         self._slots: Dict[str, BackendSlot] = {}
-        for index, backend in enumerate(backends):
+        for index in range(slots):
             slot_id = f"slot-{index}"
             self._slots[slot_id] = BackendSlot(
                 id=slot_id,
-                backend=backend,
                 executor=ThreadPoolExecutor(
                     max_workers=1, thread_name_prefix=f"repro-serving-{slot_id}"
                 ),
@@ -272,6 +284,26 @@ class SlotPool:
     @property
     def live_slots(self) -> List[str]:
         return [s.id for s in self._slots.values() if s.alive]
+
+    # -- execution -----------------------------------------------------------
+
+    def run(self, slot: BackendSlot, request: Request, degraded: bool) -> bytes:
+        """One backend call on *slot*'s thread (the ``serving.slot`` site)."""
+        if not slot.alive:
+            raise SlotDeadError(f"slot {slot.id} is dead")
+        try:
+            faults.check(
+                "serving.slot",
+                slot=slot.id,
+                session=request.session,
+                tenant=request.tenant,
+            )
+        except InjectedFault as exc:
+            slot.alive = False
+            raise SlotDeadError(f"slot {slot.id} died: {exc}") from exc
+        payload = self.backend(request, degraded)
+        slot.frames += 1
+        return payload
 
     # -- death and re-pinning ------------------------------------------------
 

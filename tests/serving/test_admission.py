@@ -20,6 +20,7 @@ from repro.serving import (
     ServingConfig,
     ServingServer,
 )
+from repro.serving.server import BREAKER_FAILURES, BREAKER_RESET_S
 
 from tests.serving.conftest import memory_cache, submit_deferred
 
@@ -39,18 +40,16 @@ class TestAdmissionController:
         assert ctrl.admit(Request(), 2) == (False, "queue_full")
 
     def test_ewma_tracks_service_time(self, fake_clock):
-        ctrl = AdmissionController(
-            ServingConfig(ewma_alpha=0.5), clock=fake_clock
-        )
+        ctrl = AdmissionController(ServingConfig(), clock=fake_clock)
         assert ctrl.estimated_wait_s(10) == 0.0  # optimistic until observed
         ctrl.observe_service(2.0)
         assert ctrl.ewma_service_s == 2.0  # first observation seeds directly
         ctrl.observe_service(4.0)
-        assert ctrl.ewma_service_s == pytest.approx(3.0)
+        assert ctrl.ewma_service_s == pytest.approx(2.4)
 
     def test_predicted_deadline_miss_is_shed(self, fake_clock):
         ctrl = AdmissionController(
-            ServingConfig(workers=1, queue_limit=64), clock=fake_clock
+            ServingConfig(slots=1, queue_limit=64), clock=fake_clock
         )
         ctrl.observe_service(10.0)
         # 1 queued + the newcomer at 10s each on one worker: wait = 20s
@@ -60,23 +59,6 @@ class TestAdmissionController:
         assert ctrl.admit(Request(deadline_s=30.0), 1) == (True, "")
         # and so is a deadline-less one
         assert ctrl.admit(Request(), 1) == (True, "")
-
-    def test_predicted_miss_check_can_be_disabled(self, fake_clock):
-        ctrl = AdmissionController(
-            ServingConfig(workers=1, shed_on_predicted_miss=False),
-            clock=fake_clock,
-        )
-        ctrl.observe_service(10.0)
-        assert ctrl.admit(Request(deadline_s=0.1), 5) == (True, "")
-
-    def test_default_deadline_applies(self, fake_clock):
-        ctrl = AdmissionController(
-            ServingConfig(workers=1, default_deadline_s=5.0), clock=fake_clock
-        )
-        ctrl.observe_service(10.0)
-        admitted, reason = ctrl.admit(Request(), 1)
-        assert (admitted, reason) == (False, "deadline")
-        assert ctrl.deadline_of(Request()) == fake_clock() + 5.0
 
     def test_deadline_of_uses_injected_clock(self, fake_clock):
         ctrl = AdmissionController(ServingConfig(), clock=fake_clock)
@@ -92,7 +74,7 @@ class TestQueueOverload:
         async def scenario():
             server = ServingServer(
                 backend,
-                config=ServingConfig(workers=1, queue_limit=2),
+                config=ServingConfig(slots=1, queue_limit=2),
                 cache=memory_cache(),
             )
             requests = [Request(params={"scene": i}) for i in range(5)]
@@ -119,7 +101,7 @@ class TestQueueOverload:
         async def scenario():
             server = ServingServer(
                 backend,
-                config=ServingConfig(workers=1, queue_limit=1),
+                config=ServingConfig(slots=1, queue_limit=1),
                 cache=memory_cache(),
             )
             # 1 leader fills the queue; 5 identical followers coalesce;
@@ -142,7 +124,7 @@ class TestDeadlineExpiry:
         async def scenario():
             server = ServingServer(
                 backend,
-                config=ServingConfig(workers=1),
+                config=ServingConfig(slots=1),
                 cache=memory_cache(),
                 clock=fake_clock,
             )
@@ -173,7 +155,7 @@ class TestDeadlineExpiry:
         async def scenario():
             server = ServingServer(
                 backend,
-                config=ServingConfig(workers=1),
+                config=ServingConfig(slots=1),
                 cache=memory_cache(),
                 clock=fake_clock,
             )
@@ -191,30 +173,25 @@ class TestDeadlineExpiry:
 
 
 class TestGracefulDegradation:
-    """Breaker-open behaviour: cached-stale, degraded render, saturated."""
+    """Breaker-open behaviour: cached-stale first, then degraded render."""
 
-    def _failing_then_open(self, backend, fake_clock, cache, **cfg):
-        """A server whose breaker opens after 2 injected failures."""
+    def _failing_then_open(self, backend, fake_clock, cache):
+        """A server whose breaker opens after BREAKER_FAILURES failures."""
         return ServingServer(
-            backend,
-            config=ServingConfig(
-                workers=1, breaker_failures=2, breaker_reset_s=10.0, **cfg
-            ),
-            cache=cache,
-            clock=fake_clock,
+            backend, config=ServingConfig(slots=1), cache=cache, clock=fake_clock
         )
 
     def test_injected_failures_open_breaker_then_degraded_render(
         self, backend, fake_clock
     ):
-        faults.arm("serving.execute", "raise", times=2)
+        faults.arm("serving.execute", "raise", times=BREAKER_FAILURES)
 
         async def scenario():
             server = self._failing_then_open(backend, fake_clock, memory_cache())
             async with server:
                 errors = [
                     await server.submit(Request(params={"scene": i}))
-                    for i in range(2)
+                    for i in range(BREAKER_FAILURES)
                 ]
                 degraded = await server.submit(Request(params={"scene": 99}))
             return errors, degraded
@@ -225,7 +202,7 @@ class TestGracefulDegradation:
         finally:
             obs.disable()
 
-        assert [r.status for r in errors] == ["error", "error"]
+        assert [r.status for r in errors] == ["error"] * BREAKER_FAILURES
         assert degraded.status == "degraded"
         assert degraded.source == "render"
         assert backend.degraded_calls == 1
@@ -239,8 +216,8 @@ class TestGracefulDegradation:
             async with server:
                 hot = Request(params={"scene": 0})
                 first = await server.submit(hot)  # cached while healthy
-                faults.arm("serving.execute", "raise", times=2)
-                for i in range(2):  # open the breaker
+                faults.arm("serving.execute", "raise", times=BREAKER_FAILURES)
+                for i in range(BREAKER_FAILURES):  # open the breaker
                     await server.submit(Request(params={"scene": i + 1}))
                 # same digest again: cache beats degraded render
                 stale = await server.submit(hot.with_params())
@@ -252,35 +229,16 @@ class TestGracefulDegradation:
         assert stale.payload == first.payload
         assert backend.degraded_calls == 0
 
-    def test_open_breaker_without_degraded_sheds_saturated(
-        self, backend, fake_clock
-    ):
-        faults.arm("serving.execute", "raise", times=2)
-
-        async def scenario():
-            server = self._failing_then_open(
-                backend, fake_clock, None, allow_degraded=False
-            )
-            async with server:
-                for i in range(2):
-                    await server.submit(Request(params={"scene": i}))
-                return await server.submit(Request(params={"scene": 99}))
-
-        response = asyncio.run(scenario())
-        assert response.status == "shed"
-        assert response.reason == "saturated"
-        assert backend.degraded_calls == 0
-
     def test_breaker_recovers_after_reset_timeout(self, backend, fake_clock):
-        faults.arm("serving.execute", "raise", times=2)
+        faults.arm("serving.execute", "raise", times=BREAKER_FAILURES)
 
         async def scenario():
             server = self._failing_then_open(backend, fake_clock, memory_cache())
             async with server:
-                for i in range(2):
+                for i in range(BREAKER_FAILURES):
                     await server.submit(Request(params={"scene": i}))
                 assert server.breaker.state == "open"
-                fake_clock.advance(11.0)  # past breaker_reset_s
+                fake_clock.advance(BREAKER_RESET_S + 1.0)
                 recovered = await server.submit(Request(params={"scene": 5}))
             return recovered
 

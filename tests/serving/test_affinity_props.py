@@ -119,7 +119,7 @@ def test_empty_router_raises():
 def test_slotpool_retire_reports_exactly_the_moved_sessions(sessions):
     """SlotPool.retire re-pins the dead slot's sessions and no others."""
     backend = lambda request, degraded: b""  # noqa: E731 - never called here
-    pool = SlotPool([backend] * 3)
+    pool = SlotPool(backend, 3)
     try:
         states = []
         for session in sessions:

@@ -32,7 +32,7 @@ class TestAcceptance:
             backend = CountingBackend()
             server = ServingServer(
                 backend,
-                config=ServingConfig(workers=4, queue_limit=128),
+                config=ServingConfig(slots=4, queue_limit=128),
                 cache=memory_cache(),
             )
             params = {"scene": 7, "width": 64, "height": 48}
@@ -73,7 +73,7 @@ class TestCoalescing:
     def test_distinct_params_do_not_coalesce(self, backend):
         async def scenario():
             server = ServingServer(
-                backend, config=ServingConfig(workers=2), cache=memory_cache()
+                backend, config=ServingConfig(slots=2), cache=memory_cache()
             )
             requests = [Request(params={"scene": i}) for i in range(5)]
             return await submit_deferred(server, requests)
@@ -86,7 +86,7 @@ class TestCoalescing:
     def test_same_params_different_order_coalesce(self, backend):
         async def scenario():
             server = ServingServer(
-                backend, config=ServingConfig(workers=2), cache=memory_cache()
+                backend, config=ServingConfig(slots=2), cache=memory_cache()
             )
             requests = [
                 Request(params={"a": 1, "b": 2.5, "c": "x"}),
@@ -102,7 +102,7 @@ class TestCoalescing:
     def test_sequential_repeat_served_from_cache_not_reexecuted(self, backend):
         async def scenario():
             server = ServingServer(
-                backend, config=ServingConfig(workers=2), cache=memory_cache()
+                backend, config=ServingConfig(slots=2), cache=memory_cache()
             )
             request = Request(params={"scene": 3})
             async with server:
@@ -118,7 +118,7 @@ class TestCoalescing:
     def test_no_cache_still_coalesces_but_reexecutes_sequentially(self, backend):
         async def scenario():
             server = ServingServer(
-                backend, config=ServingConfig(workers=2), cache=None
+                backend, config=ServingConfig(slots=2), cache=None
             )
             request = Request(params={"scene": 1})
             burst = await submit_deferred(server, [request] * 6, close=False)
@@ -143,7 +143,7 @@ class TestCoalescing:
         async def scenario():
             server = ServingServer(
                 backend,
-                config=ServingConfig(workers=2, breaker_failures=5),
+                config=ServingConfig(slots=2),
                 cache=serving_cache,
             )
             return await submit_deferred(server, [Request(params={"s": 1})] * 4)

@@ -1,4 +1,4 @@
-"""End-to-end: two worker threads serving real spreadsheet renders.
+"""End-to-end: two backend slots serving real spreadsheet renders.
 
 The full stack — ServingServer → AppBackend → Application →
 spreadsheet cell → DV3D plot → software renderer → PPM bytes — driven
@@ -8,6 +8,8 @@ by concurrent multi-tenant sessions.
 from __future__ import annotations
 
 import asyncio
+import re
+from pathlib import Path
 
 import pytest
 
@@ -15,6 +17,8 @@ from repro import obs
 from repro.serving import AppBackend, Request, ServingConfig, ServingServer
 
 from tests.serving.conftest import memory_cache, submit_deferred
+
+ROOT = Path(__file__).resolve().parents[2]
 
 #: tiny workflow grid so the whole stack renders in well under a second
 SIZE = {"nlat": 12, "nlon": 18, "nlev": 4, "ntime": 2}
@@ -33,8 +37,8 @@ def scene_params(scene: str = "ta", width: int = 32, height: int = 24) -> dict:
 
 @pytest.fixture()
 def app_server():
-    config = ServingConfig(workers=2, queue_limit=32)
-    return ServingServer(AppBackend(config=config), config=config, cache=memory_cache())
+    config = ServingConfig(slots=2, queue_limit=32)
+    return ServingServer(AppBackend(), config=config, cache=memory_cache())
 
 
 class TestEndToEnd:
@@ -82,11 +86,11 @@ class TestEndToEnd:
         assert first.payload == second.payload
 
     def test_backend_reuses_scene_slots(self):
-        backend = AppBackend(config=ServingConfig(workers=2))
+        backend = AppBackend()
 
         async def scenario():
             server = ServingServer(
-                backend, config=ServingConfig(workers=2), cache=None
+                backend, config=ServingConfig(slots=2), cache=None
             )
             async with server:
                 for _ in range(3):
@@ -102,7 +106,7 @@ class TestEndToEnd:
         assert project.sheets == {}
 
     def test_degraded_render_is_smaller_but_real(self):
-        backend = AppBackend(config=ServingConfig(degraded_scale=4))
+        backend = AppBackend()
         frame = backend(Request(params=scene_params(width=64, height=48)), True)
         assert frame.startswith(b"P6\n16 12\n255\n")
 
@@ -162,3 +166,10 @@ class TestEndToEnd:
         response = asyncio.run(scenario())
         assert response.status == "error"
         assert "render" in response.reason
+
+
+def test_the_serving_doc_example_runs():
+    """docs/serving.md's example runs as written, so it cannot rot."""
+    text = (ROOT / "docs" / "serving.md").read_text(encoding="utf-8")
+    (example,) = re.findall(r"```python\n(.*?)```", text, flags=re.DOTALL)
+    exec(compile(example, "docs/serving.md", "exec"), {"__name__": "serving_doc"})

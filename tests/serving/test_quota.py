@@ -70,7 +70,7 @@ class TestQuotaThroughServer:
             cache = memory_cache()
             server = ServingServer(
                 backend,
-                config=ServingConfig(workers=2, tenant_max_entries=2),
+                config=ServingConfig(slots=2, tenant_max_entries=2),
                 cache=cache,
             )
             b_requests = [
@@ -104,7 +104,7 @@ class TestQuotaThroughServer:
         async def scenario():
             server = ServingServer(
                 backend,
-                config=ServingConfig(workers=1, tenant_max_entries=1),
+                config=ServingConfig(slots=1, tenant_max_entries=1),
                 cache=memory_cache(),
             )
             first = Request(params={"scene": 0}, tenant="A")
@@ -126,7 +126,7 @@ class TestQuotaThroughServer:
             cache = memory_cache()
             server = ServingServer(
                 backend,
-                config=ServingConfig(workers=1, tenant_max_entries=2),
+                config=ServingConfig(slots=1, tenant_max_entries=2),
                 cache=cache,
             )
             hot = Request(params={"scene": "hot"}, tenant="A")
@@ -146,7 +146,7 @@ class TestQuotaThroughServer:
         async def scenario():
             server = ServingServer(
                 backend,
-                config=ServingConfig(workers=2, tenant_max_entries=8),
+                config=ServingConfig(slots=2, tenant_max_entries=8),
                 cache=memory_cache(),
             )
             requests = [

@@ -5,19 +5,22 @@ under every config — and a ``FRAME`` on the wire is an entry of it.  A
 resume that asks for frames the ring has already trimmed is told so:
 ``OPENED.first_seq`` names the oldest frame replayed, ``reconnect()``
 (which promises continuity) raises, a plain ``open()`` stays lenient.
+The record belongs to the tenant that opened the session: another
+tenant naming it reads nothing from the ring and adds nothing to it.
 """
 
 from __future__ import annotations
 
+import asyncio
 import socket
 import threading
 
 import pytest
 
 from repro import obs
-from repro.serving import ServingConfig, wire
+from repro.serving import Request, ServingConfig, ServingServer, wire
 from repro.serving.endpoint import WireSessionClient, WireSessionServer
-from repro.util.errors import WireError
+from repro.util.errors import ServingError, WireError
 from repro.util.framing import WireFrame
 
 from tests.serving.conftest import CountingBackend, memory_cache
@@ -35,7 +38,7 @@ def advertised(meta):
 
 @pytest.mark.parametrize("overrides", CONFIGS.values(), ids=CONFIGS.keys())
 def test_wire_frames_are_the_servers_session_log(overrides):
-    config = ServingConfig(workers=2, **overrides)
+    config = ServingConfig(**overrides)
     with WireSessionServer(CountingBackend(), config, cache=memory_cache()) as server:
         with WireSessionClient(server.host, server.port) as client:
             client.open("one-log", tenant="t1")
@@ -63,6 +66,44 @@ def test_the_ring_is_bounded_in_the_one_place():
         state = server.server.sessions.get("ring")
         assert [f.seq for f in state.frames] == [6, 7, 8, 9]
         assert state.next_seq == 10
+
+
+class TestASessionBelongsToItsTenant:
+    """alice opens ``a-1``; bob naming it is refused, and her ring holds
+    her one frame."""
+
+    def test_in_process(self):
+        async def scenario():
+            async with ServingServer(CountingBackend(), cache=memory_cache()) as server:
+                served = await server.submit(
+                    Request(params={"scene": "a"}, tenant="alice", session="a-1")
+                )
+                with pytest.raises(ServingError, match="another tenant"):
+                    await server.replay("a-1", "bob", 0)
+                with pytest.raises(ServingError, match="another tenant"):
+                    await server.submit(
+                        Request(params={"scene": "b"}, tenant="bob", session="a-1")
+                    )
+                frames, next_seq = await server.replay("a-1", "alice", 0)
+            return served, frames, next_seq
+
+        served, frames, next_seq = asyncio.run(scenario())
+        assert [f.payload for f in frames] == [served.payload]
+        assert next_seq == 1
+
+    def test_over_the_wire(self):
+        with WireSessionServer(CountingBackend(), cache=memory_cache()) as server:
+            with WireSessionClient(server.host, server.port) as alice:
+                alice.open("a-1", tenant="alice")
+                alice.render({"scene": "a"})
+            bob = WireSessionClient(server.host, server.port).connect()
+            try:
+                # an ERROR frame, not OPENED and a replay of alice's FRAME
+                with pytest.raises(WireError, match="ServingError"):
+                    bob.open("a-1", tenant="bob")
+            finally:
+                bob.close_socket()
+            assert [f.seq for f in server.server.sessions.get("a-1").frames] == [0]
 
 
 class TestResumePastTheRing:

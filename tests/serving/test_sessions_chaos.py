@@ -40,7 +40,7 @@ def run(coro):
 
 
 def make_session_server(backend, slots=3, **overrides):
-    config = ServingConfig(workers=2, slots=slots, **overrides)
+    config = ServingConfig(slots=slots, **overrides)
     return ServingServer(backend, config=config, cache=memory_cache())
 
 
@@ -78,6 +78,31 @@ def test_slot_death_mid_session_replays_byte_identical():
             assert state.slot in server.slot_pool.live_slots
             assert state.slot_history[0] == home
     run(scenario())
+
+
+def test_slot_death_under_the_default_config():
+    """Every render runs on a slot, so a slot death is survivable with no
+    config at all: the session re-pins, a sessionless request is routed
+    to the survivor, and both get the unfaulted bytes."""
+    backend = CountingBackend()
+    session_request = Request(params={"scene": "d"}, session="sess-d")
+    sessionless = Request(params={"scene": "anon"})
+
+    async def scenario():
+        async with ServingServer(backend) as server:
+            return [await server.submit(session_request),
+                    await server.submit(sessionless)]
+
+    faults.arm("serving.slot", "raise", times=1)
+    recorder = obs.enable(obs.Recorder())
+    try:
+        responses = run(scenario())
+    finally:
+        obs.disable()
+    assert [r.status for r in responses] == ["ok", "ok"]
+    assert [r.payload for r in responses] == [
+        backend.payload_for(session_request), backend.payload_for(sessionless)]
+    assert recorder.counter_total("serving.sessions.repinned") == 1
 
 
 def test_killed_slot_moves_only_its_sessions():

@@ -47,7 +47,6 @@ def run(coro):
 
 
 def speculative_config(**overrides):
-    overrides.setdefault("workers", 2)
     overrides.setdefault("slots", 2)
     overrides.setdefault("speculation_budget", 1)
     return ServingConfig(**overrides)
@@ -291,8 +290,7 @@ class TestMisprediction:
             try:
                 async with ServingServer(
                     backend,
-                    config=ServingConfig(workers=2, slots=2,
-                                         speculation_budget=0),
+                    config=ServingConfig(slots=2, speculation_budget=0),
                     cache=memory_cache(),
                 ) as server:
                     for t in range(6):

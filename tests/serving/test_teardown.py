@@ -43,7 +43,7 @@ class TestServerTeardown:
     def test_aclose_leaves_no_executor_threads(self, backend):
         async def scenario():
             server = ServingServer(
-                backend, config=ServingConfig(workers=3), cache=None
+                backend, config=ServingConfig(slots=3), cache=None
             )
             async with server:
                 await server.submit(Request(params={"scene": 1}))
@@ -88,7 +88,7 @@ class TestWireEndpointTeardown:
         must shut it down, not sit out the accept thread's join timeout."""
         from repro.serving.endpoint import WireSessionServer
 
-        server = WireSessionServer(CountingBackend(), ServingConfig(workers=1))
+        server = WireSessionServer(CountingBackend(), ServingConfig(slots=1))
         server.start()
         time.sleep(0.2)  # let the accept thread block in accept()
         t0 = time.monotonic()
@@ -104,7 +104,7 @@ class TestWireEndpointTeardown:
         short sessions the endpoint tracks live connections only."""
         from repro.serving.endpoint import WireSessionClient, WireSessionServer
 
-        server = WireSessionServer(CountingBackend(), ServingConfig(workers=1))
+        server = WireSessionServer(CountingBackend(), ServingConfig(slots=1))
         server.start()
         try:
             for i in range(50):

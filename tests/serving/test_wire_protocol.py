@@ -161,7 +161,7 @@ class TestEndpoint:
     @staticmethod
     def make_server():
         backend = CountingBackend()
-        config = ServingConfig(workers=2, slots=2, speculation_budget=1)
+        config = ServingConfig(slots=2, speculation_budget=1)
         return backend, WireSessionServer(backend, config, cache=memory_cache())
 
     def test_session_stream_end_to_end(self):
@@ -282,7 +282,7 @@ class TestEndpoint:
                 over_wire = client.render(params).payload
 
         async def direct():
-            config = ServingConfig(workers=2, slots=2)
+            config = ServingConfig(slots=2)
             async with ServingServer(CountingBackend(), config=config,
                                      cache=memory_cache()) as srv:
                 response = await srv.submit(Request(params=params,
