@@ -8,15 +8,17 @@ memoization safe.  This package supplies the machinery:
   grids, variables, scenes, plot specs) that is stable across
   processes and sensitive to every representational change;
 * :mod:`repro.cache.store` — a two-tier store (in-memory LRU + an
-  on-disk tier shared between processes via atomic renames) with
-  size/TTL bounds and full :mod:`repro.obs` instrumentation;
+  on-disk tier shared between processes via atomic renames, each entry
+  digest-checked before it is served) with size bounds and full
+  :mod:`repro.obs` instrumentation;
 * :mod:`repro.cache.config` — an ambient :class:`CacheConfig` scope
   (:class:`~repro.util.scope.ConfigScope`).
 
-Ambient consumers opt in through the one ambient config scope — there
-is no per-object cache knob; each asks
-:func:`~repro.cache.store.ambient_cache` for the store, and the pure
-get-or-compute sites go through :func:`~repro.cache.store.memoize`:
+The cache stores results, never inputs.  Ambient consumers opt in
+through the one ambient config scope — there is no per-object cache
+knob; each asks :func:`~repro.cache.store.ambient_cache` for the store,
+and the pure get-or-compute sites go through
+:func:`~repro.cache.store.memoize`.  The four ambient sites:
 
 * :class:`~repro.workflow.executor.Executor` memoizes module outputs
   by signature across executor instances and processes;
@@ -25,7 +27,13 @@ get-or-compute sites go through :func:`~repro.cache.store.memoize`:
   cell rides on this;
 * :func:`~repro.cdms.regrid.regrid_bilinear` /
   :func:`~repro.cdms.regrid.regrid_conservative` memoize regrid
-  products by (variable, target grid, scheme) digest.
+  products by (variable, target grid, scheme) digest;
+* :meth:`~repro.cdat.registry.OperationRegistry.apply_cached` memoizes
+  ``cdat.operation`` results by (operation, arguments) digest.
+
+Container chunks are not cached: the streaming reader verifies every
+chunk it decodes, and the prefetch window's byte budget is the only
+thing that holds them.
 
 :class:`~repro.serving.server.ServingServer` is the one explicit
 consumer: it keys every request by its canonical digest — the
@@ -52,7 +60,6 @@ inherit the scope.
 
 from repro.cache.config import (
     CacheConfig,
-    configure,
     default_cache_dir,
     get_config,
     set_config,
@@ -77,7 +84,6 @@ __all__ = [
     "ResultCache",
     "ambient_cache",
     "cache_key",
-    "configure",
     "default_cache_dir",
     "digest",
     "get_cache",

@@ -4,14 +4,14 @@ A :class:`CacheConfig` describes the two cache tiers: an in-memory LRU
 (bounded by entry count) and an on-disk store (bounded by total bytes,
 shared between processes through atomic file renames).  Caching is
 strictly **opt-in**: the ambient default config is disabled, so every
-hot path behaves exactly as the seed until an application calls
-:func:`configure` (or installs a config with :func:`use_config`).
+hot path behaves exactly as the seed until an application installs a
+config with :func:`use_config` (or :func:`set_config`).
 
 The ambient default (:func:`get_config` / :func:`set_config` /
 :func:`use_config`) is a :class:`~repro.util.scope.ConfigScope`: the
-executor, the renderer's frame cache and the regrid operators all
-consult it and take no config of their own, so whole pipelines pick up
-memoization without any per-module plumbing.
+executor, the renderer's frame cache, the regrid operators and
+``cdat.operation`` all consult it and take no config of their own, so
+whole pipelines pick up memoization without any per-module plumbing.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ def default_cache_dir() -> str:
 
 @dataclass(frozen=True)
 class CacheConfig:
-    """Size/TTL bounds and location of the two cache tiers.
+    """Size bounds and location of the two cache tiers.
 
     Parameters
     ----------
@@ -52,9 +52,6 @@ class CacheConfig:
     disk_bytes:
         On-disk budget in bytes; exceeding it evicts the stalest
         entries (0 disables the tier).
-    ttl_seconds:
-        Entry lifetime; 0 means entries never expire.  Applied per
-        tier (memory: insertion time, disk: file mtime).
     path:
         Disk-tier root directory.  ``None`` resolves through the
         ``REPRO_CACHE_DIR`` environment variable, then the per-user
@@ -62,28 +59,19 @@ class CacheConfig:
     use_disk:
         Whether the disk tier participates at all (``False`` keeps the
         cache purely in-process).
-    salt:
-        Extra key salt.  The code-version salt
-        (:data:`repro.__version__`) is always mixed in; this adds an
-        application-level generation so deployments can invalidate
-        every entry at once by bumping it.
     """
 
     enabled: bool = True
     memory_entries: int = 256
     disk_bytes: int = 512 * 1024 * 1024
-    ttl_seconds: float = 0.0
     path: Optional[str] = None
     use_disk: bool = True
-    salt: str = ""
 
     def __post_init__(self) -> None:
         if self.memory_entries < 0:
             raise CacheError(f"memory_entries must be >= 0, got {self.memory_entries}")
         if self.disk_bytes < 0:
             raise CacheError(f"disk_bytes must be >= 0, got {self.disk_bytes}")
-        if self.ttl_seconds < 0:
-            raise CacheError(f"ttl_seconds must be >= 0, got {self.ttl_seconds}")
 
     def resolved_path(self) -> str:
         """The disk-tier root this config writes to."""
@@ -103,5 +91,4 @@ _SCOPE = ConfigScope(CacheConfig(enabled=False))
 
 get_config = _SCOPE.get
 set_config = _SCOPE.set
-configure = _SCOPE.configure
 use_config = _SCOPE.use

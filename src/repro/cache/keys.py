@@ -20,8 +20,9 @@ SHA-256 digest with these properties:
   ``repr`` and colliding later.
 
 Keys built from these digests (:func:`cache_key`) are additionally
-salted with the package version, so upgrading the code invalidates
-every entry produced by older kernels.
+salted with the package version and nothing else, so upgrading the
+code invalidates every entry produced by older kernels, and a key is
+the same under every ambient config.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ from typing import Any, Iterable
 import numpy as np
 
 import repro
-from repro.cache.config import get_config
 from repro.util.errors import CacheError
 
 #: code-version salt mixed into every key — bump on release, every
@@ -255,17 +255,15 @@ def digest(obj: Any) -> str:
     return h.hexdigest()
 
 
-def cache_key(site: str, *parts: Any, salt: str | None = None) -> str:
+def cache_key(site: str, *parts: Any) -> str:
     """A cache key for *site* derived from the digests of *parts*.
 
-    The key mixes in :data:`CODE_SALT` plus the ambient config's
-    application salt (overridable via *salt*), so a version bump or a
-    deployment-level generation change invalidates everything at once.
+    The key mixes in :data:`CODE_SALT`, so a version bump invalidates
+    everything at once.
     """
     h = hashlib.sha256()
     _raw(h, site.encode("utf-8"))
     _raw(h, CODE_SALT.encode("utf-8"))
-    _raw(h, (salt if salt is not None else get_config().salt).encode("utf-8"))
     for part in parts:
         _update(h, part)
     return h.hexdigest()

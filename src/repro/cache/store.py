@@ -5,8 +5,9 @@ dict lookup and return the stored object itself (module outputs are
 shared-immutable by the executor contract; mutable render products are
 copied by their call sites).
 
-**Disk tier** — one pickle file per key under a two-level fan-out
-directory, shared safely between processes:
+**Disk tier** — one file per key under a two-level fan-out directory
+(the pickle's sha256, then the pickle), shared safely between
+processes:
 
 * writes are published with :func:`repro.util.atomic.atomic_publish`
   (private temp file, flush, fsync, atomic rename), so concurrent
@@ -16,9 +17,15 @@ directory, shared safely between processes:
 * reads open the final path and read it to EOF before unpickling; on
   POSIX an entry evicted mid-read stays readable through the open file
   descriptor, so eviction under size pressure never breaks a reader;
-* undecodable entries (version skew, truncation from non-POSIX
-  surprises) are deleted and reported as misses — the cache degrades,
-  it never fails the computation it memoizes.
+* a read compares the payload's sha256 with the stored one before
+  unpickling; a mismatch (a flipped bit, a truncation) or an
+  undecodable pickle (version skew) is counted in ``cache.corrupt``,
+  deleted and reported as a miss — the cache degrades, it never serves
+  wrong bytes or fails the computation it memoizes.
+
+Entries never expire: they leave by LRU / byte-budget eviction,
+:meth:`ResultCache.delete` / :meth:`ResultCache.clear`, or a
+:data:`~repro.cache.keys.CODE_SALT` bump that changes every key.
 
 Every lookup/store emits ``cache.hits`` / ``cache.misses`` /
 ``cache.evictions`` counters (labelled by call site and tier) and
@@ -28,7 +35,7 @@ Every lookup/store emits ``cache.hits`` / ``cache.misses`` /
 
 from __future__ import annotations
 
-import os
+import hashlib
 import pickle
 import threading
 import time
@@ -43,6 +50,8 @@ from repro.util.atomic import atomic_publish, reap_stale_tmp
 
 #: temp files older than this are debris from killed writers
 STALE_TMP_SECONDS = 300.0
+#: length of the sha256 digest each disk entry starts with
+_DIGEST_BYTES = hashlib.sha256().digest_size
 #: pickle errors that mean "corrupt or incompatible entry", not a bug
 _DECODE_ERRORS = (
     pickle.UnpicklingError, EOFError, AttributeError, ImportError,
@@ -53,11 +62,9 @@ _DECODE_ERRORS = (
 class MemoryTier:
     """A thread-safe LRU of at most *capacity* entries."""
 
-    def __init__(self, capacity: int, ttl_seconds: float = 0.0, clock=time.time) -> None:
+    def __init__(self, capacity: int) -> None:
         self.capacity = int(capacity)
-        self.ttl_seconds = float(ttl_seconds)
-        self._clock = clock
-        self._entries: "OrderedDict[str, Tuple[float, Any]]" = OrderedDict()
+        self._entries: "OrderedDict[str, Any]" = OrderedDict()
         self._lock = threading.Lock()
 
     def __len__(self) -> int:
@@ -66,21 +73,16 @@ class MemoryTier:
 
     def get(self, key: str) -> Tuple[bool, Any]:
         with self._lock:
-            entry = self._entries.get(key)
-            if entry is None:
-                return False, None
-            stored_at, value = entry
-            if self.ttl_seconds and self._clock() - stored_at > self.ttl_seconds:
-                del self._entries[key]
+            if key not in self._entries:
                 return False, None
             self._entries.move_to_end(key)
-            return True, value
+            return True, self._entries[key]
 
     def put(self, key: str, value: Any) -> int:
         """Store *value*; returns how many entries were evicted."""
         evicted = 0
         with self._lock:
-            self._entries[key] = (self._clock(), value)
+            self._entries[key] = value
             self._entries.move_to_end(key)
             while len(self._entries) > self.capacity:
                 self._entries.popitem(last=False)
@@ -90,7 +92,10 @@ class MemoryTier:
     def delete(self, key: str) -> bool:
         """Drop *key* if present; returns whether an entry was removed."""
         with self._lock:
-            return self._entries.pop(key, None) is not None
+            if key not in self._entries:
+                return False
+            del self._entries[key]
+            return True
 
     def clear(self) -> None:
         with self._lock:
@@ -100,17 +105,10 @@ class MemoryTier:
 class DiskTier:
     """The process-shared pickle-file tier (see module docstring)."""
 
-    def __init__(
-        self,
-        root: str,
-        max_bytes: int,
-        ttl_seconds: float = 0.0,
-        clock=time.time,
-    ) -> None:
+    def __init__(self, root: str, max_bytes: int, clock=time.time) -> None:
         self.root = Path(root)
         self.max_bytes = int(max_bytes)
-        self.ttl_seconds = float(ttl_seconds)
-        self._clock = clock
+        self._clock = clock  # the stale-temp reaper's notion of now
         self.root.mkdir(parents=True, exist_ok=True)
 
     def _path(self, key: str) -> Path:
@@ -141,21 +139,19 @@ class DiskTier:
             return False, None
         try:
             with handle:
-                if self.ttl_seconds:
-                    mtime = os.fstat(handle.fileno()).st_mtime
-                    if self._clock() - mtime > self.ttl_seconds:
-                        self._discard(path)
-                        return False, None
-                payload = handle.read()
-            value = pickle.loads(payload)
-        except _DECODE_ERRORS:
-            # torn or incompatible entry: drop it, report a miss
-            obs.counter("cache.corrupt", tier="disk")
-            self._discard(path)
-            return False, None
+                stored = handle.read()
         except OSError:
             return False, None
-        return True, value
+        payload = memoryview(stored)[_DIGEST_BYTES:]
+        if hashlib.sha256(payload).digest() == stored[:_DIGEST_BYTES]:
+            try:
+                return True, pickle.loads(payload)
+            except _DECODE_ERRORS:
+                pass
+        # flipped, torn or incompatible entry: drop it, report a miss
+        obs.counter("cache.corrupt", tier="disk")
+        self._discard(path)
+        return False, None
 
     def _discard(self, path: Path) -> None:
         try:
@@ -189,6 +185,7 @@ class DiskTier:
             path.parent.mkdir(parents=True, exist_ok=True)
             # temp files live in the root, where the reaper looks
             with atomic_publish(path, tmp_dir=self.root) as handle:
+                handle.write(hashlib.sha256(payload).digest())
                 handle.write(payload)
         except OSError:
             return 0
@@ -227,12 +224,9 @@ class ResultCache:
 
     def __init__(self, config: CacheConfig) -> None:
         self.config = config
-        self.memory = (
-            MemoryTier(config.memory_entries, config.ttl_seconds)
-            if config.wants_memory else None
-        )
+        self.memory = MemoryTier(config.memory_entries) if config.wants_memory else None
         self.disk = (
-            DiskTier(config.resolved_path(), config.disk_bytes, config.ttl_seconds)
+            DiskTier(config.resolved_path(), config.disk_bytes)
             if config.wants_disk else None
         )
         self.hits = 0
@@ -253,7 +247,7 @@ class ResultCache:
             if found:
                 tier = "disk"
                 if self.memory is not None:
-                    self.evictions += self.memory.put(key, value)
+                    self._count_evictions(self.memory.put(key, value), site)
         if obs.enabled():
             obs.histogram(
                 "cache.lookup.seconds", time.perf_counter() - start, site=site
@@ -273,9 +267,7 @@ class ResultCache:
             evicted += self.memory.put(key, value)
         if self.disk is not None:
             evicted += self.disk.put(key, value)
-        if evicted:
-            self.evictions += evicted
-            obs.counter("cache.evictions", evicted, site=site)
+        self._count_evictions(evicted, site)
         if obs.enabled():
             obs.histogram(
                 "cache.store.seconds", time.perf_counter() - start, site=site
@@ -293,10 +285,14 @@ class ResultCache:
             removed = self.memory.delete(key) or removed
         if self.disk is not None:
             removed = self.disk.delete(key) or removed
-        if removed:
-            self.evictions += 1
-            obs.counter("cache.evictions", site=site)
+        self._count_evictions(int(removed), site)
         return removed
+
+    def _count_evictions(self, count: int, site: str) -> None:
+        """Add *count* to :attr:`evictions` and the ``cache.evictions`` counter."""
+        if count:
+            self.evictions += count
+            obs.counter("cache.evictions", count, site=site)
 
     def stats(self) -> Dict[str, int]:
         return {

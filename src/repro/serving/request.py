@@ -15,9 +15,10 @@ session, deadline).  :func:`request_key` maps it to a deterministic
   yProv4DV insight: identical provenance digests are the natural
   coalescing key).
 
-The key also inherits the cache layer's ``CODE_SALT`` version binding:
-a code upgrade changes every key, so stale frames from older kernels
-can never be fanned out to new requests.
+The key also inherits the cache layer's ``CODE_SALT`` version binding —
+its one salt: a code upgrade changes every key, so stale frames from
+older kernels can never be fanned out to new requests.  Nothing else
+enters it; in particular no ambient :mod:`repro.cache` config does.
 """
 
 from __future__ import annotations
@@ -59,14 +60,14 @@ class Request:
         return replace(self, params=merged)
 
 
-def request_key(request: Request, salt: Optional[str] = None) -> str:
+def request_key(request: Request) -> str:
     """Canonical digest of *request*'s output-determining fields.
 
     Equal keys mean byte-identical products, so the server coalesces on
     this and the serving cache stores under it.  Tenant, session and
     deadline never enter the key (see module docstring).
     """
-    return cache_key("serving.request", request.kind, dict(request.params), salt=salt)
+    return cache_key("serving.request", request.kind, dict(request.params))
 
 
 @dataclass

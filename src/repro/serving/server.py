@@ -140,8 +140,6 @@ class ServingServer:
         :mod:`repro.cache` scope is not consulted).
     clock:
         Injectable monotonic clock shared by deadlines and the breaker.
-    salt:
-        Extra request-key salt (deployment generation).
     """
 
     def __init__(
@@ -150,11 +148,9 @@ class ServingServer:
         config: Optional[ServingConfig] = None,
         cache: Optional[ResultCache] = None,
         clock: Callable[[], float] = time.monotonic,
-        salt: Optional[str] = None,
     ) -> None:
         self.config = config if config is not None else ServingConfig()
         self.clock = clock
-        self.salt = salt
         self.admission = AdmissionController(self.config, clock=clock)
         self.quota = QuotaLedger(
             self.config.tenant_max_entries, self.config.tenant_max_bytes
@@ -242,7 +238,7 @@ class ServingServer:
         if self._closed:
             raise ServingError("ServingServer is closed")
         t0 = self.clock()
-        key = request_key(request, salt=self.salt)
+        key = request_key(request)
         obs.counter("serving.requests", tenant=request.tenant, kind=request.kind)
 
         state: Optional[SessionState] = None
@@ -464,7 +460,7 @@ class ServingServer:
         if predicted is None:
             return
         spec_request = replace(request, params=predicted)
-        spec_key = request_key(spec_request, salt=self.salt)
+        spec_key = request_key(spec_request)
         if spec_key in self._inflight:
             return
         if self.cache is not None:

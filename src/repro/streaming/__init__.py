@@ -12,8 +12,8 @@ between the ``.cdz`` container and the DV3D animation loop:
 * :mod:`repro.streaming.reader` — read → verify → decode per chunk
   under a :class:`~repro.resilience.policy.RetryPolicy`, with named
   fault sites (``streaming.read`` / ``streaming.verify`` /
-  ``streaming.decode``), quarantine-and-heal semantics, and
-  digest-keyed publication into the ambient result cache;
+  ``streaming.decode``) and quarantine-and-heal semantics; it is the
+  only way a chunk's bytes become an array, and it keeps nothing;
 * :mod:`repro.streaming.prefetch` — a byte-budgeted background
   pipeline running ahead of the animation cursor with backpressure;
 * :mod:`repro.streaming.dataset` — archive-level access handing out

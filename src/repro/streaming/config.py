@@ -8,9 +8,9 @@ reader retries failing chunks before degrading.  Like
 unlike it, it is passed down rather than ambient — a streaming
 dataset opened with one budget never silently inherits another's.
 
-Whether verified chunks are also published to the result cache is not
-decided here: the reader uses :func:`repro.cache.store.ambient_cache`,
-and that cache's own ``enabled`` is the switch.
+The budget is the only bound on a streamed dataset's decoded chunks:
+the result cache never stores them, so an enabled ``repro.cache``
+scope changes neither what is resident nor what is verified.
 """
 
 from __future__ import annotations

@@ -28,9 +28,9 @@ retry under the config's :class:`~repro.resilience.policy.RetryPolicy`;
 a chunk that exhausts its budget is **quarantined** — background
 prefetch stops spending slots on it — but direct reads keep
 re-attempting, so the chunk heals (and leaves quarantine) once the
-underlying fault clears.  Verified decoded chunks are published to the
-ambient result cache keyed by their content digest: a digest hit is
-proof of integrity, so cached reads skip I/O *and* verification.
+underlying fault clears.  Every chunk — streamed, prefetched or eager —
+passes all three stages on every read; nothing but the prefetch
+window's byte budget holds a decoded chunk.
 """
 
 from __future__ import annotations
@@ -41,8 +41,6 @@ from typing import TYPE_CHECKING, Dict
 import numpy as np
 
 from repro import obs
-from repro.cache.keys import cache_key
-from repro.cache.store import ambient_cache
 from repro.cdms.storage import _npy_load
 from repro.resilience import faults
 from repro.streaming.format import (
@@ -140,21 +138,8 @@ class ChunkReader:
         Retries under the config's policy; quarantines on exhaustion
         and re-raises the final failure.  A success clears any prior
         quarantine.  Returned arrays are shared (with the prefetch
-        slots, the result cache and every slab view of the chunk), so
-        they are read-only.
+        slots and every slab view of the chunk), so they are read-only.
         """
-        cache = ambient_cache()
-        if cache is not None:
-            key = self._cache_key(chunk)
-            found, value = cache.get(key, site="streaming")
-            if found and isinstance(value, np.ndarray):
-                if tuple(value.shape) == self.layout.chunk_shape(chunk):
-                    if obs.enabled():
-                        obs.counter("streaming.chunks.cache_hits", var=self.layout.id)
-                    self._release(chunk)
-                    value.flags.writeable = False  # a disk hit is a fresh unpickle
-                    return value
-
         counter = {"attempt": 0}
 
         def attempt() -> np.ndarray:
@@ -187,8 +172,6 @@ class ChunkReader:
         if obs.enabled():
             obs.counter("streaming.chunks.read", var=self.layout.id)
             obs.counter("streaming.chunks.verified", var=self.layout.id)
-        if cache is not None:
-            cache.put(self._cache_key(chunk), raw, site="streaming")
         return raw
 
     def read_lowres(self, chunk: ChunkMeta) -> np.ndarray:
@@ -220,8 +203,3 @@ class ChunkReader:
             obs.counter("streaming.chunks.lowres", var=self.layout.id)
         full.flags.writeable = False
         return full
-
-    # -- result-cache plumbing ---------------------------------------------
-
-    def _cache_key(self, chunk: ChunkMeta) -> str:
-        return cache_key("streaming.chunk", chunk.digest)

@@ -4,7 +4,7 @@ Hot paths that take no explicit config (``repro.cache``: the executor,
 the frame cache, regrid) consult an ambient default instead, so whole
 pipelines opt in without per-module plumbing.  A subsystem owns one
 :class:`ConfigScope` and binds its public ``get_config`` /
-``set_config`` / ``configure`` / ``use_config`` names to it.
+``set_config`` / ``use_config`` names to it.
 """
 
 from __future__ import annotations
@@ -30,12 +30,6 @@ class ConfigScope(Generic[C]):
         previous = self._current
         self._current = config
         return previous
-
-    def configure(self, **kwargs) -> C:
-        """Build a config of the ambient type from *kwargs* and install it."""
-        config = type(self._current)(**kwargs)
-        self.set(config)
-        return config
 
     @contextmanager
     def use(self, config: Optional[C]) -> Iterator[C]:

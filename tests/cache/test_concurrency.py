@@ -102,9 +102,10 @@ class TestEvictionDuringRead:
         value = {"blob": b"z" * (1 << 20)}
         tier.put(KEY, value)
         path = tier._path(KEY)
+        stored = path.read_bytes()
         with open(path, "rb") as handle:
             path.unlink()  # eviction happens mid-read
-            assert pickle.loads(handle.read()) == value
+            assert handle.read() == stored
         assert tier.get(KEY) == (False, None)  # and is an honest miss after
 
     def test_reader_never_breaks_under_eviction_pressure(self, tmp_path):

@@ -11,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.cache import get_cache, reset_cache
 from repro.cache.config import CacheConfig, use_config
 from repro.dv3d.hovmoller import HovmollerSlicerPlot
@@ -77,6 +78,28 @@ class TestWarmFramesAreByteIdentical:
         assert np.array_equal(cold.color, warm.color)
         assert np.array_equal(cold.depth, warm.depth)
         assert cache.stats()["hits"] >= 1
+
+    def test_flipped_disk_entry_is_rerendered(self, reanalysis, cache_on):
+        # one flipped byte in the frame's disk entry fails the digest
+        # check: a miss and a re-render, never a frame with a wrong byte
+        plot = VolumePlot(reanalysis("ta"), center=0.6, width=0.25)
+        camera = plot.default_camera()
+        cold = plot.render(WIDTH, HEIGHT, camera=camera)
+        cache = get_cache()
+        [entry] = cache.disk.entries()
+        stored = bytearray(entry.read_bytes())
+        stored[len(stored) // 2] ^= 0xFF
+        entry.chmod(0o644)
+        entry.write_bytes(bytes(stored))
+        cache.memory.clear()
+        recorder = obs.enable(obs.Recorder())
+        try:
+            warm = plot.render(WIDTH, HEIGHT, camera=camera)
+        finally:
+            obs.disable()
+        assert np.array_equal(cold.color, warm.color)
+        assert np.array_equal(cold.depth, warm.depth)
+        assert recorder.counter_total("cache.corrupt") == 1
 
 
 class TestSingleInputPerturbationMisses:

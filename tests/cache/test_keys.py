@@ -23,7 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from repro.cache.config import CacheConfig, use_config
+from repro.cache import keys
 from repro.cache.keys import CODE_SALT, cache_key, digest, scene_digest
 from repro.util.errors import CacheError
 
@@ -184,17 +184,13 @@ class TestDomainTypes:
 
 
 class TestCacheKey:
-    def test_site_and_salt_partition_the_keyspace(self):
+    def test_site_and_salt_partition_the_keyspace(self, monkeypatch):
         assert cache_key("a", 1) != cache_key("b", 1)
-        assert cache_key("a", 1, salt="g1") != cache_key("a", 1, salt="g2")
         assert cache_key("a", 1) != cache_key("a", 2)
-        assert cache_key("a", 1, salt="") == cache_key("a", 1, salt="")
-
-    def test_ambient_config_salt_applies(self):
-        base = cache_key("site", "x")
-        with use_config(CacheConfig(salt="generation-2")):
-            assert cache_key("site", "x") != base
-        assert cache_key("site", "x") == base
+        assert cache_key("a", 1) == cache_key("a", 1)
+        base = cache_key("a", 1)
+        monkeypatch.setattr(keys, "CODE_SALT", "repro-next")  # a version bump
+        assert cache_key("a", 1) != base
 
     def test_code_salt_is_version_bound(self):
         import repro
@@ -216,7 +212,7 @@ values = [
     np.arange(24, dtype=np.float32).reshape(4, 6),
     np.ma.MaskedArray([1.0, 2.0, 3.0], mask=[False, True, False]),
 ]
-out = [digest(v) for v in values] + [cache_key("site", "part", salt="s")]
+out = [digest(v) for v in values] + [cache_key("site", "part")]
 sys.stdout.write(json.dumps(out))
 """
 
@@ -246,4 +242,4 @@ class TestCrossProcess:
         quiet = struct.unpack("<d", struct.pack("<Q", 0x7FF8000000000000))[0]
         assert digest(quiet) == one[5]
         assert digest({"b": 2, "a": 1}) == one[9] == one[10]
-        assert cache_key("site", "part", salt="s") == one[-1]
+        assert cache_key("site", "part") == one[-1]

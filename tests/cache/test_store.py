@@ -1,14 +1,16 @@
-"""The two cache tiers and their facade: bounds, TTL, degradation.
+"""The two cache tiers and their facade: bounds, degradation, counters.
 
-Clocks are injected so LRU/TTL behavior is tested deterministically;
-disk-tier robustness (corrupt entries, unwritable roots, unpicklable
-values) must always degrade to a miss, never to an exception.
+The disk tier's clock is injected so stale-temp reaping is tested
+deterministically; disk-tier robustness (corrupt entries, unwritable
+roots, unpicklable values) must always degrade to a miss, never to an
+exception or a wrong value.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import inspect
 import os
-import pickle
 
 import pytest
 
@@ -16,10 +18,8 @@ from repro import obs
 from repro.cache.config import (
     CACHE_DIR_ENV,
     CacheConfig,
-    configure,
     default_cache_dir,
     get_config,
-    set_config,
     use_config,
 )
 from repro.cache.store import (
@@ -47,8 +47,16 @@ class TestConfig:
             CacheConfig(memory_entries=-1)
         with pytest.raises(CacheError, match="disk_bytes"):
             CacheConfig(disk_bytes=-1)
-        with pytest.raises(CacheError, match="ttl_seconds"):
-            CacheConfig(ttl_seconds=-0.5)
+
+    def test_settable_values(self):
+        # sizes and a location only: no expiry, no key salt
+        assert [f.name for f in dataclasses.fields(CacheConfig)] == [
+            "enabled", "memory_entries", "disk_bytes", "path", "use_disk",
+        ]
+        assert list(inspect.signature(MemoryTier).parameters) == ["capacity"]
+        assert list(inspect.signature(DiskTier).parameters) == [
+            "root", "max_bytes", "clock",
+        ]
 
     def test_tier_switches(self):
         assert not CacheConfig(enabled=False).wants_memory
@@ -78,14 +86,6 @@ class TestConfig:
         with use_config(None):
             assert get_config() is base
 
-    def test_configure_installs(self):
-        before = get_config()
-        try:
-            cfg = configure(memory_entries=3, use_disk=False)
-            assert get_config() is cfg
-        finally:
-            set_config(before)
-
 
 class TestMemoryTier:
     def test_lru_eviction_order(self):
@@ -99,22 +99,18 @@ class TestMemoryTier:
         assert tier.get("c") == (True, 3)
         assert len(tier) == 2
 
-    def test_ttl_expiry(self):
-        clock = FakeClock()
-        tier = MemoryTier(capacity=8, ttl_seconds=10.0, clock=clock)
-        tier.put("k", "v")
-        clock.now += 5.0
-        assert tier.get("k") == (True, "v")
-        clock.now += 6.0
-        assert tier.get("k") == (False, None)
-        assert len(tier) == 0  # expired entry dropped
-
     def test_overwrite_same_key(self):
         tier = MemoryTier(capacity=2)
         tier.put("k", 1)
         tier.put("k", 2)
         assert tier.get("k") == (True, 2)
         assert len(tier) == 1
+
+    def test_none_is_a_value(self):
+        tier = MemoryTier(capacity=2)
+        tier.put("k", None)
+        assert tier.get("k") == (True, None)
+        assert tier.delete("k") and not tier.delete("k")
 
 
 class TestDiskTier:
@@ -128,44 +124,40 @@ class TestDiskTier:
         assert len(tier) == 1 and tier.size_bytes() > 0
 
     def test_corrupt_entry_is_discarded_as_miss(self, tmp_path):
+        def truncate(stored: bytes) -> bytes:
+            return stored[:3]
+
+        def flip_one_byte(stored: bytes) -> bytes:
+            # inside the pickled string: it still unpickles, to "valte"
+            damaged = bytearray(stored)
+            damaged[-4] ^= 0x01
+            return bytes(damaged)
+
         tier = DiskTier(str(tmp_path), max_bytes=1 << 20)
         key = "cd" + "1" * 62
-        tier.put(key, "value")
-        path = tier._path(key)
-        path.chmod(0o644)
-        truncated = path.read_bytes()[:3]
-        path.write_bytes(truncated)
-        recorder = obs.enable(obs.Recorder())
-        try:
-            assert tier.get(key) == (False, None)
-        finally:
-            obs.disable()
-        assert not path.exists()  # corrupt file removed
-        assert recorder.counter_total("cache.corrupt") == 1
-        # and the key is writable again
-        tier.put(key, "value2")
-        assert tier.get(key) == (True, "value2")
-
-    def test_ttl_expiry_by_mtime(self, tmp_path):
-        clock = FakeClock()
-        tier = DiskTier(str(tmp_path), max_bytes=1 << 20, ttl_seconds=30.0, clock=clock)
-        key = "ef" + "2" * 62
-        tier.put(key, 1)
-        path = tier._path(key)
-        os.utime(path, (clock.now, clock.now))
-        clock.now += 10.0
-        assert tier.get(key) == (True, 1)
-        clock.now += 31.0
-        assert tier.get(key) == (False, None)
-        assert not path.exists()
+        for damage in (truncate, flip_one_byte):
+            tier.put(key, "value")
+            path = tier._path(key)
+            path.chmod(0o644)
+            path.write_bytes(damage(path.read_bytes()))
+            recorder = obs.enable(obs.Recorder())
+            try:
+                assert tier.get(key) == (False, None), damage.__name__
+            finally:
+                obs.disable()
+            assert not path.exists()  # corrupt file removed
+            assert recorder.counter_total("cache.corrupt") == 1
+            # and the key is writable again
+            tier.put(key, "value2")
+            assert tier.get(key) == (True, "value2")
 
     def test_eviction_to_byte_budget_is_mtime_lru(self, tmp_path):
-        # budget: exactly one entry fits
-        entry_size = len(pickle.dumps(b"x" * 64, protocol=pickle.HIGHEST_PROTOCOL))
-        tier = DiskTier(str(tmp_path), max_bytes=entry_size + 8)
+        tier = DiskTier(str(tmp_path), max_bytes=1 << 20)
         old_key = "aa" + "3" * 62
         new_key = "bb" + "4" * 62
         tier.put(old_key, b"x" * 64)
+        # budget: exactly one entry fits
+        tier.max_bytes = tier._path(old_key).stat().st_size + 8
         assert tier._path(old_key).exists()
         os.utime(tier._path(old_key), (1.0, 1.0))  # make it stale
         evicted = tier.put(new_key, b"y" * 64)
@@ -255,6 +247,13 @@ class TestResultCache:
             cache.put("b" * 64, 2)
             assert cache.evictions == 1
             assert recorder.counter_total("cache.evictions") == 1
+            # a disk hit promoted into a full memory tier evicts too
+            two_tier = ResultCache(self.cfg(tmp_path, memory_entries=1))
+            two_tier.put("a" * 64, 1)
+            two_tier.put("b" * 64, 2)  # memory drops "a", disk keeps both
+            assert two_tier.get("a" * 64) == (True, 1)  # promotion drops "b"
+            assert two_tier.evictions == 2
+            assert recorder.counter_total("cache.evictions") == 3
         finally:
             obs.disable()
 

@@ -89,15 +89,6 @@ def test_kind_is_part_of_the_key(p):
 
 
 @settings(max_examples=60, deadline=None)
-@given(p=params, salt=st.text(min_size=1, max_size=8))
-def test_salt_partitions_the_keyspace(p, salt):
-    """Different deployment salts never share keys (no cross-version
-    fan-out)."""
-    request = Request(params=dict(p))
-    assert request_key(request) != request_key(request, salt=salt)
-
-
-@settings(max_examples=60, deadline=None)
 @given(p=params)
 def test_key_is_stable_across_calls(p):
     request = Request(params=dict(p))

@@ -1,4 +1,4 @@
-"""The resilient chunk reader: verification, retries, quarantine, cache."""
+"""The resilient chunk reader: verification, retries, quarantine, and no cache."""
 
 from __future__ import annotations
 
@@ -7,6 +7,7 @@ import pytest
 
 from repro import cache, obs
 from repro.cdms.storage import read_cdz
+from repro.data.catalog import synthetic_reanalysis
 from repro.resilience import faults
 from repro.streaming.config import StreamingConfig
 from repro.streaming.dataset import StreamingSource
@@ -97,41 +98,31 @@ class TestLowres:
 
 
 class TestResultCache:
-    def test_verified_chunks_cached_by_digest(self, v2_path, tmp_path):
-        with cache.use_config(
-            cache.CacheConfig(
-                enabled=True, memory_entries=64, path=str(tmp_path / "c")
-            )
-        ):
+    def test_disabled_cache_never_touched(self, tmp_path):
+        """Enabled or not, the result cache never sees a chunk: an eager
+        read under an enabled disk-tier cache stores nothing, and with
+        every disk entry damaged a re-read still returns the container's
+        values (the container is the one source of chunk bytes)."""
+        path = tmp_path / "reanalysis.cdz"
+        synthetic_reanalysis(nlat=8, nlon=12, nlev=3).save(path)
+        _, _, expected = read_cdz(path)
+        with cache.use_config(cache.CacheConfig(path=str(tmp_path / "c"))):
             cache.reset_cache()
-            obs.enable()
-            reader = StreamingSource(v2_path, FAST).reader("ta")
-            chunk = reader.layout.chunks[0]
-            first = reader.read_chunk(chunk)
-            second = reader.read_chunk(chunk)
-            recorder = obs.get_recorder()
-            assert recorder.counter_total("streaming.chunks.cache_hits") == 1
-            assert recorder.counter_total("streaming.chunks.read") == 1
-            assert first.tobytes() == second.tobytes()
+            ambient = cache.get_cache()
+            read_cdz(path)
+            for entry in list(ambient.disk.entries()):
+                stored = bytearray(entry.read_bytes())
+                stored[len(stored) // 2] ^= 0xFF
+                entry.chmod(0o644)
+                entry.write_bytes(bytes(stored))
+            ambient.memory.clear()
+            _, _, again = read_cdz(path)
+            stats = ambient.stats()
         cache.reset_cache()
-
-    def test_cache_hit_skips_armed_faults(self, v2_path, tmp_path):
-        # a digest hit is proof of integrity: no re-read, no re-verify
-        with cache.use_config(
-            cache.CacheConfig(
-                enabled=True, memory_entries=64, path=str(tmp_path / "c")
-            )
-        ):
-            cache.reset_cache()
-            reader = StreamingSource(v2_path, FAST).reader("ta")
-            chunk = reader.layout.chunks[0]
-            value = reader.read_chunk(chunk)
-            faults.arm("streaming.read", "raise", times=0)
-            again = reader.read_chunk(chunk)
-            assert again.tobytes() == value.tobytes()
-        cache.reset_cache()
-
-    def test_disabled_cache_never_touched(self, reader):
-        chunk = reader.layout.chunks[0]
-        reader.read_chunk(chunk)
-        assert cache.get_cache().stats()["hits"] == 0
+        assert len(again) == len(expected) == 5
+        for got, want in zip(again, expected):
+            assert got.filled().tobytes() == want.filled().tobytes(), got.id
+        assert stats == {
+            "hits": 0, "misses": 0, "evictions": 0,
+            "memory_entries": 0, "disk_entries": 0,
+        }

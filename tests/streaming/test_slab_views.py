@@ -1,9 +1,9 @@
 """A streamed slab is a read-only view of its verified chunk.
 
 Indexing a lazy variable inside one chunk hands out a view of the array
-the chunk reader verified — the same array the prefetch slots and the
-ambient result cache hold — so the reader marks it read-only and a
-write into a slab raises instead of corrupting the next reader's bytes.
+the chunk reader verified — the same array the prefetch slots hold — so
+the reader marks it read-only and a write into a slab raises instead of
+corrupting the next reader's bytes.
 Eager loads copy once and own writable arrays.  A chunk the manifest
 counts as wholly valid and finite gets no mask; the fold passes of the
 cdat kernels see one masked array per chunk and build no ``Variable``,
@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro import cache, obs
+from repro import obs
 from repro.cdat import anomalies, axis_average, running_mean, slabkernels, variance
 from repro.cdms.axis import Axis, level_axis, time_axis, uniform_latitude, uniform_longitude
 from repro.cdms.dataset import open_dataset
@@ -47,34 +47,19 @@ class TestEagerLoadsOwnTheirArrays:
 
 
 class TestSlabsAreReadOnlyViews:
-    def test_write_into_a_slab_raises_and_shared_copies_are_unchanged(
-        self, v2_path, tmp_path
-    ):
-        with cache.use_config(
-            cache.CacheConfig(enabled=True, memory_entries=64, path=str(tmp_path / "c"))
-        ):
-            cache.reset_cache()
-            with open_dataset(v2_path, streaming="on") as dataset:  # prefetch on
-                lazy = dataset.get_variable("ta")
-                slab = lazy[2]
-                prefetcher = dataset.streaming_source.prefetcher("ta")
-                reader = dataset.streaming_source.reader("ta")
-                slot = prefetcher._slots[2]
-                _, entry = cache.ambient_cache().get(
-                    reader._cache_key(lazy.layout.chunks[2])
-                )
-                assert np.shares_memory(slab.data, slot)
-                slot_bytes, entry_bytes = slot.tobytes(), entry.tobytes()
-                with pytest.raises(ValueError, match="read-only"):
-                    slab.data[0, 0, 0, 0] = 0.0
-                with pytest.raises(ValueError, match="read-only"):
-                    slab.data += 1.0
-                assert prefetcher._slots[2].tobytes() == slot_bytes
-                _, after = cache.ambient_cache().get(
-                    reader._cache_key(lazy.layout.chunks[2])
-                )
-                assert after.tobytes() == entry_bytes
-        cache.reset_cache()
+    def test_write_into_a_slab_raises_and_shared_copies_are_unchanged(self, v2_path):
+        with open_dataset(v2_path, streaming="on") as dataset:  # prefetch on
+            lazy = dataset.get_variable("ta")
+            slab = lazy[2]
+            prefetcher = dataset.streaming_source.prefetcher("ta")
+            slot = prefetcher._slots[2]
+            assert np.shares_memory(slab.data, slot)
+            slot_bytes = slot.tobytes()
+            with pytest.raises(ValueError, match="read-only"):
+                slab.data[0, 0, 0, 0] = 0.0
+            with pytest.raises(ValueError, match="read-only"):
+                slab.data += 1.0
+            assert prefetcher._slots[2].tobytes() == slot_bytes
 
     def test_clone_is_writable_and_detached(self, v2_path):
         with open_dataset(v2_path, streaming="on") as dataset:

@@ -26,11 +26,6 @@ def test_set_returns_previous_and_get_sees_new(scope):
     assert scope.get() == Knob(1)
 
 
-def test_configure_builds_and_installs(scope):
-    assert scope.configure(level=7) == Knob(7)
-    assert scope.get() == Knob(7)
-
-
 def test_use_nests_and_restores_in_order(scope):
     with scope.use(Knob(1)) as outer:
         assert outer == Knob(1)
