@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 from repro.cdat.slabkernels import (
     fold_group_squared_deviations,
@@ -59,7 +59,14 @@ def _welch_from_moments(
     v0: np.ndarray, v1: np.ndarray,
     n0: np.ndarray, n1: np.ndarray,
 ):
-    """Welch t and two-sided p from per-phase sufficient statistics."""
+    """Welch t and two-sided p from per-phase sufficient statistics.
+
+    ``2·stdtr(df, −|t|)`` is the two-sided Student-t p-value: ``stdtr``
+    is the t CDF, so ``stdtr(df, −|t|)`` is the upper tail ``P(T > |t|)``
+    — the very call ``scipy.stats.t.sf`` makes, without importing
+    ``scipy.stats``.  Points with too few samples or a non-finite
+    statistic (``bad``) come back masked.
+    """
     with np.errstate(all="ignore"):
         se0 = v0 / n0
         se1 = v1 / n1
@@ -69,7 +76,7 @@ def _welch_from_moments(
         bad = (n0 < 2) | (n1 < 2) | ~np.isfinite(t_stat) | ~np.isfinite(df)
         t_stat = np.where(bad, np.nan, t_stat)
         df = np.where(bad, 1.0, df)
-        p_val = 2.0 * stats.t.sf(np.abs(t_stat), df)
+        p_val = 2.0 * special.stdtr(df, -np.abs(t_stat))
         p_val = np.where(bad, np.nan, p_val)
     return np.ma.masked_invalid(t_stat), np.ma.masked_invalid(p_val)
 

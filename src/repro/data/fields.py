@@ -163,6 +163,9 @@ def geostrophic_wind(
     ``u = -(g/f) ∂Z/∂y``, ``v = (g/f) ∂Z/∂x`` with the Coriolis
     parameter clamped away from zero near the equator.  Gradients use
     centred differences, periodic in longitude.
+
+    Both winds are computed in their own output buffers and scaled in
+    place, so the traced peak is about three fields.
     """
     if height is None:
         height = geopotential_height(seed=seed)
@@ -171,7 +174,9 @@ def geostrophic_wind(
     lon = height.get_longitude()
     if lat is None or lon is None:
         raise ValueError("geostrophic_wind requires a gridded height field")
-    zg = height.filled(np.nan)
+    # float64 like the winds; may alias the height's own buffer, so it is
+    # only ever read
+    zg = height.filled(np.nan).astype(np.float64, copy=False)
     lat_dim = height.axis_index("latitude")
     lon_dim = height.axis_index("longitude")
     lat_rad = np.radians(lat.values)
@@ -179,26 +184,25 @@ def geostrophic_wind(
 
     f = 2 * _EARTH_OMEGA * np.sin(lat_rad)
     f = np.where(np.abs(f) < f_floor, np.sign(f + 1e-30) * f_floor, f)
-
-    dy = np.gradient(zg, lat_rad * _EARTH_RADIUS, axis=lat_dim)
-    # periodic longitude: pad one column each side before differencing
-    padded = np.concatenate(
-        [zg.take([-1], axis=lon_dim), zg, zg.take([0], axis=lon_dim)], axis=lon_dim
-    )
-    dlon = float(lon_rad[1] - lon_rad[0]) if lon_rad.size > 1 else 1.0
-    dx_raw = np.gradient(padded, axis=lon_dim) / dlon
-    slicer = [slice(None)] * zg.ndim
-    slicer[lon_dim] = slice(1, -1)
-    coslat = np.cos(lat_rad)
     shape = [1] * zg.ndim
     shape[lat_dim] = lat_rad.size
-    dx = dx_raw[tuple(slicer)] / (_EARTH_RADIUS * np.maximum(coslat, 0.05).reshape(shape))
-
     fshape = np.reshape(f, shape)
-    u = -g / fshape * dy
-    v = g / fshape * dx
+
+    u = np.gradient(zg, lat_rad * _EARTH_RADIUS, axis=lat_dim)
+    np.multiply(-g / fshape, u, out=u)
+
+    # periodic longitude: np.gradient's interior formula (z[i+1] - z[i-1]) / 2,
+    # with column -1 before column 0 and column 0 after the last
+    v = np.roll(zg, -1, axis=lon_dim)
+    np.subtract(v, np.roll(zg, 1, axis=lon_dim), out=v)
+    dlon = float(lon_rad[1] - lon_rad[0]) if lon_rad.size > 1 else 1.0
+    np.divide(v, 2.0, out=v)
+    np.divide(v, dlon, out=v)
+    np.divide(v, _EARTH_RADIUS * np.maximum(np.cos(lat_rad), 0.05).reshape(shape), out=v)
+    np.multiply(g / fshape, v, out=v)
     mk = lambda arr, vid, name: Variable(  # noqa: E731
-        np.ma.masked_invalid(arr), height.axes, id=vid, units="m s-1", long_name=name,
+        np.ma.masked_invalid(arr, copy=False), height.axes, id=vid, units="m s-1",
+        long_name=name,
     )
     return mk(u, "ua", "eastward wind"), mk(v, "va", "northward wind")
 

@@ -40,7 +40,6 @@ from repro.serving.backend import AppBackend
 from repro.serving.config import ServingConfig
 from repro.serving.quota import QuotaLedger
 from repro.serving.request import (
-    KINDS,
     STATUS_DEGRADED,
     STATUS_ERROR,
     STATUS_OK,
@@ -67,7 +66,6 @@ __all__ = [
     "AffinityRouter",
     "AppBackend",
     "BackendSlot",
-    "KINDS",
     "NextFramePredictor",
     "QuotaLedger",
     "REASON_CLOSED",

@@ -1,10 +1,11 @@
 """Requests, responses and the canonical coalescing key.
 
-A :class:`Request` is what a session submits: a *kind* (``render`` or
-``workflow``), the tenant-visible parameters that determine the output
-(scene, camera, size, timestep, ...), and routing metadata (tenant,
-session, deadline).  :func:`request_key` maps it to a deterministic
-:mod:`repro.cache` digest with one crucial property split:
+A :class:`Request` is what a session submits: a *kind* (``render``,
+the one kind :class:`~repro.serving.backend.AppBackend` serves), the
+tenant-visible parameters that determine the output (scene, camera,
+size, timestep, ...), and routing metadata (tenant, session, deadline).
+:func:`request_key` maps it to a deterministic :mod:`repro.cache`
+digest with one crucial property split:
 
 * **everything that can change the produced bytes is in the key** —
   the kind and every entry of ``params`` (hashed canonically, so dict
@@ -27,9 +28,6 @@ from dataclasses import dataclass, field, replace
 from typing import Any, Mapping, Optional
 
 from repro.cache.keys import cache_key
-
-#: request kinds the server understands; backends may support a subset
-KINDS = ("render", "workflow")
 
 #: responses: full-fidelity / refused / reduced-fidelity / failed
 STATUS_OK = "ok"

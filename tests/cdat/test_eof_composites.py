@@ -1,8 +1,11 @@
 """EOF analysis and composite analysis."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
+from repro.cdat import composites
 from repro.cdat.composites import composite_analysis
 from repro.cdat.eof import eof_analysis
 from repro.cdms.axis import latitude_axis, longitude_axis, time_axis
@@ -139,6 +142,58 @@ class TestComposites:
         index = Variable(pc1, (var.get_time(),), id="idx")
         with pytest.raises(CDATError):
             composite_analysis(var, index, high_quantile=0.2, low_quantile=0.8)
+
+    @staticmethod
+    def _scipy_stats_t(monkeypatch):
+        """Swap in the former p-value, ``2·stats.t.sf(|t|, df)``."""
+        from scipy import stats
+
+        # stdtr(df, x) is the t CDF at x, so stdtr(df, -|t|) is sf(|t|)
+        monkeypatch.setattr(
+            composites, "special", SimpleNamespace(stdtr=lambda df, x: stats.t.sf(-x, df))
+        )
+
+    @staticmethod
+    def _bytes(masked):
+        return np.asarray(masked.data).tobytes(), np.ma.getmaskarray(masked).tobytes()
+
+    @pytest.mark.parametrize("index_of", ["planted_pc", "leading_eof_pc"])
+    def test_p_value_bytes_equal_scipy_stats_formula(self, monkeypatch, index_of):
+        var, _mode1, pc1 = two_mode_field()
+        if index_of == "leading_eof_pc":
+            pc1 = np.asarray(eof_analysis(var, n_modes=1).pcs.data)[0]
+        index = Variable(pc1, (var.get_time(),), id="index")
+        p_now = composite_analysis(var, index).p_value.data
+        self._scipy_stats_t(monkeypatch)
+        p_then = composite_analysis(var, index).p_value.data
+        assert 0 < p_now.count() == p_now.size
+        assert self._bytes(p_now) == self._bytes(p_then)
+
+    def test_welch_degenerate_points_match_scipy_stats_and_mask(self, monkeypatch):
+        # normal | n0 < 2 | zero variance | one phase constant | NaN mean |
+        # NaN variance | masked mean | |t| huge
+        m0 = np.ma.array([1.0, 1.0, 2.0, 1.5, np.nan, 1.0, 9.0, 1e6],
+                         mask=[0, 0, 0, 0, 0, 0, 1, 0])
+        m1 = np.ma.array([0.0, 0.0, 1.0, 0.5, 0.0, 0.0, 0.0, 0.0])
+        v0 = np.array([1.0, 1.0, 0.0, 0.0, 1.0, np.nan, 1.0, 1.0])
+        v1 = np.array([2.0, 2.0, 0.0, 2.0, 1.0, 1.0, 1.0, 1.0])
+        n0 = np.array([5.0, 1.0, 5.0, 5.0, 5.0, 5.0, 5.0, 5.0])
+        n1 = np.array([6.0, 6.0, 6.0, 6.0, 6.0, 6.0, 6.0, 6.0])
+        t_now, p_now = composites._welch_from_moments(m0, m1, v0, v1, n0, n1)
+        self._scipy_stats_t(monkeypatch)
+        t_then, p_then = composites._welch_from_moments(m0, m1, v0, v1, n0, n1)
+        expected_mask = [False, True, True, False, True, True, True, False]
+        assert list(np.ma.getmaskarray(p_now)) == expected_mask
+        assert list(np.ma.getmaskarray(t_now)) == expected_mask
+        assert self._bytes(p_now) == self._bytes(p_then)
+        assert self._bytes(t_now) == self._bytes(t_then)
+        assert p_now[7] < 1e-40 and 0.0 < p_now[0] < 1.0
+
+    def test_two_sided_p_of_a_tabulated_t(self):
+        # t = 2.1 on 7 degrees of freedom: p = 0.0739 in any t table
+        from scipy import special
+
+        assert 2.0 * special.stdtr(7.0, -2.1) == pytest.approx(0.07387, abs=1e-5)
 
     def test_eof_to_composite_pipeline(self):
         """The natural chain: EOF → leading PC → composite on it."""

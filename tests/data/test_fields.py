@@ -1,8 +1,15 @@
 """Synthetic data generators: determinism, physical structure, metadata."""
 
-import numpy as np
+import hashlib
+import tracemalloc
+import zipfile
 
+import numpy as np
+import pytest
+
+from repro.cdms.variable import Variable
 from repro.data import fields
+from repro.data.catalog import synthetic_reanalysis
 
 
 class TestDeterminism:
@@ -73,6 +80,99 @@ class TestWind:
         zg = fields.geopotential_height(16, 24, 4, 2)
         u, v = fields.geostrophic_wind(zg)
         assert float(np.ma.max(np.ma.abs(u.data))) < 300.0
+
+    @pytest.mark.parametrize("case", ["plain", "nlon1", "nlon2", "nlon3", "masked_inf", "lon_first"])
+    def test_wind_bytes_equal_padded_gradient_reference(self, case):
+        nlon = {"nlon1": 1, "nlon2": 2, "nlon3": 3}.get(case, 16)
+        zg = fields.geopotential_height(10, nlon, 4, 3, seed=case)
+        if case == "masked_inf":
+            data = np.ma.array(zg.filled(), mask=False)
+            data[0, 0, 0, 0] = np.ma.masked
+            data[-1, -1, -1, -1] = np.inf
+            zg = Variable(data, zg.axes, id="zg")
+        if case == "lon_first":
+            t, lev, lat, lon = zg.axes
+            zg = Variable(np.swapaxes(zg.filled(), 2, 3).copy(), (t, lev, lon, lat), id="zg")
+        with np.errstate(invalid="ignore"):
+            winds = fields.geostrophic_wind(zg)
+            reference = _padded_gradient_wind(zg)
+        for wind, expected in zip(winds, reference):
+            assert wind.data.dtype == expected.dtype
+            assert _data_and_mask_sha256(wind.data) == _data_and_mask_sha256(expected)
+
+    def test_wind_does_not_write_into_the_height(self):
+        zg = fields.geopotential_height(8, 12, 3, 2, seed="ro")
+        before = zg.filled().copy()
+        fields.geostrophic_wind(zg)
+        np.testing.assert_array_equal(zg.filled(), before)
+
+    def test_wind_traced_peak_within_four_fields(self):
+        zg = fields.geopotential_height(24, 32, 6, 8, seed="peak")
+        tracemalloc.start()
+        try:
+            u, v = fields.geostrophic_wind(zg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        field_bytes = u.data.data.nbytes
+        assert peak <= 4 * field_bytes, f"traced peak {peak / field_bytes:.2f} fields"
+
+    def test_reanalysis_container_members_equal_padded_gradient_reference(
+        self, tmp_path, monkeypatch
+    ):
+        def members(name):
+            path = tmp_path / name
+            synthetic_reanalysis(nlat=8, nlon=12, nlev=3, ntime=4).save(path, version=2)
+            with zipfile.ZipFile(path) as archive:
+                return {member: archive.read(member) for member in archive.namelist()}
+
+        now = members("now.cdz")
+        monkeypatch.setattr(fields, "geostrophic_wind", _padded_gradient_wind_variables)
+        assert now == members("then.cdz")
+
+
+def _padded_gradient_wind_variables(height):
+    u, v = _padded_gradient_wind(height)
+    return tuple(
+        Variable(arr, height.axes, id=vid, units="m s-1", long_name=name)
+        for arr, vid, name in ((u, "ua", "eastward wind"), (v, "va", "northward wind"))
+    )
+
+
+def _data_and_mask_sha256(masked) -> str:
+    digest = hashlib.sha256(np.ascontiguousarray(masked.data).tobytes())
+    digest.update(np.ma.getmaskarray(masked).tobytes())
+    return digest.hexdigest()
+
+
+def _padded_gradient_wind(height, f_floor=2.0e-5):
+    """The wind generator as first written: the byte reference.
+
+    ``np.gradient`` of a copy padded by one wrapped column on each side
+    of longitude, every intermediate a new full-size array.
+    """
+    g = 9.81
+    zg = height.filled(np.nan)
+    lat_dim = height.axis_index("latitude")
+    lon_dim = height.axis_index("longitude")
+    lat_rad = np.radians(height.get_latitude().values)
+    lon_rad = np.radians(height.get_longitude().values)
+    f = 2 * fields._EARTH_OMEGA * np.sin(lat_rad)
+    f = np.where(np.abs(f) < f_floor, np.sign(f + 1e-30) * f_floor, f)
+    dy = np.gradient(zg, lat_rad * fields._EARTH_RADIUS, axis=lat_dim)
+    padded = np.concatenate(
+        [zg.take([-1], axis=lon_dim), zg, zg.take([0], axis=lon_dim)], axis=lon_dim
+    )
+    dlon = float(lon_rad[1] - lon_rad[0]) if lon_rad.size > 1 else 1.0
+    dx_raw = np.gradient(padded, axis=lon_dim) / dlon
+    slicer = [slice(None)] * zg.ndim
+    slicer[lon_dim] = slice(1, -1)
+    shape = [1] * zg.ndim
+    shape[lat_dim] = lat_rad.size
+    coslat = np.maximum(np.cos(lat_rad), 0.05).reshape(shape)
+    dx = dx_raw[tuple(slicer)] / (fields._EARTH_RADIUS * coslat)
+    fshape = np.reshape(f, shape)
+    return np.ma.masked_invalid(-g / fshape * dy), np.ma.masked_invalid(g / fshape * dx)
 
 
 class TestWave:
