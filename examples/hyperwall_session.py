@@ -15,6 +15,7 @@ interaction, and reports the resolution arithmetic of the paper's wall.
 Run:  python examples/hyperwall_session.py
 """
 
+from repro.dv3d.interaction import Gesture
 from repro.hyperwall.cluster import LocalCluster
 from repro.hyperwall.display import NCCS_WALL, WallGeometry
 from repro.workflow.pipeline import Pipeline
@@ -58,9 +59,9 @@ def main() -> None:
         print("15 client processes connected")
         session = cluster.run_session(
             events=[
-                {"event_kind": "key", "key": "c"},          # colormap cycle
-                {"event_kind": "key", "key": "t"},          # animation step
-                {"event_kind": "drag", "dx": 0.15, "dy": 0.0, "mode": "camera"},
+                Gesture("key", {"key": "c"}),          # colormap cycle
+                Gesture("key", {"key": "t"}),          # animation step
+                Gesture("drag", {"dx": 0.15, "dy": 0.0, "mode": "camera"}),
             ]
         )
     finally:
@@ -75,7 +76,7 @@ def main() -> None:
           f"sum of per-client time {total_client:.2f}s")
     shapes = {tuple(r["image_shape"]) for r in session["clients"]}
     print(f"client tile renders: {shapes}")
-    print(f"propagated {len(session['events'])} interaction events to all "
+    print(f"propagated {len(session['events'])} gestures to all "
           f"{len(session['clients'])} displays")
 
 

@@ -20,6 +20,7 @@ import numpy as np
 
 from repro import obs
 from repro.dv3d.basemap import basemap_polydata
+from repro.dv3d.interaction import Gesture
 from repro.dv3d.plot import Plot3D
 from repro.rendering.annotation import AxisLabel, axis_annotations, project_labels
 from repro.rendering.camera import Camera
@@ -213,25 +214,33 @@ class DV3DCell:
             self.active = bool(state["active"])
 
     def handle_event(self, kind: str, **payload: Any) -> Dict[str, Any]:
-        """Route an interaction event to the plot (if this cell is active).
+        """Apply one gesture to this cell's plot; returns the state delta.
 
-        Inactive cells ignore events — "cells in the spreadsheet can be
-        individually activated or deactivated by selection;
-        configuration and navigation operations are propagated to all
-        active cells."  Returns the resulting state delta ({} if
-        ignored).
+        This is the one place a gesture meets a cell — the spreadsheet's
+        sync group, the hyperwall mirror and every display node call it.
+        A malformed gesture raises :class:`DV3DError` (see
+        :class:`~repro.dv3d.interaction.Gesture`).  Two well-formed ones
+        are ignored, with delta ``{}``:
+
+        * any gesture on an inactive cell — "cells in the spreadsheet
+          can be individually activated or deactivated by selection;
+          configuration and navigation operations are propagated to all
+          active cells";
+        * a gesture this plot type has no binding for (a leveling drag
+          on a slicer, a plane toggle on a volume) or a configure whose
+          values it rejects — the heterogeneous-cell rule, so one
+          gesture can go to every cell of a mixed sheet or wall.
         """
+        gesture = Gesture(kind, payload)
         if not self.active:
             return {}
-        if kind == "key":
-            return self.plot.handle_key(str(payload["key"]))
-        if kind == "drag":
-            return self.plot.handle_drag(
-                float(payload.get("dx", 0.0)),
-                float(payload.get("dy", 0.0)),
-                str(payload.get("mode", "camera")),
-            )
-        if kind == "configure":
-            self.apply_state(payload.get("state", {}))
-            return payload.get("state", {})
-        raise DV3DError(f"unknown event kind {kind!r}")
+        payload = gesture.payload
+        try:
+            if kind == "key":
+                return self.plot.handle_key(payload["key"])
+            if kind == "drag":
+                return self.plot.handle_drag(payload["dx"], payload["dy"], payload["mode"])
+            self.apply_state(payload["state"])
+            return payload["state"]
+        except DV3DError:
+            return {}

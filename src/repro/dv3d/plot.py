@@ -240,7 +240,7 @@ class Plot3D:
         """Apply a configuration snapshot (spreadsheet/hyperwall sync).
 
         Unknown keys are ignored so heterogeneous plots can share one
-        propagated event stream.
+        propagated gesture stream.
         """
         if "time_index" in state:
             self.set_time_index(int(state["time_index"]))

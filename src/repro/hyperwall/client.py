@@ -3,7 +3,7 @@
 "Each client instance opens a single-cell visualization spreadsheet
 window, covering its hyperwall display."  The client connects to the
 server, receives its sub-workflow(s), executes them at full display
-resolution, applies propagated interaction events, and reports results
+resolution, applies propagated gestures, and reports results
 (timings and image summaries — pixels stay local to the display node).
 
 Every live cell — a wall tile's, the mirror's, a spreadsheet's, the
@@ -29,9 +29,10 @@ import numpy as np
 
 from repro import obs
 from repro.dv3d.cell import DV3DCell
+from repro.dv3d.interaction import Gesture
 from repro.hyperwall import protocol
 from repro.resilience import faults
-from repro.util.errors import DV3DError, HyperwallError
+from repro.util.errors import HyperwallError
 from repro.util.framing import WireFrame
 from repro.workflow.executor import ExecutionResult, Executor, ModuleRun
 from repro.workflow.pipeline import Pipeline
@@ -154,15 +155,9 @@ class DisplayNode:
         cell_id = payload.get("cell_id")
         if cell_id not in self.cells:
             return self._error("event before execution")
-        try:
-            delta = self.cells[cell_id].handle_event(
-                str(payload.get("event_kind", "key")),
-                **dict(payload.get("event", {})),
-            )
-        except DV3DError:
-            # incompatible gesture for this cell's plot type: acknowledged
-            # and ignored (heterogeneous-wall semantics)
-            delta = {}
+        try:  # a frame without a well-formed gesture is an error reply
+            gesture = Gesture.from_dict(payload)
+            delta = self.cells[cell_id].handle_event(gesture.kind, **gesture.payload)
         except Exception as exc:  # noqa: BLE001
             return self._error(repr(exc))
         return WireFrame(
@@ -175,9 +170,9 @@ class DisplayNode:
         )
 
     def _render(self, payload: Dict[str, Any], start: float, **extra: Any) -> WireFrame:
-        """Re-render a live cell (after propagated events changed it).
+        """Re-render a live cell (after propagated gestures changed it).
 
-        This is the interactive refresh loop: events mutate the cell's
+        This is the interactive refresh loop: gestures mutate the cell's
         plot state cheaply; a render message produces the new frame for
         the display without re-executing the data pipeline.  A message
         without a size means the size the cell's sub-workflow was

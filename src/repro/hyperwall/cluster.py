@@ -3,8 +3,12 @@
 The NCCS wall's client nodes become ``multiprocessing`` processes on
 this machine, each running the real socket client against the real
 socket server — so the full network protocol (workflow shipping,
-execution triggering, event propagation, failover, shutdown) is
-exercised end-to-end, just without the 46-inch displays.
+execution triggering, gesture propagation, failover, shutdown) is
+exercised end-to-end, just without the 46-inch displays.  The gestures
+a session propagates are :class:`~repro.dv3d.interaction.Gesture`
+records::
+
+    out = cluster.run_session([Gesture("key", {"key": "c"})])
 
 Faults armed on the registry *before* :meth:`LocalCluster.start` are
 inherited by the forked clients, so tests can kill a real client
@@ -25,8 +29,9 @@ from __future__ import annotations
 
 import multiprocessing as mp
 import time
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Sequence
 
+from repro.dv3d.interaction import Gesture
 from repro.hyperwall.client import run_client
 from repro.hyperwall.display import WallGeometry
 from repro.hyperwall.server import HyperwallServer
@@ -85,10 +90,10 @@ class LocalCluster:
             self.stop()
             raise
 
-    def run_session(self, events: Optional[List[Dict[str, Any]]] = None) -> Dict[str, Any]:
-        """One full session: distribute, execute everywhere, propagate events.
+    def run_session(self, events: Sequence[Gesture] = ()) -> Dict[str, Any]:
+        """One full session: distribute, execute everywhere, broadcast
+        each of *events* in order.
 
-        *events* is a list like ``[{"event_kind": "key", "key": "c"}]``.
         Returns all reports and timings; ``cell_status`` summarizes how
         each cell was produced (``live`` | ``reassigned`` | ``degraded``).
         """
@@ -97,11 +102,10 @@ class LocalCluster:
         start = time.perf_counter()
         client_reports = self.server.execute_clients()
         clients_wall = time.perf_counter() - start
-        event_results = []
-        for event in events or []:
-            payload = dict(event)
-            kind = str(payload.pop("event_kind", "key"))
-            event_results.append(self.server.broadcast_event(kind, **payload))
+        event_results = [
+            self.server.broadcast_event(gesture.kind, **gesture.payload)
+            for gesture in events
+        ]
         return {
             "assignment": assignment,
             "server": server_report,

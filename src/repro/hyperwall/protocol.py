@@ -4,7 +4,9 @@
 connections between the client nodes and the server node."  Messages
 are the shared digest-stamped frames of :mod:`repro.util.framing` — a
 kind plus JSON metadata, inspectable and sufficient for workflow
-shipping and event propagation.  Pixel data never crosses the wire
+shipping and gesture propagation (an ``event`` frame carries one
+:class:`~repro.dv3d.interaction.Gesture`'s ``to_dict()`` plus the
+``cell_id`` it is for).  Pixel data never crosses the wire
 (each node renders its own display), so the binary payload stays empty;
 clients report image *summaries* (shape, checksum, timing) instead.
 

@@ -10,7 +10,8 @@ whatever links it is given:
    1-cell sub-workflow (full tile resolution),
 2. executes the reduced-resolution full workflow locally (the GUI
    mirror spreadsheet, a :class:`~repro.hyperwall.client.DisplayNode`),
-3. broadcasts interaction events to every cell and collects replies,
+3. broadcasts each gesture (a :class:`~repro.dv3d.interaction.Gesture`)
+   to every cell and collects replies,
 4. asks for fresh frames, and recovers the cells of clients it lost.
 
 A link is a connected socket, or anything with a socket's ``sendall`` /
@@ -27,7 +28,7 @@ its cell is recovered according to *failover*:
 * ``"reassign"`` (default) — the dead client's full-resolution
   sub-workflow is re-shipped to a surviving client (survivors tried
   under the *retry* :class:`~repro.resilience.RetryPolicy`), executed
-  there, brought up to date with the session's events and drawn,
+  there, brought up to date with the session's gestures and drawn,
   falling back to the degraded mirror when no survivor can take it;
 * ``"degrade"`` — the cell is served from the server's own
   reduced-resolution mirror cell;
@@ -50,6 +51,7 @@ from contextlib import suppress
 from typing import Any, Dict, List, Optional
 
 from repro import obs
+from repro.dv3d.interaction import Gesture
 from repro.hyperwall import protocol
 from repro.hyperwall.client import DisplayNode, image_digest
 from repro.hyperwall.display import WallGeometry
@@ -59,7 +61,7 @@ from repro.hyperwall.partition import (
     set_cell_resolution,
 )
 from repro.resilience import RetryPolicy, faults
-from repro.util.errors import DV3DError, HyperwallError
+from repro.util.errors import HyperwallError
 from repro.util.framing import WireFrame
 from repro.workflow.pipeline import Pipeline
 
@@ -108,9 +110,9 @@ class ControlNode:
         self._standby: Dict[int, int] = {}
         #: clients lost this session: client_id -> reason
         self._dead: Dict[int, str] = {}
-        #: events broadcast since the session started — what a re-homed
-        #: cell is brought up to date with
-        self.event_history: List[Dict[str, Any]] = []
+        #: gestures broadcast since the session started — what a
+        #: re-homed cell is brought up to date with
+        self.event_history: List[Gesture] = []
 
     # -- links ----------------------------------------------------------------
 
@@ -184,8 +186,8 @@ class ControlNode:
     def distribute_workflows(self) -> Dict[int, int]:
         """Start the session over: ship each connected client its 1-cell
         sub-workflow (which releases that cell on the client), release
-        the mirror's cells and clear the event history.  Until the next
-        call, an execute keeps each unchanged cell with the events it
+        the mirror's cells and clear the gesture history.  Until the next
+        call, an execute keeps each unchanged cell with the gestures it
         received, so a cell re-homed at any point replays the history.
 
         Clients are assigned cells in (client_id-sorted, cell_id-sorted)
@@ -247,11 +249,11 @@ class ControlNode:
 
     def request_renders(self, width: int = 0, height: int = 0) -> List[Dict[str, Any]]:
         """Ask every cell's client for a fresh frame of its (possibly
-        event-mutated) cell — the display refresh after interaction.
+        gesture-mutated) cell — the display refresh after interaction.
         Without a size each cell renders at the size it was shipped.
 
         A cell whose client is lost here is recovered as in
-        :meth:`execute_clients` and rendered with the session's events
+        :meth:`execute_clients` and rendered with the session's gestures
         applied.
         """
         return self._round(protocol.KIND_RENDER, "render", width=width, height=height)
@@ -316,17 +318,14 @@ class ControlNode:
         """Re-home *cell_id* on a survivor; None when none can take it.
 
         The survivor is shipped the workflow, executes it, applies the
-        session's events in order and renders — at the size a refresh
+        session's gestures in order and renders — at the size a refresh
         asked for, or at the shipped size — so the report is the picture
         the lost client would have shown.
         """
         steps = [
             self._workflow_frame(cell_id),
             WireFrame(protocol.KIND_EXECUTE, {"cell_id": cell_id}),
-            *(
-                WireFrame(protocol.KIND_EVENT, dict(event, cell_id=cell_id))
-                for event in self.event_history
-            ),
+            *(self._event_frame(gesture, cell_id) for gesture in self.event_history),
             WireFrame(protocol.KIND_RENDER, dict(size, cell_id=cell_id)),
         ]
         candidates = iter(sorted(self._connections))
@@ -379,33 +378,32 @@ class ControlNode:
 
     # -- interaction propagation -------------------------------------------------------
 
-    def broadcast_event(self, event_kind: str, **event: Any) -> Dict[str, Any]:
-        """Apply an interaction to the mirror, then propagate it to every
+    def broadcast_event(self, kind: str, **payload: Any) -> Dict[str, Any]:
+        """Apply one gesture to the mirror, then propagate it to every
         cell a client holds.
 
-        Cells whose plot type has no binding for the gesture ignore it
-        (heterogeneous-wall semantics, mirroring the spreadsheet).
-        Clients lost mid-broadcast are skipped (their acks simply do
-        not appear; the next refresh recovers their cells, this event
-        included) unless *failover* is ``fail_fast``.  Returns the
-        mirror's deltas per cell and, per client, the state keys each of
-        its cells changed: ``{"server": {cell_id: delta}, "clients":
-        {client_id: {cell_id: delta_keys}}}``.
+        A malformed gesture raises :class:`~repro.util.errors.DV3DError`
+        before any cell, node or the history sees it.  Every cell
+        applies a well-formed one through
+        :meth:`~repro.dv3d.cell.DV3DCell.handle_event`, so a cell whose
+        plot type has no binding for it ignores it (the spreadsheet's
+        heterogeneous-cell rule).  Clients lost mid-broadcast are
+        skipped (their acks simply do not appear; the next refresh
+        recovers their cells, this gesture included) unless *failover*
+        is ``fail_fast``.  Returns the mirror's deltas per cell and, per
+        client, the state keys each of its cells changed: ``{"server":
+        {cell_id: delta}, "clients": {client_id: {cell_id: delta_keys}}}``.
         """
+        gesture = Gesture(kind, payload)
         owners = self._owners()
-        obs.counter("hyperwall.events.broadcast", kind=event_kind)
-        server_deltas: Dict[int, Any] = {}
-        for cid, cell in self.mirror.cells.items():
-            try:
-                server_deltas[cid] = cell.handle_event(event_kind, **event)
-            except DV3DError:
-                server_deltas[cid] = {}
-        record = {"event_kind": event_kind, "event": event}
-        self.event_history.append(record)
+        obs.counter("hyperwall.events.broadcast", kind=kind)
+        server_deltas = {
+            cid: cell.handle_event(kind, **gesture.payload)
+            for cid, cell in self.mirror.cells.items()
+        }
+        self.event_history.append(gesture)
         sent = {
-            cell_id: self._send(
-                client_id, WireFrame(protocol.KIND_EVENT, dict(record, cell_id=cell_id))
-            )
+            cell_id: self._send(client_id, self._event_frame(gesture, cell_id))
             for cell_id, client_id in owners.items()
         }
         acks: Dict[int, Dict[int, List[str]]] = {}
@@ -423,6 +421,10 @@ class ControlNode:
                 )
             acks.setdefault(client_id, {})[cell_id] = reply.meta["delta_keys"]
         return {"server": server_deltas, "clients": acks}
+
+    @staticmethod
+    def _event_frame(gesture: Gesture, cell_id: int) -> WireFrame:
+        return WireFrame(protocol.KIND_EVENT, dict(gesture.to_dict(), cell_id=cell_id))
 
     # -- teardown -------------------------------------------------------------------------
 

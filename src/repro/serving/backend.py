@@ -61,7 +61,6 @@ from repro.cache.keys import cache_key
 from repro.provenance.vistrail import Vistrail
 from repro.rendering.ppm import ppm_bytes
 from repro.serving.request import Request
-from repro.util.errors import ServingError
 
 #: a degraded render divides each frame dimension by this
 DEGRADED_SCALE = 4
@@ -70,7 +69,7 @@ MIN_DEGRADED_PX = 8
 
 
 class AppBackend:
-    """Serve ``render`` requests out of one headless application session."""
+    """Serve render requests out of one headless application session."""
 
     def __init__(
         self,
@@ -88,10 +87,6 @@ class AppBackend:
         self.app.current_project = project
 
     def __call__(self, request: Request, degraded: bool) -> bytes:
-        if request.kind != "render":
-            raise ServingError(
-                f"AppBackend only serves kind='render', got {request.kind!r}"
-            )
         params = dict(request.params)
         width = int(params.get("width", 64))
         height = int(params.get("height", 48))

@@ -246,7 +246,6 @@ class WireSessionServer:
                 logged = self._submit_coro(
                     self._render(
                         Request(
-                            kind=str(frame.meta.get("kind", "render")),
                             params=frame.meta.get("params", {}),
                             tenant=tenant,
                             session=session,
@@ -370,11 +369,11 @@ class WireSessionClient:
 
     # -- rendering -----------------------------------------------------------
 
-    def render(self, params: Dict[str, Any], kind: str = "render") -> WireFrame:
+    def render(self, params: Dict[str, Any]) -> WireFrame:
         """Render one frame; raises a typed WireError on a broken stream."""
         wire.write_frame(
             self._require_sock(),
-            WireFrame(wire.KIND_RENDER, {"params": params, "kind": kind}),
+            WireFrame(wire.KIND_RENDER, {"params": params}),
         )
         frame = self._expect(wire.KIND_FRAME)
         self._account(frame)

@@ -1,14 +1,13 @@
 """Requests, responses and the canonical coalescing key.
 
-A :class:`Request` is what a session submits: a *kind* (``render``,
-the one kind :class:`~repro.serving.backend.AppBackend` serves), the
-tenant-visible parameters that determine the output (scene, camera,
-size, timestep, ...), and routing metadata (tenant, session, deadline).
+A :class:`Request` is what a session submits: the tenant-visible
+parameters of one rendered frame (scene, camera, size, timestep, ...)
+and routing metadata (tenant, session, deadline).
 :func:`request_key` maps it to a deterministic :mod:`repro.cache`
 digest with one crucial property split:
 
 * **everything that can change the produced bytes is in the key** —
-  the kind and every entry of ``params`` (hashed canonically, so dict
+  every entry of ``params`` (hashed canonically, so dict
   insertion order is irrelevant and numpy payloads hash by content);
 * **nothing else is** — tenant, session and deadline are deliberately
   excluded, so two different tenants asking for the same frame collapse
@@ -45,7 +44,6 @@ class Request:
     lists, dicts, numpy arrays, cameras, ...) is allowed.
     """
 
-    kind: str = "render"
     params: Mapping[str, Any] = field(default_factory=dict)
     tenant: str = "default"
     session: str = ""
@@ -65,7 +63,7 @@ def request_key(request: Request) -> str:
     this and the serving cache stores under it.  Tenant, session and
     deadline never enter the key (see module docstring).
     """
-    return cache_key("serving.request", request.kind, dict(request.params))
+    return cache_key("serving.request", dict(request.params))
 
 
 @dataclass

@@ -26,9 +26,9 @@ server:
 
 Observability (all zero-cost when recording is off):
 
-* counters — ``serving.requests`` (tenant, kind), ``serving.coalesced``
+* counters — ``serving.requests`` (tenant), ``serving.coalesced``
   (tenant), ``serving.cache.served`` (tenant), ``serving.shed``
-  (reason, tenant), ``serving.executions`` (kind),
+  (reason, tenant), ``serving.executions``,
   ``serving.degraded`` (source), ``serving.errors`` (tenant);
 * gauges — ``serving.queue.depth``, ``serving.inflight`` (distinct
   coalescing keys currently executing or queued);
@@ -239,7 +239,7 @@ class ServingServer:
             raise ServingError("ServingServer is closed")
         t0 = self.clock()
         key = request_key(request)
-        obs.counter("serving.requests", tenant=request.tenant, kind=request.kind)
+        obs.counter("serving.requests", tenant=request.tenant)
 
         state: Optional[SessionState] = None
         if request.session:
@@ -342,9 +342,7 @@ class ServingServer:
         if self.breaker.allow():
             started = time.perf_counter()
             try:
-                faults.check(
-                    "serving.execute", tenant=request.tenant, kind=request.kind
-                )
+                faults.check("serving.execute", tenant=request.tenant)
                 payload = await self._run_backend(request, degraded=False, key=item.key)
             except Exception as exc:  # noqa: BLE001 - feeds the breaker
                 self.breaker.record_failure()
@@ -352,7 +350,7 @@ class ServingServer:
                 return Response(STATUS_ERROR, digest=item.key, reason=repr(exc))
             self.breaker.record_success()
             self.admission.observe_service(time.perf_counter() - started)
-            obs.counter("serving.executions", kind=request.kind)
+            obs.counter("serving.executions")
             self._store(request.tenant, item.key, payload)
             return Response(
                 STATUS_OK, payload=payload, digest=item.key, source="render"
@@ -502,11 +500,7 @@ class ServingServer:
         else:
             self._store(request.tenant, key, payload)
             spec.stored = True
-            obs.counter(
-                "serving.speculative.rendered",
-                tenant=request.tenant,
-                kind=request.kind,
-            )
+            obs.counter("serving.speculative.rendered", tenant=request.tenant)
             self._resolve_speculation(
                 key,
                 Response(STATUS_OK, payload=payload, digest=key, source="speculative"),

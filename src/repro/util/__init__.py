@@ -1,8 +1,10 @@
 """Shared utilities used across all ``repro`` subsystems.
 
 This package deliberately stays tiny and dependency-free (numpy only):
-error hierarchy, deterministic identifiers, an in-process event bus, a
-wall-clock timer, and deterministic random-number helpers.  Everything
+error hierarchy, monotonic identifiers and deterministic random-number
+helpers; its ``framing``, ``atomic`` and ``scope`` modules hold the
+framed-message codec, crash-safe file publication and the ambient
+configuration scope.  Everything
 higher up the stack (CDMS data model, rendering, workflow engine, DV3D)
 builds on these primitives.
 """
@@ -16,10 +18,8 @@ from repro.util.errors import (
     HyperwallError,
     SpreadsheetError,
 )
-from repro.util.events import Event, EventBus
-from repro.util.ids import IdGenerator, new_uuid
+from repro.util.ids import IdGenerator
 from repro.util.rng import deterministic_rng
-from repro.util.timing import Stopwatch, timed
 
 __all__ = [
     "ReproError",
@@ -29,11 +29,6 @@ __all__ = [
     "RenderingError",
     "HyperwallError",
     "SpreadsheetError",
-    "Event",
-    "EventBus",
     "IdGenerator",
-    "new_uuid",
     "deterministic_rng",
-    "Stopwatch",
-    "timed",
 ]

@@ -1,16 +1,13 @@
 """Identifier generation.
 
-Workflow modules, connections, provenance actions, spreadsheet cells and
-hyperwall messages all need stable integer or string identifiers.  The
-:class:`IdGenerator` hands out monotonically increasing integers (the
-VisTrails convention for module/action ids); :func:`new_uuid` produces
-random string ids for entities that cross process boundaries.
+Workflow modules, connections and provenance actions need stable
+integer identifiers.  The :class:`IdGenerator` hands out monotonically
+increasing integers (the VisTrails convention for module/action ids).
 """
 
 from __future__ import annotations
 
 import itertools
-import uuid
 
 
 class IdGenerator:
@@ -39,7 +36,3 @@ class IdGenerator:
             self._counter = itertools.count(value + 1)
             self._last = value
 
-
-def new_uuid() -> str:
-    """A random 32-hex-character identifier."""
-    return uuid.uuid4().hex

@@ -2,13 +2,14 @@
 
 import pytest
 
-from repro.app.session import Macro, MacroRecorder, MacroStep
+from repro.app.session import Macro, MacroRecorder
 from repro.dv3d.cell import DV3DCell
+from repro.dv3d.interaction import Gesture
 from repro.dv3d.slicer import SlicerPlot
 from repro.dv3d.volume import VolumePlot
 from repro.spreadsheet.sheet import CellBinding, Spreadsheet
 from repro.spreadsheet.sync import SyncGroup
-from repro.util.errors import SpreadsheetError
+from repro.util.errors import DV3DError, SpreadsheetError
 
 
 def make_group(ta, plots=("slicer", "volume")):
@@ -29,7 +30,7 @@ class TestRecording:
         group.drag(0.1, 0.0, "camera")
         macro = recorder.stop()
         assert len(macro) == 2
-        assert macro.steps[0] == MacroStep("key", {"key": "c"})
+        assert macro.steps[0] == Gesture("key", {"key": "c"})
 
     def test_only_records_while_running(self, ta):
         _, group = make_group(ta)
@@ -65,7 +66,7 @@ class TestReplay:
         macro = recorder.stop()
 
         sheet_b, group_b = make_group(ta)
-        applied = macro.replay(group_b)
+        applied = macro.replay(group_b.apply)
         assert applied == 3
         state_a = sheet_a.get(0, 0).cell.plot.state()
         state_b = sheet_b.get(0, 0).cell.plot.state()
@@ -81,22 +82,20 @@ class TestReplay:
         group_a.key("c")
         macro = recorder.stop()
         sheet_b, group_b = make_group(ta, plots=("slicer", "slicer", "volume"))
-        macro.replay(group_b)
+        macro.replay(group_b.apply)
         names = {c.plot.colormap.name for c in sheet_b.live_cells()}
         assert len(names) == 1  # all three cycled together
 
     def test_configure_step(self, ta):
         sheet, group = make_group(ta)
-        macro = Macro("conf", [MacroStep("configure",
-                                         {"state": {"plot": {"time_index": 2}}})])
-        macro.replay(group)
+        macro = Macro("conf", [Gesture("configure",
+                                       {"state": {"plot": {"time_index": 2}}})])
+        macro.replay(group.apply)
         assert all(c.plot.time_index == 2 for c in sheet.active_cells())
 
-    def test_unknown_step_kind(self, ta):
-        _, group = make_group(ta)
-        macro = Macro("bad", [MacroStep("teleport", {})])
-        with pytest.raises(SpreadsheetError):
-            macro.replay(group)
+    def test_unknown_step_kind(self):
+        with pytest.raises(DV3DError):
+            Macro.from_dict({"name": "bad", "steps": [{"kind": "teleport", "payload": {}}]})
 
 
 class TestPersistence:
@@ -115,12 +114,12 @@ class TestPersistence:
 
     def test_loaded_macro_replays(self, ta, tmp_path):
         _, group = make_group(ta)
-        Macro("m", [MacroStep("key", {"key": "t"})]).save(tmp_path / "m.json")
+        Macro("m", [Gesture("key", {"key": "t"})]).save(tmp_path / "m.json")
         loaded = Macro.load(tmp_path / "m.json")
         sheet, group2 = make_group(ta)
-        loaded.replay(group2)
+        loaded.replay(group2.apply)
         assert sheet.get(0, 0).cell.plot.time_index == 1
 
     def test_malformed_step(self):
-        with pytest.raises(SpreadsheetError):
-            MacroStep.from_dict({"kind": "key"})
+        with pytest.raises(DV3DError):
+            Gesture.from_dict({"kind": "key"})

@@ -8,6 +8,7 @@ from repro.dv3d.basemap import basemap_polydata, coastline_segments
 from repro.dv3d.cell import DV3DCell
 from repro.dv3d.interaction import handle_drag, handle_key
 from repro.dv3d.slicer import SlicerPlot
+from repro.dv3d.vector_slicer import VectorSlicerPlot
 from repro.dv3d.volume import VolumePlot
 from repro.util.errors import DV3DError
 
@@ -130,6 +131,17 @@ class TestInteraction:
     def test_unknown_mode(self, ta):
         with pytest.raises(DV3DError):
             handle_drag(SlicerPlot(ta), 0, 0, "warp")
+
+    def test_slice_mode_must_name_a_plane_only_on_the_multi_plane_slicer(
+            self, ta, reanalysis):
+        """A slice drag the plot cannot take is a DV3DError (which a cell
+        ignores), not a TypeError from the wrong ``drag_slice``."""
+        vector = VectorSlicerPlot(reanalysis("ua"), reanalysis("va"))
+        with pytest.raises(DV3DError):
+            handle_drag(vector, 0.0, 0.1, "slice:z")
+        with pytest.raises(DV3DError):
+            handle_drag(SlicerPlot(ta), 0.0, 0.1, "slice")
+        assert DV3DCell(vector).handle_event("drag", dy=0.1, mode="slice:z") == {}
 
 
 class TestAnimator:

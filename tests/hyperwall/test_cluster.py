@@ -9,6 +9,7 @@ import threading
 
 import pytest
 
+from repro.dv3d.interaction import Gesture
 from repro.hyperwall.client import HyperwallClient
 from repro.hyperwall.cluster import LocalCluster
 from repro.hyperwall.display import WallGeometry
@@ -148,7 +149,7 @@ class TestLocalCluster:
         cluster = LocalCluster(two_cell_pipeline, n_clients=2, wall=TINY_WALL, reduction=4)
         try:
             cluster.start()
-            out = cluster.run_session(events=[{"event_kind": "key", "key": "c"}])
+            out = cluster.run_session(events=[Gesture("key", {"key": "c"})])
         finally:
             cluster.stop()
         assert len(out["clients"]) == 2

@@ -14,6 +14,7 @@ import threading
 import pytest
 
 from repro import obs
+from repro.dv3d.interaction import Gesture
 from repro.hyperwall import protocol
 from repro.hyperwall.client import HyperwallClient
 from repro.hyperwall.cluster import LocalCluster
@@ -240,7 +241,7 @@ class TestLocalClusterFailover:
             io_timeout=30.0, failover="reassign",
         )
         with cluster:
-            out = cluster.run_session(events=[{"event_kind": "key", "key": "c"}])
+            out = cluster.run_session(events=[Gesture("key", {"key": "c"})])
         reports = out["clients"]
         assert len(reports) == 4
         assert sorted(out["cell_status"].values()).count("live") == 3
@@ -283,7 +284,7 @@ class TestLocalClusterFailover:
             r["cell_id"]: r["image_digest"] for r in reference.request_renders(48, 36)
         }
         with LocalCluster(p, n_clients=2, wall=TINY_WALL, io_timeout=30.0) as cluster:
-            cluster.run_session(events=[{"event_kind": "key", "key": "c"}])
+            cluster.run_session(events=[Gesture("key", {"key": "c"})])
             faults.arm(
                 "hyperwall.server.send", "drop", match={"client": 0, "kind": "render"}
             )
@@ -306,7 +307,7 @@ class TestLocalClusterFailover:
         reference.broadcast_event("key", key="c")
         expected = {r["cell_id"]: r["image_digest"] for r in reference.request_renders()}
         with LocalCluster(p, n_clients=2, wall=TINY_WALL, io_timeout=30.0) as cluster:
-            cluster.run_session(events=[{"event_kind": "key", "key": "c"}])
+            cluster.run_session(events=[Gesture("key", {"key": "c"})])
             executed = cluster.server.execute_clients()
             faults.arm(
                 "hyperwall.server.send", "drop", match={"client": 0, "kind": "render"}

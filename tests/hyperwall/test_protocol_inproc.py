@@ -51,7 +51,7 @@ class TestMessage:
     def test_socket_roundtrip(self):
         server, client = socket.socketpair()
         try:
-            sent = WireFrame("event", {"event_kind": "key", "event": {"key": "c"}})
+            sent = WireFrame("event", {"kind": "key", "payload": {"key": "c"}, "cell_id": 3})
             send_frame(client, sent)
             received = recv_frame(server)
             assert received == sent
@@ -203,4 +203,4 @@ class TestInProcessHyperwall:
         assert rec.counter_value("protocol.frames.received", kind="ack") == 3
         assert rec.counter_value("protocol.bytes.sent", kind="execute") > 0
         with pytest.raises(TypeError):
-            hw.broadcast_event("key", key=object())
+            hw.broadcast_event("configure", state={"note": object()})

@@ -4,7 +4,7 @@ macro→hyperwall replay, esg:// workflow sources, registry filters."""
 import numpy as np
 import pytest
 
-from repro.app.session import Macro, MacroRecorder, MacroStep
+from repro.app.session import Macro, MacroRecorder
 from repro.dv3d.animation import CameraTour
 from repro.dv3d.cell import DV3DCell
 from repro.dv3d.slicer import SlicerPlot
@@ -71,7 +71,7 @@ class TestMacroToHyperwall:
             build_cell_chain(p, width=24, height=18)
         hw = InProcessHyperwall(p, WallGeometry(2, 1, tile_width=24, tile_height=18))
         hw.execute_all()
-        applied = macro.replay_events(hw.broadcast_event)
+        applied = macro.replay(hw.broadcast_event)
         assert applied == 2
         assert all(hw.consistency_check().values())
         # the wall cells now match the desktop cell's colormap/time state
@@ -81,9 +81,8 @@ class TestMacroToHyperwall:
         assert wall_state["time_index"] == desk_state["time_index"]
 
     def test_unknown_step_rejected(self):
-        macro = Macro("bad", [MacroStep("warp", {})])
-        with pytest.raises(Exception, match="warp"):
-            macro.replay_events(lambda kind, **payload: None)
+        with pytest.raises(DV3DError, match="warp"):
+            Macro.from_dict({"name": "bad", "steps": [{"kind": "warp", "payload": {}}]})
 
 
 class TestESGWorkflowSource:

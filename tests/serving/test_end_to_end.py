@@ -156,17 +156,6 @@ class TestEndToEnd:
         assert recorder.counter_total("streaming.chunks.read") <= steps + 3
         assert recorder.counter_total("streaming.prefetch.hits") >= steps - 2
 
-    def test_unknown_kind_surfaces_as_error_response(self, app_server):
-        async def scenario():
-            async with app_server:
-                return await app_server.submit(
-                    Request(kind="workflow", params={"x": 1})
-                )
-
-        response = asyncio.run(scenario())
-        assert response.status == "error"
-        assert "render" in response.reason
-
 
 def test_the_serving_doc_example_runs():
     """docs/serving.md's example runs as written, so it cannot rot."""

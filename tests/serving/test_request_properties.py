@@ -80,14 +80,6 @@ def test_adding_a_param_changes_key(p, name, value):
     assert request_key(base) != request_key(base.with_params(**{name: value}))
 
 
-@settings(max_examples=80, deadline=None)
-@given(p=params)
-def test_kind_is_part_of_the_key(p):
-    render = Request(kind="render", params=dict(p))
-    workflow = Request(kind="workflow", params=dict(p))
-    assert request_key(render) != request_key(workflow)
-
-
 @settings(max_examples=60, deadline=None)
 @given(p=params)
 def test_key_is_stable_across_calls(p):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.dv3d.cell import DV3DCell
+from repro.dv3d.interaction import Gesture
 from repro.dv3d.slicer import SlicerPlot
 from repro.dv3d.volume import VolumePlot
 from repro.spreadsheet.project import Project
@@ -52,15 +53,10 @@ class TestSync:
         _, group = synced
         group.key("c")
         group.drag(0.1, 0.2, "camera")
-        assert len(group.history) == 2
-        assert group.history[0][0] == "key"
-
-    def test_bus_publishes(self, synced):
-        _, group = synced
-        seen = []
-        group.bus.subscribe("cell.*", seen.append)
-        group.key("c")
-        assert len(seen) == 1
+        assert group.history == [
+            Gesture("key", {"key": "c"}),
+            Gesture("drag", {"dx": 0.1, "dy": 0.2, "mode": "camera"}),
+        ]
 
     def test_animate_step(self, synced):
         sheet, group = synced

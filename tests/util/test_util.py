@@ -1,64 +1,9 @@
-"""Utilities: event bus, id generation, timing, deterministic RNG."""
+"""Utilities: id generation, deterministic RNG."""
 
 import numpy as np
-import pytest
 
-from repro.util.events import Event, EventBus
-from repro.util.ids import IdGenerator, new_uuid
+from repro.util.ids import IdGenerator
 from repro.util.rng import deterministic_rng
-from repro.util.timing import Stopwatch, timed
-
-
-class TestEventBus:
-    def test_exact_topic_delivery(self):
-        bus = EventBus()
-        received = []
-        bus.subscribe("cell.key", received.append)
-        count = bus.emit("cell.key", key="c")
-        assert count == 1
-        assert received[0].get("key") == "c"
-
-    def test_wildcard_prefix(self):
-        bus = EventBus()
-        received = []
-        bus.subscribe("cell.*", received.append)
-        bus.emit("cell.key", key="x")
-        bus.emit("cell.drag", dx=0.1)
-        bus.emit("camera.moved")
-        assert len(received) == 2
-
-    def test_unsubscribe(self):
-        bus = EventBus()
-        received = []
-        unsubscribe = bus.subscribe("t", received.append)
-        unsubscribe()
-        assert bus.emit("t") == 0
-
-    def test_handler_error_does_not_block_others(self):
-        bus = EventBus()
-        received = []
-
-        def bad(_event):
-            raise ValueError("boom")
-
-        bus.subscribe("t", bad)
-        bus.subscribe("t", received.append)
-        with pytest.raises(ValueError):
-            bus.emit("t")
-        assert len(received) == 1
-
-    def test_delivered_count(self):
-        bus = EventBus()
-        bus.subscribe("a", lambda e: None)
-        bus.subscribe("a", lambda e: None)
-        bus.emit("a")
-        assert bus.delivered_count == 2
-
-    def test_event_payload_access(self):
-        event = Event.make("x", a=1, b="two")
-        assert event.get("a") == 1
-        assert event.get("missing", 42) == 42
-        assert event.as_dict() == {"a": 1, "b": "two"}
 
 
 class TestIds:
@@ -79,33 +24,6 @@ class TestIds:
             gen.next()
         gen.reserve_through(2)
         assert gen.next() == 5
-
-    def test_uuid_unique(self):
-        assert new_uuid() != new_uuid()
-        assert len(new_uuid()) == 32
-
-
-class TestTiming:
-    def test_stopwatch_accumulates(self):
-        sw = Stopwatch()
-        for _ in range(3):
-            with sw.measure("op"):
-                pass
-        assert sw.count("op") == 3
-        assert sw.total("op") >= 0.0
-        assert sw.mean("op") == pytest.approx(sw.total("op") / 3)
-
-    def test_summary(self):
-        sw = Stopwatch()
-        with sw.measure("a"):
-            pass
-        summary = sw.summary()
-        assert summary["a"]["count"] == 1
-
-    def test_timed_context(self):
-        with timed() as box:
-            pass
-        assert box[0] >= 0.0
 
 
 class TestRng:
