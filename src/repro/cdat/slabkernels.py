@@ -14,15 +14,14 @@ partitioned:
 
 * numpy reduces axis 0 of a C-contiguous array *sequentially* (its
   pairwise summation applies only when the reduction axis is the
-  innermost-contiguous one), so continuing a fold with
-  ``np.add.reduce(np.concatenate([acc[None], rows]), axis=0)``
-  (:func:`extend_sum`) reproduces the whole-array ``sum(axis=0)``
-  exactly, however the rows are split into slabs;
+  innermost-contiguous one), so continuing a fold one in-place row add
+  at a time (:func:`extend_sum`) reproduces the whole-array
+  ``sum(axis=0)`` exactly, however the rows are split into slabs;
 * masked means are ``(sum * 1.0) / count`` — ``* 1.0`` is an IEEE
   identity — so group means match ``np.ma.mean`` bitwise;
-* a cumulative sum continued from a carried last row reproduces the
-  whole-axis ``np.cumsum`` exactly, which gives the windowed
-  running mean its slab-boundary carry;
+* a cumulative sum continued row by row from a carried last row
+  reproduces the whole-axis ``np.cumsum`` exactly, which gives the
+  windowed running mean its slab-boundary carry;
 * reductions over *other* dimensions touch each row independently, so
   per-slab computation + concatenation (``repro.cdms.slabs.map_slabs``)
   is trivially identical;
@@ -90,11 +89,18 @@ def extend_sum(acc: np.ndarray, rows: np.ndarray) -> np.ndarray:
 
     Bitwise-identical to reducing all rows seen so far in one
     ``np.add.reduce(..., axis=0)`` call, because numpy reduces axis 0 of
-    a C-contiguous array sequentially.
+    a C-contiguous array sequentially: a row costs one in-place add.  An
+    accumulator of one element is the exception — numpy then reduces
+    the one remaining axis pairwise — so it keeps that formulation.
     """
     if rows.shape[0] == 0:
         return acc
-    return np.add.reduce(np.concatenate([acc[np.newaxis], rows], axis=0), axis=0)
+    if acc.size <= 1:
+        return np.add.reduce(np.concatenate([acc[np.newaxis], rows], axis=0), axis=0)
+    out = acc + rows[0]
+    for row in rows[1:]:
+        out += row
+    return out
 
 
 def iter_blocks(
@@ -337,8 +343,13 @@ def fold_running_mean(
             carry_s = np.zeros(spatial, dtype=np.float64)
             carry_v = np.zeros(spatial, dtype=np.float64)
             live[0] = (carry_s, carry_v)
-        local_s = np.cumsum(np.concatenate([carry_s[None], filled], axis=0), axis=0)
-        local_v = np.cumsum(np.concatenate([carry_v[None], valid], axis=0), axis=0)
+        # the whole-axis cumsum continued from the carried row, one add per row
+        local_s = np.empty((filled.shape[0] + 1,) + spatial, dtype=np.float64)
+        local_v = np.empty_like(local_s)
+        local_s[0], local_v[0] = carry_s, carry_v
+        for j in range(filled.shape[0]):
+            local_s[j + 1] = local_s[j] + filled[j]
+            local_v[j + 1] = local_v[j] + valid[j]
         acct.note(block, local_s, local_v)
         for j in range(1, local_s.shape[0]):
             hi = start + j  # cumulative-sum index: covers the first `hi` rows

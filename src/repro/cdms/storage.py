@@ -33,8 +33,11 @@ mid-write can never leave a torn ``.cdz`` visible at the target path.
 from __future__ import annotations
 
 import contextlib
+import functools
 import io
 import json
+import math
+import struct
 import zipfile
 import zlib
 from pathlib import Path
@@ -61,8 +64,66 @@ def _npy_bytes(array: np.ndarray) -> bytes:
     return buffer.getvalue()
 
 
+#: ``.npy`` magic, and per known version the header-length field that
+#: follows the two version bytes and numpy's reader of the header
+_NPY_MAGIC = b"\x93NUMPY"
+_NPY_VERSIONS = {
+    (1, 0): (struct.Struct("<H"), np.lib.format.read_array_header_1_0),
+    (2, 0): (struct.Struct("<I"), np.lib.format.read_array_header_2_0),
+}
+
+
+@functools.lru_cache(maxsize=64)
+def _npy_header(header: bytes) -> Tuple[Tuple[int, ...], bool, np.dtype]:
+    """``(shape, fortran_order, dtype)`` of one ``.npy`` header.
+
+    *header* is the whole prelude: magic, version, length field and the
+    header text.  The text goes through numpy's own header reader, so it
+    is refused exactly as ``np.load`` refuses it; the result is a pure
+    function of the bytes, memoised because every chunk of one shape
+    carries the same header.
+    """
+    read_header = _NPY_VERSIONS[(header[6], header[7])][1]
+    shape, fortran_order, dtype = read_header(io.BytesIO(header[8:]))
+    if dtype.hasobject:
+        raise ValueError("object arrays cannot be decoded without pickle")
+    return shape, fortran_order, dtype
+
+
 def _npy_load(blob: bytes) -> np.ndarray:
-    return np.load(io.BytesIO(blob), allow_pickle=False)
+    """The array a ``.npy`` payload holds: a read-only view of *blob*.
+
+    The one ``.npy`` decoder (chunks, low-res companions, axes and
+    bounds).  The prelude is read with ``struct`` and the header text
+    parsed once per distinct header (:func:`_npy_header`), so a chunk
+    costs a view of its payload, not a header parse and a copy.  Like
+    ``np.load(allow_pickle=False)`` it refuses bad magic, a version
+    other than 1.0 or 2.0 (3.0 is only written for non-Latin-1 field
+    names, which no container holds) and object dtypes; unlike it, a
+    payload whose length is not header plus ``count × itemsize`` is
+    refused both when short and when long.  Every refusal is a
+    ``ValueError``.
+    """
+    if len(blob) < 8 or blob[:6] != _NPY_MAGIC:
+        raise ValueError("not a .npy payload (bad magic)")
+    version = (blob[6], blob[7])
+    if version not in _NPY_VERSIONS:
+        raise ValueError(f"unsupported .npy format version {version}")
+    length_field = _NPY_VERSIONS[version][0]
+    prelude = 8 + length_field.size
+    if len(blob) < prelude:
+        raise ValueError("truncated .npy header")
+    (header_length,) = length_field.unpack_from(blob, 8)
+    offset = prelude + header_length
+    shape, fortran_order, dtype = _npy_header(blob[:offset])
+    count = math.prod(shape)
+    if len(blob) != offset + count * dtype.itemsize:
+        raise ValueError(
+            f".npy payload is {len(blob) - offset} bytes, "
+            f"header says {count * dtype.itemsize}"
+        )
+    array = np.frombuffer(blob, dtype=dtype, count=count, offset=offset)
+    return array.reshape(shape, order="F" if fortran_order else "C")
 
 
 def mask_missing(raw: np.ndarray, missing: float) -> np.ma.MaskedArray:
@@ -204,7 +265,7 @@ def typed_manifest_errors(path: Path) -> Iterator[None]:
 def _member_array(archive: zipfile.ZipFile, name: str) -> np.ndarray:
     try:
         return _npy_load(read_member(archive, name))
-    except (ValueError, EOFError) as exc:
+    except ValueError as exc:
         raise CDMSError(
             f"{archive.filename}: archive member {name!r} corrupt: {exc}"
         ) from exc
@@ -233,7 +294,8 @@ def _read_all_v1(
     variables: List[Variable] = []
     for meta in manifest.get("variables", []):
         var_id = meta["id"]
-        raw = _member_array(archive, f"vars/{var_id}.npy")
+        # the decoded member is a read-only view; an eager variable owns its data
+        raw = _member_array(archive, f"vars/{var_id}.npy").copy()
         missing = float(meta.get("missing_value", 1.0e20))
         data = mask_missing(raw, missing)
         dimensions = meta["dimensions"]

@@ -14,9 +14,11 @@ Backpressure is a byte budget, not a queue length: the effective window
 new window — including wrap-around lookahead, so a looping animation
 keeps its pipeline warm across the seam.
 
-Failure semantics: background read errors are parked per chunk and
-re-raised (once) by the ``get`` that wants them, so the degradation
-ladder runs on the consumer's thread with full context; quarantined
+Failure semantics: background read errors — a typed
+:class:`~repro.util.errors.StreamingError` or any other exception, which
+is not wrapped — are parked per chunk and re-raised (once) by the
+``get`` that wants them, so the degradation ladder runs on the
+consumer's thread with full context and the thread lives on; quarantined
 chunks are skipped by the background thread (no slot-wasting) but
 re-attempted by direct gets, which is how a chunk heals after a
 transient fault clears.
@@ -56,7 +58,7 @@ class Prefetcher:
         )
         self._cond = threading.Condition()
         self._slots: Dict[int, np.ndarray] = {}
-        self._errors: Dict[int, StreamingError] = {}
+        self._errors: Dict[int, Exception] = {}
         self._inflight: Optional[int] = None
         self._cursor = 0
         self._stopped = False
@@ -77,7 +79,9 @@ class Prefetcher:
         """The verified payload of chunk *chunk_index*; moves the cursor.
 
         Raises :class:`StreamingError` when the chunk cannot be
-        delivered (after retries) — the caller owns degradation.
+        delivered (after retries) — the caller owns degradation.  Any
+        other exception the background read raised is re-raised here
+        unchanged: a program error is not a bad chunk.
         """
         chunk = self.layout.chunks[chunk_index]
         with self._cond:
@@ -189,17 +193,18 @@ class Prefetcher:
                 if self._stopped:
                     return
                 self._inflight = target
+            value = error = None
             try:
                 value = self.reader.read_chunk(self.layout.chunks[target])
-                error = None
-            except StreamingError as exc:
-                value = None
+            except Exception as exc:  # noqa: BLE001 - parked, re-raised by get()
                 error = exc
-            with self._cond:
-                self._inflight = None
-                if target in self._wanted():
-                    if error is None:
-                        self._store(target, value)
-                    else:
-                        self._errors[target] = error
-                self._cond.notify_all()
+            finally:
+                # whatever ended the read, no consumer may keep waiting on it
+                with self._cond:
+                    self._inflight = None
+                    if target in self._wanted():
+                        if error is not None:
+                            self._errors[target] = error
+                        elif value is not None:
+                            self._store(target, value)
+                    self._cond.notify_all()

@@ -20,8 +20,10 @@ for deterministic chaos testing (:mod:`repro.resilience.faults`):
     which the positioned read does not look at: it also catches a
     container truncated or replaced underneath an open source;
 ``streaming.decode``
-    parse the ``.npy`` payload into an array of the manifest's dtype
-    and shape.
+    turn the ``.npy`` payload into an array of the manifest's dtype and
+    shape (:func:`~repro.cdms.storage._npy_load`): the header is parsed
+    once per distinct chunk shape, not once per chunk, and the array is
+    a read-only view of the verified payload bytes, not a copy of them.
 
 All three sites carry ``var=``/``chunk=``/``attempt=`` labels.  Failures
 retry under the config's :class:`~repro.resilience.policy.RetryPolicy`;
@@ -119,7 +121,7 @@ class ChunkReader:
         faults.check("streaming.decode", **labels)
         try:
             raw = _npy_load(payload)
-        except (ValueError, OSError, EOFError) as exc:
+        except ValueError as exc:
             raise StreamingError(
                 f"chunk {chunk.member!r} failed to decode: {exc}"
             ) from exc
@@ -189,7 +191,7 @@ class ChunkReader:
         verify_digest(chunk.lowres_member, payload, chunk.lowres_digest)
         try:
             lowres = _npy_load(payload)
-        except (ValueError, OSError, EOFError) as exc:
+        except ValueError as exc:
             raise StreamingError(
                 f"lowres chunk {chunk.lowres_member!r} failed to decode: {exc}"
             ) from exc

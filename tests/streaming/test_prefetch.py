@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import threading
 import time
 
 import pytest
@@ -134,6 +135,47 @@ class TestFailureParking:
             faults.disarm()
             value = prefetcher.get(1)
             assert value is not None
+
+    def test_program_error_on_the_thread_reaches_get_unchanged(self, v2_path, monkeypatch):
+        """A non-streaming exception neither kills the thread nor hangs ``get``."""
+        died = []
+        monkeypatch.setattr(threading, "excepthook", died.append)
+        with StreamingSource(v2_path, StreamingConfig(prefetch_depth=3)) as source:
+            reader = source.reader("ta")
+            assert reader.layout.n_chunks >= 4
+            real_read = reader.read_chunk
+            attempted = threading.Event()
+
+            def read_chunk(chunk):
+                if chunk.index == 2:
+                    if threading.current_thread().name.startswith("streaming-prefetch"):
+                        attempted.set()
+                    raise MemoryError("chunk 2")
+                return real_read(chunk)
+
+            monkeypatch.setattr(reader, "read_chunk", read_chunk)
+            prefetcher = source.prefetcher("ta")
+            prefetcher.get(0)
+            prefetcher.get(1)
+            # the background read of chunk 2 has failed before the consumer asks
+            assert attempted.wait(5.0)
+            # asked from a helper thread, so a hang fails the test instead of hanging it
+            raised = []
+
+            def consume():
+                try:
+                    prefetcher.get(2)
+                except MemoryError as exc:
+                    raised.append(exc)
+
+            consumer = threading.Thread(target=consume, daemon=True)
+            consumer.start()
+            consumer.join(1.0)
+            assert not consumer.is_alive(), "get(2) still waits on a dead read"
+            assert [str(exc) for exc in raised] == ["chunk 2"]
+            assert prefetcher.get(3) is not None
+            assert prefetcher._thread.is_alive()
+        assert died == []
 
     def test_quarantined_chunk_skipped_by_background(self, v2_path):
         config = StreamingConfig(prefetch_depth=3, retry_base_delay=0.0)
