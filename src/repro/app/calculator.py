@@ -132,8 +132,6 @@ class Calculator:
         if name in self._builtins:
             return self._builtins[name](*args, **kwargs)
         if name in self.registry:
-            # passthrough to apply() unless the ambient result cache is
-            # enabled; then repeated (and cross-plane) runs share entries
             return self.registry.apply_cached(name, *args, **kwargs)
         raise CDATError(
             f"unknown function {name!r}; registry has {self.registry.names()[:8]}..."

@@ -1,17 +1,11 @@
-"""Configuration for the provenance-keyed result cache.
+"""Configuration for the serving tier's result cache.
 
-A :class:`CacheConfig` describes the two cache tiers: an in-memory LRU
-(bounded by entry count) and an on-disk store (bounded by total bytes,
-shared between processes through atomic file renames).  Caching is
-strictly **opt-in**: the ambient default config is disabled, so every
-hot path behaves exactly as the seed until an application installs a
-config with :func:`use_config` (or :func:`set_config`).
-
-The ambient default (:func:`get_config` / :func:`set_config` /
-:func:`use_config`) is a :class:`~repro.util.scope.ConfigScope`: the
-executor, the renderer's frame cache, the regrid operators and
-``cdat.operation`` all consult it and take no config of their own, so
-whole pipelines pick up memoization without any per-module plumbing.
+A :class:`CacheConfig` describes the two tiers of one
+:class:`~repro.cache.store.ResultCache`: an in-memory LRU (bounded by
+entry count) and an on-disk store (bounded by total bytes, shared
+between processes through atomic file renames).  A config is only ever
+used to build a cache that is then handed to its user; there is no
+process-wide default.
 """
 
 from __future__ import annotations
@@ -22,7 +16,6 @@ from pathlib import Path
 from typing import Optional
 
 from repro.util.errors import CacheError
-from repro.util.scope import ConfigScope
 
 #: environment override for the default disk-tier location (the test
 #: suite points this at a per-test tmp dir so no test can leak entries
@@ -45,8 +38,8 @@ class CacheConfig:
     Parameters
     ----------
     enabled:
-        Master switch; a disabled config turns every lookup into a
-        miss-without-store (the ambient default).
+        Master switch; a disabled config builds a cache with no tiers,
+        whose every lookup is a miss-without-store.
     memory_entries:
         In-memory LRU capacity in entries (0 disables the tier).
     disk_bytes:
@@ -85,10 +78,3 @@ class CacheConfig:
     def wants_disk(self) -> bool:
         return self.enabled and self.use_disk and self.disk_bytes > 0
 
-
-#: the ambient default — caching off unless the application opts in
-_SCOPE = ConfigScope(CacheConfig(enabled=False))
-
-get_config = _SCOPE.get
-set_config = _SCOPE.set
-use_config = _SCOPE.use

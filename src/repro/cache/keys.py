@@ -1,9 +1,9 @@
 """Canonical content hashing for cache keys.
 
-Every value that can flow through a pipeline hot path — numpy arrays
-(masked or not, any layout), CDMS axes/grids/variables, image-data
-volumes, cameras, transfer functions, scenes — maps to a deterministic
-SHA-256 digest with these properties:
+Every value a key is built from — plain Python values, numpy arrays
+(masked or not, any layout), CDMS axes/grids/variables (eager or still
+streaming) — maps to a deterministic SHA-256 digest with these
+properties:
 
 * **stability** — equal values produce equal digests in every process
   and on every platform: no ``id()``, no ``hash()`` (which is salted
@@ -21,8 +21,7 @@ SHA-256 digest with these properties:
 
 Keys built from these digests (:func:`cache_key`) are additionally
 salted with the package version and nothing else, so upgrading the
-code invalidates every entry produced by older kernels, and a key is
-the same under every ambient config.
+code invalidates every entry produced by older kernels.
 """
 
 from __future__ import annotations
@@ -144,9 +143,9 @@ def _update_streamed_variable(h, obj: Any) -> bool:
     materialized (where the eager path is free), return False and fall
     through to the eager branch.
 
-    This is what lets a streamed reduction share cache entries with its
-    eager twin: equal content ⇒ equal digest, regardless of which plane
-    the data arrived through.
+    This is what lets a streamed variable be checked against its eager
+    twin by digest: equal content ⇒ equal digest, regardless of which
+    plane the data arrived through.
     """
     from repro.cdms.lazy import LazyVariable
 
@@ -188,13 +187,6 @@ def _update_known(h, obj: Any) -> bool:
     from repro.cdms.axis import Axis
     from repro.cdms.grid import RectilinearGrid
     from repro.cdms.variable import Variable
-    from repro.rendering.camera import Camera
-    from repro.rendering.colormap import Colormap
-    from repro.rendering.framebuffer import Framebuffer
-    from repro.rendering.geometry import PolyData
-    from repro.rendering.image_data import ImageData
-    from repro.rendering.scene import Scene
-    from repro.rendering.transfer_function import TransferFunction
 
     if isinstance(obj, Axis):
         # gen_bounds (not get_bounds): it returns explicit bounds when
@@ -220,31 +212,6 @@ def _update_known(h, obj: Any) -> bool:
             (obj.id, obj.missing_value, obj.attributes, list(obj.axes), obj.data),
         )
         return True
-    if isinstance(obj, ImageData):
-        _tag(h, b"i")
-        _update_sequence(h, (obj.dimensions, obj.origin, obj.spacing))
-        _update_mapping(h, {name: obj.get_array(name) for name in obj.array_names})
-        _update(h, obj._active_scalars)
-        return True
-    if isinstance(obj, PolyData):
-        _tag(h, b"p")
-        _update_sequence(
-            h, (obj.points, obj.triangles, list(obj.lines), obj.scalars, obj.colors)
-        )
-        return True
-    if isinstance(obj, (Camera, TransferFunction, Colormap)):
-        _tag(h, b"s")
-        _raw(h, type(obj).__name__.encode("ascii"))
-        _update_mapping(h, obj.state())
-        return True
-    if isinstance(obj, Framebuffer):
-        _tag(h, b"b")
-        _update_sequence(h, (obj.width, obj.height, obj.background, obj.color, obj.depth))
-        return True
-    if isinstance(obj, Scene):
-        _tag(h, b"c")
-        _raw(h, scene_digest(obj).encode("ascii"))
-        return True
     return False
 
 
@@ -268,34 +235,3 @@ def cache_key(site: str, *parts: Any) -> str:
         _update(h, part)
     return h.hexdigest()
 
-
-def scene_digest(scene) -> str:
-    """Canonical digest of a :class:`~repro.rendering.scene.Scene`.
-
-    Covers everything the renderer reads: background, lights, geometry
-    actors (points/topology/display properties) and volume actors
-    (volume arrays + transfer-function state + sampling controls), in
-    draw order.  Two scenes with equal digests rasterize and raycast to
-    byte-identical framebuffers for a given camera and size.
-    """
-    h = hashlib.sha256()
-    _tag(h, b"scene")
-    _update(h, tuple(scene.background))
-    _update_sequence(
-        h,
-        ((tuple(light.direction), light.intensity) for light in scene.lights),
-    )
-    for actor in scene.actors:
-        _update_sequence(
-            h,
-            (actor.visible, actor.poly, tuple(actor.color),
-             None if actor.line_color is None else tuple(actor.line_color),
-             actor.lighting, actor.point_size),
-        )
-    for vactor in scene.volume_actors:
-        _update_sequence(
-            h,
-            (vactor.visible, vactor.volume, vactor.transfer,
-             vactor.array_name, vactor.step_size, vactor.lighting),
-        )
-    return h.hexdigest()

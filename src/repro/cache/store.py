@@ -1,9 +1,8 @@
 """The two-tier result store: in-memory LRU over an on-disk cache.
 
 **Memory tier** — a thread-safe LRU bounded by entry count; hits cost a
-dict lookup and return the stored object itself (module outputs are
-shared-immutable by the executor contract; mutable render products are
-copied by their call sites).
+dict lookup and return the stored object itself (the serving tier
+stores immutable encoded frames).
 
 **Disk tier** — one file per key under a two-level fan-out directory
 (the pickle's sha256, then the pickle), shared safely between
@@ -17,11 +16,14 @@ processes:
 * reads open the final path and read it to EOF before unpickling; on
   POSIX an entry evicted mid-read stays readable through the open file
   descriptor, so eviction under size pressure never breaks a reader;
+* eviction is least-recently-used by file mtime: a write sets it and a
+  verified read refreshes it (a tier whose files cannot be touched
+  still serves, it just evicts in write order);
 * a read compares the payload's sha256 with the stored one before
   unpickling; a mismatch (a flipped bit, a truncation) or an
   undecodable pickle (version skew) is counted in ``cache.corrupt``,
   deleted and reported as a miss — the cache degrades, it never serves
-  wrong bytes or fails the computation it memoizes.
+  wrong bytes or fails the request it would serve.
 
 Entries never expire: they leave by LRU / byte-budget eviction,
 :meth:`ResultCache.delete` / :meth:`ResultCache.clear`, or a
@@ -36,16 +38,16 @@ Every lookup/store emits ``cache.hits`` / ``cache.misses`` /
 from __future__ import annotations
 
 import hashlib
+import os
 import pickle
 import threading
 import time
 from collections import OrderedDict
 from pathlib import Path
-from typing import Any, Callable, Dict, Iterable, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, Tuple
 
 from repro import obs
-from repro.cache import keys
-from repro.cache.config import CacheConfig, get_config
+from repro.cache.config import CacheConfig
 from repro.util.atomic import atomic_publish, reap_stale_tmp
 
 #: temp files older than this are debris from killed writers
@@ -145,9 +147,15 @@ class DiskTier:
         payload = memoryview(stored)[_DIGEST_BYTES:]
         if hashlib.sha256(payload).digest() == stored[:_DIGEST_BYTES]:
             try:
-                return True, pickle.loads(payload)
+                value = pickle.loads(payload)
             except _DECODE_ERRORS:
                 pass
+            else:
+                try:
+                    os.utime(path)  # a read makes the entry most recent
+                except OSError:
+                    pass  # a tier that cannot be touched still serves
+                return True, value
         # flipped, torn or incompatible entry: drop it, report a miss
         obs.counter("cache.corrupt", tier="disk")
         self._discard(path)
@@ -220,10 +228,10 @@ class DiskTier:
 
 
 class ResultCache:
-    """The two-tier facade the hot paths talk to."""
+    """The two-tier facade, built from a :class:`CacheConfig` and handed
+    to its one user (a :class:`~repro.serving.server.ServingServer`)."""
 
     def __init__(self, config: CacheConfig) -> None:
-        self.config = config
         self.memory = MemoryTier(config.memory_entries) if config.wants_memory else None
         self.disk = (
             DiskTier(config.resolved_path(), config.disk_bytes)
@@ -309,70 +317,3 @@ class ResultCache:
         if self.disk is not None:
             self.disk.clear()
 
-
-# -- the ambient cache instance ----------------------------------------------
-
-_ACTIVE: Optional[ResultCache] = None
-_ACTIVE_LOCK = threading.Lock()
-
-
-def get_cache(config: Optional[CacheConfig] = None) -> ResultCache:
-    """The :class:`ResultCache` for *config* (default: the ambient one).
-
-    The instance is rebuilt whenever the effective config changes, so
-    ``use_config`` scopes in tests get a fresh cache while repeated
-    calls under one config share tiers (and hit statistics).
-    """
-    global _ACTIVE
-    config = config if config is not None else get_config()
-    with _ACTIVE_LOCK:
-        if _ACTIVE is None or _ACTIVE.config != config:
-            _ACTIVE = ResultCache(config)
-        return _ACTIVE
-
-
-def ambient_cache() -> Optional[ResultCache]:
-    """The ambient :class:`ResultCache`, or None while caching is disabled."""
-    config = get_config()
-    return get_cache(config) if config.enabled else None
-
-
-#: what a *clone* passed to :func:`memoize` returns for a result it
-#: cannot safely copy — such a result is computed but never stored
-UNCACHEABLE = object()
-
-
-def memoize(
-    site: str,
-    parts: Sequence[Any],
-    compute: Callable[[], Any],
-    clone: Optional[Callable[[Any], Any]] = None,
-) -> Any:
-    """Serve *compute()* through the ambient result cache, when enabled.
-
-    The key is :func:`~repro.cache.keys.cache_key` over *site* and
-    *parts*.  With caching disabled — the ambient default — this is
-    exactly ``compute()``: no digest is even computed.  *clone* isolates
-    mutable results: entries are stored and served as ``clone(value)``
-    copies (the fresh result itself goes to the caller); without it the
-    stored object is shared, which suits immutable-by-contract values.
-    """
-    cache = ambient_cache()
-    if cache is None:
-        return compute()
-    key = keys.cache_key(site, *parts)
-    found, value = cache.get(key, site=site)
-    if found:
-        return value if clone is None else clone(value)
-    result = compute()
-    stored = result if clone is None else clone(result)
-    if stored is not UNCACHEABLE:
-        cache.put(key, stored, site=site)
-    return result
-
-
-def reset_cache() -> None:
-    """Drop the ambient cache instance (test isolation)."""
-    global _ACTIVE
-    with _ACTIVE_LOCK:
-        _ACTIVE = None

@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
-from repro.cache.store import UNCACHEABLE, memoize
 from repro.util.errors import CDATError
 
 
@@ -81,52 +80,9 @@ class OperationRegistry:
     def apply(self, name: str, *args, **kwargs):
         return self.get(name)(*args, **kwargs)
 
-    def apply_cached(self, name: str, *args, **kwargs):
-        """:meth:`apply` with result memoisation in the ambient cache.
-
-        The key hashes the operation name plus the canonical digests of
-        every argument (:func:`repro.cache.keys.cache_key`).  A streamed
-        variable digests identically to its eager equivalent, so eager
-        and out-of-core runs of the same reduction share cache entries.
-        With caching disabled — the ambient default — this is exactly
-        :meth:`apply`: no digest is even computed.  Entries are stored
-        and served as deep copies, immune to caller mutation (e.g. the
-        band-pass filter renaming its result in place).
-        """
-        op = self.get(name)
-        return memoize(
-            "cdat.operation",
-            (name, list(args), sorted(kwargs.items())),
-            lambda: op(*args, **kwargs),
-            clone=_clone_result,
-        )
-
-
-def _clone_result(value):
-    """A deep-enough copy of an operation result, or ``UNCACHEABLE``.
-
-    Variables are deep-cloned (reduction outputs are small); scalars
-    pass through; tuples/dicts of the above recurse.  Anything else —
-    composite results, generators — is declared uncacheable rather than
-    risking aliased mutable state in the cache.
-    """
-    from repro.cdms.variable import Variable
-
-    if value is None or isinstance(value, (bool, int, float, str)):
-        return value
-    if isinstance(value, Variable):
-        return value.clone(deep=True)
-    if isinstance(value, tuple):
-        parts = [_clone_result(v) for v in value]
-        if any(p is UNCACHEABLE for p in parts):
-            return UNCACHEABLE
-        return tuple(parts)
-    if isinstance(value, dict):
-        parts = {k: _clone_result(v) for k, v in value.items()}
-        if any(p is UNCACHEABLE for p in parts.values()):
-            return UNCACHEABLE
-        return parts
-    return UNCACHEABLE
+    #: the name the calculator and ``CDATOperation`` call; kept so both
+    #: spellings resolve to one path
+    apply_cached = apply
 
 
 _DEFAULT: Optional[OperationRegistry] = None

@@ -23,7 +23,6 @@ from typing import Tuple
 import numpy as np
 
 from repro import obs
-from repro.cache.store import memoize
 from repro.cdms.grid import RectilinearGrid
 from repro.cdms.variable import Variable
 from repro.util.errors import CDMSError
@@ -149,18 +148,14 @@ def regrid_bilinear(var: Variable, target: RectilinearGrid) -> Variable:
     """Bilinear regrid of *var* onto *target* (mask-aware)."""
     source = _require_grid(var)
     periodic = source.is_global()
-
-    def compute() -> Variable:
-        with obs.span("regrid.bilinear", src=str(var.shape)) as _span:
-            lat_matrix = _bilinear_matrix(source.latitude.values, target.latitude.values, periodic=False)
-            lon_matrix = _bilinear_matrix(source.longitude.values, target.longitude.values, periodic=periodic)
-            out = _apply_separable(var, target, lat_matrix, lon_matrix, weight_floor=1e-9)
-            if obs.enabled():
-                obs.counter("regrid.cells", int(np.prod(out.shape)))
-                _span.set(dst=str(out.shape))
-        return out
-
-    return memoize("regrid", ("bilinear", var, target), compute)
+    with obs.span("regrid.bilinear", src=str(var.shape)) as _span:
+        lat_matrix = _bilinear_matrix(source.latitude.values, target.latitude.values, periodic=False)
+        lon_matrix = _bilinear_matrix(source.longitude.values, target.longitude.values, periodic=periodic)
+        out = _apply_separable(var, target, lat_matrix, lon_matrix, weight_floor=1e-9)
+        if obs.enabled():
+            obs.counter("regrid.cells", int(np.prod(out.shape)))
+            _span.set(dst=str(out.shape))
+    return out
 
 
 def regrid_conservative(var: Variable, target: RectilinearGrid) -> Variable:
@@ -171,25 +166,21 @@ def regrid_conservative(var: Variable, target: RectilinearGrid) -> Variable:
     """
     source = _require_grid(var)
     periodic = source.is_global()
-
-    def compute() -> Variable:
-        with obs.span("regrid.conservative", src=str(var.shape)) as _span:
-            lat_matrix = _overlap_matrix(
-                source.latitude.gen_bounds(),
-                target.latitude.gen_bounds(),
-                transform=lambda x: np.sin(np.radians(x)),
-            )
-            lon_matrix = _overlap_matrix(
-                source.longitude.gen_bounds(),
-                target.longitude.gen_bounds(),
-                periodic=periodic,
-            )
-            out = _apply_separable(
-                var, target, lat_matrix, lon_matrix, weight_floor=_VALID_WEIGHT_FLOOR
-            )
-            if obs.enabled():
-                obs.counter("regrid.cells", int(np.prod(out.shape)))
-                _span.set(dst=str(out.shape))
-        return out
-
-    return memoize("regrid", ("conservative", var, target), compute)
+    with obs.span("regrid.conservative", src=str(var.shape)) as _span:
+        lat_matrix = _overlap_matrix(
+            source.latitude.gen_bounds(),
+            target.latitude.gen_bounds(),
+            transform=lambda x: np.sin(np.radians(x)),
+        )
+        lon_matrix = _overlap_matrix(
+            source.longitude.gen_bounds(),
+            target.longitude.gen_bounds(),
+            periodic=periodic,
+        )
+        out = _apply_separable(
+            var, target, lat_matrix, lon_matrix, weight_floor=_VALID_WEIGHT_FLOOR
+        )
+        if obs.enabled():
+            obs.counter("regrid.cells", int(np.prod(out.shape)))
+            _span.set(dst=str(out.shape))
+    return out

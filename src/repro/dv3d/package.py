@@ -206,9 +206,6 @@ class CDATOperation(Module):
                     f"operation {op.name!r} needs a second variable input"
                 )
             args.append(inputs["variable2"])
-        # apply_cached: a no-op passthrough unless the ambient result
-        # cache is enabled, in which case streamed and eager runs of the
-        # same reduction share entries (equal content ⇒ equal digest)
         result = registry.apply_cached(op.name, *args, **kwargs)
         if isinstance(result, Variable):
             return {"variable": result, "result": result}

@@ -42,8 +42,8 @@ def image_digest(image: np.ndarray) -> str:
     """SHA-256 of a rendered frame's uint8 bytes.
 
     Reports carry this instead of pixels (which stay on the display
-    node), so byte-identity of repeated frames — e.g. a warm-cache
-    replay, or a reassigned cell matching its original — is assertable
+    node), so byte-identity of repeated frames — e.g. a replayed
+    gesture, or a reassigned cell matching its original — is assertable
     across process boundaries.
     """
     arr = np.ascontiguousarray(image)

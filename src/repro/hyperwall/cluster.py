@@ -18,11 +18,9 @@ process mid-execution deterministically::
     with LocalCluster(p, n_clients=4, wall=wall) as cluster:
         out = cluster.run_session()   # completes; cell 2 is recovered
 
-The ambient result-cache scope is inherited the same way: start the
-cluster inside ``with repro.cache.use_config(cfg):`` and every node —
-the server's mirror and each forked client — memoizes through *cfg*
-(with the disk tier on a shared path, a replayed frame sequence is
-served from cache on every node).
+No result cache is involved: a re-homed cell is rebuilt from its
+workflow on the surviving node, and its frame carries the same
+``image_digest`` an undisturbed run draws.
 """
 
 from __future__ import annotations
@@ -43,7 +41,8 @@ class LocalCluster:
 
     *io_timeout* bounds every socket operation on both sides;
     *failover* selects the server's recovery policy for dead clients
-    (``reassign`` | ``degrade`` | ``fail_fast``).
+    (``reassign`` | ``degrade`` | ``fail_fast``).  The processes share
+    no result cache: every node builds its cells from their workflows.
     """
 
     def __init__(

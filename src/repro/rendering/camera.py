@@ -57,7 +57,7 @@ class Camera:
     @cached_property
     def _basis(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         # computed once per camera: every actor of a frame projects through
-        # it.  Not a field, so ``==``, ``hash`` and the cache key ignore it.
+        # it.  Not a field, so ``==`` and ``hash`` ignore it.
         pos = np.asarray(self.position, dtype=np.float64)
         foc = np.asarray(self.focal_point, dtype=np.float64)
         forward = _normalize(foc - pos)

@@ -103,10 +103,6 @@ class ImageData:
         return name in self._arrays
 
     @property
-    def array_names(self) -> Tuple[str, ...]:
-        return tuple(sorted(self._arrays))
-
-    @property
     def active_scalars_name(self) -> str:
         if self._active_scalars is None:
             raise RenderingError("no active scalar array")
@@ -173,7 +169,7 @@ class ImageData:
             raise RenderingError("sample() requires a scalar array")
         # output dtype pinned to the array's own (float32) — relying on
         # the implicit default would let a library change silently
-        # promote samples and shift goldens/cache digests
+        # promote samples and shift the goldens
         values = ndimage.map_coordinates(
             arr, idx, order=1, mode="constant", cval=fill, prefilter=False,
             output=arr.dtype,

@@ -15,7 +15,6 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.cache.store import memoize
 from repro.rendering.camera import Camera
 from repro.rendering.framebuffer import Framebuffer
 from repro.rendering.geometry import PolyData
@@ -126,7 +125,12 @@ class Scene:
 
 
 class Renderer:
-    """Renders a :class:`Scene` through a :class:`Camera` into a framebuffer."""
+    """Renders a :class:`Scene` through a :class:`Camera` into a framebuffer.
+
+    Every :meth:`render` call draws: the renderer keeps no frames.  The
+    memos that skip a redraw belong to their owners (a DV3D cell keeps
+    its last frame; the serving tier is handed a result cache).
+    """
 
     def __init__(self, width: int = 400, height: int = 300) -> None:
         if width < 1 or height < 1:
@@ -136,17 +140,6 @@ class Renderer:
 
     def render(self, scene: Scene, camera: Optional[Camera] = None) -> Framebuffer:
         camera = camera or scene.fit_camera()
-        # the frame cache: whole frames keyed by (scene, camera, size).
-        # Buffers are copied both ways — callers (DV3D cells, the hyperwall)
-        # blend overlays into the returned framebuffer in place.
-        return memoize(
-            "render",
-            (scene, camera, self.width, self.height),
-            lambda: self._draw(scene, camera),
-            clone=Framebuffer.copy,
-        )
-
-    def _draw(self, scene: Scene, camera: Camera) -> Framebuffer:
         fb = Framebuffer(self.width, self.height, background=scene.background)
         light = scene.lights[0] if scene.lights else DirectionalLight()
 

@@ -10,10 +10,9 @@ cell under the scene's digest.  Every frame re-executes it, which
 returns the live cell, so a frame rides the cell's own memos
 (:meth:`~repro.dv3d.cell.DV3DCell.render`): an orbit keeps the built
 scene and an unchanged request is a lookup of the kept frame.  Those
-are always on and die with the cell; the ambient
-content-keyed cache under ``Renderer.render`` is separate — opt-in,
-shared across cells and processes, optionally on disk — and off here
-unless the caller's ``CacheConfig`` enables it.  Frames are encoded as
+are always on and die with the cell; the content-keyed result cache
+is the server's, handed to it at construction, and sits in front of
+this backend rather than under it.  Frames are encoded as
 deterministic binary PPM, so byte-identical responses are a meaningful
 equality.
 

@@ -18,7 +18,7 @@ digest with one crucial property split:
 The key also inherits the cache layer's ``CODE_SALT`` version binding —
 its one salt: a code upgrade changes every key, so stale frames from
 older kernels can never be fanned out to new requests.  Nothing else
-enters it; in particular no ambient :mod:`repro.cache` config does.
+enters it.
 """
 
 from __future__ import annotations

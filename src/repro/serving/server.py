@@ -136,8 +136,8 @@ class ServingServer:
         :class:`~repro.serving.config.ServingConfig` bounds.
     cache:
         The serving tier's :class:`~repro.cache.store.ResultCache`;
-        without one nothing is served from cache (the ambient
-        :mod:`repro.cache` scope is not consulted).
+        without one nothing is served from cache.  A cache reaches the
+        server only this way.
     clock:
         Injectable monotonic clock shared by deadlines and the breaker.
     """

@@ -3,14 +3,12 @@
 A :class:`StreamingConfig` is a frozen value object bounding how much
 decoded chunk data may be resident at once, how far the prefetch
 pipeline runs ahead of the animation cursor, and how stubbornly the
-reader retries failing chunks before degrading.  Like
-``repro.cache``'s config it is explicit and validated at construction;
-unlike it, it is passed down rather than ambient — a streaming
-dataset opened with one budget never silently inherits another's.
+reader retries failing chunks before degrading.  It is explicit,
+validated at construction and passed down — a streaming dataset opened
+with one budget never silently inherits another's.
 
 The budget is the only bound on a streamed dataset's decoded chunks:
-the result cache never stores them, so an enabled ``repro.cache``
-scope changes neither what is resident nor what is verified.
+no result cache stores them.
 """
 
 from __future__ import annotations

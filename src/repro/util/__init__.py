@@ -2,9 +2,8 @@
 
 This package deliberately stays tiny and dependency-free (numpy only):
 error hierarchy, monotonic identifiers and deterministic random-number
-helpers; its ``framing``, ``atomic`` and ``scope`` modules hold the
-framed-message codec, crash-safe file publication and the ambient
-configuration scope.  Everything
+helpers; its ``framing`` and ``atomic`` modules hold the
+framed-message codec and crash-safe file publication.  Everything
 higher up the stack (CDMS data model, rendering, workflow engine, DV3D)
 builds on these primitives.
 """

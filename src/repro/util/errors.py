@@ -103,7 +103,7 @@ class CacheError(ReproError):
 
     Covers bad configurations and values that cannot be canonically
     hashed — never I/O failures of the disk tier, which degrade to
-    cache misses instead of failing the computation they memoize.
+    cache misses instead of failing the request they would serve.
     """
 
 

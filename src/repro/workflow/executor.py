@@ -27,8 +27,6 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro import obs
-from repro.cache.keys import cache_key
-from repro.cache.store import ambient_cache
 from repro.resilience import faults
 from repro.workflow.pipeline import Pipeline
 from repro.util.errors import ModuleExecutionError, WorkflowError
@@ -83,12 +81,10 @@ class Executor:
     Parameters
     ----------
     caching:
-        Keep module results keyed by signature across executions.  While
-        the ambient :mod:`repro.cache` config is enabled (``with
-        use_config(cfg):``), results are also memoized in the shared
-        two-tier result cache keyed by their provenance signature — so
-        warm results survive across executor instances and, through the
-        disk tier, across processes.
+        Keep module results keyed by signature across executions, in
+        this executor's private memo (:meth:`clear_cache` empties it).
+        It is the one memo of module outputs: results are not shared
+        between executor instances or processes.
     max_workers:
         Thread-pool width for parallel branch execution; 1 = serial.
     """
@@ -114,27 +110,6 @@ class Executor:
     @property
     def cache_size(self) -> int:
         return len(self._cache)
-
-    def _lookup(self, sig: str) -> Optional[Dict[str, Any]]:
-        """Memoized outputs for signature *sig*, or None: the private
-        memo first, then the ambient shared result cache, whose hits are
-        promoted into the memo."""
-        outputs = self._cache.get(sig)
-        if outputs is None:
-            shared = ambient_cache()
-            if shared is not None:
-                found, value = shared.get(
-                    cache_key("executor.module", sig), site="executor"
-                )
-                if found:
-                    outputs = self._cache[sig] = value
-        return outputs
-
-    def _remember(self, sig: str, outputs: Dict[str, Any]) -> None:
-        self._cache[sig] = outputs
-        shared = ambient_cache()
-        if shared is not None:
-            shared.put(cache_key("executor.module", sig), outputs, site="executor")
 
     # -- signatures ---------------------------------------------------------
 
@@ -199,7 +174,7 @@ class Executor:
             with obs.span(
                 "executor.module", parent_id=exec_span.id, module=spec.name
             ) as mspan:
-                outputs = self._lookup(sig) if use_cache else None
+                outputs = self._cache.get(sig) if use_cache else None
                 if outputs is not None:
                     mspan.set(status="cached")
                     obs.counter("executor.cache.hit", module=spec.name)
@@ -220,7 +195,7 @@ class Executor:
                         raise
                     raise ModuleExecutionError(spec.name, exc) from exc
                 if use_cache:
-                    self._remember(sig, outputs)
+                    self._cache[sig] = outputs
                 mspan.set(status="ok")
             duration = time.perf_counter() - t0
             obs.histogram("executor.module.duration", duration, module=spec.name)

@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro.cache import keys
-from repro.cache.keys import CODE_SALT, cache_key, digest, scene_digest
+from repro.cache.keys import CODE_SALT, cache_key, digest
 from repro.util.errors import CacheError
 
 SHAPES = hnp.array_shapes(min_dims=1, max_dims=3, min_side=1, max_side=5)
@@ -172,15 +172,6 @@ class TestDomainTypes:
 
         with pytest.raises(CacheError, match="cannot canonically hash"):
             digest(Opaque())
-
-    def test_scene_digest_sensitive_to_actor_change(self, reanalysis):
-        from repro.dv3d.slicer import SlicerPlot
-
-        plot = SlicerPlot(reanalysis("ta"))
-        one = scene_digest(plot.build_scene())
-        assert one == scene_digest(plot.build_scene())  # rebuild: stable
-        plot.handle_key("x")  # toggle a slice plane
-        assert scene_digest(plot.build_scene()) != one
 
 
 class TestCacheKey:

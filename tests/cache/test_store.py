@@ -15,20 +15,8 @@ import os
 import pytest
 
 from repro import obs
-from repro.cache.config import (
-    CACHE_DIR_ENV,
-    CacheConfig,
-    default_cache_dir,
-    get_config,
-    use_config,
-)
-from repro.cache.store import (
-    DiskTier,
-    MemoryTier,
-    ResultCache,
-    get_cache,
-    reset_cache,
-)
+from repro.cache.config import CACHE_DIR_ENV, CacheConfig, default_cache_dir
+from repro.cache.store import DiskTier, MemoryTier, ResultCache
 from repro.util.atomic import TMP_PREFIX
 from repro.util.errors import CacheError
 
@@ -71,20 +59,6 @@ class TestConfig:
         assert default_cache_dir() == str(tmp_path / "here")
         assert CacheConfig().resolved_path() == str(tmp_path / "here")
         assert CacheConfig(path="/explicit").resolved_path() == "/explicit"
-
-    def test_ambient_scope(self):
-        base = get_config()
-        cfg = CacheConfig(memory_entries=7)
-        with use_config(cfg):
-            assert get_config() is cfg
-            inner = CacheConfig(memory_entries=9)
-            with use_config(inner):
-                assert get_config() is inner
-            assert get_config() is cfg
-        assert get_config() is base
-        # None is a no-op scope
-        with use_config(None):
-            assert get_config() is base
 
 
 class TestMemoryTier:
@@ -165,6 +139,34 @@ class TestDiskTier:
         assert evicted == 1
         assert not tier._path(old_key).exists()
         assert tier.get(new_key) == (True, b"y" * 64)
+
+    def test_a_read_refreshes_recency(self, tmp_path):
+        tier = DiskTier(str(tmp_path), max_bytes=1 << 20)
+        a, b, c = ("a1" + "0" * 62), ("b1" + "0" * 62), ("c1" + "0" * 62)
+        tier.put(a, b"a" * 64)
+        tier.put(b, b"b" * 64)
+        # budget: exactly two entries fit
+        tier.max_bytes = 2 * tier._path(a).stat().st_size + 8
+        # written in that order, a clearly before b
+        os.utime(tier._path(a), (1.0, 1.0))
+        os.utime(tier._path(b), (2.0, 2.0))
+        assert tier.get(a) == (True, b"a" * 64)  # a is now the most recent
+        assert tier.put(c, b"c" * 64) == 1
+        # least recently *used* goes: b, not the just-read a
+        assert not tier._path(b).exists()
+        assert tier.get(a) == (True, b"a" * 64)
+        assert tier.get(c) == (True, b"c" * 64)
+
+    def test_an_entry_that_cannot_be_touched_still_serves(self, tmp_path, monkeypatch):
+        tier = DiskTier(str(tmp_path), max_bytes=1 << 20)
+        key = "ef" + "2" * 62
+        tier.put(key, "value")
+
+        def refuse(*_args, **_kwargs):
+            raise PermissionError("read-only tier")
+
+        monkeypatch.setattr(os, "utime", refuse)
+        assert tier.get(key) == (True, "value")
 
     def test_stale_tmp_files_are_reaped(self, tmp_path):
         clock = FakeClock()
@@ -256,16 +258,6 @@ class TestResultCache:
             assert recorder.counter_total("cache.evictions") == 3
         finally:
             obs.disable()
-
-    def test_get_cache_tracks_ambient_config(self, tmp_path):
-        cfg1 = self.cfg(tmp_path)
-        with use_config(cfg1):
-            first = get_cache()
-            assert get_cache() is first  # same config: same instance
-        cfg2 = self.cfg(tmp_path, memory_entries=99)
-        with use_config(cfg2):
-            assert get_cache() is not first
-        reset_cache()
 
     def test_disabled_config_builds_no_tiers(self, tmp_path):
         cache = ResultCache(CacheConfig(enabled=False, path=str(tmp_path)))

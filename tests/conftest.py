@@ -31,25 +31,18 @@ def _shared_cache_entries() -> set:
 
 @pytest.fixture(autouse=True)
 def isolated_cache(tmp_path, monkeypatch):
-    """Isolate the result cache per test.
+    """Keep every test's disk-tier entries out of the shared location.
 
     The default disk-tier path is redirected into this test's
     ``tmp_path`` (forked subprocesses inherit the environment
-    variable), the ambient config is pinned to disabled, and the
-    process-wide cache instance is dropped on both sides — so no test
-    observes another's entries, and none can leak into the shared
-    per-user location.
+    variable), so a cache built without an explicit ``path`` writes
+    there, and none can leak into the shared per-user location.
     """
     from repro.cache import config as cache_config
-    from repro.cache.store import reset_cache
 
     monkeypatch.setenv(cache_config.CACHE_DIR_ENV, str(tmp_path / "repro-cache"))
-    previous = cache_config.set_config(cache_config.CacheConfig(enabled=False))
-    reset_cache()
     shared_before = _shared_cache_entries()
     yield
-    cache_config.set_config(previous)
-    reset_cache()
     leaked = _shared_cache_entries() - shared_before
     assert not leaked, f"test leaked cache entries into {_SHARED_CACHE}: {sorted(leaked)}"
 

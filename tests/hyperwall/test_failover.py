@@ -254,6 +254,32 @@ class TestLocalClusterFailover:
         # the event still propagated to the three survivors
         assert len(out["events"][0]["clients"]) == 3
 
+    def test_killed_client_cell_matches_an_undisturbed_run(self, registry):
+        """The cell of a client process killed on execute comes back
+        reassigned with the bytes an undisturbed wall draws: the
+        survivor rebuilds it from its workflow, and no result cache
+        answers for it anywhere."""
+        from repro.hyperwall.inproc import InProcessHyperwall
+
+        p = Pipeline(registry)
+        for _ in range(4):
+            build_cell_chain(p, width=32, height=24)
+        reference = InProcessHyperwall(p, QUAD_WALL)
+        expected = {
+            r["cell_id"]: r["image_digest"] for r in reference.execute_all()["clients"]
+        }
+        faults.arm("hyperwall.client.execute", "exit", match={"client": 2})
+        with LocalCluster(
+            p, n_clients=4, wall=QUAD_WALL, io_timeout=30.0, failover="reassign",
+        ) as cluster:
+            cluster.server.distribute_workflows()
+            cluster.server.execute_server()
+            reports = cluster.server.execute_clients()
+            assert 2 in cluster.server.dead_clients
+        statuses = sorted(r["status"] for r in reports)
+        assert statuses == ["live", "live", "live", "reassigned"]
+        assert {r["cell_id"]: r["image_digest"] for r in reports} == expected
+
     def test_degrade_cluster_serves_mirror(self, registry):
         p = Pipeline(registry)
         for _ in range(2):

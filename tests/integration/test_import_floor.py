@@ -1,14 +1,20 @@
-"""The process floor stays lean: no heavy scipy subpackage is imported.
+"""The process floor stays lean, and the layers stay apart.
+
+No heavy scipy subpackage is imported, and no kernel package imports
+the result cache.
 
 Every wall cell, GUI and serving process pays for what importing the
 application pulls in before it draws a frame.  ``scipy.stats`` alone
 was 45 MB and 0.6 s of that floor, dragging in ``scipy.optimize``,
 ``scipy.spatial``, ``scipy.sparse`` and ``scipy.linalg`` behind it.  The
 tree needs none of them (``scipy.special`` serves the one t-test), so
-this test names whichever import chain brings one back.
+this test names whichever import chain brings one back.  The result
+cache (``repro.cache``) belongs to the serving tier alone, so the
+rendering, data, analysis, workflow and DV3D packages must load
+without it.
 
-It runs in a fresh interpreter: the pytest process may long since have
-imported any of them for another test.
+Each check runs in a fresh interpreter: the pytest process may long
+since have imported any of them for another test.
 """
 
 from __future__ import annotations
@@ -77,25 +83,41 @@ def test_chain_follows_the_indentation():
     assert _culprit(tree, "scipy.sparse") == "scipy.sparse (no importtime line)"
 
 
-def test_app_and_serving_import_no_heavy_scipy_subpackage():
+def _fresh_import(code: str) -> tuple[list[str], list[tuple[int, str]]]:
+    """Run *code* in a fresh ``-X importtime`` interpreter: the module
+    names it prints, and its import tree."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (os.path.dirname(repro.__path__[0]), env.get("PYTHONPATH")) if p
-    )
-    # the scipy subpackages repro does use come first: whatever they pull
-    # in themselves depends on the scipy release (before 1.17,
-    # scipy.special imported scipy.linalg), so only what repro adds counts
-    code = (
-        "import sys; import scipy.ndimage, scipy.special; before = set(sys.modules); "
-        "import repro.app, repro.serving; "
-        f"print(*sorted(set({HEAVY!r}) & (set(sys.modules) - before)))"
     )
     done = subprocess.run(
         [sys.executable, "-X", "importtime", "-c", code],
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert done.returncode == 0, done.stderr
-    imported = done.stdout.split()
-    tree = _import_tree(done.stderr)
+    return done.stdout.split(), _import_tree(done.stderr)
+
+
+def test_app_and_serving_import_no_heavy_scipy_subpackage():
+    # the scipy subpackages repro does use come first: whatever they pull
+    # in themselves depends on the scipy release (before 1.17,
+    # scipy.special imported scipy.linalg), so only what repro adds counts
+    imported, tree = _fresh_import(
+        "import sys; import scipy.ndimage, scipy.special; before = set(sys.modules); "
+        "import repro.app, repro.serving; "
+        f"print(*sorted(set({HEAVY!r}) & (set(sys.modules) - before)))"
+    )
     culprits = [_culprit(tree, package) for package in imported]
     assert imported == [], "imported by:\n" + "\n".join(culprits)
+
+
+def test_kernels_do_not_import_the_result_cache():
+    # the result cache is the serving tier's store, handed to it: no
+    # kernel may reach one on its own
+    imported, tree = _fresh_import(
+        "import sys; "
+        "import repro.rendering, repro.cdms, repro.cdat, repro.workflow, repro.dv3d; "
+        "print(*sorted(m for m in sys.modules "
+        "if m == 'repro.cache' or m.startswith('repro.cache.')))"
+    )
+    assert imported == [], "imported by:\n" + _culprit(tree, "repro.cache")

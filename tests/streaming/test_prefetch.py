@@ -7,7 +7,6 @@ import time
 
 import pytest
 
-from repro import cache
 from repro.resilience import faults
 from repro.streaming.config import StreamingConfig
 from repro.streaming.dataset import StreamingSource
@@ -70,25 +69,6 @@ class TestDelivery:
                 value = prefetcher.get(index)
                 assert value.shape == layout.chunk_shape(layout.chunks[index])
             assert prefetcher.peak_resident_bytes <= budget
-
-    def test_enabled_result_cache_keeps_no_chunk(self, v2_path):
-        # the budget is the only bound on resident chunks, with the
-        # ambient result cache on too: a scan of 4x the budget leaves
-        # nothing behind in the memory tier
-        probe = StreamingSource(v2_path)
-        layout = probe.layout("ta")
-        budget = layout.n_chunks * chunk_bytes(probe) // 4
-        config = StreamingConfig(memory_budget_bytes=budget, prefetch_depth=8)
-        with cache.use_config(cache.CacheConfig(use_disk=False)):
-            cache.reset_cache()
-            with StreamingSource(v2_path, config) as source:
-                prefetcher = source.prefetcher("ta")
-                for index in range(layout.n_chunks):
-                    prefetcher.get(index)
-                assert prefetcher.peak_resident_bytes <= budget
-            memory_entries = cache.get_cache().stats()["memory_entries"]
-        cache.reset_cache()
-        assert memory_entries == 0
 
     def test_lookahead_actually_runs_ahead(self, v2_path):
         config = StreamingConfig(prefetch_depth=2)

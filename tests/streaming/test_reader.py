@@ -1,13 +1,12 @@
-"""The resilient chunk reader: verification, retries, quarantine, and no cache."""
+"""The resilient chunk reader: verification, retries and quarantine."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro import cache, obs
+from repro import obs
 from repro.cdms.storage import read_cdz
-from repro.data.catalog import synthetic_reanalysis
 from repro.resilience import faults
 from repro.streaming.config import StreamingConfig
 from repro.streaming.dataset import StreamingSource
@@ -95,34 +94,3 @@ class TestLowres:
         reader = StreamingSource(path, FAST).reader("ta")
         with pytest.raises(StreamingError, match="no low-resolution"):
             reader.read_lowres(reader.layout.chunks[0])
-
-
-class TestResultCache:
-    def test_disabled_cache_never_touched(self, tmp_path):
-        """Enabled or not, the result cache never sees a chunk: an eager
-        read under an enabled disk-tier cache stores nothing, and with
-        every disk entry damaged a re-read still returns the container's
-        values (the container is the one source of chunk bytes)."""
-        path = tmp_path / "reanalysis.cdz"
-        synthetic_reanalysis(nlat=8, nlon=12, nlev=3).save(path)
-        _, _, expected = read_cdz(path)
-        with cache.use_config(cache.CacheConfig(path=str(tmp_path / "c"))):
-            cache.reset_cache()
-            ambient = cache.get_cache()
-            read_cdz(path)
-            for entry in list(ambient.disk.entries()):
-                stored = bytearray(entry.read_bytes())
-                stored[len(stored) // 2] ^= 0xFF
-                entry.chmod(0o644)
-                entry.write_bytes(bytes(stored))
-            ambient.memory.clear()
-            _, _, again = read_cdz(path)
-            stats = ambient.stats()
-        cache.reset_cache()
-        assert len(again) == len(expected) == 5
-        for got, want in zip(again, expected):
-            assert got.filled().tobytes() == want.filled().tobytes(), got.id
-        assert stats == {
-            "hits": 0, "misses": 0, "evictions": 0,
-            "memory_entries": 0, "disk_entries": 0,
-        }
