@@ -11,8 +11,10 @@ All grouping runs through the group-by accumulator kernel
 needs only time-axis metadata, the payload streams through slab by
 slab, and the per-group sum/count state is sized by the output (e.g.
 12 maps for a monthly climatology) — so a climatology over a streamed
-``.cdz`` container runs within the prefetcher's memory budget while
-remaining byte-identical to the eager computation.
+``.cdz`` container holds one chunk at a time while remaining
+byte-identical to the eager computation.  Month membership is derived
+once per call: :func:`anomalies` hands it to the climatology it
+subtracts.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import numpy as np
 
 from repro.cdat import slabkernels
 from repro.cdms.axis import Axis
-from repro.cdms.slabs import map_slabs, materialize
+from repro.cdms.slabs import materialize
 from repro.cdms.variable import Variable
 from repro.util.errors import CDATError
 
@@ -68,6 +70,10 @@ def _group_mean(
 def monthly_climatology(var: Variable) -> Variable:
     """12-point mean annual cycle; output axis ``month`` has values 1..12."""
     dim, months, _years = _time_months_years(var)
+    return _monthly_mean(var, dim, months)
+
+
+def _monthly_mean(var: Variable, dim: int, months: np.ndarray) -> Variable:
     groups = [np.nonzero(months == m)[0] for m in range(1, 13)]
     return _group_mean(var, dim, groups, list(range(1, 13)), "month", "month of year")
 
@@ -89,29 +95,40 @@ def seasonal_climatology(var: Variable) -> Variable:
 def anomalies(var: Variable) -> Variable:
     """Departures from the monthly climatology, same shape as the input.
 
-    The climatology accumulates in one streaming pass; the subtraction
-    is elementwise per time step, so a second pass maps over slabs.
+    The climatology accumulates in one streaming pass; the second pass
+    subtracts each slab's months from it into one preallocated output.
+    Its bits are those of subtracting per slab and joining the slabs
+    with ``np.ma.concatenate``: a mask with no masked point is
+    ``nomask`` and the fill value is numpy's default.  A one-slab input
+    returns its one difference as it is.
     """
     dim, months, _years = _time_months_years(var)
     if var.slab_count() > 1 and var.slab_axis() != dim:
         var = materialize(var, op="anomalies")
-    clim = monthly_climatology(var)
-    clim_data = np.moveaxis(clim.data, dim, 0)  # (12, ...)
+    clim_data = np.moveaxis(_monthly_mean(var, dim, months).data, dim, 0)  # (12, ...)
+    out = mask = None
+    where = [slice(None)] * var.ndim
     pos = 0
-
-    def subtract(slab: Variable) -> Variable:
-        nonlocal pos
-        data = np.moveaxis(slab.data, dim, 0)
-        k = data.shape[0]
-        anom = data - clim_data[months[pos : pos + k] - 1]
+    for slab in var.iter_slabs():
+        block = np.moveaxis(slab, dim, 0)
+        k = block.shape[0]
+        anom = np.moveaxis(block - clim_data[months[pos : pos + k] - 1], 0, dim)
+        if k == var.shape[dim]:
+            data = anom
+            break
+        if out is None:
+            out = np.empty(var.shape, dtype=anom.dtype)
+            mask = np.zeros(var.shape, dtype=bool)
+        where[dim] = slice(pos, pos + k)
+        out[tuple(where)] = np.ma.getdata(anom)
+        mask[tuple(where)] = np.ma.getmaskarray(anom)
         pos += k
-        anom = np.moveaxis(anom, 0, dim)
-        return Variable(
-            anom, slab.axes, id=f"anom({var.id})",
-            missing_value=var.missing_value, attributes=dict(var.attributes),
-        )
-
-    return map_slabs(subtract, var, id=f"anom({var.id})")
+    else:
+        data = np.ma.MaskedArray(out, mask=mask if mask.any() else np.ma.nomask)
+    return Variable(
+        data, var.axes, id=f"anom({var.id})",
+        missing_value=var.missing_value, attributes=dict(var.attributes),
+    )
 
 
 def annual_mean(var: Variable) -> Variable:

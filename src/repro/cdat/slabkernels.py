@@ -141,41 +141,59 @@ def fold_group_stats(
     n_groups: int,
     op: str = "group",
 ) -> Dict[str, np.ndarray]:
-    """Per-group sum / count / min / max along *dim* in one pass.
+    """Per-group ``sums`` and ``counts`` along *dim* in one pass.
 
     Rows of each group are accumulated in ascending storage order, so
     the sums match ``np.ma.mean``'s internal ``add.reduce`` over the
-    gathered group bitwise (and min/max are order-independent).
+    gathered group bitwise.
     """
     acct = SlabAccounting(op)
-    sums = counts = mins = maxs = None
+    sums = counts = None
     for start, stop, block in iter_blocks(var, dim, op=op):
         if sums is None:
-            spatial = block.shape[1:]
-            sums = np.zeros((n_groups,) + spatial, dtype=np.float64)
-            counts = np.zeros((n_groups,) + spatial, dtype=np.float64)
-            mins = np.full((n_groups,) + spatial, np.inf, dtype=np.float64)
-            maxs = np.full((n_groups,) + spatial, -np.inf, dtype=np.float64)
-        valid = ~np.ma.getmaskarray(block)
+            sums = np.zeros((n_groups,) + block.shape[1:], dtype=np.float64)
+            counts = np.zeros_like(sums)
+        mask = np.ma.getmask(block)
+        valid = None if mask is np.ma.nomask else ~mask
         filled = np.asarray(block.filled(0.0), dtype=np.float64)
-        acct.note(block, sums, counts, mins, maxs)
-        local = group_of[start:stop]
-        for g in np.unique(local):
-            if g < 0:
-                continue
-            rows = np.nonzero(local == g)[0]
-            sums[g] = extend_sum(sums[g], filled[rows])
-            counts[g] = extend_sum(counts[g], valid[rows].astype(np.float64))
-            mins[g] = np.minimum(
-                mins[g], np.where(valid[rows], filled[rows], np.inf).min(axis=0)
-            )
-            maxs[g] = np.maximum(
-                maxs[g], np.where(valid[rows], filled[rows], -np.inf).max(axis=0)
-            )
+        acct.note(block, sums, counts)
+        for g, rows in _group_rows(group_of[start:stop]):
+            _add_rows(sums, g, rows, filled)
+            _add_rows(counts, g, rows, valid)
     if sums is None:
         raise CDATError(f"fold_group_stats: variable {var.id!r} has no rows")
     acct.finish()
-    return {"sums": sums, "counts": counts, "mins": mins, "maxs": maxs}
+    return {"sums": sums, "counts": counts}
+
+
+def _group_rows(local: np.ndarray) -> Iterator[Tuple[int, np.ndarray]]:
+    """``(group, ascending row indices)`` of each group in one slab."""
+    for g in np.unique(local):
+        if g >= 0:
+            yield int(g), np.nonzero(local == g)[0]
+
+
+def _add_rows(
+    acc: np.ndarray, g: int, rows: np.ndarray, block: Optional[np.ndarray]
+) -> None:
+    """``acc[g] = extend_sum(acc[g], block[rows])``, adding row by row in place.
+
+    Bit for bit the same, without gathering the rows into a copy.
+    *block* ``None`` stands for rows of ones: the count of a slab with
+    no mask.
+    """
+    target = acc[g]
+    if target.size <= 1:  # extend_sum's one-element case reduces pairwise
+        gathered = (
+            np.ones((rows.size,) + acc.shape[1:]) if block is None else block[rows]
+        )
+        acc[g] = extend_sum(target, gathered)
+    elif block is None:
+        for _ in rows:
+            target += 1.0
+    else:
+        for row in rows:
+            np.add(target, block[row], out=target)
 
 
 def group_means(sums: np.ndarray, counts: np.ndarray) -> np.ma.MaskedArray:
@@ -200,16 +218,17 @@ def fold_group_squared_deviations(
     for start, stop, block in iter_blocks(var, dim, op=op):
         if ssq is None:
             ssq = np.zeros((n_groups,) + block.shape[1:], dtype=np.float64)
-        valid = ~np.ma.getmaskarray(block)
+        mask = np.ma.getmask(block)
         filled = np.asarray(block.filled(0.0), dtype=np.float64)
         acct.note(block, ssq)
         local = group_of[start:stop]
-        for g in np.unique(local):
-            if g < 0:
-                continue
-            rows = np.nonzero(local == g)[0]
-            d = np.where(valid[rows], filled[rows] - mean0[g], 0.0)
-            ssq[g] = extend_sum(ssq[g], d * d)
+        # every row's deviation from its group mean (an ungrouped row's is unused)
+        d = filled - mean0[local]
+        if mask is not np.ma.nomask:
+            d = np.where(mask, 0.0, d)
+        d *= d
+        for g, rows in _group_rows(local):
+            _add_rows(ssq, g, rows, d)
     if ssq is None:
         raise CDATError(f"fold_group_squared_deviations: no rows in {var.id!r}")
     acct.finish()

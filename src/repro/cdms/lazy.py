@@ -4,7 +4,8 @@ A :class:`LazyVariable` presents the full Variable protocol — axes,
 attributes, indexing, coordinate subsetting, scalar ranges — while its
 payload lives in a chunked v2 ``.cdz`` container.  Indexing reads only
 the chunks covering the request (through the variable's bounded-memory
-:class:`~repro.streaming.prefetch.Prefetcher`) and returns an ordinary
+:class:`~repro.streaming.prefetch.Prefetcher`, whose thread runs ahead
+of a cursor moving at display rate) and returns an ordinary
 in-memory :class:`Variable`, byte-identical to what slicing the eagerly
 loaded equivalent would produce — the correctness contract the
 differential tests pin.  A request inside one chunk is a read-only
@@ -16,8 +17,10 @@ Operations that genuinely need the whole array (arithmetic, global
 reductions) still work: the ``_data`` escape hatch materializes the
 full variable once, counts ``streaming.materialize.full`` so the leak
 is observable, and caches it.  Folds should use :meth:`iter_slabs`
-instead, which walks the chunk table within the memory budget and
-yields each chunk's masked array, no :class:`Variable` around it.
+instead, which walks the chunk table one chunk at a time and yields
+each chunk's masked array, no :class:`Variable` around it.  A scan
+consumes every chunk in storage order as fast as it can compute, so it
+reads each one on the caller's thread: it starts no prefetch thread.
 
 The :meth:`degraded` context arms the degradation ladder: inside it, a
 chunk whose full-resolution read fails (after retries) is substituted
@@ -87,8 +90,10 @@ class LazyVariable(Variable):
         return int(self.layout.chunk_axis)
 
     def iter_slabs(self) -> Iterator[np.ma.MaskedArray]:
+        """Each chunk in storage order, read on the caller's thread."""
+        whole = (slice(None),) * self.ndim
         for chunk in self.layout.chunks:
-            yield self._chunk_view(chunk, (slice(None),) * self.ndim)
+            yield self._chunk_view(chunk, whole, prefetch=False)
 
     def prefetch_hint(self, axis_index: int) -> None:
         """Hint that *axis_index* along the chunk axis is wanted next.
@@ -121,17 +126,20 @@ class LazyVariable(Variable):
     # -- chunk delivery -----------------------------------------------------
 
     def _chunk_view(
-        self, chunk: ChunkMeta, index: Tuple[slice, ...]
+        self, chunk: ChunkMeta, index: Tuple[slice, ...], prefetch: bool
     ) -> np.ma.MaskedArray:
         """``payload[index]`` of *chunk*: a read-only view, masked once.
 
+        With *prefetch* the chunk comes through the variable's
+        :class:`~repro.streaming.prefetch.Prefetcher` (its cursor moves
+        here), otherwise straight from the reader on this thread.
         A chunk whose manifest counts every value valid and finite gets
         ``nomask`` (the writer counted with the same :func:`mask_missing`
         rule); any other chunk, and every low-resolution fallback, has
         its mask computed on the requested view only.
         """
         try:
-            if self.source.config.prefetch:
+            if prefetch:
                 raw = self.source.prefetcher(self.id).get(chunk.index)
             else:
                 raw = self.source.reader(self.id).read_chunk(chunk)
@@ -151,6 +159,17 @@ class LazyVariable(Variable):
     # -- indexing -----------------------------------------------------------
 
     def __getitem__(self, key: Any) -> Variable:
+        """A cursor read: the chunks come through the prefetch pipeline
+        (read inline when the config turns prefetch off)."""
+        return self._select(key, prefetch=self.source.config.prefetch)
+
+    def _select(self, key: Any, prefetch: bool) -> Variable:
+        """``self[key]``; *prefetch* False reads on the caller's thread.
+
+        A scan of the whole variable (:func:`repro.cdms.slabs.materialize`,
+        :func:`repro.cdms.slabs.iter_aligned_slabs`, the ``_data`` escape
+        hatch) reads this way; only a cursor runs the prefetch thread.
+        """
         index = self._index(key)
         axes = self._sub_axes(index)  # raises on an empty selection
         axis = self.layout.chunk_axis
@@ -166,7 +185,9 @@ class LazyVariable(Variable):
             stop = run[-1] - chunk.start + (1 if step > 0 else -1)
             local = slice(run[0] - chunk.start, stop if stop >= 0 else None, step)
             pieces.append(
-                self._chunk_view(chunk, index[:axis] + (local,) + index[axis + 1 :])
+                self._chunk_view(
+                    chunk, index[:axis] + (local,) + index[axis + 1 :], prefetch
+                )
             )
             i += len(run)
         if len(pieces) == 1:
@@ -206,7 +227,7 @@ class LazyVariable(Variable):
             if obs.enabled():
                 obs.counter("streaming.materialize.full", var=self.id)
             index = tuple(slice(None) for _ in range(self.ndim))
-            self._materialized = LazyVariable.__getitem__(self, index).data
+            self._materialized = self._select(index, prefetch=False).data
         return self._materialized
 
     # -- transport ----------------------------------------------------------

@@ -36,6 +36,7 @@ from typing import Any, Callable, Iterator, List, Optional, Tuple, Type
 
 import numpy as np
 
+from repro.cdms.lazy import LazyVariable
 from repro.cdms.variable import Variable
 from repro.util.errors import CDMSError
 
@@ -69,9 +70,9 @@ def iter_aligned_slabs(*variables: Variable) -> Iterator[Tuple[Variable, ...]]:
     The variable with the finest partition drives: its slab ranges are
     applied (along its slab axis) to every other variable via indexing,
     so each yielded tuple covers the same index range of every input.
-    Indexing a lazy variable reads only the chunks covering the range
-    (through its prefetcher), so joint iteration stays within the
-    streaming memory budget; indexing an eager variable is a view.
+    Indexing a lazy variable reads only the chunks covering the range,
+    on this thread (a scan, see :func:`_scan_select`), so joint iteration
+    holds one range at a time; indexing an eager variable is a view.
     """
     if not variables:
         return
@@ -89,14 +90,27 @@ def iter_aligned_slabs(*variables: Variable) -> Iterator[Tuple[Variable, ...]]:
             )
     for start, stop in slab_ranges(driver):
         yield tuple(
-            var[
+            _scan_select(
+                var,
                 tuple(
                     slice(start, stop) if dim == axis else slice(None)
                     for dim in range(var.ndim)
-                )
-            ]
+                ),
+            )
             for var in variables
         )
+
+
+def _scan_select(var: Variable, index: Tuple[slice, ...]) -> Variable:
+    """``var[index]`` as one step of a scan over the whole variable.
+
+    A scan takes every chunk in storage order as fast as it computes,
+    so a streamed variable reads the chunks on the caller's thread;
+    ``var[index]`` itself is a cursor read, through the prefetch thread.
+    """
+    if isinstance(var, LazyVariable):
+        return var._select(index, prefetch=False)
+    return var[index]
 
 
 # -- scalar-range policy (shared by the DV3D plot types) -------------------
@@ -170,7 +184,7 @@ def materialize(var: Variable, op: str = "") -> Variable:
     if obs.enabled():
         obs.counter("cdat.materialize", var=var.id, op=op or "unknown")
     full = tuple(slice(None) for _ in range(var.ndim))
-    return var[full]
+    return _scan_select(var, full)
 
 
 def map_slabs(

@@ -78,6 +78,20 @@ class TestAnomalies:
         # anomalies of a rising series rise within each month bucket
         assert data[-1] > data[0]
 
+    def test_month_membership_is_derived_once(self, monkeypatch):
+        var, _ = monthly_series()
+        time = var.get_time()
+        calls = []
+        convert = time.as_component_time
+
+        def counted():
+            calls.append(1)
+            return convert()
+
+        monkeypatch.setattr(time, "as_component_time", counted)
+        anomalies(var)
+        assert len(calls) == 1
+
     def test_monthly_mean_of_anomalies_is_zero(self, ta):
         anom = anomalies(ta)
         clim_of_anom = monthly_climatology(anom)
