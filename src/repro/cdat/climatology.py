@@ -12,9 +12,10 @@ needs only time-axis metadata, the payload streams through slab by
 slab, and the per-group sum/count state is sized by the output (e.g.
 12 maps for a monthly climatology) — so a climatology over a streamed
 ``.cdz`` container holds one chunk at a time while remaining
-byte-identical to the eager computation.  Month membership is derived
-once per call: :func:`anomalies` hands it to the climatology it
-subtracts.
+byte-identical to the eager computation.  :func:`anomalies` reads each
+chunk once: the climatology pass also copies the series into the
+output, which already has to hold all of it, and the climatology is
+subtracted there in place.
 """
 
 from __future__ import annotations
@@ -95,35 +96,43 @@ def seasonal_climatology(var: Variable) -> Variable:
 def anomalies(var: Variable) -> Variable:
     """Departures from the monthly climatology, same shape as the input.
 
-    The climatology accumulates in one streaming pass; the second pass
-    subtracts each slab's months from it into one preallocated output.
-    Its bits are those of subtracting per slab and joining the slabs
-    with ``np.ma.concatenate``: a mask with no masked point is
-    ``nomask`` and the fill value is numpy's default.  A one-slab input
-    returns its one difference as it is.
+    One read of the input.  A streamed input's climatology pass writes
+    each slab into the preallocated output as it folds it; the
+    climatology is then subtracted in place, one row at a time, so no
+    series-sized temporary appears and nothing else is kept.  The bits
+    are those of subtracting per slab with ``np.ma`` and joining the
+    slabs with ``np.ma.concatenate``: a masked point keeps the input's
+    data, a mask with no masked point is ``nomask`` and the fill value
+    is numpy's default.  A one-slab input returns its one ``np.ma``
+    difference as it is.
     """
     dim, months, _years = _time_months_years(var)
     if var.slab_count() > 1 and var.slab_axis() != dim:
         var = materialize(var, op="anomalies")
-    clim_data = np.moveaxis(_monthly_mean(var, dim, months).data, dim, 0)  # (12, ...)
-    out = mask = None
-    where = [slice(None)] * var.ndim
-    pos = 0
-    for slab in var.iter_slabs():
-        block = np.moveaxis(slab, dim, 0)
-        k = block.shape[0]
-        anom = np.moveaxis(block - clim_data[months[pos : pos + k] - 1], 0, dim)
-        if k == var.shape[dim]:
-            data = anom
-            break
-        if out is None:
-            out = np.empty(var.shape, dtype=anom.dtype)
-            mask = np.zeros(var.shape, dtype=bool)
-        where[dim] = slice(pos, pos + k)
-        out[tuple(where)] = np.ma.getdata(anom)
-        mask[tuple(where)] = np.ma.getmaskarray(anom)
-        pos += k
+    copy_to = None
+    if var.slab_count() > 1:
+        out = np.empty(var.shape, dtype=np.result_type(var.dtype, np.float64))
+        mask = np.zeros(var.shape, dtype=bool)
+        copy_to = (np.moveaxis(out, dim, 0), np.moveaxis(mask, dim, 0))
+    stats = slabkernels.fold_group_stats(
+        var, dim, months - 1, 12, op="month", copy_to=copy_to
+    )
+    sums, counts = stats["sums"], stats["counts"]  # (12, ...)
+    if copy_to is None:
+        clim = slabkernels.group_means(sums, counts)
+        (slab,) = var.iter_slabs()
+        anom = np.moveaxis(slab, dim, 0) - clim[months - 1]
+        data = np.moveaxis(anom, 0, dim)
     else:
+        rows, row_masks = copy_to
+        for month in range(12):
+            # one month's mean at a time: no 12-map temporaries beside the output
+            clim = slabkernels.group_means(sums[month : month + 1], counts[month : month + 1])
+            clim_data, clim_mask = np.ma.getdata(clim)[0], np.ma.getmaskarray(clim)[0]
+            for t in np.nonzero(months == month + 1)[0]:
+                row, row_mask = rows[t : t + 1], row_masks[t : t + 1]  # views, also in 1-D
+                row_mask |= clim_mask
+                np.subtract(row, clim_data, out=row, where=~row_mask)
         data = np.ma.MaskedArray(out, mask=mask if mask.any() else np.ma.nomask)
     return Variable(
         data, var.axes, id=f"anom({var.id})",

@@ -11,7 +11,10 @@ The field never has to fit in memory: phase membership is decided from
 the (tiny, 1-D) index series, the per-phase means accumulate through
 the group-by kernel, and the Welch statistic is computed from streamed
 sufficient statistics (per-point n, mean and variance of each phase)
-rather than from gathered samples.
+rather than from gathered samples.  The variance pass replays the
+blocks the mean pass read when the field fits its streaming budget
+(:class:`~repro.cdat.slabkernels.BlockPasses`), so a chunk is read
+once; a field over budget is read twice.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ import numpy as np
 from scipy import special
 
 from repro.cdat.slabkernels import (
+    BlockPasses,
     fold_group_squared_deviations,
     fold_group_stats,
     group_means,
@@ -129,19 +133,24 @@ def composite_analysis(
     t_dim = field.axis_index("time")
     spatial_axes = tuple(a for i, a in enumerate(field.axes) if i != t_dim)
 
-    # phase membership along time → two streamed accumulator passes
+    # phase membership along time → two accumulator passes over one read
     group_of = np.full(field.shape[t_dim], -1, dtype=np.int64)
     group_of[high_steps] = 0
     group_of[low_steps] = 1
-    phase_stats = fold_group_stats(field, t_dim, group_of, 2, op="composite")
+    # two phases' sums, counts and squared deviations
+    passes = BlockPasses(field, t_dim, accumulators=6)
+    phase_stats = fold_group_stats(
+        field, t_dim, group_of, 2, op="composite", passes=passes
+    )
     means = group_means(phase_stats["sums"], phase_stats["counts"])
     high_mean = means[0]
     low_mean = means[1]
     difference = high_mean - low_mean
 
     ssq = fold_group_squared_deviations(
-        field, t_dim, group_of, means, op="composite.ssq"
+        field, t_dim, group_of, means, op="composite.ssq", passes=passes
     )
+    del passes  # the kept blocks go before the Welch statistics
     counts = phase_stats["counts"]
     with np.errstate(all="ignore"):
         v0 = ssq[0] / (counts[0] - 1.0)  # ddof=1 per-phase variance

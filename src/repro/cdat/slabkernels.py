@@ -34,37 +34,58 @@ Operations that genuinely need the full series per point (percentiles
 along the slab axis) gather explicitly through
 :func:`repro.cdms.slabs.materialize`, observable as ``cdat.materialize``.
 
+A fold that walks its input twice (moments, composites) reads through
+:class:`BlockPasses`: when the whole input fits its streaming budget
+beside the accumulators, the second pass replays the read-only blocks
+the first pass verified instead of reading every chunk again.
+
 Accounting: each kernel run counts the slabs it consumed
 (``cdat.slabs``) and gauges the largest block-plus-accumulator resident
-set it held (``cdat.peak_resident.bytes``).  Accumulators exclude
-outputs shaped like the input (a running mean's output is inherently
-full-size); the bounded-resident guarantee is about reductions whose
-outputs are smaller than their inputs.
+set it held (``cdat.peak_resident.bytes``), blocks kept for a later
+pass included.  Accumulators exclude outputs shaped like the input (a
+running mean's output is inherently full-size); the bounded-resident
+guarantee is about reductions whose outputs are smaller than their
+inputs.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
 from repro import obs
+from repro.cdms.lazy import LazyVariable
 from repro.cdms.slabs import is_streamed, iter_aligned_slabs, materialize, slab_axis
 from repro.cdms.variable import Variable
 from repro.util.errors import CDATError
 
 
 class SlabAccounting:
-    """Slab count and peak resident-set bytes for one kernel run."""
+    """Slab count and peak resident-set bytes for one kernel run.
+
+    A block a multi-pass fold keeps (:class:`BlockPasses`) stays
+    resident until the kernel returns: :meth:`keep` adds it to every
+    later :meth:`note`, which then does not count it a second time.
+    """
 
     def __init__(self, op: str) -> None:
         self.op = op
         self.slabs = 0
         self.peak_bytes = 0
+        self._kept_bytes = 0
+        self._kept_ids: Set[int] = set()
+
+    def keep(self, block: np.ndarray) -> None:
+        if id(block) not in self._kept_ids:
+            self._kept_ids.add(id(block))
+            self._kept_bytes += _nbytes(block)
 
     def note(self, *arrays: object) -> None:
         self.slabs += 1
-        resident = sum(_nbytes(a) for a in arrays)
+        resident = self._kept_bytes + sum(
+            _nbytes(a) for a in arrays if id(a) not in self._kept_ids
+        )
         if resident > self.peak_bytes:
             self.peak_bytes = resident
 
@@ -103,9 +124,11 @@ def extend_sum(acc: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return out
 
 
-def iter_blocks(
-    var: Variable, dim: int, op: str = ""
-) -> Iterator[Tuple[int, int, np.ma.MaskedArray]]:
+#: one ``(start, stop, block)`` item of :func:`iter_blocks`
+Block = Tuple[int, int, np.ma.MaskedArray]
+
+
+def iter_blocks(var: Variable, dim: int, op: str = "") -> Iterator[Block]:
     """Yield ``(start, stop, block)`` slabs with *dim* rotated to axis 0.
 
     Slabs arrive in storage order, so folding the yielded rows performs
@@ -121,6 +144,51 @@ def iter_blocks(
         block = slab if dim == 0 else np.moveaxis(slab, dim, 0)
         yield pos, pos + block.shape[0], block
         pos += block.shape[0]
+
+
+class BlockPasses:
+    """:func:`iter_blocks` for a fold that walks its input more than once.
+
+    The first pass reads through :func:`iter_blocks`.  It keeps the
+    read-only blocks it yields when *var* fits its budget, and every
+    later pass replays them, so each chunk comes off disk, and through
+    the reader's sha256 check, once per fold.  A streamed variable fits
+    when its decoded payload, a worst-case one-byte-per-value mask and
+    the fold's *accumulators* (how many float64 arrays shaped like one
+    row along *dim* it holds) fit its source's ``memory_budget_bytes``;
+    one that does not is read again on every pass.  An eager variable
+    always fits: its one slab is memory it already owns.  The kept
+    blocks live as long as this object, which a kernel drops when it
+    returns; each pass counts them resident in its kernel's
+    :class:`SlabAccounting`.
+    """
+
+    def __init__(self, var: Variable, dim: int, accumulators: int) -> None:
+        self.var = var
+        self.dim = dim
+        self._keeps = True
+        if isinstance(var, LazyVariable):
+            row = var.shape[:dim] + var.shape[dim + 1 :]
+            held = var.layout.total_nbytes() + var.size
+            held += accumulators * 8 * int(np.prod(row, dtype=np.int64))
+            self._keeps = held <= var.source.config.memory_budget_bytes
+        self._kept: Optional[List[Block]] = None
+
+    def __call__(self, op: str, acct: SlabAccounting) -> Iterator[Block]:
+        """One pass over the blocks, in storage order."""
+        if self._kept is not None:
+            for item in self._kept:
+                acct.keep(item[2])
+            yield from self._kept
+            return
+        kept: List[Block] = []
+        for item in iter_blocks(self.var, self.dim, op=op):
+            if self._keeps:
+                kept.append(item)
+                acct.keep(item[2])
+            yield item
+        if self._keeps:
+            self._kept = kept
 
 
 # -- grouped accumulators (climatologies, composites) ----------------------
@@ -140,21 +208,31 @@ def fold_group_stats(
     group_of: np.ndarray,
     n_groups: int,
     op: str = "group",
+    passes: Optional[BlockPasses] = None,
+    copy_to: Optional[Tuple[np.ndarray, np.ndarray]] = None,
 ) -> Dict[str, np.ndarray]:
     """Per-group ``sums`` and ``counts`` along *dim* in one pass.
 
     Rows of each group are accumulated in ascending storage order, so
     the sums match ``np.ma.mean``'s internal ``add.reduce`` over the
-    gathered group bitwise.
+    gathered group bitwise.  A caller that folds *var* again after this
+    pass hands both folds the same *passes*.  *copy_to*, a data and a
+    mask array shaped like *var* with *dim* first, receives each
+    block's data and mask as the block passes.
     """
     acct = SlabAccounting(op)
+    blocks = iter_blocks(var, dim, op=op) if passes is None else passes(op, acct)
     sums = counts = None
-    for start, stop, block in iter_blocks(var, dim, op=op):
+    for start, stop, block in blocks:
         if sums is None:
             sums = np.zeros((n_groups,) + block.shape[1:], dtype=np.float64)
             counts = np.zeros_like(sums)
         mask = np.ma.getmask(block)
         valid = None if mask is np.ma.nomask else ~mask
+        if copy_to is not None:
+            copy_to[0][start:stop] = np.ma.getdata(block)
+            if valid is not None:
+                copy_to[1][start:stop] = mask
         filled = np.asarray(block.filled(0.0), dtype=np.float64)
         acct.note(block, sums, counts)
         for g, rows in _group_rows(group_of[start:stop]):
@@ -209,13 +287,19 @@ def fold_group_squared_deviations(
     group_of: np.ndarray,
     means: np.ndarray,
     op: str = "group_ssq",
+    passes: Optional[BlockPasses] = None,
 ) -> np.ndarray:
-    """Σ (x − mean_g)² per group — the second pass of grouped moments."""
+    """Σ (x − mean_g)² per group — the second pass of grouped moments.
+
+    Given the *passes* the first pass (:func:`fold_group_stats`) read
+    through, it replays the blocks that pass kept.
+    """
     n_groups = means.shape[0]
     mean0 = np.asarray(np.ma.filled(means, 0.0), dtype=np.float64)
     acct = SlabAccounting(op)
+    blocks = iter_blocks(var, dim, op=op) if passes is None else passes(op, acct)
     ssq: Optional[np.ndarray] = None
-    for start, stop, block in iter_blocks(var, dim, op=op):
+    for start, stop, block in blocks:
         if ssq is None:
             ssq = np.zeros((n_groups,) + block.shape[1:], dtype=np.float64)
         mask = np.ma.getmask(block)
@@ -275,11 +359,15 @@ def fold_moments(
 
     Matches ``np.ma.mean`` / ``np.ma.var`` (ddof 0) bitwise: pass one
     accumulates sums and counts; pass two accumulates squared
-    deviations from the pass-one mean.
+    deviations from the pass-one mean.  Pass two replays the blocks
+    pass one read when *var* fits its streaming budget beside the three
+    accumulators (:class:`BlockPasses`), so each chunk is read once;
+    otherwise it reads them again.
     """
     acct = SlabAccounting(op)
+    passes = BlockPasses(var, dim, accumulators=3)  # sums, counts, ssq
     sums = counts = None
-    for _start, _stop, block in iter_blocks(var, dim, op=op + ".mean"):
+    for _start, _stop, block in passes(op + ".mean", acct):
         if sums is None:
             sums = np.zeros(block.shape[1:], dtype=np.float64)
             counts = np.zeros(block.shape[1:], dtype=np.float64)
@@ -293,7 +381,7 @@ def fold_moments(
     mean0 = np.asarray(mean.filled(0.0))
 
     ssq = np.zeros_like(sums)
-    for _start, _stop, block in iter_blocks(var, dim, op=op + ".ssq"):
+    for _start, _stop, block in passes(op + ".ssq", acct):
         valid = ~np.ma.getmaskarray(block)
         filled = np.asarray(block.filled(0.0), dtype=np.float64)
         acct.note(block, ssq)

@@ -119,7 +119,10 @@ def standardize(var: Variable, axis: str = "time") -> Variable:
 
     Points whose standard deviation is zero are masked.  Along the slab
     axis this is two accumulator passes (mean, then squared deviations)
-    plus a per-slab transform pass — three bounded-memory sweeps.
+    plus a per-slab transform pass — three bounded-memory sweeps.  The
+    two accumulator passes share one read of each chunk when the
+    variable fits its streaming budget (:func:`fold_moments`); the
+    transform pass reads the chunks again.
     """
     dim = var.axis_index(axis)
     out_id = f"std({var.id})"

@@ -18,9 +18,10 @@ Design constraints:
   no-op singleton and every metric call is a single guarded return, so
   instrumented kernels run at seed speed with recording off (the
   default);
-* **thread-aware** — span stacks are thread-local (the executor runs
-  modules on a ``ThreadPoolExecutor``); cross-thread parenting is
-  explicit via ``parent_id``.
+* **context-aware** — span stacks are per execution context: per
+  thread (the executor runs modules on a ``ThreadPoolExecutor``) and
+  per ``asyncio`` task; cross-thread parenting is explicit via
+  ``parent_id``.
 
 Usage::
 

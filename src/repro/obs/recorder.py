@@ -2,10 +2,15 @@
 
 A :class:`Recorder` accumulates completed :class:`SpanRecord` rows plus
 counter/gauge/histogram series.  Span parent/child structure comes from
-a *thread-local* stack of open spans — the executor runs modules on a
-``ThreadPoolExecutor``, so each worker thread nests independently;
-cross-thread edges are created explicitly by passing ``parent_id``
-(captured on the dispatching thread with :func:`current_span_id`).
+a stack of open spans held in a :class:`contextvars.ContextVar`, one
+per execution context: each thread starts with an empty stack (the
+executor runs modules on a ``ThreadPoolExecutor``, so each worker
+thread nests independently), and each ``asyncio`` task works on its
+own copy, so two requests interleaved on one event loop build disjoint
+trees.  The stack is an immutable tuple, so a copied context never
+shares it.  Cross-thread edges are created explicitly by passing
+``parent_id`` (captured on the dispatching thread with
+:func:`current_span_id`).
 
 The module-level functions (:func:`span`, :func:`counter`,
 :func:`gauge`, :func:`histogram`) are the instrumentation API used by
@@ -16,11 +21,12 @@ instrumented kernels run at full speed by default.
 
 from __future__ import annotations
 
+import contextvars
 import json
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional
+from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from repro.obs.metrics import (
     HistogramData,
@@ -131,7 +137,10 @@ class Recorder:
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        self._tls = threading.local()
+        #: this context's open spans, innermost last
+        self._open: contextvars.ContextVar[Tuple[Span, ...]] = contextvars.ContextVar(
+            "repro.obs.open_spans", default=()
+        )
         self._next_id = 1
         self.epoch = time.perf_counter()
         self.spans: List[SpanRecord] = []
@@ -141,36 +150,29 @@ class Recorder:
 
     # -- spans ---------------------------------------------------------------
 
-    def _stack(self) -> List[Span]:
-        stack = getattr(self._tls, "stack", None)
-        if stack is None:
-            stack = self._tls.stack = []
-        return stack
-
     def span(
         self, name: str, parent_id: Optional[int] = None, **attrs: Any
     ) -> Span:
-        """Open a span; nest under the thread's current span by default."""
+        """Open a span; nest under the context's current span by default."""
         with self._lock:
             span_id = self._next_id
             self._next_id += 1
         if parent_id is None:
-            stack = self._stack()
-            parent_id = stack[-1].id if stack else None
+            parent_id = self.current_span_id()
         return Span(self, span_id, parent_id, name, dict(attrs))
 
     def current_span_id(self) -> Optional[int]:
-        """Id of this thread's innermost open span (None at top level)."""
-        stack = self._stack()
+        """Id of this context's innermost open span (None at top level)."""
+        stack = self._open.get()
         return stack[-1].id if stack else None
 
     def _push(self, span: Span) -> None:
-        self._stack().append(span)
+        self._open.set(self._open.get() + (span,))
 
     def _pop(self, span: Span, duration: float) -> None:
-        stack = self._stack()
+        stack = self._open.get()
         if stack and stack[-1] is span:
-            stack.pop()
+            self._open.set(stack[:-1])
         record = SpanRecord(
             span_id=span.id if span.id is not None else 0,
             parent_id=span.parent_id,

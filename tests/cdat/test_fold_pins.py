@@ -29,6 +29,7 @@ from repro.cache.keys import digest
 from repro.cdat import statistics
 from repro.cdat.averages import running_mean
 from repro.cdat.climatology import anomalies
+from repro.cdat.composites import _welch_from_moments, composite_analysis
 from repro.cdat.slabkernels import (
     extend_sum,
     fold_group_squared_deviations,
@@ -376,3 +377,91 @@ def test_group_folds_of_a_series(tmp_path, chunk_timesteps):
             assert bits(stats["counts"]) == bits(counts)
             got, expected = anomalies(each), reference_anomalies(each)
             assert bits(got.data) == bits(expected.data)
+
+
+# -- the two-pass folds that replay their first pass --------------------------
+#
+# ``standardize`` (through ``fold_moments``) and ``composite_analysis``
+# (``fold_group_stats`` then ``fold_group_squared_deviations``) read a
+# streamed input once when it fits its budget and replay the kept blocks.
+# The references below reduce the whole axis of the variable's gathered
+# data in one ``np.add.reduce`` per pass (a streamed variable's masked
+# points hold the container's fill, so each side is its own reference),
+# so a replay that changed a bit shows here.
+
+HOLES = pytest.mark.parametrize("holes", [True, False])
+CHUNKS = pytest.mark.parametrize("chunk_timesteps", [1, 2, 5])
+
+
+def reference_standardize(var: Variable, dim: int) -> np.ma.MaskedArray:
+    """``(x − mean) / std`` from whole-axis sums, masked where not finite.
+
+    Transformed per slab and joined with ``map_slabs``, as the
+    anomalies reference is.
+    """
+    data = np.moveaxis(var.data, dim, 0)
+    valid = ~np.ma.getmaskarray(data)
+    filled = np.asarray(data.filled(0.0), dtype=np.float64)
+    zero = np.zeros(filled.shape[1:])
+    sums = old_extend_sum(zero, filled)
+    counts = old_extend_sum(zero, valid.astype(np.float64))
+    mean = np.expand_dims(reference_means(sums, counts), dim)
+    std = np.expand_dims(np.ma.sqrt(reference_variance(var, dim)), dim)
+
+    def transform(slab: Variable) -> Variable:
+        with np.errstate(invalid="ignore", divide="ignore"):
+            z = np.ma.masked_invalid((slab.data - mean) / std)
+        return Variable(z, slab.axes, id=slab.id)
+
+    return map_slabs(transform, var).data
+
+
+@HOLES
+@CHUNKS
+@pytest.mark.parametrize("time_dim", [0, 1])
+def test_standardize_matches_the_whole_axis_formulation(monthly, holes, time_dim, chunk_timesteps):
+    eager, lazy = monthly("float64", holes, time_dim, chunk_timesteps)
+    assert lazy.slab_count() == -(-NMONTHS // chunk_timesteps)
+    for var in (eager, lazy):
+        expected = reference_standardize(var, time_dim)
+        assert bits(statistics.standardize(var, "time").data) == bits(expected)
+
+
+def composite_index() -> Variable:
+    rng = np.random.default_rng(8)
+    axis = time_axis(np.arange(NMONTHS) * (365.0 / 12) + 15.0, calendar="noleap")
+    return Variable(rng.normal(size=NMONTHS), [axis], id="pc1")
+
+
+def reference_composite(var: Variable, index: Variable) -> dict:
+    """Phase means, their difference and Welch t and p from gathered sums.
+
+    The phases are chosen as :func:`composite_analysis` chooses them; the
+    Welch step is its own (pure) helper over the reference moments.
+    """
+    dim = var.axis_index("time")
+    series = np.asarray(index.data.filled(np.nan))
+    high = series >= np.nanquantile(series, 0.75)
+    low = series <= np.nanquantile(series, 0.25)
+    phases = np.where(high, 0, np.where(low, 1, -1))
+    sums, counts = reference_group_fold(var, dim, phases, 2)
+    means = reference_means(sums, counts)
+    ssq, _ = reference_group_fold(var, dim, phases, 2, means=means)
+    with np.errstate(all="ignore"):
+        v0, v1 = ssq[0] / (counts[0] - 1.0), ssq[1] / (counts[1] - 1.0)
+    t, p = _welch_from_moments(means[0], means[1], v0, v1, counts[0], counts[1])
+    return {"high": means[0], "low": means[1], "difference": means[0] - means[1],
+            "t_statistic": t, "p_value": p}
+
+
+@HOLES
+@CHUNKS
+@pytest.mark.parametrize("time_dim", [0, 1])
+def test_composite_analysis_matches_the_gathered_reduce(monthly, holes, time_dim, chunk_timesteps):
+    eager, lazy = monthly("float64", holes, time_dim, chunk_timesteps)
+    index = composite_index()
+    for var in (eager, lazy):
+        expected = reference_composite(var, index)
+        result = composite_analysis(var, index)
+        for name, array in expected.items():
+            assert bits(getattr(result, name).data) == bits(np.ma.asarray(array)), name

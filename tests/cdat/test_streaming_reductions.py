@@ -299,3 +299,40 @@ def test_monthly_climatology_under_budget_on_4x_dataset(tmp_path):
     assert peaks and 0 < max(peaks) <= budget
     assert full == 0
     assert digest(expected) == digest(streamed)
+
+
+@pytest.mark.parametrize("name", ["variance", "standardize"])
+def test_two_pass_folds_under_budget_on_4x_dataset(tmp_path, name):
+    """A two-pass fold over a container four times its budget keeps no
+    blocks for its second pass: it stays within the budget, reads each
+    chunk again and never materializes the input."""
+    path = tmp_path / "big.cdz"
+    ta, _tb = make_fields(ntime=120, nlev=4, nlat=10, nlon=16)
+    write_cdz(path, [ta], dataset_id="big", version=2, chunk_timesteps=2)
+
+    with open_dataset(path, streaming="on") as probe:
+        layout = probe.streaming_source.layout("ta")
+    budget = max(layout.max_chunk_nbytes(), layout.total_nbytes() // 4)
+    assert layout.total_nbytes() >= 4 * layout.max_chunk_nbytes()
+
+    eager = open_dataset(path, streaming="off").get_variable("ta")
+    expected = default_registry().apply(name, eager, axis="time")
+
+    config = StreamingConfig(memory_budget_bytes=budget, prefetch_depth=2)
+    obs.set_recorder(obs.Recorder())
+    obs.enable()
+    try:
+        with open_dataset(path, streaming="on", streaming_config=config) as ds:
+            streamed = default_registry().apply(name, ds.get_variable("ta"), axis="time")
+        recorder = obs.get_recorder()
+        peaks = [
+            v for k, v in recorder.gauges.items()
+            if k.name == "cdat.peak_resident.bytes"
+        ]
+        full = recorder.counter_total("streaming.materialize.full")
+    finally:
+        obs.disable()
+        obs.set_recorder(obs.Recorder())
+    assert peaks and 0 < max(peaks) <= budget
+    assert full == 0
+    assert digest(expected) == digest(streamed)

@@ -6,6 +6,7 @@ runs in seconds; every generator is seeded, so failures reproduce.
 
 from __future__ import annotations
 
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +22,9 @@ SMALL = {"nlat": 16, "nlon": 24, "nlev": 5, "ntime": 4}
 
 #: the shared per-user cache location no test may ever write to
 _SHARED_CACHE = Path.home() / ".cache" / "repro"
+
+#: the name prefix of a :class:`~repro.streaming.prefetch.Prefetcher` thread
+PREFETCH_THREAD_PREFIX = "streaming-prefetch-"
 
 
 def _shared_cache_entries() -> set:
@@ -45,6 +49,28 @@ def isolated_cache(tmp_path, monkeypatch):
     yield
     leaked = _shared_cache_entries() - shared_before
     assert not leaked, f"test leaked cache entries into {_SHARED_CACHE}: {sorted(leaked)}"
+
+
+@pytest.fixture(autouse=True)
+def prefetch_threads_are_joined():
+    """Fail a test that leaves a prefetch thread alive behind it.
+
+    Every prefetch thread has an owner: a streamed dataset's prefetch
+    threads stop when the dataset is closed, so close every dataset a
+    test opens (``with open_dataset(...)``), including one an executor
+    memo holds.
+    """
+    before = set(threading.enumerate())
+    yield
+    alive = sorted(
+        thread.name
+        for thread in threading.enumerate()
+        if thread not in before
+        and thread.name.startswith(PREFETCH_THREAD_PREFIX)
+        and thread.is_alive()
+    )
+    if alive:
+        pytest.fail(f"prefetch threads outlived their test: {alive}")
 
 
 def pytest_addoption(parser):

@@ -1,5 +1,8 @@
-"""Recorder: span nesting (including across threads) and metric series."""
+"""Recorder: span nesting (across threads and asyncio tasks) and metric series."""
 
+import asyncio
+import contextvars
+import threading
 from concurrent.futures import ThreadPoolExecutor
 
 from repro import obs
@@ -63,6 +66,51 @@ class TestSpanNesting:
                 with ThreadPoolExecutor(max_workers=1) as pool:
                     pool.submit(work).result()
         assert span_by_name(rec, "detached").parent_id is None
+
+    def test_interleaved_asyncio_tasks_build_disjoint_trees(self):
+        """Two requests on one event loop, each awaiting inside its span,
+        must not nest under each other."""
+        async def request(name, opened, other_opened):
+            with obs.span(name):
+                opened.set()
+                await other_opened.wait()  # the other task opens its span meanwhile
+                with obs.span(f"{name}.work"):
+                    await asyncio.sleep(0)
+
+        async def main():
+            a_open, b_open = asyncio.Event(), asyncio.Event()
+            await asyncio.gather(
+                request("a", a_open, b_open), request("b", b_open, a_open)
+            )
+
+        with obs.recording() as rec:
+            asyncio.run(main())
+        a, b = span_by_name(rec, "a"), span_by_name(rec, "b")
+        assert a.parent_id is None and b.parent_id is None
+        assert span_by_name(rec, "a.work").parent_id == a.span_id
+        assert span_by_name(rec, "b.work").parent_id == b.span_id
+
+    def test_a_copied_context_does_not_share_the_stack(self):
+        with obs.recording() as rec:
+            with obs.span("outer") as outer:
+                copied = contextvars.copy_context()
+            # the copy still sees "outer" open; closing it here did not reach in
+            assert copied.run(obs.current_span_id) == outer.id
+            # and a span open in the copy is not open here
+            in_copy = copied.run(obs.span, "in-copy")
+            copied.run(in_copy.__enter__)
+            assert rec.current_span_id() is None
+            copied.run(in_copy.__exit__, None, None, None)
+        assert span_by_name(rec, "in-copy").parent_id == outer.id
+
+    def test_a_new_thread_starts_with_an_empty_stack(self):
+        seen = []
+        with obs.recording():
+            with obs.span("main-only"):
+                thread = threading.Thread(target=lambda: seen.append(obs.current_span_id()))
+                thread.start()
+                thread.join()
+        assert seen == [None]
 
     def test_span_records_duration_and_attrs(self):
         with obs.recording() as rec:

@@ -150,6 +150,13 @@ class TestEndToEnd:
                 demand.append(recorder.counter_total("streaming.prefetch.misses"))
         finally:
             obs.disable()
+            # the scene's executor memo holds the streamed dataset: close it
+            project = backend.app.project
+            (scene,) = project.vistrails.values()
+            (reader,) = [mid for mid, spec in scene.pipeline.modules.items()
+                         if spec.name == "cdms:CDMSDatasetReader"]
+            held = project.node.executor.execute(scene.pipeline, targets=[reader])
+            held.output(reader, "dataset").close()
         per_step = [b - a for a, b in zip(demand, demand[1:])]
         assert max(per_step) <= 1
         # every chunk once, plus the lookahead wrapping past the last step

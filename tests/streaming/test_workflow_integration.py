@@ -53,8 +53,8 @@ def slicer_pipeline(registry, source, streaming, variable="ta"):
 class TestReaderParameter:
     def test_streaming_on_yields_lazy_dataset(self, registry, executor, v2_file):
         p, reader, _ = slicer_pipeline(registry, v2_file, "on")
-        ds = executor.execute(p).output(reader, "dataset")
-        assert isinstance(ds.get_variable("ta"), LazyVariable)
+        with executor.execute(p).output(reader, "dataset") as ds:
+            assert isinstance(ds.get_variable("ta"), LazyVariable)
 
     def test_default_streams_v2_loads_v1(self, registry, executor, v1_path, v2_file):
         for source, streams in ((v1_path, False), (v2_file, True)):
@@ -67,8 +67,10 @@ class TestReaderParameter:
     def test_image_identical_across_modes(self, registry, executor, v2_file):
         images = {}
         for mode in ("on", "off"):
-            p, _, cell = slicer_pipeline(registry, v2_file, mode)
-            images[mode] = executor.execute(p).output(cell, "image")
+            p, reader, cell = slicer_pipeline(registry, v2_file, mode)
+            result = executor.execute(p)
+            images[mode] = result.output(cell, "image")
+            result.output(reader, "dataset").close()
         assert np.array_equal(images["on"], images["off"])
 
 
@@ -93,7 +95,8 @@ class TestHyperwallPartition:
         whole = executor.execute(p)
         partitions = partition_by_cell(p)
         for cell in cells:
-            sub_image = Executor(caching=False).execute(
-                partitions[cell]
-            ).output(cell, "image")
+            sub = Executor(caching=False).execute(partitions[cell])
+            sub_image = sub.output(cell, "image")
+            sub.output(reader, "dataset").close()
             assert np.array_equal(sub_image, whole.output(cell, "image"))
+        whole.output(reader, "dataset").close()
