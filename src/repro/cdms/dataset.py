@@ -124,7 +124,7 @@ class Dataset:
         return self.streaming_source is not None
 
     def close(self) -> None:
-        """Release streaming resources (prefetch threads, resident slabs)."""
+        """Close the streaming source behind this dataset's lazy variables."""
         if self.streaming_source is not None:
             self.streaming_source.close()
 
@@ -160,16 +160,16 @@ def open_dataset(
     ``True`` / ``"on"``
         wherever the container has chunks, variables are lazy
         out-of-core :class:`~repro.cdms.lazy.LazyVariable` handles
-        backed by the verified, prefetching streaming layer, and the
-        dataset must be closed.  A legacy v1 container has no chunks
-        and loads whole.
+        backed by the verified streaming layer, each chunk read on the
+        caller's thread, and the dataset must be closed.  A legacy v1
+        container has no chunks and loads whole.
 
     Both are the same reader — one open of the archive, one parse of
     its manifest, every chunk through
     :meth:`~repro.streaming.reader.ChunkReader.read_chunk` — so the two
     modes agree to the byte.  *streaming_config* is an optional
     :class:`~repro.streaming.config.StreamingConfig` (memory budget,
-    prefetch depth, retry policy) for the streaming mode.
+    retry policy) for the streaming mode.
     """
     if not _streaming_on(streaming):
         return Dataset.load(path)

@@ -3,24 +3,28 @@
 A :class:`LazyVariable` presents the full Variable protocol — axes,
 attributes, indexing, coordinate subsetting, scalar ranges — while its
 payload lives in a chunked v2 ``.cdz`` container.  Indexing reads only
-the chunks covering the request (through the variable's bounded-memory
-:class:`~repro.streaming.prefetch.Prefetcher`, whose thread runs ahead
-of a cursor moving at display rate) and returns an ordinary
-in-memory :class:`Variable`, byte-identical to what slicing the eagerly
-loaded equivalent would produce — the correctness contract the
-differential tests pin.  A request inside one chunk is a read-only
-view of the verified chunk, not a copy; ``clone()`` gives a writable
-one.  A chunk the manifest counts as wholly valid and finite gets no
-mask at all.
+the chunks covering the request, each through
+:meth:`~repro.streaming.reader.ChunkReader.read_chunk` on the caller's
+thread, and returns an ordinary in-memory :class:`Variable`,
+byte-identical to what slicing the eagerly loaded equivalent would
+produce — the correctness contract the differential tests pin.  A
+request inside one chunk is a read-only view of the verified chunk, not
+a copy; ``clone()`` gives a writable one.  A chunk the manifest counts
+as wholly valid and finite gets no mask at all.
+
+A cursor (``lazy[t]``, the animation loop's time index) and a scan
+(:meth:`iter_slabs`, :func:`~repro.cdms.slabs.iter_aligned_slabs`,
+:func:`~repro.cdms.slabs.materialize`, ``_data``) are the same read:
+nothing reads ahead and no thread is started.  A variable whose largest
+chunk exceeds its source's ``memory_budget_bytes`` is refused at
+construction, so every read path keeps one chunk under the budget.
 
 Operations that genuinely need the whole array (arithmetic, global
 reductions) still work: the ``_data`` escape hatch materializes the
 full variable once, counts ``streaming.materialize.full`` so the leak
 is observable, and caches it.  Folds should use :meth:`iter_slabs`
 instead, which walks the chunk table one chunk at a time and yields
-each chunk's masked array, no :class:`Variable` around it.  A scan
-consumes every chunk in storage order as fast as it can compute, so it
-reads each one on the caller's thread: it starts no prefetch thread.
+each chunk's masked array, no :class:`Variable` around it.
 
 The :meth:`degraded` context arms the degradation ladder: inside it, a
 chunk whose full-resolution read fails (after retries) is substituted
@@ -51,6 +55,12 @@ class LazyVariable(Variable):
 
     def __init__(self, source: StreamingSource, layout: VariableLayout) -> None:
         # deliberately no super().__init__: there is no array to bind.
+        max_chunk = layout.max_chunk_nbytes()
+        if max_chunk > source.config.memory_budget_bytes:
+            raise StreamingError(
+                f"variable {layout.id!r}: one chunk is {max_chunk} bytes, "
+                f"over the {source.config.memory_budget_bytes}-byte memory budget"
+            )
         self.id = layout.id
         # parse_layouts proved every dimension names one of the source's axes
         self._axes = tuple(source.axes[dim] for dim in layout.dimensions)
@@ -93,24 +103,7 @@ class LazyVariable(Variable):
         """Each chunk in storage order, read on the caller's thread."""
         whole = (slice(None),) * self.ndim
         for chunk in self.layout.chunks:
-            yield self._chunk_view(chunk, whole, prefetch=False)
-
-    def prefetch_hint(self, axis_index: int) -> None:
-        """Hint that *axis_index* along the chunk axis is wanted next.
-
-        The session-serving speculation hook: a backend predicting an
-        animating session's next timestep steers this variable's
-        prefetch pipeline toward the chunk holding it (a no-op when
-        prefetch is off or the index is out of range — hints are
-        advisory, never errors).
-        """
-        if not self.source.config.prefetch:
-            return
-        axis_len = self.shape[self.layout.chunk_axis]
-        if not 0 <= axis_index < axis_len:
-            return
-        chunk = self.layout.chunk_of(axis_index)
-        self.source.prefetcher(self.id).hint(chunk.index)
+            yield self._chunk_view(chunk, whole)
 
     # -- the degradation ladder hook ---------------------------------------
 
@@ -126,23 +119,17 @@ class LazyVariable(Variable):
     # -- chunk delivery -----------------------------------------------------
 
     def _chunk_view(
-        self, chunk: ChunkMeta, index: Tuple[slice, ...], prefetch: bool
+        self, chunk: ChunkMeta, index: Tuple[slice, ...]
     ) -> np.ma.MaskedArray:
         """``payload[index]`` of *chunk*: a read-only view, masked once.
 
-        With *prefetch* the chunk comes through the variable's
-        :class:`~repro.streaming.prefetch.Prefetcher` (its cursor moves
-        here), otherwise straight from the reader on this thread.
         A chunk whose manifest counts every value valid and finite gets
         ``nomask`` (the writer counted with the same :func:`mask_missing`
         rule); any other chunk, and every low-resolution fallback, has
         its mask computed on the requested view only.
         """
         try:
-            if prefetch:
-                raw = self.source.prefetcher(self.id).get(chunk.index)
-            else:
-                raw = self.source.reader(self.id).read_chunk(chunk)
+            raw = self.source.reader(self.id).read_chunk(chunk)
             full = chunk.stat_valid == raw.size
         except StreamingError:
             if self._degraded_depth <= 0:
@@ -159,17 +146,7 @@ class LazyVariable(Variable):
     # -- indexing -----------------------------------------------------------
 
     def __getitem__(self, key: Any) -> Variable:
-        """A cursor read: the chunks come through the prefetch pipeline
-        (read inline when the config turns prefetch off)."""
-        return self._select(key, prefetch=self.source.config.prefetch)
-
-    def _select(self, key: Any, prefetch: bool) -> Variable:
-        """``self[key]``; *prefetch* False reads on the caller's thread.
-
-        A scan of the whole variable (:func:`repro.cdms.slabs.materialize`,
-        :func:`repro.cdms.slabs.iter_aligned_slabs`, the ``_data`` escape
-        hatch) reads this way; only a cursor runs the prefetch thread.
-        """
+        """The chunks covering *key*, read on the caller's thread."""
         index = self._index(key)
         axes = self._sub_axes(index)  # raises on an empty selection
         axis = self.layout.chunk_axis
@@ -185,9 +162,7 @@ class LazyVariable(Variable):
             stop = run[-1] - chunk.start + (1 if step > 0 else -1)
             local = slice(run[0] - chunk.start, stop if stop >= 0 else None, step)
             pieces.append(
-                self._chunk_view(
-                    chunk, index[:axis] + (local,) + index[axis + 1 :], prefetch
-                )
+                self._chunk_view(chunk, index[:axis] + (local,) + index[axis + 1 :])
             )
             i += len(run)
         if len(pieces) == 1:
@@ -227,7 +202,7 @@ class LazyVariable(Variable):
             if obs.enabled():
                 obs.counter("streaming.materialize.full", var=self.id)
             index = tuple(slice(None) for _ in range(self.ndim))
-            self._materialized = self._select(index, prefetch=False).data
+            self._materialized = self[index].data
         return self._materialized
 
     # -- transport ----------------------------------------------------------

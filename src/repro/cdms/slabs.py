@@ -36,7 +36,6 @@ from typing import Any, Callable, Iterator, List, Optional, Tuple, Type
 
 import numpy as np
 
-from repro.cdms.lazy import LazyVariable
 from repro.cdms.variable import Variable
 from repro.util.errors import CDMSError
 
@@ -71,8 +70,8 @@ def iter_aligned_slabs(*variables: Variable) -> Iterator[Tuple[Variable, ...]]:
     applied (along its slab axis) to every other variable via indexing,
     so each yielded tuple covers the same index range of every input.
     Indexing a lazy variable reads only the chunks covering the range,
-    on this thread (a scan, see :func:`_scan_select`), so joint iteration
-    holds one range at a time; indexing an eager variable is a view.
+    on this thread, so joint iteration holds one range at a time;
+    indexing an eager variable is a view.
     """
     if not variables:
         return
@@ -90,27 +89,14 @@ def iter_aligned_slabs(*variables: Variable) -> Iterator[Tuple[Variable, ...]]:
             )
     for start, stop in slab_ranges(driver):
         yield tuple(
-            _scan_select(
-                var,
+            var[
                 tuple(
                     slice(start, stop) if dim == axis else slice(None)
                     for dim in range(var.ndim)
-                ),
-            )
+                )
+            ]
             for var in variables
         )
-
-
-def _scan_select(var: Variable, index: Tuple[slice, ...]) -> Variable:
-    """``var[index]`` as one step of a scan over the whole variable.
-
-    A scan takes every chunk in storage order as fast as it computes,
-    so a streamed variable reads the chunks on the caller's thread;
-    ``var[index]`` itself is a cursor read, through the prefetch thread.
-    """
-    if isinstance(var, LazyVariable):
-        return var._select(index, prefetch=False)
-    return var[index]
 
 
 # -- scalar-range policy (shared by the DV3D plot types) -------------------
@@ -183,8 +169,7 @@ def materialize(var: Variable, op: str = "") -> Variable:
 
     if obs.enabled():
         obs.counter("cdat.materialize", var=var.id, op=op or "unknown")
-    full = tuple(slice(None) for _ in range(var.ndim))
-    return _scan_select(var, full)
+    return var[tuple(slice(None) for _ in range(var.ndim))]
 
 
 def map_slabs(

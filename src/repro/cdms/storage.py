@@ -38,6 +38,7 @@ import io
 import json
 import math
 import struct
+import sys
 import zipfile
 import zlib
 from pathlib import Path
@@ -350,8 +351,8 @@ def open_cdz(
 def read_cdz(path: PathLike) -> tuple[str, Dict[str, object], List[Variable]]:
     """Read a ``.cdz`` file whole → ``(dataset_id, attributes, variables)``.
 
-    An eager load is the streaming reader with the prefetch thread off:
-    every variable :func:`open_cdz` hands out is indexed whole, so each
+    An eager load is the streaming reader: every variable
+    :func:`open_cdz` hands out is indexed whole, so each
     chunk takes the positioned read, digest verification, shape check
     and retries of :meth:`~repro.streaming.reader.ChunkReader.read_chunk`,
     and the source is closed before returning.  All corruption —
@@ -361,12 +362,13 @@ def read_cdz(path: PathLike) -> tuple[str, Dict[str, object], List[Variable]]:
     bare ``KeyError`` or ``zipfile`` traceback, and never as a partial
     dataset.  The variables own writable arrays: a one-chunk variable,
     which indexing hands out as a read-only view of the verified chunk,
-    is copied once.
+    is copied once.  It holds every chunk at once by design, so it sets
+    no chunk budget.
     """
     from repro.streaming.config import StreamingConfig
 
     dataset_id, attributes, variables, source = open_cdz(
-        path, StreamingConfig(prefetch=False)
+        path, StreamingConfig(memory_budget_bytes=sys.maxsize)
     )
     if source is not None:
         with source:

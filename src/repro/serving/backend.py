@@ -40,10 +40,9 @@ what sticky session affinity keeps warm.  So are ``width`` / ``height``:
 every frame renders at its own request's size, and the first frame's
 size only replaces the cell module's 320 x 240 default for the one
 render its workflow does when it executes.  When the plotted variable is
-a streamed :class:`~repro.cdms.lazy.LazyVariable`, each timestep render
-is followed by a hint steering the variable's prefetch pipeline toward
-``timestep + 1``, so the chunk for the session's likely next frame is in
-flight before the demand (or speculative) render asks for it.
+a streamed :class:`~repro.cdms.lazy.LazyVariable`, a timestep render
+reads the chunk holding that timestep on the slot's thread, inside the
+render; nothing reads ahead of the session.
 
 ``degraded=True`` renders at ``1/DEGRADED_SCALE`` of each frame
 dimension (floored at 8 px) — the fallback the server uses while its
@@ -95,18 +94,12 @@ class AppBackend:
         with self._lock:
             cell = self._scene_cell(params, width, height)
             camera = None
-            timestep = None
             if "timestep" in params:
-                timestep = int(params["timestep"])
-                cell.plot.set_time_index(timestep)
+                cell.plot.set_time_index(int(params["timestep"]))
             if "azimuth" in params:
                 base = cell.plot.camera or cell.plot.default_camera()
                 camera = base.orbit(float(params["azimuth"]), 0.0)
             framebuffer = cell.render(width, height, camera=camera)
-            if timestep is not None:
-                # only now: a hint before the render moves the prefetch
-                # window past the chunk this frame still has to read
-                self._hint_prefetch(cell, timestep + 1)
         return ppm_bytes(framebuffer.to_uint8())
 
     # -- scene management ---------------------------------------------------
@@ -142,10 +135,3 @@ class AppBackend:
         pipeline = project.vistrails[name].pipeline
         sink = pipeline.sinks()[0]
         return project.node.execute(digest, pipeline, sink).output(sink, "cell")
-
-    @staticmethod
-    def _hint_prefetch(cell: Any, next_timestep: int) -> None:
-        """Steer a streamed variable's prefetcher at the likely next frame."""
-        hint = getattr(cell.plot.variable, "prefetch_hint", None)
-        if hint is not None:
-            hint(next_timestep)

@@ -66,6 +66,7 @@ Session-aware serving (``docs/session-serving.md`` has the long form):
 from __future__ import annotations
 
 import asyncio
+import contextvars
 import time
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Dict, List, Optional, Tuple
@@ -121,6 +122,9 @@ class _WorkItem:
     request: Request
     deadline_at: Optional[float] = None
     labels: Dict[str, Any] = field(default_factory=dict)
+    #: the submitting task's context: a span open there parents the
+    #: spans the slot thread records for this item
+    context: contextvars.Context = field(default_factory=contextvars.copy_context)
 
 
 class ServingServer:
@@ -343,7 +347,9 @@ class ServingServer:
             started = time.perf_counter()
             try:
                 faults.check("serving.execute", tenant=request.tenant)
-                payload = await self._run_backend(request, degraded=False, key=item.key)
+                payload = await self._run_backend(
+                    request, degraded=False, key=item.key, context=item.context
+                )
             except Exception as exc:  # noqa: BLE001 - feeds the breaker
                 self.breaker.record_failure()
                 obs.counter("serving.errors", tenant=request.tenant)
@@ -365,7 +371,9 @@ class ServingServer:
                     STATUS_DEGRADED, payload=payload, digest=item.key, source="cache"
                 )
         try:
-            payload = await self._run_backend(request, degraded=True, key=item.key)
+            payload = await self._run_backend(
+                request, degraded=True, key=item.key, context=item.context
+            )
         except Exception as exc:  # noqa: BLE001
             obs.counter("serving.errors", tenant=request.tenant)
             return Response(STATUS_ERROR, digest=item.key, reason=repr(exc))
@@ -374,8 +382,17 @@ class ServingServer:
             STATUS_DEGRADED, payload=payload, digest=item.key, source="render"
         )
 
-    async def _run_backend(self, request: Request, degraded: bool, key: str) -> bytes:
-        """Run the backend on the slot *request* routes to.
+    async def _run_backend(
+        self,
+        request: Request,
+        degraded: bool,
+        key: str,
+        context: contextvars.Context,
+    ) -> bytes:
+        """Run the backend on the slot *request* routes to, in *context*.
+
+        *context* is the requesting task's, so the slot thread's spans
+        nest under whatever span that task had open.
 
         A session routes to its pinned slot, a sessionless request by
         its *key*.  A dead slot (killed, or felled by the armed
@@ -394,7 +411,7 @@ class ServingServer:
                 state.pin(slot.id)
             try:
                 return await loop.run_in_executor(
-                    slot.executor, pool.run, slot, request, degraded
+                    slot.executor, context.run, pool.run, slot, request, degraded
                 )
             except SlotDeadError as exc:
                 last_death = exc
@@ -484,7 +501,9 @@ class ServingServer:
     ) -> None:
         """Render one predicted frame; store it where demand will look."""
         try:
-            payload = await self._run_backend(request, degraded=False, key=key)
+            payload = await self._run_backend(
+                request, degraded=False, key=key, context=contextvars.copy_context()
+            )
         except asyncio.CancelledError:
             obs.counter("serving.speculative.cancelled", tenant=request.tenant)
             self._resolve_speculation(

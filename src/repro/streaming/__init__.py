@@ -13,11 +13,10 @@ between the ``.cdz`` container and the DV3D animation loop:
   under a :class:`~repro.resilience.policy.RetryPolicy`, with named
   fault sites (``streaming.read`` / ``streaming.verify`` /
   ``streaming.decode``) and quarantine-and-heal semantics; it is the
-  only way a chunk's bytes become an array, and it keeps nothing;
-* :mod:`repro.streaming.prefetch` — a byte-budgeted background
-  pipeline running ahead of the animation cursor with backpressure;
+  only way a chunk's bytes become an array, every read runs on its
+  caller's thread, and it keeps nothing;
 * :mod:`repro.streaming.dataset` — archive-level access handing out
-  per-variable readers and prefetchers;
+  per-variable readers;
 * :mod:`repro.streaming.config` — the frozen
   :class:`StreamingConfig` value object.
 
@@ -40,7 +39,6 @@ from repro.streaming.format import (
     content_digest,
     write_archive_v2,
 )
-from repro.streaming.prefetch import Prefetcher
 from repro.streaming.reader import ChunkReader
 from repro.util.errors import ChunkCorruptionError, StreamingError
 
@@ -51,7 +49,6 @@ __all__ = [
     "ChunkCorruptionError",
     "ChunkMeta",
     "ChunkReader",
-    "Prefetcher",
     "StreamingConfig",
     "StreamingError",
     "StreamingSource",

@@ -1,14 +1,14 @@
 """Configuration of the out-of-core streaming layer.
 
-A :class:`StreamingConfig` is a frozen value object bounding how much
-decoded chunk data may be resident at once, how far the prefetch
-pipeline runs ahead of the animation cursor, and how stubbornly the
-reader retries failing chunks before degrading.  It is explicit,
+A :class:`StreamingConfig` is a frozen value object bounding how large
+a chunk a streamed variable may have and how stubbornly the reader
+retries failing chunks before degrading.  It is explicit,
 validated at construction and passed down — a streaming dataset opened
 with one budget never silently inherits another's.
 
 The budget is the only bound on a streamed dataset's decoded chunks:
-no result cache stores them.
+no result cache stores them, and every chunk is read on its caller's
+thread, so nothing reads ahead of the consumer.
 """
 
 from __future__ import annotations
@@ -24,21 +24,15 @@ DEFAULT_MEMORY_BUDGET = 128 * 2**20
 
 @dataclass(frozen=True)
 class StreamingConfig:
-    """How a streaming dataset reads, prefetches and retries.
+    """How a streaming dataset budgets and retries its chunk reads.
 
     Parameters
     ----------
     memory_budget_bytes:
-        Hard ceiling on decoded chunk bytes resident in the streaming
-        layer (prefetched slabs plus the slab being served).  The
-        effective prefetch window shrinks so the pipeline never
-        exceeds it.
-    prefetch_depth:
-        How many chunks ahead of the animation cursor the background
-        pipeline tries to stay (subject to the byte budget).
-    prefetch:
-        Disable to read every chunk synchronously on demand (the
-        pipeline off, for ablations and debugging).
+        Hard ceiling on decoded chunk bytes the streaming layer holds
+        for one read: a streamed variable with a chunk larger than this
+        is refused when it is handed out.  A multi-pass fold keeps its
+        first pass's chunks only when they fit under it.
     read_retries:
         Attempts per chunk (including the first) before a failure is
         quarantined and surfaced for degradation.
@@ -48,8 +42,6 @@ class StreamingConfig:
     """
 
     memory_budget_bytes: int = DEFAULT_MEMORY_BUDGET
-    prefetch_depth: int = 2
-    prefetch: bool = True
     read_retries: int = 3
     retry_base_delay: float = 0.005
 
@@ -57,10 +49,6 @@ class StreamingConfig:
         if self.memory_budget_bytes <= 0:
             raise StreamingError(
                 f"memory_budget_bytes must be positive, got {self.memory_budget_bytes}"
-            )
-        if self.prefetch_depth < 1:
-            raise StreamingError(
-                f"prefetch_depth must be >= 1, got {self.prefetch_depth}"
             )
         if self.read_retries < 1:
             raise StreamingError(

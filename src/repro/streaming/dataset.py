@@ -3,12 +3,11 @@
 A :class:`StreamingSource` opens the container once, verifies the
 manifest and axes eagerly (metadata is tiny; corruption there should
 fail at open, not mid-animation), and hands out one
-:class:`~repro.streaming.reader.ChunkReader` and one lazily-started
-:class:`~repro.streaming.prefetch.Prefetcher` per variable.  Payload
+:class:`~repro.streaming.reader.ChunkReader` per variable.  Payload
 chunks are *not* touched at open — that is the whole point.  Every load
 of a v2 container is one of these: streaming keeps it open behind lazy
 variables, an eager :func:`~repro.cdms.storage.read_cdz` reads every
-chunk through it with prefetch off and closes it.
+chunk through it and closes it.
 
 That one open is also the only time the zip central directory is
 parsed.  From it (and each member's local header) the source keeps an
@@ -21,8 +20,8 @@ stored, so any v2 container reads the same way.  The read skips the
 CRC32 ``zipfile`` would check; every caller verifies the payload's
 sha256 against the manifest, which supersedes it.
 
-The source is picklable by path + config (readers and prefetchers are
-rebuilt on unpickle), which is what lets lazy variables travel through
+The source is picklable by path + config (readers are rebuilt on
+unpickle), which is what lets lazy variables travel through
 workflow specs to hyperwall cells that then stream their own chunks.
 """
 
@@ -43,7 +42,6 @@ from repro.streaming.format import (
     load_axes,
     parse_layouts,
 )
-from repro.streaming.prefetch import Prefetcher
 from repro.streaming.reader import ChunkReader
 from repro.util.errors import StreamingError
 
@@ -107,7 +105,6 @@ class StreamingSource:
             self._extents = _stored_extents(archive)
         self._by_id: Dict[str, VariableLayout] = {l.id: l for l in self.layouts}
         self._readers: Dict[str, ChunkReader] = {}
-        self._prefetchers: Dict[str, Prefetcher] = {}
 
     # -- per-variable machinery --------------------------------------------
 
@@ -124,13 +121,6 @@ class StreamingSource:
         if var_id not in self._readers:
             self._readers[var_id] = ChunkReader(self, self.layout(var_id))
         return self._readers[var_id]
-
-    def prefetcher(self, var_id: str) -> Prefetcher:
-        if var_id not in self._prefetchers:
-            self._prefetchers[var_id] = Prefetcher(
-                self.reader(var_id), self.config
-            )
-        return self._prefetchers[var_id]
 
     # -- payload bytes ------------------------------------------------------
 
@@ -164,10 +154,9 @@ class StreamingSource:
         return payload
 
     def close(self) -> None:
-        """Stop every prefetch thread and drop resident slabs."""
-        for prefetcher in self._prefetchers.values():
-            prefetcher.close()
-        self._prefetchers.clear()
+        """Nothing to release: no handle outlives a read and no thread
+        reads ahead.  A source is closed like a file all the same, so
+        callers need not know that."""
 
     def __enter__(self) -> "StreamingSource":
         return self

@@ -124,7 +124,10 @@ class VariableLayout:
         return int(np.prod(self.chunk_shape(chunk), dtype=np.int64)) * self.dtype.itemsize
 
     def max_chunk_nbytes(self) -> int:
-        return max((self.chunk_nbytes(c) for c in self.chunks), default=0)
+        # a chunk's bytes grow with its extent alone: size only the longest
+        if not self.chunks:
+            return 0
+        return self.chunk_nbytes(max(self.chunks, key=lambda c: c.extent))
 
     def total_nbytes(self) -> int:
         return int(np.prod(self.shape, dtype=np.int64)) * self.dtype.itemsize

@@ -27,12 +27,11 @@ for deterministic chaos testing (:mod:`repro.resilience.faults`):
 
 All three sites carry ``var=``/``chunk=``/``attempt=`` labels.  Failures
 retry under the config's :class:`~repro.resilience.policy.RetryPolicy`;
-a chunk that exhausts its budget is **quarantined** — background
-prefetch stops spending slots on it — but direct reads keep
-re-attempting, so the chunk heals (and leaves quarantine) once the
-underlying fault clears.  Every chunk — streamed, prefetched or eager —
-passes all three stages on every read; nothing but the prefetch
-window's byte budget holds a decoded chunk.
+a chunk that exhausts its budget is **quarantined** (recorded, and
+counted once), but every read re-attempts it, so the chunk heals (and
+leaves quarantine) once the underlying fault clears.  Every chunk —
+streamed or eager — passes all three stages on every read, on the
+caller's thread; the reader holds no decoded chunk.
 """
 
 from __future__ import annotations
@@ -139,8 +138,8 @@ class ChunkReader:
 
         Retries under the config's policy; quarantines on exhaustion
         and re-raises the final failure.  A success clears any prior
-        quarantine.  Returned arrays are shared (with the prefetch
-        slots and every slab view of the chunk), so they are read-only.
+        quarantine.  Returned arrays are shared (with every slab view
+        of the chunk), so they are read-only.
         """
         counter = {"attempt": 0}
 

@@ -31,8 +31,7 @@ class ChunkCorruptionError(StreamingError):
     """A chunk's payload failed content-digest verification.
 
     Raised after reads and retries have been exhausted; the offending
-    chunk is quarantined by the reader so the prefetch pipeline stops
-    wasting slots on it.
+    chunk is quarantined by the reader until a later read heals it.
     """
 
 

@@ -278,7 +278,7 @@ def test_monthly_climatology_under_budget_on_4x_dataset(tmp_path):
     eager = open_dataset(path, streaming="off").get_variable("ta")
     expected = default_registry().apply("monthly_climatology", eager)
 
-    config = StreamingConfig(memory_budget_bytes=budget, prefetch_depth=2)
+    config = StreamingConfig(memory_budget_bytes=budget)
     obs.set_recorder(obs.Recorder())
     obs.enable()
     try:
@@ -286,7 +286,6 @@ def test_monthly_climatology_under_budget_on_4x_dataset(tmp_path):
             streamed = default_registry().apply(
                 "monthly_climatology", ds.get_variable("ta")
             )
-            assert ds.streaming_source._prefetchers == {}  # a scan runs no pipeline
         recorder = obs.get_recorder()
         peaks = [
             v for k, v in recorder.gauges.items()
@@ -318,7 +317,7 @@ def test_two_pass_folds_under_budget_on_4x_dataset(tmp_path, name):
     eager = open_dataset(path, streaming="off").get_variable("ta")
     expected = default_registry().apply(name, eager, axis="time")
 
-    config = StreamingConfig(memory_budget_bytes=budget, prefetch_depth=2)
+    config = StreamingConfig(memory_budget_bytes=budget)
     obs.set_recorder(obs.Recorder())
     obs.enable()
     try:

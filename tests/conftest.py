@@ -7,6 +7,7 @@ runs in seconds; every generator is seeded, so failures reproduce.
 from __future__ import annotations
 
 import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -23,8 +24,10 @@ SMALL = {"nlat": 16, "nlon": 24, "nlev": 5, "ntime": 4}
 #: the shared per-user cache location no test may ever write to
 _SHARED_CACHE = Path.home() / ".cache" / "repro"
 
-#: the name prefix of a :class:`~repro.streaming.prefetch.Prefetcher` thread
-PREFETCH_THREAD_PREFIX = "streaming-prefetch-"
+#: thread-name prefixes the serving tier's owners must join on close
+OWNED_THREAD_PREFIXES = ("repro-serving", "repro-wire")
+#: how long a closing owner's threads get to finish unwinding
+JOIN_GRACE_S = 1.0
 
 
 def _shared_cache_entries() -> set:
@@ -52,25 +55,27 @@ def isolated_cache(tmp_path, monkeypatch):
 
 
 @pytest.fixture(autouse=True)
-def prefetch_threads_are_joined():
-    """Fail a test that leaves a prefetch thread alive behind it.
+def serving_threads_are_joined():
+    """Fail a test that leaves a serving thread alive behind it.
 
-    Every prefetch thread has an owner: a streamed dataset's prefetch
-    threads stop when the dataset is closed, so close every dataset a
-    test opens (``with open_dataset(...)``), including one an executor
-    memo holds.
+    Every serving thread has an owner: a slot thread
+    (``repro-serving*``) stops when its server closes, a wire endpoint
+    thread (``repro-wire*``) when its endpoint does, so close what a
+    test starts (``async with``, ``with WireSessionServer``).
     """
     before = set(threading.enumerate())
     yield
-    alive = sorted(
-        thread.name
+    deadline = time.monotonic() + JOIN_GRACE_S
+    left = [
+        thread
         for thread in threading.enumerate()
-        if thread not in before
-        and thread.name.startswith(PREFETCH_THREAD_PREFIX)
-        and thread.is_alive()
-    )
+        if thread not in before and thread.name.startswith(OWNED_THREAD_PREFIXES)
+    ]
+    for thread in left:
+        thread.join(timeout=max(deadline - time.monotonic(), 0.0))
+    alive = sorted(thread.name for thread in left if thread.is_alive())
     if alive:
-        pytest.fail(f"prefetch threads outlived their test: {alive}")
+        pytest.fail(f"serving threads outlived their owner: {alive}")
 
 
 def pytest_addoption(parser):

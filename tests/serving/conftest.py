@@ -10,9 +10,10 @@ Every test here is deterministic by construction:
   yield once, *then* start the workers and know all N coalesced;
 * faults are injected at named :mod:`repro.resilience.faults` sites,
   never by killing things from another thread;
-* every serving thread has an owner: a test that leaves a slot thread
+* every serving thread has an owner: ``tests/conftest.py`` fails any
+  test, here or elsewhere, that leaves a slot thread
   (``repro-serving*``) or a wire endpoint thread (``repro-wire*``)
-  running after its owner closed fails.
+  running after its owner closed.
 
 There is no pytest-asyncio in the toolchain; async scenarios run under
 plain ``asyncio.run()``.
@@ -105,30 +106,6 @@ async def submit_deferred(
     if close:
         await server.aclose()
     return list(responses)
-
-
-#: thread-name prefixes the serving tier's owners must join on close
-OWNED_THREAD_PREFIXES = ("repro-serving", "repro-wire")
-#: how long a closing owner's threads get to finish unwinding
-JOIN_GRACE_S = 1.0
-
-
-@pytest.fixture(autouse=True)
-def serving_threads_are_joined():
-    """Fail a test that leaves a serving thread alive behind it."""
-    before = set(threading.enumerate())
-    yield
-    deadline = time.monotonic() + JOIN_GRACE_S
-    left = [
-        thread
-        for thread in threading.enumerate()
-        if thread not in before and thread.name.startswith(OWNED_THREAD_PREFIXES)
-    ]
-    for thread in left:
-        thread.join(timeout=max(deadline - time.monotonic(), 0.0))
-    alive = sorted(thread.name for thread in left if thread.is_alive())
-    if alive:
-        pytest.fail(f"serving threads outlived their owner: {alive}")
 
 
 @pytest.fixture()

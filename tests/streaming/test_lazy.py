@@ -14,13 +14,14 @@ from repro.cdms.lazy import LazyVariable
 from repro.cdms.storage import mask_missing, read_cdz, write_cdz
 from repro.resilience import faults
 from repro.streaming.config import StreamingConfig
+from repro.streaming.dataset import StreamingSource
 from repro.streaming.format import decimate, upsample
 from repro.util.errors import CDMSError, StreamingError
 
 from .conftest import make_variable
 
 
-FAST = StreamingConfig(retry_base_delay=0.0, prefetch=False)
+FAST = StreamingConfig(retry_base_delay=0.0)
 
 
 @pytest.fixture()
@@ -236,11 +237,48 @@ class TestDegradation:
         assert recorder.counter_total("streaming.slabs.degraded") == 1
         assert recorder.counter_total("streaming.chunks.lowres") == 1
 
+    def test_a_faulting_cursor_read_raises_then_heals(self, pair):
+        eager, lazy = pair
+        faults.arm("streaming.read", "raise", match={"chunk": 1}, times=0)
+        lazy[0]
+        with pytest.raises(StreamingError):
+            lazy[1]
+        faults.disarm()
+        assert lazy[1].filled().tobytes() == eager[1].filled().tobytes()
+        assert not lazy.source.reader("ta").is_quarantined(1)
+
     def test_degraded_exits_cleanly(self, pair):
         _, lazy = pair
         with lazy.degraded():
             pass
         assert lazy._degraded_depth == 0
+
+
+class TestMemoryBudget:
+    """A variable whose largest chunk exceeds ``memory_budget_bytes`` is
+    refused where it is handed out, so no read path takes that chunk."""
+
+    @pytest.fixture()
+    def tight(self, v2_path) -> StreamingConfig:
+        chunk = StreamingSource(v2_path).layout("ta").max_chunk_nbytes()
+        return StreamingConfig(memory_budget_bytes=chunk - 1)
+
+    def test_chunk_over_budget_rejected(self, v2_path, tight):
+        with pytest.raises(StreamingError, match="budget"):
+            open_dataset(v2_path, streaming="on", streaming_config=tight)
+
+    def test_a_scan_over_budget_raises_and_reads_nothing(self, v2_path, tight):
+        source = StreamingSource(v2_path, tight)
+        obs.enable()
+        with pytest.raises(StreamingError, match="budget"):
+            list(LazyVariable(source, source.layout("ta")).iter_slabs())
+        assert obs.get_recorder().counter_total("streaming.chunks.read") == 0
+
+    def test_a_chunk_at_the_budget_streams(self, v2_path):
+        chunk = StreamingSource(v2_path).layout("ta").max_chunk_nbytes()
+        config = StreamingConfig(memory_budget_bytes=chunk)
+        with open_dataset(v2_path, streaming="on", streaming_config=config) as dataset:
+            assert dataset.get_variable("ta")[0].shape[0] == 1
 
 
 class TestPickle:

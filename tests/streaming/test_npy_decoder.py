@@ -19,7 +19,7 @@ from repro.util.errors import ChunkCorruptionError, StreamingError
 from .conftest import make_variable
 
 
-FAST = StreamingConfig(retry_base_delay=0.0, prefetch=False)
+FAST = StreamingConfig(retry_base_delay=0.0)
 
 
 def npy(array: np.ndarray, version=(1, 0), allow_pickle: bool = False) -> bytes:

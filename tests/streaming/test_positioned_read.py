@@ -25,7 +25,7 @@ from repro.util.errors import StreamingError
 
 from .conftest import make_variable
 
-FAST = StreamingConfig(retry_base_delay=0.0, prefetch=False)
+FAST = StreamingConfig(retry_base_delay=0.0)
 
 
 def stored_members(source: StreamingSource):
@@ -119,7 +119,7 @@ def opened(monkeypatch):
 
 class TestNoArchiveOpenPerChunk:
     def test_one_open_per_source_none_per_read(self, v2_path, opened):
-        with StreamingSource(v2_path) as source:  # default config: prefetch thread on
+        with StreamingSource(v2_path) as source:  # default config
             assert len(opened) == 1
             lazy = LazyVariable(source, source.layout("ta"))
             assert sum(1 for _ in lazy.iter_slabs()) == 8
@@ -183,7 +183,7 @@ class TestContainerChangedUnderOpenSource:
 @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
 def test_descriptors_plateau_over_fifty_sources(v2_path):
     def scan() -> int:
-        with StreamingSource(v2_path) as source:  # prefetch thread on
+        with StreamingSource(v2_path) as source:
             lazy = LazyVariable(source, source.layout("ta"))
             return sum(len(slab) for slab in lazy.iter_slabs())
 

@@ -13,7 +13,7 @@ from repro.streaming.dataset import StreamingSource
 from repro.util.errors import ChunkCorruptionError, StreamingError
 
 
-FAST = StreamingConfig(retry_base_delay=0.0, prefetch=False)
+FAST = StreamingConfig(retry_base_delay=0.0)
 
 
 @pytest.fixture()

@@ -1,18 +1,14 @@
-"""A scan reads on its caller's thread; a cursor runs the prefetch thread.
+"""A streamed read runs on its caller's thread: no read starts a thread.
 
-A reduction consumes every chunk in storage order as fast as it can
-compute, so a lookahead thread buys it nothing: every single-variable
-reduction of the differential table runs over a fresh streamed dataset
-and starts no thread and creates no :class:`~repro.streaming.prefetch.Prefetcher`.
-Indexing (``lazy[t]``, the animation and serving cursor) still starts
-the variable's ``streaming-prefetch-*`` thread, and a hint still steers
-it.
+Every single-variable reduction of the differential table (a scan) runs
+over a fresh streamed dataset and starts no thread, and so does
+indexing (``lazy[t]``, the animation and serving cursor), which reads
+the same way.
 """
 
 from __future__ import annotations
 
 import threading
-import time
 
 import pytest
 
@@ -55,21 +51,12 @@ def test_a_scan_starts_no_thread(container, name):
         assert lazy.slab_count() > 1
         run_case(name, dataset)
         assert started_since(before) == []
-        assert dataset.streaming_source._prefetchers == {}
 
 
-def test_a_cursor_starts_its_prefetch_thread_and_a_hint_steers_it(container):
+def test_a_cursor_starts_no_thread(container):
     before = set(threading.enumerate())
     with open_dataset(container, streaming="on") as dataset:
         lazy = dataset.get_variable("ta")
-        lazy[0]
-        assert started_since(before) == ["streaming-prefetch-ta"]
-        prefetcher = dataset.streaming_source.prefetcher("ta")
-        target = lazy.layout.chunk_of(17).index
-        lazy.prefetch_hint(17)
-        assert prefetcher._cursor == target
-        deadline = time.monotonic() + 5.0
-        while target not in prefetcher._slots and time.monotonic() < deadline:
-            time.sleep(0.01)
-        assert target in prefetcher._slots
-    assert started_since(before) == []
+        for t in range(lazy.shape[0]):
+            lazy[t]
+        assert started_since(before) == []

@@ -1,8 +1,7 @@
 """A streamed slab is a read-only view of its verified chunk.
 
 Indexing a lazy variable inside one chunk hands out a view of the array
-the chunk reader verified — the same array the prefetch slots hold — so
-the reader marks it read-only and a write into a slab raises instead of
+the chunk reader verified and returned, so the reader marks it read-only and a write into a slab raises instead of
 corrupting the next reader's bytes.
 Eager loads copy once and own writable arrays.  A chunk the manifest
 counts as wholly valid and finite gets no mask; the fold passes of the
@@ -47,19 +46,27 @@ class TestEagerLoadsOwnTheirArrays:
 
 
 class TestSlabsAreReadOnlyViews:
-    def test_write_into_a_slab_raises_and_shared_copies_are_unchanged(self, v2_path):
-        with open_dataset(v2_path, streaming="on") as dataset:  # prefetch on
+    def test_write_into_a_slab_raises_and_shared_copies_are_unchanged(self, v2_path, monkeypatch):
+        with open_dataset(v2_path, streaming="on") as dataset:
             lazy = dataset.get_variable("ta")
+            reader = dataset.streaming_source.reader("ta")
+            verified = []
+            real_read = reader.read_chunk
+
+            def read_chunk(chunk):
+                verified.append(real_read(chunk))
+                return verified[-1]
+
+            monkeypatch.setattr(reader, "read_chunk", read_chunk)
             slab = lazy[2]
-            prefetcher = dataset.streaming_source.prefetcher("ta")
-            slot = prefetcher._slots[2]
-            assert np.shares_memory(slab.data, slot)
-            slot_bytes = slot.tobytes()
+            [chunk] = verified
+            assert np.shares_memory(slab.data, chunk)
+            chunk_bytes = chunk.tobytes()
             with pytest.raises(ValueError, match="read-only"):
                 slab.data[0, 0, 0, 0] = 0.0
             with pytest.raises(ValueError, match="read-only"):
                 slab.data += 1.0
-            assert prefetcher._slots[2].tobytes() == slot_bytes
+            assert chunk.tobytes() == chunk_bytes
 
     def test_clone_is_writable_and_detached(self, v2_path):
         with open_dataset(v2_path, streaming="on") as dataset:
