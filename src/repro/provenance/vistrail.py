@@ -61,6 +61,18 @@ class Vistrail:
         """The pipeline at the current version (do not mutate directly)."""
         return self._pipeline
 
+    def pipeline_at(self, version: int) -> Pipeline:
+        """A pipeline of its own equal to *version*'s materialisation.
+
+        The current version's is a copy of the working pipeline, which
+        :meth:`_record` keeps equal to replaying the version's root path;
+        any other version is replayed from the root.  Either way the
+        caller owns the result: later edits never reach it.
+        """
+        if version == self.current_version:
+            return self._pipeline.copy()
+        return self.tree.materialize(version, self.registry)
+
     def _record(self, action: Action, annotation: str = "") -> int:
         """Apply an action to the working pipeline and record it."""
         action.apply(self._pipeline)

@@ -32,7 +32,13 @@ Observability (all zero-cost when recording is off):
   ``serving.degraded`` (source), ``serving.errors`` (tenant);
 * gauges — ``serving.queue.depth``, ``serving.inflight`` (distinct
   coalescing keys currently executing or queued);
-* histograms — ``serving.latency.seconds`` (status) per request.
+* histograms — ``serving.latency.seconds`` (status) per request;
+* spans — one tree per request, rooted at ``serving.request`` (tenant,
+  session, key; its id is the frame's trace id), with
+  ``serving.cache.lookup``, ``serving.admission`` and
+  ``serving.slot.wait`` (or ``serving.coalesced.wait``) under it and
+  the slot thread's executor and kernel spans beside them.  A
+  speculative render is its own tree, rooted at ``serving.speculate``.
 
 Determinism for tests: the clock is injectable (deadlines and the
 breaker share it), the ``serving.execute`` fault site fires inside the
@@ -246,18 +252,22 @@ class ServingServer:
         obs.counter("serving.requests", tenant=request.tenant)
 
         state: Optional[SessionState] = None
-        if request.session:
-            state = self.sessions.observe(request.session, request.tenant)
-            obs.counter("serving.sessions.requests", tenant=request.tenant)
-            self._reconcile_speculation(state, key)
-            state.observe(request.params)
+        with obs.span(
+            "serving.request", tenant=request.tenant, session=request.session, key=key
+        ):
+            if request.session:
+                state = self.sessions.observe(request.session, request.tenant)
+                obs.counter("serving.sessions.requests", tenant=request.tenant)
+                self._reconcile_speculation(state, key)
+                state.observe(request.params)
 
-        response = await self._serve(request, key, t0)
+            response = await self._serve(request, key, t0)
 
-        if state is not None:
-            state.log(key, response, self.config.session_log_frames)
-            if response.completed and not self._closed:
-                self._maybe_speculate(state, request)
+            if state is not None:
+                state.log(key, response, self.config.session_log_frames)
+        # speculation is not part of this frame: it starts once its span closed
+        if state is not None and response.completed and not self._closed:
+            self._maybe_speculate(state, request)
         if obs.enabled():
             obs.histogram(
                 "serving.latency.seconds", response.latency_s, status=response.status
@@ -270,11 +280,13 @@ class ServingServer:
         if entry is not None:  # coalesce onto the in-flight computation
             entry.waiters += 1
             obs.counter("serving.coalesced", tenant=request.tenant)
-            base = await entry.future
+            with obs.span("serving.coalesced.wait"):
+                base = await entry.future
             return base.fan_out(request.tenant, self.clock() - t0, coalesced=True)
 
         if self.cache is not None:
-            found, payload = self.cache.get(key, site="serving")
+            with obs.span("serving.cache.lookup"):
+                found, payload = self.cache.get(key, site="serving")
             if found:
                 if self.quota.enforcing:
                     self.quota.touch(request.tenant, key)
@@ -284,7 +296,8 @@ class ServingServer:
                     tenant=request.tenant, latency_s=self.clock() - t0,
                 )
 
-        admitted, reason = self.admission.admit(request, self._queue.qsize())
+        with obs.span("serving.admission"):
+            admitted, reason = self.admission.admit(request, self._queue.qsize())
         if not admitted:
             obs.counter("serving.shed", reason=reason, tenant=request.tenant)
             return Response(
@@ -305,7 +318,8 @@ class ServingServer:
         if obs.enabled():
             obs.gauge("serving.queue.depth", self._queue.qsize())
             obs.gauge("serving.inflight", len(self._inflight))
-        base = await entry.future
+        with obs.span("serving.slot.wait"):
+            base = await entry.future
         return base.fan_out(request.tenant, self.clock() - t0, coalesced=False)
 
     # -- workers -------------------------------------------------------------
@@ -485,7 +499,10 @@ class ServingServer:
         loop = asyncio.get_running_loop()
         self._inflight[spec_key] = _Inflight(future=loop.create_future(), waiters=0)
         spec = Speculation(key=spec_key)
-        task = loop.create_task(
+        # an empty context: the render's spans form their own tree, outside
+        # the request's and any span its submitter holds open
+        task = contextvars.Context().run(
+            loop.create_task,
             self._speculate(spec_request, spec_key, spec),
             name=f"repro-serving-speculate-{spec_key[:8]}",
         )
@@ -501,9 +518,12 @@ class ServingServer:
     ) -> None:
         """Render one predicted frame; store it where demand will look."""
         try:
-            payload = await self._run_backend(
-                request, degraded=False, key=key, context=contextvars.copy_context()
-            )
+            with obs.span(
+                "serving.speculate", tenant=request.tenant, session=request.session, key=key
+            ):
+                payload = await self._run_backend(
+                    request, degraded=False, key=key, context=contextvars.copy_context()
+                )
         except asyncio.CancelledError:
             obs.counter("serving.speculative.cancelled", tenant=request.tenant)
             self._resolve_speculation(

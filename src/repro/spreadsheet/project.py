@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 import weakref
 from pathlib import Path
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Optional, Set, Union
 
 from repro.dv3d.cell import DV3DCell
 from repro.hyperwall.client import DisplayNode
@@ -26,6 +26,13 @@ from repro.util.errors import SpreadsheetError
 from repro.workflow.registry import ModuleRegistry
 
 PathLike = Union[str, Path]
+
+
+def _release(node: DisplayNode, watched: Set[int], key: int) -> None:
+    """A slot went: drop its cell, and forget it so a new slot reusing
+    its id is watched again."""
+    watched.discard(key)
+    node.release(key)
 
 
 class Project:
@@ -42,6 +49,8 @@ class Project:
         #: the host of every live cell of this project's sheets
         self.node = DisplayNode(0)
         self.executor = self.node.executor
+        #: keys of the live slots a finalizer watches (one each)
+        self._watched: Set[int] = set()
 
     def __repr__(self) -> str:
         return (
@@ -87,10 +96,11 @@ class Project:
             raise SpreadsheetError(f"slot ({row}, {column}) of {sheet_name!r} is empty")
         binding = slot.binding
         vistrail = self.get_vistrail(binding.vistrail_name)
-        pipeline = vistrail.tree.materialize(binding.version, self.registry)
+        pipeline = vistrail.pipeline_at(binding.version)
         key = id(slot)
-        if key not in self.node.cells:  # the cell goes when the slot does
-            weakref.finalize(slot, self.node.release, key)
+        if key not in self._watched:  # the cell goes when the slot does
+            self._watched.add(key)
+            weakref.finalize(slot, _release, self.node, self._watched, key)
         result = self.node.execute(key, pipeline, binding.sink_module_id)
         slot.cell = result.output(binding.sink_module_id, "cell")
         self.log.record(
