@@ -9,9 +9,10 @@ the weights renormalised over the valid points, matching CDAT's
 Every average consumes its input through the slab protocol
 (:mod:`repro.cdms.slabs`): reductions *along* the slab axis fold the
 accumulator kernels of :mod:`repro.cdat.slabkernels`; reductions over
-other dimensions run per slab and concatenate (each output row depends
-only on its own input row).  Eager and streamed inputs take the same
-code path and produce byte-identical results.
+other dimensions run per slab, each slab's rows written into one output
+(each output row depends only on its own input row).  Eager and
+streamed inputs take the same code path and produce byte-identical
+results.
 """
 
 from __future__ import annotations
@@ -55,11 +56,7 @@ def _weighted_mean_along(var: Variable, dim: int, weights: np.ndarray) -> Union[
             var, (dim,), num, wsum, out_id,
             f"variable {var.id!r}: all data masked in average",
         )
-    if var.slab_count() > 1:
-        return map_slabs(
-            lambda s: _weighted_mean_eager(s, dim, weights), var, id=out_id
-        )
-    return _weighted_mean_eager(var, dim, weights)
+    return map_slabs(lambda s: _weighted_mean_eager(s, dim, weights), var, id=out_id)
 
 
 def _weighted_mean_eager(var: Variable, dim: int, weights: np.ndarray) -> Union[Variable, float]:
@@ -115,9 +112,7 @@ def area_average(var: Variable) -> Union[Variable, float]:
     if is_streamed(var) and slab_axis(var) in (lat_dim, lon_dim):
         # chunked along a reduced dimension: gather (observable) first
         var = materialize(var, op="area_average")
-    if var.slab_count() > 1:
-        return map_slabs(_area_average_eager, var, id=f"areaavg({var.id})")
-    return _area_average_eager(var)
+    return map_slabs(_area_average_eager, var, id=f"areaavg({var.id})")
 
 
 def _area_average_eager(var: Variable) -> Union[Variable, float]:
@@ -159,11 +154,7 @@ def running_mean(var: Variable, axis: str = "time", window: int = 3) -> Variable
             out, var.axes, id=out_id,
             missing_value=var.missing_value, attributes=dict(var.attributes),
         )
-    if var.slab_count() > 1:
-        return map_slabs(
-            lambda s: _running_mean_eager(s, dim, window), var, id=out_id
-        )
-    return _running_mean_eager(var, dim, window)
+    return map_slabs(lambda s: _running_mean_eager(s, dim, window), var, id=out_id)
 
 
 def _running_mean_eager(var: Variable, dim: int, window: int) -> Variable:

@@ -23,8 +23,8 @@ partitioned:
   reproduces the whole-axis ``np.cumsum`` exactly, which gives the
   windowed running mean its slab-boundary carry;
 * reductions over *other* dimensions touch each row independently, so
-  per-slab computation + concatenation (``repro.cdms.slabs.map_slabs``)
-  is trivially identical;
+  computing each slab and writing its rows into one output by position
+  (``repro.cdms.slabs.map_slabs``) is trivially identical;
 * whole-array *scalar* statistics (pattern covariance and friends) are
   instead canonicalized to per-row term sums folded into Python floats
   — each row is always a whole row, so row sums are partition-
@@ -505,16 +505,41 @@ class ScalarStats:
     ) -> None:
         self.a, self.b, self.condition = a, b, condition
         self.op = op
-        present = [v for v in (a, b, condition) if v is not None]
-        driver = max(present, key=lambda v: v.slab_count())
+        self._present = [v for v in (a, b, condition) if v is not None]
+        driver = max(self._present, key=lambda v: v.slab_count())
         self.dim = slab_axis(driver)
         self._weights_full = self._build_weights(a)
         self._second: Optional[Tuple[float, float, float]] = None
 
-        acct = SlabAccounting(op)
         wtot = count = swa = swb = sdd = sdiff = 0.0
+        for valid, w, fa, fb in self._rows(op):
+            wtot += float(w.sum())
+            count += float(valid.sum())
+            swa += float((w * fa).sum())
+            if fb is not None:
+                swb += float((w * fb).sum())
+                diff = np.where(valid, fa - fb, 0.0)
+                sdd += float((w * diff * diff).sum())
+                sdiff += float(diff.sum())
+        if wtot <= 0:
+            raise CDATError("no jointly valid data points")
+        self.wtot = wtot
+        self.count = count
+        self.mean_a = swa / wtot
+        self.mean_b = swb / wtot if b is not None else self.mean_a
+        self._sdd = sdd
+        self._sdiff = sdiff
+
+    def _rows(self, op: str) -> Iterator[Tuple[np.ndarray, ...]]:
+        """Yield ``(valid, w, a_row, b_row)`` for each row along the slab axis.
+
+        *valid* is the joint validity (condition included), *w* the row's
+        weights zeroed where invalid, and *b_row* is None without *b*.
+        The slabs are accounted under *op*.
+        """
+        acct = SlabAccounting(op)
         pos = 0
-        for slabs in iter_aligned_slabs(*present):
+        for slabs in iter_aligned_slabs(*self._present):
             blocks = [np.moveaxis(s.data, self.dim, 0) for s in slabs]
             k = blocks[0].shape[0]
             wblock = self._weight_block(pos, pos + k, blocks[0].ndim)
@@ -522,12 +547,12 @@ class ScalarStats:
             va = ~np.ma.getmaskarray(blocks[0])
             fb = vb = None
             idx = 1
-            if b is not None:
+            if self.b is not None:
                 fb = np.asarray(blocks[idx].filled(0.0), dtype=np.float64)
                 vb = ~np.ma.getmaskarray(blocks[idx])
                 idx += 1
             truth = None
-            if condition is not None:
+            if self.condition is not None:
                 cblock = blocks[idx]
                 truth = np.asarray(cblock.filled(0.0)) != 0.0
                 truth &= ~np.ma.getmaskarray(cblock)
@@ -539,24 +564,9 @@ class ScalarStats:
                 if truth is not None:
                     valid = valid & truth[j]
                 w = np.where(valid, wblock[j], 0.0)
-                wtot += float(w.sum())
-                count += float(valid.sum())
-                swa += float((w * fa[j]).sum())
-                if fb is not None:
-                    swb += float((w * fb[j]).sum())
-                    diff = np.where(valid, fa[j] - fb[j], 0.0)
-                    sdd += float((w * diff * diff).sum())
-                    sdiff += float(diff.sum())
+                yield valid, w, fa[j], None if fb is None else fb[j]
             pos += k
         acct.finish()
-        if wtot <= 0:
-            raise CDATError("no jointly valid data points")
-        self.wtot = wtot
-        self.count = count
-        self.mean_a = swa / wtot
-        self.mean_b = swb / wtot if b is not None else self.mean_a
-        self._sdd = sdd
-        self._sdiff = sdiff
 
     # -- weights -----------------------------------------------------------
 
@@ -581,46 +591,16 @@ class ScalarStats:
     def _second_moments(self) -> Tuple[float, float, float]:
         if self._second is not None:
             return self._second
-        a, b, condition = self.a, self.b, self.condition
-        present = [v for v in (a, b, condition) if v is not None]
-        acct = SlabAccounting(self.op + ".centered")
         saa = sbb = sab = 0.0
         ma, mb = self.mean_a, self.mean_b
-        pos = 0
-        for slabs in iter_aligned_slabs(*present):
-            blocks = [np.moveaxis(s.data, self.dim, 0) for s in slabs]
-            k = blocks[0].shape[0]
-            wblock = self._weight_block(pos, pos + k, blocks[0].ndim)
-            fa = np.asarray(blocks[0].filled(0.0), dtype=np.float64)
-            va = ~np.ma.getmaskarray(blocks[0])
-            fb = vb = None
-            idx = 1
-            if b is not None:
-                fb = np.asarray(blocks[idx].filled(0.0), dtype=np.float64)
-                vb = ~np.ma.getmaskarray(blocks[idx])
-                idx += 1
-            truth = None
-            if condition is not None:
-                cblock = blocks[idx]
-                truth = np.asarray(cblock.filled(0.0)) != 0.0
-                truth &= ~np.ma.getmaskarray(cblock)
-            acct.note(*blocks)
-            for j in range(k):
-                valid = va[j]
-                if vb is not None:
-                    valid = valid & vb[j]
-                if truth is not None:
-                    valid = valid & truth[j]
-                w = np.where(valid, wblock[j], 0.0)
-                da = fa[j] - ma
-                saa += float((w * da * da).sum())
-                if fb is not None:
-                    db = fb[j] - mb
-                    sbb += float((w * db * db).sum())
-                    sab += float((w * da * db).sum())
-            pos += k
-        acct.finish()
-        if b is None:
+        for _valid, w, fa, fb in self._rows(self.op + ".centered"):
+            da = fa - ma
+            saa += float((w * da * da).sum())
+            if fb is not None:
+                db = fb - mb
+                sbb += float((w * db * db).sum())
+                sab += float((w * da * db).sum())
+        if self.b is None:
             sbb = sab = saa
         self._second = (saa, sbb, sab)
         return self._second

@@ -55,9 +55,7 @@ def variance(a: Variable, axis: Optional[str] = None) -> Union[Variable, float]:
             return float(var_ma)
         return Variable(var_ma, axes, id=out_id,
                         missing_value=a.missing_value, attributes=dict(a.attributes))
-    if a.slab_count() > 1:
-        return map_slabs(lambda s: _variance_eager(s, dim), a, id=out_id)
-    return _variance_eager(a, dim)
+    return map_slabs(lambda s: _variance_eager(s, dim), a, id=out_id)
 
 
 def _variance_eager(a: Variable, dim: int) -> Union[Variable, float]:
@@ -96,8 +94,6 @@ def linear_trend(var: Variable, axis: str = "time") -> Tuple[Variable, Variable]
     axes = tuple(ax for i, ax in enumerate(var.axes) if i != dim)
     if not axes:
         raise CDATError("linear_trend over the only axis yields scalars; keep ≥2 dims")
-    if is_streamed(var) and slab_axis(var) != dim:
-        var = materialize(var, op="linear_trend")
     t = var.get_axis(dim).values
     n, st, sy, stt, sty = fold_trend_sums(var, dim, t, op="linear_trend")
     denom = n * stt - st * st
@@ -144,9 +140,7 @@ def standardize(var: Variable, axis: str = "time") -> Variable:
                             attributes=dict(var.attributes))
 
         return map_slabs(transform, var, id=out_id)
-    if var.slab_count() > 1:
-        return map_slabs(lambda s: _standardize_eager(s, dim), var, id=out_id)
-    return _standardize_eager(var, dim)
+    return map_slabs(lambda s: _standardize_eager(s, dim), var, id=out_id)
 
 
 def _standardize_eager(var: Variable, dim: int) -> Variable:
@@ -169,14 +163,9 @@ def percentile(var: Variable, q: float = 50.0, axis: str = "time") -> Variable:
     if not 0.0 <= q <= 100.0:
         raise CDATError(f"percentile: q={q} out of [0, 100]")
     dim = var.axis_index(axis)
-    if is_streamed(var):
-        if slab_axis(var) == dim:
-            var = materialize(var, op="percentile")
-        else:
-            return map_slabs(
-                lambda s: _percentile_eager(s, q, dim), var, id=f"p{q:g}({var.id})"
-            )
-    return _percentile_eager(var, q, dim)
+    if is_streamed(var) and slab_axis(var) == dim:
+        var = materialize(var, op="percentile")
+    return map_slabs(lambda s: _percentile_eager(s, q, dim), var, id=f"p{q:g}({var.id})")
 
 
 def _percentile_eager(var: Variable, q: float, dim: int) -> Variable:

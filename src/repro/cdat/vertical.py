@@ -24,12 +24,10 @@ def _level_dim(var: Variable) -> int:
 
 def _per_slab(var: Variable, dim: int, fn, op: str):
     """Run a level-axis reduction per slab (level reductions are
-    independent per time step, so per-slab + concat is byte-identical)."""
+    independent per time step, so mapping over slabs is byte-identical)."""
     if is_streamed(var) and slab_axis(var) == dim:
         var = materialize(var, op=op)
-    if var.slab_count() > 1:
-        return map_slabs(fn, var)
-    return fn(var)
+    return map_slabs(fn, var)
 
 
 def pressure_weighted_mean(var: Variable) -> Variable:

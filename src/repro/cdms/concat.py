@@ -25,7 +25,8 @@ def concatenate_time(pieces: Sequence[Variable]) -> Variable:
     Pieces may arrive in any order; they are sorted by first time
     coordinate.  Requirements: same id/units, identical non-time axes,
     identical time units and calendar, and strictly increasing time
-    across the splice points.
+    across the splice points.  The spliced time axis keeps the pieces'
+    bounds when every piece has them.
     """
     pieces = list(pieces)
     if not pieces:
@@ -72,10 +73,12 @@ def concatenate_time(pieces: Sequence[Variable]) -> Variable:
                 f"({prev[-1]} then {cur[0]})"
             )
     merged_time = np.concatenate(times)
+    bounds = [p.get_time().get_bounds() for p in pieces]  # type: ignore[union-attr]
     ref_time = first.get_time()
     assert ref_time is not None
     time_axis = Axis(
         ref_time.id, merged_time, units=ref_time.units,
+        bounds=np.concatenate(bounds) if all(b is not None for b in bounds) else None,
         calendar=ref_time.calendar.name, attributes=dict(ref_time.attributes),
     )
     data = np.ma.concatenate([p.data for p in pieces], axis=t_dim)

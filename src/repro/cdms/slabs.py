@@ -32,10 +32,12 @@ for derived fields such as vector speed.
 
 from __future__ import annotations
 
+import itertools
 from typing import Any, Callable, Iterator, List, Optional, Tuple, Type
 
 import numpy as np
 
+from repro.cdms.axis import Axis
 from repro.cdms.variable import Variable
 from repro.util.errors import CDMSError
 
@@ -178,62 +180,65 @@ def map_slabs(
     id: Optional[str] = None,
     **attr_updates: Any,
 ) -> Variable:
-    """Apply a per-slab operation and concatenate along the slab axis.
+    """Apply a per-slab operation and write its results into one output.
 
     Correct (and byte-identical to the whole-array computation) for any
     operation whose output rows depend only on the matching input rows
     along the slab axis — elementwise transforms, masking, reductions
-    over *other* dimensions.  The slab axis must survive ``fn``.
+    over *other* dimensions.  A one-slab input is ``fn`` called once,
+    and a result that is not a :class:`Variable` (a reduction to a
+    scalar) is returned as it is.  Otherwise the slab axis must survive
+    ``fn``: the first slab's result fixes the output's shape off that
+    axis, every slab's result is written by position into one data
+    array and one mask, and the output's slab axis is the first input's
+    own.  The dtype is that of joining the results (a wider slab
+    promotes it), and the mask is ``nomask`` when no point is masked.
     """
     driver = max(variables, key=lambda v: v.slab_count())
     template = variables[0]
-    if driver.slab_count() <= 1:
-        out = fn(*next(iter_aligned_slabs(*variables)))
-    else:
-        pieces = [fn(*slabs) for slabs in iter_aligned_slabs(*variables)]
-        slab_id = driver.axes[slab_axis(driver)].id
-        out_axis = next(
-            (i for i, a in enumerate(pieces[0].axes) if a.id == slab_id), None
-        )
-        if out_axis is None:
-            raise CDMSError(
-                f"map_slabs: slab axis {slab_id!r} did not survive the "
-                f"per-slab operation"
-            )
-        data = np.ma.concatenate([p.data for p in pieces], axis=out_axis)
-        axes = list(pieces[0].axes)
-        axes[out_axis] = _concat_axis([p.axes[out_axis] for p in pieces])
-        out = Variable(
-            data,
-            tuple(axes),
-            id=pieces[0].id,
-            missing_value=pieces[0].missing_value,
-            attributes=dict(pieces[0].attributes),
-        )
-    if id is not None:
-        out.id = id
-    if attr_updates:
+    pieces = (fn(*slabs) for slabs in iter_aligned_slabs(*variables))
+    out = next(pieces)
+    if driver.slab_count() > 1:
+        out = _fill_output(out, pieces, template.axes[slab_axis(driver)])
+    if isinstance(out, Variable):
+        if id is not None:
+            out.id = id
         out.attributes.update(attr_updates)
-    if out.missing_value != template.missing_value:
         out.missing_value = template.missing_value
     return out
 
 
-def _concat_axis(axes: List[Any]):
-    """Join per-slab sub-axes back into the full axis."""
-    from repro.cdms.axis import Axis
-
-    first = axes[0]
-    values = np.concatenate([a.values for a in axes])
-    bounds_list = [a.get_bounds() for a in axes]
-    bounds = None
-    if all(b is not None for b in bounds_list):
-        bounds = np.concatenate(bounds_list, axis=0)
-    return Axis(
-        first.id,
-        values,
-        units=first.units,
-        bounds=bounds,
-        calendar=first.calendar.name,
+def _fill_output(first: Variable, rest: Iterator[Variable], axis: Axis) -> Variable:
+    """Write *first*, then each piece of *rest*, by position into one
+    output whose slab axis is *axis*."""
+    out_axis = next((i for i, a in enumerate(first.axes) if a.id == axis.id), None)
+    if out_axis is None:
+        raise CDMSError(
+            f"map_slabs: slab axis {axis.id!r} did not survive the "
+            f"per-slab operation"
+        )
+    shape = list(first.shape)
+    shape[out_axis] = len(axis)
+    data = np.empty(shape, dtype=first.dtype)
+    mask = np.zeros(shape, dtype=bool)
+    pos = 0
+    for piece in itertools.chain((first,), rest):
+        dtype = np.result_type(data.dtype, piece.dtype)
+        if dtype != data.dtype:
+            # a later slab can be wider (np.ma.mean of a float32 slab
+            # with an all-masked row is float64): promote, as a join would
+            data = data.astype(dtype)
+        block = np.moveaxis(piece.data, out_axis, 0)
+        stop = pos + block.shape[0]
+        np.moveaxis(data, out_axis, 0)[pos:stop] = np.ma.getdata(block)
+        np.moveaxis(mask, out_axis, 0)[pos:stop] = np.ma.getmaskarray(block)
+        pos = stop
+    axes = list(first.axes)
+    axes[out_axis] = axis
+    return Variable(
+        np.ma.MaskedArray(data, mask=mask if mask.any() else np.ma.nomask),
+        tuple(axes),
+        id=first.id,
+        missing_value=first.missing_value,
         attributes=dict(first.attributes),
     )

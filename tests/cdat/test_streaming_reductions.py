@@ -166,6 +166,7 @@ def test_reduction_byte_identical_eager_vs_streamed(name, planes):
         streamed = run_case(name, lazy_ds)
         recorder = obs.get_recorder()
         full = recorder.counter_total("streaming.materialize.full")
+        gathered = recorder.counter_total("cdat.materialize")
     finally:
         obs.disable()
         obs.set_recorder(obs.Recorder())
@@ -173,6 +174,32 @@ def test_reduction_byte_identical_eager_vs_streamed(name, planes):
     # no reduction may fall through the whole-array escape hatch; the
     # explicit gathers (percentile) go through the counted materialize()
     assert full == 0, f"{name} materialized a streamed input via ._data"
+    # an operation registered as streaming never gathers its input
+    if default_registry().get(name).streaming:
+        assert gathered == 0, f"{name} is registered streaming but gathered"
+
+
+#: operation name -> kwargs reducing or mapping along a dimension that
+#: is not the slab (time) axis, so the streamed input maps slab by slab
+NON_SLAB_AXIS_CASES = {
+    "variance": {"axis": "longitude"},
+    "standardize": {"axis": "latitude"},
+    "percentile": {"q": 75.0, "axis": "latitude"},
+    "axis_average": {"axis": "longitude"},
+    "running_mean": {"axis": "longitude", "window": 3},
+}
+
+
+@pytest.mark.parametrize("name", sorted(NON_SLAB_AXIS_CASES))
+def test_non_slab_axis_map_byte_identical_eager_vs_streamed(name, planes):
+    eager_ds, lazy_ds = planes
+    reg = default_registry()
+    kwargs = NON_SLAB_AXIS_CASES[name]
+    lazy_ta = lazy_ds.get_variable("ta")
+    assert lazy_ta.slab_count() > 1
+    expected = reg.apply(name, eager_ds.get_variable("ta"), **kwargs)
+    streamed = reg.apply(name, lazy_ta, **kwargs)
+    assert digest(expected) == digest(streamed)
 
 
 def test_kernel_reductions_account_slabs_and_peak_resident(planes):

@@ -71,6 +71,26 @@ class TestConcatenateTime:
         assert bool(np.ma.getmaskarray(merged.data)[1, 1])
         assert not np.ma.getmaskarray(merged.data)[5].any()
 
+    def test_time_bounds_kept_when_every_piece_has_them(self):
+        def monthly(values, bounds):
+            t = time_axis(values, calendar="noleap")
+            if bounds is not None:
+                t.set_bounds(np.array(bounds, dtype=float))
+            return Variable(np.zeros((2, 2)), (t, latitude_axis([0.0, 10.0])), id="x")
+
+        merged = concatenate_time([
+            monthly([15.5, 45.0], [[0, 31], [31, 59]]),
+            monthly([74.5, 104.0], [[59, 90], [90, 118]]),
+        ])
+        np.testing.assert_array_equal(
+            merged.get_time().get_bounds(), [[0, 31], [31, 59], [59, 90], [90, 118]]
+        )
+        # one piece without bounds: the splice has none either
+        merged = concatenate_time([
+            monthly([15.5, 45.0], [[0, 31], [31, 59]]), monthly([74.5, 104.0], None),
+        ])
+        assert merged.get_time().get_bounds() is None
+
 
 class TestConcatenateDatasets:
     def test_shared_variables_merged(self):
