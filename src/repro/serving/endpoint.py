@@ -35,17 +35,20 @@ or wrong-version frame raises a typed
 :class:`~repro.util.errors.WireError` on the reading side, and the
 server answers what it can with a ``KIND_ERROR`` frame before closing.
 
-The asyncio serving loop runs on a dedicated thread; connection threads
-bridge into it with ``run_coroutine_threadsafe`` to render and to read a
-ring, so blocking socket I/O never stalls it and the ring needs no lock.
+The endpoint owns one thread, ``repro-wire-loop``, running the serving
+loop; each connection is a task on it that awaits the server directly,
+so the ring needs no lock.  ``io_timeout`` bounds every read of a peer
+and every drain of a backed-up write: a silent peer holds up no other.
 """
 
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import socket
 import threading
-from typing import Any, Dict, List, Optional
+from types import SimpleNamespace
+from typing import Any, Dict, List, Optional, Set
 
 from repro import obs
 from repro.cache.store import ResultCache
@@ -53,11 +56,12 @@ from repro.serving import wire
 from repro.serving.config import ServingConfig
 from repro.serving.request import Request
 from repro.serving.server import Backend, ServingServer
-from repro.serving.sessions import SessionFrame
+from repro.util import framing
 from repro.util.errors import (
     ServingError,
     WireCorruptionError,
     WireError,
+    WireFormatError,
     WireTruncatedError,
     WireVersionError,
 )
@@ -89,11 +93,10 @@ class WireSessionServer:
         self.host, self.port = self._listener.getsockname()
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._loop_thread: Optional[threading.Thread] = None
-        self._accept_thread: Optional[threading.Thread] = None
-        #: live connections: socket -> the thread serving it
-        self._conn_threads: Dict[socket.socket, threading.Thread] = {}
-        self._lock = threading.Lock()  # guards _conn_threads
-        self._stopped = False
+        self._acceptor: Optional[asyncio.AbstractServer] = None
+        #: the live connections' tasks, touched on the loop only
+        self._conns: Set["asyncio.Task[None]"] = set()
+        self._closing = False
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -106,46 +109,19 @@ class WireSessionServer:
         )
         self._loop_thread.start()
         self._submit_coro(self.server.start())
-        self._accept_thread = threading.Thread(
-            target=self._accept_loop, name="repro-wire-accept", daemon=True
+        self._acceptor = self._submit_coro(
+            asyncio.start_server(self._serve_connection, sock=self._listener)
         )
-        self._accept_thread.start()
         return self
 
     def stop(self) -> None:
-        if self._stopped:
-            return
-        self._stopped = True
-        try:
-            # close() alone does not wake a thread blocked in accept()
-            # on Linux; shutdown() makes that accept() return at once
-            self._listener.shutdown(socket.SHUT_RDWR)
-        except OSError:
-            pass
-        try:
-            self._listener.close()
-        except OSError:
-            pass
-        with self._lock:
-            conns = list(self._conn_threads)
-        for conn in conns:
-            try:
-                conn.close()
-            except OSError:
-                pass
-        if self._accept_thread is not None:
-            self._accept_thread.join(timeout=5.0)
-        with self._lock:
-            conn_threads = list(self._conn_threads.values())
-        for thread in conn_threads:
-            thread.join(timeout=5.0)
         if self._loop is not None:
-            self._submit_coro(self.server.aclose())
+            self._submit_coro(self._close())
             self._loop.call_soon_threadsafe(self._loop.stop)
-            if self._loop_thread is not None:
-                self._loop_thread.join(timeout=5.0)
+            self._loop_thread.join(timeout=5.0)
             self._loop.close()
             self._loop = None
+        self._listener.close()  # a no-op once the acceptor closed it
 
     def __enter__(self) -> "WireSessionServer":
         return self.start()
@@ -159,113 +135,107 @@ class WireSessionServer:
             timeout=max(self.io_timeout, 60.0)
         )
 
-    # -- the accept / connection loops ---------------------------------------
+    async def _close(self) -> None:
+        self._closing = True
+        asyncio.get_running_loop().remove_reader(self._listener)  # accept no more
+        for task in self._conns:
+            task.cancel()
+        await asyncio.gather(*self._conns, return_exceptions=True)
+        await self.server.aclose()
+        # a peer accepted just before is still landing and is hung up on; only
+        # then may the acceptor close (asyncio asserts on a later landing)
+        while others := asyncio.all_tasks() - {asyncio.current_task()}:
+            await asyncio.wait(others)
+        if self._acceptor is not None:
+            self._acceptor.close()
+            await self._acceptor.wait_closed()
 
-    def _accept_loop(self) -> None:
-        while not self._stopped:
-            try:
-                conn, _addr = self._listener.accept()
-            except OSError:
-                return  # listener closed: orderly shutdown
-            conn.settimeout(self.io_timeout)
-            thread = threading.Thread(
-                target=self._serve_connection,
-                args=(conn,),
-                name="repro-wire-conn",
-                daemon=True,
-            )
-            with self._lock:
-                self._conn_threads[conn] = thread
-            thread.start()
+    # -- one connection ------------------------------------------------------
 
-    def _serve_connection(self, conn: socket.socket) -> None:
+    async def _serve_connection(self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter) -> None:
+        if self._closing:  # accepted just before stop()
+            writer.close()
+            return
+        task = asyncio.current_task()
+        self._conns.add(task)
         obs.counter("serving.wire.connections")
         try:
-            self._dialogue(conn)
+            await self._dialogue(reader, writer)
+        except asyncio.CancelledError:
+            # stop(): drop what the peer never took, and end normally (the
+            # stream protocol's done callback errors on a cancelled task)
+            writer.transport.abort()
         except (WireError, ServingError) as exc:
             obs.counter("serving.wire.protocol_errors", error=type(exc).__name__)
-            try:
-                wire.write_frame(
-                    conn,
-                    WireFrame(
-                        wire.KIND_ERROR,
-                        {"error": type(exc).__name__, "detail": str(exc)},
-                    ),
-                )
-            except OSError:
-                pass
-        except OSError:
-            pass  # peer vanished; the session's ring survives for resume
+            error = {"error": type(exc).__name__, "detail": str(exc)}
+            with contextlib.suppress(OSError, asyncio.TimeoutError):
+                await self._send(writer, WireFrame(wire.KIND_ERROR, error))
+        except (OSError, asyncio.TimeoutError):
+            pass  # peer vanished or went silent; the ring survives for resume
         finally:
-            try:
-                conn.close()
-            except OSError:
-                pass
-            with self._lock:
-                self._conn_threads.pop(conn, None)
+            writer.close()
+            self._conns.discard(task)
 
-    def _dialogue(self, conn: socket.socket) -> None:
-        hello = wire.read_frame(conn)
+    async def _read(self, reader: asyncio.StreamReader) -> Optional[WireFrame]:
+        return await asyncio.wait_for(framing.read_frame_async(reader, wire.SEND_SITE), self.io_timeout)
+
+    async def _send(self, writer: asyncio.StreamWriter, frame: WireFrame) -> None:
+        # a transport closed with bytes still buffered takes more writes: nothing
+        # may follow a dropped frame, as nothing follows a closed socket's
+        if writer.is_closing():
+            raise ConnectionResetError("connection dropped mid-stream")
+        # write_frame's socket: its fault site may close it instead of sending
+        wire.write_frame(SimpleNamespace(sendall=writer.write, close=writer.close), frame)
+        if writer.transport.get_write_buffer_size():
+            await asyncio.wait_for(writer.drain(), self.io_timeout)
+
+    async def _dialogue(self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter) -> None:
+        hello = await self._read(reader)
         if hello is None:
             return
         if hello.kind != wire.KIND_HELLO:
             raise WireError(f"expected hello, got {hello.kind!r}")
-        wire.write_frame(
-            conn,
-            WireFrame(wire.KIND_WELCOME, {"wire_version": WIRE_VERSION}),
-        )
+        await self._send(writer, WireFrame(wire.KIND_WELCOME, {"wire_version": WIRE_VERSION}))
         session = ""
         tenant = "default"
         while True:
-            frame = wire.read_frame(conn)
+            frame = await self._read(reader)
             if frame is None:
                 return  # orderly EOF between frames
             if frame.kind == wire.KIND_OPEN:
-                session = str(frame.meta.get("session", ""))
-                tenant = str(frame.meta.get("tenant", "default"))
+                session = frame.meta.get("session", "")
+                tenant = frame.meta.get("tenant", "default")
+                resume_from = frame.meta.get("resume_from", 0)
+                if not (isinstance(session, str) and isinstance(tenant, str)
+                        and type(resume_from) is int and resume_from >= 0):
+                    raise WireFormatError(f"malformed open frame: {frame.meta!r}")
                 if not session:
                     raise WireError("open frame carries no session id")
-                resume_from = int(frame.meta.get("resume_from", 0))
-                replay, next_seq = self._submit_coro(
-                    self.server.replay(session, tenant, resume_from)
-                )
+                replay, next_seq = await self.server.replay(session, tenant, resume_from)
                 first_seq = replay[0].seq if replay else next_seq
                 if first_seq > resume_from:  # the ring no longer reaches back
                     obs.counter("serving.wire.resume.lost", first_seq - resume_from)
                 opened = {"session": session, "replay": len(replay),
                           "next_seq": next_seq, "first_seq": first_seq}
-                wire.write_frame(conn, WireFrame(wire.KIND_OPENED, opened))
+                await self._send(writer, WireFrame(wire.KIND_OPENED, opened))
                 for logged in replay:
                     meta = dict(logged.meta(), replayed=True)
-                    wire.write_frame(
-                        conn, WireFrame(wire.KIND_FRAME, meta, logged.payload)
-                    )
+                    await self._send(writer, WireFrame(wire.KIND_FRAME, meta, logged.payload))
             elif frame.kind == wire.KIND_RENDER:
                 if not session:
                     raise WireError("render before open")
-                logged = self._submit_coro(
-                    self._render(
-                        Request(
-                            params=frame.meta.get("params", {}),
-                            tenant=tenant,
-                            session=session,
-                        )
-                    )
-                )
-                wire.write_frame(
-                    conn, WireFrame(wire.KIND_FRAME, logged.meta(), logged.payload)
-                )
+                params = frame.meta.get("params", {})
+                if not isinstance(params, dict):
+                    raise WireFormatError(f"render frame params are not an object: {params!r}")
+                await self.server.submit(Request(params=params, tenant=tenant, session=session))
+                # no suspension since submit logged it: the newest entry is this one
+                logged = self.server.sessions.get(session).frames[-1]
+                await self._send(writer, WireFrame(wire.KIND_FRAME, logged.meta(), logged.payload))
             elif frame.kind == wire.KIND_CLOSE:
-                wire.write_frame(conn, WireFrame(wire.KIND_BYE))
+                await self._send(writer, WireFrame(wire.KIND_BYE))
                 return
             else:
                 raise WireError(f"unexpected frame kind {frame.kind!r}")
-
-    async def _render(self, request: Request) -> SessionFrame:
-        """Serve *request*; the frame ``submit`` logged for it."""
-        await self.server.submit(request)
-        # no suspension since submit logged it: the newest entry is this one
-        return self.server.sessions.get(request.session).frames[-1]
 
 
 class WireSessionClient:

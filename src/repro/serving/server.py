@@ -440,7 +440,7 @@ class ServingServer:
         self, session: str, tenant: str, resume_from: int
     ) -> Tuple[List[SessionFrame], int]:
         """*session*'s ring from *resume_from* on, and its next seq — a
-        coroutine, so other threads read the ring on the loop that writes it."""
+        coroutine, so a caller reads the ring on the loop that writes it."""
         state = self.sessions.observe(session, tenant)
         return [f for f in state.frames if f.seq >= resume_from], state.next_seq
 

@@ -40,7 +40,7 @@ import json
 import socket
 import struct
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, Optional, Tuple
 
 from repro import obs
 from repro.resilience import faults
@@ -50,6 +50,9 @@ from repro.util.errors import (
     WireTruncatedError,
     WireVersionError,
 )
+
+if TYPE_CHECKING:  # asyncio stays unimported for the socket-only peers
+    import asyncio
 
 MAGIC = b"RSWP"
 WIRE_VERSION = 1
@@ -190,6 +193,27 @@ def read_frame(sock: socket.socket, site: str) -> Optional[WireFrame]:
     rest = recv_exact(sock, hlen + plen + _DIGEST_BYTES)
     if rest is None:
         raise WireTruncatedError("connection closed after frame prefix")
+    frame = _parse(rest[:hlen], rest[hlen : hlen + plen], rest[hlen + plen :])
+    _count(site, "received", frame.kind, _PREFIX.size + len(rest))
+    return frame
+
+
+async def read_frame_async(
+    reader: asyncio.StreamReader, site: str
+) -> Optional[WireFrame]:
+    """:func:`read_frame` over an :class:`asyncio.StreamReader`: the same
+    typed errors and counters, None on orderly EOF at a frame boundary."""
+    try:
+        prefix = await reader.readexactly(_PREFIX.size)
+    except EOFError as exc:  # asyncio.IncompleteReadError
+        if exc.partial:
+            raise WireTruncatedError("connection closed mid-frame") from exc
+        return None
+    hlen, plen = _check_prefix(prefix)
+    try:
+        rest = await reader.readexactly(hlen + plen + _DIGEST_BYTES)
+    except EOFError as exc:
+        raise WireTruncatedError("connection closed after frame prefix") from exc
     frame = _parse(rest[:hlen], rest[hlen : hlen + plen], rest[hlen + plen :])
     _count(site, "received", frame.kind, _PREFIX.size + len(rest))
     return frame

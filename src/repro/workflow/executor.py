@@ -214,7 +214,7 @@ class Executor:
                 for mid in order:
                     finish(*run_module(mid))
             else:
-                with ThreadPoolExecutor(max_workers=self.max_workers) as pool:
+                with ThreadPoolExecutor(self.max_workers, thread_name_prefix="repro-executor") as pool:
                     pending: Dict[Future, int] = {}
                     done_set: Set[int] = set()
 

@@ -24,8 +24,8 @@ SMALL = {"nlat": 16, "nlon": 24, "nlev": 5, "ntime": 4}
 #: the shared per-user cache location no test may ever write to
 _SHARED_CACHE = Path.home() / ".cache" / "repro"
 
-#: thread-name prefixes the serving tier's owners must join on close
-OWNED_THREAD_PREFIXES = ("repro-serving", "repro-wire")
+#: thread-name prefixes whose owners must join them on close
+OWNED_THREAD_PREFIXES = ("repro-serving", "repro-wire", "repro-executor")
 #: how long a closing owner's threads get to finish unwinding
 JOIN_GRACE_S = 1.0
 
@@ -56,12 +56,13 @@ def isolated_cache(tmp_path, monkeypatch):
 
 @pytest.fixture(autouse=True)
 def serving_threads_are_joined():
-    """Fail a test that leaves a serving thread alive behind it.
+    """Fail a test that leaves an owned thread alive behind it.
 
-    Every serving thread has an owner: a slot thread
-    (``repro-serving*``) stops when its server closes, a wire endpoint
-    thread (``repro-wire*``) when its endpoint does, so close what a
-    test starts (``async with``, ``with WireSessionServer``).
+    Every such thread has an owner: a slot thread (``repro-serving*``)
+    stops when its server closes, the wire endpoint's loop thread
+    (``repro-wire*``) when its endpoint does, and an executor pool
+    thread (``repro-executor*``) when its ``execute`` call returns, so
+    close what a test starts (``async with``, ``with WireSessionServer``).
     """
     before = set(threading.enumerate())
     yield
@@ -75,7 +76,7 @@ def serving_threads_are_joined():
         thread.join(timeout=max(deadline - time.monotonic(), 0.0))
     alive = sorted(thread.name for thread in left if thread.is_alive())
     if alive:
-        pytest.fail(f"serving threads outlived their owner: {alive}")
+        pytest.fail(f"threads outlived their owner: {alive}")
 
 
 def pytest_addoption(parser):

@@ -266,6 +266,61 @@ class TestEndpoint:
             finally:
                 sock.close()
 
+    def test_malformed_open_and_render_meta_get_a_typed_error(self):
+        """An OPEN whose ``resume_from`` is no int and a RENDER whose
+        ``params`` is no mapping are answered with a ``WireFormatError``
+        frame, not a bare EOF; another session keeps rendering."""
+        import socket as socket_module
+
+        from repro.serving import wire
+
+        cases = [  # (frames sent after HELLO, the replies before the error)
+            ([WireFrame(wire.KIND_OPEN, {"session": "s", "resume_from": "x"})], []),
+            ([WireFrame(wire.KIND_OPEN, {"session": "s", "tenant": "t"}),
+              WireFrame(wire.KIND_RENDER, {"params": 3})], [wire.KIND_OPENED]),
+        ]
+        _backend, server = self.make_server()
+        with server:
+            for frames, replies in cases:
+                with socket_module.create_connection(
+                        (server.host, server.port), timeout=10.0) as sock:
+                    wire.write_frame(sock, WireFrame(wire.KIND_HELLO))
+                    assert wire.read_frame(sock).kind == wire.KIND_WELCOME
+                    for frame in frames:
+                        wire.write_frame(sock, frame)
+                    for kind in replies:
+                        assert wire.read_frame(sock).kind == kind
+                    reply = wire.read_frame(sock)
+                    assert reply is not None
+                    assert reply.kind == wire.KIND_ERROR
+                    assert reply.meta["error"] == "WireFormatError"
+            with WireSessionClient(server.host, server.port) as client:
+                client.open("still-serving")
+                assert client.render({"scene": "m"}).meta["status"] == "ok"
+
+    def test_a_peer_stalled_mid_frame_does_not_stall_another(self):
+        """A peer that sends a frame prefix and withholds the body holds
+        up no other connection: every connection is its own task."""
+        import socket as socket_module
+        import time
+
+        from repro.serving import wire
+
+        _backend, server = self.make_server()
+        with server:
+            with socket_module.create_connection(
+                    (server.host, server.port), timeout=10.0) as stalled:
+                wire.write_frame(stalled, WireFrame(wire.KIND_HELLO))
+                assert wire.read_frame(stalled).kind == wire.KIND_WELCOME
+                stalled.sendall(encode_frame(WireFrame(wire.KIND_RENDER))[:17])  # the prefix alone
+                t0 = time.monotonic()
+                with WireSessionClient(server.host, server.port) as client:
+                    client.open("unstalled")
+                    for t in range(5):
+                        frame = client.render({"scene": "u", "timestep": t})
+                        assert frame.meta["seq"] == t
+                assert time.monotonic() - t0 < 5.0
+
     def test_wire_frames_byte_identical_to_direct_serving(self):
         """The wire adds framing, never changes pixels: a frame served
         over the socket equals one served through ServingServer.submit."""
