@@ -243,16 +243,17 @@ class Axis:
     # -- subsetting ---------------------------------------------------------
 
     def subaxis_slice(self, index: slice) -> "Axis":
-        """Return a new axis for ``values[index]``, slicing bounds too."""
+        """Return a new axis for ``values[index]``, bounded by the same
+        rows of this axis's bounds, explicit or generated, so a slice's
+        bounds never depend on what was called on this axis before."""
         values = self._values[index]
         if values.size == 0:
             raise CDMSError(f"axis {self.id!r}: slice {index} selects no points")
-        bounds = self._bounds[index] if self._bounds is not None else None
         return Axis(
             self.id,
             values,
             units=self.units,
-            bounds=bounds,
+            bounds=self.gen_bounds()[index],
             calendar=self.calendar.name,
             attributes=dict(self.attributes),
         )

@@ -16,9 +16,10 @@ sharing one render substrate.  An asyncio :class:`ServingServer` fronts
   cannot evict another's working set (:mod:`repro.serving.quota`);
 * **observability** — queue depth, coalesced fan-out, shed counters
   and latency histograms via :mod:`repro.obs`;
-* **session-aware serving** — every render runs on one of
-  ``ServingConfig.slots`` single-threaded backend slots, a session
-  pinned to one by rendezvous hashing with re-pinning on slot death
+* **session-aware serving** — every render is routed to one of
+  ``ServingConfig.slots`` backend slots and runs on the serving loop, a
+  session pinned to one by rendezvous hashing with re-pinning on slot
+  death
   (:mod:`repro.serving.sessions`), speculative next-frame rendering
   from per-session request history (:mod:`repro.serving.speculative`),
   and a versioned digest-stamped wire protocol with

@@ -17,9 +17,10 @@ deterministic binary PPM, so byte-identical responses are a meaningful
 equality.
 
 The Application and its workflow machinery are not thread-safe; the
-backend serializes every call under one lock, so the server's slots
-share one render at a time.  Parallelism at the serving tier comes from
-coalescing and caching, not from concurrent workflow mutation.
+backend serializes every call under one lock, so a caller on another
+thread never renders beside the server's serving loop.  Parallelism at
+the serving tier comes from coalescing and caching, not from concurrent
+workflow mutation.
 
 Request ``params`` contract (all optional but ``template``)::
 
@@ -41,7 +42,7 @@ every frame renders at its own request's size, and the first frame's
 size only replaces the cell module's 320 x 240 default for the one
 render its workflow does when it executes.  When the plotted variable is
 a streamed :class:`~repro.cdms.lazy.LazyVariable`, a timestep render
-reads the chunk holding that timestep on the slot's thread, inside the
+reads the chunk holding that timestep on the calling thread, inside the
 render; nothing reads ahead of the session.
 
 ``degraded=True`` renders at ``1/DEGRADED_SCALE`` of each frame

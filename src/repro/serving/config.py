@@ -23,11 +23,11 @@ class ServingConfig:
     Parameters
     ----------
     slots:
-        Backend slots, each one thread running one request at a time.
-        Every execution runs on the
-        :class:`~repro.serving.sessions.SlotPool` slot the rendezvous
-        router pins its session (or, sessionless, its request key) to;
-        a dead slot's sessions re-pin to survivors.
+        Backend slots: routes, not threads.  Every execution is routed
+        to the :class:`~repro.serving.sessions.SlotPool` slot the
+        rendezvous router pins its session (or, sessionless, its request
+        key) to and runs on the serving loop; a dead slot's sessions
+        re-pin to survivors.
     speculation_budget:
         Maximum concurrent speculative next-frame renders (0 disables
         speculation).  Speculative work only launches when the demand

@@ -14,8 +14,10 @@ server:
 3. **admits or sheds** — a bounded queue plus deadline-aware rejection
    (:mod:`repro.serving.admission`); overload produces
    ``Response(status="shed")``, never unbounded queueing;
-4. **executes** — one worker task per backend slot drains the queue;
-   every backend call runs on the slot its request routes to (below).
+4. **executes** — one worker task drains the queue, one item at a
+   time; every backend call is routed to the slot its request pins to
+   (below) and runs on the serving loop itself, so a render holds the
+   loop until it returns.
    ``BREAKER_FAILURES`` consecutive backend failures open a circuit
    breaker (:mod:`repro.resilience`) for ``BREAKER_RESET_S``, under
    which requests are served stale from cache or re-rendered at reduced
@@ -37,7 +39,7 @@ Observability (all zero-cost when recording is off):
   session, key; its id is the frame's trace id), with
   ``serving.cache.lookup``, ``serving.admission`` and
   ``serving.slot.wait`` (or ``serving.coalesced.wait``) under it and
-  the slot thread's executor and kernel spans beside them.  A
+  the render's executor and kernel spans beside them.  A
   speculative render is its own tree, rooted at ``serving.speculate``.
 
 Determinism for tests: the clock is injectable (deadlines and the
@@ -56,7 +58,7 @@ Session-aware serving (``docs/session-serving.md`` has the long form):
   keep up to ``config.session_log_frames`` payloads alive per session.
   A session belongs to the tenant that opened it; naming it as another
   tenant raises :class:`~repro.util.errors.ServingError`;
-* **sticky affinity** — every execution runs on the
+* **sticky affinity** — every execution is routed to the
   :class:`~repro.serving.sessions.SlotPool` slot (``config.slots`` of
   them) the rendezvous router pins its session to, or, for a
   sessionless request, its request key.  A slot that dies mid-request
@@ -127,9 +129,8 @@ class _WorkItem:
     key: str
     request: Request
     deadline_at: Optional[float] = None
-    labels: Dict[str, Any] = field(default_factory=dict)
-    #: the submitting task's context: a span open there parents the
-    #: spans the slot thread records for this item
+    #: the submitting task's context: the worker task renders the item
+    #: in it, so a span open there parents the render's spans
     context: contextvars.Context = field(default_factory=contextvars.copy_context)
 
 
@@ -139,8 +140,9 @@ class ServingServer:
     Parameters
     ----------
     backend:
-        ``(request, degraded) -> bytes``; runs on the slots' threads,
-        so it may block.  ``degraded=True`` asks for a cheaper
+        ``(request, degraded) -> bytes``; called on the serving loop,
+        one call at a time, and the loop waits while it renders.
+        ``degraded=True`` asks for a cheaper
         reduced-fidelity product (the breaker-open fallback).
     config:
         :class:`~repro.serving.config.ServingConfig` bounds.
@@ -174,7 +176,7 @@ class ServingServer:
         self.cache = cache
         self._queue: "asyncio.Queue[Optional[_WorkItem]]" = asyncio.Queue()
         self._inflight: Dict[str, _Inflight] = {}
-        self._workers: List["asyncio.Task[None]"] = []
+        self._worker: Optional["asyncio.Task[None]"] = None
         self._closed = False
         self.slot_pool = SlotPool(backend, self.config.slots)
         self.sessions = SessionRegistry()
@@ -184,25 +186,21 @@ class ServingServer:
     # -- lifecycle -----------------------------------------------------------
 
     async def start(self) -> "ServingServer":
-        """Spawn one worker task per slot (idempotent)."""
+        """Spawn the worker task (idempotent)."""
         if self._closed:
             raise ServingError("cannot start a closed ServingServer")
-        if self._workers:
-            return self
-        loop = asyncio.get_running_loop()
-        self._workers = [
-            loop.create_task(self._worker_loop(), name=f"repro-serving-worker-{i}")
-            for i in range(self.config.slots)
-        ]
+        if self._worker is None:
+            self._worker = asyncio.get_running_loop().create_task(
+                self._worker_loop(), name="repro-serving-worker"
+            )
         return self
 
     async def aclose(self) -> None:
-        """Drain queued work, stop workers, resolve stragglers, free the slots.
+        """Drain queued work, stop the worker, resolve stragglers.
 
         Safe to call repeatedly and from ``finally`` blocks: a failed
-        test that closes the server leaves no worker task, no slot
-        thread and no unresolved submission behind (the slot shutdown
-        waits for in-flight backend calls).
+        test that closes the server leaves no worker task and no
+        unresolved submission behind.
         """
         if self._closed:
             return
@@ -213,19 +211,16 @@ class ServingServer:
             await asyncio.gather(
                 *self._speculations.values(), return_exceptions=True
             )
-        self._speculations.clear()
-        for _ in self._workers:
+        if self._worker is not None:
             self._queue.put_nowait(None)
-        if self._workers:
-            await asyncio.gather(*self._workers, return_exceptions=True)
-        self._workers = []
+            await asyncio.gather(self._worker, return_exceptions=True)
+            self._worker = None
         for key, entry in list(self._inflight.items()):
             if not entry.future.done():
                 entry.future.set_result(
                     Response(STATUS_SHED, digest=key, reason=REASON_CLOSED)
                 )
             self._inflight.pop(key, None)
-        self.slot_pool.shutdown()
 
     async def __aenter__(self) -> "ServingServer":
         return await self.start()
@@ -327,19 +322,20 @@ class ServingServer:
     async def _worker_loop(self) -> None:
         while True:
             item = await self._queue.get()
-            try:
-                if item is None:
-                    return
-                await self._dispatch(item)
-            finally:
-                self._queue.task_done()
-                if obs.enabled():
-                    obs.gauge("serving.queue.depth", self._queue.qsize())
+            if item is None:
+                return
+            self._dispatch(item)
+            if obs.enabled():
+                obs.gauge("serving.queue.depth", self._queue.qsize())
+            # ``get`` on a non-empty queue does not suspend: yield once, so
+            # the frame just resolved reaches its waiters (and the wire)
+            # before the next item renders
+            await asyncio.sleep(0)
 
-    async def _dispatch(self, item: _WorkItem) -> None:
+    def _dispatch(self, item: _WorkItem) -> None:
         entry = self._inflight.get(item.key)
         try:
-            response = await self._produce(item)
+            response = self._produce(item)
         except Exception as exc:  # noqa: BLE001 - a worker loop must survive anything
             response = Response(STATUS_ERROR, digest=item.key, reason=repr(exc))
             obs.counter("serving.errors", tenant=item.request.tenant)
@@ -351,7 +347,7 @@ class ServingServer:
             if obs.enabled():
                 obs.gauge("serving.inflight", len(self._inflight))
 
-    async def _produce(self, item: _WorkItem) -> Response:
+    def _produce(self, item: _WorkItem) -> Response:
         request = item.request
         if item.deadline_at is not None and self.clock() > item.deadline_at:
             obs.counter("serving.shed", reason=REASON_EXPIRED, tenant=request.tenant)
@@ -361,8 +357,8 @@ class ServingServer:
             started = time.perf_counter()
             try:
                 faults.check("serving.execute", tenant=request.tenant)
-                payload = await self._run_backend(
-                    request, degraded=False, key=item.key, context=item.context
+                payload = item.context.run(
+                    self._run_backend, request, False, item.key
                 )
             except Exception as exc:  # noqa: BLE001 - feeds the breaker
                 self.breaker.record_failure()
@@ -385,9 +381,7 @@ class ServingServer:
                     STATUS_DEGRADED, payload=payload, digest=item.key, source="cache"
                 )
         try:
-            payload = await self._run_backend(
-                request, degraded=True, key=item.key, context=item.context
-            )
+            payload = item.context.run(self._run_backend, request, True, item.key)
         except Exception as exc:  # noqa: BLE001
             obs.counter("serving.errors", tenant=request.tenant)
             return Response(STATUS_ERROR, digest=item.key, reason=repr(exc))
@@ -396,17 +390,8 @@ class ServingServer:
             STATUS_DEGRADED, payload=payload, digest=item.key, source="render"
         )
 
-    async def _run_backend(
-        self,
-        request: Request,
-        degraded: bool,
-        key: str,
-        context: contextvars.Context,
-    ) -> bytes:
-        """Run the backend on the slot *request* routes to, in *context*.
-
-        *context* is the requesting task's, so the slot thread's spans
-        nest under whatever span that task had open.
+    def _run_backend(self, request: Request, degraded: bool, key: str) -> bytes:
+        """Run the backend, on this thread, on the slot *request* routes to.
 
         A session routes to its pinned slot, a sessionless request by
         its *key*.  A dead slot (killed, or felled by the armed
@@ -415,7 +400,6 @@ class ServingServer:
         retries on its new slot, so the caller still gets bytes — the
         chaos suite pins that the retried bytes are identical.
         """
-        loop = asyncio.get_running_loop()
         pool = self.slot_pool
         last_death: Optional[SlotDeadError] = None
         for _ in range(len(pool.live_slots) + 1):
@@ -424,9 +408,7 @@ class ServingServer:
             if state is not None:
                 state.pin(slot.id)
             try:
-                return await loop.run_in_executor(
-                    slot.executor, context.run, pool.run, slot, request, degraded
-                )
+                return pool.run(slot, request, degraded)
             except SlotDeadError as exc:
                 last_death = exc
                 pool.retire(slot.id, self.sessions.states())
@@ -449,9 +431,9 @@ class ServingServer:
 
         A hit leaves the pre-rendered frame where the demand path will
         find it (in-flight key or cache entry); a misprediction cancels
-        the render (result discarded, never stored) or audits an
-        already-stored entry back out of the cache, so cancelled
-        speculation leaves no cache pollution.
+        a render that has not started (a started one runs to its end in
+        one step of the loop) or audits an already-stored entry back
+        out of the cache, so wrong guesses leave no cache pollution.
         """
         spec = state.speculation
         if spec is None:
@@ -479,7 +461,7 @@ class ServingServer:
         predictor sees a constant-stride gesture.
         """
         config = self.config
-        if config.speculation_budget <= 0 or not self._workers:
+        if config.speculation_budget <= 0 or self._worker is None:
             return
         if len(self._speculations) >= config.speculation_budget:
             return
@@ -506,6 +488,9 @@ class ServingServer:
             self._speculate(spec_request, spec_key, spec),
             name=f"repro-serving-speculate-{spec_key[:8]}",
         )
+        task.add_done_callback(
+            lambda done: self._settle_speculation(request.tenant, spec_key, done)
+        )
         spec.task = task
         state.speculation = spec
         self._speculations[spec_key] = task
@@ -521,16 +506,7 @@ class ServingServer:
             with obs.span(
                 "serving.speculate", tenant=request.tenant, session=request.session, key=key
             ):
-                payload = await self._run_backend(
-                    request, degraded=False, key=key, context=contextvars.copy_context()
-                )
-        except asyncio.CancelledError:
-            obs.counter("serving.speculative.cancelled", tenant=request.tenant)
-            self._resolve_speculation(
-                key,
-                Response(STATUS_SHED, digest=key, reason="speculation_cancelled"),
-            )
-            raise
+                payload = self._run_backend(request, False, key)
         except Exception as exc:  # noqa: BLE001 - speculation must never crash the loop
             obs.counter("serving.speculative.errors", tenant=request.tenant)
             self._resolve_speculation(
@@ -544,10 +520,21 @@ class ServingServer:
                 key,
                 Response(STATUS_OK, payload=payload, digest=key, source="speculative"),
             )
-        finally:
-            self._speculations.pop(key, None)
-            if obs.enabled():
-                obs.gauge("serving.speculative.inflight", len(self._speculations))
+
+    def _settle_speculation(
+        self, tenant: str, key: str, task: "asyncio.Task[None]"
+    ) -> None:
+        """Free a finished speculation's budget slot.  A task cancelled
+        before it ran (the one way a speculation is cancelled) never
+        resolved its in-flight entry: resolve it here, as shed."""
+        self._speculations.pop(key, None)
+        if task.cancelled():
+            obs.counter("serving.speculative.cancelled", tenant=tenant)
+            self._resolve_speculation(
+                key, Response(STATUS_SHED, digest=key, reason="speculation_cancelled")
+            )
+        if obs.enabled():
+            obs.gauge("serving.speculative.inflight", len(self._speculations))
 
     def _resolve_speculation(self, key: str, response: Response) -> None:
         entry = self._inflight.pop(key, None)

@@ -12,10 +12,11 @@ instead:
   order joins and leaves happened in, and removing a slot moves only
   that slot's sessions (the minimal-disruption property the hypothesis
   suite pins);
-* :class:`SlotPool` — the server's one execution path: every backend
-  call runs on one of ``slots`` single-threaded slots, so a pinned
-  session's frames serialize through one slot (a sessionless request
-  routes by its request key).  Every slot calls the pool's one backend;
+* :class:`SlotPool` — the routes of the server's one execution path:
+  every backend call is routed to one of ``slots`` slots, a pinned
+  session's to its slot (a sessionless request's by its request key),
+  and runs on the caller's thread, the serving loop.  A slot is a
+  route, not a thread: every slot calls the pool's one backend, and
   what a session keeps warm lives below the slot, on its live cell: the
   scene and last frame :class:`~repro.dv3d.cell.DV3DCell` keeps and
   the volume's ``ImageData._derived`` caches.
@@ -37,7 +38,6 @@ from __future__ import annotations
 import hashlib
 import threading
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -233,10 +233,9 @@ class SessionRegistry:
 
 @dataclass
 class BackendSlot:
-    """One pinned execution lane: a single thread running the pool's backend."""
+    """One route sessions pin to: its liveness and the frames run on it."""
 
     id: str
-    executor: ThreadPoolExecutor
     alive: bool = True
     frames: int = 0
 
@@ -244,8 +243,9 @@ class BackendSlot:
 class SlotPool:
     """The fixed set of backend slots the affinity router routes over.
 
-    Every slot runs one request at a time on its own thread, so a
-    session pinned to a slot gets strict per-session ordering.  ``kill``
+    A call runs on the caller's thread, and the server makes its calls
+    one at a time on the serving loop, so a session pinned to a slot
+    gets strict per-session ordering.  ``kill``
     (tests) or an armed ``serving.slot`` fault marks a slot dead;
     :meth:`retire` removes it from the router and reports the re-pins.
     """
@@ -259,12 +259,7 @@ class SlotPool:
         self._slots: Dict[str, BackendSlot] = {}
         for index in range(slots):
             slot_id = f"slot-{index}"
-            self._slots[slot_id] = BackendSlot(
-                id=slot_id,
-                executor=ThreadPoolExecutor(
-                    max_workers=1, thread_name_prefix=f"repro-serving-{slot_id}"
-                ),
-            )
+            self._slots[slot_id] = BackendSlot(id=slot_id)
             self.router.join(slot_id)
 
     # -- routing -------------------------------------------------------------
@@ -288,7 +283,7 @@ class SlotPool:
     # -- execution -----------------------------------------------------------
 
     def run(self, slot: BackendSlot, request: Request, degraded: bool) -> bytes:
-        """One backend call on *slot*'s thread (the ``serving.slot`` site)."""
+        """One backend call routed to *slot* (the ``serving.slot`` site)."""
         if not slot.alive:
             raise SlotDeadError(f"slot {slot.id} is dead")
         try:
@@ -308,8 +303,7 @@ class SlotPool:
     # -- death and re-pinning ------------------------------------------------
 
     def kill(self, slot_id: str) -> None:
-        """Mark a slot dead (test hook; the executor thread is left to
-        drain — a dead slot refuses new work, it does not strand it)."""
+        """Mark a slot dead (test hook): a dead slot refuses new work."""
         self.slot(slot_id).alive = False
 
     def retire(
@@ -337,10 +331,6 @@ class SlotPool:
         if moved:
             obs.counter("serving.sessions.repinned", len(moved), slot=slot_id)
         return moved
-
-    def shutdown(self) -> None:
-        for slot in self._slots.values():
-            slot.executor.shutdown(wait=True)
 
     def stats(self, sessions: Sequence[SessionState] = ()) -> Dict[str, Dict[str, Any]]:
         """Per slot: liveness, frames run, and how many of *sessions* it holds."""

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.cache.keys import digest
 from repro.cdms.axis import (
     Axis,
     latitude_axis,
@@ -155,6 +156,19 @@ class TestSubsetting:
         axis.gen_bounds()
         sub = axis.subaxis_slice(slice(1, 3))
         np.testing.assert_allclose(sub.get_bounds(), axis.gen_bounds()[1:3])
+
+    def test_a_slices_bounds_do_not_depend_on_history(self):
+        """The same slice of two equal axes is equal whether or not the
+        parent's bounds were generated first: it takes the parent's
+        bounds, which know the neighbours the slice cut off."""
+        fresh = Axis("x", [0.0, 1.0, 3.0, 7.0])
+        seen = Axis("x", [0.0, 1.0, 3.0, 7.0])
+        digest(seen)  # generates, and keeps, the parent's bounds
+        sub_fresh = fresh.subaxis_slice(slice(1, 3))
+        sub_seen = seen.subaxis_slice(slice(1, 3))
+        np.testing.assert_array_equal(sub_fresh.gen_bounds(), [[0.5, 2.0], [2.0, 5.0]])
+        np.testing.assert_array_equal(sub_fresh.gen_bounds(), sub_seen.gen_bounds())
+        assert digest(sub_fresh) == digest(sub_seen)
 
     def test_empty_slice_raises(self):
         with pytest.raises(CDMSError):

@@ -58,11 +58,13 @@ def isolated_cache(tmp_path, monkeypatch):
 def serving_threads_are_joined():
     """Fail a test that leaves an owned thread alive behind it.
 
-    Every such thread has an owner: a slot thread (``repro-serving*``)
-    stops when its server closes, the wire endpoint's loop thread
-    (``repro-wire*``) when its endpoint does, and an executor pool
-    thread (``repro-executor*``) when its ``execute`` call returns, so
-    close what a test starts (``async with``, ``with WireSessionServer``).
+    Every such thread has an owner: the wire endpoint's loop thread
+    (``repro-wire*``) stops when its endpoint closes, and an executor
+    pool thread (``repro-executor*``) when its ``execute`` call
+    returns, so close what a test starts (``async with``, ``with
+    WireSessionServer``).  A serving server renders on its event loop
+    and starts no thread; ``repro-serving*`` stays guarded so one
+    that comes back is caught.
     """
     before = set(threading.enumerate())
     yield

@@ -10,10 +10,11 @@ Every test here is deterministic by construction:
   yield once, *then* start the workers and know all N coalesced;
 * faults are injected at named :mod:`repro.resilience.faults` sites,
   never by killing things from another thread;
-* every serving thread has an owner: ``tests/conftest.py`` fails any
-  test, here or elsewhere, that leaves a slot thread
-  (``repro-serving*``) or a wire endpoint thread (``repro-wire*``)
-  running after its owner closed.
+* a ``ServingServer`` renders on its event loop and starts no
+  thread; ``tests/conftest.py`` fails any test, here or elsewhere,
+  that leaves a ``repro-serving*`` thread (there should be none) or a
+  wire endpoint thread (``repro-wire*``) running after its owner
+  closed.
 
 There is no pytest-asyncio in the toolchain; async scenarios run under
 plain ``asyncio.run()``.

@@ -120,23 +120,20 @@ def test_slotpool_retire_reports_exactly_the_moved_sessions(sessions):
     """SlotPool.retire re-pins the dead slot's sessions and no others."""
     backend = lambda request, degraded: b""  # noqa: E731 - never called here
     pool = SlotPool(backend, 3)
-    try:
-        states = []
-        for session in sessions:
-            state = SessionState(session, tenant="t")
-            state.pin(pool.slot_for(session).id)
-            states.append(state)
-        victim = pool.slot_for(sessions[0]).id
-        pinned_to_victim = {s.id for s in states if s.slot == victim}
-        others_before = {s.id: s.slot for s in states if s.slot != victim}
-        moved = pool.retire(victim, states)
-        assert set(moved) == pinned_to_victim
-        for state in states:
-            if state.id in moved:
-                assert state.slot == moved[state.id]
-                assert state.slot != victim
-                assert state.slot in pool.live_slots
-            else:
-                assert state.slot == others_before[state.id]
-    finally:
-        pool.shutdown()
+    states = []
+    for session in sessions:
+        state = SessionState(session, tenant="t")
+        state.pin(pool.slot_for(session).id)
+        states.append(state)
+    victim = pool.slot_for(sessions[0]).id
+    pinned_to_victim = {s.id for s in states if s.slot == victim}
+    others_before = {s.id: s.slot for s in states if s.slot != victim}
+    moved = pool.retire(victim, states)
+    assert set(moved) == pinned_to_victim
+    for state in states:
+        if state.id in moved:
+            assert state.slot == moved[state.id]
+            assert state.slot != victim
+            assert state.slot in pool.live_slots
+        else:
+            assert state.slot == others_before[state.id]

@@ -2,8 +2,8 @@
 
 ``ServingServer.submit`` opens the root; cache lookup, admission and the
 wait for the slot (or for the in-flight render a coalesced request
-joined) are its children, and the slot thread's executor and kernel
-spans land under it through the work item's context.  The wire
+joined) are its children, and the render's executor and kernel spans
+land under it through the work item's context.  The wire
 ``RENDER`` path awaits ``submit``, so it gets the same tree.  A
 speculative render is not part of the frame that triggered it: it is a
 tree of its own, rooted at ``serving.speculate``.

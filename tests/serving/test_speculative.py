@@ -249,6 +249,40 @@ class TestMisprediction:
                 obs.disable()
         run(scenario())
 
+    def test_speculation_cancelled_before_it_runs_frees_its_key_and_budget(self):
+        """A misprediction can cancel a speculation whose task has not run
+        yet.  It is settled all the same: its in-flight entry resolves and
+        its budget slot frees, so a later request for the predicted key
+        renders instead of waiting on a future nobody resolves."""
+        backend = CountingBackend()
+
+        async def scenario():
+            recorder = obs.enable(obs.Recorder())
+            try:
+                async with ServingServer(backend, config=speculative_config(),
+                                         cache=memory_cache()) as server:
+                    for t in range(3):
+                        await server.submit(Request(
+                            params={"scene": "l", "timestep": t},
+                            session="sess-l"))
+                    # no yield since: the speculation for timestep 3 has
+                    # not started when this teleport cancels it
+                    await server.submit(Request(
+                        params={"scene": "l", "timestep": 40},
+                        session="sess-l"))
+                    request = Request(params={"scene": "l", "timestep": 3},
+                                      session="sess-other")
+                    response = await asyncio.wait_for(
+                        server.submit(request), timeout=5.0)
+                    assert response.status == "ok"
+                    assert response.payload == backend.payload_for(request)
+                    assert recorder.counter_total(
+                        "serving.speculative.cancelled") == 1
+                    assert server.stats()["speculations_inflight"] == 0
+            finally:
+                obs.disable()
+        run(scenario())
+
     def test_demand_coalesces_onto_inflight_speculation(self):
         """The predicted request arriving mid-render attaches, not cancels."""
         backend = CountingBackend(delay_s=0.1)

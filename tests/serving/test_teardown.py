@@ -58,7 +58,7 @@ class TestServerTeardown:
             )
             async with server:
                 await server.submit(Request(params={"scene": 1}))
-                assert _serving_threads()  # pool is alive mid-session
+                assert _serving_threads() == []  # every render ran on this loop
             return True
 
         asyncio.run(scenario())

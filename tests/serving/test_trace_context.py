@@ -1,9 +1,9 @@
-"""A request's span context crosses the hand-off to its slot thread.
+"""A request's span context crosses the hand-off to the worker task.
 
-A render runs on a slot thread, not on the task that awaited
+A render runs in the server's worker task, not in the task that awaited
 ``submit``.  The submitting task's context travels with the work item,
-so a span that task holds open is an ancestor of every span the slot
-thread records for that request — and only for that request.
+so a span that task holds open is an ancestor of every span the render
+records for that request — and only for that request.
 """
 
 from __future__ import annotations
@@ -42,11 +42,11 @@ def serve(scenes):
     with obs.recording() as recorder:
         clients = asyncio.run(scenario())
     executes = [s for s in recorder.spans if s.name == "executor.execute"]
-    assert executes and all(s.thread.startswith("repro-serving-slot") for s in executes)
+    assert executes
     return clients, executes, recorder.spans
 
 
-def test_a_span_around_submit_is_an_ancestor_of_the_slot_threads_spans():
+def test_a_span_around_submit_is_an_ancestor_of_the_renders_spans():
     clients, executes, spans = serve(["ta"])
     for execute in executes:
         assert clients["ta"] in ancestors(spans, execute)
