@@ -36,6 +36,13 @@ def _check_same_shape(a: Variable, b: Variable, op: str) -> None:
         raise CDATError(f"{op}: shape mismatch {a.shape} vs {b.shape}")
 
 
+def _squared(units: str) -> str:
+    """*units* squared, UDUNITS style: ``K`` → ``K2``, ``m s-1`` → ``(m s-1)2``."""
+    if units in ("", "1"):
+        return units
+    return f"{units}2" if units.isalpha() else f"({units})2"
+
+
 def covariance(a: Variable, b: Variable) -> float:
     """Weighted covariance of two same-shape variables over valid points."""
     _check_same_shape(a, b, "covariance")
@@ -53,7 +60,7 @@ def variance(a: Variable, axis: Optional[str] = None) -> Union[Variable, float]:
         _counts, _mean, var_ma = fold_moments(a, dim, op="variance")
         if not axes:
             return float(var_ma)
-        return Variable(var_ma, axes, id=out_id,
+        return Variable(var_ma, axes, id=out_id, units=_squared(a.units),
                         missing_value=a.missing_value, attributes=dict(a.attributes))
     return map_slabs(lambda s: _variance_eager(s, dim), a, id=out_id)
 
@@ -63,7 +70,7 @@ def _variance_eager(a: Variable, dim: int) -> Union[Variable, float]:
     axes = tuple(ax for i, ax in enumerate(a.axes) if i != dim)
     if not axes:
         return float(data)
-    return Variable(np.ma.asarray(data), axes, id=f"var({a.id})",
+    return Variable(np.ma.asarray(data), axes, id=f"var({a.id})", units=_squared(a.units),
                     missing_value=a.missing_value, attributes=dict(a.attributes))
 
 
@@ -135,7 +142,7 @@ def standardize(var: Variable, axis: str = "time") -> Variable:
             with np.errstate(invalid="ignore", divide="ignore"):
                 z = (slab.data - mean_k) / std_k
             z = np.ma.masked_invalid(z)
-            return Variable(z, slab.axes, id=out_id,
+            return Variable(z, slab.axes, id=out_id, units="1",
                             missing_value=var.missing_value,
                             attributes=dict(var.attributes))
 
@@ -149,7 +156,7 @@ def _standardize_eager(var: Variable, dim: int) -> Variable:
     with np.errstate(invalid="ignore", divide="ignore"):
         z = (var.data - mean) / std
     z = np.ma.masked_invalid(z)
-    return Variable(z, var.axes, id=f"std({var.id})",
+    return Variable(z, var.axes, id=f"std({var.id})", units="1",
                     missing_value=var.missing_value, attributes=dict(var.attributes))
 
 

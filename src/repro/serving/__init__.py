@@ -14,8 +14,8 @@ sharing one render substrate.  An asyncio :class:`ServingServer` fronts
   breaker (cached/low-res frames while the kernel path is failing);
 * **per-tenant fairness** — cache-residency quotas so one noisy tenant
   cannot evict another's working set (:mod:`repro.serving.quota`);
-* **observability** — queue depth, coalesced fan-out, shed counters
-  and latency histograms via :mod:`repro.obs`;
+* **observability** — queue depth, coalesced fan-out, one outcome per
+  request and latency histograms via :mod:`repro.obs`;
 * **session-aware serving** — every render is routed to one of
   ``ServingConfig.slots`` backend slots and runs on the serving loop, a
   session pinned to one by rendezvous hashing with re-pinning on slot
@@ -31,6 +31,7 @@ through the wire with :class:`AppBackend` behind it.
 """
 
 from repro.serving.admission import (
+    REASON_CANCELLED,
     REASON_CLOSED,
     REASON_DEADLINE,
     REASON_EXPIRED,
@@ -69,6 +70,7 @@ __all__ = [
     "BackendSlot",
     "NextFramePredictor",
     "QuotaLedger",
+    "REASON_CANCELLED",
     "REASON_CLOSED",
     "REASON_DEADLINE",
     "REASON_EXPIRED",

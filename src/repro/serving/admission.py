@@ -26,11 +26,12 @@ from typing import Callable, Optional, Tuple
 from repro.serving.config import ServingConfig
 from repro.serving.request import Request
 
-#: shed reasons reported in Response.reason and the serving.shed counter
+#: shed reasons, reported in Response.reason and the serving.outcome counter
 REASON_QUEUE_FULL = "queue_full"
 REASON_DEADLINE = "deadline"
 REASON_EXPIRED = "expired"
 REASON_CLOSED = "closed"
+REASON_CANCELLED = "cancelled"  # the submitter was cancelled while it waited
 
 #: smoothing factor of the service-time estimate
 EWMA_ALPHA = 0.2

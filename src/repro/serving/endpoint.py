@@ -39,6 +39,7 @@ The endpoint owns one thread, ``repro-wire-loop``, running the serving
 loop; each connection is a task on it that awaits the server directly,
 so the ring needs no lock.  ``io_timeout`` bounds every read of a peer
 and every drain of a backed-up write: a silent peer holds up no other.
+``stop()`` raises the first exception a connection task let escape.
 """
 
 from __future__ import annotations
@@ -97,6 +98,7 @@ class WireSessionServer:
         #: the live connections' tasks, touched on the loop only
         self._conns: Set["asyncio.Task[None]"] = set()
         self._closing = False
+        self._escaped: Optional[BaseException] = None  # the first to reach the loop's handler
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -104,6 +106,7 @@ class WireSessionServer:
         if self._loop is not None:
             return self
         self._loop = asyncio.new_event_loop()
+        self._loop.set_exception_handler(self._escape)
         self._loop_thread = threading.Thread(
             target=self._loop.run_forever, name="repro-wire-loop", daemon=True
         )
@@ -122,6 +125,14 @@ class WireSessionServer:
             self._loop.close()
             self._loop = None
         self._listener.close()  # a no-op once the acceptor closed it
+        escaped, self._escaped = self._escaped, None
+        if escaped is not None:
+            raise escaped
+
+    def _escape(self, loop: asyncio.AbstractEventLoop, context: Dict[str, Any]) -> None:
+        # asyncio would only log what a connection task let escape: keep it for stop()
+        loop.default_exception_handler(context)
+        self._escaped = self._escaped or context.get("exception") or ServingError(context["message"])
 
     def __enter__(self) -> "WireSessionServer":
         return self.start()

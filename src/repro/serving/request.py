@@ -72,7 +72,7 @@ class Response:
 
     ``status`` is one of ``ok`` (full-fidelity product), ``shed``
     (refused: ``reason`` says why — ``queue_full``, ``deadline``,
-    ``expired``, ``closed``), ``degraded``
+    ``expired``, ``closed``, ``cancelled``), ``degraded``
     (reduced-fidelity product served while the breaker is open;
     ``source`` says whether it came from ``cache`` or a degraded
     ``render``) or ``error`` (the backend raised; ``reason`` carries

@@ -28,10 +28,12 @@ server:
 
 Observability (all zero-cost when recording is off):
 
-* counters — ``serving.requests`` (tenant), ``serving.coalesced``
-  (tenant), ``serving.cache.served`` (tenant), ``serving.shed``
-  (reason, tenant), ``serving.executions``,
-  ``serving.degraded`` (source), ``serving.errors`` (tenant);
+* counters — ``serving.requests`` and ``serving.coalesced`` (tenant);
+  ``serving.outcome`` (tenant, status, source, reason), counted once
+  per request from its final :class:`Response`, and
+  ``serving.speculative.outcome`` (tenant, outcome), counted once per
+  speculation, so they partition ``serving.requests`` and
+  ``serving.speculative.started`` (labels: ``docs/observability.md``);
 * gauges — ``serving.queue.depth``, ``serving.inflight`` (distinct
   coalescing keys currently executing or queued);
 * histograms — ``serving.latency.seconds`` (status) per request;
@@ -83,7 +85,7 @@ from repro import obs
 from repro.cache.store import ResultCache
 from repro.resilience import faults
 from repro.resilience.breaker import CircuitBreaker
-from repro.serving.admission import REASON_CLOSED, REASON_EXPIRED, AdmissionController
+from repro.serving.admission import REASON_CANCELLED, REASON_CLOSED, REASON_EXPIRED, AdmissionController
 from repro.serving.config import ServingConfig
 from repro.serving.quota import QuotaLedger
 from repro.serving.request import (
@@ -181,7 +183,7 @@ class ServingServer:
         self.slot_pool = SlotPool(backend, self.config.slots)
         self.sessions = SessionRegistry()
         self._predictor = NextFramePredictor()
-        self._speculations: Dict[str, "asyncio.Task[None]"] = {}
+        self._speculations: Dict[str, "asyncio.Task[str]"] = {}
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -233,9 +235,10 @@ class ServingServer:
     async def submit(self, request: Request) -> Response:
         """Submit one request; always returns a :class:`Response`.
 
-        Overload comes back as ``status="shed"`` (with a reason),
-        backend failures as ``status="error"`` — only lifecycle misuse
-        and naming another tenant's session raise.  For
+        Overload (or a submitter cancelled while it waits) comes back
+        as ``status="shed"`` with a reason, backend failures as
+        ``status="error"``; only lifecycle misuse and naming another
+        tenant's session raise, before the request is counted.  For
         session-carrying requests the submission also feeds the
         session's history and frame ring and reconciles any outstanding
         speculation (hit, or cancelled-and-audited waste).
@@ -244,29 +247,34 @@ class ServingServer:
             raise ServingError("ServingServer is closed")
         t0 = self.clock()
         key = request_key(request)
+        state = self.sessions.observe(request.session, request.tenant) if request.session else None
         obs.counter("serving.requests", tenant=request.tenant)
-
-        state: Optional[SessionState] = None
-        with obs.span(
-            "serving.request", tenant=request.tenant, session=request.session, key=key
-        ):
-            if request.session:
-                state = self.sessions.observe(request.session, request.tenant)
-                obs.counter("serving.sessions.requests", tenant=request.tenant)
-                self._reconcile_speculation(state, key)
-                state.observe(request.params)
-
-            response = await self._serve(request, key, t0)
-
-            if state is not None:
-                state.log(key, response, self.config.session_log_frames)
+        response: Optional[Response] = None
+        try:
+            with obs.span(
+                "serving.request", tenant=request.tenant, session=request.session, key=key
+            ):
+                if state is not None:
+                    self._reconcile_speculation(state, key)
+                    state.observe(request.params)
+                response = await self._serve(request, key, t0)
+                if state is not None:
+                    state.log(key, response, self.config.session_log_frames)
+        finally:
+            # every counted request ends here, in exactly one outcome
+            if response is None:  # cancelled while it waited
+                response = Response(STATUS_SHED, digest=key, reason=REASON_CANCELLED,
+                                    tenant=request.tenant, latency_s=self.clock() - t0)
+            if obs.enabled():
+                obs.counter(
+                    "serving.outcome", tenant=request.tenant, status=response.status,
+                    source=response.source if response.completed else "",
+                    reason=response.reason if response.status == STATUS_SHED else "",
+                )
+                obs.histogram("serving.latency.seconds", response.latency_s, status=response.status)
         # speculation is not part of this frame: it starts once its span closed
         if state is not None and response.completed and not self._closed:
             self._maybe_speculate(state, request)
-        if obs.enabled():
-            obs.histogram(
-                "serving.latency.seconds", response.latency_s, status=response.status
-            )
         return response
 
     async def _serve(self, request: Request, key: str, t0: float) -> Response:
@@ -285,7 +293,6 @@ class ServingServer:
             if found:
                 if self.quota.enforcing:
                     self.quota.touch(request.tenant, key)
-                obs.counter("serving.cache.served", tenant=request.tenant)
                 return Response(
                     STATUS_OK, payload=payload, digest=key, source="cache",
                     tenant=request.tenant, latency_s=self.clock() - t0,
@@ -294,7 +301,6 @@ class ServingServer:
         with obs.span("serving.admission"):
             admitted, reason = self.admission.admit(request, self._queue.qsize())
         if not admitted:
-            obs.counter("serving.shed", reason=reason, tenant=request.tenant)
             return Response(
                 STATUS_SHED, digest=key, reason=reason,
                 tenant=request.tenant, latency_s=self.clock() - t0,
@@ -336,9 +342,8 @@ class ServingServer:
         entry = self._inflight.get(item.key)
         try:
             response = self._produce(item)
-        except Exception as exc:  # noqa: BLE001 - a worker loop must survive anything
+        except Exception as exc:  # noqa: BLE001 - a failed render, or anything: the loop survives
             response = Response(STATUS_ERROR, digest=item.key, reason=repr(exc))
-            obs.counter("serving.errors", tenant=item.request.tenant)
         if entry is not None and not entry.future.done():
             # resolve, then retire the key with no await in between, so
             # no submission can attach to an already-resolved entry
@@ -350,7 +355,6 @@ class ServingServer:
     def _produce(self, item: _WorkItem) -> Response:
         request = item.request
         if item.deadline_at is not None and self.clock() > item.deadline_at:
-            obs.counter("serving.shed", reason=REASON_EXPIRED, tenant=request.tenant)
             return Response(STATUS_SHED, digest=item.key, reason=REASON_EXPIRED)
 
         if self.breaker.allow():
@@ -360,13 +364,11 @@ class ServingServer:
                 payload = item.context.run(
                     self._run_backend, request, False, item.key
                 )
-            except Exception as exc:  # noqa: BLE001 - feeds the breaker
+            except Exception:  # feeds the breaker; _dispatch answers it
                 self.breaker.record_failure()
-                obs.counter("serving.errors", tenant=request.tenant)
-                return Response(STATUS_ERROR, digest=item.key, reason=repr(exc))
+                raise
             self.breaker.record_success()
             self.admission.observe_service(time.perf_counter() - started)
-            obs.counter("serving.executions")
             self._store(request.tenant, item.key, payload)
             return Response(
                 STATUS_OK, payload=payload, digest=item.key, source="render"
@@ -374,18 +376,12 @@ class ServingServer:
 
         # breaker open: the backend is failing — degrade
         if self.cache is not None:
-            found, payload = self.cache.get(item.key, site="serving.degraded")
+            found, payload = self.cache.get(item.key, site="serving.breaker")
             if found:
-                obs.counter("serving.degraded", source="cache")
                 return Response(
                     STATUS_DEGRADED, payload=payload, digest=item.key, source="cache"
                 )
-        try:
-            payload = item.context.run(self._run_backend, request, True, item.key)
-        except Exception as exc:  # noqa: BLE001
-            obs.counter("serving.errors", tenant=request.tenant)
-            return Response(STATUS_ERROR, digest=item.key, reason=repr(exc))
-        obs.counter("serving.degraded", source="render")
+        payload = item.context.run(self._run_backend, request, True, item.key)
         return Response(
             STATUS_DEGRADED, payload=payload, digest=item.key, source="render"
         )
@@ -432,7 +428,8 @@ class ServingServer:
         A hit leaves the pre-rendered frame where the demand path will
         find it (in-flight key or cache entry); a misprediction cancels
         a render that has not started (a started one runs to its end in
-        one step of the loop) or audits an already-stored entry back
+        one step of the loop) and drops its in-flight key at once, so
+        nothing can attach to it, or audits an already-stored entry back
         out of the cache, so wrong guesses leave no cache pollution.
         """
         spec = state.speculation
@@ -450,6 +447,7 @@ class ServingServer:
             and (entry is None or entry.waiters == 0)
         ):
             spec.task.cancel()
+            self._inflight.pop(spec.key, None)
         elif spec.stored and self.cache is not None:
             self.cache.delete(spec.key, site="serving.speculative.waste")
 
@@ -500,46 +498,37 @@ class ServingServer:
 
     async def _speculate(
         self, request: Request, key: str, spec: Speculation
-    ) -> None:
-        """Render one predicted frame; store it where demand will look."""
+    ) -> str:
+        """Render one predicted frame; store it where demand will look.
+        Returns the status its in-flight entry resolved with."""
         try:
             with obs.span(
                 "serving.speculate", tenant=request.tenant, session=request.session, key=key
             ):
                 payload = self._run_backend(request, False, key)
         except Exception as exc:  # noqa: BLE001 - speculation must never crash the loop
-            obs.counter("serving.speculative.errors", tenant=request.tenant)
-            self._resolve_speculation(
-                key, Response(STATUS_ERROR, digest=key, reason=repr(exc))
-            )
+            response = Response(STATUS_ERROR, digest=key, reason=repr(exc))
         else:
             self._store(request.tenant, key, payload)
             spec.stored = True
-            obs.counter("serving.speculative.rendered", tenant=request.tenant)
-            self._resolve_speculation(
-                key,
-                Response(STATUS_OK, payload=payload, digest=key, source="speculative"),
-            )
-
-    def _settle_speculation(
-        self, tenant: str, key: str, task: "asyncio.Task[None]"
-    ) -> None:
-        """Free a finished speculation's budget slot.  A task cancelled
-        before it ran (the one way a speculation is cancelled) never
-        resolved its in-flight entry: resolve it here, as shed."""
-        self._speculations.pop(key, None)
-        if task.cancelled():
-            obs.counter("serving.speculative.cancelled", tenant=tenant)
-            self._resolve_speculation(
-                key, Response(STATUS_SHED, digest=key, reason="speculation_cancelled")
-            )
-        if obs.enabled():
-            obs.gauge("serving.speculative.inflight", len(self._speculations))
-
-    def _resolve_speculation(self, key: str, response: Response) -> None:
+            response = Response(STATUS_OK, payload=payload, digest=key, source="speculative")
         entry = self._inflight.pop(key, None)
         if entry is not None and not entry.future.done():
             entry.future.set_result(response)
+        return response.status
+
+    def _settle_speculation(
+        self, tenant: str, key: str, task: "asyncio.Task[str]"
+    ) -> None:
+        """Free a finished speculation's budget slot and count its outcome.
+        A cancelled task never ran: its in-flight key was dropped when it
+        was cancelled, or ``aclose`` resolves it."""
+        self._speculations.pop(key, None)
+        if obs.enabled():
+            outcome = "cancelled" if task.cancelled() else (
+                "rendered" if task.result() == STATUS_OK else "error")
+            obs.counter("serving.speculative.outcome", tenant=tenant, outcome=outcome)
+            obs.gauge("serving.speculative.inflight", len(self._speculations))
 
     async def drain_speculation(self) -> None:
         """Wait for every in-flight speculative render (test/bench hook)."""

@@ -13,7 +13,9 @@ from repro.cdat.statistics import (
     variance,
 )
 from repro.cdms.axis import latitude_axis, time_axis
+from repro.cdms.dataset import open_dataset
 from repro.cdms.grid import uniform_grid
+from repro.cdms.storage import write_cdz
 from repro.cdms.variable import Variable
 from repro.util.errors import CDATError
 
@@ -140,6 +142,28 @@ class TestStandardize:
         var = Variable(np.full((5, 1), 3.0), (t, latitude_axis([0.0])), id="c")
         z = standardize(var)
         assert np.ma.getmaskarray(z.data).all()
+
+
+class TestUnits:
+    """A statistic describes its output: a variance is in the input's units
+    squared, a z-score is dimensionless — eager and streamed alike."""
+
+    @pytest.mark.parametrize("units,squared", [
+        ("K", "K2"), ("m s-1", "(m s-1)2"), ("W/m^2", "(W/m^2)2"), ("", ""),
+    ])
+    def test_variance_squares_and_standardize_drops_the_units(self, tmp_path, units, squared):
+        t = time_axis(np.arange(6.0))
+        data = np.random.default_rng(5).normal(280.0, 4.0, (6, 8, 12))
+        var = gridded(data, extra_axes=(t,))
+        var.units = units
+        path = tmp_path / "units.cdz"
+        write_cdz(path, [var], dataset_id="units", version=2, chunk_timesteps=2)
+        for streaming in ("off", "on"):
+            with open_dataset(path, streaming=streaming) as dataset:
+                source = dataset.get_variable("g")
+                assert variance(source, axis="time").units == squared
+                assert variance(source, axis="latitude").units == squared
+                assert standardize(source, axis="time").units == "1"
 
 
 class TestPercentile:

@@ -82,6 +82,22 @@ class CountingBackend:
             return sum(1 for _, degraded in self.calls if degraded)
 
 
+def counted(recorder, name: str, **labels: str) -> float:
+    """Sum of counter *name* over every series carrying *labels*."""
+    wanted = {k: str(v) for k, v in labels.items()}
+    return sum(
+        value for key, value in recorder.counters.items()
+        if key.name == name and wanted.items() <= key.label_dict().items()
+    )
+
+
+def executions(recorder) -> float:
+    """Full renders that ran, by the outcome counter: ``ok`` from
+    ``render``, less the requests that joined one (no speculation)."""
+    return counted(recorder, "serving.outcome", status="ok", source="render") \
+        - recorder.counter_total("serving.coalesced")
+
+
 def memory_cache(entries: int = 256) -> ResultCache:
     """A fresh memory-only serving cache (no disk, no ambient state)."""
     return ResultCache(

@@ -22,7 +22,7 @@ from repro.serving import (
 )
 from repro.serving.server import BREAKER_FAILURES, BREAKER_RESET_S
 
-from tests.serving.conftest import memory_cache, submit_deferred
+from tests.serving.conftest import counted, executions, memory_cache, submit_deferred
 
 
 @pytest.fixture(autouse=True)
@@ -90,8 +90,8 @@ class TestQueueOverload:
         served = [r for r in responses if r.status == "ok"]
         assert len(served) == 2 and len(shed) == 3
         assert {r.reason for r in shed} == {"queue_full"}
-        assert recorder.counter_value(
-            "serving.shed", reason="queue_full", tenant="default"
+        assert counted(
+            recorder, "serving.outcome", status="shed", reason="queue_full", tenant="default"
         ) == 3
         assert backend.full_calls == 2  # shed requests never execute
 
@@ -147,8 +147,8 @@ class TestDeadlineExpiry:
         assert response.status == "shed"
         assert response.reason == "expired"
         assert backend.full_calls == 0  # dead work is never executed
-        assert recorder.counter_value(
-            "serving.shed", reason="expired", tenant="default"
+        assert counted(
+            recorder, "serving.outcome", status="shed", reason="expired", tenant="default"
         ) == 1
 
     def test_unexpired_request_still_served(self, backend, fake_clock):
@@ -206,8 +206,8 @@ class TestGracefulDegradation:
         assert degraded.status == "degraded"
         assert degraded.source == "render"
         assert backend.degraded_calls == 1
-        assert recorder.counter_value("serving.degraded", source="render") == 1
-        assert recorder.counter_total("serving.executions") == 0
+        assert counted(recorder, "serving.outcome", status="degraded", source="render") == 1
+        assert executions(recorder) == 0
 
     def test_open_breaker_serves_cached_stale_first(self, backend, fake_clock):
         async def scenario():

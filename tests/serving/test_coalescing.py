@@ -2,7 +2,7 @@
 
 The acceptance contract of the serving layer: 64 concurrent requests
 for the same product from 8 different tenants must execute the backend
-exactly once (asserted through the ``serving.executions`` obs counter
+exactly once (asserted through the ``serving.outcome`` obs counter
 *and* the backend's own call log) and every requester must receive
 byte-identical payload.
 """
@@ -19,6 +19,7 @@ from repro.util.errors import ServingError
 
 from tests.serving.conftest import (
     CountingBackend,
+    executions,
     memory_cache,
     submit_deferred,
 )
@@ -55,7 +56,7 @@ class TestAcceptance:
 
         # exactly one kernel execution, by both accounts
         assert backend.full_calls == 1
-        assert recorder.counter_total("serving.executions") == 1
+        assert executions(recorder) == 1
         assert recorder.counter_total("serving.coalesced") == 63
         assert recorder.counter_total("serving.requests") == 64
 

@@ -17,7 +17,7 @@ import pytest
 from repro import obs
 from repro.serving import AppBackend, Request, ServingConfig, ServingServer
 
-from tests.serving.conftest import memory_cache, submit_deferred
+from tests.serving.conftest import executions, memory_cache, submit_deferred
 
 ROOT = Path(__file__).resolve().parents[2]
 
@@ -70,7 +70,7 @@ class TestEndToEnd:
         ta_payloads = {r.payload for r in responses[:3]}
         assert len(ta_payloads) == 1
         assert responses[3].payload not in ta_payloads  # different variable
-        assert recorder.counter_total("serving.executions") == 2
+        assert executions(recorder) == 2
         assert recorder.counter_total("serving.coalesced") == 2
 
     def test_repeat_session_serves_from_cache(self, app_server):

@@ -28,7 +28,7 @@ from repro.serving import (
     request_key,
 )
 
-from tests.serving.conftest import CountingBackend, memory_cache
+from tests.serving.conftest import CountingBackend, counted, memory_cache
 
 #: all five DV3D plot families the palette serves, with their variables
 PLOT_TYPES = [
@@ -276,8 +276,8 @@ class TestMisprediction:
                         server.submit(request), timeout=5.0)
                     assert response.status == "ok"
                     assert response.payload == backend.payload_for(request)
-                    assert recorder.counter_total(
-                        "serving.speculative.cancelled") == 1
+                    assert counted(recorder, "serving.speculative.outcome",
+                                   outcome="cancelled") == 1
                     assert server.stats()["speculations_inflight"] == 0
             finally:
                 obs.disable()

@@ -298,6 +298,27 @@ class TestEndpoint:
                 client.open("still-serving")
                 assert client.render({"scene": "m"}).meta["status"] == "ok"
 
+    def test_an_exception_escaping_a_connection_fails_stop(self, monkeypatch):
+        """What a connection task lets escape reaches the loop's exception
+        handler, which asyncio would only log: ``stop()`` raises it, so
+        the test that caused it fails."""
+
+        async def broken(self, reader, writer):
+            raise RuntimeError("the dialogue broke")
+
+        monkeypatch.setattr(WireSessionServer, "_dialogue", broken)
+        _backend, server = self.make_server()
+        server.start()
+        try:
+            client = WireSessionClient(server.host, server.port)
+            with pytest.raises((WireError, OSError)):
+                client.connect()  # the server hangs up
+            client.close_socket()
+        finally:
+            with pytest.raises(RuntimeError, match="the dialogue broke"):
+                server.stop()
+        server.stop()  # raised once: a second stop is quiet
+
     def test_a_peer_stalled_mid_frame_does_not_stall_another(self):
         """A peer that sends a frame prefix and withholds the body holds
         up no other connection: every connection is its own task."""
