@@ -39,9 +39,12 @@ def _finish_mean(
         if result.mask:
             raise CDATError(all_masked_message)
         return float(result)
+    # CF: the output records the mean it is, after its input's methods
+    name = "area" if len(drop_dims) == 2 else var.get_axis(drop_dims[0]).id
+    methods = " ".join(filter(None, (var.attributes.get("cell_methods"), f"{name}: mean")))
     return Variable(
-        result, axes, id=out_id,
-        missing_value=var.missing_value, attributes=dict(var.attributes),
+        result, axes, id=out_id, missing_value=var.missing_value,
+        attributes={**var.attributes, "cell_methods": methods},
     )
 
 

@@ -68,6 +68,8 @@ class Plot3D:
         self._volume: Optional[ImageData] = None
         #: (what the scene was built from, the built scene) — see scene()
         self._scene_memo: Optional[Tuple[Any, Scene]] = None
+        #: (the volume bounds it was fitted to, the fitted camera)
+        self._fitted: Optional[Tuple[Tuple[float, ...], Camera]] = None
 
     # -- data ------------------------------------------------------------
 
@@ -147,7 +149,18 @@ class Plot3D:
         return memo[1].shell()
 
     def default_camera(self) -> Camera:
-        return Camera.fit_bounds(self.volume.bounds())
+        """The camera framing the current volume, fitted once per bounds.
+
+        Kept with the ``volume.bounds()`` it was fitted to and refitted
+        only when they differ, so every frame that passes no camera
+        shares one :class:`Camera` — frozen, so its cached basis is safe
+        to share too.
+        """
+        bounds = self.volume.bounds()
+        fitted = self._fitted
+        if fitted is None or fitted[0] != bounds:
+            fitted = self._fitted = (bounds, Camera.fit_bounds(bounds))
+        return fitted[1]
 
     def render(
         self,

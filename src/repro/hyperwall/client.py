@@ -72,6 +72,9 @@ class DisplayNode:
         camera, picks, scene and frame memos — is the result, recorded as
         one ``cached`` run of the sink, and nothing executes.  Otherwise
         the sink's upstream closure executes and its cell replaces it.
+        The signature is the one kept on *pipeline*
+        (:meth:`Executor.signatures`), so on a graph no mutator touched
+        since the last call nothing is hashed: the check is a lookup.
         """
         signature = self.executor.signatures(pipeline)[sink]
         if self._signatures.get(key) == signature:

@@ -13,9 +13,10 @@ NDC x/y in [-1, 1]; screen origin at the top-left pixel.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Dict, Tuple
+from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
@@ -27,6 +28,29 @@ def _normalize(v: np.ndarray) -> np.ndarray:
     if norm < 1e-12:
         raise RenderingError("cannot normalize zero-length vector")
     return v / norm
+
+
+def _cross(a: Sequence[float], b: Sequence[float]) -> np.ndarray:
+    """``np.cross`` of two 3-vectors without its axis handling.
+
+    The same three products and differences, each rounded once, so the
+    result is bit-identical (signed zeros and infinities included).
+    """
+    a0, a1, a2 = map(float, a)
+    b0, b1, b2 = map(float, b)
+    return np.array((a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0))
+
+
+def _coincide(a: Sequence[float], b: Sequence[float]) -> bool:
+    """``np.allclose(a, b)`` of two 3-vectors, written in scalar math.
+
+    Per component: within ``1e-8 + 1e-5 * |y|`` of a finite ``y``, or
+    equal (so equal infinities coincide); NaN never does.
+    """
+    return all(
+        (abs(x - y) <= 1e-8 + 1e-5 * abs(y) and math.isfinite(y)) or x == y
+        for x, y in zip(map(float, a), map(float, b))
+    )
 
 
 @dataclass(frozen=True)
@@ -45,7 +69,7 @@ class Camera:
             raise RenderingError(f"fov {self.fov_degrees} out of range")
         if self.near <= 0 or self.far <= self.near:
             raise RenderingError(f"bad clip planes near={self.near} far={self.far}")
-        if np.allclose(self.position, self.focal_point):
+        if _coincide(self.position, self.focal_point):
             raise RenderingError("camera position coincides with focal point")
 
     # -- basis ------------------------------------------------------------
@@ -62,12 +86,12 @@ class Camera:
         foc = np.asarray(self.focal_point, dtype=np.float64)
         forward = _normalize(foc - pos)
         up_hint = np.asarray(self.view_up, dtype=np.float64)
-        right = np.cross(forward, up_hint)
+        right = _cross(forward, up_hint)
         if np.linalg.norm(right) < 1e-9:  # up parallel to view direction
             up_hint = np.array([0.0, 0.0, 1.0]) if abs(forward[2]) < 0.9 else np.array([0.0, 1.0, 0.0])
-            right = np.cross(forward, up_hint)
+            right = _cross(forward, up_hint)
         right = _normalize(right)
-        up = _normalize(np.cross(right, forward))
+        up = _normalize(_cross(right, forward))
         for vector in (right, up, forward):
             vector.flags.writeable = False
         return right, up, forward
@@ -146,7 +170,7 @@ class Camera:
             axis = _normalize(axis)
             return (
                 v * np.cos(angle)
-                + np.cross(axis, v) * np.sin(angle)
+                + _cross(axis, v) * np.sin(angle)
                 + axis * (axis @ v) * (1 - np.cos(angle))
             )
 
@@ -184,7 +208,7 @@ class Camera:
         """Rotate view_up around the view direction."""
         _right, up, forward = self.basis()
         angle = np.radians(angle_deg)
-        new_up = up * np.cos(angle) + np.cross(forward, up) * np.sin(angle)
+        new_up = up * np.cos(angle) + _cross(forward, up) * np.sin(angle)
         return replace(self, view_up=tuple(new_up))
 
     # -- stereo -----------------------------------------------------------------

@@ -24,7 +24,8 @@ import hashlib
 import time
 from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Set, Tuple
+from types import MappingProxyType
+from typing import Any, Dict, List, Mapping, Optional, Set, Tuple
 
 from repro import obs
 from repro.resilience import faults
@@ -127,12 +128,22 @@ class Executor:
         blob = f"{spec.name}|{instance.parameter_signature()}|{feed}"
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
-    def signatures(self, pipeline: Pipeline) -> Dict[int, str]:
-        """Per-module content signatures in topological order."""
-        result: Dict[int, str] = {}
-        for mid in pipeline.topological_order():
-            result[mid] = self._signature(pipeline, mid, result)
-        return result
+    def signatures(self, pipeline: Pipeline) -> Mapping[int, str]:
+        """Per-module content signatures in topological order.
+
+        Computed once per state of *pipeline* and kept on it
+        (``pipeline.kept_signatures``) until one of its mutators runs,
+        so asking again of an unchanged graph is an attribute read.  A
+        signature depends only on the graph, never on the executor.
+        The mapping is read-only: it is the kept value itself.
+        """
+        kept = pipeline.kept_signatures
+        if kept is None:
+            result: Dict[int, str] = {}
+            for mid in pipeline.topological_order():
+                result[mid] = self._signature(pipeline, mid, result)
+            kept = pipeline.kept_signatures = MappingProxyType(result)
+        return kept
 
     # -- execution -------------------------------------------------------------
 

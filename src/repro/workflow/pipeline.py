@@ -14,7 +14,7 @@ coverage (at execution time).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Set
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Set
 
 from repro.workflow.registry import ModuleRegistry
 from repro.util.errors import WorkflowError
@@ -45,7 +45,12 @@ class ModuleSpec:
 
 
 class Pipeline:
-    """A mutable, validated workflow graph."""
+    """A mutable, validated workflow graph.
+
+    Change it only through the five mutators (add/delete module,
+    add/delete connection, set parameter): each drops the signatures an
+    executor kept on the graph (:attr:`kept_signatures`).
+    """
 
     def __init__(self, registry: Optional[ModuleRegistry] = None) -> None:
         from repro.workflow.registry import global_registry
@@ -55,6 +60,8 @@ class Pipeline:
         self.connections: Dict[int, Connection] = {}
         self._module_ids = IdGenerator()
         self._connection_ids = IdGenerator()
+        #: ``Executor.signatures`` of this graph, kept until a mutator runs
+        self.kept_signatures: Optional[Mapping[int, str]] = None
 
     def __repr__(self) -> str:
         return f"Pipeline(modules={len(self.modules)}, connections={len(self.connections)})"
@@ -64,6 +71,7 @@ class Pipeline:
     def add_module(self, name: str, parameters: Optional[Dict[str, Any]] = None,
                    module_id: Optional[int] = None) -> int:
         """Add a module by registry name; returns its id."""
+        self.kept_signatures = None
         qualified = self.registry.qualified_name(name)
         cls = self.registry.resolve(qualified)
         params = dict(parameters or {})
@@ -82,6 +90,7 @@ class Pipeline:
 
     def delete_module(self, module_id: int) -> None:
         """Remove a module and every connection touching it."""
+        self.kept_signatures = None
         self._require_module(module_id)
         del self.modules[module_id]
         doomed = [
@@ -92,6 +101,7 @@ class Pipeline:
             del self.connections[cid]
 
     def set_parameter(self, module_id: int, name: str, value: Any) -> None:
+        self.kept_signatures = None
         spec = self._require_module(module_id)
         cls = self.registry.resolve(spec.name)
         if name not in {p.name for p in cls.parameters}:
@@ -107,6 +117,7 @@ class Pipeline:
         connection_id: Optional[int] = None,
     ) -> int:
         """Connect two ports; validates types and acyclicity; returns edge id."""
+        self.kept_signatures = None
         src = self._require_module(source_id)
         dst = self._require_module(target_id)
         src_cls = self.registry.resolve(src.name)
@@ -137,6 +148,7 @@ class Pipeline:
         return connection_id
 
     def delete_connection(self, connection_id: int) -> None:
+        self.kept_signatures = None
         if connection_id not in self.connections:
             raise WorkflowError(f"no connection {connection_id}")
         del self.connections[connection_id]

@@ -141,3 +141,55 @@ class TestRunningMean:
 
     def test_shape_preserved(self, ta):
         assert running_mean(ta, window=3).shape == ta.shape
+
+
+class TestCellMethods:
+    """A mean describes its output: CF ``cell_methods`` gains the mean it
+    took, after the input's own methods — eager and streamed alike."""
+
+    @staticmethod
+    def _fields(tmp_path, cell_methods):
+        from repro.cdms.axis import level_axis, uniform_latitude, uniform_longitude
+        from repro.cdms.dataset import open_dataset
+        from repro.cdms.storage import write_cdz
+
+        axes = (
+            time_axis(np.arange(6) * 30.0, calendar="noleap"),
+            level_axis([1000.0, 500.0]),
+            uniform_latitude(4),
+            uniform_longitude(6),
+        )
+        data = np.random.default_rng(2).normal(280.0, 5.0, (6, 2, 4, 6))
+        attributes = {} if cell_methods is None else {"cell_methods": cell_methods}
+        var = Variable(data, axes, id="ta", units="K", attributes=attributes)
+        path = tmp_path / "methods.cdz"
+        write_cdz(path, [var], dataset_id="methods", version=2, chunk_timesteps=2)
+        return [open_dataset(path, streaming=mode) for mode in ("off", "on")]
+
+    @pytest.mark.parametrize("cell_methods, prefix", [
+        (None, ""), ("", ""), ("time: mean", "time: mean "),
+    ])
+    @pytest.mark.parametrize("reduce, method", [
+        (lambda v: axis_average(v, "time"), "time: mean"),
+        (lambda v: axis_average(v, "level"), "level: mean"),
+        (zonal_mean, "longitude: mean"),
+        (meridional_mean, "latitude: mean"),
+        (area_average, "area: mean"),
+    ], ids=["time", "level", "zonal", "meridional", "area"])
+    def test_a_mean_appends_its_method(self, tmp_path, cell_methods, prefix, reduce, method):
+        eager, streamed = self._fields(tmp_path, cell_methods)
+        with eager, streamed:
+            results = [reduce(d.get_variable("ta")) for d in (eager, streamed)]
+        for result in results:
+            assert result.attributes["cell_methods"] == prefix + method
+            assert result.units == "K"
+        assert results[0].attributes == results[1].attributes
+
+    def test_the_input_keeps_its_methods(self, ta):
+        before = dict(ta.attributes)
+        assert axis_average(ta, "time").attributes["cell_methods"].endswith("time: mean")
+        assert ta.attributes == before
+
+    def test_means_compose_in_order(self, ta):
+        out = zonal_mean(axis_average(ta, "time"))
+        assert out.attributes["cell_methods"].endswith("time: mean longitude: mean")

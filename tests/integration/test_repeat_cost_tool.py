@@ -1,0 +1,25 @@
+"""``tools/repeat_cost.py`` runs on this tree and prints its four-layer table."""
+
+import importlib.util
+import re
+from pathlib import Path
+
+TOOL = Path(__file__).resolve().parents[2] / "tools" / "repeat_cost.py"
+ROW = re.compile(r"^\| (.+) \| (\d+\.\d{3}) ms \|$")
+
+
+def test_the_tool_prints_one_row_per_layer(capsys):
+    spec = importlib.util.spec_from_file_location("repeat_cost", TOOL)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    tool.main(["--repeats", "3"])
+    lines = capsys.readouterr().out.splitlines()
+    assert "median of 3" in lines[0]
+    rows = [ROW.match(line) for line in lines if ROW.match(line)]
+    assert [row.group(1) for row in rows] == [
+        "`AppBackend(request)` on the calling thread",
+        "`await ServingServer.submit(request)`",
+        "`WireSessionClient.render`, client in the same process",
+        "the wire with a backend that returns fixed bytes",
+    ]
+    assert all(float(row.group(2)) > 0 for row in rows)

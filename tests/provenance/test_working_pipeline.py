@@ -6,16 +6,23 @@ is sound only while the working pipeline equals that replay.  Seeded
 random edit sequences — modules and connections added and deleted,
 parameters set, older versions checked out and branched from, a save
 and load — pin that equality after every step, rejected edits included.
+
+The same sequences pin the signatures an executor keeps on a pipeline:
+a copy keeps nothing, so the working pipeline's kept signatures must
+equal its copy's after every step, which fails if any mutator forgets
+to drop them.
 """
 
 import random
 
 import pytest
 
+from repro.hyperwall.client import DisplayNode
 from repro.provenance.version_tree import VersionTree
 from repro.provenance.vistrail import Vistrail
 from repro.util.errors import WorkflowError
 from repro.workflow.executor import Executor
+from repro.workflow.pipeline import Pipeline
 from repro.workflow.module import Module, ParameterSpec
 from repro.workflow.ports import PortSpec
 from repro.workflow.registry import ModuleRegistry
@@ -31,10 +38,21 @@ class Stage(Module):
         return {"out": self.parameter_values["level"]}
 
 
+class Cell(Module):
+    name = "Cell"
+    input_ports = (PortSpec("a", optional=True),)
+    output_ports = (PortSpec("cell"),)
+    parameters = (ParameterSpec("width", 4),)
+
+    def compute(self, inputs):
+        return {"cell": object()}
+
+
 @pytest.fixture()
 def registry():
     reg = ModuleRegistry()
     reg.register("t", Stage)
+    reg.register("t", Cell)
     return reg
 
 
@@ -46,6 +64,11 @@ def assert_working_pipeline_is_the_replay(vistrail):
     expected = (replay.to_dict(), executor.signatures(replay))
     for pipeline in (vistrail.pipeline, handed):
         assert (pipeline.to_dict(), executor.signatures(pipeline)) == expected
+
+
+def assert_kept_signatures_are_fresh(pipeline):
+    executor = Executor(caching=False)
+    assert executor.signatures(pipeline) == executor.signatures(pipeline.copy())
 
 
 def random_edit(rng, vistrail, tmp_path):
@@ -87,6 +110,7 @@ def test_random_edits_keep_the_working_pipeline_equal_to_the_replay(registry, tm
     vistrail = Vistrail("random", registry)
     for _ in range(80):
         vistrail = random_edit(rng, vistrail, tmp_path)
+        assert_kept_signatures_are_fresh(vistrail.pipeline)
         assert_working_pipeline_is_the_replay(vistrail)
     assert vistrail.tree.branch_points()  # the sequence did branch
 
@@ -106,6 +130,7 @@ def test_rejected_edits_leave_the_two_equal(registry):
     with pytest.raises(WorkflowError):
         vistrail.delete_connection(99)
     assert vistrail.current_version == version
+    assert_kept_signatures_are_fresh(vistrail.pipeline)
     assert_working_pipeline_is_the_replay(vistrail)
 
 
@@ -136,3 +161,61 @@ def test_a_later_edit_never_reaches_a_handed_pipeline(registry):
     vistrail.add_module("Stage")
     assert handed.to_dict() == vistrail.tree.materialize(version, registry).to_dict()
     assert handed.modules[a].parameters == {"level": 1}
+
+
+def test_each_mutator_drops_the_kept_signatures(registry):
+    pipeline = Pipeline(registry)
+    executor = Executor(caching=False)
+    edits = [
+        lambda p: p.add_module("Stage"),
+        lambda p: p.add_module("Stage", {"level": 2}),
+        lambda p: p.add_connection(0, "out", 1, "a"),
+        lambda p: p.set_parameter(0, "level", 7),
+        lambda p: p.delete_connection(0),
+        lambda p: p.add_connection(1, "out", 0, "b"),
+        lambda p: p.delete_module(1),
+    ]
+    for edit in edits:
+        kept = executor.signatures(pipeline)
+        assert executor.signatures(pipeline) is kept  # unchanged: a read
+        edit(pipeline)
+        assert pipeline.kept_signatures is None
+        assert_kept_signatures_are_fresh(pipeline)
+    assert pipeline.copy().kept_signatures is None
+
+
+def test_the_returned_signatures_cannot_change_the_kept_ones(registry):
+    pipeline = Pipeline(registry)
+    a = pipeline.add_module("Stage")
+    executor = Executor(caching=False)
+    signatures = executor.signatures(pipeline)
+    before = dict(signatures)
+    with pytest.raises(TypeError):
+        signatures[a] = "forged"
+    with pytest.raises(TypeError):
+        del signatures[a]
+    assert dict(executor.signatures(pipeline)) == before
+    assert dict(Executor(caching=True).signatures(pipeline)) == before
+
+
+def test_an_unchanged_pipeline_re_executes_without_hashing(registry, monkeypatch):
+    pipeline = Pipeline(registry)
+    stage = pipeline.add_module("Stage", {"level": 1})
+    sink = pipeline.add_module("Cell")
+    pipeline.add_connection(stage, "out", sink, "a")
+    node = DisplayNode(0)
+    built = node.execute("cell", pipeline, sink).output(sink, "cell")
+    calls = []
+    real = Executor._signature
+    monkeypatch.setattr(
+        Executor, "_signature",
+        staticmethod(lambda *args: calls.append(args[1]) or real(*args)),
+    )
+    for _ in range(3):
+        result = node.execute("cell", pipeline, sink)
+        assert result.output(sink, "cell") is built
+        assert result.cache_hits == 1
+    assert calls == []
+    pipeline.set_parameter(stage, "level", 2)  # an edit hashes again and rebuilds
+    assert node.execute("cell", pipeline, sink).output(sink, "cell") is not built
+    assert sorted(set(calls)) == [stage, sink]

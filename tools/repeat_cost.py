@@ -1,0 +1,114 @@
+#!/usr/bin/env python
+"""Print what one repeated frame costs at each layer of the serving path.
+
+A repeat is a request identical to the one before it: the cell keeps
+its frame, so nothing is drawn and whatever a layer spends on it is
+that layer's fixed cost.  The scene is explore_surface's Slicer stratum
+(64x48, with ``timestep`` and ``azimuth``).  Each row is the median of
+``--repeats`` repeats after the scene's first frame, timed around:
+
+1. the ``AppBackend`` call on the calling thread;
+2. ``await ServingServer.submit(request)`` on a server over that backend;
+3. ``WireSessionClient.render``, the client in the same process as the
+   ``WireSessionServer``;
+4. the same wire over a backend that returns fixed bytes (the front
+   door alone).
+
+Run from the repository root::
+
+    PYTHONPATH=src python tools/repeat_cost.py [--repeats 400]
+
+Stdlib and ``repro`` only; the output is a markdown table.
+"""
+
+from __future__ import annotations
+
+import argparse
+import asyncio
+import statistics
+import time
+from typing import Callable, List, Optional, Sequence
+
+from repro.serving.backend import AppBackend
+from repro.serving.endpoint import WireSessionClient, WireSessionServer
+from repro.serving.request import Request
+from repro.serving.server import ServingServer
+
+PARAMS = {
+    "template": "Slicer",
+    "variables": {"variable": "ta"},
+    "size": {"nlat": 10, "nlon": 16, "nlev": 5, "ntime": 12},
+    "width": 64,
+    "height": 48,
+    "cell_params": {"width": 64, "height": 48, "dataset_label": "slicer",
+                    "show_basemap": True},
+    "timestep": 3,
+    "azimuth": 45.0,
+}
+SESSION = "repeat-cost"
+
+
+def _median_ms(call: Callable[[], object], repeats: int) -> float:
+    call()  # the scene's first frame
+    times: List[float] = []
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        call()
+        times.append(time.perf_counter() - t0)
+    return statistics.median(times) * 1e3
+
+
+def backend_call(repeats: int) -> float:
+    backend = AppBackend()
+    request = Request(params=PARAMS, session=SESSION)
+    return _median_ms(lambda: backend(request, False), repeats)
+
+
+def server_submit(repeats: int) -> float:
+    async def run() -> float:
+        request = Request(params=PARAMS, session=SESSION)
+        async with ServingServer(AppBackend()) as server:
+            await server.submit(request)
+            times: List[float] = []
+            for _ in range(repeats):
+                t0 = time.perf_counter()
+                await server.submit(request)
+                times.append(time.perf_counter() - t0)
+        return statistics.median(times) * 1e3
+
+    return asyncio.run(run())
+
+
+def wire_render(repeats: int, backend) -> float:
+    with WireSessionServer(backend) as server:
+        with WireSessionClient(server.host, server.port) as client:
+            client.open(SESSION)
+            return _median_ms(lambda: client.render(PARAMS), repeats)
+
+
+def main(argv: Optional[Sequence[str]] = None) -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--repeats", type=int, default=400,
+                        help="repeats timed per layer (default 400)")
+    repeats = parser.parse_args(argv).repeats
+    if repeats < 1:
+        parser.error("--repeats must be at least 1")
+    payload = AppBackend()(Request(params=PARAMS), False)
+    rows = [
+        ("`AppBackend(request)` on the calling thread", backend_call(repeats)),
+        ("`await ServingServer.submit(request)`", server_submit(repeats)),
+        ("`WireSessionClient.render`, client in the same process",
+         wire_render(repeats, AppBackend())),
+        ("the wire with a backend that returns fixed bytes",
+         wire_render(repeats, lambda request, degraded: payload)),
+    ]
+    print(f"One repeat, Slicer 64x48, median of {repeats}:")
+    print()
+    print("| path | one repeat |")
+    print("|---|---|")
+    for label, ms in rows:
+        print(f"| {label} | {ms:.3f} ms |")
+
+
+if __name__ == "__main__":
+    main()
