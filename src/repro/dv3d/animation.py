@@ -12,13 +12,14 @@ from __future__ import annotations
 import contextlib
 from dataclasses import dataclass
 from pathlib import Path
-from typing import List, Optional, Tuple, Union
+from typing import Any, List, Optional, Tuple, Union
 
 import numpy as np
 
 from repro import obs
 from repro.dv3d.cell import DV3DCell
 from repro.dv3d.plot import Plot3D
+from repro.dv3d.view import View
 from repro.rendering.camera import Camera
 from repro.rendering.ppm import write_ppm
 from repro.util.errors import DV3DError, StreamingError
@@ -51,28 +52,35 @@ class Animator:
     ) -> List[np.ndarray]:
         """Render frames as uint8 arrays, restoring the original time index.
 
-        The camera is fixed across frames (fit once at the first frame)
-        so the animation browses the data, not the view.  ``count`` may
-        exceed the number of timesteps: the cursor wraps modulo the
-        time axis, looping the animation.
+        The camera is fixed across frames (the plot's default framing
+        depends on the grid, not the step) so the animation browses the
+        data, not the view.  ``count`` may exceed the number of
+        timesteps: the cursor wraps modulo the time axis, looping the
+        animation.
         """
+        return self._animate(width, height, camera, start, count, stride)
+
+    def _animate(self, width: int, height: int, camera: Optional[Camera],
+                 start: int, count: Optional[int], stride: int) -> List[Any]:
+        """The one frame loop: what :meth:`_draw` made of each step's
+        :class:`View`, in order."""
         if stride < 1:
             raise DV3DError("stride must be >= 1")
         total = self.n_frames
         count = total if count is None else count
         original = self.plot.time_index
-        cam = camera or self.plot.camera
-        frames: List[np.ndarray] = []
+        drawn: List[Any] = []
         try:
             for step in range(count):
                 index = (start + step * stride) % total
-                self.plot.set_time_index(index)
-                if cam is None:
-                    cam = self.plot.default_camera()
-                frames.append(self.target.render(width, height, camera=cam).to_uint8())
+                drawn.append(self._draw(View(width, height, index, camera=camera), drawn))
         finally:
             self.plot.set_time_index(original)
-        return frames
+        return drawn
+
+    def _draw(self, view: View, drawn: List[Any]) -> Any:
+        """One frame of the loop (*drawn*: what the steps before it made)."""
+        return view.draw(self.target).to_uint8()
 
     def save_frames(
         self,
@@ -135,31 +143,15 @@ class StreamingAnimator(Animator):
         count: Optional[int] = None,
         stride: int = 1,
     ) -> Tuple[List[np.ndarray], List[FrameRecord]]:
-        if stride < 1:
-            raise DV3DError("stride must be >= 1")
-        total = self.n_frames
-        count = total if count is None else count
-        original = self.plot.time_index
-        cam = camera or self.plot.camera
-        frames: List[np.ndarray] = []
-        records: List[FrameRecord] = []
-        try:
-            for step in range(count):
-                index = (start + step * stride) % total
-                self.plot.set_time_index(index)
-                frame, record, cam = self._render_one(
-                    index, width, height, cam, frames
-                )
-                frames.append(frame)
-                records.append(record)
-                if obs.enabled():
-                    if record.status == "ok":
-                        obs.counter("streaming.frames.ok")
-                    else:
-                        obs.counter("streaming.frames.degraded", source=record.source)
-        finally:
-            self.plot.set_time_index(original)
-        return frames, records
+        drawn = self._animate(width, height, camera, start, count, stride)
+        records = [record for _, record in drawn]
+        if obs.enabled():
+            for record in records:
+                if record.status == "ok":
+                    obs.counter("streaming.frames.ok")
+                else:
+                    obs.counter("streaming.frames.degraded", source=record.source)
+        return [frame for frame, _ in drawn], records
 
     def render_frames(self, *args, **kwargs) -> List[np.ndarray]:
         frames, _ = self.render_frames_with_status(*args, **kwargs)
@@ -179,34 +171,22 @@ class StreamingAnimator(Animator):
                 seen.append(var)
         return seen
 
-    def _render_raw(
-        self, width: int, height: int, cam: Optional[Camera]
-    ) -> Tuple[np.ndarray, Camera]:
+    def _draw(
+        self, view: View, drawn: List[Tuple[np.ndarray, FrameRecord]]
+    ) -> Tuple[np.ndarray, FrameRecord]:
         # the camera fit reads the (possibly degraded) volume's geometry,
         # which depends only on axes — identical across ladder rungs
-        if cam is None:
-            cam = self.plot.default_camera()
-        return self.target.render(width, height, camera=cam).to_uint8(), cam
-
-    def _render_one(
-        self,
-        index: int,
-        width: int,
-        height: int,
-        cam: Optional[Camera],
-        previous_frames: List[np.ndarray],
-    ) -> Tuple[np.ndarray, FrameRecord, Optional[Camera]]:
+        index = view.time_index
         try:
-            frame, cam = self._render_raw(width, height, cam)
-            return frame, FrameRecord(index, "ok", "stream"), cam
+            return view.draw(self.target).to_uint8(), FrameRecord(index, "ok", "stream")
         except StreamingError:
             self.plot.invalidate()
         try:
             with contextlib.ExitStack() as stack:
                 for var in self._degradable_variables():
                     stack.enter_context(var.degraded())
-                frame, cam = self._render_raw(width, height, cam)
-            return frame, FrameRecord(index, "degraded", "lowres"), cam
+                frame = view.draw(self.target).to_uint8()
+            return frame, FrameRecord(index, "degraded", "lowres")
         except StreamingError:
             pass
         finally:
@@ -214,16 +194,11 @@ class StreamingAnimator(Animator):
             # from it may outlive the degraded() context: the next render
             # of this index reads the chunk again
             self.plot.invalidate()
-        if previous_frames:
-            return (
-                previous_frames[-1].copy(),
-                FrameRecord(index, "degraded", "previous"),
-                cam,
-            )
+        if drawn:
+            return drawn[-1][0].copy(), FrameRecord(index, "degraded", "previous")
         return (
-            np.zeros((height, width, 3), dtype=np.uint8),
+            np.zeros((view.height, view.width, 3), dtype=np.uint8),
             FrameRecord(index, "degraded", "blank"),
-            cam,
         )
 
 
@@ -238,7 +213,6 @@ class CameraTour:
 
     def __init__(self, target: Union[Plot3D, DV3DCell]) -> None:
         self.target = target
-        self.plot = target.plot if isinstance(target, DV3DCell) else target
 
     def render_orbit(
         self,
@@ -248,21 +222,16 @@ class CameraTour:
         width: int = 320,
         height: int = 240,
     ) -> List[np.ndarray]:
-        """Render *n_frames* around the scene; the plot's camera is
-        restored afterwards."""
+        """Render *n_frames* around the scene, each an orbit of the
+        plot's camera; the plot's camera itself never moves."""
         if n_frames < 1:
             raise DV3DError("n_frames must be >= 1")
-        original = self.plot.camera
-        camera = original or self.plot.default_camera()
         step = total_azimuth_deg / n_frames
-        frames: List[np.ndarray] = []
-        try:
-            for i in range(n_frames):
-                view = camera.orbit(step * i, elevation_deg)
-                frames.append(self.target.render(width, height, camera=view).to_uint8())
-        finally:
-            self.plot.camera = original
-        return frames
+        return [
+            View(width, height, azimuth=step * i, elevation=elevation_deg)
+            .draw(self.target).to_uint8()
+            for i in range(n_frames)
+        ]
 
     def save_orbit(
         self,

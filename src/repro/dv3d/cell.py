@@ -128,7 +128,7 @@ class DV3DCell:
         what they get: a hit returns a copy and a store keeps one.
         """
         scene, axis_labels = self._furnished_scene()
-        cam = camera or self.plot.camera or self.plot.default_camera()
+        cam = self.plot.resolve_camera(camera)
         pick_text = self._pick_text() if self.show_labels else None
         key = (scene.stamp, cam, width, height, self.show_labels,
                self.show_colorbar, self.dataset_label, pick_text)

@@ -34,9 +34,10 @@ plane), ``isovalue`` (shift the isosurface level).
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
-from typing import Any, Dict
+from typing import Any, Dict, Mapping
 
 from repro.util.errors import DV3DError
 
@@ -48,11 +49,22 @@ DRAG_MODES = (
 )
 
 
-def _number(payload: Dict[str, Any], name: str) -> float:
-    value = payload.get(name, 0.0)
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise DV3DError(f"drag {name} must be a number, got {value!r}")
-    return float(value)
+def number(payload: Mapping[str, Any], name: str, default: Any = 0.0,
+           integral: bool = False) -> Any:
+    """``payload[name]`` (*default* when absent) as a float, or an int
+    when *integral*: a bool, a non-number, a non-finite float or (when
+    *integral*) a fraction raises :class:`DV3DError`.  The one rule for
+    the numbers of a gesture and of a :class:`~repro.dv3d.view.View`."""
+    value = payload.get(name, default)
+    # the built-in types first: an abstract-class check costs a microsecond
+    if integral:
+        valid = isinstance(value, (int, numbers.Integral))
+    else:
+        valid = isinstance(value, (float, int, numbers.Real)) and math.isfinite(value)
+    if isinstance(value, bool) or not valid:
+        what = "a whole number" if integral else "a finite number"
+        raise DV3DError(f"{name} must be {what}, got {value!r}")
+    return int(value) if integral else float(value)
 
 
 @dataclass(frozen=True)
@@ -78,7 +90,7 @@ class Gesture:
             if not isinstance(normal["key"], str) or not normal["key"]:
                 raise DV3DError(f"key gesture needs a non-empty string key: {given!r}")
         elif self.kind == "drag":
-            normal = {"dx": _number(given, "dx"), "dy": _number(given, "dy"),
+            normal = {"dx": number(given, "dx"), "dy": number(given, "dy"),
                       "mode": given.get("mode", "camera")}
             if normal["mode"] not in DRAG_MODES:
                 raise DV3DError(f"unknown drag mode {normal['mode']!r}")
@@ -135,15 +147,13 @@ def handle_drag(plot, dx: float, dy: float, mode: str = "camera") -> Dict[str, A
     if mode not in DRAG_MODES:
         raise DV3DError(f"unknown drag mode {mode!r}")
     if mode == "camera":
-        camera = plot.camera or plot.default_camera()
-        plot.camera = camera.orbit(dx * 180.0, dy * 90.0)
+        plot.camera = plot.resolve_camera().orbit(dx * 180.0, dy * 90.0)
         return {"camera": plot.camera.state()}
     if mode == "zoom":
-        camera = plot.camera or plot.default_camera()
-        plot.camera = camera.zoom(max(1e-3, 1.0 + dy))
+        plot.camera = plot.resolve_camera().zoom(max(1e-3, 1.0 + dy))
         return {"camera": plot.camera.state()}
     if mode == "pan":
-        camera = plot.camera or plot.default_camera()
+        camera = plot.resolve_camera()
         scale = camera.distance * 0.5
         plot.camera = camera.pan(-dx * scale, dy * scale)
         return {"camera": plot.camera.state()}

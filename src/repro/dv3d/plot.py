@@ -162,14 +162,19 @@ class Plot3D:
             fitted = self._fitted = (bounds, Camera.fit_bounds(bounds))
         return fitted[1]
 
+    def resolve_camera(self, camera: Optional[Camera] = None) -> Camera:
+        """The camera a frame is drawn through: *camera*, else the
+        plot's own, else :meth:`default_camera` — the one place that
+        fallback is spelled."""
+        return camera or self.camera or self.default_camera()
+
     def render(
         self,
         width: int = 400,
         height: int = 300,
         camera: Optional[Camera] = None,
     ) -> Framebuffer:
-        cam = camera or self.camera or self.default_camera()
-        return Renderer(width, height).render(self.scene(), cam)
+        return Renderer(width, height).render(self.scene(), self.resolve_camera(camera))
 
     # -- colormap commands (shared key commands) ------------------------------
 
@@ -211,7 +216,7 @@ class Plot3D:
         Returns the first finite sample along the ray, or None when the
         ray misses the data volume entirely.
         """
-        cam = camera or self.camera or self.default_camera()
+        cam = self.resolve_camera(camera)
         origins, dirs = cam.pixel_rays(width, height)
         idx = py * width + px
         if not 0 <= idx < origins.shape[0]:

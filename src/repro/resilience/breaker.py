@@ -103,6 +103,13 @@ class CircuitBreaker:
                 return True
             return False
 
+    def release(self) -> None:
+        """Give back the probe slot an :meth:`allow` took, recording no
+        outcome: the call never reached the dependency."""
+        with self._lock:
+            if self._state == HALF_OPEN and self._probes:
+                self._probes -= 1
+
     def record_success(self) -> None:
         with self._lock:
             self._failures = 0

@@ -22,49 +22,64 @@ thread never renders beside the server's serving loop.  Parallelism at
 the serving tier comes from coalescing and caching, not from concurrent
 workflow mutation.
 
-Request ``params`` contract (all optional but ``template``)::
+Request ``params`` contract (all optional).  The scene keys name the
+scene; the :class:`~repro.dv3d.view.View` keys name what one frame of
+it shows, and :meth:`View.parse <repro.dv3d.view.View.parse>` is their
+one parser::
 
+    scene keys (SCENE_KEYS)
     template   palette plot name          (default "Slicer")
     source     dataset source string      (default "synthetic_reanalysis")
     variables  dict of port -> var name   (default {"variable": "ta"})
     size       workflow grid size dict    (e.g. {"lat": 16, "lon": 16})
     selector   subset selector dict
     cell_params  extra DV3D cell params
+    view keys (VIEW_KEYS)
     width / height  frame pixels          (defaults 64 x 48)
     timestep   time index into the plot   (animation axis)
-    azimuth    camera orbit degrees from the default view (orbit axis)
+    azimuth    camera orbit degrees from the plot's camera (orbit axis)
 
-``timestep`` and ``azimuth`` are deliberately *excluded* from the scene
-digest: an animating or orbiting session mutates one long-lived scene
-cell instead of building a workflow per frame, which is exactly
-what sticky session affinity keeps warm.  So are ``width`` / ``height``:
-every frame renders at its own request's size, and the first frame's
-size only replaces the cell module's 320 x 240 default for the one
-render its workflow does when it executes.  When the plotted variable is
-a streamed :class:`~repro.cdms.lazy.LazyVariable`, a timestep render
-reads the chunk holding that timestep on the calling thread, inside the
-render; nothing reads ahead of the session.
+Any other top-level key, a size that is not a whole number of at least
+one pixel, a ``timestep`` that is not a whole number or an ``azimuth``
+that is not a finite number raises
+:class:`~repro.util.errors.RequestError` before a scene is looked up or
+built; the server answers it ``error`` and feeds no breaker with it.
+The nested ``size``, ``selector`` and ``cell_params`` are the
+workflow's to check.
 
-``degraded=True`` renders at ``1/DEGRADED_SCALE`` of each frame
-dimension (floored at 8 px) — the fallback the server uses while its
-circuit breaker is open.
+The view keys are deliberately *excluded* from the scene digest: an
+animating or orbiting session mutates one long-lived scene cell
+instead of building a workflow per frame, which is exactly what sticky
+session affinity keeps warm.  Every frame renders at its own request's
+size, and the first frame's size only replaces the cell module's
+320 x 240 default for the one render its workflow does when it
+executes.  When the plotted variable is a streamed
+:class:`~repro.cdms.lazy.LazyVariable`, a timestep render reads the
+chunk holding that timestep on the calling thread, inside the render;
+nothing reads ahead of the session.
+
+``degraded=True`` draws :meth:`View.degraded
+<repro.dv3d.view.View.degraded>` — a quarter of each frame dimension,
+floored at 8 px — the fallback the server uses while its circuit
+breaker is open.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Any, Dict, Optional
+from typing import Any, Mapping, Optional
 
 from repro.app.application import Application
 from repro.cache.keys import cache_key
+from repro.dv3d.view import VIEW_KEYS, View
 from repro.provenance.vistrail import Vistrail
 from repro.rendering.ppm import ppm_bytes
 from repro.serving.request import Request
+from repro.util.errors import DV3DError, RequestError
 
-#: a degraded render divides each frame dimension by this
-DEGRADED_SCALE = 4
-#: floor for degraded renders; below this frames stop being pictures
-MIN_DEGRADED_PX = 8
+#: the request keys that name a scene; with the view's, all a request may carry
+SCENE_KEYS = ("template", "source", "variables", "size", "selector", "cell_params")
+REQUEST_KEYS = frozenset(SCENE_KEYS + VIEW_KEYS)
 
 
 class AppBackend:
@@ -86,26 +101,30 @@ class AppBackend:
         self.app.current_project = project
 
     def __call__(self, request: Request, degraded: bool) -> bytes:
-        params = dict(request.params)
-        width = int(params.get("width", 64))
-        height = int(params.get("height", 48))
+        params = request.params
+        view = self._parse(params)
         if degraded:
-            width = max(width // DEGRADED_SCALE, MIN_DEGRADED_PX)
-            height = max(height // DEGRADED_SCALE, MIN_DEGRADED_PX)
+            view = view.degraded()
         with self._lock:
-            cell = self._scene_cell(params, width, height)
-            camera = None
-            if "timestep" in params:
-                cell.plot.set_time_index(int(params["timestep"]))
-            if "azimuth" in params:
-                base = cell.plot.camera or cell.plot.default_camera()
-                camera = base.orbit(float(params["azimuth"]), 0.0)
-            framebuffer = cell.render(width, height, camera=camera)
+            cell = self._scene_cell(params, view.width, view.height)
+            framebuffer = view.draw(cell)
         return ppm_bytes(framebuffer.to_uint8())
+
+    @staticmethod
+    def _parse(params: Mapping[str, Any]) -> View:
+        """The frame's view; :class:`RequestError` for a request that
+        carries an unknown key or a malformed view key."""
+        unknown = sorted(params.keys() - REQUEST_KEYS)
+        if unknown:
+            raise RequestError(f"unknown request params {unknown}")
+        try:
+            return View.parse(params)
+        except DV3DError as exc:
+            raise RequestError(f"malformed request: {exc}") from exc
 
     # -- scene management ---------------------------------------------------
 
-    def _scene_cell(self, params: Dict[str, Any], width: int, height: int):
+    def _scene_cell(self, params: Mapping[str, Any], width: int, height: int):
         """The scene's live cell, hosted under the scene's digest; its
         workflow is built on first use (the cell then renders once, at
         *width* x *height*)."""
@@ -115,8 +134,8 @@ class AppBackend:
         size = params.get("size")
         selector = params.get("selector")
         cell_params = params.get("cell_params")
-        # timestep / azimuth are per-frame animation state, not scene
-        # identity — one scene cell serves the whole gesture
+        # the view keys are per-frame state, not scene identity — one
+        # scene cell serves the whole gesture
         digest = cache_key(
             "serving.backend.scene",
             template, source, variables,

@@ -21,7 +21,10 @@ server:
    ``BREAKER_FAILURES`` consecutive backend failures open a circuit
    breaker (:mod:`repro.resilience`) for ``BREAKER_RESET_S``, under
    which requests are served stale from cache or re-rendered at reduced
-   resolution instead of hammering the failing backend;
+   resolution instead of hammering the failing backend.  A request the
+   backend refuses as malformed (:class:`~repro.util.errors.RequestError`)
+   is an ``error`` that is no backend failure: it feeds the breaker
+   nothing and gives back a half-open probe it took;
 5. **accounts** — per-tenant quota eviction through
    :class:`~repro.serving.quota.QuotaLedger` and full :mod:`repro.obs`
    instrumentation.
@@ -105,7 +108,7 @@ from repro.serving.sessions import (
     Speculation,
 )
 from repro.serving.speculative import NextFramePredictor
-from repro.util.errors import ServingError, SlotDeadError
+from repro.util.errors import RequestError, ServingError, SlotDeadError
 
 #: the backend contract: ``(request, degraded) -> bytes``
 Backend = Callable[[Request, bool], bytes]
@@ -364,6 +367,9 @@ class ServingServer:
                 payload = item.context.run(
                     self._run_backend, request, False, item.key
                 )
+            except RequestError:  # the request's fault: no breaker outcome
+                self.breaker.release()
+                raise
             except Exception:  # feeds the breaker; _dispatch answers it
                 self.breaker.record_failure()
                 raise

@@ -116,6 +116,15 @@ class ServingError(ReproError):
     """
 
 
+class RequestError(ServingError):
+    """A render request failed to parse: an unknown key, or a size,
+    time step or angle that is not a number of the right kind.
+
+    The request is at fault, not the backend, so the serving tier
+    answers it ``status="error"`` and feeds no circuit breaker with it.
+    """
+
+
 class SlotDeadError(ServingError):
     """A backend slot died (or was killed) while serving a request.
 

@@ -62,6 +62,13 @@ class TestCell:
         with pytest.raises(DV3DError):
             slicer_cell.handle_event("teleport")
 
+    @pytest.mark.parametrize("dx", [float("nan"), float("inf")])
+    def test_a_drag_by_no_finite_amount_is_refused(self, slicer_cell, dx):
+        """It would leave the plot a camera of NaNs that every later frame draws through."""
+        with pytest.raises(DV3DError, match="finite"):
+            slicer_cell.handle_event("drag", dx=dx, mode="camera")
+        assert slicer_cell.plot.camera is None
+
     def test_state_roundtrip(self, slicer_cell):
         slicer_cell.plot.step_time()
         state = slicer_cell.state()
