@@ -28,6 +28,7 @@ The package rebuilds the paper's full system in pure Python:
 Quick start::
 
     from repro.app import Application
+    from repro.dv3d.view import View
 
     app = Application()
     app.new_project("demo")
@@ -37,7 +38,7 @@ Quick start::
         variables={"variable": "ta"},
         size={"nlat": 24, "nlon": 36, "nlev": 8, "ntime": 4},
     )
-    cell.render(400, 300).save("slicer.ppm")
+    View(400, 300).draw(cell).save("slicer.ppm")
 """
 
 __version__ = "1.2.0"

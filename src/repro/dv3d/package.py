@@ -8,8 +8,8 @@ these modules follows §III.G exactly:
     CDMSDatasetReader → CDMSVariableReader (subset) → [CDATOperation ...]
         → a DV3D plot module → DV3DCell
 
-The cell module renders to an image, the artifact a spreadsheet cell
-displays.
+The cell module builds the live cell; its host draws it, through a
+:class:`~repro.dv3d.view.View`.
 """
 
 from __future__ import annotations
@@ -389,19 +389,20 @@ class VolumeSlicerModule(_PlotModule):
 
 
 class DV3DCellModule(Module):
-    """The workflow terminus: wrap a plot in a cell and render it.
+    """The workflow terminus: wrap a plot in a live cell; draw nothing.
 
-    Outputs both the live :class:`DV3DCell` (for interactive use by the
-    spreadsheet / hyperwall) and the rendered uint8 image.
+    ``width``/``height`` are the size a host draws the cell at when it
+    is asked for none (a wall tile's shipped size, the mirror's reduced
+    one).
     """
 
     name = "DV3DCell"
     cacheable = False  # cells are live interactive objects
     input_ports = (PortSpec("plot", "plot"),)
-    output_ports = (PortSpec("cell", "cell"), PortSpec("image", "image"))
+    output_ports = (PortSpec("cell", "cell"),)
     parameters = (
-        ParameterSpec("width", 320, "render width in pixels"),
-        ParameterSpec("height", 240, "render height in pixels"),
+        ParameterSpec("width", 320, "draw width in pixels when a host asks for none"),
+        ParameterSpec("height", 240, "draw height in pixels when a host asks for none"),
         ParameterSpec("dataset_label", "", "label shown in the cell"),
         ParameterSpec("show_basemap", True, "draw coastline base map"),
         ParameterSpec("show_labels", True, "draw text labels"),
@@ -420,10 +421,7 @@ class DV3DCellModule(Module):
         state = dict(self.parameter_values.get("cell_state") or {})
         if state:
             cell.apply_state(state)
-        image = cell.render(
-            int(self.parameter_values["width"]), int(self.parameter_values["height"])
-        ).to_uint8()
-        return {"cell": cell, "image": image}
+        return {"cell": cell}
 
 
 def dv3d_package() -> Package:

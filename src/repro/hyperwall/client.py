@@ -2,9 +2,10 @@
 
 "Each client instance opens a single-cell visualization spreadsheet
 window, covering its hyperwall display."  The client connects to the
-server, receives its sub-workflow(s), executes them at full display
-resolution, applies propagated gestures, and reports results
-(timings and image summaries — pixels stay local to the display node).
+server, receives its sub-workflow(s), executes them, draws each cell
+once at full display resolution, applies propagated gestures, and
+reports results (timings and image summaries — pixels stay local to
+the display node).
 
 Every live cell — a wall tile's, the mirror's, a spreadsheet's, the
 serving backend's — lives in a :class:`DisplayNode`, whose
@@ -30,6 +31,7 @@ import numpy as np
 from repro import obs
 from repro.dv3d.cell import DV3DCell
 from repro.dv3d.interaction import Gesture
+from repro.dv3d.view import View
 from repro.hyperwall import protocol
 from repro.resilience import faults
 from repro.util.errors import HyperwallError
@@ -173,27 +175,27 @@ class DisplayNode:
         )
 
     def _render(self, payload: Dict[str, Any], start: float, **extra: Any) -> WireFrame:
-        """Re-render a live cell (after propagated gestures changed it).
+        """Draw a live cell (after propagated gestures changed it).
 
         This is the interactive refresh loop: gestures mutate the cell's
         plot state cheaply; a render message produces the new frame for
-        the display without re-executing the data pipeline.  A message
-        without a size means the size the cell's sub-workflow was
-        shipped with.  An execute reports its cell's frame this way too.
+        the display without re-executing the data pipeline.  A dimension
+        the message leaves 0 or out is the one the cell's sub-workflow
+        was shipped with; :meth:`View.parse <repro.dv3d.view.View.parse>`
+        checks the size.  An execute's one draw is this one.
         """
         cell_id = payload.get("cell_id")
         if cell_id not in self.cells:
             return self._error("render before execution")
         try:
             shipped = self.pipelines[cell_id].modules[cell_id].parameters
-            width = int(payload.get("width") or shipped["width"])
-            height = int(payload.get("height") or shipped["height"])
+            view = View.parse({k: payload.get(k) or shipped[k] for k in ("width", "height")})
             with obs.span(
                 "hyperwall.client.render",
                 node=f"client-{self.client_id}",
                 cell=cell_id,
             ):
-                image = self.cells[cell_id].render(width, height).to_uint8()
+                image = view.draw(self.cells[cell_id]).to_uint8()
         except Exception as exc:  # noqa: BLE001
             return self._error(repr(exc))
         return self._report(cell_id, start, image, **extra)

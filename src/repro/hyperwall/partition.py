@@ -9,12 +9,13 @@ edits:
   each the upstream closure of that cell (ids preserved, so reports
   map back onto server modules);
 * :func:`make_reduced_pipeline` — the server's own copy with every
-  cell's render resolution divided by the reduction factor.
+  cell's draw size reduced by :func:`reduced_size`, the one rule for
+  the size the control node draws a cell at.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict, List, Tuple
 
 from repro.util.errors import HyperwallError
 from repro.workflow.pipeline import Pipeline
@@ -40,6 +41,11 @@ def partition_by_cell(pipeline: Pipeline) -> Dict[int, Pipeline]:
     return {cell_id: pipeline.subpipeline([cell_id]) for cell_id in cells}
 
 
+def reduced_size(width: int, height: int, reduction: int, min_size: int = 16) -> Tuple[int, int]:
+    """*width* x *height* divided by *reduction*, each side at least *min_size*."""
+    return max(width // reduction, min_size), max(height // reduction, min_size)
+
+
 def make_reduced_pipeline(
     pipeline: Pipeline,
     reduction: int,
@@ -47,8 +53,8 @@ def make_reduced_pipeline(
 ) -> Pipeline:
     """The server's reduced-resolution copy of the full workflow.
 
-    Every DV3DCell's width/height parameters are divided by
-    *reduction* (clamped at *min_size* pixels).
+    Every DV3DCell's width/height parameters are reduced by
+    :func:`reduced_size` (clamped at *min_size* pixels).
     """
     if reduction < 1:
         raise HyperwallError("reduction factor must be >= 1")
@@ -57,15 +63,15 @@ def make_reduced_pipeline(
         spec = reduced.modules[cell_id]
         cls = reduced.registry.resolve(spec.name)
         defaults = {p.name: p.default for p in cls.parameters}
-        width = int(spec.parameters.get("width", defaults.get("width", 320)))
-        height = int(spec.parameters.get("height", defaults.get("height", 240)))
-        reduced.set_parameter(cell_id, "width", max(width // reduction, min_size))
-        reduced.set_parameter(cell_id, "height", max(height // reduction, min_size))
+        size = (int(spec.parameters.get(k, defaults[k])) for k in ("width", "height"))
+        width, height = reduced_size(*size, reduction, min_size)
+        reduced.set_parameter(cell_id, "width", width)
+        reduced.set_parameter(cell_id, "height", height)
     return reduced
 
 
 def set_cell_resolution(pipeline: Pipeline, cell_id: int, width: int, height: int) -> None:
-    """Pin one cell's render resolution (clients render at tile size)."""
+    """Pin one cell's draw size (clients draw at tile size)."""
     if cell_id not in find_cell_modules(pipeline):
         raise HyperwallError(f"module {cell_id} is not a DV3DCell")
     pipeline.set_parameter(cell_id, "width", int(width))

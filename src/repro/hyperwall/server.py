@@ -8,8 +8,9 @@ whatever links it is given:
 
 1. partitions the multi-cell workflow and ships each client its
    1-cell sub-workflow (full tile resolution),
-2. executes the reduced-resolution full workflow locally (the GUI
-   mirror spreadsheet, a :class:`~repro.hyperwall.client.DisplayNode`),
+2. executes the reduced-resolution full workflow locally and draws
+   each of its cells once (the GUI mirror spreadsheet, a
+   :class:`~repro.hyperwall.client.DisplayNode`),
 3. broadcasts each gesture (a :class:`~repro.dv3d.interaction.Gesture`)
    to every cell and collects replies,
 4. asks for fresh frames, and recovers the cells of clients it lost.
@@ -52,12 +53,14 @@ from typing import Any, Dict, List, Optional
 
 from repro import obs
 from repro.dv3d.interaction import Gesture
+from repro.dv3d.view import View
 from repro.hyperwall import protocol
 from repro.hyperwall.client import DisplayNode, image_digest
 from repro.hyperwall.display import WallGeometry
 from repro.hyperwall.partition import (
     make_reduced_pipeline,
     partition_by_cell,
+    reduced_size,
     set_cell_resolution,
 )
 from repro.resilience import RetryPolicy, faults
@@ -221,18 +224,20 @@ class ControlNode:
     # -- execution ------------------------------------------------------------------
 
     def execute_server(self) -> Dict[str, Any]:
-        """Run the reduced-resolution mirror workflow on this node."""
+        """Run the reduced-resolution mirror workflow on this node and
+        draw each mirror cell once, at its reduced size."""
         start = time.perf_counter()
+        shapes = {}
         with obs.span("hyperwall.server.execute", node="server"):
             for cid in self.cell_ids:
-                self.mirror.execute(cid, self.server_pipeline, cid)
-        sizes = {cid: self.server_pipeline.modules[cid].parameters for cid in self.cell_ids}
+                cell = self.mirror.execute(cid, self.server_pipeline, cid).output(cid, "cell")
+                size = self.server_pipeline.modules[cid].parameters
+                frame = View(size["width"], size["height"]).draw(cell)
+                shapes[cid] = [frame.height, frame.width, 3]
         return {
             "duration": time.perf_counter() - start,
             "n_cells": len(self.cell_ids),
-            "image_shapes": {
-                cid: [size["height"], size["width"], 3] for cid, size in sizes.items()
-            },
+            "image_shapes": shapes,
         }
 
     def execute_clients(self) -> List[Dict[str, Any]]:
@@ -359,12 +364,10 @@ class ControlNode:
         """Serve a lost cell from the reduced-resolution mirror."""
         if cell_id not in self.mirror.cells:
             self.execute_server()  # mirror not built yet: build it lazily
-        cell = self.mirror.cells[cell_id]
-        width = max(self.wall.tile_width // self.reduction, 16)
-        height = max(self.wall.tile_height // self.reduction, 16)
+        view = View(*reduced_size(self.wall.tile_width, self.wall.tile_height, self.reduction))
         start = time.perf_counter()
         with obs.span("hyperwall.server.degraded_render", cell=cell_id):
-            image = cell.render(width, height).to_uint8()
+            image = view.draw(self.mirror.cells[cell_id]).to_uint8()
         obs.counter("resilience.degraded", site="hyperwall.mirror", cell=str(cell_id))
         return {
             "client_id": None,

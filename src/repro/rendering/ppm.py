@@ -28,8 +28,12 @@ def ppm_bytes(image: np.ndarray) -> bytes:
     if image.ndim != 3 or image.shape[2] != 3 or image.dtype != np.uint8:
         raise RenderingError(f"ppm_bytes expects (h, w, 3) uint8, got {image.shape} {image.dtype}")
     height, width = image.shape[:2]
-    header = f"P6\n{width} {height}\n255\n".encode("ascii")
-    return header + np.ascontiguousarray(image).tobytes()
+    return ppm_header(width, height) + np.ascontiguousarray(image).tobytes()
+
+
+def ppm_header(width: int, height: int) -> bytes:
+    """The header :func:`ppm_bytes` puts before *width* x *height* pixels."""
+    return f"P6\n{width} {height}\n255\n".encode("ascii")
 
 
 def write_ppm(path: PathLike, image: np.ndarray) -> None:

@@ -8,7 +8,8 @@ non-coalescing request.  Two checks, both O(1):
   grows latency for everyone (open-loop load does not slow down when
   the server does);
 * **predicted deadline miss** — an EWMA of observed service times
-  estimates how long the current queue will take to drain; a request
+  estimates how long the current queue will take to drain, one item
+  after another; a request
   whose deadline is shorter than that estimate is shed immediately
   rather than executed for nobody.
 
@@ -69,13 +70,13 @@ class AdmissionController:
     def estimated_wait_s(self, queue_depth: int) -> float:
         """Predicted queue wait for a request arriving now.
 
-        ``(depth + 1)`` requests must be served across ``slots``
-        parallel drains before the newcomer completes; with no service
-        observations yet the estimate is 0 (admit optimistically).
+        ``(depth + 1)`` requests must be served, one at a time, before
+        the newcomer completes: the one worker renders one item at a
+        time whatever ``slots`` is, so the estimate is ``(depth + 1) x
+        ewma``.  With no service observations yet it is 0 (admit
+        optimistically).
         """
-        if self._ewma_service_s == 0.0:
-            return 0.0
-        return (queue_depth + 1) * self._ewma_service_s / self.config.slots
+        return (queue_depth + 1) * self._ewma_service_s
 
     # -- the admission decision ---------------------------------------------
 

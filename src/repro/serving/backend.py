@@ -40,20 +40,19 @@ one parser::
     azimuth    camera orbit degrees from the plot's camera (orbit axis)
 
 Any other top-level key, a size that is not a whole number of at least
-one pixel, a ``timestep`` that is not a whole number or an ``azimuth``
-that is not a finite number raises
-:class:`~repro.util.errors.RequestError` before a scene is looked up or
-built; the server answers it ``error`` and feeds no breaker with it.
-The nested ``size``, ``selector`` and ``cell_params`` are the
-workflow's to check.
+one pixel, a size whose PPM would not fit one ``FRAME``
+(:data:`~repro.util.framing.MAX_PAYLOAD_BYTES`), a ``timestep`` that
+is not a whole number or an ``azimuth`` that is not a finite number
+raises :class:`~repro.util.errors.RequestError` before a scene is
+looked up or built; the server answers it ``error`` and feeds no
+breaker with it.  The nested ``size``, ``selector`` and
+``cell_params`` are the workflow's to check.
 
 The view keys are deliberately *excluded* from the scene digest: an
 animating or orbiting session mutates one long-lived scene cell
 instead of building a workflow per frame, which is exactly what sticky
-session affinity keeps warm.  Every frame renders at its own request's
-size, and the first frame's size only replaces the cell module's
-320 x 240 default for the one render its workflow does when it
-executes.  When the plotted variable is a streamed
+session affinity keeps warm.  Building a scene draws nothing: each
+frame is drawn once, by its view.  When the plotted variable is a streamed
 :class:`~repro.cdms.lazy.LazyVariable`, a timestep render reads the
 chunk holding that timestep on the calling thread, inside the render;
 nothing reads ahead of the session.
@@ -73,9 +72,10 @@ from repro.app.application import Application
 from repro.cache.keys import cache_key
 from repro.dv3d.view import VIEW_KEYS, View
 from repro.provenance.vistrail import Vistrail
-from repro.rendering.ppm import ppm_bytes
+from repro.rendering.ppm import ppm_bytes, ppm_header
 from repro.serving.request import Request
 from repro.util.errors import DV3DError, RequestError
+from repro.util.framing import MAX_PAYLOAD_BYTES
 
 #: the request keys that name a scene; with the view's, all a request may carry
 SCENE_KEYS = ("template", "source", "variables", "size", "selector", "cell_params")
@@ -106,8 +106,7 @@ class AppBackend:
         if degraded:
             view = view.degraded()
         with self._lock:
-            cell = self._scene_cell(params, view.width, view.height)
-            framebuffer = view.draw(cell)
+            framebuffer = view.draw(self._scene_cell(params))
         return ppm_bytes(framebuffer.to_uint8())
 
     @staticmethod
@@ -118,16 +117,19 @@ class AppBackend:
         if unknown:
             raise RequestError(f"unknown request params {unknown}")
         try:
-            return View.parse(params)
+            view = View.parse(params)
         except DV3DError as exc:
             raise RequestError(f"malformed request: {exc}") from exc
+        size = len(ppm_header(view.width, view.height)) + 3 * view.width * view.height
+        if size > MAX_PAYLOAD_BYTES:
+            raise RequestError(f"a {size}-byte frame exceeds the FRAME payload bound")
+        return view
 
     # -- scene management ---------------------------------------------------
 
-    def _scene_cell(self, params: Mapping[str, Any], width: int, height: int):
+    def _scene_cell(self, params: Mapping[str, Any]):
         """The scene's live cell, hosted under the scene's digest; its
-        workflow is built on first use (the cell then renders once, at
-        *width* x *height*)."""
+        workflow is built on first use."""
         template = str(params.get("template", self.default_template))
         source = str(params.get("source", self.default_source))
         variables = dict(params.get("variables") or {"variable": "ta"})
@@ -145,11 +147,9 @@ class AppBackend:
         name = f"scene_{digest}"
         if name not in project.vistrails:
             vistrail = Vistrail(name, project.registry)
-            # without a size the cell module would render at its 320x240 default
-            sized_params = {"width": width, "height": height, **(cell_params or {})}
             self.app.palette.get(template).instantiate(
                 vistrail, source, variables,
-                size=size, selector=selector, cell_params=sized_params,
+                size=size, selector=selector, cell_params=cell_params,
             )
             project.vistrails[name] = vistrail
         pipeline = project.vistrails[name].pipeline

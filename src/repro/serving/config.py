@@ -27,7 +27,9 @@ class ServingConfig:
         to the :class:`~repro.serving.sessions.SlotPool` slot the
         rendezvous router pins its session (or, sessionless, its request
         key) to and runs on the serving loop; a dead slot's sessions
-        re-pin to survivors.
+        re-pin to survivors.  More slots render nothing in parallel: one
+        worker renders one item at a time, and admission's wait
+        estimate does not divide by ``slots``.
     speculation_budget:
         Maximum concurrent speculative next-frame renders (0 disables
         speculation).  Speculative work only launches when the demand

@@ -40,7 +40,7 @@ def backend_call(backend, params: Dict[str, Any], degraded: bool) -> bytes:
         width = max(width // DEGRADED_SCALE, MIN_DEGRADED_PX)
         height = max(height // DEGRADED_SCALE, MIN_DEGRADED_PX)
     with backend._lock:
-        cell = backend._scene_cell(params, width, height)
+        cell = backend._scene_cell(params)
         return backend_frame(cell, params, width, height)
 
 

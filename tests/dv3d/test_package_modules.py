@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.dv3d.view import View
 from repro.util.errors import ModuleExecutionError
 from repro.workflow.executor import Executor
 from repro.workflow.pipeline import Pipeline
@@ -121,7 +122,7 @@ class TestDV3DModules:
         p.add_connection(var, "variable", plot, "variable")
         p.add_connection(plot, "plot", cell, "plot")
         result = executor.execute(p)
-        image = result.output(cell, "image")
+        image = View(48, 36).draw(result.output(cell, "cell")).to_uint8()
         assert image.shape == (36, 48, 3)
         assert image.dtype == np.uint8
 
@@ -137,7 +138,7 @@ class TestDV3DModules:
         p.add_connection(reader, "dataset", var, "dataset")
         p.add_connection(var, "variable", plot, "variable")
         p.add_connection(plot, "plot", cell, "plot")
-        image = executor.execute(p).output(cell, "image")
+        image = View(40, 30).draw(executor.execute(p).output(cell, "cell")).to_uint8()
         assert image.shape == (30, 40, 3)
 
     def test_vector_slicer_chain(self, registry, executor):
@@ -149,7 +150,7 @@ class TestDV3DModules:
         p.add_connection(u, "variable", plot, "u")
         p.add_connection(v, "variable", plot, "v")
         p.add_connection(plot, "plot", cell, "plot")
-        image = executor.execute(p).output(cell, "image")
+        image = View(40, 30).draw(executor.execute(p).output(cell, "cell")).to_uint8()
         assert image.shape == (30, 40, 3)
 
     def test_translation_module(self, registry, executor):
@@ -194,7 +195,7 @@ class TestDV3DModules:
         live = result.output(cell, "cell")
         assert live.plot.plot_type == "combined"
         assert len(live.plot.components) == 2
-        assert result.output(cell, "image").shape == (30, 40, 3)
+        assert View(40, 30).draw(live).to_uint8().shape == (30, 40, 3)
 
     def test_plot_objects_not_shared_between_branches(self, registry):
         """Two identical chains must produce independent live cells."""

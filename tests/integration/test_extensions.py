@@ -8,6 +8,7 @@ from repro.app.session import Macro, MacroRecorder
 from repro.dv3d.animation import CameraTour
 from repro.dv3d.cell import DV3DCell
 from repro.dv3d.slicer import SlicerPlot
+from repro.dv3d.view import View
 from repro.hyperwall.display import WallGeometry
 from repro.hyperwall.inproc import InProcessHyperwall
 from repro.spreadsheet.sheet import CellBinding, Spreadsheet
@@ -101,8 +102,8 @@ class TestESGWorkflowSource:
         p.add_connection(reader, "dataset", var, "dataset")
         p.add_connection(var, "variable", plot, "variable")
         p.add_connection(plot, "plot", cell, "plot")
-        image = Executor(caching=False).execute(p).output(cell, "image")
-        assert image.shape == (24, 32, 3)
+        live = Executor(caching=False).execute(p).output(cell, "cell")
+        assert View(32, 24).draw(live).to_uint8().shape == (24, 32, 3)
 
     def test_esg_uri_unknown_dataset(self, registry):
         from repro.util.errors import ModuleExecutionError

@@ -6,6 +6,7 @@ import pytest
 
 from repro.app.application import Application
 from repro.dv3d.animation import Animator
+from repro.dv3d.view import View
 from repro.hyperwall.display import WallGeometry
 from repro.hyperwall.inproc import InProcessHyperwall
 from repro.provenance.query import diff_versions
@@ -39,9 +40,8 @@ class TestSectionIIIG_WorkflowChain:
         p.add_connection(anom, "variable", plot, "variable")
         p.add_connection(plot, "plot", cell, "plot")
         result = Executor(caching=True).execute(p)
-        image = result.output(cell, "image")
-        assert image.shape == (30, 40, 3)
         live = result.output(cell, "cell")
+        assert View(40, 30).draw(live).to_uint8().shape == (30, 40, 3)
         # the plot shows the anomaly variable, not raw temperature
         assert "anom" in live.plot.variable.id
 

@@ -1,4 +1,5 @@
-"""``tools/repeat_cost.py`` runs on this tree and prints its four-layer table."""
+"""``tools/repeat_cost.py`` runs on this tree and prints its four-layer
+table and a fresh scene's open, which draws once."""
 
 import importlib.util
 import re
@@ -21,5 +22,7 @@ def test_the_tool_prints_one_row_per_layer(capsys):
         "`await ServingServer.submit(request)`",
         "`WireSessionClient.render`, client in the same process",
         "the wire with a backend that returns fixed bytes",
+        "a fresh scene's open, `AppBackend(request)`: "
+        "1.00 `Renderer.render` calls per open",
     ]
     assert all(float(row.group(2)) > 0 for row in rows)

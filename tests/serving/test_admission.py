@@ -60,6 +60,17 @@ class TestAdmissionController:
         # and so is a deadline-less one
         assert ctrl.admit(Request(), 1) == (True, "")
 
+    @pytest.mark.parametrize("slots", [1, 2, 4])
+    def test_the_queue_drains_one_item_at_a_time_whatever_the_slots(
+        self, fake_clock, slots
+    ):
+        """One worker renders one item at a time: 3 queued + the newcomer
+        at 10 ms each is 40 ms, which a 35 ms deadline misses."""
+        ctrl = AdmissionController(ServingConfig(slots=slots), clock=fake_clock)
+        ctrl.observe_service(0.010)
+        assert ctrl.estimated_wait_s(3) == pytest.approx(0.040)
+        assert ctrl.admit(Request(deadline_s=0.035), 3) == (False, "deadline")
+
     def test_deadline_of_uses_injected_clock(self, fake_clock):
         ctrl = AdmissionController(ServingConfig(), clock=fake_clock)
         assert ctrl.deadline_of(Request()) is None

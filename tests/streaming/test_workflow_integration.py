@@ -16,6 +16,7 @@ import pytest
 
 from repro.cdms.lazy import LazyVariable
 from repro.data import catalog
+from repro.dv3d.view import View
 from repro.hyperwall.partition import partition_by_cell
 from repro.workflow.executor import Executor
 from repro.workflow.pipeline import Pipeline
@@ -69,7 +70,7 @@ class TestReaderParameter:
         for mode in ("on", "off"):
             p, reader, cell = slicer_pipeline(registry, v2_file, mode)
             result = executor.execute(p)
-            images[mode] = result.output(cell, "image")
+            images[mode] = View(32, 24).draw(result.output(cell, "cell")).to_uint8()
             result.output(reader, "dataset").close()
         assert np.array_equal(images["on"], images["off"])
 
@@ -96,7 +97,8 @@ class TestHyperwallPartition:
         partitions = partition_by_cell(p)
         for cell in cells:
             sub = Executor(caching=False).execute(partitions[cell])
-            sub_image = sub.output(cell, "image")
+            sub_image = View(24, 18).draw(sub.output(cell, "cell")).to_uint8()
             sub.output(reader, "dataset").close()
-            assert np.array_equal(sub_image, whole.output(cell, "image"))
+            whole_image = View(24, 18).draw(whole.output(cell, "cell")).to_uint8()
+            assert np.array_equal(sub_image, whole_image)
         whole.output(reader, "dataset").close()

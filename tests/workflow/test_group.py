@@ -148,6 +148,7 @@ class TestValidation:
 class TestDV3DGroup:
     def test_group_wrapping_a_visualization_chain(self):
         """The real use: a reusable 'temperature slicer' group."""
+        from repro.dv3d.view import View
         from repro.workflow.registry import global_registry
         from tests.conftest import SMALL
 
@@ -164,10 +165,11 @@ class TestDV3DGroup:
         inner.add_connection(plot, "plot", cell, "plot")
         Group = create_group(
             "TemperatureSlicerCell", inner,
-            outputs=[("image", cell, "image"), ("cell", cell, "cell")],
+            outputs=[("cell", cell, "cell")],
         )
         registry.register("groups", Group, overwrite=True)
         outer = Pipeline(registry)
         gid = outer.add_module("TemperatureSlicerCell")
         result = Executor(caching=False).execute(outer)
-        assert result.output(gid, "image").shape == (24, 32, 3)
+        live = result.output(gid, "cell")
+        assert View(32, 24).draw(live).to_uint8().shape == (24, 32, 3)

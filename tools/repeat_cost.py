@@ -1,11 +1,13 @@
 #!/usr/bin/env python
-"""Print what one repeated frame costs at each layer of the serving path.
+"""Print what one repeated frame costs at each layer of the serving path,
+and what a fresh scene's open costs.
 
 A repeat is a request identical to the one before it: the cell keeps
 its frame, so nothing is drawn and whatever a layer spends on it is
 that layer's fixed cost.  The scene is explore_surface's Slicer stratum
-(64x48, with ``timestep`` and ``azimuth``).  Each row is the median of
-``--repeats`` repeats after the scene's first frame, timed around:
+(64x48, with ``timestep`` and ``azimuth``).  The first four rows are
+each the median of ``--repeats`` repeats after the scene's first frame,
+timed around:
 
 1. the ``AppBackend`` call on the calling thread;
 2. ``await ServingServer.submit(request)`` on a server over that backend;
@@ -13,6 +15,12 @@ that layer's fixed cost.  The scene is explore_surface's Slicer stratum
    ``WireSessionServer``;
 4. the same wire over a backend that returns fixed bytes (the front
    door alone).
+
+The last row is the median of ``--repeats`` opens, each the first
+request for a scene new to one ``AppBackend`` (the scene differs only
+in its cell's label), with the ``Renderer.render`` calls per open: an
+open builds the scene's workflow, which draws nothing, and draws the
+frame once.
 
 Run from the repository root::
 
@@ -27,8 +35,9 @@ import argparse
 import asyncio
 import statistics
 import time
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence, Tuple
 
+from repro.rendering.scene import Renderer
 from repro.serving.backend import AppBackend
 from repro.serving.endpoint import WireSessionClient, WireSessionServer
 from repro.serving.request import Request
@@ -86,6 +95,31 @@ def wire_render(repeats: int, backend) -> float:
             return _median_ms(lambda: client.render(PARAMS), repeats)
 
 
+def fresh_open(repeats: int) -> Tuple[float, float]:
+    """Median ms of a fresh scene's open and ``Renderer.render`` calls per open."""
+    backend = AppBackend()
+    draw = Renderer.render
+    draws = 0
+
+    def counted(self, *args, **kwargs):
+        nonlocal draws
+        draws += 1
+        return draw(self, *args, **kwargs)
+
+    times: List[float] = []
+    Renderer.render = counted
+    try:
+        for index in range(repeats):
+            cell_params = dict(PARAMS["cell_params"], dataset_label=f"open-{index}")
+            request = Request(params=dict(PARAMS, cell_params=cell_params))
+            t0 = time.perf_counter()
+            backend(request, False)
+            times.append(time.perf_counter() - t0)
+    finally:
+        Renderer.render = draw
+    return statistics.median(times) * 1e3, draws / repeats
+
+
 def main(argv: Optional[Sequence[str]] = None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--repeats", type=int, default=400,
@@ -102,9 +136,12 @@ def main(argv: Optional[Sequence[str]] = None) -> None:
         ("the wire with a backend that returns fixed bytes",
          wire_render(repeats, lambda request, degraded: payload)),
     ]
-    print(f"One repeat, Slicer 64x48, median of {repeats}:")
+    open_ms, draws = fresh_open(repeats)
+    rows.append((f"a fresh scene's open, `AppBackend(request)`: "
+                 f"{draws:.2f} `Renderer.render` calls per open", open_ms))
+    print(f"Slicer 64x48, median of {repeats}:")
     print()
-    print("| path | one repeat |")
+    print("| path | median |")
     print("|---|---|")
     for label, ms in rows:
         print(f"| {label} | {ms:.3f} ms |")
