@@ -37,7 +37,7 @@ package.
 """
 
 from repro.cache.config import CacheConfig, default_cache_dir
-from repro.cache.keys import CODE_SALT, cache_key, digest
+from repro.cache.keys import CODE_SALT, cache_key, digest, json_key
 from repro.cache.store import DiskTier, MemoryTier, ResultCache
 
 __all__ = [
@@ -49,4 +49,5 @@ __all__ = [
     "cache_key",
     "default_cache_dir",
     "digest",
+    "json_key",
 ]

@@ -22,11 +22,14 @@ properties:
 Keys built from these digests (:func:`cache_key`) are additionally
 salted with the package version and nothing else, so upgrading the
 code invalidates every entry produced by older kernels.
+:func:`json_key` is the same partition of JSON-shaped parts in one
+sha256 instead of one per node; the serving tier keys requests with it.
 """
 
 from __future__ import annotations
 
 import hashlib
+import json
 import struct
 from typing import Any, Iterable
 
@@ -235,3 +238,54 @@ def cache_key(site: str, *parts: Any) -> str:
         _update(h, part)
     return h.hexdigest()
 
+
+def _json_scalar(obj: Any) -> Any:
+    # numpy scalars are the numbers they hash as in _update; anything
+    # else JSON cannot state is left to cache_key
+    if isinstance(obj, np.integer):
+        return int(obj)
+    if isinstance(obj, np.floating):
+        return float(obj)
+    raise TypeError(type(obj).__qualname__)
+
+
+_JSON = json.JSONEncoder(
+    sort_keys=True, separators=(",", ":"), allow_nan=False,
+    ensure_ascii=False, default=_json_scalar,
+)
+
+
+def _str_keyed(obj: Any) -> bool:
+    """Whether every dict inside *obj* has only ``str`` keys (JSON would
+    quietly turn ``{1: x}`` into ``{"1": x}``)."""
+    if isinstance(obj, dict):
+        return all(isinstance(k, str) and _str_keyed(v) for k, v in obj.items())
+    if isinstance(obj, (list, tuple)):
+        return all(map(_str_keyed, obj))
+    return True
+
+
+def json_key(site: str, *parts: Any) -> str:
+    """A key for *site* over *parts*: equal exactly when :func:`cache_key`'s is.
+
+    One sha256 over sorted-key compact JSON of the parts, after *site*
+    and :data:`CODE_SALT`, instead of one sha256 per node.  JSON states
+    ``None``, bools, ints, finite floats (by their shortest repr, so
+    ``-0.0`` stays apart from ``0.0``), strings, lists and tuples (both
+    arrays, as both are sequences to :func:`cache_key`) and ``str``-keyed
+    dicts exactly, and numpy integer and floating scalars as the Python
+    numbers they equal.  Parts holding anything else — arrays, CDMS
+    objects, non-finite floats, non-``str`` dict keys, text UTF-8 cannot
+    encode — take :func:`cache_key`, so two parts lists get equal keys
+    if and only if :func:`cache_key` gives them equal keys.
+    """
+    if _str_keyed(parts):
+        try:
+            text = _JSON.encode(parts).encode("utf-8")
+        except (TypeError, ValueError):  # UnicodeEncodeError is a ValueError
+            pass
+        else:
+            h = hashlib.sha256(f"{site}\0{CODE_SALT}\0".encode("utf-8"))
+            h.update(text)
+            return h.hexdigest()
+    return cache_key(site, *parts)

@@ -15,6 +15,7 @@ provenance capture.
 
 from __future__ import annotations
 
+import struct
 from typing import Any, Dict, Optional, Tuple
 
 import numpy as np
@@ -29,6 +30,8 @@ from repro.rendering.framebuffer import Framebuffer
 from repro.rendering.image_data import ImageData
 from repro.rendering.scene import Renderer, Scene
 from repro.util.errors import DV3DError
+
+_ANGLES = struct.Struct("<dd")  # an orbit's (azimuth, elevation), bit for bit
 
 
 class Plot3D:
@@ -70,6 +73,8 @@ class Plot3D:
         self._scene_memo: Optional[Tuple[Any, Scene]] = None
         #: (the volume bounds it was fitted to, the fitted camera)
         self._fitted: Optional[Tuple[Tuple[float, ...], Camera]] = None
+        #: (the camera orbited, its angles' types and bits, the orbited camera)
+        self._orbited: Optional[Tuple[Camera, Any, Camera]] = None
 
     # -- data ------------------------------------------------------------
 
@@ -161,6 +166,21 @@ class Plot3D:
         if fitted is None or fitted[0] != bounds:
             fitted = self._fitted = (bounds, Camera.fit_bounds(bounds))
         return fitted[1]
+
+    def orbit(self, camera: Camera, azimuth: float, elevation: float) -> Camera:
+        """``camera.orbit(azimuth, elevation)``, kept for the last call.
+
+        One entry per plot, matched on the very *camera* object and the
+        angles' types and IEEE bits (so ``-0.0`` is not ``0.0``): a
+        repeat or a time step re-orbits nothing and gets the same,
+        bit-identical :class:`Camera`.  The entry lives on the plot,
+        never on a camera, so a chain of orbits pins no earlier camera.
+        """
+        angles = (type(azimuth), type(elevation), _ANGLES.pack(azimuth, elevation))
+        kept = self._orbited
+        if kept is None or kept[0] is not camera or kept[1] != angles:
+            kept = self._orbited = (camera, angles, camera.orbit(azimuth, elevation))
+        return kept[2]
 
     def resolve_camera(self, camera: Optional[Camera] = None) -> Camera:
         """The camera a frame is drawn through: *camera*, else the

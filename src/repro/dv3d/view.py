@@ -81,7 +81,8 @@ class View:
             plot.set_time_index(self.time_index)
         camera = plot.resolve_camera(self.camera)
         if self.azimuth is not None or self.elevation is not None:
-            camera = camera.orbit(
+            camera = plot.orbit(
+                camera,
                 0.0 if self.azimuth is None else self.azimuth,
                 0.0 if self.elevation is None else self.elevation,
             )

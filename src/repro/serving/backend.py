@@ -69,7 +69,7 @@ import threading
 from typing import Any, Mapping, Optional
 
 from repro.app.application import Application
-from repro.cache.keys import cache_key
+from repro.cache.keys import json_key
 from repro.dv3d.view import VIEW_KEYS, View
 from repro.provenance.vistrail import Vistrail
 from repro.rendering.ppm import ppm_bytes, ppm_header
@@ -138,7 +138,7 @@ class AppBackend:
         cell_params = params.get("cell_params")
         # the view keys are per-frame state, not scene identity — one
         # scene cell serves the whole gesture
-        digest = cache_key(
+        digest = json_key(
             "serving.backend.scene",
             template, source, variables,
             size or {}, selector or {}, cell_params or {},

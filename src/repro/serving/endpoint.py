@@ -69,6 +69,10 @@ from repro.util.errors import (
 from repro.util.framing import WIRE_VERSION, WireFrame
 
 
+def _time_out(reader: asyncio.StreamReader) -> None:
+    reader.set_exception(asyncio.TimeoutError("peer silent past io_timeout"))
+
+
 class WireSessionServer:
     """Serve session render streams over a listening socket.
 
@@ -188,7 +192,13 @@ class WireSessionServer:
             self._conns.discard(task)
 
     async def _read(self, reader: asyncio.StreamReader) -> Optional[WireFrame]:
-        return await asyncio.wait_for(framing.read_frame_async(reader, wire.SEND_SITE), self.io_timeout)
+        # one timer on the loop, not wait_for's task per read: a peer silent
+        # for io_timeout fails the read with TimeoutError, which drops it
+        timer = asyncio.get_running_loop().call_later(self.io_timeout, _time_out, reader)
+        try:
+            return await framing.read_frame_async(reader, wire.SEND_SITE)
+        finally:
+            timer.cancel()
 
     async def _send(self, writer: asyncio.StreamWriter, frame: WireFrame) -> None:
         # a transport closed with bytes still buffered takes more writes: nothing
@@ -383,8 +393,10 @@ class WireSessionClient:
         if frame.kind != kind:
             raise WireError(f"expected {kind!r} frame, got {frame.kind!r}")
         if frame.kind == wire.KIND_FRAME:
-            advertised = frame.meta.get("digest", "")
-            if advertised and advertised != frame.payload_digest():
+            advertised = frame.meta.get("digest")
+            if not advertised:  # unchecked pixels are never handed on
+                raise WireFormatError("frame advertises no payload digest")
+            if advertised != frame.payload_digest():
                 raise WireCorruptionError(
                     "frame payload does not match its advertised digest"
                 )

@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Any, Mapping, Optional
 
-from repro.cache.keys import cache_key
+from repro.cache.keys import json_key
 
 #: responses: full-fidelity / refused / reduced-fidelity / failed
 STATUS_OK = "ok"
@@ -61,9 +61,13 @@ def request_key(request: Request) -> str:
 
     Equal keys mean byte-identical products, so the server coalesces on
     this and the serving cache stores under it.  Tenant, session and
-    deadline never enter the key (see module docstring).
+    deadline never enter the key (see module docstring).  One sha256
+    over the params' canonical JSON (:func:`~repro.cache.keys.json_key`);
+    params JSON cannot state exactly, such as arrays, take the per-node
+    :func:`~repro.cache.keys.cache_key`, and either way two params get
+    equal keys exactly when ``cache_key`` says they are equal.
     """
-    return cache_key("serving.request", dict(request.params))
+    return json_key("serving.request", dict(request.params))
 
 
 @dataclass

@@ -88,17 +88,23 @@ def encode_frame(frame: WireFrame, version: int = WIRE_VERSION) -> bytes:
         raise WireFormatError(
             f"payload of {len(frame.payload)} bytes exceeds limit"
         )
-    digest = hashlib.sha256(header + frame.payload).digest()
-    return (
-        _PREFIX.pack(MAGIC, version, len(header), len(frame.payload))
-        + header
-        + frame.payload
-        + digest
-    )
+    return b"".join((
+        _PREFIX.pack(MAGIC, version, len(header), len(frame.payload)),
+        header,
+        frame.payload,
+        _content_digest(header, frame.payload),
+    ))
+
+
+def _content_digest(header: bytes, payload: bytes) -> bytes:
+    # sha256(header + payload), without building header + payload
+    h = hashlib.sha256(header)
+    h.update(payload)
+    return h.digest()
 
 
 def _parse(header: bytes, payload: bytes, digest: bytes) -> WireFrame:
-    if hashlib.sha256(header + payload).digest() != digest:
+    if _content_digest(header, payload) != digest:
         raise WireCorruptionError(
             "frame content digest mismatch (bytes corrupted in flight)"
         )

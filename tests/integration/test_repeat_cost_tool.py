@@ -1,5 +1,6 @@
 """``tools/repeat_cost.py`` runs on this tree and prints its four-layer
-table and a fresh scene's open, which draws once."""
+table and a fresh scene's open, which draws once, then what one wire
+repeat counts: loop iterations, sha256 objects and no Task."""
 
 import importlib.util
 import re
@@ -7,6 +8,7 @@ from pathlib import Path
 
 TOOL = Path(__file__).resolve().parents[2] / "tools" / "repeat_cost.py"
 ROW = re.compile(r"^\| (.+) \| (\d+\.\d{3}) ms \|$")
+COUNT = re.compile(r"^\| (.+) \| (\d+\.\d{2}) \|$")
 
 
 def test_the_tool_prints_one_row_per_layer(capsys):
@@ -26,3 +28,8 @@ def test_the_tool_prints_one_row_per_layer(capsys):
         "1.00 `Renderer.render` calls per open",
     ]
     assert all(float(row.group(2)) > 0 for row in rows)
+    counts = {m.group(1): float(m.group(2)) for m in map(COUNT.match, lines) if m}
+    assert list(counts) == ["serving-loop iterations", "sha256 objects", "Tasks created"]
+    assert counts["serving-loop iterations"] > 0
+    assert counts["sha256 objects"] > 0
+    assert counts["Tasks created"] == 0

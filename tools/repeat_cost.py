@@ -22,6 +22,11 @@ in its cell's label), with the ``Renderer.render`` calls per open: an
 open builds the scene's workflow, which draws nothing, and draws the
 frame once.
 
+A second table counts, per repeat of row 3 (averaged over
+``--repeats`` after the first frame), the serving loop's iterations,
+the ``hashlib.sha256`` objects made in the process (client and server
+both) and the Tasks started on the serving loop.
+
 Run from the repository root::
 
     PYTHONPATH=src python tools/repeat_cost.py [--repeats 400]
@@ -33,6 +38,8 @@ from __future__ import annotations
 
 import argparse
 import asyncio
+import hashlib
+import itertools
 import statistics
 import time
 from typing import Callable, List, Optional, Sequence, Tuple
@@ -95,6 +102,49 @@ def wire_render(repeats: int, backend) -> float:
             return _median_ms(lambda: client.render(PARAMS), repeats)
 
 
+def wire_counts(repeats: int) -> Tuple[float, float, float]:
+    """Serving-loop iterations, sha256 objects and Tasks per wire repeat."""
+    iterations, hashes, tasks = itertools.count(), itertools.count(), itertools.count()
+    sha256 = hashlib.sha256
+
+    def counted_sha256(*args, **kwargs):
+        next(hashes)
+        return sha256(*args, **kwargs)
+
+    with WireSessionServer(AppBackend()) as server:
+        loop = server._loop  # the endpoint's own loop, in its own thread
+        run_once = loop._run_once  # one BaseEventLoop iteration
+
+        def counted_run_once():
+            next(iterations)
+            run_once()
+
+        def counted_task(loop, coro, **kwargs):
+            next(tasks)
+            return asyncio.Task(coro, loop=loop, **kwargs)
+
+        def count(on: bool) -> None:
+            loop._run_once = counted_run_once if on else run_once
+            loop.set_task_factory(counted_task if on else None)
+
+        with WireSessionClient(server.host, server.port) as client:
+            client.open(SESSION)
+            client.render(PARAMS)  # the scene's first frame
+            loop.call_soon_threadsafe(count, True)
+            client.render(PARAMS)  # the counters are on once this returns
+            hashlib.sha256 = counted_sha256
+            try:
+                start = [next(c) for c in (iterations, hashes, tasks)]
+                for _ in range(repeats):
+                    client.render(PARAMS)
+                end = [next(c) for c in (iterations, hashes, tasks)]
+            finally:
+                hashlib.sha256 = sha256
+            loop.call_soon_threadsafe(count, False)
+    # each next() above took one from its counter
+    return tuple((b - a - 1) / repeats for a, b in zip(start, end))
+
+
 def fresh_open(repeats: int) -> Tuple[float, float]:
     """Median ms of a fresh scene's open and ``Renderer.render`` calls per open."""
     backend = AppBackend()
@@ -139,12 +189,21 @@ def main(argv: Optional[Sequence[str]] = None) -> None:
     open_ms, draws = fresh_open(repeats)
     rows.append((f"a fresh scene's open, `AppBackend(request)`: "
                  f"{draws:.2f} `Renderer.render` calls per open", open_ms))
+    counts = zip(("serving-loop iterations", "sha256 objects", "Tasks created"),
+                 wire_counts(repeats))
     print(f"Slicer 64x48, median of {repeats}:")
     print()
     print("| path | median |")
     print("|---|---|")
     for label, ms in rows:
         print(f"| {label} | {ms:.3f} ms |")
+    print()
+    print(f"Per wire repeat (row 3), mean of {repeats}:")
+    print()
+    print("| count | per repeat |")
+    print("|---|---|")
+    for label, per_repeat in counts:
+        print(f"| {label} | {per_repeat:.2f} |")
 
 
 if __name__ == "__main__":
