@@ -25,6 +25,7 @@ from repro.dv3d.plot import Plot3D
 from repro.rendering.annotation import AxisLabel, axis_annotations, project_labels
 from repro.rendering.camera import Camera
 from repro.rendering.framebuffer import Framebuffer
+from repro.rendering.geometry import PolyData
 from repro.rendering.scene import Actor, Renderer, Scene
 from repro.rendering.text import render_text, text_width
 from repro.util.errors import DV3DError
@@ -51,6 +52,9 @@ class DV3DCell:
         self.show_axes = bool(show_axes)
         self.active = bool(active)
         self.last_pick: Optional[Dict[str, float]] = None
+        #: (key, base map, axis ticks, axis labels) — see _layout()
+        self._laid_out: Optional[Tuple[Any, Optional[PolyData], Optional[PolyData],
+                                       List[AxisLabel]]] = None
         #: (key, furnished scene, axis labels) — see _furnished_scene()
         self._furnished: Optional[Tuple[Any, Scene, List[AxisLabel]]] = None
         #: (key, the last finished frame) — see render(); 16 B per pixel
@@ -89,28 +93,38 @@ class DV3DCell:
 
     # -- rendering ------------------------------------------------------------------
 
+    def _layout(self) -> Tuple[Optional[PolyData], Optional[PolyData], List[AxisLabel]]:
+        """(base map, axis ticks, axis labels) for the volume's bounds,
+        laid out once per (bounds, show_basemap, show_axes)."""
+        bounds = self.plot.volume.bounds()
+        key = (bounds, self.show_basemap, self.show_axes)
+        if self._laid_out is None or self._laid_out[0] != key:
+            basemap = basemap_polydata(bounds) if self.show_basemap else None
+            ticks, axis_labels = (
+                axis_annotations(bounds) if self.show_axes else (None, [])
+            )
+            self._laid_out = (key, basemap, ticks, axis_labels)
+        return self._laid_out[1:]
+
     def _furnished_scene(self) -> Tuple[Scene, List[AxisLabel]]:
         """The plot's scene plus base map and axis ticks, and the axis
-        labels to project; rebuilt only when the plot's scene was."""
+        labels to project; rebuilt only when the plot's scene was, over
+        geometry laid out only when the bounds change."""
         scene = self.plot.scene()
         key = (scene.stamp, self.show_basemap, self.show_axes)
         if self._furnished is None or self._furnished[0] != key:
-            axis_labels: List[AxisLabel] = []
-            bounds = self.plot.volume.bounds()
-            if self.show_basemap:
-                basemap = basemap_polydata(bounds)
-                if basemap.n_points:
-                    scene.add_actor(
-                        Actor(basemap, line_color=(0.45, 0.42, 0.3), lighting=False,
-                              name="basemap")
-                    )
-            if self.show_axes:
-                ticks, axis_labels = axis_annotations(bounds)
-                if ticks.n_points:
-                    scene.add_actor(
-                        Actor(ticks, line_color=(0.8, 0.8, 0.8), lighting=False,
-                              name="axis-ticks")
-                    )
+            basemap, ticks, axis_labels = self._layout()
+            # fresh actors: no actor is shared between two scenes
+            if basemap is not None and basemap.n_points:
+                scene.add_actor(
+                    Actor(basemap, line_color=(0.45, 0.42, 0.3), lighting=False,
+                          name="basemap")
+                )
+            if ticks is not None and ticks.n_points:
+                scene.add_actor(
+                    Actor(ticks, line_color=(0.8, 0.8, 0.8), lighting=False,
+                          name="axis-ticks")
+                )
             scene.stamp = object()
             self._furnished = (key, scene, axis_labels)
         return self._furnished[1:]

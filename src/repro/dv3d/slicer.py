@@ -21,6 +21,7 @@ from typing import Any, Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.cdms.variable import Variable
+from repro.dv3d.interaction import number
 from repro.dv3d.plot import Plot3D
 from repro.dv3d.translation import add_variable_to_volume
 from repro.rendering.contour2d import contour_levels, marching_squares
@@ -46,14 +47,12 @@ class SlicerPlot(Plot3D):
         **kwargs: Any,
     ) -> None:
         super().__init__(variable, **kwargs)
-        for plane in enabled_planes:
-            if plane not in _AXIS_NAMES:
-                raise DV3DError(f"unknown slice plane {plane!r} (use x/y/z)")
         self.overlay_variable = overlay_variable
-        self.enabled_planes: Tuple[str, ...] = tuple(enabled_planes)
-        self.contour_count = int(contour_count)
+        self.enabled_planes: Tuple[str, ...] = ()
+        self.contour_count = 0
         # positions are fractions [0, 1] of each axis span
         self.plane_positions: Dict[str, float] = {"x": 0.5, "y": 0.5, "z": 0.25}
+        self.apply_state({"enabled_planes": enabled_planes, "contour_count": contour_count})
 
     # -- data -------------------------------------------------------------
 
@@ -195,12 +194,26 @@ class SlicerPlot(Plot3D):
         return base
 
     def apply_state(self, state: Dict[str, Any]) -> None:
+        """The base plot's keys, then the planes, their positions and the
+        contour count — the constructor's arguments go through here too.
+        All are checked before any is applied, so a :class:`DV3DError`
+        leaves the plot as it was.  Positions of unknown planes are
+        ignored."""
+        planes = state.get("enabled_planes", self.enabled_planes)
+        if not isinstance(planes, (list, tuple)) or not all(
+            isinstance(plane, str) and plane in _AXIS_NAMES for plane in planes
+        ):
+            raise DV3DError(f"enabled planes must be a list of x/y/z, got {planes!r}")
+        positions = state.get("plane_positions", {})
+        if not isinstance(positions, dict):
+            raise DV3DError(f"plane_positions must be a mapping, got {positions!r}")
+        positions = {plane: number(positions, plane)
+                     for plane in positions if plane in _AXIS_NAMES}
+        count = number(state, "contour_count", self.contour_count, integral=True)
+        if count < 0:
+            raise DV3DError(f"contour_count must be at least 0, got {count}")
         super().apply_state(state)
-        if "enabled_planes" in state:
-            self.enabled_planes = tuple(state["enabled_planes"])
-        if "plane_positions" in state:
-            for plane, pos in state["plane_positions"].items():
-                if plane in _AXIS_NAMES:
-                    self.plane_positions[plane] = float(np.clip(pos, 0.0, 1.0))
-        if "contour_count" in state:
-            self.contour_count = int(state["contour_count"])
+        self.enabled_planes = tuple(planes)
+        for plane, pos in positions.items():
+            self.plane_positions[plane] = float(np.clip(pos, 0.0, 1.0))
+        self.contour_count = count

@@ -10,8 +10,10 @@ Every cube cell is split into six tetrahedra that all share the cube's
 main diagonal (corner 0 → corner 6), which makes the decomposition
 consistent across neighbouring cells and therefore crack-free.  Within
 each tetrahedron the surface crossing is found by linear interpolation
-along the cut edges.  The implementation is vectorized across *all*
-cells for each of the six tetrahedra in turn — there is no per-cell
+along the cut edges.  One pass classifies all six tetrahedra of every
+candidate cell at once and expands their triangles from tables, so an
+extraction costs a fixed number of numpy calls whatever the cells and
+cases present — there is no per-cell, per-tetrahedron or per-case
 Python loop.
 """
 
@@ -75,6 +77,36 @@ _TET_TRIANGLES: Dict[int, List[Tuple[int, int, int]]] = {
     14: [(0, 1, 2)],
     15: [],
 }
+
+
+#: the corner offsets as int8, for the exact integer part of a crossing
+_CORNER_OFFSETS8 = _CORNER_OFFSETS.astype(np.int8)
+
+#: (6 tets, 256 cube inside-masks) → the tetrahedron's 4-bit case code
+_TET_CODES = np.array(
+    [
+        [sum(((mask >> int(corner)) & 1) << bit for bit, corner in enumerate(tet))
+         for mask in range(256)]
+        for tet in _CUBE_TETS
+    ],
+    dtype=np.uint8,
+)
+
+#: case code → number of triangles (0, 1 or 2)
+_TRI_COUNT = np.array([len(_TET_TRIANGLES[c]) for c in range(16)], dtype=np.int8)
+
+#: (16 cases, 2 triangles, 3 corners) → tetrahedron edge; unused rows are 0
+_TRI_EDGES = np.array(
+    [(_TET_TRIANGLES[c] + [(0, 0, 0)] * 2)[:2] for c in range(16)], dtype=np.int8
+)
+
+#: row ``(tet * 16 + code) * 2 + k`` → the two cube corners of the edge
+#: under each corner of triangle *k* of case *code* in *tet*: ``(192, 3, 2)``
+_TRI_CORNERS = (
+    _CUBE_TETS[np.arange(6)[:, None, None, None, None], _TET_EDGES[_TRI_EDGES][None]]
+    .reshape(192, 3, 2)
+    .astype(np.int8)
+)
 
 
 def marching_tetrahedra(
@@ -168,110 +200,72 @@ def _triangle_points(
     outside it are never classified.  Because excluded cells produce no
     triangles, and candidates are visited in the same ascending flat
     order as the dense pass, the output is array-identical either way.
-    Returns ``(n_tri, 3, 3)`` (possibly empty).
+    Returns ``(n_tri, 3, 3)`` (possibly empty), ordered by tetrahedron,
+    then case code, then the case's triangles in table order, then
+    ascending cell.
     """
     nx, ny, nz = values.shape
     cx, cy, cz = nx - 1, ny - 1, nz - 1
 
     if candidates is None:
-        # corner values for every cell: shape (8, cx, cy, cz)
+        cells = None  # every cell, in flat order
         corner_vals = np.empty((8, cx, cy, cz), dtype=np.float64)
         for c, (ox, oy, oz) in enumerate(_CORNER_OFFSETS):
             corner_vals[c] = values[ox : ox + cx, oy : oy + cy, oz : oz + cz]
         corner_vals = corner_vals.reshape(8, -1)  # (8, n_cells)
-
-        base_idx = np.stack(
-            np.meshgrid(np.arange(cx), np.arange(cy), np.arange(cz), indexing="ij"),
-            axis=-1,
-        ).reshape(-1, 3)  # (n_cells, 3) integer cell origins
     else:
         if candidates.shape != (cx, cy, cz):
             raise RenderingError(
                 f"candidate mask shape {candidates.shape} != cell grid "
                 f"{(cx, cy, cz)}"
             )
-        # ascending flat indices of candidate cells — same C-order
-        # flattening as the dense meshgrid above, so downstream
-        # per-code grouping sees cells in an identical order
-        cand = np.nonzero(candidates.reshape(-1))[0]
-        if cand.size == 0:
-            return np.zeros((0, 3, 3), dtype=np.float64)
-        cyz = cy * cz
-        ci = cand // cyz
-        rem = cand - ci * cyz
-        cj = rem // cz
-        ck = rem - cj * cz
-        corner_vals = np.empty((8, cand.size), dtype=np.float64)
-        for c, (ox, oy, oz) in enumerate(_CORNER_OFFSETS):
-            corner_vals[c] = values[ci + ox, cj + oy, ck + oz]
-        base_idx = np.stack([ci, cj, ck], axis=1)
+        cells = np.flatnonzero(candidates)  # ascending, as the dense pass
+        origin = np.ravel_multi_index(np.unravel_index(cells, (cx, cy, cz)), (nx, ny, nz))
+        corner_flat = _CORNER_OFFSETS @ np.array([ny * nz, nz, 1])
+        corner_vals = np.take(values, origin + corner_flat[:, None])  # (8, m)
+    m = corner_vals.shape[1]
 
-    triangles_xyz: List[np.ndarray] = []
-    for tet in _CUBE_TETS:
-        tet_vals = corner_vals[tet]  # (4, n_cells)
-        inside = tet_vals > isovalue
-        codes = (
-            inside[0].astype(np.uint8)
-            | (inside[1].astype(np.uint8) << 1)
-            | (inside[2].astype(np.uint8) << 2)
-            | (inside[3].astype(np.uint8) << 3)
-        )
-        active = np.nonzero((codes != 0) & (codes != 15))[0]
-        if active.size == 0:
-            continue
-        active_codes = codes[active]
-        present = [int(c) for c in np.unique(active_codes)]
+    # the case of every tetrahedron of every cell: (6, m) codes, read
+    # off each cell's 8-bit inside mask
+    mask = np.packbits(corner_vals > isovalue, axis=0, bitorder="little")[0]
+    codes = _TET_CODES[:, mask]
+    count = _TRI_COUNT[codes]
+    # one row per triangle: every (tet, cell) with one, then those with a
+    # second; a stable sort on (tet, code, k) keeps cells ascending
+    first = np.flatnonzero(count)
+    rows = np.concatenate([first, np.flatnonzero(count == 2)])
+    tet, cell = np.divmod(rows, m)
+    key = (tet * 32 + codes.reshape(-1).take(rows) * 2).astype(np.uint8)
+    key[first.size:] += 1
+    order = np.argsort(key, kind="stable")
+    key, cell = key.take(order), cell.take(order)
 
-        # interpolate the crossing point on every edge referenced by a
-        # present case, for the whole active set at once — interpolation
-        # is elementwise, so each cell's value is bit-identical whether
-        # computed here or in a tiny per-case batch
-        needed = sorted(
-            {e for code in present for tri in _TET_TRIANGLES[code] for e in tri}
-        )
-        edge_points = np.empty((len(_TET_EDGES), active.size, 3), dtype=np.float64)
-        for edge_id in needed:
-            va_local, vb_local = _TET_EDGES[edge_id]
-            ca, cb = tet[va_local], tet[vb_local]
-            fa = corner_vals[ca][active]
-            fb = corner_vals[cb][active]
-            # cells whose case doesn't reference this edge may have both
-            # corners at -inf (masked data); their rows are never
-            # gathered, so silence the inf-inf=NaN they produce here
-            with np.errstate(invalid="ignore", divide="ignore"):
-                denom = fb - fa
-                t = (isovalue - fa) / np.where(np.abs(denom) < 1e-300, 1.0, denom)
-            t = np.clip(np.where(np.isfinite(t), t, 0.5), 0.0, 1.0)
-            pa = base_idx[active] + _CORNER_OFFSETS[ca]
-            pb = base_idx[active] + _CORNER_OFFSETS[cb]
-            edge_points[edge_id] = pa + (pb - pa) * t[:, None]
-
-        # assemble the tet's triangles with one gather, in the exact
-        # order of the per-case loop: ascending case code, triangles in
-        # table order, cells ascending
-        pos_parts: List[np.ndarray] = []
-        edge_parts: List[np.ndarray] = []
-        for code in present:
-            tris = _TET_TRIANGLES[code]
-            if not tris:
-                continue
-            sel = np.nonzero(active_codes == code)[0]
-            for tri_edges in tris:
-                pos_parts.append(sel)
-                edge_parts.append(
-                    np.broadcast_to(
-                        np.array(tri_edges, dtype=np.intp), (sel.size, 3)
-                    )
-                )
-        if not pos_parts:
-            continue
-        pos_all = np.concatenate(pos_parts)
-        edges_all = np.concatenate(edge_parts)
-        triangles_xyz.append(edge_points[edges_all, pos_all[:, None]])  # (n, 3, 3)
-
-    if not triangles_xyz:
-        return np.zeros((0, 3, 3), dtype=np.float64)
-    return np.concatenate(triangles_xyz)  # (n_tri, 3 corners, 3 index-coords)
+    # each corner's edge as its two cube corners, then the per-edge
+    # interpolation expression for expression, elementwise: a -inf first
+    # corner (masked data) makes inf/inf = NaN, which falls back to 0.5
+    ends = _TRI_CORNERS.take(key, axis=0)  # (n_tri, 3, 2)
+    index = ends.astype(np.intp)
+    index *= m
+    index += cell[:, None, None]
+    f = np.take(corner_vals, index)
+    del index
+    fa, fb = f[..., 0], f[..., 1]
+    with np.errstate(invalid="ignore", divide="ignore"):
+        denom = fb - fa
+        t = (isovalue - fa) / np.where(np.abs(denom) < 1e-300, 1.0, denom)
+    del f, fa, fb, denom
+    t = np.clip(np.where(np.isfinite(t), t, 0.5), 0.0, 1.0)
+    offsets = _CORNER_OFFSETS8.take(ends, axis=0)  # (n_tri, 3, 2, 3)
+    oa, ob = offsets[:, :, 0], offsets[:, :, 1]
+    origin = np.stack(
+        np.unravel_index(cell if cells is None else cells.take(cell), (cx, cy, cz)),
+        axis=-1,
+    ).astype(np.int32)
+    # pa + (pb - pa) * t, bit for bit: pb - pa is ob - oa, pa is origin + oa,
+    # and both are exact in any integer type
+    points = (ob - oa) * t[..., None]
+    points += origin[:, None, :] + oa
+    return points
 
 
 def _unique_rows(rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:

@@ -24,7 +24,7 @@ next to it holds color, depth and the returned count byte-identical.
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -129,18 +129,22 @@ def _expand(counts: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
 
 
 def _covered_fragments(
-    box_area: np.ndarray, box_w: np.ndarray, x0: np.ndarray, y0: np.ndarray, setup: np.ndarray
+    box_area: np.ndarray,
+    box_w: np.ndarray,
+    x0: np.ndarray,
+    y0: np.ndarray,
+    setup: Sequence[np.ndarray],
 ) -> Tuple[np.ndarray, ...]:
     """``(owner, gx, gy, w0, w1, w2)`` of the bounding-box pixels each
-    triangle covers.  *setup* rows: ax, ay, bx, by, cx, cy, area."""
+    triangle covers.  *setup* columns: ax, ay, bx, by, cx, cy, area."""
     # every box pixel of every triangle, row-major per box
     owner, local = _expand(box_area)
-    gy, gx = np.divmod(local, box_w[owner])
-    gx += x0[owner]
-    gy += y0[owner]
+    gy, gx = np.divmod(local, box_w.take(owner))
+    gx += x0.take(owner)
+    gy += y0.take(owner)
     fx = gx.astype(np.float64)
     fy = gy.astype(np.float64)
-    ax, ay, bx, by, cx, cy, area = setup[:, owner]
+    ax, ay, bx, by, cx, cy, area = (column.take(owner) for column in setup)
     w0 = ((bx - fx) * (cy - fy) - (cx - fx) * (by - fy)) / area
     w1 = ((cx - fx) * (ay - fy) - (ax - fx) * (cy - fy)) / area
     w2 = 1.0 - w0 - w1
@@ -156,44 +160,56 @@ def _rasterize_triangles(
 ) -> int:
     """Barycentric bounding-box fill, a batch of triangles at a time."""
     width, height = fb.width, fb.height
-    corners = projected[triangles]  # (n_tri, 3 corners, 3: px, py, depth)
-    xs, ys, zs = corners[..., 0], corners[..., 1], corners[..., 2]
-    finite = np.isfinite(corners[..., :2]).all(axis=(1, 2)) & (zs > 0).all(axis=1)
+    # one 1-D column per corner and coordinate: px, py, depth of a, b, c
+    corners = np.ascontiguousarray(triangles.T)  # (3 corners, n_tri)
+    xs, ys, zs = (
+        [column.take(corner) for corner in corners]
+        for column in np.ascontiguousarray(projected.T)
+    )
+    finite = (
+        np.isfinite(xs[0]) & np.isfinite(xs[1]) & np.isfinite(xs[2])
+        & np.isfinite(ys[0]) & np.isfinite(ys[1]) & np.isfinite(ys[2])
+        & (zs[0] > 0) & (zs[1] > 0) & (zs[2] > 0)
+    )
     # cull triangles fully outside the viewport
-    xmin, xmax, ymin, ymax = xs.min(axis=1), xs.max(axis=1), ys.min(axis=1), ys.max(axis=1)
+    xmin = np.minimum(np.minimum(xs[0], xs[1]), xs[2])
+    xmax = np.maximum(np.maximum(xs[0], xs[1]), xs[2])
+    ymin = np.minimum(np.minimum(ys[0], ys[1]), ys[2])
+    ymax = np.maximum(np.maximum(ys[0], ys[1]), ys[2])
     onscreen = (xmax >= 0) & (xmin <= width - 1) & (ymax >= 0) & (ymin <= height - 1)
     keep = np.flatnonzero(finite & onscreen)
-    ax, bx, cx = xs[keep].T
-    ay, by, cy = ys[keep].T
+    ax, bx, cx = (x.take(keep) for x in xs)
+    ay, by, cy = (y.take(keep) for y in ys)
     # signed double area; degenerate triangles are skipped
     area = (bx - ax) * (cy - ay) - (cx - ax) * (by - ay)
     solid = np.flatnonzero(~(np.abs(area) < 1e-12))
-    keep = keep[solid]
-    setup = np.stack([ax, ay, bx, by, cx, cy, area])[:, solid]
+    keep = keep.take(solid)
+    setup = [column.take(solid) for column in (ax, ay, bx, by, cx, cy, area)]
     # bounding boxes clipped to the viewport: never empty after the cull
-    x0 = np.floor(np.maximum(xmin[keep], 0)).astype(np.intp)
-    y0 = np.floor(np.maximum(ymin[keep], 0)).astype(np.intp)
-    box_w = np.ceil(np.minimum(xmax[keep], width - 1)).astype(np.intp) - x0 + 1
-    box_h = np.ceil(np.minimum(ymax[keep], height - 1)).astype(np.intp) - y0 + 1
+    x0 = np.floor(np.maximum(xmin.take(keep), 0)).astype(np.intp)
+    y0 = np.floor(np.maximum(ymin.take(keep), 0)).astype(np.intp)
+    box_w = np.ceil(np.minimum(xmax.take(keep), width - 1)).astype(np.intp) - x0 + 1
+    box_h = np.ceil(np.minimum(ymax.take(keep), height - 1)).astype(np.intp) - y0 + 1
     box_area = box_w * box_h
-    vertex_depth = zs[keep].T
-    vertex = triangles[keep].T
+    vertex_depth = [z.take(keep) for z in zs]
+    vertex = [corner.take(keep) for corner in corners]
     color_flat = fb.color.reshape(-1, 3)
 
     written = 0
     for start, stop in _batches(box_area):
         batch = slice(start, stop)
         owner, gx, gy, w0, w1, w2 = _covered_fragments(
-            box_area[batch], box_w[batch], x0[batch], y0[batch], setup[:, batch]
+            box_area[batch], box_w[batch], x0[batch], y0[batch],
+            [column[batch] for column in setup],
         )
         owner += start
-        da, db, dc = vertex_depth[:, owner]
+        da, db, dc = (d.take(owner) for d in vertex_depth)
         z = w0 * da + w1 * db + w2 * dc
         pixels = gy * width + gx
         winners, passed = fb.resolve(pixels, owner, z.astype(np.float32))
         written += passed
         # only fragments that reach the screen are shaded
-        ia, ib, ic = vertex[:, owner[winners]]
+        ia, ib, ic = (v.take(owner.take(winners)) for v in vertex)
         color_flat[pixels[winners]] = (
             w0[winners, None] * colors[ia]
             + w1[winners, None] * colors[ib]

@@ -69,6 +69,33 @@ class TestCell:
             slicer_cell.handle_event("drag", dx=dx, mode="camera")
         assert slicer_cell.plot.camera is None
 
+    @pytest.mark.parametrize("plot_state", [
+        {"enabled_planes": ["w"]},
+        {"enabled_planes": "xy"},
+        {"enabled_planes": None},
+        {"contour_count": "x"},
+        {"contour_count": -3},
+        {"contour_count": 2.5},
+        {"plane_positions": {"x": "far"}},
+        {"plane_positions": {"y": float("nan")}},
+        {"plane_positions": {"z": float("inf")}},
+        {"plane_positions": ["x", 0.3]},
+        {"time_index": 1, "enabled_planes": ["x", "w"]},
+    ])
+    def test_a_slicer_configure_it_cannot_draw_is_refused(self, slicer_cell, plot_state):
+        """Refused as the constructor refuses it: the cell answers ``{}``,
+        keeps its state and keeps drawing."""
+        before = slicer_cell.state()
+        assert slicer_cell.handle_event("configure", state={"plot": plot_state}) == {}
+        assert slicer_cell.state() == before
+        slicer_cell.render(32, 24)
+
+    def test_a_slicer_refuses_what_its_configure_refuses(self, ta):
+        with pytest.raises(DV3DError):
+            SlicerPlot(ta, enabled_planes="xy")
+        with pytest.raises(DV3DError):
+            SlicerPlot(ta, contour_count="x")
+
     def test_state_roundtrip(self, slicer_cell):
         slicer_cell.plot.step_time()
         state = slicer_cell.state()

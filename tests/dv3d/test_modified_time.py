@@ -397,3 +397,45 @@ def test_executing_cells_then_rendering_them_is_one_raycast_each(kernels):
     assert kernels["raycast_volume"] == len(cells) == 3
     cells[0].render(40, 30)
     assert kernels["raycast_volume"] == 4  # a new size is a new frame
+
+
+@pytest.mark.parametrize("template", ["Slicer", "Isosurface"])
+def test_a_time_step_lays_out_no_base_map(template, kernels):
+    """The grid's bounds do not change with the time step, so the base
+    map laid out for the first frame serves every step after it — and
+    each step's frame is a fresh backend's bytes."""
+    backend = AppBackend()
+    backend(Request(params=_params(template, timestep=0)), False)
+    laid_out = kernels["basemap_polydata"]
+    assert laid_out == 1
+    steps = [Request(params=_params(template, timestep=t)) for t in (1, 2, 0)]
+    frames = [backend(request, False) for request in steps]
+    assert kernels["basemap_polydata"] == laid_out
+    assert frames == [AppBackend()(request, False) for request in steps]
+
+
+@pytest.mark.parametrize("name", ["slicer", "isosurface"])
+def test_a_vertical_exaggeration_lays_the_base_map_out_again(name, data, kernels):
+    cell = DV3DCell(FACTORIES[name](data))
+    for timestep in range(NTIME):
+        cell.handle_event("configure", state={"plot": {"time_index": timestep}})
+        cell.render(*SIZES[0])
+    assert kernels["basemap_polydata"] == 1
+    cell.handle_event("configure", state={"plot": {"vertical_exaggeration": 2.0}})
+    frame = cell.render(*SIZES[0])
+    assert kernels["basemap_polydata"] == 2
+    assert _same(frame, _fresh_twin(name, data, cell).render(*SIZES[0]))
+
+
+def test_each_scene_gets_its_own_base_map_actor_over_the_kept_map(data):
+    cell = DV3DCell(FACTORIES["slicer"](data), show_axes=True)
+    furniture = []
+    for timestep in (0, 1):
+        cell.plot.set_time_index(timestep)
+        scene = cell._furnished_scene()[0]
+        furniture.append({a.name: a for a in scene.actors if a.name in ("basemap", "axis-ticks")})
+    first, second = furniture
+    assert sorted(first) == sorted(second) == ["axis-ticks", "basemap"]
+    for name in first:
+        assert first[name] is not second[name]  # no actor is in two scenes
+        assert first[name].poly is second[name].poly  # laid out once

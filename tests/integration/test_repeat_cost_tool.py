@@ -1,13 +1,16 @@
 """``tools/repeat_cost.py`` runs on this tree and prints its four-layer
 table and a fresh scene's open, which draws once, then what one wire
-repeat counts: loop iterations, sha256 objects and no Task."""
+repeat counts: loop iterations, sha256 objects and no Task, then what a
+time step costs per stratum: the call, and its isosurface and rasterize
+spans."""
 
 import importlib.util
 import re
 from pathlib import Path
 
 TOOL = Path(__file__).resolve().parents[2] / "tools" / "repeat_cost.py"
-ROW = re.compile(r"^\| (.+) \| (\d+\.\d{3}) ms \|$")
+ROW = re.compile(r"^\| ([^|]+) \| (\d+\.\d{3}) ms \|$")
+STEP = re.compile(r"^\| (\w+) \| (\d+\.\d{3}) ms \| (\d+\.\d{3}) ms \| (\d+\.\d{3}) ms \|$")
 COUNT = re.compile(r"^\| (.+) \| (\d+\.\d{2}) \|$")
 
 
@@ -33,3 +36,8 @@ def test_the_tool_prints_one_row_per_layer(capsys):
     assert counts["serving-loop iterations"] > 0
     assert counts["sha256 objects"] > 0
     assert counts["Tasks created"] == 0
+    steps = {m.group(1): [float(g) for g in m.groups()[1:]] for m in map(STEP.match, lines) if m}
+    assert list(steps) == ["Slicer", "Isosurface"]
+    assert all(step > 0 and raster > 0 for step, _, raster in steps.values())
+    assert steps["Slicer"][1] == 0  # a slicer extracts no surface
+    assert steps["Isosurface"][1] > 0

@@ -27,6 +27,13 @@ A second table counts, per repeat of row 3 (averaged over
 the ``hashlib.sha256`` objects made in the process (client and server
 both) and the Tasks started on the serving loop.
 
+A third table prices a time step, the request after the one before it
+with the next ``timestep``, on explore_surface's grid at 64x48, for its
+Slicer and its Isosurface stratum: the median ``AppBackend`` call of
+``--repeats`` steps, then, over as many more steps under a
+``repro.obs`` recorder, the mean ms per step inside the
+``isosurface.marching_tetrahedra`` and ``rasterizer.rasterize`` spans.
+
 Run from the repository root::
 
     PYTHONPATH=src python tools/repeat_cost.py [--repeats 400]
@@ -44,6 +51,7 @@ import statistics
 import time
 from typing import Callable, List, Optional, Sequence, Tuple
 
+from repro import obs
 from repro.rendering.scene import Renderer
 from repro.serving.backend import AppBackend
 from repro.serving.endpoint import WireSessionClient, WireSessionServer
@@ -62,6 +70,13 @@ PARAMS = {
     "azimuth": 45.0,
 }
 SESSION = "repeat-cost"
+#: explore_surface's strata on its grid, each stepped through time
+STEP_STRATA = (
+    ("Slicer", {"variable": "ta"}),
+    ("Isosurface", {"variable": "ta", "color_variable": "zg"}),
+)
+STEP_GRID = {"nlat": 10, "nlon": 16, "nlev": 5, "ntime": 12}
+STEP_SPANS = ("isosurface.marching_tetrahedra", "rasterizer.rasterize")
 
 
 def _median_ms(call: Callable[[], object], repeats: int) -> float:
@@ -170,6 +185,28 @@ def fresh_open(repeats: int) -> Tuple[float, float]:
     return statistics.median(times) * 1e3, draws / repeats
 
 
+def step_cost(template: str, variables: dict, steps: int) -> Tuple[float, ...]:
+    """Median ms of a time step through ``AppBackend``, then the mean ms
+    per step inside each of :data:`STEP_SPANS`."""
+    backend = AppBackend()
+    params = dict(PARAMS, template=template, variables=variables, size=STEP_GRID,
+                  cell_params=dict(PARAMS["cell_params"], dataset_label=template))
+    timestep = itertools.count()
+
+    def step() -> None:
+        ntime = STEP_GRID["ntime"]
+        backend(Request(params=dict(params, timestep=next(timestep) % ntime)), False)
+
+    median = _median_ms(step, steps)
+    with obs.recording() as recorder:
+        for _ in range(steps):
+            step()
+    return (median,) + tuple(
+        sum(s.duration for s in recorder.spans if s.name == name) / steps * 1e3
+        for name in STEP_SPANS
+    )
+
+
 def main(argv: Optional[Sequence[str]] = None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--repeats", type=int, default=400,
@@ -204,6 +241,15 @@ def main(argv: Optional[Sequence[str]] = None) -> None:
     print("|---|---|")
     for label, per_repeat in counts:
         print(f"| {label} | {per_repeat:.2f} |")
+    print()
+    print(f"Per time step on explore_surface's grid, 64x48: median of {repeats} "
+          f"steps; spans, mean ms per step over {repeats} more:")
+    print()
+    print("| stratum | step | " + " | ".join(f"`{name}`" for name in STEP_SPANS) + " |")
+    print("|---|---|" + "---|" * len(STEP_SPANS))
+    for template, variables in STEP_STRATA:
+        cells = " | ".join(f"{ms:.3f} ms" for ms in step_cost(template, variables, repeats))
+        print(f"| {template} | {cells} |")
 
 
 if __name__ == "__main__":
