@@ -37,7 +37,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Any, Dict, Mapping
+from typing import Any, Dict, Mapping, Optional, Tuple
 
 from repro.util.errors import DV3DError
 
@@ -65,6 +65,26 @@ def number(payload: Mapping[str, Any], name: str, default: Any = 0.0,
         what = "a whole number" if integral else "a finite number"
         raise DV3DError(f"{name} must be {what}, got {value!r}")
     return int(value) if integral else float(value)
+
+
+def number_pair(payload: Mapping[str, Any], name: str) -> Tuple[float, float]:
+    """``payload[name]`` as two finite floats (a list or tuple of two
+    :func:`number` values), else :class:`DV3DError`."""
+    value = payload.get(name)
+    if not isinstance(value, (list, tuple)) or len(value) != 2:
+        raise DV3DError(f"{name} must be two finite numbers, got {value!r}")
+    return number({name: value[0]}, name), number({name: value[1]}, name)
+
+
+def optional_positive(payload: Mapping[str, Any], name: str) -> Optional[float]:
+    """``payload[name]`` as ``None`` or a finite float above 0, else
+    :class:`DV3DError` — a grid spacing or a step length."""
+    if payload.get(name) is None:
+        return None
+    value = number(payload, name)
+    if value <= 0:
+        raise DV3DError(f"{name} must be above 0, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)

@@ -23,13 +23,14 @@ import numpy as np
 from repro import obs
 from repro.cdms.slabs import padded_range, require_finite_range
 from repro.cdms.variable import Variable
+from repro.dv3d.interaction import number, number_pair, optional_positive
 from repro.dv3d.translation import translate_variable
 from repro.rendering.camera import Camera
 from repro.rendering.colormap import Colormap
 from repro.rendering.framebuffer import Framebuffer
 from repro.rendering.image_data import ImageData
 from repro.rendering.scene import Renderer, Scene
-from repro.util.errors import DV3DError
+from repro.util.errors import DV3DError, RenderingError
 
 _ANGLES = struct.Struct("<dd")  # an orbit's (azimuth, elevation), bit for bit
 
@@ -278,19 +279,33 @@ class Plot3D:
         """Apply a configuration snapshot (spreadsheet/hyperwall sync).
 
         Unknown keys are ignored so heterogeneous plots can share one
-        propagated gesture stream.
+        propagated gesture stream.  Every known key is checked before
+        any is applied, so a :class:`DV3DError` leaves the plot as it
+        was and no value that would break a later draw gets in.
         """
-        if "time_index" in state:
-            self.set_time_index(int(state["time_index"]))
+        time_index = number(state, "time_index", self.time_index, integral=True)
+        exaggeration = self.vertical_exaggeration
         if "vertical_exaggeration" in state:
-            self.set_vertical_exaggeration(state["vertical_exaggeration"])
-        if "colormap" in state and state["colormap"] is not None:
-            self.colormap = Colormap.from_state(state["colormap"])
-        if "scalar_range" in state and state["scalar_range"] is not None:
-            lo, hi = state["scalar_range"]
-            self.set_scalar_range(float(lo), float(hi))
-        if state.get("camera"):
-            self.camera = Camera.from_state(state["camera"])
+            exaggeration = optional_positive(state, "vertical_exaggeration")
+        colormap = state.get("colormap")
+        if colormap is not None:
+            colormap = _colormap_from_state(colormap)
+        scalar_range = state.get("scalar_range")
+        if scalar_range is not None:
+            scalar_range = number_pair(state, "scalar_range")
+            if scalar_range[1] <= scalar_range[0]:
+                raise DV3DError(f"bad scalar range {scalar_range!r}")
+        camera = state.get("camera")
+        if camera:
+            camera = _camera_from_state(camera)
+        self.set_time_index(time_index)
+        self.set_vertical_exaggeration(exaggeration)
+        if colormap is not None:
+            self.colormap = colormap
+        if scalar_range is not None:
+            self.set_scalar_range(*scalar_range)
+        if camera:
+            self.camera = camera
 
     # -- interaction dispatch ------------------------------------------------------
 
@@ -305,3 +320,41 @@ class Plot3D:
         from repro.dv3d.interaction import handle_drag
 
         return handle_drag(self, dx, dy, mode)
+
+
+def _colormap_from_state(state: Any) -> Colormap:
+    """:meth:`Colormap.from_state`, refusing with :class:`DV3DError`."""
+    if not isinstance(state, dict):
+        raise DV3DError(f"colormap must be a mapping, got {state!r}")
+    name = state.get("name", "default")
+    if not isinstance(name, str):
+        raise DV3DError(f"colormap name must be a string, got {name!r}")
+    n_colors = number(state, "n_colors", 256, integral=True)
+    try:
+        return Colormap(name, n_colors, bool(state.get("inverted", False)))
+    except RenderingError as exc:
+        raise DV3DError(str(exc)) from None
+
+
+def _camera_from_state(state: Any) -> Camera:
+    """:meth:`Camera.from_state`, refusing with :class:`DV3DError` a
+    camera it cannot build or one of non-finite numbers."""
+    if not isinstance(state, dict):
+        raise DV3DError(f"camera must be a mapping, got {state!r}")
+    vectors = {}
+    for key in ("position", "focal_point", "view_up"):
+        if key not in state:
+            raise DV3DError(f"camera has no {key}")
+        vector = state[key]
+        if not isinstance(vector, (list, tuple)) or len(vector) != 3:
+            raise DV3DError(f"camera {key} must be three numbers, got {vector!r}")
+        vectors[key] = tuple(number({key: v}, key) for v in vector)
+    scalars = {}
+    for key in ("fov_degrees", "near", "far"):
+        if key not in state:
+            raise DV3DError(f"camera has no {key}")
+        scalars[key] = number(state, key)
+    try:
+        return Camera(**vectors, **scalars)
+    except RenderingError as exc:
+        raise DV3DError(str(exc)) from None

@@ -15,6 +15,7 @@ from typing import Any, Dict, Optional
 import numpy as np
 
 from repro.cdms.variable import Variable
+from repro.dv3d.interaction import number, number_pair, optional_positive
 from repro.dv3d.plot import Plot3D
 from repro.rendering.geometry import box_outline
 from repro.rendering.scene import Actor, Scene, VolumeActor
@@ -128,18 +129,25 @@ class VolumePlot(Plot3D):
         return base
 
     def apply_state(self, state: Dict[str, Any]) -> None:
+        """The base plot's keys, then the transfer function's window,
+        peak and colour window, the lighting and the step size — all
+        checked before any is applied."""
+        transfer = self.transfer
+        center = number(state, "tf_center", transfer.center)
+        width = number(state, "tf_width", transfer.width)
+        peak = number(state, "peak_opacity", transfer.peak_opacity)
+        color_window = transfer.color_window
+        if "color_window" in state:
+            color_window = number_pair(state, "color_window")
+        step = self.step_size
+        if "step_size" in state:
+            step = optional_positive(state, "step_size")
         super().apply_state(state)
-        center = float(state.get("tf_center", self.transfer.center))
-        width = float(state.get("tf_width", self.transfer.width))
-        peak = float(state.get("peak_opacity", self.transfer.peak_opacity))
-        color_window = tuple(state.get("color_window", self.transfer.color_window))
         if "lighting" in state:
             self.lighting = bool(state["lighting"])
-        if "step_size" in state:
-            step = state["step_size"]
-            self.step_size = None if step is None else float(step)
+        self.step_size = step
         self.transfer = TransferFunction(
             self.scalar_range, colormap=self.colormap,
             center=center, width=width, peak_opacity=peak,
-            color_window=color_window,  # type: ignore[arg-type]
+            color_window=color_window,
         )

@@ -35,6 +35,15 @@ from repro.util.errors import RenderingError
 SUPPORT_MARGIN = 1e-6
 
 
+def _corners(op, a: np.ndarray) -> np.ndarray:
+    """*op* over each cell's 8 corners, pairwise along x, then y, then z:
+    three contiguous passes.  ``min``, ``max`` and ``or`` are exact, so
+    the grouping cannot change a value."""
+    a = op(a[:-1], a[1:])
+    a = op(a[:, :-1], a[:, 1:])
+    return op(a[:, :, :-1], a[:, :, 1:])
+
+
 class MinMaxPyramid:
     """Per-cell conservative value bounds for one scalar volume.
 
@@ -57,6 +66,8 @@ class MinMaxPyramid:
         self.vmin = vmin
         self.vmax = vmax
         self.nonfinite = nonfinite
+        #: the last ``blocked_outside`` support and its read-only mask
+        self._blocked: Optional[Tuple[Tuple[float, float], np.ndarray]] = None
 
     @classmethod
     def build(cls, values: np.ndarray) -> "MinMaxPyramid":
@@ -71,24 +82,14 @@ class MinMaxPyramid:
             raise RenderingError("MinMaxPyramid requires at least one cell per axis")
         vals = values if values.dtype.kind == "f" else values.astype(np.float64)
         finite = np.isfinite(vals)
-        lo = np.where(finite, vals, np.inf)
-        hi = np.where(finite, vals, -np.inf)
-        bad = ~finite
-        cmin = lo[:-1, :-1, :-1]
-        cmax = hi[:-1, :-1, :-1]
-        cbad = bad[:-1, :-1, :-1]
-        for ox, oy, oz in (
-            (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0),
-            (1, 0, 1), (0, 1, 1), (1, 1, 1),
-        ):
-            sel = (
-                slice(ox, ox + nx - 1),
-                slice(oy, oy + ny - 1),
-                slice(oz, oz + nz - 1),
-            )
-            cmin = np.minimum(cmin, lo[sel])
-            cmax = np.maximum(cmax, hi[sel])
-            cbad = cbad | bad[sel]
+        if finite.all():
+            cmin = _corners(np.minimum, vals)
+            cmax = _corners(np.maximum, vals)
+            cbad = np.zeros((nx - 1, ny - 1, nz - 1), dtype=bool)
+        else:
+            cmin = _corners(np.minimum, np.where(finite, vals, np.inf))
+            cmax = _corners(np.maximum, np.where(finite, vals, -np.inf))
+            cbad = _corners(np.logical_or, ~finite)
         return cls((nx, ny, nz), cmin, cmax, cbad)
 
     @property
@@ -107,17 +108,36 @@ class MinMaxPyramid:
         absorb light — every sample in it has opacity exactly 0.  The
         comparison keeps :data:`SUPPORT_MARGIN` of slack so trilinear
         round-off can never un-skip a contributing sample.
+
+        The mask of the last ``(lo, hi)`` is kept, read-only: an orbit or
+        a repeat under the same transfer function recomputes nothing,
+        and a leveling drag replaces the one entry.
         """
-        vmin, vmax = self._bounds64()
-        empty = vmin > vmax  # no finite corner at all
+        kept = self._blocked
+        if kept is not None and kept[0] == (lo, hi):
+            return kept[1]
+        # every test is made in float64: the float32 bounds are widened
+        # inside each ufunc (exactly), never rounded to a Python float
+        vmin, vmax = self.vmin, self.vmax
+        blocked = np.greater(vmin, vmax)  # no finite corner at all
         # slack scales with each cell's own value magnitude, so float32
         # interpolation round-off (≈ magnitude * 2^-24) is always covered;
         # an empty cell's margin is inf and its comparisons NaN, which
-        # `empty` overrides
+        # the empty test overrides
+        margin = np.abs(vmin, dtype=np.float64)
+        edge = np.abs(vmax, dtype=np.float64)
+        np.maximum(margin, edge, out=margin)
+        np.maximum(margin, 1.0, out=margin)
+        np.multiply(SUPPORT_MARGIN, margin, out=margin)
+        test = np.empty_like(blocked)
         with np.errstate(invalid="ignore"):
-            mag = np.maximum(np.maximum(np.abs(vmin), np.abs(vmax)), 1.0)
-            margin = SUPPORT_MARGIN * mag
-            return empty | (vmax + margin < lo) | (vmin - margin > hi)
+            np.add(vmax, margin, out=edge)
+            blocked |= np.less(edge, lo, out=test)
+            np.subtract(vmin, margin, out=edge)
+            blocked |= np.greater(edge, hi, out=test)
+        blocked.flags.writeable = False
+        self._blocked = ((lo, hi), blocked)
+        return blocked
 
     def straddling(self, isovalue: float) -> np.ndarray:
         """Cells that may be crossed by *isovalue*.

@@ -230,16 +230,24 @@ class ImageData:
         """Central-difference gradient of a scalar array, ``dims + (3,)``.
 
         Used for volume-render shading normals and isosurface normals.
-        Cached per array (a volume invariant re-used by every render of
-        the same data); treat the result as read-only.
+        The values are ``np.gradient``'s for uniform spacing with
+        ``edge_order=1`` (computed in float64), except along a one-point
+        axis, where the field has no derivative and the component is 0.
+        Each component is one contiguous plane (``gradient[..., c]``) of
+        a ``(3,) + dims`` buffer.  Cached per array (a volume invariant
+        re-used by every render of the same data) and read-only.
         """
         name = name or self.active_scalars_name
         key = (name, "gradient")
         cached = self._derived.get(key)
         if cached is None:
             arr = self.get_array(name)
-            gx, gy, gz = np.gradient(arr.astype(np.float64), *self.spacing)
-            cached = np.stack([gx, gy, gz], axis=-1)
+            planes = np.zeros((3,) + arr.shape, dtype=np.float64)
+            for axis, h in enumerate(self.spacing):
+                if arr.shape[axis] > 1:
+                    _central_difference(arr, axis, h, planes[axis])
+            planes.flags.writeable = False
+            cached = np.moveaxis(planes, 0, -1)
             self._derived[key] = cached
         return cached  # type: ignore[return-value]
 
@@ -276,3 +284,22 @@ class ImageData:
             cached = MinMaxPyramid.build(arr)
             self._derived[key] = cached
         return cached
+
+
+def _central_difference(arr: np.ndarray, axis: int, h: float, out: np.ndarray) -> None:
+    """``np.gradient(arr.astype(np.float64), h, axis=axis)`` into *out*.
+
+    The same expressions — ``(f[i+1] − f[i−1]) / (2·h)`` inside and
+    ``(f[1] − f[0]) / h``, ``(f[−1] − f[−2]) / h`` at the two edges —
+    with the difference taken in float64 straight from *arr*, so neither
+    a widened copy nor per-axis temporaries are made.  Needs at least
+    two points along *axis*.
+    """
+    a = np.moveaxis(arr, axis, 0)
+    o = np.moveaxis(out, axis, 0)
+    np.subtract(a[2:], a[:-2], out=o[1:-1], dtype=np.float64)
+    np.divide(o[1:-1], 2.0 * h, out=o[1:-1])
+    np.subtract(a[1], a[0], out=o[0], dtype=np.float64)
+    np.subtract(a[-1], a[-2], out=o[-1], dtype=np.float64)
+    np.divide(o[0], h, out=o[0])
+    np.divide(o[-1], h, out=o[-1])

@@ -17,11 +17,22 @@ a block of steps per round of numpy calls:
   clipped to the occupied cells' bounding box (skipping leading and
   trailing all-blocked runs without changing the fixed sample
   positions), and inside it only samples in a live cell are sampled.
-* **Shading only visible samples.**  Gradient lighting and compositing
-  run only on samples with opacity > 0: a zero-opacity sample adds
-  ``(T·0)·rgb = +0`` and multiplies transmittance by exactly 1.  The
-  one exception is a NaN shade, which needs a ±inf gradient; for such
-  a volume every live sample is shaded and composited.
+* **Colour and shading only for visible samples.**  Opacity is
+  evaluated first, on every live sample; the colour map, gradient
+  lighting and compositing run only on samples with opacity > 0: a
+  zero-opacity sample adds ``(T·0)·rgb = +0`` and multiplies
+  transmittance by exactly 1.  The one exception is a NaN shade, which
+  needs a ±inf gradient; for such a volume every live sample is
+  coloured, shaded and composited.  The shade interpolates the
+  volume's gradient one contiguous component at a time into ``(3, n)``
+  columns and forms its length and its dot with the light in the
+  operation order of ``np.linalg.norm`` and :func:`_rows_dot`.
+* **Per-volume setup in a few passes.**  The cell bounds, the gradient
+  and the blocked-cell mask are built once per volume (the mask once
+  per opacity support) and kept on it, each in a handful of
+  contiguous numpy passes (:mod:`repro.rendering.accel`,
+  :meth:`ImageData.gradient`), so a time step's fixed cost is small
+  beside its samples.
 * **K steps per block.**  The active rays advance
   ``K = _SAMPLE_BUDGET // rays`` steps at a time (at least 1, at most
   ``_MAX_BLOCK_STEPS``).  A block lays out every ray's K sample
@@ -94,9 +105,10 @@ def _ray_box_intersection(
         near = np.minimum(t0, t1)
         far = np.maximum(t0, t1)
         # parallel rays hit iff origin inside the slab
-        inside = (o >= lo) & (o <= hi)
-        near = np.where(parallel, np.where(inside, -np.inf, np.inf), near)
-        far = np.where(parallel, np.where(inside, np.inf, -np.inf), far)
+        if parallel.any():
+            inside = (o >= lo) & (o <= hi)
+            near = np.where(parallel, np.where(inside, -np.inf, np.inf), near)
+            far = np.where(parallel, np.where(inside, np.inf, -np.inf), far)
         t_enter = np.maximum(t_enter, near)
         t_exit = np.minimum(t_exit, far)
     return t_enter, t_exit
@@ -149,18 +161,23 @@ def _skip_setup(
 
 
 def _shading(gradient: np.ndarray, idx: np.ndarray, light: np.ndarray) -> np.ndarray:
-    """Lambertian shade factor at index coordinates ``(3, n)``."""
-    g = np.empty((idx.shape[1], 3), dtype=np.float64)
+    """Lambertian shade factor at index coordinates ``(3, n)``.
+
+    The gradient is interpolated into one contiguous column per
+    component; its length is ``(g0·g0 + g1·g1) + g2·g2`` under the
+    root, ``np.linalg.norm(g, axis=1)``'s own order, and the dot with
+    the light is :func:`_rows_dot`'s.
+    """
+    g = np.empty((3, idx.shape[1]), dtype=np.float64)
     for c in range(3):
-        g[:, c] = ndimage.map_coordinates(
+        ndimage.map_coordinates(
             gradient[..., c], idx, order=1, mode="nearest", prefilter=False,
+            output=g[c],
         )
-    glen = np.linalg.norm(g, axis=1)
-    return np.where(
-        glen > 1e-12,
-        0.4 + 0.6 * np.abs(_rows_dot(g / np.maximum(glen, 1e-12)[:, None], light)),
-        1.0,
-    )
+    glen = np.sqrt((g[0] * g[0] + g[1] * g[1]) + g[2] * g[2])
+    safe = np.maximum(glen, 1e-12)
+    dot = (g[0] / safe * light[0] + g[1] / safe * light[1]) + g[2] / safe * light[2]
+    return np.where(glen > 1e-12, 0.4 + 0.6 * np.abs(dot), 1.0)
 
 
 def _composite(
@@ -343,14 +360,15 @@ def raycast_volume(
             if live.size:
                 # (2-D gathers go through take(): fancy indexing copies
                 # rows several times slower)
-                rgb, alpha = transfer.evaluate(
+                norm, alpha = transfer.evaluate_opacity(
                     volume.sample_index(idx.take(live, axis=1), name)
                 )
                 alpha = 1.0 - np.power(1.0 - np.clip(alpha, 0.0, 0.999), exponent)
                 pos = live
                 if not shade_all:
                     vis = np.flatnonzero(alpha)
-                    pos, alpha, rgb = live[vis], alpha[vis], rgb.take(vis, axis=0)
+                    pos, alpha, norm = live[vis], alpha[vis], norm[vis]
+                rgb = transfer.color(norm)
                 if gradient is not None and pos.size:
                     rgb = rgb * _shading(gradient, idx.take(pos, axis=1), light)[:, None]
                 _composite(pos, alpha, rgb, k, trans, col, ok)

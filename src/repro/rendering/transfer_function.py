@@ -185,13 +185,19 @@ class TransferFunction:
 
     def evaluate(self, values: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Raw scalars → ``(rgb, alpha)``; NaNs get zero opacity."""
+        safe, alpha = self.evaluate_opacity(values)
+        return self.color(safe), alpha
+
+    def evaluate_opacity(self, values: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Raw scalars → ``(normalized, alpha)``: the opacity half of
+        :meth:`evaluate`, whose colour is ``self.color(normalized)`` —
+        elementwise, so a caller can map colour for the samples it keeps
+        only.  Non-finite values normalize to 0 with zero opacity."""
         norm = self.normalize(values)
         finite = np.isfinite(norm)
         safe = np.where(finite, norm, 0.0)
-        rgb = self.color(safe)
-        alpha = self.opacity(safe)
-        alpha = np.where(finite, alpha, 0.0)
-        return rgb, alpha
+        alpha = np.where(finite, self.opacity(safe), 0.0)
+        return safe, alpha
 
     # -- interactive leveling ------------------------------------------------
 

@@ -96,6 +96,53 @@ class TestCell:
         with pytest.raises(DV3DError):
             SlicerPlot(ta, contour_count="x")
 
+    @pytest.mark.parametrize("plot_state", [
+        {"time_index": "x"},
+        {"time_index": 1.5},
+        {"scalar_range": ["a", 1]},
+        {"scalar_range": [2.0, 1.0]},
+        {"scalar_range": [0.0, float("inf")]},
+        {"vertical_exaggeration": "big"},
+        {"vertical_exaggeration": 0.0},
+        {"tf_center": "x"},
+        {"tf_center": float("nan")},
+        {"tf_width": float("nan")},
+        {"peak_opacity": float("inf")},
+        {"color_window": [float("nan"), 1.0]},
+        {"color_window": "x"},
+        {"step_size": "x"},
+        {"step_size": float("nan")},
+        {"step_size": -1.0},
+        {"colormap": {"name": "no-such-map"}},
+        {"colormap": "x"},
+        {"camera": {"position": "x"}},
+        {"camera": {"position": [0, 0, 1], "focal_point": [0, 0, 1], "view_up": [0, 1, 0],
+                    "fov_degrees": 30.0, "near": 0.01, "far": 100.0}},
+        {"camera": {"position": [0, 0, float("nan")], "focal_point": [0, 0, 0],
+                    "view_up": [0, 1, 0], "fov_degrees": 30.0, "near": 0.01, "far": 100.0}},
+        {"time_index": 1, "tf_center": 0.2, "step_size": float("nan")},
+    ])
+    def test_a_volume_configure_it_cannot_draw_is_refused(self, ta, plot_state):
+        """Refused before any of it applies: the cell answers ``{}``,
+        keeps its state and keeps drawing."""
+        cell = DV3DCell(VolumePlot(ta))
+        before = cell.state()
+        assert cell.handle_event("configure", state={"plot": plot_state}) == {}
+        assert cell.state() == before
+        cell.render(32, 24)
+
+    def test_a_volume_configure_it_can_draw_is_applied(self, ta):
+        cell = DV3DCell(VolumePlot(ta))
+        camera = cell.plot.default_camera().orbit(20.0, 10.0).state()
+        delta = {"time_index": 1, "tf_center": 0.4, "step_size": 2.5,
+                 "color_window": [0.1, 0.9], "vertical_exaggeration": 2.0,
+                 "scalar_range": [200.0, 300.0], "camera": camera}
+        assert cell.handle_event("configure", state={"plot": delta}) != {}
+        state = cell.plot.state()
+        for key, value in delta.items():
+            assert state[key] == value, key
+        cell.render(32, 24)
+
     def test_state_roundtrip(self, slicer_cell):
         slicer_cell.plot.step_time()
         state = slicer_cell.state()

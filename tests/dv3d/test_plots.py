@@ -3,10 +3,13 @@
 import numpy as np
 import pytest
 
+from repro.cdms.axis import time_axis, uniform_latitude, uniform_longitude
+from repro.cdms.variable import Variable
 from repro.dv3d.hovmoller import HovmollerSlicerPlot, HovmollerVolumePlot
 from repro.dv3d.isosurface import IsosurfacePlot
 from repro.dv3d.slicer import SlicerPlot
 from repro.dv3d.vector_slicer import VectorSlicerPlot
+from repro.dv3d.view import View
 from repro.dv3d.volume import VolumePlot
 from repro.util.errors import DV3DError
 
@@ -142,6 +145,18 @@ class TestVolume:
         other.apply_state(plot.state())
         assert other.transfer.center == pytest.approx(plot.transfer.center)
         assert other.transfer.width == pytest.approx(plot.transfer.width)
+
+    def test_a_lit_single_level_field_draws(self):
+        """A one-level field has no derivative along z: its gradient's z
+        component is 0 (``np.gradient`` refused the axis, so every lit
+        draw raised), and it draws as the unlit plot does."""
+        rng = np.random.default_rng(3)
+        axes = (time_axis(np.arange(2) * 30.0), uniform_latitude(8), uniform_longitude(12))
+        variable = Variable(np.ma.MaskedArray(rng.normal(280.0, 10.0, size=(2, 8, 12))),
+                            axes, id="ts", units="K")
+        lit = View(width=32, height=24).draw(VolumePlot(variable))
+        unlit = View(width=32, height=24).draw(VolumePlot(variable, lighting=False))
+        assert np.array_equal(lit.to_uint8(), unlit.to_uint8())
 
     def test_scene_has_volume_actor(self, ta):
         scene = VolumePlot(ta).build_scene()
