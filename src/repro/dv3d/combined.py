@@ -15,7 +15,7 @@ configuration state.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Any, Dict, List, Sequence
+from typing import Any, Callable, Dict, List, Sequence
 
 from repro.dv3d.plot import Plot3D
 from repro.rendering.camera import Camera
@@ -168,10 +168,24 @@ class CombinedPlot(Plot3D):
         base["components"] = [c.state() for c in self.components]
         return base
 
-    def apply_state(self, state: Dict[str, Any]) -> None:
-        super().apply_state(state)
-        for component, sub in zip(self.components, state.get("components", [])):
-            component.apply_state(sub)
-        if self.camera is not None:
-            for component in self.components:
-                component.camera = self.camera
+    def _stage_state(self, state: Dict[str, Any]) -> Callable[[], None]:
+        """Every component's keys and the base plot's are checked before
+        any is applied: a component that refuses its own leaves the time
+        step, and every other component, where they were."""
+        subs = state.get("components", [])
+        if not isinstance(subs, (list, tuple)) or not all(isinstance(sub, dict) for sub in subs):
+            raise DV3DError(f"components must be a list of mappings, got {subs!r}")
+        apply_components = [
+            component._stage_state(sub) for component, sub in zip(self.components, subs)
+        ]
+        apply_base = super()._stage_state(state)
+
+        def apply() -> None:
+            apply_base()
+            for apply_component in apply_components:
+                apply_component()
+            if self.camera is not None:
+                for component in self.components:
+                    component.camera = self.camera
+
+        return apply

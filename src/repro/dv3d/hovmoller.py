@@ -15,11 +15,12 @@ extracts it directly for quantitative use.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Tuple
+from typing import Any, Callable, Dict, Tuple
 
 import numpy as np
 
 from repro.cdms.variable import Variable
+from repro.dv3d.interaction import number
 from repro.dv3d.slicer import SlicerPlot
 from repro.dv3d.translation import translate_hovmoller
 from repro.dv3d.volume import VolumePlot
@@ -56,10 +57,19 @@ class _HovmollerTranslation:
         base["level_index"] = self.level_index
         return base
 
-    def apply_state(self, state: Dict[str, Any]) -> None:
-        super().apply_state(state)
-        if "level_index" in state:
-            self.set_level_index(state["level_index"])
+    def _stage_state(self, state: Dict[str, Any]) -> Callable[[], None]:
+        level = number(state, "level_index", self.level_index, integral=True)
+        if self.variable.get_level() is not None:
+            n_levels = self.variable.shape[self.variable.axis_index("level")]
+            if not -n_levels <= level < n_levels:
+                raise DV3DError(f"level_index {level} is outside the {n_levels} levels")
+        apply_base = super()._stage_state(state)
+
+        def apply() -> None:
+            apply_base()
+            self.set_level_index(level)
+
+        return apply
 
 
 class HovmollerSlicerPlot(_HovmollerTranslation, SlicerPlot):

@@ -8,12 +8,13 @@ volume rendering while facilitating the comparison of two variables."
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, Optional, Tuple
 
 import numpy as np
 
 from repro.cdms.slabs import require_finite_range
 from repro.cdms.variable import Variable
+from repro.dv3d.interaction import number, number_pair
 from repro.dv3d.plot import Plot3D
 from repro.dv3d.translation import add_variable_to_volume
 from repro.rendering.geometry import box_outline
@@ -107,10 +108,23 @@ class IsosurfacePlot(Plot3D):
         )
         return base
 
-    def apply_state(self, state: Dict[str, Any]) -> None:
-        super().apply_state(state)
-        if "isovalue" in state:
-            self.set_isovalue(float(state["isovalue"]))
+    def _stage_state(self, state: Dict[str, Any]) -> Callable[[], None]:
+        """The base plot's keys, then the isovalue (clamped to the data
+        range) and the colour range: none or empty leaves it, else two
+        finite numbers, low not above high (a constant colour variable's
+        own range is one value twice)."""
+        isovalue = number(state, "isovalue", self.isovalue)
+        color_range = self.color_range
         if state.get("color_range"):
-            lo, hi = state["color_range"]
-            self.color_range = (float(lo), float(hi))
+            color_range = number_pair(state, "color_range")
+            if color_range[1] < color_range[0]:
+                raise DV3DError(f"bad color range {color_range!r}")
+        apply_base = super()._stage_state(state)
+
+        def apply() -> None:
+            apply_base()
+            if "isovalue" in state:
+                self.set_isovalue(isovalue)
+            self.color_range = color_range
+
+        return apply

@@ -16,7 +16,7 @@ provenance capture.
 from __future__ import annotations
 
 import struct
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -283,7 +283,20 @@ class Plot3D:
         any is applied, so a :class:`DV3DError` leaves the plot as it
         was and no value that would break a later draw gets in.
         """
-        time_index = number(state, "time_index", self.time_index, integral=True)
+        self._stage_state(state)()
+
+    def _stage_state(self, state: Dict[str, Any]) -> Callable[[], None]:
+        """Check every key of *state* this plot knows, raising
+        :class:`DV3DError`; returns the call that applies them.
+
+        A subclass checks its own keys, stages its base's, and returns
+        a call that applies the base's keys, then its own."""
+        # absent, the time step is left alone when the call runs, not
+        # set back to the one read now: a combined plot moves its
+        # components' steps between staging them and applying them
+        time_index = None
+        if "time_index" in state:
+            time_index = number(state, "time_index", integral=True)
         exaggeration = self.vertical_exaggeration
         if "vertical_exaggeration" in state:
             exaggeration = optional_positive(state, "vertical_exaggeration")
@@ -298,14 +311,19 @@ class Plot3D:
         camera = state.get("camera")
         if camera:
             camera = _camera_from_state(camera)
-        self.set_time_index(time_index)
-        self.set_vertical_exaggeration(exaggeration)
-        if colormap is not None:
-            self.colormap = colormap
-        if scalar_range is not None:
-            self.set_scalar_range(*scalar_range)
-        if camera:
-            self.camera = camera
+
+        def apply() -> None:
+            if time_index is not None:
+                self.set_time_index(time_index)
+            self.set_vertical_exaggeration(exaggeration)
+            if colormap is not None:
+                self.colormap = colormap
+            if scalar_range is not None:
+                self.set_scalar_range(*scalar_range)
+            if camera:
+                self.camera = camera
+
+        return apply
 
     # -- interaction dispatch ------------------------------------------------------
 

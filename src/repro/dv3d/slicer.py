@@ -16,7 +16,7 @@ onto the same plane.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -193,12 +193,10 @@ class SlicerPlot(Plot3D):
         )
         return base
 
-    def apply_state(self, state: Dict[str, Any]) -> None:
+    def _stage_state(self, state: Dict[str, Any]) -> Callable[[], None]:
         """The base plot's keys, then the planes, their positions and the
         contour count — the constructor's arguments go through here too.
-        All are checked before any is applied, so a :class:`DV3DError`
-        leaves the plot as it was.  Positions of unknown planes are
-        ignored."""
+        Positions of unknown planes are ignored."""
         planes = state.get("enabled_planes", self.enabled_planes)
         if not isinstance(planes, (list, tuple)) or not all(
             isinstance(plane, str) and plane in _AXIS_NAMES for plane in planes
@@ -212,8 +210,13 @@ class SlicerPlot(Plot3D):
         count = number(state, "contour_count", self.contour_count, integral=True)
         if count < 0:
             raise DV3DError(f"contour_count must be at least 0, got {count}")
-        super().apply_state(state)
-        self.enabled_planes = tuple(planes)
-        for plane, pos in positions.items():
-            self.plane_positions[plane] = float(np.clip(pos, 0.0, 1.0))
-        self.contour_count = count
+        apply_base = super()._stage_state(state)
+
+        def apply() -> None:
+            apply_base()
+            self.enabled_planes = tuple(planes)
+            for plane, pos in positions.items():
+                self.plane_positions[plane] = float(np.clip(pos, 0.0, 1.0))
+            self.contour_count = count
+
+        return apply

@@ -10,12 +10,13 @@ magnitude and direction."
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional
+from typing import Any, Callable, Dict, Optional
 
 import numpy as np
 
 from repro.cdms.slabs import fold_finite_max
 from repro.cdms.variable import Variable
+from repro.dv3d.interaction import number
 from repro.dv3d.plot import Plot3D
 from repro.dv3d.translation import translate_vector_field
 from repro.rendering.geometry import PolyData, box_outline
@@ -30,6 +31,7 @@ from repro.rendering.streamline import (
 from repro.util.errors import DV3DError
 
 _AXIS_NAMES = {"x": 0, "y": 1, "z": 2}
+_MODES = ("glyphs", "streamlines")
 
 
 def _speed_max(u: Variable, v: Variable) -> Optional[float]:
@@ -56,7 +58,7 @@ class VectorSlicerPlot(Plot3D):
         seed_density: int = 10,
         **kwargs: Any,
     ) -> None:
-        if mode not in ("glyphs", "streamlines"):
+        if mode not in _MODES:
             raise DV3DError(f"mode must be 'glyphs' or 'streamlines', got {mode!r}")
         if plane not in _AXIS_NAMES:
             raise DV3DError(f"unknown plane {plane!r}")
@@ -86,7 +88,7 @@ class VectorSlicerPlot(Plot3D):
         return self.plane_position
 
     def set_mode(self, mode: str) -> str:
-        if mode not in ("glyphs", "streamlines"):
+        if mode not in _MODES:
             raise DV3DError(f"mode must be 'glyphs' or 'streamlines', got {mode!r}")
         self.mode = mode
         return self.mode
@@ -162,15 +164,30 @@ class VectorSlicerPlot(Plot3D):
         )
         return base
 
-    def apply_state(self, state: Dict[str, Any]) -> None:
-        super().apply_state(state)
-        if "mode" in state:
-            self.set_mode(str(state["mode"]))
-        if "plane" in state and state["plane"] in _AXIS_NAMES:
-            self.plane = str(state["plane"])
-        if "plane_position" in state:
-            self.plane_position = float(np.clip(state["plane_position"], 0.0, 1.0))
-        if "glyph_stride" in state:
-            self.glyph_stride = int(state["glyph_stride"])
-        if "seed_density" in state:
-            self.seed_density = int(state["seed_density"])
+    def _stage_state(self, state: Dict[str, Any]) -> Callable[[], None]:
+        """The base plot's keys, then the mode, the plane (an unknown one
+        is ignored), its position, the glyph stride and the seed density."""
+        mode = state.get("mode", self.mode)
+        if mode not in _MODES:
+            raise DV3DError(f"mode must be 'glyphs' or 'streamlines', got {mode!r}")
+        plane = state.get("plane")
+        if not (isinstance(plane, str) and plane in _AXIS_NAMES):
+            plane = self.plane
+        position = number(state, "plane_position", self.plane_position)
+        stride = number(state, "glyph_stride", self.glyph_stride, integral=True)
+        density = number(state, "seed_density", self.seed_density, integral=True)
+        if min(stride, density) < 1:
+            raise DV3DError(
+                f"glyph_stride and seed_density must be at least 1, got {stride}, {density}"
+            )
+        apply_base = super()._stage_state(state)
+
+        def apply() -> None:
+            apply_base()
+            self.mode = mode
+            self.plane = plane
+            self.plane_position = float(np.clip(position, 0.0, 1.0))
+            self.glyph_stride = stride
+            self.seed_density = density
+
+        return apply

@@ -10,7 +10,7 @@ the cell reshapes the opacity transfer function's window interactively.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional
+from typing import Any, Callable, Dict, Optional
 
 import numpy as np
 
@@ -128,10 +128,9 @@ class VolumePlot(Plot3D):
         )
         return base
 
-    def apply_state(self, state: Dict[str, Any]) -> None:
+    def _stage_state(self, state: Dict[str, Any]) -> Callable[[], None]:
         """The base plot's keys, then the transfer function's window,
-        peak and colour window, the lighting and the step size — all
-        checked before any is applied."""
+        peak and colour window, the lighting and the step size."""
         transfer = self.transfer
         center = number(state, "tf_center", transfer.center)
         width = number(state, "tf_width", transfer.width)
@@ -142,12 +141,17 @@ class VolumePlot(Plot3D):
         step = self.step_size
         if "step_size" in state:
             step = optional_positive(state, "step_size")
-        super().apply_state(state)
-        if "lighting" in state:
-            self.lighting = bool(state["lighting"])
-        self.step_size = step
-        self.transfer = TransferFunction(
-            self.scalar_range, colormap=self.colormap,
-            center=center, width=width, peak_opacity=peak,
-            color_window=color_window,
-        )
+        apply_base = super()._stage_state(state)
+
+        def apply() -> None:
+            apply_base()
+            if "lighting" in state:
+                self.lighting = bool(state["lighting"])
+            self.step_size = step
+            self.transfer = TransferFunction(
+                self.scalar_range, colormap=self.colormap,
+                center=center, width=width, peak_opacity=peak,
+                color_window=color_window,
+            )
+
+        return apply

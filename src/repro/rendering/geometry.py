@@ -88,14 +88,29 @@ class PolyData:
         return normals / np.maximum(lengths, 1e-30)
 
     def point_normals(self) -> np.ndarray:
-        """Area-weighted per-point normals (smooth shading), ``(n, 3)``."""
-        tri_normals = np.cross(
-            self.points[self.triangles[:, 1]] - self.points[self.triangles[:, 0]],
-            self.points[self.triangles[:, 2]] - self.points[self.triangles[:, 0]],
-        )  # unnormalized = area-weighted
-        normals = np.zeros_like(self.points)
-        for corner in range(3):
-            np.add.at(normals, self.triangles[:, corner], tri_normals)
+        """Area-weighted per-point normals (smooth shading), ``(n, 3)``.
+
+        The unnormalized triangle normal is formed column by column with
+        ``np.cross``'s own expressions, and each point sums the normals
+        of its triangles corner 0 first, then corner 1, then corner 2,
+        in triangle order — one ``np.bincount`` per component over the
+        concatenated corners, the order three ``np.add.at`` passes take,
+        so the sums are the same floats.
+        """
+        corners = np.ascontiguousarray(self.triangles.T)  # (3 corners, n_tri)
+        x, y, z = np.ascontiguousarray(self.points.T)
+        e1x, e1y, e1z = (c.take(corners[1]) - c.take(corners[0]) for c in (x, y, z))
+        e2x, e2y, e2z = (c.take(corners[2]) - c.take(corners[0]) for c in (x, y, z))
+        corner_points = corners.reshape(-1)
+        n = self.n_points
+        normals = np.stack([
+            np.bincount(corner_points, np.tile(component, 3), minlength=n)
+            for component in (
+                e1y * e2z - e1z * e2y,  # unnormalized = area-weighted
+                e1z * e2x - e1x * e2z,
+                e1x * e2y - e1y * e2x,
+            )
+        ], axis=1)
         lengths = np.linalg.norm(normals, axis=1, keepdims=True)
         return normals / np.maximum(lengths, 1e-30)
 

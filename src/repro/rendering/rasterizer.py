@@ -2,9 +2,15 @@
 
 Triangles are filled with barycentric interpolation of per-vertex
 colors and depths (Gouraud shading); polylines are drawn with a DDA
-walk.  Nothing here iterates over primitives in Python: a call costs a
-fixed number of numpy operations per *batch* — a consecutive run of
-triangles (or line segments) whose fragments fit a small budget —
+walk.  A call draws a *run* of like actors — in a frame, consecutive
+actors that hold triangles only, or polylines of one point size only,
+as :func:`runs` cuts them — so a frame costs one call per run, not one
+per actor.  Each actor's
+points are projected and coloured on their own; then the run's
+primitives are numbered one after another, actor by actor, and drawn
+as one list.  Nothing here iterates over primitives in Python: a call
+costs a fixed number of numpy operations per *batch* — a consecutive
+run of triangles (or line segments) whose fragments fit a small budget —
 
 1. cull, area and clipped bounding box for every triangle at once;
 2. expand each batch's boxes into one flat fragment list, row-major per
@@ -14,24 +20,33 @@ triangles (or line segments) whose fragments fit a small budget —
 4. shade only the fragments that won a pixel.
 
 Polylines take the same route with samples in place of box pixels, and
-sample a segment only where it can touch the viewport.
+sample a segment only where it can touch the viewport.  Each line is
+written in its actor's flat ``line_color``, or interpolated between its
+points' colours when the actor has none.
 
-The arithmetic is, expression for expression, that of the per-triangle /
+``resolve`` leaves what drawing its groups one after another would, so
+a run leaves what drawing its actors one after another would.  The
+arithmetic is, expression for expression, that of the per-triangle /
 per-segment loops this replaced; those loops live on as the oracle in
-``tests/rendering/reference_rasterizer.py`` and the differential test
-next to it holds color, depth and the returned count byte-identical.
+``tests/rendering/reference_rasterizer.py`` and the differential tests
+next to it hold color, depth and the returned count byte-identical, for
+one actor and for runs of many.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional, Sequence, Tuple
+from itertools import accumulate
+from typing import TYPE_CHECKING, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro import obs
 from repro.rendering.camera import Camera
 from repro.rendering.framebuffer import Framebuffer
-from repro.rendering.geometry import PolyData
+from repro.util.errors import RenderingError
+
+if TYPE_CHECKING:
+    from repro.rendering.scene import Actor
 
 
 def shade_colors(
@@ -49,58 +64,120 @@ def shade_colors(
     return np.clip(base_colors * factor[:, None], 0.0, 1.0).astype(np.float32)
 
 
+def runs(actors: Sequence["Actor"]) -> List[List["Actor"]]:
+    """The visible actors with points, in draw order, cut into runs of
+    one kind: triangles only, or polylines of one point size only.  An
+    actor holding both is a run of its own, so each run drawn as one
+    :func:`rasterize` call leaves what drawing its actors one after
+    another would."""
+    cut: List[List["Actor"]] = []
+    kinds: list = []
+    for actor in actors:
+        if not actor.visible or actor.poly.n_points == 0:
+            continue
+        if not actor.poly.lines:
+            kind: object = "triangles"
+        elif not actor.poly.n_triangles:
+            kind = ("lines", actor.point_size)
+        else:
+            kind = None  # both: joins no run
+        if kind is not None and kinds and kinds[-1] == kind:
+            cut[-1].append(actor)
+        else:
+            cut.append([actor])
+            kinds.append(kind)
+    return cut
+
+
 def rasterize(
-    poly: PolyData,
+    run: Sequence["Actor"],
     camera: Camera,
     framebuffer: Framebuffer,
     light_direction: Optional[np.ndarray] = None,
-    flat_color: tuple = (0.8, 0.8, 0.8),
-    line_color: Optional[tuple] = None,
-    point_size: int = 1,
 ) -> int:
-    """Draw *poly* into *framebuffer* through *camera*; returns pixels written.
+    """Draw a run of actors into *framebuffer* through *camera*; returns
+    pixels written.
 
-    Per-point colors are taken from ``poly.colors`` (falling back to
-    *flat_color*), shaded by *light_direction* when given.  Lines use
-    ``line_color`` or the unshaded point colors.
+    The run's triangles are drawn first, actor by actor, then its
+    polylines: what drawing the actors one after another leaves.  So a
+    run in which an actor with lines comes before one with triangles,
+    or whose lines differ in ``point_size``, is refused with
+    :class:`RenderingError`; :func:`runs` cuts a frame's actors into
+    runs that are not.  Actors without points are skipped.
+
+    An actor's point colours are ``poly.colors`` (falling back to its
+    ``color``), shaded by *light_direction* when it has ``lighting`` and
+    triangles.  Its lines use its ``line_color``, or those point colours.
     """
-    if poly.n_points == 0:
+    actors = [actor for actor in run if actor.poly.n_points]
+    if not actors:
         return 0
+    brushes = {actor.point_size for actor in actors if actor.poly.lines}
+    if len(brushes) > 1:
+        raise RenderingError(f"a run's polylines share one point size, got {sorted(brushes)}")
+    first_lines = next((i for i, actor in enumerate(actors) if actor.poly.lines), len(actors))
+    if any(actor.poly.n_triangles for actor in actors[first_lines + 1:]):
+        raise RenderingError("a run's triangles come before its polylines")
+    polys = [actor.poly for actor in actors]
+    n_triangles = sum(poly.n_triangles for poly in polys)
+    n_lines = sum(len(poly.lines) for poly in polys)
     with obs.span(
         "rasterizer.rasterize",
-        points=int(poly.n_points),
-        triangles=int(poly.n_triangles),
-        lines=len(poly.lines),
+        points=sum(poly.n_points for poly in polys),
+        triangles=n_triangles,
+        lines=n_lines,
     ) as _span:
         width, height = framebuffer.width, framebuffer.height
-        projected = camera.project(poly.points, width, height)  # (n, 3): px, py, depth
-
-        if poly.colors is not None:
-            base = poly.colors.astype(np.float64)
-        else:
-            base = np.tile(np.asarray(flat_color, dtype=np.float64), (poly.n_points, 1))
-        if light_direction is not None and poly.n_triangles:
-            shaded = shade_colors(base, poly.point_normals(), light_direction)
-        else:
-            shaded = np.clip(base, 0.0, 1.0).astype(np.float32)
+        # each actor is projected on its own: no point's projection
+        # depends on which other points share a matvec
+        projected = _joined([camera.project(poly.points, width, height) for poly in polys])
+        # the run numbers its points actor after actor
+        offsets = list(accumulate((poly.n_points for poly in polys[:-1]), initial=0))
+        # flat-coloured lines read no point colour: those rows stay unset
+        colors = _joined([
+            _point_colors(actor, light_direction)
+            if poly.n_triangles or actor.line_color is None
+            else np.empty((poly.n_points, 3), dtype=np.float32)
+            for actor, poly in zip(actors, polys)
+        ])
 
         written = 0
-        if poly.n_triangles:
-            written += _rasterize_triangles(poly.triangles, projected, shaded, framebuffer)
-        if poly.lines:
+        if n_triangles:
+            triangles = _joined([
+                poly.triangles + offset if offset else poly.triangles
+                for poly, offset in zip(polys, offsets) if poly.n_triangles
+            ])
+            written += _rasterize_triangles(triangles, projected, colors, framebuffer)
+        if n_lines:
+            pieces = [
+                (poly.lines, offset, actor.line_color)
+                for actor, poly, offset in zip(actors, polys, offsets) if poly.lines
+            ]
             written += _rasterize_polylines(
-                poly.lines,
-                projected,
-                shaded,
-                None if line_color is None else np.asarray(line_color, dtype=np.float32),
-                framebuffer,
-                point_size,
+                pieces, projected, colors, framebuffer, brushes.pop()
             )
         if obs.enabled():
-            obs.counter("rasterizer.triangles", int(poly.n_triangles))
+            obs.counter("rasterizer.triangles", n_triangles)
             obs.counter("rasterizer.pixels_written", int(written))
             _span.set(pixels=int(written))
     return written
+
+
+def _joined(arrays: List[np.ndarray]) -> np.ndarray:
+    """The arrays one after another (the one array itself, uncopied)."""
+    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
+
+
+def _point_colors(actor: "Actor", light_direction: Optional[np.ndarray]) -> np.ndarray:
+    """An actor's float32 point colours, lit when it has triangles."""
+    poly = actor.poly
+    if poly.colors is not None:
+        base = poly.colors.astype(np.float64)
+    else:
+        base = np.tile(np.asarray(actor.color, dtype=np.float64), (poly.n_points, 1))
+    if light_direction is not None and actor.lighting and poly.n_triangles:
+        return shade_colors(base, poly.point_normals(), light_direction)
+    return np.clip(base, 0.0, 1.0).astype(np.float32)
 
 
 #: fragments one batch may materialise.  Measured: a 64x48 frame costs the
@@ -219,20 +296,34 @@ def _rasterize_triangles(
 
 
 def _rasterize_polylines(
-    lines: List[np.ndarray],
+    pieces: List[Tuple[List[np.ndarray], int, Optional[tuple]]],
     projected: np.ndarray,
     colors: np.ndarray,
-    flat: Optional[np.ndarray],
     fb: Framebuffer,
     point_size: int,
 ) -> int:
-    """DDA sampling of every segment of every line; thickness via a square brush."""
+    """DDA sampling of every segment of every line; thickness via a square brush.
+
+    *pieces* are one ``(lines, first point, flat colour or None)`` per
+    actor, in draw order; a line without a flat colour interpolates
+    *colors* along each segment.
+    """
     width, height = fb.width, fb.height
     # consecutive vertices of the concatenated lines, minus the joints
-    vertices = np.concatenate(lines)
+    vertices = _joined([
+        np.concatenate(lines) + offset if offset else np.concatenate(lines)
+        for lines, offset, _ in pieces
+    ])
+    sizes = [[line.size for line in lines] for lines, _, _ in pieces]
     is_segment = np.ones(max(vertices.size - 1, 0), dtype=bool)
-    joints = np.cumsum([line.size for line in lines]) - 1
+    joints = np.cumsum([size for piece in sizes for size in piece]) - 1
     is_segment[joints[(joints >= 0) & (joints < is_segment.size)]] = False
+    # which piece each segment belongs to (no segment spans two)
+    piece_of = np.repeat(np.arange(len(pieces)), [sum(piece) for piece in sizes])
+    flat = np.array([
+        (0.0, 0.0, 0.0) if color is None else color for _, _, color in pieces
+    ], dtype=np.float32)
+    lerp = np.array([color is None for _, _, color in pieces])
     a = vertices[:-1][is_segment]
     b = vertices[1:][is_segment]
     pa, pb = projected[a], projected[b]
@@ -241,6 +332,7 @@ def _rasterize_polylines(
         & (pa[:, 2] > 0) & (pb[:, 2] > 0)
     )
     a, b = a[valid], b[valid]
+    segment_piece = piece_of[:-1][is_segment][valid]
     ax, ay, az = pa[valid].T
     dx, dy, dz = (pb[valid] - pa[valid]).T
     # np.linspace(0, 1, n) per segment is k * (1 / (n - 1)), last sample 1.0
@@ -281,13 +373,13 @@ def _rasterize_polylines(
         pixels = rows[inside] * width + cols[inside]
         winners, passed = fb.resolve(pixels, owner[sample], zs[sample])
         written += passed
-        if flat is not None:
-            color_flat[pixels[winners]] = flat
-        else:
-            sample = sample[winners]
-            segment = owner[sample]
-            tw = t[sample][:, None]
-            color_flat[pixels[winners]] = (
-                colors[a[segment]] * (1 - tw) + colors[b[segment]] * tw
-            )
+        won = pixels[winners]
+        sample = sample[winners]
+        piece = segment_piece[owner[sample]]
+        lerped = lerp[piece]
+        color_flat[won[~lerped]] = flat[piece[~lerped]]
+        sample = sample[lerped]
+        segment = owner[sample]
+        tw = t[sample][:, None]
+        color_flat[won[lerped]] = colors[a[segment]] * (1 - tw) + colors[b[segment]] * tw
     return written

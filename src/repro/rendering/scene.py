@@ -19,7 +19,7 @@ from repro.rendering.camera import Camera
 from repro.rendering.framebuffer import Framebuffer
 from repro.rendering.geometry import PolyData
 from repro.rendering.image_data import ImageData
-from repro.rendering.rasterizer import rasterize
+from repro.rendering.rasterizer import rasterize, runs
 from repro.rendering.raycast import raycast_volume
 from repro.rendering.transfer_function import TransferFunction
 from repro.util.errors import RenderingError
@@ -143,18 +143,9 @@ class Renderer:
         fb = Framebuffer(self.width, self.height, background=scene.background)
         light = scene.lights[0] if scene.lights else DirectionalLight()
 
-        for actor in scene.actors:
-            if not actor.visible or actor.poly.n_points == 0:
-                continue
-            rasterize(
-                actor.poly,
-                camera,
-                fb,
-                light_direction=np.asarray(light.direction) if actor.lighting else None,
-                flat_color=actor.color,
-                line_color=actor.line_color,
-                point_size=actor.point_size,
-            )
+        light_direction = np.asarray(light.direction)
+        for run in runs(scene.actors):
+            rasterize(run, camera, fb, light_direction=light_direction)
         for vactor in scene.volume_actors:
             if not vactor.visible:
                 continue

@@ -6,7 +6,10 @@ import pytest
 from repro.dv3d.animation import Animator
 from repro.dv3d.basemap import basemap_polydata, coastline_segments
 from repro.dv3d.cell import DV3DCell
+from repro.dv3d.combined import CombinedPlot
+from repro.dv3d.hovmoller import HovmollerSlicerPlot
 from repro.dv3d.interaction import handle_drag, handle_key
+from repro.dv3d.isosurface import IsosurfacePlot
 from repro.dv3d.slicer import SlicerPlot
 from repro.dv3d.vector_slicer import VectorSlicerPlot
 from repro.dv3d.volume import VolumePlot
@@ -129,6 +132,107 @@ class TestCell:
         before = cell.state()
         assert cell.handle_event("configure", state={"plot": plot_state}) == {}
         assert cell.state() == before
+        cell.render(32, 24)
+
+    @pytest.mark.parametrize("plot_state", [
+        {"isovalue": "x"},
+        {"isovalue": float("nan")},
+        {"color_range": ["a", 1]},
+        {"color_range": [1.0, 0.5]},
+        {"color_range": [0.0, float("inf")]},
+        {"color_range": "x"},
+        {"time_index": 1, "isovalue": "x"},
+    ])
+    def test_an_isosurface_configure_it_cannot_draw_is_refused(self, reanalysis, plot_state):
+        cell = DV3DCell(IsosurfacePlot(reanalysis("ta"), color_variable=reanalysis("zg")))
+        before = cell.state()
+        assert cell.handle_event("configure", state={"plot": plot_state}) == {}
+        assert cell.state() == before
+        cell.render(32, 24)
+
+    @pytest.mark.parametrize("plot_state", [
+        {"glyph_stride": "x"},
+        {"glyph_stride": 0},
+        {"glyph_stride": 2.5},
+        {"seed_density": 0},
+        {"seed_density": "x"},
+        {"plane_position": "x"},
+        {"plane_position": float("nan")},
+        {"mode": "arrows"},
+        {"mode": ["glyphs"]},
+        {"time_index": 1, "glyph_stride": 0},
+    ])
+    def test_a_vector_slicer_configure_it_cannot_draw_is_refused(self, reanalysis, plot_state):
+        cell = DV3DCell(VectorSlicerPlot(reanalysis("ua"), reanalysis("va")))
+        before = cell.state()
+        assert cell.handle_event("configure", state={"plot": plot_state}) == {}
+        assert cell.state() == before
+        cell.render(32, 24)
+
+    def test_isosurface_and_vector_slicer_configures_they_can_draw_are_applied(self, reanalysis):
+        iso = DV3DCell(IsosurfacePlot(reanalysis("ta"), color_variable=reanalysis("zg")))
+        iso.handle_event("configure", state={"plot": {"isovalue": 250.0, "color_range": [1, 2]}})
+        assert iso.plot.state()["color_range"] == [1.0, 2.0]
+        vector = DV3DCell(VectorSlicerPlot(reanalysis("ua"), reanalysis("va")))
+        delta = {"mode": "streamlines", "plane": "x", "plane_position": 0.25,
+                 "glyph_stride": 2, "seed_density": 4}
+        vector.handle_event("configure", state={"plot": delta})
+        state = vector.plot.state()
+        assert {key: state[key] for key in delta} == delta
+        iso.render(32, 24)
+        vector.render(32, 24)
+
+    @pytest.mark.parametrize("plot_state", [
+        {"level_index": "x"}, {"level_index": 0.5}, {"level_index": 99}, {"level_index": -99},
+    ])
+    def test_a_hovmoller_configure_it_cannot_draw_is_refused(self, ta, plot_state):
+        cell = DV3DCell(HovmollerSlicerPlot(ta))
+        before = cell.state()
+        assert cell.handle_event("configure", state={"plot": plot_state}) == {}
+        assert cell.state() == before
+        cell.render(32, 24)
+
+    def test_an_isosurface_coloured_by_a_constant_takes_its_own_state(self, reanalysis):
+        """Its colour range is one value twice; the configure a sync group
+        forwards from it is applied, not refused."""
+        constant = reanalysis("zg").clone()
+        constant.data[...] = 5.0
+        cell = DV3DCell(IsosurfacePlot(reanalysis("ta"), color_variable=constant))
+        state = dict(cell.plot.state(), time_index=1)
+        assert state["color_range"] == [5.0, 5.0]
+        assert cell.handle_event("configure", state={"plot": state}) != {}
+        assert cell.plot.time_index == 1
+        cell.render(32, 24)
+
+    @pytest.mark.parametrize("components", [
+        [{}, {"contour_count": "x"}],
+        [{"tf_center": float("nan")}, {}],
+        [{"step_size": "x"}],
+        "x",
+    ])
+    def test_a_combined_configure_a_component_refuses_applies_nothing(self, ta, components):
+        """The base plot's time step is not moved by a configure that a
+        component refuses."""
+        cell = DV3DCell(CombinedPlot([VolumePlot(ta), SlicerPlot(ta)]))
+        before = cell.state()
+        state = {"time_index": 2, "components": components}
+        assert cell.handle_event("configure", state={"plot": state}) == {}
+        assert cell.state() == before
+        assert cell.plot.time_index == 0
+        cell.render(32, 24)
+
+    @pytest.mark.parametrize("components", [[{}, {"contour_count": 3}], [], [{}]])
+    def test_a_combined_configure_moves_every_component_to_its_time_step(self, ta, components):
+        """A component whose own state names no time step follows the
+        combined plot's, as the cell draws and picks it."""
+        cell = DV3DCell(CombinedPlot([VolumePlot(ta), SlicerPlot(ta)]))
+        state = {"time_index": 2, "components": components}
+        assert cell.handle_event("configure", state={"plot": state}) != {}
+        assert cell.plot.time_index == 2
+        assert [c.time_index for c in cell.plot.components] == [2, 2]
+        assert [c["time_index"] for c in cell.plot.state()["components"]] == [2, 2]
+        for component, sub in zip(cell.plot.components, components):
+            assert sub.items() <= component.state().items()
         cell.render(32, 24)
 
     def test_a_volume_configure_it_can_draw_is_applied(self, ta):

@@ -17,6 +17,7 @@ from repro.rendering.framebuffer import Framebuffer
 from repro.rendering.isosurface import marching_tetrahedra
 from repro.rendering.rasterizer import rasterize
 from repro.rendering.raycast import raycast_volume
+from repro.rendering.scene import Actor
 from repro.rendering.streamline import integrate_streamlines, plane_seed_grid
 from repro.rendering.transfer_function import TransferFunction
 from repro.workflow.executor import Executor
@@ -53,7 +54,7 @@ def test_kernels_executor_and_wall_emit_their_signals(registry):
         transfer = TransferFunction(volume.scalar_range(), center=0.8, width=0.4)
         raycast_volume(volume, transfer, camera, width, height, lighting=True)
         surface = marching_tetrahedra(volume, 0.5)
-        rasterize(surface, camera, Framebuffer(width, height),
+        rasterize([Actor(surface)], camera, Framebuffer(width, height),
                   light_direction=np.array([0.3, -0.4, 0.8]))
         seeds = plane_seed_grid(volume, 2, 0.0, 6, 6)
         integrate_streamlines(volume, "swirl", seeds, max_steps=100)

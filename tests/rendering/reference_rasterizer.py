@@ -3,7 +3,10 @@ in :mod:`repro.rendering.rasterizer` are compared against.
 
 These are the functions that shipped in ``src/`` until the rasterizer
 was batched, moved here verbatim: one ``write_pixels`` call per triangle
-and per polyline segment, in draw order.  Their framebuffer bytes *and*
+and per polyline segment, in draw order.  Beside them are the smooth
+point normals they shaded with (``np.cross`` and three ``np.add.at``
+passes) and the loop ``Renderer.render`` ran before it drew runs of
+like actors: one ``rasterize`` per visible actor with points.  Their framebuffer bytes *and*
 their returned count are the contract, so the depth-tested write they
 were built on is kept beside them and the oracle shares no code with
 what it checks.  Slow on purpose; never imported from ``src/``.
@@ -11,7 +14,7 @@ what it checks.  Slow on purpose; never imported from ``src/``.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -82,7 +85,7 @@ def rasterize(
     else:
         base = np.tile(np.asarray(flat_color, dtype=np.float64), (poly.n_points, 1))
     if light_direction is not None and poly.n_triangles:
-        shaded = shade_colors(base, poly.point_normals(), light_direction)
+        shaded = shade_colors(base, reference_point_normals(poly), light_direction)
     else:
         shaded = np.clip(base, 0.0, 1.0).astype(np.float32)
 
@@ -99,6 +102,43 @@ def rasterize(
             written += _rasterize_polyline(
                 line, projected, shaded, color, framebuffer, point_size
             )
+    return written
+
+
+def reference_point_normals(poly: PolyData) -> np.ndarray:
+    """Area-weighted per-point normals, ``(n, 3)``, as the seed formed them."""
+    tri_normals = np.cross(
+        poly.points[poly.triangles[:, 1]] - poly.points[poly.triangles[:, 0]],
+        poly.points[poly.triangles[:, 2]] - poly.points[poly.triangles[:, 0]],
+    )  # unnormalized = area-weighted
+    normals = np.zeros_like(poly.points)
+    for corner in range(3):
+        np.add.at(normals, poly.triangles[:, corner], tri_normals)
+    lengths = np.linalg.norm(normals, axis=1, keepdims=True)
+    return normals / np.maximum(lengths, 1e-30)
+
+
+def render_actors(
+    actors: Sequence,
+    camera: Camera,
+    framebuffer: Framebuffer,
+    light_direction: np.ndarray,
+) -> int:
+    """The per-actor loop: each visible actor with points drawn on its own,
+    in order, with its own options; returns the pixels written."""
+    written = 0
+    for actor in actors:
+        if not actor.visible or actor.poly.n_points == 0:
+            continue
+        written += rasterize(
+            actor.poly,
+            camera,
+            framebuffer,
+            light_direction=light_direction if actor.lighting else None,
+            flat_color=actor.color,
+            line_color=actor.line_color,
+            point_size=actor.point_size,
+        )
     return written
 
 

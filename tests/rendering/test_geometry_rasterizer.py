@@ -7,6 +7,7 @@ from repro.rendering.camera import Camera
 from repro.rendering.framebuffer import Framebuffer
 from repro.rendering.geometry import PolyData, box_outline, plane_quad
 from repro.rendering.rasterizer import rasterize, shade_colors
+from repro.rendering.scene import Actor
 from repro.util.errors import RenderingError
 
 
@@ -107,14 +108,14 @@ class TestShading:
 class TestRasterizer:
     def test_triangle_fills_center(self, triangle, camera):
         fb = Framebuffer(50, 50, background=(0, 0, 0))
-        drawn = rasterize(triangle, camera, fb, flat_color=(1.0, 0.0, 0.0))
+        drawn = rasterize([Actor(triangle, color=(1.0, 0.0, 0.0))], camera, fb)
         assert drawn > 50
         assert fb.color[25, 25, 0] > 0.0  # center covered
         assert fb.color[2, 2, 0] == 0.0  # corner background
 
     def test_depth_buffer_written(self, triangle, camera):
         fb = Framebuffer(30, 30)
-        rasterize(triangle, camera, fb)
+        rasterize([Actor(triangle)], camera, fb)
         assert np.isfinite(fb.depth[15, 15])
         assert fb.depth[15, 15] == pytest.approx(5.0, abs=0.2)
 
@@ -126,8 +127,8 @@ class TestRasterizer:
             np.array([[-1, -1, 1.0], [1, -1, 1.0], [0, 1, 1.0]]), np.array([[0, 1, 2]])
         )
         fb = Framebuffer(40, 40)
-        rasterize(far, camera, fb, flat_color=(1.0, 0.0, 0.0))
-        rasterize(near, camera, fb, flat_color=(0.0, 1.0, 0.0))
+        rasterize([Actor(far, color=(1.0, 0.0, 0.0))], camera, fb)
+        rasterize([Actor(near, color=(0.0, 1.0, 0.0))], camera, fb)
         np.testing.assert_allclose(fb.color[20, 20], [0, 1, 0], atol=1e-5)
 
     def test_vertex_colors_interpolated(self, camera):
@@ -137,7 +138,7 @@ class TestRasterizer:
             colors=np.array([[1.0, 0, 0], [0, 1.0, 0], [0, 0, 1.0]]),
         )
         fb = Framebuffer(51, 51, background=(0, 0, 0))
-        rasterize(tri, camera, fb)
+        rasterize([Actor(tri)], camera, fb)
         center = fb.color[25, 25]
         assert center.min() > 0.05  # a mixture of all three vertex colors
 
@@ -147,7 +148,7 @@ class TestRasterizer:
             lines=[np.array([0, 1])],
         )
         fb = Framebuffer(40, 40, background=(0, 0, 0))
-        drawn = rasterize(line, camera, fb, line_color=(1.0, 1.0, 0.0))
+        drawn = rasterize([Actor(line, line_color=(1.0, 1.0, 0.0))], camera, fb)
         assert drawn > 10
         assert fb.color[20, 20, 0] > 0.0
 
@@ -157,11 +158,11 @@ class TestRasterizer:
             np.array([[0, 1, 2]]),
         )
         fb = Framebuffer(20, 20)
-        assert rasterize(tri, camera, fb) == 0
+        assert rasterize([Actor(tri)], camera, fb) == 0
 
     def test_empty_polydata(self, camera):
         fb = Framebuffer(10, 10)
-        assert rasterize(PolyData(np.zeros((0, 3))), camera, fb) == 0
+        assert rasterize([Actor(PolyData(np.zeros((0, 3))))], camera, fb) == 0
 
     def test_behind_camera_culled(self):
         cam = Camera(position=(0, 0, 5), focal_point=(0, 0, 0))
@@ -170,4 +171,4 @@ class TestRasterizer:
             np.array([[0, 1, 2]]),
         )
         fb = Framebuffer(20, 20)
-        assert rasterize(tri, cam, fb) == 0
+        assert rasterize([Actor(tri)], cam, fb) == 0

@@ -23,6 +23,7 @@ from repro.rendering.camera import Camera
 from repro.rendering.framebuffer import Framebuffer
 from repro.rendering.geometry import PolyData
 from repro.rendering.isosurface import marching_tetrahedra
+from repro.rendering.scene import Actor
 from tests.rendering import reference_rasterizer as reference
 from tests.rendering.test_golden_images import HEIGHT, WIDTH, _build_plot
 
@@ -30,10 +31,16 @@ CAMERA = Camera(position=(0.0, 0.0, 6.0), focal_point=(0.0, 0.0, 0.0))
 LIGHT = np.array([0.3, -0.4, 0.8])
 
 
+def _run_of_one(poly, camera, fb, light_direction=None, line_color=None, point_size=1):
+    """The batched rasterizer over *poly* as one actor, called as the reference is."""
+    actor = Actor(poly, line_color=line_color, point_size=point_size)
+    return rasterizer.rasterize([actor], camera, fb, light_direction=light_direction)
+
+
 def _draw_both(poly, width, height, depth=None, camera=CAMERA, **kwargs):
     """(batched, reference) framebuffers and counts for one rasterize call."""
     out = []
-    for draw in (rasterizer.rasterize, reference.rasterize):
+    for draw in (_run_of_one, reference.rasterize):
         fb = Framebuffer(width, height)
         if depth is not None:
             fb.depth[:] = depth
@@ -136,9 +143,10 @@ class TestDifferential:
         written = []
         triangles = []
 
-        def loop_rasterize(poly, *args, **kwargs):
-            written.append(reference.rasterize(poly, *args, **kwargs))
-            triangles.append(poly.n_triangles)
+        def loop_rasterize(run, camera, fb, light_direction=None):
+            # the run's actors one by one, each with its own options
+            written.append(reference.render_actors(run, camera, fb, light_direction))
+            triangles.extend(actor.poly.n_triangles for actor in run)
 
         monkeypatch.setattr(scene, "rasterize", loop_rasterize)
         ref_fb = plot.render(WIDTH, HEIGHT)
@@ -175,7 +183,7 @@ class TestNearEyePlanePolyline:
         fb = Framebuffer(64, 48)
         tracemalloc.start()
         try:
-            rasterizer.rasterize(self.POLY, self.CAMERA, fb, point_size=3)
+            rasterizer.rasterize([Actor(self.POLY, point_size=3)], self.CAMERA, fb)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -213,7 +221,7 @@ class TestStructure:
         surface, camera = _sweep_mesh(n)  # 3.2k and 59k triangles
         fb = Framebuffer(*size)
         calls = _interpreter_calls(
-            lambda: rasterizer.rasterize(surface, camera, fb, light_direction=LIGHT)
+            lambda: rasterizer.rasterize([Actor(surface)], camera, fb, light_direction=LIGHT)
         )
         assert calls <= call_limit
 
@@ -222,7 +230,7 @@ class TestStructure:
         fb = Framebuffer(640, 480)
         tracemalloc.start()
         try:
-            rasterizer.rasterize(surface, camera, fb, light_direction=LIGHT)
+            rasterizer.rasterize([Actor(surface)], camera, fb, light_direction=LIGHT)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -32,7 +32,9 @@ with the next ``timestep``, on explore_surface's grid at 64x48, for its
 Slicer and its Isosurface stratum: the median ``AppBackend`` call of
 ``--repeats`` steps, then, over as many more steps under a
 ``repro.obs`` recorder, the mean ms per step inside the
-``isosurface.marching_tetrahedra`` and ``rasterizer.rasterize`` spans.
+``isosurface.marching_tetrahedra`` and ``rasterizer.rasterize`` spans,
+and the ``rasterizer.rasterize`` calls per step: one per run of like
+actors a frame draws.
 
 Run from the repository root::
 
@@ -186,8 +188,9 @@ def fresh_open(repeats: int) -> Tuple[float, float]:
 
 
 def step_cost(template: str, variables: dict, steps: int) -> Tuple[float, ...]:
-    """Median ms of a time step through ``AppBackend``, then the mean ms
-    per step inside each of :data:`STEP_SPANS`."""
+    """Median ms of a time step through ``AppBackend``, the mean ms per
+    step inside each of :data:`STEP_SPANS`, then the ``rasterize`` calls
+    per step."""
     backend = AppBackend()
     params = dict(PARAMS, template=template, variables=variables, size=STEP_GRID,
                   cell_params=dict(PARAMS["cell_params"], dataset_label=template))
@@ -204,7 +207,7 @@ def step_cost(template: str, variables: dict, steps: int) -> Tuple[float, ...]:
     return (median,) + tuple(
         sum(s.duration for s in recorder.spans if s.name == name) / steps * 1e3
         for name in STEP_SPANS
-    )
+    ) + (sum(s.name == "rasterizer.rasterize" for s in recorder.spans) / steps,)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> None:
@@ -245,11 +248,13 @@ def main(argv: Optional[Sequence[str]] = None) -> None:
     print(f"Per time step on explore_surface's grid, 64x48: median of {repeats} "
           f"steps; spans, mean ms per step over {repeats} more:")
     print()
-    print("| stratum | step | " + " | ".join(f"`{name}`" for name in STEP_SPANS) + " |")
-    print("|---|---|" + "---|" * len(STEP_SPANS))
+    print("| stratum | step | " + " | ".join(f"`{name}`" for name in STEP_SPANS)
+          + " | `rasterize` calls |")
+    print("|---|---|" + "---|" * (len(STEP_SPANS) + 1))
     for template, variables in STEP_STRATA:
-        cells = " | ".join(f"{ms:.3f} ms" for ms in step_cost(template, variables, repeats))
-        print(f"| {template} | {cells} |")
+        *times, calls = step_cost(template, variables, repeats)
+        cells = " | ".join(f"{ms:.3f} ms" for ms in times)
+        print(f"| {template} | {cells} | {calls:.2f} |")
 
 
 if __name__ == "__main__":
