@@ -17,7 +17,6 @@ from repro.cdms.variable import Variable
 from repro.dv3d.interaction import number, number_pair
 from repro.dv3d.plot import Plot3D
 from repro.dv3d.translation import add_variable_to_volume
-from repro.rendering.geometry import box_outline
 from repro.rendering.image_data import ImageData
 from repro.rendering.isosurface import color_surface_by_field, marching_tetrahedra
 from repro.rendering.scene import Actor, Scene
@@ -50,7 +49,8 @@ class IsosurfacePlot(Plot3D):
     def _build_volume(self) -> ImageData:
         volume = super()._build_volume()
         if self.color_variable is not None:
-            add_variable_to_volume(volume, self.color_variable, self.time_index)
+            add_variable_to_volume(volume, self.color_variable, self.time_index,
+                                   self.translation_plan("color_variable"))
         return volume
 
     # -- interactive ops ----------------------------------------------------
@@ -89,10 +89,7 @@ class IsosurfacePlot(Plot3D):
         surface = self.extract_surface()
         if surface.n_points:
             scene.add_actor(Actor(surface, lighting=True, name="isosurface"))
-        scene.add_actor(
-            Actor(box_outline(self.volume.bounds()), line_color=(0.7, 0.7, 0.75),
-                  lighting=False, name="frame")
-        )
+        scene.add_actor(self.frame_actor())
         return scene
 
     # -- state ---------------------------------------------------------------------

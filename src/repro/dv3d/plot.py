@@ -24,12 +24,13 @@ from repro import obs
 from repro.cdms.slabs import padded_range, require_finite_range
 from repro.cdms.variable import Variable
 from repro.dv3d.interaction import number, number_pair, optional_positive
-from repro.dv3d.translation import translate_variable
+from repro.dv3d.translation import TranslationPlan, translate_variable
 from repro.rendering.camera import Camera
 from repro.rendering.colormap import Colormap
 from repro.rendering.framebuffer import Framebuffer
+from repro.rendering.geometry import PolyData, box_outline
 from repro.rendering.image_data import ImageData
-from repro.rendering.scene import Renderer, Scene
+from repro.rendering.scene import Actor, Renderer, Scene
 from repro.util.errors import DV3DError, RenderingError
 
 _ANGLES = struct.Struct("<dd")  # an orbit's (azimuth, elevation), bit for bit
@@ -76,6 +77,10 @@ class Plot3D:
         self._fitted: Optional[Tuple[Tuple[float, ...], Camera]] = None
         #: (the camera orbited, its angles' types and bits, the orbited camera)
         self._orbited: Optional[Tuple[Camera, Any, Camera]] = None
+        #: the attribute naming each translated variable → its kept plan
+        self._plans: Dict[str, TranslationPlan] = {}
+        #: (the volume bounds it outlines, the frame outline)
+        self._outlined: Optional[Tuple[Tuple[float, ...], PolyData]] = None
 
     # -- data ------------------------------------------------------------
 
@@ -84,9 +89,21 @@ class Plot3D:
         time_axis = self.variable.get_time()
         return 1 if time_axis is None else len(time_axis)
 
+    def translation_plan(self, name: str) -> TranslationPlan:
+        """The kept :class:`TranslationPlan` of the variable in attribute
+        *name*, derived again only when that variable's axes are not the
+        ones it was derived from: a time step translates its data, not
+        its grid."""
+        variable = getattr(self, name)
+        plan = self._plans.get(name)
+        if plan is None or not plan.fits(variable):
+            plan = self._plans[name] = TranslationPlan(variable)
+        return plan
+
     def _build_volume(self) -> ImageData:
         return translate_variable(
-            self.variable, self.time_index, self.vertical_exaggeration
+            self.variable, self.time_index, self.vertical_exaggeration,
+            self.translation_plan("variable"),
         )
 
     @property
@@ -147,7 +164,8 @@ class Plot3D:
         memo = self._scene_memo
         hit = memo is not None and memo[0] == key
         if not hit:
-            built = self.build_scene()
+            with obs.span("plot.build_scene", plot=self.plot_type):
+                built = self.build_scene()
             built.stamp = object()
             memo = self._scene_memo = (key, built)
         obs.counter("dv3d.scene.hits" if hit else "dv3d.scene.misses",
@@ -167,6 +185,16 @@ class Plot3D:
         if fitted is None or fitted[0] != bounds:
             fitted = self._fitted = (bounds, Camera.fit_bounds(bounds))
         return fitted[1]
+
+    def frame_actor(self) -> Actor:
+        """The volume's frame outline as a fresh actor, over geometry laid
+        out once per ``volume.bounds()`` (read-only points and lines), as
+        a cell keeps its base map."""
+        bounds = self.volume.bounds()
+        kept = self._outlined
+        if kept is None or kept[0] != bounds:
+            kept = self._outlined = (bounds, _read_only(box_outline(bounds)))
+        return Actor(kept[1], line_color=(0.7, 0.7, 0.75), lighting=False, name="frame")
 
     def orbit(self, camera: Camera, azimuth: float, elevation: float) -> Camera:
         """``camera.orbit(azimuth, elevation)``, kept for the last call.
@@ -338,6 +366,13 @@ class Plot3D:
         from repro.dv3d.interaction import handle_drag
 
         return handle_drag(self, dx, dy, mode)
+
+
+def _read_only(poly: PolyData) -> PolyData:
+    """*poly* with its points and connectivity made read-only, to be kept."""
+    for array in (poly.points, poly.triangles, *poly.lines):
+        array.flags.writeable = False
+    return poly
 
 
 def _colormap_from_state(state: Any) -> Colormap:

@@ -25,12 +25,35 @@ from repro.dv3d.interaction import number
 from repro.dv3d.plot import Plot3D
 from repro.dv3d.translation import add_variable_to_volume
 from repro.rendering.contour2d import contour_levels, marching_squares
-from repro.rendering.geometry import PolyData, box_outline
+from repro.rendering.geometry import PolyData
 from repro.rendering.image_data import ImageData
 from repro.rendering.scene import Actor, Scene
 from repro.util.errors import DV3DError
 
 _AXIS_NAMES = {"x": 0, "y": 1, "z": 2}
+
+
+def slice_plane_geometry(
+    volume: ImageData, axis: int, world: float
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Read-only ``(points, triangles)`` of the plane through *volume* at
+    *world* along *axis*: one point per grid point of the other two axes
+    (:meth:`ImageData.extract_slice`'s order), two triangles per cell."""
+    u_axis, v_axis = (a for a in range(3) if a != axis)
+    u_coords, v_coords = volume.axis_coordinates(u_axis), volume.axis_coordinates(v_axis)
+    nu, nv = u_coords.size, v_coords.size
+    gu, gv = np.meshgrid(u_coords, v_coords, indexing="ij")
+    points = np.empty((nu * nv, 3))
+    points[:, axis] = world
+    points[:, u_axis] = gu.reshape(-1)
+    points[:, v_axis] = gv.reshape(-1)
+    ii, jj = np.meshgrid(np.arange(nu - 1), np.arange(nv - 1), indexing="ij")
+    base = (ii * nv + jj).reshape(-1)
+    tri_a = np.stack([base, base + nv, base + 1], axis=1)
+    tri_b = np.stack([base + nv, base + nv + 1, base + 1], axis=1)
+    triangles = np.concatenate([tri_a, tri_b])
+    points.flags.writeable = triangles.flags.writeable = False
+    return points, triangles
 
 
 class SlicerPlot(Plot3D):
@@ -52,6 +75,8 @@ class SlicerPlot(Plot3D):
         self.contour_count = 0
         # positions are fractions [0, 1] of each axis span
         self.plane_positions: Dict[str, float] = {"x": 0.5, "y": 0.5, "z": 0.25}
+        #: plane → (what its geometry was laid out for, points, triangles)
+        self._slice_geometry: Dict[str, Tuple[Any, np.ndarray, np.ndarray]] = {}
         self.apply_state({"enabled_planes": enabled_planes, "contour_count": contour_count})
 
     # -- data -------------------------------------------------------------
@@ -59,7 +84,8 @@ class SlicerPlot(Plot3D):
     def _build_volume(self) -> ImageData:
         volume = super()._build_volume()
         if self.overlay_variable is not None:
-            add_variable_to_volume(volume, self.overlay_variable, self.time_index)
+            add_variable_to_volume(volume, self.overlay_variable, self.time_index,
+                                   self.translation_plan("overlay_variable"))
         return volume
 
     def plane_world_coordinate(self, plane: str) -> float:
@@ -107,30 +133,22 @@ class SlicerPlot(Plot3D):
     # -- geometry construction ---------------------------------------------------
 
     def _slice_mesh(self, plane: str) -> PolyData:
-        """Pseudocolor mesh of one slice plane."""
+        """Pseudocolor mesh of one slice plane: this step's values and
+        colours over the plane's points and triangles, laid out once per
+        (plane, world coordinate, volume grid)."""
         axis = _AXIS_NAMES[plane]
         world = self.plane_world_coordinate(plane)
-        values, u_coords, v_coords = self.volume.extract_slice(
-            axis, world, name=self.variable.id
-        )
-        nu, nv = values.shape
-        other = [a for a in range(3) if a != axis]
-        gu, gv = np.meshgrid(u_coords, v_coords, indexing="ij")
-        pts = np.empty((nu * nv, 3))
-        pts[:, axis] = world
-        pts[:, other[0]] = gu.reshape(-1)
-        pts[:, other[1]] = gv.reshape(-1)
-        ii, jj = np.meshgrid(np.arange(nu - 1), np.arange(nv - 1), indexing="ij")
-        base = (ii * nv + jj).reshape(-1)
-        tri_a = np.stack([base, base + nv, base + 1], axis=1)
-        tri_b = np.stack([base + nv, base + nv + 1, base + 1], axis=1)
-        colors = self.colormap.map_scalars(
-            values.reshape(-1), *self.scalar_range
-        )
+        volume = self.volume
+        key = (world, volume.dimensions, volume.origin, volume.spacing)
+        kept = self._slice_geometry.get(plane)
+        if kept is None or kept[0] != key:
+            kept = self._slice_geometry[plane] = (key, *slice_plane_geometry(volume, axis, world))
+        values = volume.slice_values(axis, world, name=self.variable.id).reshape(-1)
+        colors = self.colormap.map_scalars(values, *self.scalar_range)
         return PolyData(
-            pts,
-            np.concatenate([tri_a, tri_b]),
-            scalars=np.nan_to_num(values.reshape(-1), nan=0.0),
+            kept[1],
+            kept[2],
+            scalars=np.nan_to_num(values, nan=0.0),
             colors=colors.astype(np.float32),
         )
 
@@ -174,10 +192,7 @@ class SlicerPlot(Plot3D):
                     Actor(overlay, line_color=(0.05, 0.05, 0.05), lighting=False,
                           name=f"contours-{plane}")
                 )
-        scene.add_actor(
-            Actor(box_outline(self.volume.bounds()), line_color=(0.7, 0.7, 0.75),
-                  lighting=False, name="frame")
-        )
+        scene.add_actor(self.frame_actor())
         return scene
 
     # -- state ----------------------------------------------------------------------

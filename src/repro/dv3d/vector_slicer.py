@@ -19,7 +19,7 @@ from repro.cdms.variable import Variable
 from repro.dv3d.interaction import number
 from repro.dv3d.plot import Plot3D
 from repro.dv3d.translation import translate_vector_field
-from repro.rendering.geometry import PolyData, box_outline
+from repro.rendering.geometry import PolyData
 from repro.rendering.glyphs import slice_plane_glyphs
 from repro.rendering.image_data import ImageData
 from repro.rendering.scene import Actor, Scene
@@ -58,16 +58,14 @@ class VectorSlicerPlot(Plot3D):
         seed_density: int = 10,
         **kwargs: Any,
     ) -> None:
-        if mode not in _MODES:
-            raise DV3DError(f"mode must be 'glyphs' or 'streamlines', got {mode!r}")
         if plane not in _AXIS_NAMES:
             raise DV3DError(f"unknown plane {plane!r}")
         self.u, self.v, self.w = u, v, w
-        self.mode = mode
         self.plane = plane
-        self.glyph_stride = int(glyph_stride)
-        self.seed_density = int(seed_density)
         self.plane_position = 0.5
+        # until apply_state below checks and sets the constructor's own
+        self.mode = "glyphs"
+        self.glyph_stride = self.seed_density = 1
         # the base class treats u as "the variable" (for animation/pick);
         # the scalar range colors by speed
         speed_max = _speed_max(u, v)
@@ -75,10 +73,15 @@ class VectorSlicerPlot(Plot3D):
             raise DV3DError("vector field has no valid data")
         kwargs.setdefault("scalar_range", (0.0, speed_max))
         super().__init__(u, **kwargs)
+        self.apply_state({"mode": mode, "glyph_stride": glyph_stride,
+                          "seed_density": seed_density})
 
     def _build_volume(self) -> ImageData:
+        plans = [self.translation_plan(name) for name in ("variable", "v")]
+        plans.append(None if self.w is None else self.translation_plan("w"))
         return translate_vector_field(
-            self.u, self.v, self.w, self.time_index, self.vertical_exaggeration
+            self.u, self.v, self.w, self.time_index, self.vertical_exaggeration,
+            plans=plans,
         )
 
     # -- interactive ops ------------------------------------------------------
@@ -129,10 +132,7 @@ class VectorSlicerPlot(Plot3D):
         geometry = self._field_geometry()
         if geometry.n_points:
             scene.add_actor(Actor(geometry, lighting=False, name=f"field-{self.mode}"))
-        scene.add_actor(
-            Actor(box_outline(self.volume.bounds()), line_color=(0.7, 0.7, 0.75),
-                  lighting=False, name="frame")
-        )
+        scene.add_actor(self.frame_actor())
         return scene
 
     # -- picking: report the vector, not just a scalar ------------------------------
@@ -166,7 +166,8 @@ class VectorSlicerPlot(Plot3D):
 
     def _stage_state(self, state: Dict[str, Any]) -> Callable[[], None]:
         """The base plot's keys, then the mode, the plane (an unknown one
-        is ignored), its position, the glyph stride and the seed density."""
+        is ignored), its position, the glyph stride and the seed density
+        — the constructor's mode, stride and density go through here too."""
         mode = state.get("mode", self.mode)
         if mode not in _MODES:
             raise DV3DError(f"mode must be 'glyphs' or 'streamlines', got {mode!r}")

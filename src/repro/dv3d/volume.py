@@ -17,7 +17,6 @@ import numpy as np
 from repro.cdms.variable import Variable
 from repro.dv3d.interaction import number, number_pair, optional_positive
 from repro.dv3d.plot import Plot3D
-from repro.rendering.geometry import box_outline
 from repro.rendering.scene import Actor, Scene, VolumeActor
 from repro.rendering.transfer_function import TransferFunction
 
@@ -96,10 +95,7 @@ class VolumePlot(Plot3D):
 
     def build_scene(self) -> Scene:
         scene = Scene()
-        scene.add_actor(
-            Actor(box_outline(self.volume.bounds()), line_color=(0.7, 0.7, 0.75),
-                  lighting=False, name="frame")
-        )
+        scene.add_actor(self.frame_actor())
         scene.add_volume(
             VolumeActor(
                 self.volume,

@@ -45,6 +45,7 @@ class PolyData:
         self.colors = None if colors is None else np.asarray(colors, dtype=np.float32).reshape(-1, 3)
         if self.colors is not None and self.colors.shape[0] != n:
             raise RenderingError("colors length mismatch")
+        self._segments: Optional[np.ndarray] = None
 
     def __repr__(self) -> str:
         return (
@@ -66,6 +67,17 @@ class PolyData:
         mins = self.points.min(axis=0)
         maxs = self.points.max(axis=0)
         return (mins[0], maxs[0], mins[1], maxs[1], mins[2], maxs[2])
+
+    def segments(self) -> np.ndarray:
+        """``(2, n_segments)`` point indices of the two ends of every
+        polyline segment, line after line — derived once, read-only."""
+        if self._segments is None:
+            ends = [(line[:-1], line[1:]) for line in self.lines if line.size > 1]
+            segments = (np.array([np.concatenate(end) for end in zip(*ends)]) if ends
+                        else np.zeros((2, 0), dtype=np.intp))
+            segments.flags.writeable = False
+            self._segments = segments
+        return self._segments
 
     # -- attribute helpers ----------------------------------------------------
 

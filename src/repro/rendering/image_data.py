@@ -204,6 +204,14 @@ class ImageData:
         2-D slice (shaped by the two remaining axes, in axis order) and
         ``u/v`` are world coordinates along those axes.
         """
+        values = self.slice_values(axis, world_coord, name)
+        other = [a for a in range(3) if a != axis]
+        return values, self.axis_coordinates(other[0]), self.axis_coordinates(other[1])
+
+    def slice_values(
+        self, axis: int, world_coord: float, name: Optional[str] = None
+    ) -> np.ndarray:
+        """The values of :meth:`extract_slice`, without the coordinates."""
         if axis not in (0, 1, 2):
             raise RenderingError(f"axis must be 0, 1 or 2, got {axis}")
         arr = self.get_array(name or self.active_scalars_name)
@@ -222,9 +230,7 @@ class ImageData:
         # so the result cannot drift if promotion rules change
         w1 = arr.dtype.type(1.0 - t)
         w0 = arr.dtype.type(t)
-        values = w1 * lo + w0 * hi
-        other = [a for a in range(3) if a != axis]
-        return values, self.axis_coordinates(other[0]), self.axis_coordinates(other[1])
+        return w1 * lo + w0 * hi
 
     def gradient(self, name: Optional[str] = None) -> np.ndarray:
         """Central-difference gradient of a scalar array, ``dims + (3,)``.

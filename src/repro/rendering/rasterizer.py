@@ -150,7 +150,7 @@ def rasterize(
             written += _rasterize_triangles(triangles, projected, colors, framebuffer)
         if n_lines:
             pieces = [
-                (poly.lines, offset, actor.line_color)
+                (poly.segments(), offset, actor.line_color)
                 for actor, poly, offset in zip(actors, polys, offsets) if poly.lines
             ]
             written += _rasterize_polylines(
@@ -192,6 +192,8 @@ def _batches(counts: np.ndarray) -> Iterator[Tuple[int, int]]:
     if counts.size == 0:
         return iter(())
     first_fragment = np.cumsum(counts) - counts
+    if first_fragment[-1] < _FRAGMENT_BUDGET:  # every primitive starts in batch 0
+        return iter(((0, counts.size),))
     batch = first_fragment // _FRAGMENT_BUDGET
     cuts = (np.flatnonzero(batch[1:] != batch[:-1]) + 1).tolist()
     return zip([0] + cuts, cuts + [counts.size])
@@ -296,7 +298,7 @@ def _rasterize_triangles(
 
 
 def _rasterize_polylines(
-    pieces: List[Tuple[List[np.ndarray], int, Optional[tuple]]],
+    pieces: List[Tuple[np.ndarray, int, Optional[tuple]]],
     projected: np.ndarray,
     colors: np.ndarray,
     fb: Framebuffer,
@@ -304,82 +306,96 @@ def _rasterize_polylines(
 ) -> int:
     """DDA sampling of every segment of every line; thickness via a square brush.
 
-    *pieces* are one ``(lines, first point, flat colour or None)`` per
-    actor, in draw order; a line without a flat colour interpolates
-    *colors* along each segment.
+    *pieces* are one ``(segments, first point, flat colour or None)`` per
+    actor, in draw order (``segments`` as :meth:`PolyData.segments`); a
+    line without a flat colour interpolates *colors* along each segment.
+    Coordinates travel as rows — x, y, depth — so a step is one numpy
+    call over all of them, and a sample gathers what it reads of its
+    segment with one ``take``.
     """
     width, height = fb.width, fb.height
-    # consecutive vertices of the concatenated lines, minus the joints
-    vertices = _joined([
-        np.concatenate(lines) + offset if offset else np.concatenate(lines)
-        for lines, offset, _ in pieces
-    ])
-    sizes = [[line.size for line in lines] for lines, _, _ in pieces]
-    is_segment = np.ones(max(vertices.size - 1, 0), dtype=bool)
-    joints = np.cumsum([size for piece in sizes for size in piece]) - 1
-    is_segment[joints[(joints >= 0) & (joints < is_segment.size)]] = False
-    # which piece each segment belongs to (no segment spans two)
-    piece_of = np.repeat(np.arange(len(pieces)), [sum(piece) for piece in sizes])
-    flat = np.array([
-        (0.0, 0.0, 0.0) if color is None else color for _, _, color in pieces
-    ], dtype=np.float32)
-    lerp = np.array([color is None for _, _, color in pieces])
-    a = vertices[:-1][is_segment]
-    b = vertices[1:][is_segment]
-    pa, pb = projected[a], projected[b]
-    valid = (
-        np.isfinite(pa).all(axis=1) & np.isfinite(pb).all(axis=1)
-        & (pa[:, 2] > 0) & (pb[:, 2] > 0)
-    )
-    a, b = a[valid], b[valid]
-    segment_piece = piece_of[:-1][is_segment][valid]
-    ax, ay, az = pa[valid].T
-    dx, dy, dz = (pb[valid] - pa[valid]).T
+    ends = [segments + offset if offset else segments for segments, offset, _ in pieces]
+    ends = ends[0] if len(ends) == 1 else np.concatenate(ends, axis=1)
+    n = ends.shape[1]
+    sizes = [segments.shape[1] for segments, _, _ in pieces]
+    # each segment's flat colour, and whether it interpolates instead
+    seg_flat = np.repeat(np.array([(0.0, 0.0, 0.0) if color is None else color
+                                   for _, _, color in pieces], dtype=np.float32), sizes, axis=0)
+    lerp = [color is None for _, _, color in pieces]
+    seg_lerp = np.repeat(lerp, sizes) if any(lerp) else None
+    # (x, y, depth) rows at both ends: a's in the first n columns, b's after
+    p = projected.T.take(ends.reshape(-1), axis=1)
+    ok = np.isfinite(p).all(axis=0) & (p[2] > 0)
+    valid = ok[:n] & ok[n:]
+    if not valid.all():
+        keep = np.flatnonzero(valid)
+        ends, seg_flat, p = ends[:, keep], seg_flat[keep], p[:, np.concatenate([keep, n + keep])]
+        seg_lerp = None if seg_lerp is None else seg_lerp[keep]
+        n = keep.size
+    # per segment, the rows a sample reads: last, step, base, a (3), b - a (3)
+    table = np.empty((9, n))
+    last, step, base, pa, d = table[0], table[1], table[2], table[3:6], table[6:9]
+    pa[...] = p[:, :n]
+    np.subtract(p[:, n:], pa, out=d)
     # np.linspace(0, 1, n) per segment is k * (1 / (n - 1)), last sample 1.0
-    last = np.maximum(np.ceil(np.maximum(np.abs(dx), np.abs(dy))), 1.0)
-    step = 1.0 / last
+    np.maximum(np.ceil(np.abs(d[:2]).max(axis=0)), 1.0, out=last)
+    np.divide(1.0, last, out=step)
     # Sample only the k whose pixel can fall inside the viewport: clip the
     # segment against the viewport grown by the brush, widen by one sample.
     # A segment that projects to 10**6 px still costs what is visible of it.
     brush = max(int(point_size), 1)
     reach = float(brush)
+    box = np.array([[[-0.5 - reach], [-0.5 - reach]],
+                    [[width - 0.5 + reach], [height - 0.5 + reach]]])
     with np.errstate(divide="ignore", invalid="ignore"):
-        tx = (np.array([[-0.5 - reach], [width - 0.5 + reach]]) - ax) / dx
-        ty = (np.array([[-0.5 - reach], [height - 0.5 + reach]]) - ay) / dy
-    t_in = np.maximum(np.fmin(tx[0], tx[1]), np.fmin(ty[0], ty[1]))
-    t_out = np.minimum(np.fmax(tx[0], tx[1]), np.fmax(ty[0], ty[1]))
-    visible = np.maximum(t_in, 0.0) <= np.minimum(t_out, 1.0)
-    k_first = np.where(visible, np.clip(np.floor(t_in * last) - 1, 0, last), 0.0)
-    k_stop = np.where(visible, np.clip(np.ceil(t_out * last) + 1, 0, last) + 1, 0.0)
-    counts = (k_stop - k_first).astype(np.intp)
+        crossings = (box - pa[:2]) / d[:2]  # (low/high side, x/y, segment)
+        t_in = np.fmin(crossings[0], crossings[1]).max(axis=0)
+        t_out = np.fmax(crossings[0], crossings[1]).min(axis=0)
+        visible = np.maximum(t_in, 0.0) <= np.minimum(t_out, 1.0)
+        # the first and one-past-last sample, read only where visible
+        k_first = np.minimum(np.maximum(np.floor(t_in * last) - 1, 0), last)
+        k_stop = np.minimum(np.maximum(np.ceil(t_out * last) + 1, 0), last) + 1
+        counts = np.where(visible, k_stop - k_first, 0.0).astype(np.intp)
+    # sample i of the run is k = i - base of its segment: k_first + its rank
+    first = np.cumsum(counts) - counts
+    np.subtract(first, k_first, out=base, where=visible)
 
-    offsets = np.arange(brush) - brush // 2
-    brush_x, brush_y = np.tile(offsets, offsets.size), np.repeat(offsets, offsets.size)
+    if brush > 1:
+        offsets = np.arange(brush) - brush // 2
+        brush_xy = np.array([np.tile(offsets, offsets.size), np.repeat(offsets, offsets.size)])
     color_flat = fb.color.reshape(-1, 3)
+    bound = np.array([[width], [height]], dtype=np.uintp)
 
     written = 0
-    for start, stop in _batches(counts * brush_x.size):
-        owner, local = _expand(counts[start:stop])
-        owner += start
-        k = k_first[owner] + local
-        t = np.where(k == last[owner], 1.0, k * step[owner])
-        xs = ax[owner] + dx[owner] * t
-        ys = ay[owner] + dy[owner] * t
-        zs = (az[owner] + dz[owner] * t - 1e-4).astype(np.float32)  # nudge lines in front of faces
-        rows = np.round((ys[:, None] + brush_y).reshape(-1)).astype(np.intp)
-        cols = np.round((xs[:, None] + brush_x).reshape(-1)).astype(np.intp)
-        inside = np.flatnonzero((rows >= 0) & (rows < height) & (cols >= 0) & (cols < width))
-        sample = inside // brush_x.size
-        pixels = rows[inside] * width + cols[inside]
+    for start, stop in _batches(counts * (brush * brush)):
+        batch = counts[start:stop]
+        owner = np.repeat(np.arange(start, stop), batch)
+        rows = table.take(owner, axis=1)
+        # integer-valued floats below 2**53: exact, as k_first + rank was
+        k = np.arange(first[start], first[start] + owner.size) - rows[2]
+        t = np.where(k == rows[0], 1.0, k * rows[1])
+        points = rows[3:6] + rows[6:9] * t  # x, y, depth
+        zs = (points[2] - 1e-4).astype(np.float32)  # nudge lines in front of faces
+        if brush > 1:
+            xy = np.rint((points[:2, :, None] + brush_xy[:, None, :]).reshape(2, -1))
+        else:
+            xy = np.rint(points[:2])
+        xy = xy.astype(np.intp)
+        # negative pixels wrap to huge unsigned ones: one test per bound
+        inside = np.flatnonzero((xy.view(np.uintp) < bound).all(axis=0))
+        sample = inside // (brush * brush) if brush > 1 else inside
+        pixels = xy[1, inside] * width + xy[0, inside]
         winners, passed = fb.resolve(pixels, owner[sample], zs[sample])
         written += passed
         won = pixels[winners]
         sample = sample[winners]
-        piece = segment_piece[owner[sample]]
-        lerped = lerp[piece]
-        color_flat[won[~lerped]] = flat[piece[~lerped]]
-        sample = sample[lerped]
         segment = owner[sample]
-        tw = t[sample][:, None]
-        color_flat[won[lerped]] = colors[a[segment]] * (1 - tw) + colors[b[segment]] * tw
+        if seg_lerp is None:
+            color_flat[won] = seg_flat[segment]
+            continue
+        lerped = seg_lerp[segment]
+        color_flat[won[~lerped]] = seg_flat[segment[~lerped]]
+        segment = segment[lerped]
+        tw = t[sample[lerped]][:, None]
+        color_flat[won[lerped]] = colors[ends[0, segment]] * (1 - tw) + colors[ends[1, segment]] * tw
     return written

@@ -169,6 +169,29 @@ class TestCell:
         assert cell.state() == before
         cell.render(32, 24)
 
+    @pytest.mark.parametrize("arguments", [
+        {"glyph_stride": 0},
+        {"glyph_stride": "x"},
+        {"glyph_stride": 2.5},
+        {"seed_density": 0},
+        {"seed_density": "x"},
+        {"mode": "arrows"},
+        {"plane": "w"},
+    ])
+    def test_a_vector_slicer_it_cannot_draw_is_not_constructed(self, reanalysis, arguments):
+        """The constructor's arguments are checked as a configure's are."""
+        with pytest.raises(DV3DError):
+            VectorSlicerPlot(reanalysis("ua"), reanalysis("va"), **arguments)
+
+    def test_a_vector_slicer_takes_its_constructor_arguments(self, reanalysis):
+        plot = VectorSlicerPlot(reanalysis("ua"), reanalysis("va"), mode="streamlines",
+                                plane="x", glyph_stride=np.int64(3), seed_density=5)
+        state = plot.state()
+        assert (state["mode"], state["plane"], state["glyph_stride"], state["seed_density"]) \
+            == ("streamlines", "x", 3, 5)
+        assert type(state["glyph_stride"]) is int
+        DV3DCell(plot).render(32, 24)
+
     def test_isosurface_and_vector_slicer_configures_they_can_draw_are_applied(self, reanalysis):
         iso = DV3DCell(IsosurfacePlot(reanalysis("ta"), color_variable=reanalysis("zg")))
         iso.handle_event("configure", state={"plot": {"isovalue": 250.0, "color_range": [1, 2]}})

@@ -1,9 +1,9 @@
 """``tools/repeat_cost.py`` runs on this tree and prints its four-layer
 table and a fresh scene's open, which draws once, then what one wire
 repeat counts: loop iterations, sha256 objects and no Task, then what a
-time step costs per stratum: the call, its isosurface and rasterize
-spans, and its rasterize calls — one per run of like actors, at most two
-on these strata."""
+time step costs per stratum: the call, its translate, build_scene,
+isosurface and rasterize spans, and its rasterize calls — one per run of
+like actors, at most two on these strata."""
 
 import importlib.util
 import re
@@ -11,9 +11,7 @@ from pathlib import Path
 
 TOOL = Path(__file__).resolve().parents[2] / "tools" / "repeat_cost.py"
 ROW = re.compile(r"^\| ([^|]+) \| (\d+\.\d{3}) ms \|$")
-STEP = re.compile(
-    r"^\| (\w+) \| (\d+\.\d{3}) ms \| (\d+\.\d{3}) ms \| (\d+\.\d{3}) ms \| (\d+\.\d{2}) \|$"
-)
+STEP = re.compile(r"^\| (\w+) \|" + r" (\d+\.\d{3}) ms \|" * 5 + r" (\d+\.\d{2}) \|$")
 COUNT = re.compile(r"^\| ([^|]+) \| (\d+\.\d{2}) \|$")
 
 
@@ -41,7 +39,9 @@ def test_the_tool_prints_one_row_per_layer(capsys):
     assert counts["Tasks created"] == 0
     steps = {m.group(1): [float(g) for g in m.groups()[1:]] for m in map(STEP.match, lines) if m}
     assert list(steps) == ["Slicer", "Isosurface"]
-    assert all(step > 0 and raster > 0 for step, _, raster, _ in steps.values())
-    assert all(0 < calls <= 2 for *_, calls in steps.values())
-    assert steps["Slicer"][1] == 0  # a slicer extracts no surface
-    assert steps["Isosurface"][1] > 0
+    for step, translate, build, surface, raster, calls in steps.values():
+        assert step > 0 and translate > 0 and build > 0 and raster > 0
+        assert 0 < calls <= 2
+        assert build >= surface  # the extraction is part of the scene's build
+    assert steps["Slicer"][3] == 0  # a slicer extracts no surface
+    assert steps["Isosurface"][3] > 0

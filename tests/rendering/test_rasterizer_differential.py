@@ -190,6 +190,32 @@ class TestNearEyePlanePolyline:
         assert peak <= 1 << 20, f"{peak} bytes for a ~30 pixel line"
 
 
+class TestAxisAlignedPolylines:
+    """Segments parallel to a pixel axis or of zero length divide by zero
+    when clipped (±inf and NaN crossings); they must still sample what
+    the loop sampled."""
+
+    POINTS = np.array([
+        [-1.0, 0.0, 0.0], [1.0, 0.0, 0.0],  # horizontal
+        [0.0, -1.0, 0.0], [0.0, 1.0, 0.0],  # vertical
+        [0.3, 0.3, 0.0], [0.3, 0.3, 0.0],  # zero length
+        [-30.0, 0.4, 0.0], [30.0, 0.4, 0.0],  # horizontal, far past both sides
+        [-0.2, 9.0, 0.0], [0.5, 9.0, 0.0],  # horizontal, above the viewport
+        [-0.9, -0.9, 1.0], [-0.9, 0.9, -1.0],  # vertical on screen, sloped in depth
+    ])
+    LINES = [np.array([2 * i, 2 * i + 1]) for i in range(6)]
+
+    @pytest.mark.parametrize("point_size", [1, 2, 3])
+    @pytest.mark.parametrize("line_color", [None, (0.9, 0.2, 0.1)])
+    def test_same_pixels_as_the_loop(self, point_size, line_color):
+        colors = np.linspace(0.0, 1.0, self.POINTS.size, dtype=np.float32).reshape(-1, 3)
+        poly = PolyData(self.POINTS, lines=self.LINES, colors=colors)
+        batched, expected = _draw_both(poly, 64, 48, point_size=point_size,
+                                       line_color=line_color)
+        assert expected[1] > 0
+        _assert_identical(batched, expected)
+
+
 def _sweep_mesh(n):
     volume = reference.make_volume(n)
     return marching_tetrahedra(volume, 0.5), Camera.fit_bounds(volume.bounds())

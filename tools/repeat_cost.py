@@ -32,9 +32,11 @@ with the next ``timestep``, on explore_surface's grid at 64x48, for its
 Slicer and its Isosurface stratum: the median ``AppBackend`` call of
 ``--repeats`` steps, then, over as many more steps under a
 ``repro.obs`` recorder, the mean ms per step inside the
-``isosurface.marching_tetrahedra`` and ``rasterizer.rasterize`` spans,
-and the ``rasterizer.rasterize`` calls per step: one per run of like
-actors a frame draws.
+``translation.translate`` spans (every variable the step translates),
+the ``plot.build_scene`` span (its geometry, the isosurface included),
+the ``isosurface.marching_tetrahedra`` and ``rasterizer.rasterize``
+spans, and the ``rasterizer.rasterize`` calls per step: one per run of
+like actors a frame draws.
 
 Run from the repository root::
 
@@ -78,7 +80,8 @@ STEP_STRATA = (
     ("Isosurface", {"variable": "ta", "color_variable": "zg"}),
 )
 STEP_GRID = {"nlat": 10, "nlon": 16, "nlev": 5, "ntime": 12}
-STEP_SPANS = ("isosurface.marching_tetrahedra", "rasterizer.rasterize")
+STEP_SPANS = ("translation.translate", "plot.build_scene",
+              "isosurface.marching_tetrahedra", "rasterizer.rasterize")
 
 
 def _median_ms(call: Callable[[], object], repeats: int) -> float:
