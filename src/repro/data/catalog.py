@@ -10,8 +10,12 @@ multi-variable global reanalysis-like dataset, a regional storm case
 
 from __future__ import annotations
 
+import numbers
+from typing import Any, Dict
+
 from repro.cdms.dataset import Dataset
 from repro.data import fields
+from repro.util.errors import CDMSError
 
 
 def synthetic_reanalysis(
@@ -80,3 +84,34 @@ def wave_case_study(
         variables=[east, west],
         attributes={"title": "Propagating equatorial waves (Fig. 4 workload)"},
     )
+
+
+#: the grid parameters of each generator that a ``size`` may override,
+#: with the least value of each the generator builds (a one-row
+#: reanalysis latitude has no spacing to derive its bands from)
+GRID_MINIMA: Dict[str, Dict[str, int]] = {
+    "synthetic_reanalysis": {"nlat": 2, "nlon": 1, "nlev": 1, "ntime": 1},
+    "storm_case_study": {"nlat": 1, "nlon": 1, "nlev": 1, "ntime": 1},
+    "wave_case_study": {"nlon": 1, "nlat": 1, "ntime": 1},
+}
+
+
+def grid_size(source: str, size: Any) -> Dict[str, int]:
+    """*size* as the grid overrides of the generator named *source* (a
+    key of :data:`GRID_MINIMA`): ``None`` or a mapping of that
+    generator's grid parameters to whole numbers no smaller than it
+    builds.  Anything else raises :class:`CDMSError`."""
+    minima = GRID_MINIMA[source]
+    if size is None:
+        return {}
+    if not isinstance(size, dict):
+        raise CDMSError(f"{source} size must be a mapping, got {size!r}")
+    unknown = sorted(map(str, size.keys() - minima.keys()))
+    if unknown:
+        raise CDMSError(f"{source} size takes {sorted(minima)}, not {unknown}")
+    for name, value in size.items():
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise CDMSError(f"{source} size {name} must be a whole number, got {value!r}")
+        if value < minima[name]:
+            raise CDMSError(f"{source} size {name} must be at least {minima[name]}, got {value}")
+    return {name: int(value) for name, value in size.items()}

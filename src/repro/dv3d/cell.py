@@ -60,6 +60,12 @@ class DV3DCell:
         #: (key, the last finished frame) — see render(); 16 B per pixel
         #: that die with the cell
         self._frame: Optional[Tuple[Any, Framebuffer]] = None
+        #: (text, colour, background alpha) → read-only RGBA patch: the
+        #: text the last drawn frame blended, and the frame being drawn's
+        self._patches: Dict[Tuple[str, Tuple[float, ...], float], np.ndarray] = {}
+        self._drawing: Dict[Tuple[str, Tuple[float, ...], float], np.ndarray] = {}
+        #: (colormap state, bar height, the legend strip's read-only RGBA)
+        self._legend: Optional[Tuple[Any, np.ndarray]] = None
 
     def __repr__(self) -> str:
         return (
@@ -99,10 +105,13 @@ class DV3DCell:
         bounds = self.plot.volume.bounds()
         key = (bounds, self.show_basemap, self.show_axes)
         if self._laid_out is None or self._laid_out[0] != key:
-            basemap = basemap_polydata(bounds) if self.show_basemap else None
+            # read-only, so each keeps its projection for the last view
+            basemap = basemap_polydata(bounds).freeze() if self.show_basemap else None
             ticks, axis_labels = (
                 axis_annotations(bounds) if self.show_axes else (None, [])
             )
+            if ticks is not None:
+                ticks.freeze()
             self._laid_out = (key, basemap, ticks, axis_labels)
         return self._laid_out[1:]
 
@@ -152,8 +161,9 @@ class DV3DCell:
         if hit:
             return self._frame[1].copy()
         fb = Renderer(width, height).render(scene, cam)
+        self._drawing = {}
         for text, row, col in project_labels(axis_labels, cam, width, height):
-            patch = render_text(text, color=(0.85, 0.85, 0.85))
+            patch = self._text(text, color=(0.85, 0.85, 0.85))
             fb.blend_patch(row - patch.shape[0] // 2,
                            col - patch.shape[1] // 2, patch)
         if self.show_labels:
@@ -161,10 +171,27 @@ class DV3DCell:
         if self.show_colorbar:
             self._draw_colorbar(fb)
         if pick_text:
-            patch = render_text(pick_text, color=(1.0, 1.0, 0.6), background_alpha=0.35)
+            patch = self._text(pick_text, color=(1.0, 1.0, 0.6), background_alpha=0.35)
             fb.blend_patch(fb.height - patch.shape[0] - 4, 4, patch)
+        self._patches = self._drawing
         self._frame = (key, fb.copy())
         return fb
+
+    def _text(self, text: str, color: Tuple[float, float, float] = (1.0, 1.0, 1.0),
+              background_alpha: float = 0.0) -> np.ndarray:
+        """``render_text(text, color, background_alpha=...)``, taken from
+        the last drawn frame's patches when it blended the same; the
+        frame being drawn keeps what it uses, so the store holds only
+        the last frame's text."""
+        key = (text, color, background_alpha)
+        patch = self._drawing.get(key)
+        if patch is None:
+            patch = self._patches.get(key)
+            if patch is None:
+                patch = render_text(text, color=color, background_alpha=background_alpha)
+                patch.flags.writeable = False
+            self._drawing[key] = patch
+        return patch
 
     def _draw_labels(self, fb: Framebuffer) -> None:
         """Dataset/variable labels, top-left; plot type top-right."""
@@ -175,31 +202,37 @@ class DV3DCell:
             title += f" ({units})"
         if self.dataset_label:
             title = f"{self.dataset_label}: {title}"
-        patch = render_text(title, background_alpha=0.35)
+        patch = self._text(title, background_alpha=0.35)
         fb.blend_patch(4, 4, patch)
         type_label = self.plot.plot_type.upper()
         tw = text_width(type_label)
-        patch = render_text(type_label, color=(0.7, 0.9, 1.0), background_alpha=0.35)
+        patch = self._text(type_label, color=(0.7, 0.9, 1.0), background_alpha=0.35)
         fb.blend_patch(4, max(fb.width - tw - 4, 0), patch)
         if self.plot.n_timesteps > 1:
             step = f"T={self.plot.time_index}/{self.plot.n_timesteps - 1}"
-            patch = render_text(step, color=(0.8, 0.8, 0.8), background_alpha=0.35)
+            patch = self._text(step, color=(0.8, 0.8, 0.8), background_alpha=0.35)
             fb.blend_patch(14, 4, patch)
 
     def _draw_colorbar(self, fb: Framebuffer) -> None:
-        """Colormap legend strip with min/max annotations, right edge."""
+        """Colormap legend strip with min/max annotations, right edge;
+        the strip kept per (colormap, bar height)."""
         bar_height = max(fb.height // 2, 24)
-        strip = self.plot.colormap.colorbar_strip(width=10, height=bar_height)
-        rgba = np.concatenate(
-            [strip.astype(np.float32), np.full(strip.shape[:2] + (1,), 0.9, np.float32)],
-            axis=2,
-        )
+        colormap = self.plot.colormap
+        key = (colormap.name, colormap.n_colors, colormap.inverted, bar_height)
+        if self._legend is None or self._legend[0] != key:
+            strip = colormap.colorbar_strip(width=10, height=bar_height)
+            rgba = np.concatenate(
+                [strip.astype(np.float32), np.full(strip.shape[:2] + (1,), 0.9, np.float32)],
+                axis=2,
+            )
+            rgba.flags.writeable = False
+            self._legend = (key, rgba)
         row = (fb.height - bar_height) // 2
         col = fb.width - 14
-        fb.blend_patch(row, col, rgba)
+        fb.blend_patch(row, col, self._legend[1])
         lo, hi = self.plot.scalar_range
-        hi_text = render_text(f"{hi:.4g}", background_alpha=0.3)
-        lo_text = render_text(f"{lo:.4g}", background_alpha=0.3)
+        hi_text = self._text(f"{hi:.4g}", background_alpha=0.3)
+        lo_text = self._text(f"{lo:.4g}", background_alpha=0.3)
         fb.blend_patch(row - 9, max(col - hi_text.shape[1] + 10, 0), hi_text)
         fb.blend_patch(row + bar_height + 2, max(col - lo_text.shape[1] + 10, 0), lo_text)
 

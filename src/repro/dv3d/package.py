@@ -94,18 +94,13 @@ class CDMSDatasetReader(Module):
             return {"dataset": open_dataset(source, streaming=streaming)}
         from repro.data import catalog
 
-        if source == "synthetic_reanalysis":
-            ds = catalog.synthetic_reanalysis(seed=seed, **size)
-        elif source == "storm_case_study":
-            ds = catalog.storm_case_study(seed=seed, **size)
-        elif source == "wave_case_study":
-            ds = catalog.wave_case_study(seed=seed, **size)
-        else:
+        if source not in _SYNTHETIC_SOURCES:
             raise WorkflowError(
                 f"unknown dataset source {source!r}; use a .cdz path or one of "
                 f"{_SYNTHETIC_SOURCES}"
             )
-        return {"dataset": ds}
+        generate = getattr(catalog, source)
+        return {"dataset": generate(seed=seed, **catalog.grid_size(source, size))}
 
 
 class CDMSVariableReader(Module):

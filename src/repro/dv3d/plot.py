@@ -193,7 +193,7 @@ class Plot3D:
         bounds = self.volume.bounds()
         kept = self._outlined
         if kept is None or kept[0] != bounds:
-            kept = self._outlined = (bounds, _read_only(box_outline(bounds)))
+            kept = self._outlined = (bounds, box_outline(bounds).freeze())
         return Actor(kept[1], line_color=(0.7, 0.7, 0.75), lighting=False, name="frame")
 
     def orbit(self, camera: Camera, azimuth: float, elevation: float) -> Camera:
@@ -366,13 +366,6 @@ class Plot3D:
         from repro.dv3d.interaction import handle_drag
 
         return handle_drag(self, dx, dy, mode)
-
-
-def _read_only(poly: PolyData) -> PolyData:
-    """*poly* with its points and connectivity made read-only, to be kept."""
-    for array in (poly.points, poly.triangles, *poly.lines):
-        array.flags.writeable = False
-    return poly
 
 
 def _colormap_from_state(state: Any) -> Colormap:

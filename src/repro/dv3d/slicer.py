@@ -75,8 +75,9 @@ class SlicerPlot(Plot3D):
         self.contour_count = 0
         # positions are fractions [0, 1] of each axis span
         self.plane_positions: Dict[str, float] = {"x": 0.5, "y": 0.5, "z": 0.25}
-        #: plane → (what its geometry was laid out for, points, triangles)
-        self._slice_geometry: Dict[str, Tuple[Any, np.ndarray, np.ndarray]] = {}
+        #: plane → (what its geometry was laid out for, the read-only
+        #: plane, which keeps its projection)
+        self._slice_geometry: Dict[str, Tuple[Any, PolyData]] = {}
         self.apply_state({"enabled_planes": enabled_planes, "contour_count": contour_count})
 
     # -- data -------------------------------------------------------------
@@ -133,24 +134,22 @@ class SlicerPlot(Plot3D):
     # -- geometry construction ---------------------------------------------------
 
     def _slice_mesh(self, plane: str) -> PolyData:
-        """Pseudocolor mesh of one slice plane: this step's values and
-        colours over the plane's points and triangles, laid out once per
-        (plane, world coordinate, volume grid)."""
+        """Pseudocolor mesh of one slice plane: a copy of the plane's
+        geometry, laid out once per (plane, world coordinate, volume
+        grid), coloured with this step's values; the copy shares the
+        plane's kept projection."""
         axis = _AXIS_NAMES[plane]
         world = self.plane_world_coordinate(plane)
         volume = self.volume
         key = (world, volume.dimensions, volume.origin, volume.spacing)
         kept = self._slice_geometry.get(plane)
         if kept is None or kept[0] != key:
-            kept = self._slice_geometry[plane] = (key, *slice_plane_geometry(volume, axis, world))
+            kept = self._slice_geometry[plane] = (
+                key, PolyData(*slice_plane_geometry(volume, axis, world)))
         values = volume.slice_values(axis, world, name=self.variable.id).reshape(-1)
         colors = self.colormap.map_scalars(values, *self.scalar_range)
-        return PolyData(
-            kept[1],
-            kept[2],
-            scalars=np.nan_to_num(values, nan=0.0),
-            colors=colors.astype(np.float32),
-        )
+        return kept[1].with_scalars(np.nan_to_num(values, nan=0.0)).with_colors(
+            colors.astype(np.float32))
 
     def _contour_overlay(self, plane: str) -> Optional[PolyData]:
         """Second-variable contour polylines lifted onto a plane."""

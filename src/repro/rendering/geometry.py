@@ -4,15 +4,47 @@ A :class:`PolyData` holds points plus triangle and polyline
 connectivity, with optional per-point scalars (for colormapping) and
 per-point RGB colors.  Isosurface extraction, slice planes, streamlines
 and glyphs all produce PolyData; the rasterizer consumes it.
+
+Geometry whose points are read-only (:meth:`PolyData.freeze`) keeps its
+projection for the last view it was drawn from, and what the
+rasterizer derives from that projection beside it
+(:meth:`PolyData.view_memo`): a frame whose camera and size did not
+change projects only the geometry that is new.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, Hashable, Optional, Tuple
 
 import numpy as np
 
 from repro.util.errors import RenderingError
+
+if TYPE_CHECKING:
+    from repro.rendering.camera import Camera
+
+
+def _fixed(array: np.ndarray) -> bool:
+    """Whether *array* and every array it views are read-only."""
+    while isinstance(array, np.ndarray):
+        if array.flags.writeable:
+            return False
+        array = array.base
+    return True
+
+
+class _LastView:
+    """The one view a geometry's points were last projected for: the
+    camera (by identity) and frame size, the read-only projection, and
+    what was derived from it, by name."""
+
+    __slots__ = ("camera", "size", "projected", "derived")
+
+    def __init__(self) -> None:
+        self.camera: Optional["Camera"] = None
+        self.size: Tuple[int, int] = (0, 0)
+        self.projected: Optional[np.ndarray] = None
+        self.derived: Dict[Hashable, Any] = {}
 
 
 class PolyData:
@@ -39,13 +71,21 @@ class PolyData:
         for line in self.lines:
             if line.size and (line.min() < 0 or line.max() >= n):
                 raise RenderingError("line indices out of range")
+        self._set_attributes(scalars, colors)
+        self._segments: Optional[np.ndarray] = None
+        #: shared by the copies :meth:`with_colors` and :meth:`with_scalars`
+        #: make over the same points; used only while they are read-only
+        self._view = _LastView()
+
+    def _set_attributes(self, scalars: Optional[np.ndarray],
+                        colors: Optional[np.ndarray]) -> None:
+        n = self.points.shape[0]
         self.scalars = None if scalars is None else np.asarray(scalars, dtype=np.float64).reshape(-1)
         if self.scalars is not None and self.scalars.shape[0] != n:
             raise RenderingError("scalars length mismatch")
         self.colors = None if colors is None else np.asarray(colors, dtype=np.float32).reshape(-1, 3)
         if self.colors is not None and self.colors.shape[0] != n:
             raise RenderingError("colors length mismatch")
-        self._segments: Optional[np.ndarray] = None
 
     def __repr__(self) -> str:
         return (
@@ -79,13 +119,63 @@ class PolyData:
             self._segments = segments
         return self._segments
 
+    def freeze(self) -> "PolyData":
+        """Make the points and connectivity read-only, so the geometry can
+        be kept and its projection with it; returns ``self``."""
+        for array in (self.points, self.triangles, *self.lines):
+            array.flags.writeable = False
+        return self
+
+    # -- per view ------------------------------------------------------------------
+
+    def project(self, camera: "Camera", width: int, height: int) -> np.ndarray:
+        """``camera.project(self.points, width, height)``.
+
+        While the points are read-only the result is kept (read-only)
+        for the last ``(camera, width, height)``, the camera matched by
+        identity, and shared with the copies :meth:`with_colors` and
+        :meth:`with_scalars` make; writable points are projected on
+        every call.
+        """
+        view = self._view
+        if not _fixed(self.points):
+            return camera.project(self.points, width, height)
+        if view.camera is not camera or view.size != (width, height):
+            projected = camera.project(self.points, width, height)
+            projected.flags.writeable = False
+            view.camera, view.size, view.projected = camera, (width, height), projected
+            view.derived = {}
+        return view.projected
+
+    def view_memo(self, camera: "Camera", width: int, height: int) -> Dict[Hashable, Any]:
+        """A dict for what is derived from :meth:`project` through this
+        view, kept beside the kept projection and emptied when it is
+        projected again; a new empty dict on every call while the points
+        are writable.  What goes in must read nothing but the projection
+        and this geometry's connectivity."""
+        if not _fixed(self.points):
+            return {}
+        self.project(camera, width, height)
+        return self._view.derived
+
     # -- attribute helpers ----------------------------------------------------
 
     def with_colors(self, colors: np.ndarray) -> "PolyData":
-        return PolyData(self.points, self.triangles, self.lines, self.scalars, colors)
+        return self._recolored(self.scalars, colors)
 
     def with_scalars(self, scalars: np.ndarray) -> "PolyData":
-        return PolyData(self.points, self.triangles, self.lines, scalars, self.colors)
+        return self._recolored(scalars, self.colors)
+
+    def _recolored(self, scalars: Optional[np.ndarray],
+                   colors: Optional[np.ndarray]) -> "PolyData":
+        """A copy over these very points and connectivity (checked when
+        this geometry was made) with other point attributes; it shares
+        the segments and the kept view."""
+        twin = PolyData.__new__(PolyData)
+        twin.__dict__.update(self.__dict__)
+        twin.lines = list(self.lines)
+        twin._set_attributes(scalars, colors)
+        return twin
 
     # -- derived quantities ------------------------------------------------------
 

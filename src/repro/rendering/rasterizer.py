@@ -8,7 +8,14 @@ as :func:`runs` cuts them — so a frame costs one call per run, not one
 per actor.  Each actor's
 points are projected and coloured on their own; then the run's
 primitives are numbered one after another, actor by actor, and drawn
-as one list.  Nothing here iterates over primitives in Python: a call
+as one list.  An actor whose points are read-only keeps its projection
+for the last camera and size (:meth:`PolyData.project`), and its
+polylines keep their viewport fragments beside it
+(:meth:`PolyData.view_memo`): a frame through an unchanged camera
+projects and samples only the geometry that is new, and only the depth
+test and the colour write run against each frame's buffer.
+
+Nothing here iterates over primitives in Python: a call
 costs a fixed number of numpy operations per *batch* — a consecutive
 run of triangles (or line segments) whose fragments fit a small budget —
 
@@ -128,9 +135,6 @@ def rasterize(
         lines=n_lines,
     ) as _span:
         width, height = framebuffer.width, framebuffer.height
-        # each actor is projected on its own: no point's projection
-        # depends on which other points share a matvec
-        projected = _joined([camera.project(poly.points, width, height) for poly in polys])
         # the run numbers its points actor after actor
         offsets = list(accumulate((poly.n_points for poly in polys[:-1]), initial=0))
         # flat-coloured lines read no point colour: those rows stay unset
@@ -143,19 +147,33 @@ def rasterize(
 
         written = 0
         if n_triangles:
+            # each actor is projected on its own (kept while its points are
+            # read-only): no point's projection depends on which other
+            # points share a matvec
+            projected = _joined([poly.project(camera, width, height) for poly in polys])
             triangles = _joined([
                 poly.triangles + offset if offset else poly.triangles
                 for poly, offset in zip(polys, offsets) if poly.n_triangles
             ])
             written += _rasterize_triangles(triangles, projected, colors, framebuffer)
         if n_lines:
-            pieces = [
-                (poly.segments(), offset, actor.line_color)
-                for actor, poly, offset in zip(actors, polys, offsets) if poly.lines
-            ]
-            written += _rasterize_polylines(
-                pieces, projected, colors, framebuffer, brushes.pop()
-            )
+            brush = max(int(brushes.pop()), 1)
+            lined = [(actor, poly, offset)
+                     for actor, poly, offset in zip(actors, polys, offsets) if poly.lines]
+            # each line geometry's fragments, kept beside its projection;
+            # those not kept are sampled in one pass
+            key = ("line samples", brush)
+            memos = [poly.view_memo(camera, width, height) for _, poly, _ in lined]
+            missing = [i for i, memo in enumerate(memos) if key not in memo]
+            if missing:
+                sampled = _line_samples(
+                    [(lined[i][1].segments(), lined[i][1].project(camera, width, height))
+                     for i in missing], width, height, brush)
+                for i, samples in zip(missing, sampled):
+                    memos[i][key] = samples
+            pieces = [(memo[key], poly.segments(), offset, actor.line_color)
+                      for memo, (actor, poly, offset) in zip(memos, lined)]
+            written += _rasterize_polylines(pieces, colors, framebuffer)
         if obs.enabled():
             obs.counter("rasterizer.triangles", n_triangles)
             obs.counter("rasterizer.pixels_written", int(written))
@@ -163,9 +181,9 @@ def rasterize(
     return written
 
 
-def _joined(arrays: List[np.ndarray]) -> np.ndarray:
+def _joined(arrays: List[np.ndarray], axis: int = 0) -> np.ndarray:
     """The arrays one after another (the one array itself, uncopied)."""
-    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
+    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays, axis=axis)
 
 
 def _point_colors(actor: "Actor", light_direction: Optional[np.ndarray]) -> np.ndarray:
@@ -297,41 +315,37 @@ def _rasterize_triangles(
     return written
 
 
-def _rasterize_polylines(
-    pieces: List[Tuple[np.ndarray, int, Optional[tuple]]],
-    projected: np.ndarray,
-    colors: np.ndarray,
-    fb: Framebuffer,
-    point_size: int,
-) -> int:
-    """DDA sampling of every segment of every line; thickness via a square brush.
+def _line_samples(
+    pieces: List[Tuple[np.ndarray, np.ndarray]], width: int, height: int, brush: int
+) -> List[Tuple[np.ndarray, ...]]:
+    """The fragments of each geometry's polylines that land in a
+    ``width × height`` viewport: DDA samples of every segment, each
+    stamped with a ``brush × brush`` square, in draw order (segment,
+    sample, brush offset), sampled in one pass over all *pieces*.
 
-    *pieces* are one ``(segments, first point, flat colour or None)`` per
-    actor, in draw order (``segments`` as :meth:`PolyData.segments`); a
-    line without a flat colour interpolates *colors* along each segment.
-    Coordinates travel as rows — x, y, depth — so a step is one numpy
-    call over all of them, and a sample gathers what it reads of its
-    segment with one ``take``.
+    *pieces* are one ``(segments, projected)`` per geometry: its
+    :meth:`PolyData.segments` and its points' ``(x, y, depth)``.
+    Returns, per piece, read-only ``(pixels, depths, segment, t,
+    counts)``: each fragment's flat pixel, float32 depth (nudged in
+    front of faces), segment index and position ``t`` along it, and the
+    fragments of each segment.  Nothing here reads a depth buffer or a
+    colour, so each result is kept beside the projection it came from.
     """
-    width, height = fb.width, fb.height
-    ends = [segments + offset if offset else segments for segments, offset, _ in pieces]
-    ends = ends[0] if len(ends) == 1 else np.concatenate(ends, axis=1)
-    n = ends.shape[1]
-    sizes = [segments.shape[1] for segments, _, _ in pieces]
-    # each segment's flat colour, and whether it interpolates instead
-    seg_flat = np.repeat(np.array([(0.0, 0.0, 0.0) if color is None else color
-                                   for _, _, color in pieces], dtype=np.float32), sizes, axis=0)
-    lerp = [color is None for _, _, color in pieces]
-    seg_lerp = np.repeat(lerp, sizes) if any(lerp) else None
+    sizes = [segments.shape[1] for segments, _ in pieces]
+    point_first = accumulate((projected.shape[0] for _, projected in pieces[:-1]), initial=0)
+    segments = _joined([segments + first if first else segments
+                        for (segments, _), first in zip(pieces, point_first)], axis=1)
+    projected = _joined([projected for _, projected in pieces])
+    n = segments.shape[1]
     # (x, y, depth) rows at both ends: a's in the first n columns, b's after
-    p = projected.T.take(ends.reshape(-1), axis=1)
+    p = projected.T.take(segments.reshape(-1), axis=1)
     ok = np.isfinite(p).all(axis=0) & (p[2] > 0)
     valid = ok[:n] & ok[n:]
+    index = None
     if not valid.all():
-        keep = np.flatnonzero(valid)
-        ends, seg_flat, p = ends[:, keep], seg_flat[keep], p[:, np.concatenate([keep, n + keep])]
-        seg_lerp = None if seg_lerp is None else seg_lerp[keep]
-        n = keep.size
+        index = np.flatnonzero(valid)
+        p = p[:, np.concatenate([index, n + index])]
+        n = index.size
     # per segment, the rows a sample reads: last, step, base, a (3), b - a (3)
     table = np.empty((9, n))
     last, step, base, pa, d = table[0], table[1], table[2], table[3:6], table[6:9]
@@ -343,7 +357,6 @@ def _rasterize_polylines(
     # Sample only the k whose pixel can fall inside the viewport: clip the
     # segment against the viewport grown by the brush, widen by one sample.
     # A segment that projects to 10**6 px still costs what is visible of it.
-    brush = max(int(point_size), 1)
     reach = float(brush)
     box = np.array([[[-0.5 - reach], [-0.5 - reach]],
                     [[width - 0.5 + reach], [height - 0.5 + reach]]])
@@ -356,20 +369,17 @@ def _rasterize_polylines(
         k_first = np.minimum(np.maximum(np.floor(t_in * last) - 1, 0), last)
         k_stop = np.minimum(np.maximum(np.ceil(t_out * last) + 1, 0), last) + 1
         counts = np.where(visible, k_stop - k_first, 0.0).astype(np.intp)
-    # sample i of the run is k = i - base of its segment: k_first + its rank
+    # sample i of the pass is k = i - base of its segment: k_first + its rank
     first = np.cumsum(counts) - counts
     np.subtract(first, k_first, out=base, where=visible)
 
     if brush > 1:
         offsets = np.arange(brush) - brush // 2
         brush_xy = np.array([np.tile(offsets, offsets.size), np.repeat(offsets, offsets.size)])
-    color_flat = fb.color.reshape(-1, 3)
     bound = np.array([[width], [height]], dtype=np.uintp)
-
-    written = 0
+    parts = []
     for start, stop in _batches(counts * (brush * brush)):
-        batch = counts[start:stop]
-        owner = np.repeat(np.arange(start, stop), batch)
+        owner = np.repeat(np.arange(start, stop), counts[start:stop])
         rows = table.take(owner, axis=1)
         # integer-valued floats below 2**53: exact, as k_first + rank was
         k = np.arange(first[start], first[start] + owner.size) - rows[2]
@@ -384,18 +394,85 @@ def _rasterize_polylines(
         # negative pixels wrap to huge unsigned ones: one test per bound
         inside = np.flatnonzero((xy.view(np.uintp) < bound).all(axis=0))
         sample = inside // (brush * brush) if brush > 1 else inside
-        pixels = xy[1, inside] * width + xy[0, inside]
-        winners, passed = fb.resolve(pixels, owner[sample], zs[sample])
-        written += passed
-        won = pixels[winners]
-        sample = sample[winners]
-        segment = owner[sample]
-        if seg_lerp is None:
-            color_flat[won] = seg_flat[segment]
+        parts.append((xy[1, inside] * width + xy[0, inside], zs[sample],
+                      owner[sample], t[sample]))
+    if parts:
+        pixels, depths, segment, t = (_joined(list(column)) for column in zip(*parts))
+    else:
+        pixels, segment = np.zeros(0, np.intp), np.zeros(0, np.intp)
+        depths, t = np.zeros(0, np.float32), np.zeros(0)
+    if index is not None:
+        segment = index.take(segment)
+    counts = np.bincount(segment, minlength=segments.shape[1])
+    # each piece's segments, and fragments, are one run of the joint ones
+    seg_bounds = list(accumulate(sizes, initial=0))
+    frag_bounds = np.concatenate(([0], np.cumsum(counts))).take(seg_bounds).tolist()
+    out = []
+    for i in range(len(pieces)):
+        s0, s1 = seg_bounds[i], seg_bounds[i + 1]
+        frags = slice(frag_bounds[i], frag_bounds[i + 1])
+        samples = (pixels[frags], depths[frags],
+                   segment[frags] - s0 if s0 else segment[frags], t[frags], counts[s0:s1])
+        for array in samples:
+            array.flags.writeable = False
+        out.append(samples)
+    return out
+
+
+def _rasterize_polylines(
+    pieces: List[Tuple[Tuple[np.ndarray, ...], np.ndarray, int, Optional[tuple]]],
+    colors: np.ndarray,
+    fb: Framebuffer,
+) -> int:
+    """Depth-test and write every line fragment of a run, a batch of
+    whole segments at a time.
+
+    *pieces* are one ``(samples, segments, first point, flat colour or
+    None)`` per actor, in draw order: ``samples`` one of
+    :func:`_line_samples`' results, ``segments`` as
+    :meth:`PolyData.segments`.
+    A line without a flat colour interpolates *colors* along each
+    segment.  The run numbers its segments actor after actor, and
+    ``resolve`` takes each segment as one group, so the run leaves what
+    drawing its segments one after another would.
+    """
+    sizes = [segments.shape[1] for _, segments, _, _ in pieces]
+    seg_first = list(accumulate(sizes[:-1], initial=0))
+    pixels, depths, segment, t, counts = (
+        _joined(list(column)) for column in zip(*(
+            (samples[0], samples[1], samples[2] + first if first else samples[2],
+             samples[3], samples[4])
+            for (samples, _, _, _), first in zip(pieces, seg_first)
+        ))
+    )
+    # each segment's flat colour, and whether it interpolates instead
+    seg_flat = np.repeat(np.array([(0.0, 0.0, 0.0) if color is None else color
+                                   for _, _, _, color in pieces], dtype=np.float32), sizes, axis=0)
+    lerp = [color is None for _, _, _, color in pieces]
+    if any(lerp):
+        seg_lerp = np.repeat(lerp, sizes)
+        ends = _joined([segments + offset if offset else segments
+                        for _, segments, offset, _ in pieces], axis=1)
+    color_flat = fb.color.reshape(-1, 3)
+    fragment_stop = np.cumsum(counts)
+
+    written = 0
+    for start, stop in _batches(counts):
+        lo = fragment_stop[start] - counts[start]
+        hi = fragment_stop[stop - 1]
+        if hi == lo:
             continue
-        lerped = seg_lerp[segment]
-        color_flat[won[~lerped]] = seg_flat[segment[~lerped]]
-        segment = segment[lerped]
-        tw = t[sample[lerped]][:, None]
-        color_flat[won[lerped]] = colors[ends[0, segment]] * (1 - tw) + colors[ends[1, segment]] * tw
+        winners, passed = fb.resolve(pixels[lo:hi], segment[lo:hi], depths[lo:hi])
+        written += passed
+        winners += lo
+        won = pixels[winners]
+        owner = segment[winners]
+        if not any(lerp):
+            color_flat[won] = seg_flat[owner]
+            continue
+        lerped = seg_lerp[owner]
+        color_flat[won[~lerped]] = seg_flat[owner[~lerped]]
+        owner = owner[lerped]
+        tw = t[winners[lerped]][:, None]
+        color_flat[won[lerped]] = colors[ends[0, owner]] * (1 - tw) + colors[ends[1, owner]] * tw
     return written

@@ -31,7 +31,7 @@ one parser::
     template   palette plot name          (default "Slicer")
     source     dataset source string      (default "synthetic_reanalysis")
     variables  dict of port -> var name   (default {"variable": "ta"})
-    size       workflow grid size dict    (e.g. {"lat": 16, "lon": 16})
+    size       generator grid overrides   (e.g. {"nlat": 16, "nlon": 16})
     selector   subset selector dict
     cell_params  extra DV3D cell params
     view keys (VIEW_KEYS)
@@ -45,8 +45,10 @@ one pixel, a size whose PPM would not fit one ``FRAME``
 is not a whole number or an ``azimuth`` that is not a finite number
 raises :class:`~repro.util.errors.RequestError` before a scene is
 looked up or built; the server answers it ``error`` and feeds no
-breaker with it.  The nested ``size``, ``selector`` and
-``cell_params`` are the workflow's to check.
+breaker with it.  So does a ``size`` for a synthetic ``source`` that
+is not a mapping of that generator's grid parameters to whole numbers
+it can build (:func:`repro.data.catalog.grid_size`).  The nested
+``selector`` and ``cell_params`` are the workflow's to check.
 
 The view keys are deliberately *excluded* from the scene digest: an
 animating or orbiting session mutates one long-lived scene cell
@@ -70,11 +72,12 @@ from typing import Any, Mapping, Optional
 
 from repro.app.application import Application
 from repro.cache.keys import json_key
+from repro.data.catalog import GRID_MINIMA, grid_size
 from repro.dv3d.view import VIEW_KEYS, View
 from repro.provenance.vistrail import Vistrail
 from repro.rendering.ppm import ppm_bytes, ppm_header
 from repro.serving.request import Request
-from repro.util.errors import DV3DError, RequestError
+from repro.util.errors import CDMSError, DV3DError, RequestError
 from repro.util.framing import MAX_PAYLOAD_BYTES
 
 #: the request keys that name a scene; with the view's, all a request may carry
@@ -134,6 +137,11 @@ class AppBackend:
         source = str(params.get("source", self.default_source))
         variables = dict(params.get("variables") or {"variable": "ta"})
         size = params.get("size")
+        if source in GRID_MINIMA:
+            try:
+                grid_size(source, size)
+            except CDMSError as exc:
+                raise RequestError(f"malformed request: {exc}") from exc
         selector = params.get("selector")
         cell_params = params.get("cell_params")
         # the view keys are per-frame state, not scene identity — one

@@ -1,10 +1,14 @@
 """What a time step keeps: the translation plans, the slice-plane
-geometry and the frame outline.
+geometry and the frame outline, their projections and line fragments,
+and the cell's text.
 
 A warm step derives no plan, builds one ``Variable`` per translated
 variable (its slab read) and lays out no slice plane or outline; and
 whatever it keeps is what a fresh plot in the same state would build,
-bit for bit, after every change that moves the grid or the planes.
+bit for bit, after every change that moves the grid or the planes.  It
+projects only geometry it made anew (an isosurface's surface) and
+letters only its new ``T=`` label; an orbit or a resize projects
+everything again, and the cell's text store holds the last frame's.
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ import numpy as np
 import pytest
 
 from repro.cdms.variable import Variable
+from repro.dv3d import cell as cell_module
 from repro.dv3d import plot as plot_module
 from repro.dv3d import slicer as slicer_module
 from repro.dv3d import translation
@@ -24,6 +29,8 @@ from repro.dv3d.slicer import SlicerPlot
 from repro.dv3d.vector_slicer import VectorSlicerPlot
 from repro.dv3d.view import View
 from repro.dv3d.volume import VolumePlot
+from repro.rendering.annotation import project_labels
+from repro.rendering.camera import Camera
 from repro.rendering.scene import Scene
 
 
@@ -148,3 +155,94 @@ def test_a_plot_derives_a_plan_again_for_a_variable_of_other_axes(reanalysis):
     plot.invalidate()
     assert plot.translation_plan("variable") is not first
     _assert_like_a_fresh_plot(plot, lambda: SlicerPlot(reanalysis("ta")(latitude=(-30, 30))))
+
+
+# -- what a step draws: kept projections, line fragments and text ------------
+
+
+STRATA = {
+    "slicer": (lambda ds: SlicerPlot(ds("ta")), 0),
+    "isosurface": (lambda ds: IsosurfacePlot(ds("ta"), color_variable=ds("zg")), 1),
+}
+
+
+def _warm_cell(reanalysis, kind, **options):
+    cell = DV3DCell(STRATA[kind][0](reanalysis), dataset_label=kind, **options)
+    view = View(64, 48, azimuth=30.0)
+    view.draw(cell)
+    cell.plot.step_time()
+    view.draw(cell)  # warm: one step taken
+    return cell, view
+
+
+@pytest.mark.parametrize("axes", [False, True])
+@pytest.mark.parametrize("kind", sorted(STRATA))
+def test_a_warm_step_projects_only_its_new_geometry(reanalysis, monkeypatch, kind, axes):
+    cell, view = _warm_cell(reanalysis, kind, show_basemap=True, show_axes=axes)
+    projections = _counted(monkeypatch, Camera, "project")
+    texts = _counted(monkeypatch, cell_module, "render_text")
+    for _ in range(3):
+        cell.plot.step_time()
+        view.draw(cell)
+    # the slice planes, outline, base map and ticks keep their projections;
+    # an isosurface step projects its new surface, the axis labels are
+    # placed again each frame
+    assert len(projections) == 3 * (STRATA[kind][1] + axes)
+    assert len(texts) == 3  # the new T= label
+
+
+@pytest.mark.parametrize("kind", sorted(STRATA))
+def test_an_orbit_projects_everything_again(reanalysis, monkeypatch, kind):
+    cell, view = _warm_cell(reanalysis, kind, show_basemap=True, show_axes=True)
+    drawn = [actor for actor in cell._furnished[1].actors if actor.poly.n_points]
+    projections = _counted(monkeypatch, Camera, "project")
+    texts = _counted(monkeypatch, cell_module, "render_text")
+    View(64, 48, azimuth=60.0).draw(cell)
+    assert len(projections) == len(drawn) + 1  # every actor, and the axis labels
+    assert len(texts) == 0  # the same text, at the same places
+    # and a resize too
+    View(65, 48, azimuth=60.0).draw(cell)
+    assert len(projections) == 2 * (len(drawn) + 1)
+
+
+def test_the_cell_keeps_only_the_last_frames_text(reanalysis):
+    cell, view = _warm_cell(reanalysis, "slicer", show_basemap=True, show_axes=True)
+    for _ in range(200):
+        cell.plot.step_time()
+        view.draw(cell)
+    plot = cell.plot
+    lo, hi = plot.scalar_range
+    camera = cell.plot.orbit(cell.plot.resolve_camera(), 30.0, 0.0)
+    axis_text = {text for text, _, _ in project_labels(cell._furnished[2], camera, 64, 48)}
+    expected = {f"slicer: {plot.variable.id} ({plot.variable.units})", "SLICER",
+                f"T={plot.time_index}/{plot.n_timesteps - 1}", f"{hi:.4g}", f"{lo:.4g}"}
+    assert axis_text
+    assert {text for text, _, _ in cell._patches} == expected | axis_text
+    assert len(cell._patches) == len(expected | axis_text)
+    for patch in cell._patches.values():
+        assert not patch.flags.writeable
+
+
+def test_kept_text_and_legend_follow_what_they_show(reanalysis):
+    """A frame drawn from kept text and legend equals a fresh cell's."""
+    cell, view = _warm_cell(reanalysis, "slicer", show_basemap=True)
+    changes = [
+        lambda: cell.plot.step_time(),
+        lambda: cell.plot.cycle_colormap(),
+        lambda: cell.plot.invert_colormap(),
+        lambda: cell.plot.set_scalar_range(200.0, 300.0),
+        lambda: setattr(cell, "dataset_label", "other"),
+        lambda: cell.pick(np.array([180.0, 0.0, 1.0])),
+        lambda: None,
+    ]
+    for change in changes:
+        change()
+        for size in ((64, 48), (80, 100)):
+            fresh = DV3DCell(SlicerPlot(reanalysis("ta")), dataset_label=cell.dataset_label,
+                             show_basemap=True)
+            fresh.plot.apply_state(cell.plot.state())
+            fresh.last_pick = cell.last_pick
+            camera = cell.plot.orbit(cell.plot.resolve_camera(), 30.0, 0.0)
+            expected = fresh.render(*size, camera=camera)
+            got = View(*size, azimuth=30.0).draw(cell)
+            assert got.color.tobytes() == expected.color.tobytes()

@@ -3,7 +3,9 @@ table and a fresh scene's open, which draws once, then what one wire
 repeat counts: loop iterations, sha256 objects and no Task, then what a
 time step costs per stratum: the call, its translate, build_scene,
 isosurface and rasterize spans, and its rasterize calls — one per run of
-like actors, at most two on these strata."""
+like actors, at most two on these strata — its ``Camera.project`` calls
+(none on a Slicer step, the new surface on an Isosurface step) and its
+``render_text`` calls (the new ``T=`` label)."""
 
 import importlib.util
 import re
@@ -11,7 +13,7 @@ from pathlib import Path
 
 TOOL = Path(__file__).resolve().parents[2] / "tools" / "repeat_cost.py"
 ROW = re.compile(r"^\| ([^|]+) \| (\d+\.\d{3}) ms \|$")
-STEP = re.compile(r"^\| (\w+) \|" + r" (\d+\.\d{3}) ms \|" * 5 + r" (\d+\.\d{2}) \|$")
+STEP = re.compile(r"^\| (\w+) \|" + r" (\d+\.\d{3}) ms \|" * 5 + r" (\d+\.\d{2}) \|" * 3 + "$")
 COUNT = re.compile(r"^\| ([^|]+) \| (\d+\.\d{2}) \|$")
 
 
@@ -39,9 +41,13 @@ def test_the_tool_prints_one_row_per_layer(capsys):
     assert counts["Tasks created"] == 0
     steps = {m.group(1): [float(g) for g in m.groups()[1:]] for m in map(STEP.match, lines) if m}
     assert list(steps) == ["Slicer", "Isosurface"]
-    for step, translate, build, surface, raster, calls in steps.values():
+    for step, translate, build, surface, raster, calls, projections, texts in steps.values():
         assert step > 0 and translate > 0 and build > 0 and raster > 0
         assert 0 < calls <= 2
         assert build >= surface  # the extraction is part of the scene's build
+        assert texts == 1  # the new T= label; the rest of the text is kept
     assert steps["Slicer"][3] == 0  # a slicer extracts no surface
     assert steps["Isosurface"][3] > 0
+    # kept geometry keeps its projection: a step projects only a new surface
+    assert steps["Slicer"][6] == 0
+    assert steps["Isosurface"][6] == 1

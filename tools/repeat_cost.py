@@ -35,8 +35,11 @@ Slicer and its Isosurface stratum: the median ``AppBackend`` call of
 ``translation.translate`` spans (every variable the step translates),
 the ``plot.build_scene`` span (its geometry, the isosurface included),
 the ``isosurface.marching_tetrahedra`` and ``rasterizer.rasterize``
-spans, and the ``rasterizer.rasterize`` calls per step: one per run of
-like actors a frame draws.
+spans, and the ``rasterizer.rasterize`` calls per step (one per run of
+like actors a frame draws), the ``Camera.project`` calls per step
+(geometry the step made anew; kept geometry keeps its projection) and
+the ``render_text`` calls per step (text the cell did not draw in the
+frame before).
 
 Run from the repository root::
 
@@ -56,6 +59,8 @@ import time
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro import obs
+from repro.dv3d import cell as cell_module
+from repro.rendering.camera import Camera
 from repro.rendering.scene import Renderer
 from repro.serving.backend import AppBackend
 from repro.serving.endpoint import WireSessionClient, WireSessionServer
@@ -190,10 +195,31 @@ def fresh_open(repeats: int) -> Tuple[float, float]:
     return statistics.median(times) * 1e3, draws / repeats
 
 
+class _Counted:
+    """Counts the calls of ``owner.name`` while entered."""
+
+    def __init__(self, owner: object, name: str) -> None:
+        self.owner, self.name, self.calls = owner, name, 0
+
+    def __enter__(self) -> "_Counted":
+        original = getattr(self.owner, self.name)
+
+        def counted(*args, **kwargs):
+            self.calls += 1
+            return original(*args, **kwargs)
+
+        self.original = original
+        setattr(self.owner, self.name, counted)
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        setattr(self.owner, self.name, self.original)
+
+
 def step_cost(template: str, variables: dict, steps: int) -> Tuple[float, ...]:
     """Median ms of a time step through ``AppBackend``, the mean ms per
-    step inside each of :data:`STEP_SPANS`, then the ``rasterize`` calls
-    per step."""
+    step inside each of :data:`STEP_SPANS`, then the ``rasterize``,
+    ``Camera.project`` and ``render_text`` calls per step."""
     backend = AppBackend()
     params = dict(PARAMS, template=template, variables=variables, size=STEP_GRID,
                   cell_params=dict(PARAMS["cell_params"], dataset_label=template))
@@ -204,13 +230,15 @@ def step_cost(template: str, variables: dict, steps: int) -> Tuple[float, ...]:
         backend(Request(params=dict(params, timestep=next(timestep) % ntime)), False)
 
     median = _median_ms(step, steps)
-    with obs.recording() as recorder:
+    with obs.recording() as recorder, _Counted(Camera, "project") as projections, \
+            _Counted(cell_module, "render_text") as texts:
         for _ in range(steps):
             step()
     return (median,) + tuple(
         sum(s.duration for s in recorder.spans if s.name == name) / steps * 1e3
         for name in STEP_SPANS
-    ) + (sum(s.name == "rasterizer.rasterize" for s in recorder.spans) / steps,)
+    ) + (sum(s.name == "rasterizer.rasterize" for s in recorder.spans) / steps,
+         projections.calls / steps, texts.calls / steps)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> None:
@@ -252,12 +280,12 @@ def main(argv: Optional[Sequence[str]] = None) -> None:
           f"steps; spans, mean ms per step over {repeats} more:")
     print()
     print("| stratum | step | " + " | ".join(f"`{name}`" for name in STEP_SPANS)
-          + " | `rasterize` calls |")
-    print("|---|---|" + "---|" * (len(STEP_SPANS) + 1))
+          + " | `rasterize` calls | `Camera.project` calls | `render_text` calls |")
+    print("|---|---|" + "---|" * (len(STEP_SPANS) + 3))
     for template, variables in STEP_STRATA:
-        *times, calls = step_cost(template, variables, repeats)
+        *times, rasterizes, projections, texts = step_cost(template, variables, repeats)
         cells = " | ".join(f"{ms:.3f} ms" for ms in times)
-        print(f"| {template} | {cells} | {calls:.2f} |")
+        print(f"| {template} | {cells} | {rasterizes:.2f} | {projections:.2f} | {texts:.2f} |")
 
 
 if __name__ == "__main__":
