@@ -15,7 +15,7 @@ from typing import Any, Dict, Iterator, List, Optional, Union
 from repro.cdms.selectors import Selector
 from repro.cdms.storage import open_cdz, read_cdz, write_cdz
 from repro.cdms.variable import Variable
-from repro.util.errors import CDMSError
+from repro.util.errors import CDMSError, NotFoundError
 
 PathLike = Union[str, Path]
 
@@ -60,7 +60,7 @@ class Dataset:
         try:
             return self._variables[variable_id]
         except KeyError:
-            raise CDMSError(
+            raise NotFoundError(
                 f"dataset {self.id!r}: no variable {variable_id!r} "
                 f"(available: {self.variable_ids})"
             ) from None

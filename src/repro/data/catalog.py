@@ -87,11 +87,12 @@ def wave_case_study(
 
 
 #: the grid parameters of each generator that a ``size`` may override,
-#: with the least value of each the generator builds (a one-row
-#: reanalysis latitude has no spacing to derive its bands from)
+#: with the least value of each that the generator builds and some DV3D
+#: template draws: a one-point latitude or longitude is squeezed away,
+#: and only a Hovmöller plot, which spatializes time, draws without both
 GRID_MINIMA: Dict[str, Dict[str, int]] = {
-    "synthetic_reanalysis": {"nlat": 2, "nlon": 1, "nlev": 1, "ntime": 1},
-    "storm_case_study": {"nlat": 1, "nlon": 1, "nlev": 1, "ntime": 1},
+    "synthetic_reanalysis": {"nlat": 2, "nlon": 2, "nlev": 1, "ntime": 1},
+    "storm_case_study": {"nlat": 2, "nlon": 2, "nlev": 1, "ntime": 1},
     "wave_case_study": {"nlon": 1, "nlat": 1, "ntime": 1},
 }
 
@@ -99,8 +100,8 @@ GRID_MINIMA: Dict[str, Dict[str, int]] = {
 def grid_size(source: str, size: Any) -> Dict[str, int]:
     """*size* as the grid overrides of the generator named *source* (a
     key of :data:`GRID_MINIMA`): ``None`` or a mapping of that
-    generator's grid parameters to whole numbers no smaller than it
-    builds.  Anything else raises :class:`CDMSError`."""
+    generator's grid parameters to whole numbers no smaller than
+    :data:`GRID_MINIMA` allows.  Anything else raises :class:`CDMSError`."""
     minima = GRID_MINIMA[source]
     if size is None:
         return {}

@@ -18,7 +18,6 @@ from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro import obs
 from repro.dv3d.basemap import basemap_polydata
 from repro.dv3d.interaction import Gesture
 from repro.dv3d.plot import Plot3D
@@ -29,6 +28,7 @@ from repro.rendering.geometry import PolyData
 from repro.rendering.scene import Actor, Renderer, Scene
 from repro.rendering.text import render_text, text_width
 from repro.util.errors import DV3DError
+from repro.util.kept import Kept
 
 
 class DV3DCell:
@@ -52,20 +52,16 @@ class DV3DCell:
         self.show_axes = bool(show_axes)
         self.active = bool(active)
         self.last_pick: Optional[Dict[str, float]] = None
-        #: (key, base map, axis ticks, axis labels) — see _layout()
-        self._laid_out: Optional[Tuple[Any, Optional[PolyData], Optional[PolyData],
-                                       List[AxisLabel]]] = None
-        #: (key, furnished scene, axis labels) — see _furnished_scene()
-        self._furnished: Optional[Tuple[Any, Scene, List[AxisLabel]]] = None
-        #: (key, the last finished frame) — see render(); 16 B per pixel
-        #: that die with the cell
-        self._frame: Optional[Tuple[Any, Framebuffer]] = None
+        label = plot.plot_type
+        self._laid_out = Kept("dv3d.layout", plot=label)
+        self._furnished = Kept("dv3d.furnish", plot=label)
+        #: the last finished frame: 16 B per pixel that die with the cell
+        self._frame = Kept("dv3d.frame", plot=label)
+        self._legend = Kept("dv3d.legend", plot=label)
         #: (text, colour, background alpha) → read-only RGBA patch: the
         #: text the last drawn frame blended, and the frame being drawn's
         self._patches: Dict[Tuple[str, Tuple[float, ...], float], np.ndarray] = {}
         self._drawing: Dict[Tuple[str, Tuple[float, ...], float], np.ndarray] = {}
-        #: (colormap state, bar height, the legend strip's read-only RGBA)
-        self._legend: Optional[Tuple[Any, np.ndarray]] = None
 
     def __repr__(self) -> str:
         return (
@@ -103,40 +99,36 @@ class DV3DCell:
         """(base map, axis ticks, axis labels) for the volume's bounds,
         laid out once per (bounds, show_basemap, show_axes)."""
         bounds = self.plot.volume.bounds()
-        key = (bounds, self.show_basemap, self.show_axes)
-        if self._laid_out is None or self._laid_out[0] != key:
-            # read-only, so each keeps its projection for the last view
-            basemap = basemap_polydata(bounds).freeze() if self.show_basemap else None
-            ticks, axis_labels = (
-                axis_annotations(bounds) if self.show_axes else (None, [])
-            )
-            if ticks is not None:
-                ticks.freeze()
-            self._laid_out = (key, basemap, ticks, axis_labels)
-        return self._laid_out[1:]
+        return self._laid_out.get((bounds, self.show_basemap, self.show_axes),
+                                  lambda: self._lay_out(bounds))
+
+    def _lay_out(self, bounds: Tuple[float, ...]) -> Tuple[Any, ...]:
+        # read-only, so each keeps its projection for the last view
+        basemap = basemap_polydata(bounds).freeze() if self.show_basemap else None
+        ticks, axis_labels = axis_annotations(bounds) if self.show_axes else (None, [])
+        return basemap, None if ticks is None else ticks.freeze(), axis_labels
 
     def _furnished_scene(self) -> Tuple[Scene, List[AxisLabel]]:
         """The plot's scene plus base map and axis ticks, and the axis
         labels to project; rebuilt only when the plot's scene was, over
         geometry laid out only when the bounds change."""
         scene = self.plot.scene()
-        key = (scene.stamp, self.show_basemap, self.show_axes)
-        if self._furnished is None or self._furnished[0] != key:
-            basemap, ticks, axis_labels = self._layout()
-            # fresh actors: no actor is shared between two scenes
-            if basemap is not None and basemap.n_points:
-                scene.add_actor(
-                    Actor(basemap, line_color=(0.45, 0.42, 0.3), lighting=False,
-                          name="basemap")
-                )
-            if ticks is not None and ticks.n_points:
-                scene.add_actor(
-                    Actor(ticks, line_color=(0.8, 0.8, 0.8), lighting=False,
-                          name="axis-ticks")
-                )
-            scene.stamp = object()
-            self._furnished = (key, scene, axis_labels)
-        return self._furnished[1:]
+        return self._furnished.get((scene.stamp, self.show_basemap, self.show_axes),
+                                   lambda: self._furnish(scene))
+
+    def _furnish(self, scene: Scene) -> Tuple[Scene, List[AxisLabel]]:
+        basemap, ticks, axis_labels = self._layout()
+        # fresh actors: no actor is shared between two scenes
+        if basemap is not None and basemap.n_points:
+            scene.add_actor(
+                Actor(basemap, line_color=(0.45, 0.42, 0.3), lighting=False, name="basemap")
+            )
+        if ticks is not None and ticks.n_points:
+            scene.add_actor(
+                Actor(ticks, line_color=(0.8, 0.8, 0.8), lighting=False, name="axis-ticks")
+            )
+        scene.stamp = object()
+        return scene, axis_labels
 
     def render(
         self,
@@ -147,22 +139,22 @@ class DV3DCell:
         """Render the plot plus base map, labels, colorbar and pick display.
 
         The last finished frame is kept against everything it was drawn
-        from, so an unchanged request is a lookup.  Callers blend into
-        what they get: a hit returns a copy and a store keeps one.
+        from, so an unchanged request is a lookup; every call returns a
+        copy of it, for the caller to blend into.
         """
         scene, axis_labels = self._furnished_scene()
         cam = self.plot.resolve_camera(camera)
         pick_text = self._pick_text() if self.show_labels else None
         key = (scene.stamp, cam, width, height, self.show_labels,
                self.show_colorbar, self.dataset_label, pick_text)
-        hit = self._frame is not None and self._frame[0] == key
-        obs.counter("dv3d.frame.hits" if hit else "dv3d.frame.misses",
-                    plot=self.plot.plot_type)
-        if hit:
-            return self._frame[1].copy()
-        fb = Renderer(width, height).render(scene, cam)
+        return self._frame.get(key, lambda: self._dress(
+            Renderer(width, height).render(scene, cam), axis_labels, cam, pick_text)).copy()
+
+    def _dress(self, fb: Framebuffer, axis_labels: List[AxisLabel], cam: Camera,
+               pick_text: Optional[str]) -> Framebuffer:
+        """Blend the axis labels, labels, colorbar and pick display into *fb*."""
         self._drawing = {}
-        for text, row, col in project_labels(axis_labels, cam, width, height):
+        for text, row, col in project_labels(axis_labels, cam, fb.width, fb.height):
             patch = self._text(text, color=(0.85, 0.85, 0.85))
             fb.blend_patch(row - patch.shape[0] // 2,
                            col - patch.shape[1] // 2, patch)
@@ -174,7 +166,6 @@ class DV3DCell:
             patch = self._text(pick_text, color=(1.0, 1.0, 0.6), background_alpha=0.35)
             fb.blend_patch(fb.height - patch.shape[0] - 4, 4, patch)
         self._patches = self._drawing
-        self._frame = (key, fb.copy())
         return fb
 
     def _text(self, text: str, color: Tuple[float, float, float] = (1.0, 1.0, 1.0),
@@ -219,17 +210,12 @@ class DV3DCell:
         bar_height = max(fb.height // 2, 24)
         colormap = self.plot.colormap
         key = (colormap.name, colormap.n_colors, colormap.inverted, bar_height)
-        if self._legend is None or self._legend[0] != key:
-            strip = colormap.colorbar_strip(width=10, height=bar_height)
-            rgba = np.concatenate(
-                [strip.astype(np.float32), np.full(strip.shape[:2] + (1,), 0.9, np.float32)],
-                axis=2,
-            )
-            rgba.flags.writeable = False
-            self._legend = (key, rgba)
+        legend = self._legend.get(key, lambda: np.pad(  # RGBA at 0.9 opacity
+            colormap.colorbar_strip(width=10, height=bar_height).astype(np.float32),
+            ((0, 0), (0, 0), (0, 1)), constant_values=0.9))
         row = (fb.height - bar_height) // 2
         col = fb.width - 14
-        fb.blend_patch(row, col, self._legend[1])
+        fb.blend_patch(row, col, legend)
         lo, hi = self.plot.scalar_range
         hi_text = self._text(f"{hi:.4g}", background_alpha=0.3)
         lo_text = self._text(f"{lo:.4g}", background_alpha=0.3)

@@ -14,6 +14,7 @@ The cell module builds the live cell; its host draws it, through a
 
 from __future__ import annotations
 
+import os
 from typing import Any, Dict
 
 
@@ -28,13 +29,10 @@ from repro.dv3d.slicer import SlicerPlot
 from repro.dv3d.translation import translate_variable
 from repro.dv3d.vector_slicer import VectorSlicerPlot
 from repro.dv3d.volume import VolumePlot
-from repro.util.errors import WorkflowError
+from repro.util.errors import NotFoundError, WorkflowError
 from repro.workflow.module import Module, ParameterSpec
 from repro.workflow.package import Package
 from repro.workflow.ports import PortSpec
-
-_SYNTHETIC_SOURCES = ("synthetic_reanalysis", "storm_case_study", "wave_case_study")
-
 
 # ---------------------------------------------------------------------------
 # cdms package
@@ -87,6 +85,8 @@ class CDMSDatasetReader(Module):
         if source.startswith("esg://"):
             return {"dataset": self._esg().fetch(source[len("esg://"):])}
         if source.endswith(".cdz"):
+            if not os.path.isfile(source):
+                raise NotFoundError(f"no such .cdz container: {source}")
             # streamed, each hyperwall cell executing this module reads
             # only the chunks its own subset touches, instead of a
             # whole-array broadcast
@@ -94,11 +94,9 @@ class CDMSDatasetReader(Module):
             return {"dataset": open_dataset(source, streaming=streaming)}
         from repro.data import catalog
 
-        if source not in _SYNTHETIC_SOURCES:
-            raise WorkflowError(
-                f"unknown dataset source {source!r}; use a .cdz path or one of "
-                f"{_SYNTHETIC_SOURCES}"
-            )
+        if source not in catalog.GRID_MINIMA:
+            raise NotFoundError(f"unknown dataset source {source!r}; use a .cdz path "
+                                f"or one of {sorted(catalog.GRID_MINIMA)}")
         generate = getattr(catalog, source)
         return {"dataset": generate(seed=seed, **catalog.grid_size(source, size))}
 

@@ -16,6 +16,7 @@ provenance capture.
 from __future__ import annotations
 
 import struct
+from collections import defaultdict
 from typing import Any, Callable, Dict, Optional, Tuple
 
 import numpy as np
@@ -28,10 +29,11 @@ from repro.dv3d.translation import TranslationPlan, translate_variable
 from repro.rendering.camera import Camera
 from repro.rendering.colormap import Colormap
 from repro.rendering.framebuffer import Framebuffer
-from repro.rendering.geometry import PolyData, box_outline
+from repro.rendering.geometry import box_outline
 from repro.rendering.image_data import ImageData
 from repro.rendering.scene import Actor, Renderer, Scene
 from repro.util.errors import DV3DError, RenderingError
+from repro.util.kept import Kept, same_first, same_items
 
 _ANGLES = struct.Struct("<dd")  # an orbit's (azimuth, elevation), bit for bit
 
@@ -71,16 +73,14 @@ class Plot3D:
         self.scalar_range: Tuple[float, float] = padded_range(scalar_range)
         self.camera: Optional[Camera] = None
         self._volume: Optional[ImageData] = None
-        #: (what the scene was built from, the built scene) — see scene()
-        self._scene_memo: Optional[Tuple[Any, Scene]] = None
-        #: (the volume bounds it was fitted to, the fitted camera)
-        self._fitted: Optional[Tuple[Tuple[float, ...], Camera]] = None
-        #: (the camera orbited, its angles' types and bits, the orbited camera)
-        self._orbited: Optional[Tuple[Camera, Any, Camera]] = None
+        label = self.plot_type
+        self._scene_memo = Kept("dv3d.scene", plot=label)
+        self._fitted = Kept("dv3d.fit", plot=label)
+        self._orbited = Kept("dv3d.orbit", same_first, plot=label)
+        self._outlined = Kept("dv3d.outline", plot=label)
         #: the attribute naming each translated variable → its kept plan
-        self._plans: Dict[str, TranslationPlan] = {}
-        #: (the volume bounds it outlines, the frame outline)
-        self._outlined: Optional[Tuple[Tuple[float, ...], PolyData]] = None
+        self._plans: Dict[str, Kept] = defaultdict(
+            lambda: Kept("dv3d.plan", same_items, plot=label))
 
     # -- data ------------------------------------------------------------
 
@@ -95,10 +95,7 @@ class Plot3D:
         ones it was derived from: a time step translates its data, not
         its grid."""
         variable = getattr(self, name)
-        plan = self._plans.get(name)
-        if plan is None or not plan.fits(variable):
-            plan = self._plans[name] = TranslationPlan(variable)
-        return plan
+        return self._plans[name].get(variable.axes, lambda: TranslationPlan(variable))
 
     def _build_volume(self) -> ImageData:
         return translate_variable(
@@ -114,10 +111,9 @@ class Plot3D:
         return self._volume
 
     def invalidate(self) -> None:
-        """Drop the cached volume (after a time step or data change) and
-        the scene built from it."""
+        """Drop the cached volume (after a time step or data change), so
+        the scene kept for it is built again (its key holds the volume)."""
         self._volume = None
-        self._scene_memo = None
 
     def set_time_index(self, index: int) -> None:
         index = int(index) % max(self.n_timesteps, 1)
@@ -152,64 +148,39 @@ class Plot3D:
         return self.volume, state
 
     def scene(self) -> Scene:
-        """The plot's scene, rebuilt only when what it reads has changed.
+        """A fresh :meth:`Scene.shell` over the scene kept for
+        :meth:`_scene_key` (VTK's modified-time rule: a camera move, a
+        resize or a repeat builds nothing), stamped with its build's
+        token; a caller may add furnishings to what it gets."""
+        return self._scene_memo.get(self._scene_key(), self._built_scene).shell()
 
-        VTK's modified-time rule: a camera move, a resize or an
-        unchanged repeat re-executes nothing upstream of the renderer.
-        Every call returns a fresh :meth:`Scene.shell` over the kept
-        build's actors, stamped with that build's token, so a caller
-        may add furnishings to what it gets.
-        """
-        key = self._scene_key()
-        memo = self._scene_memo
-        hit = memo is not None and memo[0] == key
-        if not hit:
-            with obs.span("plot.build_scene", plot=self.plot_type):
-                built = self.build_scene()
-            built.stamp = object()
-            memo = self._scene_memo = (key, built)
-        obs.counter("dv3d.scene.hits" if hit else "dv3d.scene.misses",
-                    plot=self.plot_type)
-        return memo[1].shell()
+    def _built_scene(self) -> Scene:
+        with obs.span("plot.build_scene", plot=self.plot_type):
+            built = self.build_scene()
+        built.stamp = object()
+        return built
 
     def default_camera(self) -> Camera:
-        """The camera framing the current volume, fitted once per bounds.
-
-        Kept with the ``volume.bounds()`` it was fitted to and refitted
-        only when they differ, so every frame that passes no camera
-        shares one :class:`Camera` — frozen, so its cached basis is safe
-        to share too.
-        """
+        """The camera framing the current volume, kept per
+        ``volume.bounds()``: every frame that passes no camera shares one
+        frozen :class:`Camera`, and its cached basis with it."""
         bounds = self.volume.bounds()
-        fitted = self._fitted
-        if fitted is None or fitted[0] != bounds:
-            fitted = self._fitted = (bounds, Camera.fit_bounds(bounds))
-        return fitted[1]
+        return self._fitted.get(bounds, lambda: Camera.fit_bounds(bounds))
 
     def frame_actor(self) -> Actor:
         """The volume's frame outline as a fresh actor, over geometry laid
         out once per ``volume.bounds()`` (read-only points and lines), as
         a cell keeps its base map."""
         bounds = self.volume.bounds()
-        kept = self._outlined
-        if kept is None or kept[0] != bounds:
-            kept = self._outlined = (bounds, box_outline(bounds).freeze())
-        return Actor(kept[1], line_color=(0.7, 0.7, 0.75), lighting=False, name="frame")
+        outline = self._outlined.get(bounds, lambda: box_outline(bounds).freeze())
+        return Actor(outline, line_color=(0.7, 0.7, 0.75), lighting=False, name="frame")
 
     def orbit(self, camera: Camera, azimuth: float, elevation: float) -> Camera:
-        """``camera.orbit(azimuth, elevation)``, kept for the last call.
-
-        One entry per plot, matched on the very *camera* object and the
-        angles' types and IEEE bits (so ``-0.0`` is not ``0.0``): a
-        repeat or a time step re-orbits nothing and gets the same,
-        bit-identical :class:`Camera`.  The entry lives on the plot,
-        never on a camera, so a chain of orbits pins no earlier camera.
-        """
+        """``camera.orbit(azimuth, elevation)``, kept on the plot (so a
+        chain of orbits pins no earlier camera) for the very *camera* and
+        the angles' types and IEEE bits: ``-0.0`` is not ``0.0``."""
         angles = (type(azimuth), type(elevation), _ANGLES.pack(azimuth, elevation))
-        kept = self._orbited
-        if kept is None or kept[0] is not camera or kept[1] != angles:
-            kept = self._orbited = (camera, angles, camera.orbit(azimuth, elevation))
-        return kept[2]
+        return self._orbited.get((camera, angles), lambda: camera.orbit(azimuth, elevation))
 
     def resolve_camera(self, camera: Optional[Camera] = None) -> Camera:
         """The camera a frame is drawn through: *camera*, else the

@@ -29,6 +29,7 @@ from repro.rendering.geometry import PolyData
 from repro.rendering.image_data import ImageData
 from repro.rendering.scene import Actor, Scene
 from repro.util.errors import DV3DError
+from repro.util.kept import Kept
 
 _AXIS_NAMES = {"x": 0, "y": 1, "z": 2}
 
@@ -75,9 +76,9 @@ class SlicerPlot(Plot3D):
         self.contour_count = 0
         # positions are fractions [0, 1] of each axis span
         self.plane_positions: Dict[str, float] = {"x": 0.5, "y": 0.5, "z": 0.25}
-        #: plane → (what its geometry was laid out for, the read-only
-        #: plane, which keeps its projection)
-        self._slice_geometry: Dict[str, Tuple[Any, PolyData]] = {}
+        #: plane → its read-only geometry, which keeps its projection
+        self._slice_geometry = {plane: Kept("dv3d.slice_plane", plot=self.plot_type)
+                                for plane in _AXIS_NAMES}
         self.apply_state({"enabled_planes": enabled_planes, "contour_count": contour_count})
 
     # -- data -------------------------------------------------------------
@@ -142,13 +143,11 @@ class SlicerPlot(Plot3D):
         world = self.plane_world_coordinate(plane)
         volume = self.volume
         key = (world, volume.dimensions, volume.origin, volume.spacing)
-        kept = self._slice_geometry.get(plane)
-        if kept is None or kept[0] != key:
-            kept = self._slice_geometry[plane] = (
-                key, PolyData(*slice_plane_geometry(volume, axis, world)))
+        geometry = self._slice_geometry[plane].get(
+            key, lambda: PolyData(*slice_plane_geometry(volume, axis, world)))
         values = volume.slice_values(axis, world, name=self.variable.id).reshape(-1)
         colors = self.colormap.map_scalars(values, *self.scalar_range)
-        return kept[1].with_scalars(np.nan_to_num(values, nan=0.0)).with_colors(
+        return geometry.with_scalars(np.nan_to_num(values, nan=0.0)).with_colors(
             colors.astype(np.float32))
 
     def _contour_overlay(self, plane: str) -> Optional[PolyData]:

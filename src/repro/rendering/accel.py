@@ -27,6 +27,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from repro.util.errors import RenderingError
+from repro.util.kept import Kept
 
 #: safety margin (normalized units) widening the opacity support when
 #: classifying cells — absorbs trilinear round-off so a sample that
@@ -66,8 +67,8 @@ class MinMaxPyramid:
         self.vmin = vmin
         self.vmax = vmax
         self.nonfinite = nonfinite
-        #: the last ``blocked_outside`` support and its read-only mask
-        self._blocked: Optional[Tuple[Tuple[float, float], np.ndarray]] = None
+        #: the read-only mask of the last ``blocked_outside`` support
+        self._blocked = Kept("accel.blocked")
 
     @classmethod
     def build(cls, values: np.ndarray) -> "MinMaxPyramid":
@@ -107,15 +108,12 @@ class MinMaxPyramid:
         non-finite samples), a ``True`` cell cannot contribute color or
         absorb light — every sample in it has opacity exactly 0.  The
         comparison keeps :data:`SUPPORT_MARGIN` of slack so trilinear
-        round-off can never un-skip a contributing sample.
-
-        The mask of the last ``(lo, hi)`` is kept, read-only: an orbit or
-        a repeat under the same transfer function recomputes nothing,
-        and a leveling drag replaces the one entry.
+        round-off can never un-skip a contributing sample.  The mask of
+        the last ``(lo, hi)`` is kept, read-only.
         """
-        kept = self._blocked
-        if kept is not None and kept[0] == (lo, hi):
-            return kept[1]
+        return self._blocked.get((lo, hi), lambda: self._blocked_outside(lo, hi))
+
+    def _blocked_outside(self, lo: float, hi: float) -> np.ndarray:
         # every test is made in float64: the float32 bounds are widened
         # inside each ufunc (exactly), never rounded to a Python float
         vmin, vmax = self.vmin, self.vmax
@@ -135,8 +133,6 @@ class MinMaxPyramid:
             blocked |= np.less(edge, lo, out=test)
             np.subtract(vmin, margin, out=edge)
             blocked |= np.greater(edge, hi, out=test)
-        blocked.flags.writeable = False
-        self._blocked = ((lo, hi), blocked)
         return blocked
 
     def straddling(self, isovalue: float) -> np.ndarray:

@@ -19,6 +19,7 @@ from typing import TYPE_CHECKING, Any, Dict, Hashable, Optional, Tuple
 import numpy as np
 
 from repro.util.errors import RenderingError
+from repro.util.kept import Kept, same_first
 
 if TYPE_CHECKING:
     from repro.rendering.camera import Camera
@@ -31,20 +32,6 @@ def _fixed(array: np.ndarray) -> bool:
             return False
         array = array.base
     return True
-
-
-class _LastView:
-    """The one view a geometry's points were last projected for: the
-    camera (by identity) and frame size, the read-only projection, and
-    what was derived from it, by name."""
-
-    __slots__ = ("camera", "size", "projected", "derived")
-
-    def __init__(self) -> None:
-        self.camera: Optional["Camera"] = None
-        self.size: Tuple[int, int] = (0, 0)
-        self.projected: Optional[np.ndarray] = None
-        self.derived: Dict[Hashable, Any] = {}
 
 
 class PolyData:
@@ -73,9 +60,8 @@ class PolyData:
                 raise RenderingError("line indices out of range")
         self._set_attributes(scalars, colors)
         self._segments: Optional[np.ndarray] = None
-        #: shared by the copies :meth:`with_colors` and :meth:`with_scalars`
-        #: make over the same points; used only while they are read-only
-        self._view = _LastView()
+        #: (projection, view memo), shared with the copies of :meth:`_recolored`
+        self._view = Kept("geometry.projection", same_first)
 
     def _set_attributes(self, scalars: Optional[np.ndarray],
                         colors: Optional[np.ndarray]) -> None:
@@ -129,34 +115,25 @@ class PolyData:
     # -- per view ------------------------------------------------------------------
 
     def project(self, camera: "Camera", width: int, height: int) -> np.ndarray:
-        """``camera.project(self.points, width, height)``.
-
-        While the points are read-only the result is kept (read-only)
-        for the last ``(camera, width, height)``, the camera matched by
-        identity, and shared with the copies :meth:`with_colors` and
-        :meth:`with_scalars` make; writable points are projected on
-        every call.
-        """
-        view = self._view
+        """``camera.project(self.points, width, height)``, kept (read-only)
+        while the points are read-only, for the last (camera object,
+        width, height); writable points are projected on every call."""
         if not _fixed(self.points):
             return camera.project(self.points, width, height)
-        if view.camera is not camera or view.size != (width, height):
-            projected = camera.project(self.points, width, height)
-            projected.flags.writeable = False
-            view.camera, view.size, view.projected = camera, (width, height), projected
-            view.derived = {}
-        return view.projected
+        return self._viewed(camera, width, height)[0]
 
     def view_memo(self, camera: "Camera", width: int, height: int) -> Dict[Hashable, Any]:
-        """A dict for what is derived from :meth:`project` through this
-        view, kept beside the kept projection and emptied when it is
-        projected again; a new empty dict on every call while the points
-        are writable.  What goes in must read nothing but the projection
-        and this geometry's connectivity."""
+        """A dict kept beside the kept projection, for what is derived
+        from it and this geometry's connectivity alone (a new empty dict
+        on every call while the points are writable)."""
         if not _fixed(self.points):
             return {}
-        self.project(camera, width, height)
-        return self._view.derived
+        return self._viewed(camera, width, height)[1]
+
+    def _viewed(self, camera: "Camera", width: int,
+                height: int) -> Tuple[np.ndarray, Dict[Hashable, Any]]:
+        return self._view.get((camera, (width, height)), lambda: (
+            camera.project(self.points, width, height), {}))
 
     # -- attribute helpers ----------------------------------------------------
 

@@ -45,9 +45,9 @@ one pixel, a size whose PPM would not fit one ``FRAME``
 is not a whole number or an ``azimuth`` that is not a finite number
 raises :class:`~repro.util.errors.RequestError` before a scene is
 looked up or built; the server answers it ``error`` and feeds no
-breaker with it.  So does a ``size`` for a synthetic ``source`` that
-is not a mapping of that generator's grid parameters to whole numbers
-it can build (:func:`repro.data.catalog.grid_size`).  The nested
+breaker with it.  So does a synthetic ``source``'s ``size`` that
+:func:`repro.data.catalog.grid_size` refuses, and (once its workflow
+ran) a scene naming no such source, ``.cdz`` or variable.  The nested
 ``selector`` and ``cell_params`` are the workflow's to check.
 
 The view keys are deliberately *excluded* from the scene digest: an
@@ -77,7 +77,8 @@ from repro.dv3d.view import VIEW_KEYS, View
 from repro.provenance.vistrail import Vistrail
 from repro.rendering.ppm import ppm_bytes, ppm_header
 from repro.serving.request import Request
-from repro.util.errors import CDMSError, DV3DError, RequestError
+from repro.util.errors import (CDMSError, DV3DError, ModuleExecutionError, NotFoundError,
+                               RequestError)
 from repro.util.framing import MAX_PAYLOAD_BYTES
 
 #: the request keys that name a scene; with the view's, all a request may carry
@@ -162,4 +163,9 @@ class AppBackend:
             project.vistrails[name] = vistrail
         pipeline = project.vistrails[name].pipeline
         sink = pipeline.sinks()[0]
-        return project.node.execute(digest, pipeline, sink).output(sink, "cell")
+        try:
+            return project.node.execute(digest, pipeline, sink).output(sink, "cell")
+        except ModuleExecutionError as exc:
+            if isinstance(exc.original, NotFoundError):
+                raise RequestError(f"malformed request: {exc.original}") from exc
+            raise

@@ -1,9 +1,10 @@
 """Shared utilities used across all ``repro`` subsystems.
 
-This package deliberately stays tiny and dependency-free (numpy only):
+This package deliberately stays tiny (numpy and ``repro.obs`` only):
 error hierarchy, monotonic identifiers and deterministic random-number
-helpers; its ``framing`` and ``atomic`` modules hold the
-framed-message codec and crash-safe file publication.  Everything
+helpers; its ``framing``, ``atomic`` and ``kept`` modules hold the
+framed-message codec, crash-safe file publication and the one
+single-entry memo.  Everything
 higher up the stack (CDMS data model, rendering, workflow engine, DV3D)
 builds on these primitives.
 """

@@ -16,6 +16,10 @@ class CDMSError(ReproError):
     """Raised by the climate data management subsystem (:mod:`repro.cdms`)."""
 
 
+class NotFoundError(CDMSError):
+    """A dataset source, container or variable that was named does not exist."""
+
+
 class StreamingError(CDMSError):
     """Raised by the out-of-core streaming layer (:mod:`repro.streaming`).
 

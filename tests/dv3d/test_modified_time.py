@@ -225,7 +225,7 @@ def test_every_cell_keeps_its_own_frame_and_it_dies_with_the_cell(data, kernels)
     for _ in range(2):
         assert all(_same(cell.render(*SIZES[0]), frame) for cell, frame in zip(cells, frames))
     assert kernels["rasterize"] == drawn
-    kept = weakref.ref(cells[0]._frame[1])
+    kept = weakref.ref(cells[0]._frame.value)
     del cells
     gc.collect()
     assert kept() is None

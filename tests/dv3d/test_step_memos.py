@@ -194,7 +194,7 @@ def test_a_warm_step_projects_only_its_new_geometry(reanalysis, monkeypatch, kin
 @pytest.mark.parametrize("kind", sorted(STRATA))
 def test_an_orbit_projects_everything_again(reanalysis, monkeypatch, kind):
     cell, view = _warm_cell(reanalysis, kind, show_basemap=True, show_axes=True)
-    drawn = [actor for actor in cell._furnished[1].actors if actor.poly.n_points]
+    drawn = [actor for actor in cell._furnished.value[0].actors if actor.poly.n_points]
     projections = _counted(monkeypatch, Camera, "project")
     texts = _counted(monkeypatch, cell_module, "render_text")
     View(64, 48, azimuth=60.0).draw(cell)
@@ -213,7 +213,7 @@ def test_the_cell_keeps_only_the_last_frames_text(reanalysis):
     plot = cell.plot
     lo, hi = plot.scalar_range
     camera = cell.plot.orbit(cell.plot.resolve_camera(), 30.0, 0.0)
-    axis_text = {text for text, _, _ in project_labels(cell._furnished[2], camera, 64, 48)}
+    axis_text = {text for text, _, _ in project_labels(cell._furnished.value[1], camera, 64, 48)}
     expected = {f"slicer: {plot.variable.id} ({plot.variable.units})", "SLICER",
                 f"T={plot.time_index}/{plot.n_timesteps - 1}", f"{hi:.4g}", f"{lo:.4g}"}
     assert axis_text

@@ -5,7 +5,8 @@ time step costs per stratum: the call, its translate, build_scene,
 isosurface and rasterize spans, and its rasterize calls — one per run of
 like actors, at most two on these strata — its ``Camera.project`` calls
 (none on a Slicer step, the new surface on an Isosurface step) and its
-``render_text`` calls (the new ``T=`` label)."""
+``render_text`` calls (the new ``T=`` label); then the misses per step
+of each kept site."""
 
 import importlib.util
 import re
@@ -15,6 +16,7 @@ TOOL = Path(__file__).resolve().parents[2] / "tools" / "repeat_cost.py"
 ROW = re.compile(r"^\| ([^|]+) \| (\d+\.\d{3}) ms \|$")
 STEP = re.compile(r"^\| (\w+) \|" + r" (\d+\.\d{3}) ms \|" * 5 + r" (\d+\.\d{2}) \|" * 3 + "$")
 COUNT = re.compile(r"^\| ([^|]+) \| (\d+\.\d{2}) \|$")
+KEPT = re.compile(r"^\| `([\w.]+)` \| (\d+\.\d{2}) \| (\d+\.\d{2}) \|$")
 
 
 def test_the_tool_prints_one_row_per_layer(capsys):
@@ -51,3 +53,11 @@ def test_the_tool_prints_one_row_per_layer(capsys):
     # kept geometry keeps its projection: a step projects only a new surface
     assert steps["Slicer"][6] == 0
     assert steps["Isosurface"][6] == 1
+    # a step misses only the scene, its furnishing and the frame; every
+    # other kept site answers (the new surface's projection is not kept)
+    kept = {m.group(1): (float(m.group(2)), float(m.group(3)))
+            for m in map(KEPT.match, lines) if m}
+    assert {site: misses for site, misses in kept.items() if any(misses)} == {
+        "dv3d.scene": (1, 1), "dv3d.furnish": (1, 1), "dv3d.frame": (1, 1)}
+    assert {"dv3d.plan", "dv3d.outline", "dv3d.slice_plane", "dv3d.layout",
+            "dv3d.legend", "geometry.projection"} <= set(kept)

@@ -222,7 +222,7 @@ class TestKeptLineSamples:
         camera = Camera(position=(0.0, 0.0, 6.0), focal_point=(0.0, 0.0, 0.0))
         fb = Framebuffer(40, 30)
         rasterizer.rasterize([Actor(poly, line_color=(1.0, 1.0, 1.0))], camera, fb)
-        (samples,) = poly._view.derived.values()
+        (samples,) = poly._view.value[1].values()
         assert samples[0].size > 0
         for array in samples:
             assert not array.flags.writeable

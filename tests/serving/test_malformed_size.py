@@ -1,11 +1,13 @@
 """A malformed grid ``size`` is the request's fault, not the backend's.
 
 ``AppBackend`` checks a synthetic source's ``size`` against the
-generator's own grid parameters and the least grid it builds
-(``repro.data.catalog.grid_size``) before it keys or builds a scene.
-A size of other names, of non-whole numbers or below that floor is
-refused with :class:`~repro.util.errors.RequestError`: one ``error``
-outcome per request, and the breaker every tenant shares stays closed.
+generator's own grid parameters and the least grid it builds and a
+template draws (``repro.data.catalog.grid_size``) before it keys or
+builds a scene: a one-point longitude is generated, then squeezed away
+by translation.  A size of other names, of non-whole numbers or below
+that floor is refused with :class:`~repro.util.errors.RequestError`: one
+``error`` outcome per request, and the breaker every tenant shares
+stays closed.
 """
 
 from __future__ import annotations
@@ -17,6 +19,9 @@ import pytest
 
 from repro import obs
 from repro.data import catalog
+from repro.dv3d import (DV3DCell, HovmollerSlicerPlot, HovmollerVolumePlot, IsosurfacePlot,
+                        SlicerPlot, VolumePlot)
+from repro.dv3d.view import View
 from repro.serving import Request, ServingServer
 from repro.serving.backend import AppBackend
 from repro.serving.server import BREAKER_FAILURES
@@ -34,6 +39,7 @@ BAD_SIZES = [
     {"ntime": True},
     {"seed": 3},
     [16, 16],
+    {"nlat": 2, "nlon": 1, "nlev": 1, "ntime": 1},  # generated, but no template draws it
 ]
 
 
@@ -84,15 +90,35 @@ def test_a_size_that_names_no_dimension_or_none_is_the_generators_default():
     assert payload.startswith(b"P6\n32 24\n255\n")
 
 
+def _drawn(dataset):
+    """The plot types that draw the dataset's first variable at 32x24."""
+    variable = dataset(dataset.variable_ids[0])
+    drawn = []
+    for plot_type in (SlicerPlot, IsosurfacePlot, VolumePlot,
+                      HovmollerSlicerPlot, HovmollerVolumePlot):
+        try:
+            View(32, 24).draw(DV3DCell(plot_type(variable)))
+        except Exception:
+            continue
+        drawn.append(plot_type.plot_type)
+    return drawn
+
+
 @pytest.mark.parametrize("source", sorted(catalog.GRID_MINIMA))
 def test_grid_minima_are_the_least_grid_each_generator_builds(source):
+    """At the minima the generator builds and some template draws; one
+    below any of them, the generator raises or no template draws."""
     minima = catalog.GRID_MINIMA[source]
     generate = getattr(catalog, source)
     dataset = generate(**catalog.grid_size(source, minima))
     assert len(dataset)
+    assert _drawn(dataset)
     for name, least in minima.items():
         below = dict(minima, **{name: least - 1})
         with pytest.raises(CDMSError):
             catalog.grid_size(source, below)
-        with pytest.raises(Exception):
-            generate(**below)
+        try:
+            dataset = generate(**below)
+        except Exception:
+            continue
+        assert _drawn(dataset) == [], below

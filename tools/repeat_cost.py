@@ -39,7 +39,9 @@ spans, and the ``rasterizer.rasterize`` calls per step (one per run of
 like actors a frame draws), the ``Camera.project`` calls per step
 (geometry the step made anew; kept geometry keeps its projection) and
 the ``render_text`` calls per step (text the cell did not draw in the
-frame before).
+frame before).  A last table gives, per stratum, the misses per step of
+every kept site (``repro.util.kept.Kept``) that counted during those
+steps, read from its ``<site>.misses`` counter.
 
 Run from the repository root::
 
@@ -56,7 +58,7 @@ import hashlib
 import itertools
 import statistics
 import time
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro import obs
 from repro.dv3d import cell as cell_module
@@ -216,10 +218,12 @@ class _Counted:
         setattr(self.owner, self.name, self.original)
 
 
-def step_cost(template: str, variables: dict, steps: int) -> Tuple[float, ...]:
+def step_cost(template: str, variables: dict,
+              steps: int) -> Tuple[Tuple[float, ...], Dict[str, float]]:
     """Median ms of a time step through ``AppBackend``, the mean ms per
     step inside each of :data:`STEP_SPANS`, then the ``rasterize``,
-    ``Camera.project`` and ``render_text`` calls per step."""
+    ``Camera.project`` and ``render_text`` calls per step; and the
+    misses per step of each kept site that counted."""
     backend = AppBackend()
     params = dict(PARAMS, template=template, variables=variables, size=STEP_GRID,
                   cell_params=dict(PARAMS["cell_params"], dataset_label=template))
@@ -234,11 +238,16 @@ def step_cost(template: str, variables: dict, steps: int) -> Tuple[float, ...]:
             _Counted(cell_module, "render_text") as texts:
         for _ in range(steps):
             step()
+    misses: Dict[str, float] = {}  # per step, every site that counted
+    for key, value in recorder.counters.items():
+        site, _, kind = key.name.rpartition(".")
+        if kind in ("hits", "misses"):
+            misses[site] = misses.get(site, 0.0) + (kind == "misses") * value / steps
     return (median,) + tuple(
         sum(s.duration for s in recorder.spans if s.name == name) / steps * 1e3
         for name in STEP_SPANS
     ) + (sum(s.name == "rasterizer.rasterize" for s in recorder.spans) / steps,
-         projections.calls / steps, texts.calls / steps)
+         projections.calls / steps, texts.calls / steps), misses
 
 
 def main(argv: Optional[Sequence[str]] = None) -> None:
@@ -282,10 +291,20 @@ def main(argv: Optional[Sequence[str]] = None) -> None:
     print("| stratum | step | " + " | ".join(f"`{name}`" for name in STEP_SPANS)
           + " | `rasterize` calls | `Camera.project` calls | `render_text` calls |")
     print("|---|---|" + "---|" * (len(STEP_SPANS) + 3))
+    kept: Dict[str, Dict[str, float]] = {}
     for template, variables in STEP_STRATA:
-        *times, rasterizes, projections, texts = step_cost(template, variables, repeats)
+        (*times, rasterizes, projections, texts), kept[template] = step_cost(
+            template, variables, repeats)
         cells = " | ".join(f"{ms:.3f} ms" for ms in times)
         print(f"| {template} | {cells} | {rasterizes:.2f} | {projections:.2f} | {texts:.2f} |")
+    print()
+    print("Misses per time step of each kept site (`<site>.misses`), same steps:")
+    print()
+    print("| kept site | " + " | ".join(kept) + " |")
+    print("|---|" + "---|" * len(kept))
+    for site in sorted(set().union(*kept.values())):
+        print(f"| `{site}` | " + " | ".join(
+            f"{misses.get(site, 0.0):.2f}" for misses in kept.values()) + " |")
 
 
 if __name__ == "__main__":
