@@ -11,7 +11,7 @@ multi-variable global reanalysis-like dataset, a regional storm case
 from __future__ import annotations
 
 import numbers
-from typing import Any, Dict
+from typing import Any, Dict, Optional
 
 from repro.cdms.dataset import Dataset
 from repro.data import fields
@@ -96,13 +96,25 @@ GRID_MINIMA: Dict[str, Dict[str, int]] = {
     "wave_case_study": {"nlon": 1, "nlat": 1, "ntime": 1},
 }
 
+#: a DV3D template's own floor over :data:`GRID_MINIMA`: a Hovmöller
+#: plot spatializes time, and a time axis of one step spans nothing (a
+#: reanalysis generator's is squeezed away with the level it cuts at)
+TEMPLATE_MINIMA: Dict[str, Dict[str, int]] = {
+    "HovmollerSlicer": {"ntime": 2},
+    "HovmollerVolume": {"ntime": 2},
+}
 
-def grid_size(source: str, size: Any) -> Dict[str, int]:
+
+def grid_size(source: str, size: Any, template: Optional[str] = None) -> Dict[str, int]:
     """*size* as the grid overrides of the generator named *source* (a
     key of :data:`GRID_MINIMA`): ``None`` or a mapping of that
     generator's grid parameters to whole numbers no smaller than
-    :data:`GRID_MINIMA` allows.  Anything else raises :class:`CDMSError`."""
-    minima = GRID_MINIMA[source]
+    :data:`GRID_MINIMA` allows, or *template*'s
+    :data:`TEMPLATE_MINIMA` where that is more.  Anything else raises
+    :class:`CDMSError`."""
+    floors = TEMPLATE_MINIMA.get(template, {})
+    minima = {name: max(least, floors.get(name, least))
+              for name, least in GRID_MINIMA[source].items()}
     if size is None:
         return {}
     if not isinstance(size, dict):
@@ -114,5 +126,7 @@ def grid_size(source: str, size: Any) -> Dict[str, int]:
         if isinstance(value, bool) or not isinstance(value, numbers.Integral):
             raise CDMSError(f"{source} size {name} must be a whole number, got {value!r}")
         if value < minima[name]:
-            raise CDMSError(f"{source} size {name} must be at least {minima[name]}, got {value}")
+            plot = f" for {template}" if name in floors else ""
+            raise CDMSError(f"{source} size {name} must be at least {minima[name]}{plot}, "
+                            f"got {value}")
     return {name: int(value) for name, value in size.items()}

@@ -234,13 +234,14 @@ class Plot3D:
         """Probe along the view ray of pixel (px, py).
 
         Returns the first finite sample along the ray, or None when the
-        ray misses the data volume entirely.
+        ray misses the data volume entirely.  A pixel outside the
+        ``width`` x ``height`` view raises :class:`DV3DError`.
         """
+        if not (0 <= px < width and 0 <= py < height):
+            raise DV3DError(f"pixel ({px}, {py}) outside {width}x{height}")
         cam = self.resolve_camera(camera)
         origins, dirs = cam.pixel_rays(width, height)
         idx = py * width + px
-        if not 0 <= idx < origins.shape[0]:
-            raise DV3DError(f"pixel ({px}, {py}) outside {width}x{height}")
         from repro.rendering.raycast import _ray_box_intersection
 
         o = origins[idx : idx + 1]

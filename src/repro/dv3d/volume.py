@@ -19,6 +19,7 @@ from repro.dv3d.interaction import number, number_pair, optional_positive
 from repro.dv3d.plot import Plot3D
 from repro.rendering.scene import Actor, Scene, VolumeActor
 from repro.rendering.transfer_function import TransferFunction
+from repro.util.kept import Kept, same_first
 
 
 class VolumePlot(Plot3D):
@@ -46,6 +47,8 @@ class VolumePlot(Plot3D):
             width=width,
             peak_opacity=peak_opacity,
         )
+        #: the view's ray bundle, one (camera, (width, height, bounds)) at a time
+        self._rays = Kept("raycast.rays", same_first, plot=self.plot_type)
 
     # -- interactive leveling ------------------------------------------------
 
@@ -104,6 +107,7 @@ class VolumePlot(Plot3D):
                 step_size=self.step_size,
                 lighting=self.lighting,
                 name="volume",
+                rays=self._rays,
             )
         )
         return scene

@@ -33,6 +33,16 @@ a block of steps per round of numpy calls:
   contiguous numpy passes (:mod:`repro.rendering.accel`,
   :meth:`ImageData.gradient`), so a time step's fixed cost is small
   beside its samples.
+* **Per-view setup, kept.**  What the camera, the frame size and the
+  volume's bounds alone decide — the rays that enter the volume box
+  after the ``camera.near`` clip, their directions as ``(3, m)``
+  columns, their entry and exit ``t`` and their depth cosines
+  (:func:`view_rays`) — is built once per view and kept by the caller
+  in a :class:`~repro.util.kept.Kept` handed in as *rays* (the Volume
+  plot keeps one), so a time step sets up no rays.  The depth clip
+  against this frame's depth buffer and the clip to this volume's
+  occupied box stay per frame, over the ``m`` rays in the box only, and
+  the march adds the one camera position rather than a per-ray origin.
 * **K steps per block.**  The active rays advance
   ``K = _SAMPLE_BUDGET // rays`` steps at a time (at least 1, at most
   ``_MAX_BLOCK_STEPS``).  A block lays out every ray's K sample
@@ -74,6 +84,7 @@ from repro.rendering.camera import Camera
 from repro.rendering.image_data import ImageData
 from repro.rendering.transfer_function import TransferFunction
 from repro.util.errors import RenderingError
+from repro.util.kept import Kept
 
 _MIN_TRANSMITTANCE = 5e-3
 
@@ -112,6 +123,33 @@ def _ray_box_intersection(
         t_enter = np.maximum(t_enter, near)
         t_exit = np.minimum(t_exit, far)
     return t_enter, t_exit
+
+
+def view_rays(
+    camera: Camera,
+    width: int,
+    height: int,
+    bounds: Tuple[float, float, float, float, float, float],
+) -> Tuple[np.ndarray, ...]:
+    """The view half of the ray setup: what a frame's camera, size and
+    volume bounds alone decide.
+
+    Returns ``(position, ids, directions, t_enter, t_exit, cos)``: the
+    camera position ``(3,)``; the pixel ids of the rays that enter the
+    *bounds* box after the ``camera.near`` clip; their directions as
+    contiguous ``(3, m)`` columns; their entry (clipped) and exit ``t``;
+    and their direction cosine along the camera's forward axis, at least
+    ``1e-9`` (the divisor that turns a view-space depth into a ray ``t``).
+    """
+    origins, all_dirs = camera.pixel_rays(width, height)
+    t_enter, t_exit = _ray_box_intersection(origins, all_dirs, bounds)
+    t_enter = np.maximum(t_enter, camera.near)
+    ids = np.flatnonzero(t_enter < t_exit)
+    dirs = np.ascontiguousarray(all_dirs[ids].T)
+    _right, _up, forward = camera.basis()
+    cos = np.maximum(_rows_dot(dirs.T, forward), 1e-9)
+    position = np.array(camera.position, dtype=np.float64)
+    return position, ids, dirs, t_enter[ids], t_exit[ids], cos
 
 
 def _rows_dot(vectors: np.ndarray, direction: np.ndarray) -> np.ndarray:
@@ -236,6 +274,7 @@ def raycast_volume(
     depth_limit: Optional[np.ndarray] = None,
     lighting: bool = True,
     light_direction: Tuple[float, float, float] = (0.4, -0.5, 0.8),
+    rays: Optional[Kept] = None,
 ) -> np.ndarray:
     """Render *volume* → an ``(height, width, 4)`` float32 RGBA image.
 
@@ -249,6 +288,10 @@ def raycast_volume(
         geometry; rays stop there so opaque geometry occludes volume.
     lighting:
         Modulate sample colors by gradient-based Lambertian shading.
+    rays:
+        Where the view's ray bundle (:func:`view_rays`) is kept, per
+        (camera object, (width, height, bounds)); ``None`` builds it
+        for this call alone.
     """
     if width < 1 or height < 1:
         raise RenderingError("bad image size")
@@ -260,19 +303,23 @@ def raycast_volume(
     with obs.span(
         "raycast.render", rays=int(width * height), width=int(width), height=int(height)
     ) as _span:
-        origins, dirs = camera.pixel_rays(width, height)
-        n_rays = origins.shape[0]
-        t_enter, t_exit = _ray_box_intersection(origins, dirs, volume.bounds())
-        t_enter = np.maximum(t_enter, camera.near)
+        n_rays = width * height
+        bounds = volume.bounds()
+
+        def build() -> Tuple[np.ndarray, ...]:
+            return view_rays(camera, width, height, bounds)
+
+        position, ray_ids, dirs, t_enter, t_exit, cos = (
+            build() if rays is None else rays.get((camera, (width, height, bounds)), build)
+        )
+        m = ray_ids.size
 
         if depth_limit is not None:
             if depth_limit.shape != (height, width):
                 raise RenderingError("depth_limit shape mismatch")
             # convert view-space depth (distance along forward axis) to ray t
-            _right, _up, forward = camera.basis()
-            cos = _rows_dot(dirs, forward)
             with np.errstate(divide="ignore", invalid="ignore"):
-                t_geom = depth_limit.reshape(-1) / np.maximum(cos, 1e-9)
+                t_geom = depth_limit.reshape(-1).take(ray_ids) / cos
             t_exit = np.minimum(t_exit, np.where(np.isfinite(t_geom), t_geom, np.inf))
 
         color = np.zeros((n_rays, 3), dtype=np.float64)
@@ -289,7 +336,9 @@ def raycast_volume(
             if live_flat is None:
                 nothing_contributes = True
             else:
-                tb_enter, tb_exit = _ray_box_intersection(origins, dirs, occupied_box)
+                tb_enter, tb_exit = _ray_box_intersection(
+                    np.broadcast_to(position, (m, 3)), dirs.T, occupied_box
+                )
                 # clip sampling to the occupied box, preserving the exact
                 # t_enter + k*step sample positions; one step of slack on
                 # each side absorbs the intersection's floating-point error
@@ -300,7 +349,7 @@ def raycast_volume(
 
         hit = (t_enter < t_exit) & (t_start < t_limit)
         if nothing_contributes:
-            hit = np.zeros(n_rays, dtype=bool)
+            hit = np.zeros(m, dtype=bool)
 
         gradient = volume.gradient(name) if lighting else None
         # a NaN shade poisons even a zero-opacity sample's (T·0)·rgb
@@ -322,12 +371,12 @@ def raycast_volume(
         _skipped = 0
         _steps = 0
 
-        # the active rays, compacted: pixel id, origin and direction
-        # (3, n), next t, interval end, transmittance and color so far
-        ids = np.nonzero(hit)[0]
-        o = np.ascontiguousarray(origins[ids].T)
-        d = np.ascontiguousarray(dirs[ids].T)
-        t, t_end = t_start[ids], t_limit[ids]
+        # the active rays, compacted: pixel id, direction (3, n), next t,
+        # interval end, transmittance and color so far
+        sel = np.flatnonzero(hit)
+        ids = ray_ids.take(sel)
+        d = dirs.take(sel, axis=1)
+        t, t_end = t_start.take(sel), t_limit.take(sel)
         trans = np.ones(ids.size)
         col = np.zeros((ids.size, 3))
         max_steps = int(np.ceil(volume.diagonal() / step)) + 2
@@ -342,7 +391,7 @@ def raycast_volume(
             ts[0] = t
             for j in range(k):
                 np.add(ts[j], step, out=ts[j + 1])
-            pts = o[:, None, :] + d[:, None, :] * ts[:k]
+            pts = position[:, None, None] + d[:, None, :] * ts[:k]
             idx = ((pts - origin) / spacing).reshape(3, k * n)
             if live_flat is None:
                 live = np.arange(k * n)
@@ -389,7 +438,7 @@ def raycast_volume(
             color[ids[gone]] = np.compress(gone, col, axis=0)
             ids, t, t_end, trans = (a[alive] for a in (ids, ts[k], t_end, trans))
             col = np.compress(alive, col, axis=0)
-            o, d = (np.compress(alive, a, axis=1) for a in (o, d))
+            d = np.compress(alive, d, axis=1)
         transmittance[ids] = trans
         color[ids] = col
 

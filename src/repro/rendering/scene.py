@@ -23,6 +23,7 @@ from repro.rendering.rasterizer import rasterize, runs
 from repro.rendering.raycast import raycast_volume
 from repro.rendering.transfer_function import TransferFunction
 from repro.util.errors import RenderingError
+from repro.util.kept import Kept
 
 
 @dataclass
@@ -60,6 +61,9 @@ class VolumeActor:
     lighting: bool = True
     visible: bool = True
     name: str = ""
+    #: where the owner keeps this volume's view rays (``raycast_volume``'s
+    #: *rays*); ``None`` sets them up every frame
+    rays: Optional[Kept] = None
 
     def bounds(self):
         return self.volume.bounds()
@@ -160,6 +164,7 @@ class Renderer:
                 depth_limit=fb.depth,
                 lighting=vactor.lighting,
                 light_direction=tuple(light.direction),
+                rays=vactor.rays,
             )
             fb.blend_image(rgba)
         return fb

@@ -46,8 +46,10 @@ is not a whole number or an ``azimuth`` that is not a finite number
 raises :class:`~repro.util.errors.RequestError` before a scene is
 looked up or built; the server answers it ``error`` and feeds no
 breaker with it.  So does a synthetic ``source``'s ``size`` that
-:func:`repro.data.catalog.grid_size` refuses, and (once its workflow
-ran) a scene naming no such source, ``.cdz`` or variable.  The nested
+:func:`repro.data.catalog.grid_size` refuses for the template (a
+Hovmöller plot needs two time steps), and (once its workflow ran) a
+scene naming no such source, ``.cdz`` or variable.  A scene whose
+workflow fails leaves no vistrail behind.  The nested
 ``selector`` and ``cell_params`` are the workflow's to check.
 
 The view keys are deliberately *excluded* from the scene digest: an
@@ -140,7 +142,7 @@ class AppBackend:
         size = params.get("size")
         if source in GRID_MINIMA:
             try:
-                grid_size(source, size)
+                grid_size(source, size, template)
             except CDMSError as exc:
                 raise RequestError(f"malformed request: {exc}") from exc
         selector = params.get("selector")
@@ -154,7 +156,8 @@ class AppBackend:
         )
         project = self.app.project
         name = f"scene_{digest}"
-        if name not in project.vistrails:
+        added = name not in project.vistrails
+        if added:
             vistrail = Vistrail(name, project.registry)
             self.app.palette.get(template).instantiate(
                 vistrail, source, variables,
@@ -165,7 +168,9 @@ class AppBackend:
         sink = pipeline.sinks()[0]
         try:
             return project.node.execute(digest, pipeline, sink).output(sink, "cell")
-        except ModuleExecutionError as exc:
-            if isinstance(exc.original, NotFoundError):
+        except Exception as exc:
+            if added:  # a scene that never ran leaves no vistrail behind
+                del project.vistrails[name]
+            if isinstance(exc, ModuleExecutionError) and isinstance(exc.original, NotFoundError):
                 raise RequestError(f"malformed request: {exc.original}") from exc
             raise

@@ -55,6 +55,13 @@ class TestPlotBase:
         assert result is not None
         assert np.isfinite(result["value"])
 
+    @pytest.mark.parametrize("px, py", [(-20, 16), (60, 14), (40, 0), (0, 30), (5, -1)])
+    def test_pick_ray_refuses_a_pixel_outside_the_view(self, ta, px, py):
+        # (-20, 16) and (60, 14) have the flat index of pixel (20, 15)
+        plot = SlicerPlot(ta)
+        with pytest.raises(DV3DError, match="outside 40x30"):
+            plot.pick_ray(px, py, 40, 30)
+
     def test_pick_ray_corner_misses(self, ta):
         plot = SlicerPlot(ta)
         result = plot.pick_ray(0, 0, 100, 100)

@@ -118,9 +118,10 @@ PLOTS = {
 REPEAT = "fit 1/0, frame 1/0, furnish 1/0, orbit 1/0, scene 1/0"
 
 #: per plot class and step, ``site hits/misses`` of every site that
-#: counted (``dv3d.`` sites by their last name; ``accel.blocked`` and
-#: ``geometry.projection`` in full).  Lines are sampled through the
-#: projection's memo and then projected, so a line geometry counts twice.
+#: counted (``dv3d.`` sites by their last name; ``accel.blocked``,
+#: ``geometry.projection`` and ``raycast.rays`` in full).  Lines are
+#: sampled through the projection's memo and then projected, so a line
+#: geometry counts twice.
 CENSUS = {
     "slicer": {
         "open": "fit 0/1, frame 0/1, furnish 0/1, layout 0/1, legend 0/1, outline 0/1, "
@@ -143,16 +144,19 @@ CENSUS = {
         "resize": "fit 1/0, frame 0/1, furnish 1/0, legend 0/1, orbit 1/0, scene 1/0, "
                   "geometry.projection 2/2",
     },
-    # a step is a new volume, so a new pyramid and a new blocked mask
+    # a step is a new volume, so a new pyramid and a new blocked mask;
+    # the same camera, size and bounds keep the view's rays
     "volume": {
         "open": "accel.blocked 0/1, fit 0/1, frame 0/1, furnish 0/1, layout 0/1, "
-                "legend 0/1, outline 0/1, plan 0/1, scene 0/1, geometry.projection 2/2",
+                "legend 0/1, outline 0/1, plan 0/1, scene 0/1, geometry.projection 2/2, "
+                "raycast.rays 0/1",
         "step": "accel.blocked 0/1, fit 1/0, frame 0/1, furnish 0/1, layout 1/0, "
-                "legend 1/0, outline 1/0, plan 1/0, scene 0/1, geometry.projection 2/0",
+                "legend 1/0, outline 1/0, plan 1/0, scene 0/1, geometry.projection 2/0, "
+                "raycast.rays 1/0",
         "orbit": "accel.blocked 1/0, fit 1/0, frame 0/1, furnish 1/0, legend 1/0, "
-                 "orbit 0/1, scene 1/0, geometry.projection 2/2",
+                 "orbit 0/1, scene 1/0, geometry.projection 2/2, raycast.rays 0/1",
         "resize": "accel.blocked 1/0, fit 1/0, frame 0/1, furnish 1/0, legend 0/1, "
-                  "orbit 1/0, scene 1/0, geometry.projection 2/2",
+                  "orbit 1/0, scene 1/0, geometry.projection 2/2, raycast.rays 0/1",
     },
     # time is spatialized: a "step" leaves the index pinned, a repeat
     "hovmoller_slicer": {
@@ -166,12 +170,13 @@ CENSUS = {
     },
     "hovmoller_volume": {
         "open": "accel.blocked 0/1, fit 0/1, frame 0/1, furnish 0/1, layout 0/1, "
-                "legend 0/1, outline 0/1, scene 0/1, geometry.projection 2/2",
+                "legend 0/1, outline 0/1, scene 0/1, geometry.projection 2/2, "
+                "raycast.rays 0/1",
         "step": "fit 1/0, frame 1/0, furnish 1/0, scene 1/0",
         "orbit": "accel.blocked 1/0, fit 1/0, frame 0/1, furnish 1/0, legend 1/0, "
-                 "orbit 0/1, scene 1/0, geometry.projection 2/2",
+                 "orbit 0/1, scene 1/0, geometry.projection 2/2, raycast.rays 0/1",
         "resize": "accel.blocked 1/0, fit 1/0, frame 0/1, furnish 1/0, legend 0/1, "
-                  "orbit 1/0, scene 1/0, geometry.projection 2/2",
+                  "orbit 1/0, scene 1/0, geometry.projection 2/2, raycast.rays 0/1",
     },
     # glyphs are made anew each step, with writable points: not kept
     "vector_slicer": {
@@ -189,14 +194,14 @@ CENSUS = {
     "combined": {
         "open": "accel.blocked 0/1, fit 0/1, frame 0/1, furnish 0/1, layout 0/1, "
                 "legend 0/1, outline 0/2, plan 0/2, scene 0/3, slice_plane 0/3, "
-                "geometry.projection 2/5",
+                "geometry.projection 2/5, raycast.rays 0/1",
         "step": "accel.blocked 0/1, fit 1/0, frame 0/1, furnish 0/1, layout 1/0, "
                 "legend 1/0, outline 2/0, plan 2/0, scene 0/3, slice_plane 3/0, "
-                "geometry.projection 5/0",
+                "geometry.projection 5/0, raycast.rays 1/0",
         "orbit": "accel.blocked 1/0, fit 1/0, frame 0/1, furnish 1/0, legend 1/0, "
-                 "orbit 0/1, scene 1/0, geometry.projection 2/5",
+                 "orbit 0/1, scene 1/0, geometry.projection 2/5, raycast.rays 0/1",
         "resize": "accel.blocked 1/0, fit 1/0, frame 0/1, furnish 1/0, legend 0/1, "
-                  "orbit 1/0, scene 1/0, geometry.projection 2/5",
+                  "orbit 1/0, scene 1/0, geometry.projection 2/5, raycast.rays 0/1",
     },
 }
 

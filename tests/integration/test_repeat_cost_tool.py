@@ -5,8 +5,9 @@ time step costs per stratum: the call, its translate, build_scene,
 isosurface and rasterize spans, and its rasterize calls — one per run of
 like actors, at most two on these strata — its ``Camera.project`` calls
 (none on a Slicer step, the new surface on an Isosurface step) and its
-``render_text`` calls (the new ``T=`` label); then the misses per step
-of each kept site."""
+``render_text`` calls (the new ``T=`` label); then a Volume step, which
+sets up no view rays (``Camera.pixel_rays``) and misses no kept ray
+bundle; then the misses per step of each kept site."""
 
 import importlib.util
 import re
@@ -16,6 +17,7 @@ TOOL = Path(__file__).resolve().parents[2] / "tools" / "repeat_cost.py"
 ROW = re.compile(r"^\| ([^|]+) \| (\d+\.\d{3}) ms \|$")
 STEP = re.compile(r"^\| (\w+) \|" + r" (\d+\.\d{3}) ms \|" * 5 + r" (\d+\.\d{2}) \|" * 3 + "$")
 COUNT = re.compile(r"^\| ([^|]+) \| (\d+\.\d{2}) \|$")
+VOLUME = re.compile(r"^\| Volume \| (\d+\.\d{3}) ms \| (\d+\.\d{2}) \| (\d+\.\d{2}) \|$")
 KEPT = re.compile(r"^\| `([\w.]+)` \| (\d+\.\d{2}) \| (\d+\.\d{2}) \|$")
 
 
@@ -53,6 +55,10 @@ def test_the_tool_prints_one_row_per_layer(capsys):
     # kept geometry keeps its projection: a step projects only a new surface
     assert steps["Slicer"][6] == 0
     assert steps["Isosurface"][6] == 1
+    # a Volume step keeps its view's rays: the camera, size and bounds stay
+    (volume,) = [m.groups() for m in map(VOLUME.match, lines) if m]
+    assert float(volume[0]) > 0
+    assert volume[1:] == ("0.00", "0.00")
     # a step misses only the scene, its furnishing and the frame; every
     # other kept site answers (the new surface's projection is not kept)
     kept = {m.group(1): (float(m.group(2)), float(m.group(3)))

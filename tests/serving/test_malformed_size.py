@@ -41,6 +41,11 @@ BAD_SIZES = [
     [16, 16],
     {"nlat": 2, "nlon": 1, "nlev": 1, "ntime": 1},  # generated, but no template draws it
 ]
+#: sizes below a template's own floor: a Hovmöller plot spatializes time
+BAD_TEMPLATE_SIZES = [
+    ("HovmollerSlicer", {"nlat": 2, "nlon": 2, "nlev": 1, "ntime": 1}),
+    ("HovmollerVolume", {"nlat": 2, "nlon": 2, "nlev": 1, "ntime": 1}),
+]
 
 
 def _outcomes(recorder):
@@ -80,6 +85,31 @@ def test_the_backend_refuses_a_bad_size_before_keying_a_scene(size):
     with pytest.raises(RequestError):
         backend(Request(params=dict(VALID, size=size)), False)
     assert not backend.app.project.vistrails
+
+
+@pytest.mark.parametrize("template, size", BAD_TEMPLATE_SIZES)
+def test_a_one_step_hovmoller_is_refused_before_keying_a_scene(template, size):
+    backend = AppBackend()
+    params = dict(VALID, template=template, size=size)
+    with pytest.raises(RequestError, match=f"ntime must be at least 2 for {template}"):
+        backend(Request(params=params), False)
+    assert not backend.app.project.vistrails
+    # two steps span the time axis: the floor is the least that draws
+    payload = backend(Request(params=dict(params, size=dict(size, ntime=2))), False)
+    assert payload.startswith(b"P6\n32 24\n255\n")
+
+
+def test_a_one_step_hovmoller_leaves_the_breaker_closed():
+    async def scenario():
+        async with ServingServer(AppBackend()) as server:
+            bad = [await server.submit(Request(params=dict(VALID, template=template, size=size)))
+                   for template, size in BAD_TEMPLATE_SIZES for _ in range(BREAKER_FAILURES)]
+            return bad, server.breaker.state
+
+    bad, breaker = asyncio.run(scenario())
+    assert [r.status for r in bad] == ["error"] * len(bad)
+    assert all("RequestError" in r.reason for r in bad)
+    assert breaker == "closed"
 
 
 def test_a_size_that_names_no_dimension_or_none_is_the_generators_default():

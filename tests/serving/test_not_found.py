@@ -41,6 +41,19 @@ def test_the_backend_refuses_a_name_that_names_nothing(tmp_path, index):
         AppBackend()(Request(params=params), False)
 
 
+def test_a_refused_scene_leaves_no_vistrail_and_a_valid_one_leaves_one(tmp_path):
+    backend = AppBackend()
+    missing = _missing(tmp_path) + [{"variables": {"variable": f"nosuch{n}"}} for n in range(3)]
+    for params in missing:
+        with pytest.raises(RequestError):
+            backend(Request(params=dict(VALID, **params)), False)
+    assert not [name for name in backend.app.project.vistrails if name.startswith("scene_")]
+    backend(Request(params=VALID), False)
+    backend(Request(params=dict(VALID, timestep=1)), False)  # the same scene
+    assert len([name for name in backend.app.project.vistrails
+                if name.startswith("scene_")]) == 1
+
+
 def test_names_that_name_nothing_leave_the_breaker_closed_and_faults_still_open_it(tmp_path):
     def fresh(index):  # a scene new to the backend, so its workflow runs
         return dict(VALID, cell_params={"dataset_label": f"fresh-{index}"})

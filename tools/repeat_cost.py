@@ -39,9 +39,14 @@ spans, and the ``rasterizer.rasterize`` calls per step (one per run of
 like actors a frame draws), the ``Camera.project`` calls per step
 (geometry the step made anew; kept geometry keeps its projection) and
 the ``render_text`` calls per step (text the cell did not draw in the
-frame before).  A last table gives, per stratum, the misses per step of
-every kept site (``repro.util.kept.Kept``) that counted during those
-steps, read from its ``<site>.misses`` counter.
+frame before).  The same steps, on stream_animate's Volume grid at
+64x48, give the Volume stratum's row of a table of its own: the median
+call, the ``Camera.pixel_rays`` calls per step (the view's rays, kept
+on the plot while the camera, the size and the bounds stay) and the
+``raycast.rays`` misses per step.  A last table gives, per Slicer and
+Isosurface stratum, the misses per step of every kept site
+(``repro.util.kept.Kept``) that counted during those steps, read from
+its ``<site>.misses`` counter.
 
 Run from the repository root::
 
@@ -87,6 +92,8 @@ STEP_STRATA = (
     ("Isosurface", {"variable": "ta", "color_variable": "zg"}),
 )
 STEP_GRID = {"nlat": 10, "nlon": 16, "nlev": 5, "ntime": 12}
+#: stream_animate's Volume grid (72x48x12), stepped the same way
+VOLUME_GRID = {"nlat": 48, "nlon": 72, "nlev": 12, "ntime": 12}
 STEP_SPANS = ("translation.translate", "plot.build_scene",
               "isosurface.marching_tetrahedra", "rasterizer.rasterize")
 
@@ -218,24 +225,24 @@ class _Counted:
         setattr(self.owner, self.name, self.original)
 
 
-def step_cost(template: str, variables: dict,
-              steps: int) -> Tuple[Tuple[float, ...], Dict[str, float]]:
+def step_cost(template: str, variables: dict, steps: int,
+              grid: Dict[str, int] = STEP_GRID) -> Tuple[Tuple[float, ...], Dict[str, float]]:
     """Median ms of a time step through ``AppBackend``, the mean ms per
     step inside each of :data:`STEP_SPANS`, then the ``rasterize``,
-    ``Camera.project`` and ``render_text`` calls per step; and the
-    misses per step of each kept site that counted."""
+    ``Camera.project``, ``render_text`` and ``Camera.pixel_rays`` calls
+    per step; and the misses per step of each kept site that counted."""
     backend = AppBackend()
-    params = dict(PARAMS, template=template, variables=variables, size=STEP_GRID,
+    params = dict(PARAMS, template=template, variables=variables, size=grid,
                   cell_params=dict(PARAMS["cell_params"], dataset_label=template))
     timestep = itertools.count()
 
     def step() -> None:
-        ntime = STEP_GRID["ntime"]
-        backend(Request(params=dict(params, timestep=next(timestep) % ntime)), False)
+        backend(Request(params=dict(params, timestep=next(timestep) % grid["ntime"])), False)
 
     median = _median_ms(step, steps)
     with obs.recording() as recorder, _Counted(Camera, "project") as projections, \
-            _Counted(cell_module, "render_text") as texts:
+            _Counted(cell_module, "render_text") as texts, \
+            _Counted(Camera, "pixel_rays") as rays:
         for _ in range(steps):
             step()
     misses: Dict[str, float] = {}  # per step, every site that counted
@@ -247,7 +254,7 @@ def step_cost(template: str, variables: dict,
         sum(s.duration for s in recorder.spans if s.name == name) / steps * 1e3
         for name in STEP_SPANS
     ) + (sum(s.name == "rasterizer.rasterize" for s in recorder.spans) / steps,
-         projections.calls / steps, texts.calls / steps), misses
+         projections.calls / steps, texts.calls / steps, rays.calls / steps), misses
 
 
 def main(argv: Optional[Sequence[str]] = None) -> None:
@@ -293,10 +300,17 @@ def main(argv: Optional[Sequence[str]] = None) -> None:
     print("|---|---|" + "---|" * (len(STEP_SPANS) + 3))
     kept: Dict[str, Dict[str, float]] = {}
     for template, variables in STEP_STRATA:
-        (*times, rasterizes, projections, texts), kept[template] = step_cost(
+        (*times, rasterizes, projections, texts, _rays), kept[template] = step_cost(
             template, variables, repeats)
         cells = " | ".join(f"{ms:.3f} ms" for ms in times)
         print(f"| {template} | {cells} | {rasterizes:.2f} | {projections:.2f} | {texts:.2f} |")
+    print()
+    (median, *_, rays), misses = step_cost("Volume", {"variable": "ta"}, repeats, VOLUME_GRID)
+    print("Per time step on stream_animate's Volume grid, 64x48, the same steps:")
+    print()
+    print("| stratum | step | `Camera.pixel_rays` calls | `raycast.rays` misses |")
+    print("|---|---|---|---|")
+    print(f"| Volume | {median:.3f} ms | {rays:.2f} | {misses.get('raycast.rays', 0.0):.2f} |")
     print()
     print("Misses per time step of each kept site (`<site>.misses`), same steps:")
     print()
