@@ -240,12 +240,11 @@ class Plot3D:
         if not (0 <= px < width and 0 <= py < height):
             raise DV3DError(f"pixel ({px}, {py}) outside {width}x{height}")
         cam = self.resolve_camera(camera)
-        origins, dirs = cam.pixel_rays(width, height)
-        idx = py * width + px
+        origin, direction = cam.pixel_ray(px, py, width, height)
         from repro.rendering.raycast import _ray_box_intersection
 
-        o = origins[idx : idx + 1]
-        d = dirs[idx : idx + 1]
+        o = origin[None, :]
+        d = direction[None, :]
         t0, t1 = _ray_box_intersection(o, d, self.volume.bounds())
         if t0[0] >= t1[0]:
             return None

@@ -143,11 +143,26 @@ class Camera:
         Directions are unit length; origins are all the camera position.
         Used by the volume ray caster.
         """
+        dirs = self._directions(np.arange(width), np.arange(height), width, height)
+        origins = np.broadcast_to(np.asarray(self.position, dtype=np.float64), dirs.shape)
+        return origins, dirs
+
+    def pixel_ray(self, px: int, py: int, width: int, height: int) -> Tuple[np.ndarray, np.ndarray]:
+        """Origin and unit direction of pixel (px, py)'s ray, each ``(3,)``:
+        row ``py * width + px`` of :meth:`pixel_rays`, bit for bit, without
+        the other pixels' rays."""
+        dirs = self._directions(np.arange(px, px + 1), np.arange(py, py + 1), width, height)
+        return np.asarray(self.position, dtype=np.float64), dirs[0]
+
+    def _directions(self, cols: np.ndarray, rows: np.ndarray, width: int,
+                    height: int) -> np.ndarray:
+        """Unit directions through the centres of pixel columns *cols* ×
+        rows *rows* of a ``width × height`` view, row-major, ``(n, 3)``."""
         right, up, forward = self.basis()
         half = np.tan(np.radians(self.fov_degrees) / 2.0)
         aspect = width / max(height, 1)
-        xs = (np.arange(width) + 0.5) / width * 2.0 - 1.0
-        ys = 1.0 - (np.arange(height) + 0.5) / height * 2.0
+        xs = (cols + 0.5) / width * 2.0 - 1.0
+        ys = 1.0 - (rows + 0.5) / height * 2.0
         gx, gy = np.meshgrid(xs * half * aspect, ys * half)
         dirs = (
             forward[None, None, :]
@@ -155,8 +170,7 @@ class Camera:
             + gy[..., None] * up[None, None, :]
         ).reshape(-1, 3)
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-        origins = np.broadcast_to(np.asarray(self.position, dtype=np.float64), dirs.shape)
-        return origins, dirs
+        return dirs
 
     # -- navigation (each returns a new Camera) --------------------------------
 

@@ -118,9 +118,7 @@ class PolyData:
         """``camera.project(self.points, width, height)``, kept (read-only)
         while the points are read-only, for the last (camera object,
         width, height); writable points are projected on every call."""
-        if not _fixed(self.points):
-            return camera.project(self.points, width, height)
-        return self._viewed(camera, width, height)[0]
+        return self.viewed(camera, width, height)[0]
 
     def view_memo(self, camera: "Camera", width: int, height: int) -> Dict[Hashable, Any]:
         """A dict kept beside the kept projection, for what is derived
@@ -128,10 +126,15 @@ class PolyData:
         on every call while the points are writable)."""
         if not _fixed(self.points):
             return {}
-        return self._viewed(camera, width, height)[1]
+        return self.viewed(camera, width, height)[1]
 
-    def _viewed(self, camera: "Camera", width: int,
-                height: int) -> Tuple[np.ndarray, Dict[Hashable, Any]]:
+    def viewed(self, camera: "Camera", width: int,
+               height: int) -> Tuple[np.ndarray, Optional[Dict[Hashable, Any]]]:
+        """``(projection, view memo)`` in one lookup: :meth:`project` and
+        :meth:`view_memo`, except that writable points are projected
+        beside ``None``, as nothing derived from them is kept."""
+        if not _fixed(self.points):
+            return camera.project(self.points, width, height), None
         return self._view.get((camera, (width, height)), lambda: (
             camera.project(self.points, width, height), {}))
 

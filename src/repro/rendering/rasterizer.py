@@ -10,20 +10,31 @@ points are projected and coloured on their own; then the run's
 primitives are numbered one after another, actor by actor, and drawn
 as one list.  An actor whose points are read-only keeps its projection
 for the last camera and size (:meth:`PolyData.project`), and its
-polylines keep their viewport fragments beside it
+triangles' and polylines' fragments beside it
 (:meth:`PolyData.view_memo`): a frame through an unchanged camera
-projects and samples only the geometry that is new, and only the depth
-test and the colour write run against each frame's buffer.
+projects and finds fragments only for the geometry that is new, and
+only the depth test and the colour write run against each frame's
+buffer.
 
 Nothing here iterates over primitives in Python: a call
 costs a fixed number of numpy operations per *batch* — a consecutive
-run of triangles (or line segments) whose fragments fit a small budget —
+run of triangles (or line segments) whose fragments fit a small budget.
+Triangles take two halves.  Their fragments, found in one pass over
+every mesh of a run that missed (:func:`_triangle_fragments`):
 
-1. cull, area and clipped bounding box for every triangle at once;
+1. cull, area and box for every triangle at once — the pixel centres
+   near its vertex bounds, or for an ill-conditioned triangle its
+   ``floor(min)..ceil(max)`` box, clipped to the viewport;
 2. expand each batch's boxes into one flat fragment list, row-major per
-   box, and evaluate the barycentric expressions elementwise;
-3. resolve depth once per batch (:meth:`Framebuffer.resolve`, shared
-   with the polylines, so the depth rule exists once);
+   box, evaluate the barycentric expressions elementwise and keep the
+   covered centres with their weights and float32 depth.
+
+Then the fill (:func:`_fill_triangles`), a batch of fragments at a time,
+taking each batch the pass yields as it comes, so a mesh that keeps
+nothing is never held whole:
+
+3. resolve depth (:meth:`Framebuffer.resolve`, shared with the
+   polylines, so the depth rule exists once);
 4. shade only the fragments that won a pixel.
 
 Polylines take the same route with samples in place of box pixels, and
@@ -53,6 +64,7 @@ from repro.rendering.framebuffer import Framebuffer
 from repro.util.errors import RenderingError
 
 if TYPE_CHECKING:
+    from repro.rendering.geometry import PolyData
     from repro.rendering.scene import Actor
 
 
@@ -147,15 +159,13 @@ def rasterize(
 
         written = 0
         if n_triangles:
-            # each actor is projected on its own (kept while its points are
-            # read-only): no point's projection depends on which other
-            # points share a matvec
-            projected = _joined([poly.project(camera, width, height) for poly in polys])
-            triangles = _joined([
+            meshes = [(poly, offset) for poly, offset in zip(polys, offsets) if poly.n_triangles]
+            corners = np.ascontiguousarray(_joined([
                 poly.triangles + offset if offset else poly.triangles
-                for poly, offset in zip(polys, offsets) if poly.n_triangles
-            ])
-            written += _rasterize_triangles(triangles, projected, colors, framebuffer)
+                for poly, offset in meshes]).T)
+            written += _fill_triangles(
+                _mesh_fragments([poly for poly, _ in meshes], camera, width, height),
+                corners, colors, framebuffer)
         if n_lines:
             brush = max(int(brushes.pop()), 1)
             lined = [(actor, poly, offset)
@@ -249,14 +259,110 @@ def _covered_fragments(
     return owner[inside], gx[inside], gy[inside], w0[inside], w1[inside], w2[inside]
 
 
-def _rasterize_triangles(
-    triangles: np.ndarray,
-    projected: np.ndarray,
-    colors: np.ndarray,
-    fb: Framebuffer,
-) -> int:
-    """Barycentric bounding-box fill, a batch of triangles at a time."""
-    width, height = fb.width, fb.height
+#: the view memo's key for a mesh's fragments (:func:`_triangle_fragments`)
+_TRIANGLE_KEY = "triangle fragments"
+
+#: A triangle's box holds the pixel centres within ``_BOX_MARGIN`` of its
+#: vertex bounds when ``S * R**2 <= _WELL_CONDITIONED * |area|``, else
+#: ``floor(min)..ceil(max)``.  Why no covered centre is lost:
+#:
+#: Let S be the unclipped span ``max(xmax - xmin, ymax - ymin)``, R = S + 1,
+#: A the double area, u = 2**-53, K = R**2 / |A| (K >= 1: |A| <= S**2) and
+#: k = 2 * gamma_4 * K ~ 8uK.  A centre p of the old box lies within R of
+#: each vertex on each axis; take one the new box leaves out, say d left of
+#: xmin, with d > _BOX_MARGIN / 2 (the rounding of ``xmin - _BOX_MARGIN``
+#: is below u * (width + S)).  The other sides are alike.
+#:
+#: * Exact weights l_i (sum 1, p = sum l_i v_i): -d = sum l_i (v_ix - xmin)
+#:   >= S * (sum of the negative l_i), and at most two are negative, so
+#:   min l_i <= -delta with delta = d / (2S).
+#: * Each numerator is two products of differences below R: computed within
+#:   2 * gamma_4 * R**2 = k|A| of exact; the area within k|A| too; |l_i| <= 2K.
+#: * If l_0 or l_1 <= -delta: w_i <= -(delta - k)(1 - u) / (1 + k).
+#: * If l_2 <= -delta: w_0 + w_1 is within (2.6k + k(1 + |l_2|)) / (1 - k)
+#:   of l_0 + l_1 = 1 + |l_2| (u|l_0| + u|l_1| <= k/2), and the two
+#:   subtractions of ``1.0 - w0 - w1`` add below 0.4k, so
+#:   w_2 <= -(delta(1 - 2k) - 5k)(1 - u).
+#:
+#: So the test ``w >= -1e-9`` rejects p when (1 - u)(delta(1 - 2k) - 5k) > 1e-9.
+#: The condition gives K <= 1.01 L / S and S <= 1.01 L (L =
+#: _WELL_CONDITIONED, 1.01 covering the rounding of S, R, the area and the
+#: test itself), so k <= 2**-10 (|A| >= 1e-12 gives S >= 1e-6) and
+#: delta(1 - 2k) - 5k >= (m/4 * (1 - 2**-9) - 41uL) / (1.01 L) = 1.8e-9 for
+#: m = 2**-8, L = 2**19.  A triangle outside the condition (a sliver, or a
+#: span beyond 5e5 px) keeps the old box.
+_BOX_MARGIN = 2.0 ** -8
+_WELL_CONDITIONED = 2.0 ** 19
+
+
+def _mesh_fragments(
+    meshes: List["PolyData"], camera: Camera, width: int, height: int
+) -> Iterator[Tuple[Tuple[np.ndarray, ...], int]]:
+    """Every triangle fragment of a run's *meshes*, in draw order, as
+    ``(fragments, first triangle)`` chunks: ``fragments`` as
+    :func:`_triangle_fragments` gives them, ``first triangle`` the run's
+    number for the first triangle of the chunk's mesh.
+
+    A mesh's kept fragments (in its view memo, taken with its projection
+    in one lookup) come whole.  The others' are found in one pass and
+    come a batch at a time, so a mesh with writable points is never held
+    whole; a mesh with read-only points keeps its own copy of what the
+    pass found for it.
+    """
+    viewed = [poly.viewed(camera, width, height) for poly in meshes]
+    missing = [i for i, (_, memo) in enumerate(viewed)
+               if memo is None or _TRIANGLE_KEY not in memo]
+    found = _triangle_fragments(
+        [(meshes[i].triangles, viewed[i][0]) for i in missing], width, height
+    ) if missing else iter(())
+    chunk = next(found, None)
+    first, piece = 0, -1
+    for poly, (_, memo) in zip(meshes, viewed):
+        if memo is not None and _TRIANGLE_KEY in memo:
+            yield memo[_TRIANGLE_KEY], first
+        else:
+            piece += 1
+            parts = []
+            while chunk is not None and chunk[0] == piece:
+                if memo is not None:
+                    parts.append(chunk[1])
+                yield chunk[1], first
+                chunk = next(found, None)
+            if memo is not None:
+                if parts:  # a copy: a batch's arrays may hold other meshes' fragments
+                    kept = tuple(np.concatenate(column) for column in zip(*parts))
+                else:
+                    kept = (np.zeros(0, np.intp), np.zeros(0, np.intp),
+                            np.zeros(0), np.zeros(0), np.zeros(0, np.float32))
+                for array in kept:
+                    array.flags.writeable = False
+                memo[_TRIANGLE_KEY] = kept
+        first += poly.n_triangles
+
+
+def _triangle_fragments(
+    pieces: List[Tuple[np.ndarray, np.ndarray]], width: int, height: int
+) -> Iterator[Tuple[int, Tuple[np.ndarray, ...]]]:
+    """The covered pixel centres of each mesh's triangles in a ``width ×
+    height`` viewport, found in one pass over all *pieces*, a batch of
+    triangles' boxes at a time: cull, area, box, barycentric weights and
+    depth.
+
+    *pieces* are one ``(triangles, projected)`` per mesh: its ``(n, 3)``
+    point indices and its points' ``(x, y, depth)``.  Yields, batch after
+    batch and piece after piece, ``(piece, (pixels, owner, w0, w1,
+    depths))``: each fragment's flat pixel, triangle index in its piece,
+    first two barycentric weights (the third is ``1.0 - w0 - w1``) and
+    float32 depth, triangle after triangle and row-major inside each.  A
+    piece's chunks, joined, are all its fragments.  Nothing here reads a
+    depth buffer or a colour, so they can be kept beside the projection
+    they came from.
+    """
+    sizes = [triangles.shape[0] for triangles, _ in pieces]
+    point_first = accumulate((projected.shape[0] for _, projected in pieces[:-1]), initial=0)
+    triangles = _joined([triangles + first if first else triangles
+                         for (triangles, _), first in zip(pieces, point_first)])
+    projected = _joined([projected for _, projected in pieces])
     # one 1-D column per corner and coordinate: px, py, depth of a, b, c
     corners = np.ascontiguousarray(triangles.T)  # (3 corners, n_tri)
     xs, ys, zs = (
@@ -282,17 +388,29 @@ def _rasterize_triangles(
     solid = np.flatnonzero(~(np.abs(area) < 1e-12))
     keep = keep.take(solid)
     setup = [column.take(solid) for column in (ax, ay, bx, by, cx, cy, area)]
-    # bounding boxes clipped to the viewport: never empty after the cull
-    x0 = np.floor(np.maximum(xmin.take(keep), 0)).astype(np.intp)
-    y0 = np.floor(np.maximum(ymin.take(keep), 0)).astype(np.intp)
-    box_w = np.ceil(np.minimum(xmax.take(keep), width - 1)).astype(np.intp) - x0 + 1
-    box_h = np.ceil(np.minimum(ymax.take(keep), height - 1)).astype(np.intp) - y0 + 1
-    box_area = box_w * box_h
+    # boxes clipped to the viewport: the pixel centres near the vertex
+    # bounds where that is proven to lose nothing, floor..ceil elsewhere
+    lo_x, hi_x, lo_y, hi_y = (bound.take(keep) for bound in (xmin, xmax, ymin, ymax))
+    span = np.maximum(hi_x - lo_x, hi_y - lo_y)
+    tight = span * (span + 1.0) ** 2 <= _WELL_CONDITIONED * np.abs(setup[6])
+    x0 = np.maximum(np.where(tight, np.ceil(lo_x - _BOX_MARGIN), np.floor(lo_x)), 0)
+    y0 = np.maximum(np.where(tight, np.ceil(lo_y - _BOX_MARGIN), np.floor(lo_y)), 0)
+    x1 = np.minimum(np.where(tight, np.floor(hi_x + _BOX_MARGIN), np.ceil(hi_x)), width - 1)
+    y1 = np.minimum(np.where(tight, np.floor(hi_y + _BOX_MARGIN), np.ceil(hi_y)), height - 1)
+    # a box without a centre covers nothing
+    boxed = np.flatnonzero((x1 >= x0) & (y1 >= y0))
+    keep = keep.take(boxed)
+    setup = [column.take(boxed) for column in setup]
+    x0, y0 = x0.take(boxed).astype(np.intp), y0.take(boxed).astype(np.intp)
+    box_w = x1.take(boxed).astype(np.intp) - x0 + 1
+    box_area = box_w * (y1.take(boxed).astype(np.intp) - y0 + 1)
     vertex_depth = [z.take(keep) for z in zs]
-    vertex = [corner.take(keep) for corner in corners]
-    color_flat = fb.color.reshape(-1, 3)
 
-    written = 0
+    if obs.enabled():
+        obs.counter("rasterizer.fragments.tested", int(box_area.sum()))
+    # each piece's triangles, and so its fragments, are one run of the joint ones
+    tri_bounds = np.array(list(accumulate(sizes, initial=0)))
+    covered = 0
     for start, stop in _batches(box_area):
         batch = slice(start, stop)
         owner, gx, gy, w0, w1, w2 = _covered_fragments(
@@ -302,17 +420,79 @@ def _rasterize_triangles(
         owner += start
         da, db, dc = (d.take(owner) for d in vertex_depth)
         z = w0 * da + w1 * db + w2 * dc
-        pixels = gy * width + gx
-        winners, passed = fb.resolve(pixels, owner, z.astype(np.float32))
+        owner = keep.take(owner)
+        pixels, depths = gy * width + gx, z.astype(np.float32)
+        covered += owner.size
+        if len(pieces) == 1:
+            yield 0, (pixels, owner, w0, w1, depths)
+            continue
+        # a batch may end one piece and begin the next
+        cuts = np.searchsorted(owner, tri_bounds).tolist()
+        for piece in np.flatnonzero(np.diff(cuts)).tolist():
+            frags = slice(cuts[piece], cuts[piece + 1])
+            yield piece, (pixels[frags], owner[frags] - tri_bounds[piece],
+                          w0[frags], w1[frags], depths[frags])
+    if obs.enabled():
+        obs.counter("rasterizer.fragments.covered", covered)
+
+
+def _fill_triangles(
+    chunks: Iterator[Tuple[Tuple[np.ndarray, ...], int]],
+    corners: np.ndarray,
+    colors: np.ndarray,
+    fb: Framebuffer,
+) -> int:
+    """Depth-test and colour every triangle fragment of a run,
+    :data:`_FRAGMENT_BUDGET` fragments at a time.
+
+    *chunks* are ``(fragments, first triangle)`` in draw order, as
+    :func:`_mesh_fragments` gives them; *corners* the run's ``(3, n)``
+    point indices.  ``resolve`` takes each triangle as one group; a
+    triangle holds one fragment per pixel, so a batch may end inside one
+    and the run still leaves what drawing its triangles one after
+    another would.  Only a batch of fragments is held at once, besides
+    the chunk it is cut from.
+    """
+    color_flat = fb.color.reshape(-1, 3)
+    written = 0
+    for pixels, owner, w0, w1, depths in _rebatched(chunks):
+        winners, passed = fb.resolve(pixels, owner, depths)
         written += passed
         # only fragments that reach the screen are shaded
-        ia, ib, ic = (v.take(owner.take(winners)) for v in vertex)
-        color_flat[pixels[winners]] = (
-            w0[winners, None] * colors[ia]
-            + w1[winners, None] * colors[ib]
-            + w2[winners, None] * colors[ic]
+        triangle = owner.take(winners)
+        ia, ib, ic = (corner.take(triangle) for corner in corners)
+        a, b = w0.take(winners), w1.take(winners)
+        color_flat[pixels.take(winners)] = (
+            a[:, None] * colors[ia]
+            + b[:, None] * colors[ib]
+            + (1.0 - a - b)[:, None] * colors[ic]
         )
     return written
+
+
+def _rebatched(
+    chunks: Iterator[Tuple[Tuple[np.ndarray, ...], int]]
+) -> Iterator[Tuple[np.ndarray, ...]]:
+    """The fragments of *chunks*, one after another, cut into batches of
+    :data:`_FRAGMENT_BUDGET` (the last may be short), each chunk's owners
+    offset by its first triangle."""
+    pending: list = []
+    room = _FRAGMENT_BUDGET
+    for fragments, first in chunks:
+        n, lo = fragments[0].size, 0
+        while lo < n:
+            hi = min(n, lo + room)
+            part = [column[lo:hi] for column in fragments]
+            if first:
+                part[1] = part[1] + first
+            pending.append(part)
+            room -= hi - lo
+            lo = hi
+            if not room:
+                yield tuple(_joined(list(column)) for column in zip(*pending))
+                pending, room = [], _FRAGMENT_BUDGET
+    if pending:
+        yield tuple(_joined(list(column)) for column in zip(*pending))
 
 
 def _line_samples(

@@ -11,6 +11,7 @@ from repro.dv3d.slicer import SlicerPlot
 from repro.dv3d.vector_slicer import VectorSlicerPlot
 from repro.dv3d.view import View
 from repro.dv3d.volume import VolumePlot
+from repro.rendering.camera import Camera
 from repro.util.errors import DV3DError
 
 
@@ -61,6 +62,16 @@ class TestPlotBase:
         plot = SlicerPlot(ta)
         with pytest.raises(DV3DError, match="outside 40x30"):
             plot.pick_ray(px, py, 40, 30)
+
+    def test_pick_ray_builds_only_its_own_ray(self, ta, monkeypatch):
+        plot = SlicerPlot(ta)
+        calls = []
+        pixel_rays = Camera.pixel_rays
+        monkeypatch.setattr(Camera, "pixel_rays",
+                            lambda *args: calls.append(1) or pixel_rays(*args))
+        assert plot.pick_ray(20, 15, 40, 30) is not None
+        assert plot.pick_ray(320, 240, 640, 480) is not None
+        assert calls == []
 
     def test_pick_ray_corner_misses(self, ta):
         plot = SlicerPlot(ta)

@@ -5,7 +5,9 @@ time step costs per stratum: the call, its translate, build_scene,
 isosurface and rasterize spans, and its rasterize calls — one per run of
 like actors, at most two on these strata — its ``Camera.project`` calls
 (none on a Slicer step, the new surface on an Isosurface step) and its
-``render_text`` calls (the new ``T=`` label); then a Volume step, which
+``render_text`` calls (the new ``T=`` label), the triangle box centres it
+tests and its triangle-fragment passes (none on a Slicer step, whose
+planes keep their fragments); then a Volume step, which
 sets up no view rays (``Camera.pixel_rays``) and misses no kept ray
 bundle; then the misses per step of each kept site."""
 
@@ -15,7 +17,7 @@ from pathlib import Path
 
 TOOL = Path(__file__).resolve().parents[2] / "tools" / "repeat_cost.py"
 ROW = re.compile(r"^\| ([^|]+) \| (\d+\.\d{3}) ms \|$")
-STEP = re.compile(r"^\| (\w+) \|" + r" (\d+\.\d{3}) ms \|" * 5 + r" (\d+\.\d{2}) \|" * 3 + "$")
+STEP = re.compile(r"^\| (\w+) \|" + r" (\d+\.\d{3}) ms \|" * 5 + r" (\d+\.\d{2}) \|" * 5 + "$")
 COUNT = re.compile(r"^\| ([^|]+) \| (\d+\.\d{2}) \|$")
 VOLUME = re.compile(r"^\| Volume \| (\d+\.\d{3}) ms \| (\d+\.\d{2}) \| (\d+\.\d{2}) \|$")
 KEPT = re.compile(r"^\| `([\w.]+)` \| (\d+\.\d{2}) \| (\d+\.\d{2}) \|$")
@@ -45,7 +47,7 @@ def test_the_tool_prints_one_row_per_layer(capsys):
     assert counts["Tasks created"] == 0
     steps = {m.group(1): [float(g) for g in m.groups()[1:]] for m in map(STEP.match, lines) if m}
     assert list(steps) == ["Slicer", "Isosurface"]
-    for step, translate, build, surface, raster, calls, projections, texts in steps.values():
+    for step, translate, build, surface, raster, calls, projections, texts, *_ in steps.values():
         assert step > 0 and translate > 0 and build > 0 and raster > 0
         assert 0 < calls <= 2
         assert build >= surface  # the extraction is part of the scene's build
@@ -55,6 +57,10 @@ def test_the_tool_prints_one_row_per_layer(capsys):
     # kept geometry keeps its projection: a step projects only a new surface
     assert steps["Slicer"][6] == 0
     assert steps["Isosurface"][6] == 1
+    # and its fragments: a Slicer step finds none, an Isosurface step
+    # tests the new surface's box centres in one pass
+    assert steps["Slicer"][8:] == [0, 0]
+    assert steps["Isosurface"][8] > 0 and steps["Isosurface"][9] == 1
     # a Volume step keeps its view's rays: the camera, size and bounds stay
     (volume,) = [m.groups() for m in map(VOLUME.match, lines) if m]
     assert float(volume[0]) > 0

@@ -71,6 +71,25 @@ class TestTransforms:
         _origins, dirs = camera.pixel_rays(8, 6)
         np.testing.assert_allclose(np.linalg.norm(dirs, axis=1), 1.0, rtol=1e-12)
 
+    @pytest.mark.parametrize("seed", range(8))
+    def test_one_pixel_ray_is_its_row_of_pixel_rays(self, seed):
+        rng = np.random.default_rng(seed)
+        camera = Camera(position=tuple(rng.normal(scale=5.0, size=3) + (0.0, 0.0, 3.0)),
+                        focal_point=tuple(rng.normal(size=3)),
+                        view_up=tuple(rng.normal(size=3)),
+                        fov_degrees=float(rng.uniform(10, 120)))
+        width, height = [(1, 1), (7, 5), (64, 48), (640, 480), (33, 200), (200, 150),
+                         (1, 90), (1024, 3)][seed]
+        origins, dirs = camera.pixel_rays(width, height)
+        pixels = [(0, 0), (width - 1, height - 1), (width // 2, height // 2)] + [
+            (int(rng.integers(width)), int(rng.integers(height))) for _ in range(20)]
+        for px, py in pixels:
+            origin, direction = camera.pixel_ray(px, py, width, height)
+            row = py * width + px
+            assert origin.shape == direction.shape == (3,)
+            assert origin.tobytes() == origins[row].tobytes()
+            assert direction.tobytes() == dirs[row].tobytes()
+
     def test_center_ray_points_forward(self, camera):
         _o, dirs = camera.pixel_rays(9, 9)
         center = dirs[4 * 9 + 4]

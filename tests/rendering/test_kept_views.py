@@ -1,5 +1,5 @@
 """What read-only geometry keeps of its last view: the projection, and
-the line fragments the rasterizer derives from it.
+the line and triangle fragments the rasterizer derives from it.
 
 ``PolyData.project`` must equal ``Camera.project`` bit for bit (NaN
 rows of points behind the eye included), keep nothing for writable
@@ -7,7 +7,8 @@ points, and project again for another camera object, another size or
 other points.  A frame drawn from kept line fragments must leave what
 the per-primitive loops in ``reference_rasterizer`` leave: colour,
 depth and pixels written, flat and interpolated lines, thin and thick
-brushes, and lines drawn after a triangle run that changed.
+brushes, lines drawn after a triangle run that changed, and runs that
+mix meshes whose fragments are kept with meshes made anew each frame.
 """
 
 from typing import List
@@ -255,3 +256,114 @@ class TestKeptLineSamples:
         for brush in (1, 3, 1, 3):
             _render_both([Actor(poly, line_color=(0.9, 0.8, 0.1), point_size=brush)],
                          40, 30, camera)
+
+
+def _counted_fragment_passes(monkeypatch) -> List[int]:
+    """The triangle count of each ``_triangle_fragments`` pass."""
+    passes: List[int] = []
+    fragments = rasterizer._triangle_fragments
+
+    def counted(pieces, *args):
+        passes.append(sum(triangles.shape[0] for triangles, _ in pieces))
+        return fragments(pieces, *args)
+
+    monkeypatch.setattr(rasterizer, "_triangle_fragments", counted)
+    return passes
+
+
+def _frozen_mesh(rng):
+    mesh = _triangle_actor(rng)
+    mesh.poly.freeze()
+    return mesh
+
+
+class TestKeptTriangleFragments:
+    CAMERA = Camera(position=(0.0, 0.0, 6.0), focal_point=(0.0, 0.0, 0.0))
+
+    def test_kept_once_per_camera_object_and_size(self, monkeypatch):
+        rng = np.random.default_rng(1)
+        meshes = [_frozen_mesh(rng) for _ in range(3)]
+        passes = _counted_fragment_passes(monkeypatch)
+        for size in ((48, 36), (48, 36), (48, 37), (48, 37), (48, 36)):
+            _render_both(meshes, *size, self.CAMERA)
+        # one pass over the three meshes per (camera, size) it missed
+        assert passes == [sum(mesh.poly.n_triangles for mesh in meshes)] * 3
+
+    def test_a_new_camera_derives_them_again(self, monkeypatch):
+        rng = np.random.default_rng(2)
+        meshes = [_frozen_mesh(rng) for _ in range(2)]
+        passes = _counted_fragment_passes(monkeypatch)
+        orbited = self.CAMERA.orbit(30.0, 0.0)
+        twin = Camera(**{k: getattr(orbited, k) for k in orbited.__dataclass_fields__})
+        for view in (self.CAMERA, self.CAMERA, orbited, orbited, twin):
+            _render_both(meshes, 48, 36, view)
+        # an equal camera is another object
+        assert len(passes) == 3
+
+    def test_a_recoloured_copy_shares_them(self, monkeypatch):
+        rng = np.random.default_rng(3)
+        mesh = _frozen_mesh(rng)
+        passes = _counted_fragment_passes(monkeypatch)
+        _render_both([mesh], 48, 36, self.CAMERA)
+        for _ in range(3):  # a time step: new colours over the same points
+            colored = mesh.poly.with_colors(rng.random((mesh.poly.n_points, 3)))
+            _render_both([Actor(colored, lighting=mesh.lighting)], 48, 36, self.CAMERA)
+        assert len(passes) == 1
+
+    def test_writable_points_are_never_kept(self, monkeypatch):
+        rng = np.random.default_rng(4)
+        mesh = _triangle_actor(rng)
+        passes = _counted_fragment_passes(monkeypatch)
+        for _ in range(3):
+            _render_both([mesh], 48, 36, self.CAMERA)
+        assert len(passes) == 3
+        assert mesh.poly._view.value is None  # nothing kept, not even the projection
+
+    def test_kept_fragments_are_read_only(self):
+        rng = np.random.default_rng(5)
+        mesh = _frozen_mesh(rng)
+        rasterizer.rasterize([mesh], self.CAMERA, Framebuffer(48, 36), np.asarray(LIGHT))
+        (fragments,) = mesh.poly._view.value[1].values()
+        assert fragments[0].size > 0
+        for array in fragments:
+            assert not array.flags.writeable
+
+    def test_kept_fragments_hold_only_their_own_mesh(self):
+        """A pass over a kept mesh and a writable one keeps no view of the
+        pass's joint arrays, which would hold the writable mesh's too."""
+        rng = np.random.default_rng(6)
+        mesh = _frozen_mesh(rng)
+        rasterizer.rasterize([_triangle_actor(rng), mesh], self.CAMERA, Framebuffer(48, 36),
+                             np.asarray(LIGHT))
+        (fragments,) = mesh.poly._view.value[1].values()
+        assert fragments[0].size > 0
+        for array in fragments:
+            assert array.base is None
+
+    @pytest.mark.parametrize("seed", range(10))
+    @pytest.mark.parametrize("budget", [64, 1 << 13])
+    def test_a_run_of_kept_and_unkept_meshes_equals_the_reference(
+            self, monkeypatch, seed, budget):
+        monkeypatch.setattr(rasterizer, "_FRAGMENT_BUDGET", budget)
+        rng = np.random.default_rng(seed)
+        kept = [_frozen_mesh(rng) for _ in range(3)]
+        size = (48, 36) if seed % 2 else (17, 61)
+        lines = _line_actors(rng, 1)[1:2]
+        passes = _counted_fragment_passes(monkeypatch)
+        calls = _counted_projections(monkeypatch)
+        fresh_triangles = []
+        for _ in range(4):
+            # a time step: the kept meshes recoloured, a new writable mesh
+            # between them, lines after them
+            recolored = [Actor(mesh.poly.with_colors(rng.random((mesh.poly.n_points, 3))),
+                               lighting=mesh.lighting) for mesh in kept]
+            fresh = _triangle_actor(rng)
+            fresh_triangles.append(fresh.poly.n_triangles)
+            _render_both([recolored[0], fresh, *recolored[1:], *lines], *size, self.CAMERA)
+        # the first frame finds every mesh's fragments in one pass, later
+        # ones only the new mesh's
+        kept_triangles = sum(mesh.poly.n_triangles for mesh in kept)
+        assert passes == [kept_triangles + fresh_triangles[0], *fresh_triangles[1:]]
+        # the reference projects 5 actors per frame; the rasterizer the 3
+        # kept meshes and the outline once, the new mesh every frame
+        assert len(calls) == 4 * 5 + 4 + 4

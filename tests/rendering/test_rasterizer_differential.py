@@ -261,3 +261,171 @@ class TestStructure:
         finally:
             tracemalloc.stop()
         assert peak <= 64 << 20
+
+    def test_peak_memory_of_a_deep_writable_mesh_is_a_batch_not_a_frame(self):
+        """40 writable triangles over one quarter of a 640x480 view: 1.5M
+        covered fragments, which held at once would pass the bound."""
+        rng = np.random.default_rng(0)
+        corners = np.tile([[100.0, 100.0], [420.0, 100.0], [100.0, 340.0]], (40, 1))
+        points = np.hstack([corners, rng.uniform(1.0, 5.0, size=(120, 1))])
+        surface = PolyData(points, np.arange(120).reshape(-1, 3),
+                           colors=rng.random((120, 3)).astype(np.float32))
+        fb = Framebuffer(640, 480)
+        tracemalloc.start()
+        try:
+            rasterizer.rasterize([Actor(surface)], PixelSpace(), fb)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 64 << 20
+
+
+class PixelSpace:
+    """A camera whose projection is the identity: points are given as
+    (pixel x, pixel y, depth), so a case can put a vertex exactly where
+    it wants, on a pixel centre or a hair beside one."""
+
+    def project(self, points, width, height):
+        return np.array(points, dtype=np.float64)
+
+
+def _old_box_pixels(poly, width, height):
+    """Box pixel centres the ``floor(min)..ceil(max)`` boxes hold, over
+    the finite, on-screen, non-degenerate triangles."""
+    x, y = poly.points[poly.triangles, 0], poly.points[poly.triangles, 1]
+    area = ((x[:, 1] - x[:, 0]) * (y[:, 2] - y[:, 0])
+            - (x[:, 2] - x[:, 0]) * (y[:, 1] - y[:, 0]))
+    drawn = (np.isfinite(area) & ~(np.abs(area) < 1e-12)
+             & (x.max(1) >= 0) & (x.min(1) <= width - 1)
+             & (y.max(1) >= 0) & (y.min(1) <= height - 1))
+    x, y = x[drawn], y[drawn]
+    box_w = np.ceil(np.minimum(x.max(1), width - 1)) - np.floor(np.maximum(x.min(1), 0)) + 1
+    box_h = np.ceil(np.minimum(y.max(1), height - 1)) - np.floor(np.maximum(y.min(1), 0)) + 1
+    return int((box_w * box_h).sum())
+
+
+def _conditioned(poly):
+    """Per triangle, whether it takes the box of pixel centres near its
+    vertex bounds (the rasterizer's own test, restated)."""
+    x, y = poly.points[poly.triangles, 0], poly.points[poly.triangles, 1]
+    area = ((x[:, 1] - x[:, 0]) * (y[:, 2] - y[:, 0])
+            - (x[:, 2] - x[:, 0]) * (y[:, 1] - y[:, 0]))
+    span = np.maximum(np.ptp(x, axis=1), np.ptp(y, axis=1))
+    return span * (span + 1.0) ** 2 <= rasterizer._WELL_CONDITIONED * np.abs(area)
+
+
+def _pixel_mesh(corners, rng, depth=(1.0, 5.0)):
+    """Triangles from ``(n, 3, 2)`` pixel-space corners, with random
+    depths and colours."""
+    corners = np.asarray(corners, dtype=np.float64).reshape(-1, 2)
+    depths = rng.uniform(*depth, size=(len(corners), 1))
+    points = np.hstack([corners, depths])
+    triangles = np.arange(len(corners)).reshape(-1, 3)
+    colors = rng.random((len(corners), 3)).astype(np.float32)
+    return PolyData(points, triangles, colors=colors)
+
+
+def _draw_in_pixels(poly, width, height, budget=1 << 13, prefilled=False):
+    """Draw *poly* both ways through :class:`PixelSpace`, assert the
+    frames identical, and return the box pixel centres the batched
+    rasterizer tested."""
+    depth = None
+    if prefilled:
+        depth = np.random.default_rng(0).choice(
+            [2.0, 3.0, np.inf], size=(height, width)).astype(np.float32)
+    with pytest.MonkeyPatch.context() as patch, obs.recording() as recorder:
+        patch.setattr(rasterizer, "_FRAGMENT_BUDGET", budget)
+        batched, expected = _draw_both(poly, width, height, depth, camera=PixelSpace(),
+                                       light_direction=None)
+    _assert_identical(batched, expected)
+    return recorder.counter_total("rasterizer.fragments.tested")
+
+
+class TestPixelCentreBoxes:
+    """A triangle tests the pixel centres within a small margin of its
+    vertex bounds when it is well-conditioned, and its
+    ``floor(min)..ceil(max)`` box when not; either way every frame is
+    the loop's, byte for byte."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_sub_pixel_triangles(self, seed):
+        rng = np.random.default_rng(seed)
+        n = 300
+        centres = rng.uniform(-1.0, [33.0, 25.0], size=(n, 1, 2))
+        if seed % 2:
+            centres = np.round(centres)  # around pixel centres
+        sizes = rng.choice([1e-3, 0.05, 0.3, 0.9], size=(n, 1, 1))
+        poly = _pixel_mesh(centres + rng.uniform(-1, 1, size=(n, 3, 2)) * sizes, rng)
+        tested = _draw_in_pixels(poly, 32, 24, budget=rng.choice([64, 1 << 13]),
+                                 prefilled=bool(seed % 3 == 0))
+        assert tested < _old_box_pixels(poly, 32, 24) / 2
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_vertices_on_pixel_centres(self, seed):
+        """Edges through centres put exact zeros into the weights."""
+        rng = np.random.default_rng(seed)
+        n = 150
+        corners = rng.integers(-2, [35, 27], size=(n, 3, 2)).astype(np.float64)
+        if seed % 2:  # a fan of triangles sharing edges: ties on every edge
+            corners[:, 0] = (16.0, 12.0)
+        poly = _pixel_mesh(corners, rng)
+        tested = _draw_in_pixels(poly, 32, 24, prefilled=bool(seed % 3 == 0))
+        assert tested <= _old_box_pixels(poly, 32, 24)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_slivers_just_above_the_area_skip(self, seed):
+        rng = np.random.default_rng(seed)
+        n = 200
+        a = rng.uniform(0.0, [31.0, 23.0], size=(n, 2))
+        d = rng.uniform(-3.0, 3.0, size=(n, 2))
+        if seed % 2:
+            a, d = np.round(a), np.round(d)  # through pixel centres
+        # c sits off the line a-b by a double area just above 1e-12
+        normal = np.stack([-d[:, 1], d[:, 0]], axis=1) / np.maximum(
+            np.hypot(d[:, 0], d[:, 1]), 1e-30)[:, None] ** 2
+        target = rng.choice([1.01e-12, 2e-12, 1e-9, 1e-3], size=(n, 1))
+        c = a + d * rng.uniform(0, 1, size=(n, 1)) + normal * target
+        poly = _pixel_mesh(np.stack([a, a + d, c], axis=1), rng)
+        _draw_in_pixels(poly, 32, 24, budget=rng.choice([64, 1 << 13]))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_ill_conditioned_triangles_keep_the_old_box(self, seed):
+        rng = np.random.default_rng(seed)
+        n = 120
+        # long thin triangles: a span of 10-50 pixels, a width of 1e-5 or less
+        a = rng.uniform(-5.0, [37.0, 29.0], size=(n, 2))
+        angle = rng.uniform(0, 2 * np.pi, size=n)
+        along = np.stack([np.cos(angle), np.sin(angle)], axis=1)
+        b = a + along * rng.uniform(10.0, 50.0, size=(n, 1))
+        across = along[:, ::-1] * (-1.0, 1.0)
+        c = (a + b) / 2 + across * rng.uniform(-1e-5, 1e-5, size=(n, 1))
+        poly = _pixel_mesh(np.stack([a, b, c], axis=1), rng)
+        assert not _conditioned(poly).any()
+        tested = _draw_in_pixels(poly, 32, 24, prefilled=bool(seed % 2))
+        assert tested == _old_box_pixels(poly, 32, 24)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_vertices_far_off_screen(self, seed):
+        rng = np.random.default_rng(seed)
+        n = 40
+        corners = rng.uniform(-2.0, [34.0, 26.0], size=(n, 3, 2))
+        far = rng.integers(1, 3, size=n)  # one or two corners ~1e5 px away
+        for i in range(n):
+            corners[i, :far[i]] = rng.choice([-1.0, 1.0], size=(far[i], 2)) * rng.uniform(
+                5e4, 2e5, size=(far[i], 2))
+        poly = _pixel_mesh(corners, rng)
+        conditioned = _conditioned(poly)
+        assert conditioned.any() and not conditioned.all()
+        _draw_in_pixels(poly, 32, 24, budget=rng.choice([64, 1 << 13]),
+                        prefilled=bool(seed % 2))
+
+    def test_meshes_spanning_batches(self):
+        """Big overlapping triangles over several budgets' worth of box
+        pixels, and a fragment budget that cuts batches inside them."""
+        rng = np.random.default_rng(11)
+        corners = rng.uniform(-10.0, [74.0, 58.0], size=(200, 3, 2))
+        corners[::3] = np.round(corners[::3])
+        poly = _pixel_mesh(corners, rng)
+        for budget in (64, 1000, 1 << 13):
+            tested = _draw_in_pixels(poly, 64, 48, budget=budget, prefilled=True)
+            assert tested > 3 * (1 << 13)

@@ -39,7 +39,10 @@ spans, and the ``rasterizer.rasterize`` calls per step (one per run of
 like actors a frame draws), the ``Camera.project`` calls per step
 (geometry the step made anew; kept geometry keeps its projection) and
 the ``render_text`` calls per step (text the cell did not draw in the
-frame before).  The same steps, on stream_animate's Volume grid at
+frame before), the triangle box pixel centres tested per step (the
+``rasterizer.fragments.tested`` counter) and the triangle-fragment
+passes per step (``rasterizer._triangle_fragments`` calls: a mesh
+whose projection is kept keeps its fragments).  The same steps, on stream_animate's Volume grid at
 64x48, give the Volume stratum's row of a table of its own: the median
 call, the ``Camera.pixel_rays`` calls per step (the view's rays, kept
 on the plot while the camera, the size and the bounds stay) and the
@@ -67,6 +70,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro import obs
 from repro.dv3d import cell as cell_module
+from repro.rendering import rasterizer
 from repro.rendering.camera import Camera
 from repro.rendering.scene import Renderer
 from repro.serving.backend import AppBackend
@@ -229,8 +233,10 @@ def step_cost(template: str, variables: dict, steps: int,
               grid: Dict[str, int] = STEP_GRID) -> Tuple[Tuple[float, ...], Dict[str, float]]:
     """Median ms of a time step through ``AppBackend``, the mean ms per
     step inside each of :data:`STEP_SPANS`, then the ``rasterize``,
-    ``Camera.project``, ``render_text`` and ``Camera.pixel_rays`` calls
-    per step; and the misses per step of each kept site that counted."""
+    ``Camera.project``, ``render_text`` and ``Camera.pixel_rays`` calls,
+    the triangle box pixel centres tested and the triangle-fragment
+    passes per step; and the misses per step of each kept site that
+    counted."""
     backend = AppBackend()
     params = dict(PARAMS, template=template, variables=variables, size=grid,
                   cell_params=dict(PARAMS["cell_params"], dataset_label=template))
@@ -242,7 +248,8 @@ def step_cost(template: str, variables: dict, steps: int,
     median = _median_ms(step, steps)
     with obs.recording() as recorder, _Counted(Camera, "project") as projections, \
             _Counted(cell_module, "render_text") as texts, \
-            _Counted(Camera, "pixel_rays") as rays:
+            _Counted(Camera, "pixel_rays") as rays, \
+            _Counted(rasterizer, "_triangle_fragments") as passes:
         for _ in range(steps):
             step()
     misses: Dict[str, float] = {}  # per step, every site that counted
@@ -254,7 +261,9 @@ def step_cost(template: str, variables: dict, steps: int,
         sum(s.duration for s in recorder.spans if s.name == name) / steps * 1e3
         for name in STEP_SPANS
     ) + (sum(s.name == "rasterizer.rasterize" for s in recorder.spans) / steps,
-         projections.calls / steps, texts.calls / steps, rays.calls / steps), misses
+         projections.calls / steps, texts.calls / steps, rays.calls / steps,
+         recorder.counter_total("rasterizer.fragments.tested") / steps,
+         passes.calls / steps), misses
 
 
 def main(argv: Optional[Sequence[str]] = None) -> None:
@@ -296,16 +305,19 @@ def main(argv: Optional[Sequence[str]] = None) -> None:
           f"steps; spans, mean ms per step over {repeats} more:")
     print()
     print("| stratum | step | " + " | ".join(f"`{name}`" for name in STEP_SPANS)
-          + " | `rasterize` calls | `Camera.project` calls | `render_text` calls |")
-    print("|---|---|" + "---|" * (len(STEP_SPANS) + 3))
+          + " | `rasterize` calls | `Camera.project` calls | `render_text` calls"
+          " | tested centres | triangle-fragment passes |")
+    print("|---|---|" + "---|" * (len(STEP_SPANS) + 5))
     kept: Dict[str, Dict[str, float]] = {}
     for template, variables in STEP_STRATA:
-        (*times, rasterizes, projections, texts, _rays), kept[template] = step_cost(
-            template, variables, repeats)
+        (*times, rasterizes, projections, texts, _rays, tested, passes), kept[template] = \
+            step_cost(template, variables, repeats)
         cells = " | ".join(f"{ms:.3f} ms" for ms in times)
-        print(f"| {template} | {cells} | {rasterizes:.2f} | {projections:.2f} | {texts:.2f} |")
+        print(f"| {template} | {cells} | {rasterizes:.2f} | {projections:.2f} | {texts:.2f}"
+              f" | {tested:.2f} | {passes:.2f} |")
     print()
-    (median, *_, rays), misses = step_cost("Volume", {"variable": "ta"}, repeats, VOLUME_GRID)
+    (median, *_, rays, _tested, _passes), misses = step_cost(
+        "Volume", {"variable": "ta"}, repeats, VOLUME_GRID)
     print("Per time step on stream_animate's Volume grid, 64x48, the same steps:")
     print()
     print("| stratum | step | `Camera.pixel_rays` calls | `raycast.rays` misses |")
