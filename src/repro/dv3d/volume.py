@@ -17,7 +17,7 @@ import numpy as np
 from repro.cdms.variable import Variable
 from repro.dv3d.interaction import number, number_pair, optional_positive
 from repro.dv3d.plot import Plot3D
-from repro.rendering.scene import Actor, Scene, VolumeActor
+from repro.rendering.scene import Scene, VolumeActor
 from repro.rendering.transfer_function import TransferFunction
 from repro.util.kept import Kept, same_first
 

@@ -7,8 +7,8 @@ and glyphs all produce PolyData; the rasterizer consumes it.
 
 Geometry whose points are read-only (:meth:`PolyData.freeze`) keeps its
 projection for the last view it was drawn from, and what the
-rasterizer derives from that projection beside it
-(:meth:`PolyData.view_memo`): a frame whose camera and size did not
+rasterizer derives from that projection beside it, both returned by one
+lookup (:meth:`PolyData.viewed`): a frame whose camera and size did not
 change projects only the geometry that is new.
 """
 
@@ -114,25 +114,17 @@ class PolyData:
 
     # -- per view ------------------------------------------------------------------
 
-    def project(self, camera: "Camera", width: int, height: int) -> np.ndarray:
-        """``camera.project(self.points, width, height)``, kept (read-only)
-        while the points are read-only, for the last (camera object,
-        width, height); writable points are projected on every call."""
-        return self.viewed(camera, width, height)[0]
-
-    def view_memo(self, camera: "Camera", width: int, height: int) -> Dict[Hashable, Any]:
-        """A dict kept beside the kept projection, for what is derived
-        from it and this geometry's connectivity alone (a new empty dict
-        on every call while the points are writable)."""
-        if not _fixed(self.points):
-            return {}
-        return self.viewed(camera, width, height)[1]
-
     def viewed(self, camera: "Camera", width: int,
                height: int) -> Tuple[np.ndarray, Optional[Dict[Hashable, Any]]]:
-        """``(projection, view memo)`` in one lookup: :meth:`project` and
-        :meth:`view_memo`, except that writable points are projected
-        beside ``None``, as nothing derived from them is kept."""
+        """``(projection, view memo)`` in one lookup.
+
+        The projection is ``camera.project(self.points, width, height)``;
+        the view memo is a dict kept beside it, for what is derived from
+        it and this geometry's connectivity alone.  While the points are
+        read-only both are kept for the last (camera object, width,
+        height), the projection read-only; writable points are projected
+        on every call, beside ``None``, as nothing derived from them is
+        kept."""
         if not _fixed(self.points):
             return camera.project(self.points, width, height), None
         return self._view.get((camera, (width, height)), lambda: (

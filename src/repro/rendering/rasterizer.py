@@ -9,9 +9,9 @@ per actor.  Each actor's
 points are projected and coloured on their own; then the run's
 primitives are numbered one after another, actor by actor, and drawn
 as one list.  An actor whose points are read-only keeps its projection
-for the last camera and size (:meth:`PolyData.project`), and its
-triangles' and polylines' fragments beside it
-(:meth:`PolyData.view_memo`): a frame through an unchanged camera
+for the last camera and size, and its triangles' and polylines'
+fragments beside it, both taken in one lookup
+(:meth:`PolyData.viewed`): a frame through an unchanged camera
 projects and finds fragments only for the geometry that is new, and
 only the depth test and the colour write run against each frame's
 buffer.
@@ -170,19 +170,23 @@ def rasterize(
             brush = max(int(brushes.pop()), 1)
             lined = [(actor, poly, offset)
                      for actor, poly, offset in zip(actors, polys, offsets) if poly.lines]
-            # each line geometry's fragments, kept beside its projection;
-            # those not kept are sampled in one pass
+            # each line geometry's fragments, kept beside its projection
+            # (one lookup for both); those not kept are sampled in one pass
             key = ("line samples", brush)
-            memos = [poly.view_memo(camera, width, height) for _, poly, _ in lined]
-            missing = [i for i, memo in enumerate(memos) if key not in memo]
+            viewed = [poly.viewed(camera, width, height) for _, poly, _ in lined]
+            samples = [None if memo is None else memo.get(key) for _, memo in viewed]
+            missing = [i for i, found in enumerate(samples) if found is None]
             if missing:
                 sampled = _line_samples(
-                    [(lined[i][1].segments(), lined[i][1].project(camera, width, height))
-                     for i in missing], width, height, brush)
-                for i, samples in zip(missing, sampled):
-                    memos[i][key] = samples
-            pieces = [(memo[key], poly.segments(), offset, actor.line_color)
-                      for memo, (actor, poly, offset) in zip(memos, lined)]
+                    [(lined[i][1].segments(), viewed[i][0]) for i in missing],
+                    width, height, brush)
+                for i, found in zip(missing, sampled):
+                    samples[i] = found
+                    memo = viewed[i][1]
+                    if memo is not None:
+                        memo[key] = found
+            pieces = [(found, poly.segments(), offset, actor.line_color)
+                      for found, (actor, poly, offset) in zip(samples, lined)]
             written += _rasterize_polylines(pieces, colors, framebuffer)
         if obs.enabled():
             obs.counter("rasterizer.triangles", n_triangles)

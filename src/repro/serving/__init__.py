@@ -16,11 +16,10 @@ sharing one render substrate.  An asyncio :class:`ServingServer` fronts
   cannot evict another's working set (:mod:`repro.serving.quota`);
 * **observability** — queue depth, coalesced fan-out, one outcome per
   request and latency histograms via :mod:`repro.obs`;
-* **session-aware serving** — every render is routed to one of
-  ``ServingConfig.slots`` backend slots and runs on the serving loop, a
-  session pinned to one by rendezvous hashing with re-pinning on slot
-  death
-  (:mod:`repro.serving.sessions`), speculative next-frame rendering
+* **session-aware serving** — one record per session, its request
+  history and served-frame ring (:mod:`repro.serving.sessions`), every
+  render (a speculative one too) a call of the one backend on the
+  serving loop, speculative next-frame rendering
   from per-session request history (:mod:`repro.serving.speculative`),
   and a versioned digest-stamped wire protocol with
   reconnect-and-resume (:mod:`repro.serving.wire`,
@@ -52,22 +51,13 @@ from repro.serving.request import (
 )
 from repro.serving.endpoint import WireSessionClient, WireSessionServer
 from repro.serving.server import ServingServer
-from repro.serving.sessions import (
-    AffinityRouter,
-    BackendSlot,
-    SessionFrame,
-    SessionRegistry,
-    SessionState,
-    SlotPool,
-)
+from repro.serving.sessions import SessionFrame, SessionRegistry, SessionState
 from repro.serving.speculative import NextFramePredictor
 from repro.util.framing import WIRE_VERSION, WireFrame, decode_frame, encode_frame
 
 __all__ = [
     "AdmissionController",
-    "AffinityRouter",
     "AppBackend",
-    "BackendSlot",
     "NextFramePredictor",
     "QuotaLedger",
     "REASON_CANCELLED",
@@ -86,7 +76,6 @@ __all__ = [
     "SessionFrame",
     "SessionRegistry",
     "SessionState",
-    "SlotPool",
     "WIRE_VERSION",
     "WireFrame",
     "WireSessionClient",

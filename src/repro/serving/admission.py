@@ -72,8 +72,8 @@ class AdmissionController:
 
         ``(depth + 1)`` requests must be served, one at a time, before
         the newcomer completes: the one worker renders one item at a
-        time whatever ``slots`` is, so the estimate is ``(depth + 1) x
-        ewma``.  With no service observations yet it is 0 (admit
+        time through the one backend, so the estimate is ``(depth + 1)
+        x ewma``.  With no service observations yet it is 0 (admit
         optimistically).
         """
         return (queue_depth + 1) * self._ewma_service_s

@@ -1,12 +1,12 @@
 """Configuration for the multi-tenant serving layer.
 
 A :class:`ServingConfig` holds the bounds a caller sets on one server:
-how many backend slots render, how much speculative work may run, how
-long the admission queue may grow, and how much a tenant or a session
-may keep.  Everything else the server tunes — the service-time EWMA,
-the breaker thresholds, the degraded frame scale — is a module constant
-next to the code that uses it.  Limits are validated up front so a
-misconfigured deployment fails at construction, not under load.
+how much speculative work may run, how long the admission queue may
+grow, and how much a tenant or a session may keep.  Everything else the
+server tunes — the service-time EWMA, the breaker thresholds, the
+degraded frame scale — is a module constant next to the code that uses
+it.  Limits are validated up front so a misconfigured deployment fails
+at construction, not under load.
 """
 
 from __future__ import annotations
@@ -23,13 +23,11 @@ class ServingConfig:
     Parameters
     ----------
     slots:
-        Backend slots: routes, not threads.  Every execution is routed
-        to the :class:`~repro.serving.sessions.SlotPool` slot the
-        rendezvous router pins its session (or, sessionless, its request
-        key) to and runs on the serving loop; a dead slot's sessions
-        re-pin to survivors.  More slots render nothing in parallel: one
-        worker renders one item at a time, and admission's wait
-        estimate does not divide by ``slots``.
+        Inert: it selects nothing.  Every render calls the server's one
+        backend on the serving loop, one at a time, whatever ``slots``
+        is.  The field stays (still checked ``>= 1``) because existing
+        configs, the frozen benchmark's among them, set it; it goes
+        with ROADMAP item 0(e).
     speculation_budget:
         Maximum concurrent speculative next-frame renders (0 disables
         speculation).  Speculative work only launches when the demand

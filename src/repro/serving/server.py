@@ -15,9 +15,8 @@ server:
    (:mod:`repro.serving.admission`); overload produces
    ``Response(status="shed")``, never unbounded queueing;
 4. **executes** — one worker task drains the queue, one item at a
-   time; every backend call is routed to the slot its request pins to
-   (below) and runs on the serving loop itself, so a render holds the
-   loop until it returns.
+   time; every backend call runs on the serving loop itself, so a
+   render holds the loop until it returns.
    ``BREAKER_FAILURES`` consecutive backend failures open a circuit
    breaker (:mod:`repro.resilience`) for ``BREAKER_RESET_S``, under
    which requests are served stale from cache or re-rendered at reduced
@@ -43,7 +42,7 @@ Observability (all zero-cost when recording is off):
 * spans — one tree per request, rooted at ``serving.request`` (tenant,
   session, key; its id is the frame's trace id), with
   ``serving.cache.lookup``, ``serving.admission`` and
-  ``serving.slot.wait`` (or ``serving.coalesced.wait``) under it and
+  ``serving.render.wait`` (or ``serving.coalesced.wait``) under it and
   the render's executor and kernel spans beside them.  A
   speculative render is its own tree, rooted at ``serving.speculate``.
 
@@ -63,12 +62,8 @@ Session-aware serving (``docs/session-serving.md`` has the long form):
   keep up to ``config.session_log_frames`` payloads alive per session.
   A session belongs to the tenant that opened it; naming it as another
   tenant raises :class:`~repro.util.errors.ServingError`;
-* **sticky affinity** — every execution is routed to the
-  :class:`~repro.serving.sessions.SlotPool` slot (``config.slots`` of
-  them) the rendezvous router pins its session to, or, for a
-  sessionless request, its request key.  A slot that dies mid-request
-  (crash, or the armed ``serving.slot`` fault site) is retired, its
-  sessions re-pin to survivors, and the request retries there;
+* **one backend** — every execution, demand or speculative, is a
+  direct call of the one backend on the serving loop, one at a time;
 * **speculative rendering** — with ``speculation_budget > 0`` the
   server pre-renders an animating/orbiting session's predicted next
   frame on idle capacity through the same backend path: it registers as
@@ -100,15 +95,9 @@ from repro.serving.request import (
     Response,
     request_key,
 )
-from repro.serving.sessions import (
-    SessionFrame,
-    SessionRegistry,
-    SessionState,
-    SlotPool,
-    Speculation,
-)
+from repro.serving.sessions import SessionFrame, SessionRegistry, SessionState, Speculation
 from repro.serving.speculative import NextFramePredictor
-from repro.util.errors import RequestError, ServingError, SlotDeadError
+from repro.util.errors import RequestError, ServingError
 
 #: the backend contract: ``(request, degraded) -> bytes``
 Backend = Callable[[Request, bool], bytes]
@@ -178,12 +167,12 @@ class ServingServer:
             clock=clock,
             name="serving.kernels",
         )
+        self.backend = backend
         self.cache = cache
         self._queue: "asyncio.Queue[Optional[_WorkItem]]" = asyncio.Queue()
         self._inflight: Dict[str, _Inflight] = {}
         self._worker: Optional["asyncio.Task[None]"] = None
         self._closed = False
-        self.slot_pool = SlotPool(backend, self.config.slots)
         self.sessions = SessionRegistry()
         self._predictor = NextFramePredictor()
         self._speculations: Dict[str, "asyncio.Task[str]"] = {}
@@ -322,7 +311,7 @@ class ServingServer:
         if obs.enabled():
             obs.gauge("serving.queue.depth", self._queue.qsize())
             obs.gauge("serving.inflight", len(self._inflight))
-        with obs.span("serving.slot.wait"):
+        with obs.span("serving.render.wait"):
             base = await entry.future
         return base.fan_out(request.tenant, self.clock() - t0, coalesced=False)
 
@@ -364,9 +353,7 @@ class ServingServer:
             started = time.perf_counter()
             try:
                 faults.check("serving.execute", tenant=request.tenant)
-                payload = item.context.run(
-                    self._run_backend, request, False, item.key
-                )
+                payload = item.context.run(self.backend, request, False)
             except RequestError:  # the request's fault: no breaker outcome
                 self.breaker.release()
                 raise
@@ -387,35 +374,9 @@ class ServingServer:
                 return Response(
                     STATUS_DEGRADED, payload=payload, digest=item.key, source="cache"
                 )
-        payload = item.context.run(self._run_backend, request, True, item.key)
+        payload = item.context.run(self.backend, request, True)
         return Response(
             STATUS_DEGRADED, payload=payload, digest=item.key, source="render"
-        )
-
-    def _run_backend(self, request: Request, degraded: bool, key: str) -> bytes:
-        """Run the backend, on this thread, on the slot *request* routes to.
-
-        A session routes to its pinned slot, a sessionless request by
-        its *key*.  A dead slot (killed, or felled by the armed
-        ``serving.slot`` fault) is retired mid-request: its sessions
-        re-pin to survivors via the rendezvous router and the request
-        retries on its new slot, so the caller still gets bytes — the
-        chaos suite pins that the retried bytes are identical.
-        """
-        pool = self.slot_pool
-        last_death: Optional[SlotDeadError] = None
-        for _ in range(len(pool.live_slots) + 1):
-            slot = pool.slot_for(request.session, fallback_key=key)
-            state = self.sessions.get(request.session)
-            if state is not None:
-                state.pin(slot.id)
-            try:
-                return pool.run(slot, request, degraded)
-            except SlotDeadError as exc:
-                last_death = exc
-                pool.retire(slot.id, self.sessions.states())
-        raise last_death if last_death is not None else ServingError(
-            "no live slots"
         )
 
     # -- sessions and speculation --------------------------------------------
@@ -511,7 +472,7 @@ class ServingServer:
             with obs.span(
                 "serving.speculate", tenant=request.tenant, session=request.session, key=key
             ):
-                payload = self._run_backend(request, False, key)
+                payload = self.backend(request, False)
         except Exception as exc:  # noqa: BLE001 - speculation must never crash the loop
             response = Response(STATUS_ERROR, digest=key, reason=repr(exc))
         else:
@@ -569,5 +530,4 @@ class ServingServer:
             "closed": self._closed,
             "sessions": len(self.sessions),
             "speculations_inflight": len(self._speculations),
-            "slots": self.slot_pool.stats(self.sessions.states()),
         }

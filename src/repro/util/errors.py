@@ -129,16 +129,6 @@ class RequestError(ServingError):
     """
 
 
-class SlotDeadError(ServingError):
-    """A backend slot died (or was killed) while serving a request.
-
-    The serving layer catches this internally: the dead slot is retired
-    from the affinity router, its sessions are re-pinned to surviving
-    slots, and the request is retried there — callers only see it when
-    every slot is gone.
-    """
-
-
 class WireError(ServingError):
     """Base class for framed-socket protocol failures (:mod:`repro.util.framing`).
 

@@ -119,89 +119,89 @@ REPEAT = "fit 1/0, frame 1/0, furnish 1/0, orbit 1/0, scene 1/0"
 
 #: per plot class and step, ``site hits/misses`` of every site that
 #: counted (``dv3d.`` sites by their last name; ``accel.blocked``,
-#: ``geometry.projection`` and ``raycast.rays`` in full).  Lines are
-#: sampled through the projection's memo and then projected, so a line
-#: geometry counts twice.
+#: ``geometry.projection`` and ``raycast.rays`` in full).  A geometry's
+#: projection and memo are one lookup, so each read-only geometry a
+#: frame draws counts once.
 CENSUS = {
     "slicer": {
         "open": "fit 0/1, frame 0/1, furnish 0/1, layout 0/1, legend 0/1, outline 0/1, "
-                "plan 0/1, scene 0/1, slice_plane 0/3, geometry.projection 2/5",
+                "plan 0/1, scene 0/1, slice_plane 0/3, geometry.projection 0/5",
         "step": "fit 1/0, frame 0/1, furnish 0/1, layout 1/0, legend 1/0, outline 1/0, "
                 "plan 1/0, scene 0/1, slice_plane 3/0, geometry.projection 5/0",
         "orbit": "fit 1/0, frame 0/1, furnish 1/0, legend 1/0, orbit 0/1, scene 1/0, "
-                 "geometry.projection 2/5",
+                 "geometry.projection 0/5",
         "resize": "fit 1/0, frame 0/1, furnish 1/0, legend 0/1, orbit 1/0, scene 1/0, "
-                  "geometry.projection 2/5",
+                  "geometry.projection 0/5",
     },
     # the surface is made anew each step, with writable points: not kept
     "isosurface": {
         "open": "fit 0/1, frame 0/1, furnish 0/1, layout 0/1, legend 0/1, outline 0/1, "
-                "plan 0/2, scene 0/1, geometry.projection 2/2",
+                "plan 0/2, scene 0/1, geometry.projection 0/2",
         "step": "fit 1/0, frame 0/1, furnish 0/1, layout 1/0, legend 1/0, outline 1/0, "
                 "plan 2/0, scene 0/1, geometry.projection 2/0",
         "orbit": "fit 1/0, frame 0/1, furnish 1/0, legend 1/0, orbit 0/1, scene 1/0, "
-                 "geometry.projection 2/2",
+                 "geometry.projection 0/2",
         "resize": "fit 1/0, frame 0/1, furnish 1/0, legend 0/1, orbit 1/0, scene 1/0, "
-                  "geometry.projection 2/2",
+                  "geometry.projection 0/2",
     },
     # a step is a new volume, so a new pyramid and a new blocked mask;
     # the same camera, size and bounds keep the view's rays
     "volume": {
         "open": "accel.blocked 0/1, fit 0/1, frame 0/1, furnish 0/1, layout 0/1, "
-                "legend 0/1, outline 0/1, plan 0/1, scene 0/1, geometry.projection 2/2, "
+                "legend 0/1, outline 0/1, plan 0/1, scene 0/1, geometry.projection 0/2, "
                 "raycast.rays 0/1",
         "step": "accel.blocked 0/1, fit 1/0, frame 0/1, furnish 0/1, layout 1/0, "
                 "legend 1/0, outline 1/0, plan 1/0, scene 0/1, geometry.projection 2/0, "
                 "raycast.rays 1/0",
         "orbit": "accel.blocked 1/0, fit 1/0, frame 0/1, furnish 1/0, legend 1/0, "
-                 "orbit 0/1, scene 1/0, geometry.projection 2/2, raycast.rays 0/1",
+                 "orbit 0/1, scene 1/0, geometry.projection 0/2, raycast.rays 0/1",
         "resize": "accel.blocked 1/0, fit 1/0, frame 0/1, furnish 1/0, legend 0/1, "
-                  "orbit 1/0, scene 1/0, geometry.projection 2/2, raycast.rays 0/1",
+                  "orbit 1/0, scene 1/0, geometry.projection 0/2, raycast.rays 0/1",
     },
     # time is spatialized: a "step" leaves the index pinned, a repeat
     "hovmoller_slicer": {
         "open": "fit 0/1, frame 0/1, furnish 0/1, layout 0/1, legend 0/1, outline 0/1, "
-                "scene 0/1, slice_plane 0/1, geometry.projection 2/3",
+                "scene 0/1, slice_plane 0/1, geometry.projection 0/3",
         "step": "fit 1/0, frame 1/0, furnish 1/0, scene 1/0",
         "orbit": "fit 1/0, frame 0/1, furnish 1/0, legend 1/0, orbit 0/1, scene 1/0, "
-                 "geometry.projection 2/3",
+                 "geometry.projection 0/3",
         "resize": "fit 1/0, frame 0/1, furnish 1/0, legend 0/1, orbit 1/0, scene 1/0, "
-                  "geometry.projection 2/3",
+                  "geometry.projection 0/3",
     },
     "hovmoller_volume": {
         "open": "accel.blocked 0/1, fit 0/1, frame 0/1, furnish 0/1, layout 0/1, "
-                "legend 0/1, outline 0/1, scene 0/1, geometry.projection 2/2, "
+                "legend 0/1, outline 0/1, scene 0/1, geometry.projection 0/2, "
                 "raycast.rays 0/1",
         "step": "fit 1/0, frame 1/0, furnish 1/0, scene 1/0",
         "orbit": "accel.blocked 1/0, fit 1/0, frame 0/1, furnish 1/0, legend 1/0, "
-                 "orbit 0/1, scene 1/0, geometry.projection 2/2, raycast.rays 0/1",
+                 "orbit 0/1, scene 1/0, geometry.projection 0/2, raycast.rays 0/1",
         "resize": "accel.blocked 1/0, fit 1/0, frame 0/1, furnish 1/0, legend 0/1, "
-                  "orbit 1/0, scene 1/0, geometry.projection 2/2, raycast.rays 0/1",
+                  "orbit 1/0, scene 1/0, geometry.projection 0/2, raycast.rays 0/1",
     },
     # glyphs are made anew each step, with writable points: not kept
     "vector_slicer": {
         "open": "fit 0/1, frame 0/1, furnish 0/1, layout 0/1, legend 0/1, outline 0/1, "
-                "plan 0/2, scene 0/1, geometry.projection 2/2",
+                "plan 0/2, scene 0/1, geometry.projection 0/2",
         "step": "fit 1/0, frame 0/1, furnish 0/1, layout 1/0, legend 1/0, outline 1/0, "
                 "plan 2/0, scene 0/1, geometry.projection 2/0",
         "orbit": "fit 1/0, frame 0/1, furnish 1/0, legend 1/0, orbit 0/1, scene 1/0, "
-                 "geometry.projection 2/2",
+                 "geometry.projection 0/2",
         "resize": "fit 1/0, frame 0/1, furnish 1/0, legend 0/1, orbit 1/0, scene 1/0, "
-                  "geometry.projection 2/2",
+                  "geometry.projection 0/2",
     },
     # the combined plot and each component keep a scene and an outline;
     # only the combined plot's is asked for while it answers
     "combined": {
         "open": "accel.blocked 0/1, fit 0/1, frame 0/1, furnish 0/1, layout 0/1, "
                 "legend 0/1, outline 0/2, plan 0/2, scene 0/3, slice_plane 0/3, "
-                "geometry.projection 2/5, raycast.rays 0/1",
+                "geometry.projection 0/5, raycast.rays 0/1",
         "step": "accel.blocked 0/1, fit 1/0, frame 0/1, furnish 0/1, layout 1/0, "
                 "legend 1/0, outline 2/0, plan 2/0, scene 0/3, slice_plane 3/0, "
                 "geometry.projection 5/0, raycast.rays 1/0",
         "orbit": "accel.blocked 1/0, fit 1/0, frame 0/1, furnish 1/0, legend 1/0, "
-                 "orbit 0/1, scene 1/0, geometry.projection 2/5, raycast.rays 0/1",
+                 "orbit 0/1, scene 1/0, geometry.projection 0/5, raycast.rays 0/1",
         "resize": "accel.blocked 1/0, fit 1/0, frame 0/1, furnish 1/0, legend 0/1, "
-                  "orbit 1/0, scene 1/0, geometry.projection 2/5, raycast.rays 0/1",
+                  "orbit 1/0, scene 1/0, geometry.projection 0/5, raycast.rays 0/1",
     },
 }
 
@@ -244,9 +244,9 @@ def test_an_equal_camera_that_is_another_object_projects_again():
     twin = dataclasses.replace(camera)
     assert twin == camera and twin is not camera
     with obs.recording() as rec:
-        first = poly.project(camera, 32, 24)
-        assert poly.project(camera, 32, 24) is first
-        again = poly.project(twin, 32, 24)
+        first = poly.viewed(camera, 32, 24)[0]
+        assert poly.viewed(camera, 32, 24)[0] is first
+        again = poly.viewed(twin, 32, 24)[0]
     assert again is not first and np.array_equal(again, first)
     assert _tally(rec) == {"geometry.projection": (1, 2)}
 

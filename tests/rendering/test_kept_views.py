@@ -1,7 +1,8 @@
 """What read-only geometry keeps of its last view: the projection, and
 the line and triangle fragments the rasterizer derives from it.
 
-``PolyData.project`` must equal ``Camera.project`` bit for bit (NaN
+The projection ``PolyData.viewed`` keeps must equal ``Camera.project``
+bit for bit (NaN
 rows of points behind the eye included), keep nothing for writable
 points, and project again for another camera object, another size or
 other points.  A frame drawn from kept line fragments must leave what
@@ -64,7 +65,7 @@ class TestKeptProjection:
         width, height = int(rng.integers(1, 300)), int(rng.integers(1, 300))
         expected = camera.project(points, width, height)
         for _ in range(2):  # computed, then kept
-            kept = poly.project(camera, width, height)
+            kept = poly.viewed(camera, width, height)[0]
             assert kept.dtype == expected.dtype and kept.shape == expected.shape
             assert kept.tobytes() == expected.tobytes()
         assert not kept.flags.writeable
@@ -74,17 +75,17 @@ class TestKeptProjection:
         camera = _random_camera(rng)
         poly = _frozen(rng.normal(size=(20, 3)))
         calls = _counted_projections(monkeypatch)
-        first = poly.project(camera, 64, 48)
-        assert poly.project(camera, 64, 48) is first
+        first = poly.viewed(camera, 64, 48)[0]
+        assert poly.viewed(camera, 64, 48)[0] is first
         assert len(calls) == 1
         # an equal camera that is another object, another size: projected again
         twin = Camera(**{k: getattr(camera, k) for k in camera.__dataclass_fields__})
-        poly.project(twin, 64, 48)
-        poly.project(twin, 65, 48)
-        poly.project(twin, 65, 49)
+        poly.viewed(twin, 64, 48)[0]
+        poly.viewed(twin, 65, 48)[0]
+        poly.viewed(twin, 65, 49)[0]
         assert len(calls) == 4
         # the one entry holds the last view only
-        poly.project(camera, 64, 48)
+        poly.viewed(camera, 64, 48)[0]
         assert len(calls) == 5
 
     def test_copies_over_the_same_points_share_it_and_other_points_do_not(self, monkeypatch):
@@ -92,12 +93,12 @@ class TestKeptProjection:
         camera = _random_camera(rng)
         poly = _frozen(rng.normal(size=(12, 3)), triangles=[[0, 1, 2], [3, 4, 5]])
         calls = _counted_projections(monkeypatch)
-        kept = poly.project(camera, 32, 24)
+        kept = poly.viewed(camera, 32, 24)[0]
         colored = poly.with_scalars(np.arange(12.0)).with_colors(rng.random((12, 3)))
-        assert colored.project(camera, 32, 24) is kept
+        assert colored.viewed(camera, 32, 24)[0] is kept
         assert len(calls) == 1
         other = PolyData(poly.points.copy(), poly.triangles).freeze()
-        assert other.project(camera, 32, 24).tobytes() == kept.tobytes()
+        assert other.viewed(camera, 32, 24)[0].tobytes() == kept.tobytes()
         assert len(calls) == 2
 
     def test_writable_points_are_never_kept(self, monkeypatch):
@@ -107,9 +108,9 @@ class TestKeptProjection:
         poly = PolyData(points)
         assert poly.points is points
         calls = _counted_projections(monkeypatch)
-        poly.project(camera, 40, 30)
+        poly.viewed(camera, 40, 30)[0]
         poly.points[0] += 1.0
-        moved = poly.project(camera, 40, 30)
+        moved = poly.viewed(camera, 40, 30)[0]
         assert len(calls) == 2
         assert np.array_equal(moved, camera.project(poly.points, 40, 30), equal_nan=True)
 
@@ -121,9 +122,9 @@ class TestKeptProjection:
         view.flags.writeable = False
         poly = PolyData(view)
         calls = _counted_projections(monkeypatch)
-        poly.project(camera, 40, 30)
+        poly.viewed(camera, 40, 30)[0]
         base[:] += 1.0  # the view's points move under it
-        assert np.array_equal(poly.project(camera, 40, 30),
+        assert np.array_equal(poly.viewed(camera, 40, 30)[0],
                               camera.project(base, 40, 30), equal_nan=True)
         assert len(calls) == 3
 
@@ -132,10 +133,10 @@ class TestKeptProjection:
         camera = _random_camera(rng)
         poly = box_outline((-1, 1, -1, 1, -1, 1))
         calls = _counted_projections(monkeypatch)
-        poly.project(camera, 40, 30)
+        poly.viewed(camera, 40, 30)[0]
         poly.freeze()
-        poly.project(camera, 40, 30)
-        poly.project(camera, 40, 30)
+        poly.viewed(camera, 40, 30)[0]
+        poly.viewed(camera, 40, 30)[0]
         assert len(calls) == 2
 
 

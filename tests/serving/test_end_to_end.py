@@ -1,4 +1,4 @@
-"""End-to-end: two backend slots serving real spreadsheet renders.
+"""End-to-end: the serving tier over real spreadsheet renders.
 
 The full stack — ServingServer → AppBackend → Application →
 spreadsheet cell → DV3D plot → software renderer → PPM bytes — driven

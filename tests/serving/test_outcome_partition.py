@@ -89,8 +89,6 @@ async def shed_and_fail(backend):
     async with ServingServer(backend) as server:
         faults.arm("serving.execute", "raise", times=1)
         await server.submit(Request(params={"scene": "e"}, tenant="error"))
-        faults.arm("serving.slot", "raise", times=1)
-        await server.submit(sessionful("slot"))  # the slot dies, the retry renders
 
         await server.submit(sessionful("owner"))
         with pytest.raises(ServingError):
@@ -183,7 +181,6 @@ def test_every_exit_ends_in_exactly_one_outcome():
         "expired": {("expired", "", "shed"): 1},
         "closed": {("closed", "", "shed"): 1},
         "error": {("", "", "error"): 1},
-        "slot": {("", "render", "ok"): 1},
         "owner": {("", "render", "ok"): 1},
         "degraded-cache": {("", "cache", "degraded"): 1},
         "degraded-render": {("", "render", "degraded"): 1},
@@ -194,7 +191,6 @@ def test_every_exit_ends_in_exactly_one_outcome():
     }
     assert {t: dict(outcomes(recorder, "serving.outcome", t)) for t in requests} == expected
     assert "intruder" not in requests  # refused before it counted as a request
-    assert recorder.counter_total("serving.sessions.repinned") == 1  # the slot died
     assert {t: dict(outcomes(recorder, "serving.speculative.outcome", t)) for t in started} == {
         "spec-rendered": {("rendered",): 1},
         "spec-cancelled": {("cancelled",): 1},

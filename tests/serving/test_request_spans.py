@@ -1,7 +1,7 @@
 """One span tree per served frame, rooted at ``serving.request``.
 
 ``ServingServer.submit`` opens the root; cache lookup, admission and the
-wait for the slot (or for the in-flight render a coalesced request
+wait for the render (or for the in-flight render a coalesced request
 joined) are its children, and the render's executor and kernel spans
 land under it through the work item's context.  The wire
 ``RENDER`` path awaits ``submit``, so it gets the same tree.  A
@@ -43,7 +43,7 @@ def assert_one_frame_tree(tree):
     names = {s.name for s in tree}
     assert "executor.execute" in names
     assert names & KERNELS
-    assert {"serving.admission", "serving.slot.wait"} <= names
+    assert {"serving.admission", "serving.render.wait"} <= names
 
 
 def serve(*requests, config=None, opened=None):

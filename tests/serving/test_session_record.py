@@ -7,17 +7,22 @@ resume that asks for frames the ring has already trimmed is told so:
 (which promises continuity) raises, a plain ``open()`` stays lenient.
 The record belongs to the tenant that opened the session: another
 tenant naming it reads nothing from the ring and adds nothing to it.
+Every frame a session was served is in the ring, a failed render's
+included: sequence numbers are gapless and each digest is the sha256
+of the payload the caller got.
 """
 
 from __future__ import annotations
 
 import asyncio
+import hashlib
 import socket
 import threading
 
 import pytest
 
 from repro import obs
+from repro.resilience import faults
 from repro.serving import Request, ServingConfig, ServingServer, wire
 from repro.serving.endpoint import WireSessionClient, WireSessionServer
 from repro.util.errors import ServingError, WireError
@@ -29,7 +34,17 @@ RING_OF_FOUR = ServingConfig(session_log_frames=4)
 CONFIGS = {
     "default": {},
     "slots+speculation": {"slots": 2, "speculation_budget": 1},
+    # ``slots`` selects nothing: every value renders through the one backend
+    "slots=1": {"slots": 1},
+    "slots=4": {"slots": 4},
 }
+
+
+@pytest.fixture(autouse=True)
+def clean_faults():
+    faults.disarm()
+    yield
+    faults.disarm()
 
 
 def advertised(meta):
@@ -39,18 +54,22 @@ def advertised(meta):
 @pytest.mark.parametrize("overrides", CONFIGS.values(), ids=CONFIGS.keys())
 def test_wire_frames_are_the_servers_session_log(overrides):
     config = ServingConfig(**overrides)
-    with WireSessionServer(CountingBackend(), config, cache=memory_cache()) as server:
+    backend = CountingBackend()
+    with WireSessionServer(backend, config, cache=memory_cache()) as server:
         with WireSessionClient(server.host, server.port) as client:
             client.open("one-log", tenant="t1")
-            received = [
-                client.render({"scene": "s", "timestep": t % 4}) for t in range(7)
-            ]
+            params = [{"scene": "s", "timestep": t % 4} for t in range(7)]
+            received = [client.render(p) for p in params]
         state = server.server.sessions.get("one-log")
         assert [advertised(f.meta) for f in received] == [
             (f.seq, f.status, f.source, f.digest) for f in state.frames
         ]
         assert [f.payload for f in received] == [f.payload for f in state.frames]
         assert {f.meta["source"] for f in received} >= {"render", "cache"}
+        assert [f.payload for f in received] == [
+            backend.payload_for(Request(params=p)) for p in params]
+        if not config.speculation_budget:  # whatever ``slots`` is
+            assert [f.meta["source"] for f in received] == ["render"] * 4 + ["cache"] * 3
         assert set(received[0].meta) == {
             "status", "source", "reason", "key", "digest", "seq"}
         assert state.tenant == "t1"
@@ -66,6 +85,75 @@ def test_the_ring_is_bounded_in_the_one_place():
         state = server.server.sessions.get("ring")
         assert [f.seq for f in state.frames] == [6, 7, 8, 9]
         assert state.next_seq == 10
+
+
+def make_session_server(backend, **overrides):
+    return ServingServer(backend, config=ServingConfig(**overrides), cache=memory_cache())
+
+
+def test_every_frame_is_accounted_in_the_session_log():
+    """The FrameRecord-style log covers the whole session, a failed
+    render included."""
+    backend = CountingBackend()
+
+    async def scenario():
+        async with make_session_server(backend) as server:
+            responses = []
+            for t in range(6):
+                if t == 3:  # the render of frame 3 fails
+                    faults.arm("serving.execute", "raise", match={"tenant": "t-log"},
+                               times=1)
+                responses.append(await server.submit(Request(
+                    params={"scene": "log", "timestep": t},
+                    session="sess-log", tenant="t-log")))
+            return responses, server.sessions.get("sess-log")
+
+    responses, state = asyncio.run(scenario())
+    assert [r.status for r in responses] == ["ok"] * 3 + ["error"] + ["ok"] * 2
+    assert [frame.seq for frame in state.frames] == list(range(6))
+    assert [frame.status for frame in state.frames] == [r.status for r in responses]
+    for frame, response in zip(state.frames, responses):
+        payload = response.payload or b""
+        assert frame.payload == payload
+        assert frame.digest == hashlib.sha256(payload).hexdigest()
+    error = state.frames[3]
+    assert (error.source, error.payload) == ("", b"")
+    assert "InjectedFault" in error.reason
+    assert {frame.source for frame in state.frames if frame.status == "ok"} <= {
+        "render", "cache", "speculative"}
+
+
+def test_cache_hits_and_renders_both_logged():
+    """Cache-served frames are session frames too (provenance recorded)."""
+    backend = CountingBackend()
+
+    async def scenario():
+        async with make_session_server(backend) as server:
+            request = Request(params={"scene": "c", "timestep": 0},
+                              session="sess-c")
+            first = await server.submit(request)
+            second = await server.submit(request)
+            assert first.status == second.status == "ok"
+            assert first.payload == second.payload
+            state = server.sessions.get("sess-c")
+            assert [f.source for f in state.frames] == ["render", "cache"]
+            assert state.frames[0].digest == state.frames[1].digest
+    asyncio.run(scenario())
+
+
+def test_session_log_ring_is_bounded():
+    backend = CountingBackend()
+
+    async def scenario():
+        async with make_session_server(backend, session_log_frames=4) as server:
+            for t in range(10):
+                await server.submit(Request(
+                    params={"scene": "ring", "timestep": t},
+                    session="sess-ring"))
+            state = server.sessions.get("sess-ring")
+            assert len(state.frames) == 4
+            assert [f.seq for f in state.frames] == [6, 7, 8, 9]
+    asyncio.run(scenario())
 
 
 class TestASessionBelongsToItsTenant:
