@@ -66,7 +66,7 @@ def test_ablation_provenance_report(registry):
     run_edit_script_bare(registry)
     bare = time.perf_counter() - t0
     t0 = time.perf_counter()
-    vistrail = run_edit_script_tracked(registry)
+    run_edit_script_tracked(registry)
     tracked = time.perf_counter() - t0
     per_edit_us = (tracked - bare) / N_EDITS * 1e6
     report("Ablation: provenance capture overhead",

@@ -48,11 +48,11 @@ def test_fig2_execute_sheet(benchmark, registry):
     benchmark.group = "fig2-spreadsheet"
 
     def run():
-        # a cold build: an unchanged re-execute would return the live cells
+        # a cold build: an unchanged re-execute would return the live
+        # cells, and the last release empties the executor memo
         node = app.project.node
         for key in list(node.cells):
             node.release(key)
-        node.executor.clear_cache()
         return app.project.execute_sheet("sheet")
 
     cells = benchmark(run)

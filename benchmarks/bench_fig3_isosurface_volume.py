@@ -42,7 +42,7 @@ def storm_plot(n: int, with_color: bool = True) -> IsosurfacePlot:
 def test_fig3_isosurface_extraction(benchmark, n):
     """Marching-tetrahedra cost across the resolution sweep."""
     plot = storm_plot(n)
-    volume = plot.volume  # pre-translate so we time extraction alone
+    plot.volume  # pre-translate so we time extraction alone
     benchmark.group = "fig3-isosurface-extract"
     surface = benchmark(plot.extract_surface)
     assert surface.n_triangles > 0

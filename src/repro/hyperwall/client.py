@@ -24,7 +24,7 @@ from __future__ import annotations
 import hashlib
 import socket
 import time
-from typing import Any, Dict, Hashable, Optional
+from typing import Any, Dict, FrozenSet, Hashable, Optional, Tuple
 
 import numpy as np
 
@@ -62,9 +62,10 @@ class DisplayNode:
         #: shipped sub-workflows, keyed by cell id — more than one entry
         #: only after a failover reassignment
         self.pipelines: Dict[int, Pipeline] = {}
-        #: live cells by key, and the signature of the sink that built each
+        #: live cells by key; per key, the signature of the sink that
+        #: built it and the signatures of that sink's upstream closure
         self.cells: Dict[Hashable, DV3DCell] = {}
-        self._signatures: Dict[Hashable, str] = {}
+        self._holds: Dict[Hashable, Tuple[str, FrozenSet[str]]] = {}
         self.executor = Executor(caching=True)
 
     def execute(self, key: Hashable, pipeline: Pipeline, sink: int) -> ExecutionResult:
@@ -77,21 +78,38 @@ class DisplayNode:
         The signature is the one kept on *pipeline*
         (:meth:`Executor.signatures`), so on a graph no mutator touched
         since the last call nothing is hashed: the check is a lookup.
+
+        An executor memo entry lives while some live cell's upstream
+        closure names it.  The old cell goes before the new one is built;
+        its closure holds until the execute ends, so an edit below the
+        reader still hits the reader.  A failed execute releases *key*.
         """
-        signature = self.executor.signatures(pipeline)[sink]
-        if self._signatures.get(key) == signature:
+        signatures = self.executor.signatures(pipeline)
+        held = self._holds.get(key)
+        if held is not None and held[0] == signatures[sink]:
             run = ModuleRun(sink, pipeline.modules[sink].name, "cached", 0.0)
             return ExecutionResult({(sink, "cell"): self.cells[key]}, [run], cache_hits=1)
-        self.release(key)
-        result = self.executor.execute(pipeline, targets=[sink])
+        self.cells.pop(key, None)
+        try:
+            result = self.executor.execute(pipeline, targets=[sink])
+        except BaseException:
+            self.release(key)
+            raise
         self.cells[key] = result.output(sink, "cell")
-        self._signatures[key] = signature
+        closure = frozenset(signatures[m] for m in pipeline.upstream_closure([sink]))
+        self._holds[key] = (signatures[sink], closure)
+        self._prune()
         return result
 
     def release(self, key: Hashable) -> None:
-        """Drop *key*'s live cell, and with it the cell's memos."""
+        """Drop *key*'s live cell, with the cell's memos and every
+        executor memo entry no other live cell's closure names."""
         self.cells.pop(key, None)
-        self._signatures.pop(key, None)
+        self._holds.pop(key, None)
+        self._prune()
+
+    def _prune(self) -> None:
+        self.executor.retain(frozenset().union(*(c for _, c in self._holds.values())))
 
     # -- message handling -------------------------------------------------------
 

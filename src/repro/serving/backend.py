@@ -49,13 +49,13 @@ breaker with it.  So does a synthetic ``source``'s ``size`` that
 :func:`repro.data.catalog.grid_size` refuses for the template (a
 Hovmöller plot needs two time steps), and (once its workflow ran) a
 scene naming no such source, ``.cdz`` or variable.  A scene whose
-workflow fails leaves no vistrail behind.  The nested
-``selector`` and ``cell_params`` are the workflow's to check.
+workflow fails leaves no vistrail and no executor memo entry behind.
+The nested ``selector`` and ``cell_params`` are the workflow's to check.
 
 The view keys are deliberately *excluded* from the scene digest: an
 animating or orbiting session mutates one long-lived scene cell
-instead of building a workflow per frame, which is exactly what sticky
-session affinity keeps warm.  Building a scene draws nothing: each
+instead of building a workflow per frame, and every session that asks
+for the scene draws from that one cell.  Building a scene draws nothing: each
 frame is drawn once, by its view.  When the plotted variable is a streamed
 :class:`~repro.cdms.lazy.LazyVariable`, a timestep render reads the
 chunk holding that timestep on the calling thread, inside the render;

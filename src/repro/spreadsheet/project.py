@@ -7,7 +7,8 @@ as a directory of JSON files and can re-execute every bound cell after
 reload ("spreadsheets maintain their provenance and can be saved and
 reloaded").  Its live cells are kept by one
 :class:`~repro.hyperwall.client.DisplayNode`, keyed by slot identity:
-a slot keeps its cell when moved and releases it when gone.
+a slot keeps its cell when moved and releases it when gone, and with
+it every upstream module output no other live cell's workflow needs.
 """
 
 from __future__ import annotations

@@ -25,7 +25,7 @@ import time
 from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Any, Dict, List, Mapping, Optional, Set, Tuple
+from typing import AbstractSet, Any, Dict, List, Mapping, Optional, Set, Tuple
 
 from repro import obs
 from repro.resilience import faults
@@ -83,9 +83,12 @@ class Executor:
     ----------
     caching:
         Keep module results keyed by signature across executions, in
-        this executor's private memo (:meth:`clear_cache` empties it).
-        It is the one memo of module outputs: results are not shared
-        between executor instances or processes.
+        this executor's private memo.  It is the one memo of module
+        outputs: results are not shared between executor instances or
+        processes.  The executor never drops an entry by itself; its
+        owner does, with :meth:`retain` (a
+        :class:`~repro.hyperwall.client.DisplayNode` keeps what its live
+        cells' upstream closures name) or :meth:`clear_cache`.
     max_workers:
         Thread-pool width for parallel branch execution; 1 = serial.
     """
@@ -107,6 +110,11 @@ class Executor:
 
     def clear_cache(self) -> None:
         self._cache.clear()
+
+    def retain(self, signatures: AbstractSet[str]) -> None:
+        """Drop every memo entry whose signature is not in *signatures*."""
+        for sig in self._cache.keys() - signatures:
+            del self._cache[sig]
 
     @property
     def cache_size(self) -> int:

@@ -11,6 +11,15 @@ under-reports, it never cries wolf.
 So is a name an ``import`` binds in a ``src/repro`` module that the
 module never reads (as a name, as the root of an attribute, inside an
 annotation, quoted or not) and does not list in ``__all__``.
+
+And so is a local a function binds by plain assignment (``x = ...``,
+``x: T = ...``, ``(x := ...)``, ``except E as x``) and never reads,
+anywhere under ``src``, ``tests``, ``benchmarks`` or ``tools`` — the
+offline twin of ruff's F841.  Only the function's own scope binds: a
+class body inside a function defines attributes, not locals.  A read
+anywhere in the function, a nested scope's included, counts, as does a
+``global``/``nonlocal`` declaration; names starting with ``_`` are
+throwaways, and a function that calls ``locals()`` is skipped.
 """
 
 import ast
@@ -102,3 +111,58 @@ def test_every_import_is_used():
     unused = [entry for path in sorted((ROOT / "src" / "repro").rglob("*.py"))
               for entry in _unused_imports(path)]
     assert unused == [], "imported and never read"
+
+
+_FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def _own_scope(node):
+    """The nodes under *node* that bind in its scope: nested
+    functions, lambdas and class bodies are their own."""
+    for child in ast.iter_child_nodes(node):
+        yield child
+        if not isinstance(child, _FUNCTIONS + (ast.Lambda, ast.ClassDef)):
+            yield from _own_scope(child)
+
+
+def _unused_locals(path: Path) -> list:
+    unused = []
+    for function in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if not isinstance(function, _FUNCTIONS):
+            continue
+        bound = {}
+        for node in _own_scope(function):
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, ast.AnnAssign) and node.value is not None:
+                targets = [node.target]
+            elif isinstance(node, ast.NamedExpr):
+                targets = [node.target]
+            elif isinstance(node, ast.ExceptHandler) and node.name:
+                bound.setdefault(node.name, node.lineno)
+                continue
+            else:
+                continue
+            for target in targets:
+                if isinstance(target, ast.Name):
+                    bound.setdefault(target.id, target.lineno)
+        read = set()
+        for node in ast.walk(function):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                read.add(node.id)
+            elif isinstance(node, ast.AugAssign) and isinstance(node.target, ast.Name):
+                read.add(node.target.id)
+            elif isinstance(node, (ast.Global, ast.Nonlocal)):
+                read.update(node.names)
+        if "locals" in read:
+            continue
+        unused += [f"{path.relative_to(ROOT)}:{line} {name}" for name, line in bound.items()
+                   if name not in read and not name.startswith("_")]
+    return unused
+
+
+def test_every_local_is_read():
+    unused = [entry for tree in ("src", "tests", "benchmarks", "tools")
+              for path in sorted((ROOT / tree).rglob("*.py"))
+              for entry in _unused_locals(path)]
+    assert unused == [], "assigned and never read"

@@ -100,7 +100,7 @@ class TestApplyAnalogy:
         overlay = vt.add_module("View", {"colormap": "extra"})
         refined = vt.current_version
         vt.checkout(base)
-        other = vt.add_module("Reader")
+        vt.add_module("Reader")
         destination = vt.current_version
         report = apply_analogy(vt, base, refined, destination)
         assert any("add module" in line for line in report.applied)
@@ -133,8 +133,8 @@ class TestApplyAnalogy:
         vt.set_parameter(view, "level", 0.9)
         refined = vt.current_version
         vt.checkout(0)
-        v1 = vt.add_module("View")
-        v2 = vt.add_module("View")
+        vt.add_module("View")
+        vt.add_module("View")
         destination = vt.current_version
         report = apply_analogy(vt, base, refined, destination)
         # either applied to the same-id module (if ids coincide) or skipped;

@@ -110,6 +110,15 @@ def test_a_bad_first_size_does_not_break_the_scene():
     assert backend(Request(params=VALID), False) == AppBackend()(Request(params=VALID), False)
 
 
+def test_a_missing_variable_leaves_no_vistrail_and_no_memo_entry():
+    backend = AppBackend()
+    with pytest.raises(RequestError, match="malformed request"):
+        backend(Request(params=dict(VALID, variables={"variable": "nosuch"})), False)
+    project = backend.app.project
+    assert project.vistrails == {}
+    assert project.node.executor.cache_size == 0  # the dataset reader's output went too
+
+
 @pytest.mark.parametrize("extra", [
     {"elevation": 30.0},
     {"frame": 1},

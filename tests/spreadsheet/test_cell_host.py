@@ -5,7 +5,8 @@ hyperwall node's ``execute`` message all go through
 ``DisplayNode.execute``: an unchanged workflow returns the live cell —
 nothing executes, nothing is drawn — and a changed one builds a new
 cell in its place.  A slot's cell follows the slot (move, swap) and is
-released with it.
+released with it.  The node also owns the executor memo: a module
+output is kept while the upstream closure of some live cell names it.
 """
 
 import gc
@@ -24,6 +25,7 @@ from repro.hyperwall.inproc import InProcessHyperwall
 from repro.provenance.vistrail import Vistrail
 from repro.rendering.ppm import ppm_bytes
 from repro.serving import AppBackend, Request
+from repro.util.errors import ModuleExecutionError
 from repro.util.framing import WireFrame
 
 SIZE = {"nlat": 12, "nlon": 16, "nlev": 4, "ntime": 2}
@@ -169,6 +171,74 @@ class TestSlotsOwnTheirCells:
         gc.collect()
         assert cell() is None
         assert app.project.node.cells == {}
+
+
+def reads_another_variable(project, sheet: str, position, variable_name: str = "ua") -> None:
+    """Point a slot's variable reader at *variable_name*: same dataset
+    reader, another variable, a new version the slot binds."""
+    slot = project.sheets[sheet].get(*position)
+    vistrail = project.get_vistrail(slot.binding.vistrail_name)
+    (variable,) = [mid for mid, spec in vistrail.pipeline.modules.items()
+                   if spec.name == "cdms:CDMSVariableReader"]
+    vistrail.set_parameter(variable, "variable", variable_name)
+    slot.binding.version = vistrail.current_version
+
+
+def reader_runs(recorder, module: str = "cdms:CDMSDatasetReader") -> tuple:
+    """(hits, misses) of one module in the executor memo."""
+    return (
+        recorder.counter_value("executor.cache.hit", module=module),
+        recorder.counter_value("executor.cache.miss", module=module),
+    )
+
+
+class TestLiveCellsOwnTheMemo:
+    def test_releasing_every_cell_empties_the_memo(self, registry):
+        app = sheet_app(registry)
+        app.project.sheets["main"].copy_cell((0, 0), (0, 1))
+        app.project.execute_sheet("main")
+        node = app.project.node
+        assert node.executor.cache_size == 2  # the dataset and its variable
+        for key in list(node.cells):
+            node.release(key)
+        assert node.executor.cache_size == 0
+
+    def test_a_shared_upstream_survives_the_first_release(self, registry):
+        app = sheet_app(registry)
+        sheet = app.project.sheets["main"]
+        sheet.copy_cell((0, 0), (0, 1))
+        reads_another_variable(app.project, "main", (0, 1))
+        app.project.execute_sheet("main")
+        node = app.project.node
+        assert node.executor.cache_size == 3  # one dataset, two variables
+        node.release(id(sheet.get(0, 0)))
+        assert node.executor.cache_size == 2
+        with obs.recording() as rec:
+            app.project.execute_cell("main", 0, 0)
+        assert reader_runs(rec) == (1, 0)
+        assert reader_runs(rec, "cdms:CDMSVariableReader") == (0, 1)
+        node.release(id(sheet.get(0, 0)))
+        node.release(id(sheet.get(0, 1)))
+        assert node.executor.cache_size == 0
+
+    def test_an_edit_below_the_reader_does_not_run_the_reader(self, registry):
+        app = sheet_app(registry)
+        app.project.execute_cell("main", 0, 0)
+        reads_another_variable(app.project, "main", (0, 0))
+        with obs.recording() as rec:
+            app.project.execute_cell("main", 0, 0)
+        assert reader_runs(rec) == (1, 0)
+        # the old variable went with the old cell
+        assert app.project.node.executor.cache_size == 2
+
+    def test_a_failed_re_execute_releases_the_key(self, registry):
+        app = sheet_app(registry)
+        app.project.execute_cell("main", 0, 0)
+        reads_another_variable(app.project, "main", (0, 0), "nosuch")
+        with pytest.raises(ModuleExecutionError):
+            app.project.execute_cell("main", 0, 0)
+        assert app.project.node.cells == {}
+        assert app.project.node.executor.cache_size == 0
 
 
 @pytest.mark.parametrize("template", TEMPLATES)

@@ -207,6 +207,17 @@ class TestCaching:
         ex.clear_cache()
         assert ex.cache_size == 0
 
+    def test_retain_drops_what_the_set_does_not_name(self, registry):
+        p, source, double = make_chain(registry)
+        ex = Executor(caching=True)
+        ex.execute(p)
+        ex.retain({ex.signatures(p)[source]})
+        assert ex.cache_size == 1
+        result = ex.execute(p)
+        assert (result.status_of(source), result.status_of(double)) == ("cached", "ok")
+        ex.retain(set())
+        assert ex.cache_size == 0
+
 
 class TestParallel:
     def test_parallel_faster_than_serial(self, registry):
