@@ -5,21 +5,21 @@ single cell or across multiple cells) to facilitate understanding of
 the natural processes underlying the data" — Fig. 3's top panel is
 exactly this, a volume render with a slicer in the same cell.
 
-A :class:`CombinedPlot` wraps any number of component plots over the
-same (or spatially compatible) data.  It merges their scenes into one,
-keeps their cameras/time indices coordinated, fans interaction commands
-to the component that owns them, and exposes the union of their
-configuration state.
+A :class:`CombinedPlot` is one plot over one volume: it owns the time
+step, the vertical exaggeration, the camera and the translated volume
+of its primary component's variable, which every component that would
+translate just that variable draws.  It merges their scenes into one,
+fans the other commands to the components that bind them, and exposes
+the union of their state.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import replace
-from typing import Any, Callable, Dict, List, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from repro.dv3d.plot import Plot3D
-from repro.rendering.camera import Camera
-from repro.rendering.image_data import ImageData
 from repro.rendering.scene import Scene
 from repro.util.errors import DV3DError
 
@@ -27,10 +27,13 @@ from repro.util.errors import DV3DError
 class CombinedPlot(Plot3D):
     """Multiple component plots rendered into one scene/cell.
 
-    The first component is *primary*: it supplies the data volume for
-    picking, the colormap shown in the cell's legend, and the animation
-    length.  Components must agree on time-axis length when they
-    animate (a mismatch raises at construction).
+    The first component is *primary*: this plot translates its variable,
+    and it supplies the colormap shown in the cell's legend.  Every
+    component stands at this plot's time step, exaggeration (the
+    primary's unless given) and camera; those that animate must agree
+    on time-axis length (a mismatch raises at construction).  A
+    component over the primary's variable that adds no array of its
+    own draws this plot's volume; any other keeps its own.
     """
 
     plot_type = "combined"
@@ -45,22 +48,29 @@ class CombinedPlot(Plot3D):
             raise DV3DError(
                 f"components disagree on animation length: {sorted(lengths)}"
             )
+        kwargs.setdefault("vertical_exaggeration", primary.vertical_exaggeration)
         super().__init__(primary.variable,
                          scalar_range=primary.scalar_range, **kwargs)
         self.components: List[Plot3D] = components
         self.colormap = primary.colormap
-
-    # -- data: the primary component's volume drives picking/camera -------
+        for component in components:
+            if (component.variable is self.variable and type(component)._build_volume is Plot3D._build_volume
+                    and all(getattr(component, name) is None for name in component.added_variables)):
+                component._volume_owner = weakref.ref(self)
+        self._lead()
 
     @property
     def primary(self) -> Plot3D:
         return self.components[0]
 
-    @property
-    def volume(self) -> ImageData:
-        # not cached here: the primary replaces its volume whenever its
-        # own time step or data changes, whoever asked it to
-        return self.primary.volume
+    # -- data: one time step, exaggeration and camera for every component ---
+
+    def _lead(self) -> None:
+        for component in self.components:
+            if component.n_timesteps > 1:
+                component.set_time_index(self.time_index)
+            component.set_vertical_exaggeration(self.vertical_exaggeration)
+            component.camera = self.camera
 
     def invalidate(self) -> None:
         super().invalidate()
@@ -72,11 +82,16 @@ class CombinedPlot(Plot3D):
         return max(c.n_timesteps for c in self.components)
 
     def set_time_index(self, index: int) -> None:
-        # each component drops its own volume, and only if its index moved
-        self.time_index = int(index) % max(self.n_timesteps, 1)
-        for component in self.components:
-            if component.n_timesteps > 1:
-                component.set_time_index(self.time_index)
+        # not super()'s: its invalidate() would drop every component's own volume
+        index = int(index) % max(self.n_timesteps, 1)
+        if index != self.time_index:
+            self.time_index = index
+            self._volume = None
+        self._lead()
+
+    def set_vertical_exaggeration(self, value: Optional[float]) -> None:
+        super().set_vertical_exaggeration(value)
+        self._lead()
 
     # -- scene composition ---------------------------------------------------
 
@@ -108,27 +123,21 @@ class CombinedPlot(Plot3D):
                 merged.add_volume(replace(vactor, name=f"c{i}:{vactor.name}"))
         return merged
 
-    def default_camera(self) -> Camera:
-        return self.primary.default_camera()
-
-    # -- interaction: fan out, first component that accepts wins -------------
+    # -- interaction: fan out to every component that binds it ----------------
 
     def handle_key(self, key: str) -> Dict[str, Any]:
+        if key in ("t", "T", "r"):
+            # this plot's step or camera, which every component follows
+            delta = super().handle_key(key)
+            self._lead()
+            return {f"component_{i}": delta for i in range(len(self.components))}
         deltas: Dict[str, Any] = {}
-        handled = False
         for i, component in enumerate(self.components):
             try:
-                delta = component.handle_key(key)
+                deltas[f"component_{i}"] = component.handle_key(key)
             except DV3DError:
                 continue
-            handled = True
-            deltas[f"component_{i}"] = delta
-            if key in ("t", "T"):  # keep the combined time index aligned
-                self.time_index = component.time_index
-            if key == "r":  # a camera reset applies to the combination
-                self.camera = component.camera
-                break
-        if not handled:
+        if not deltas:
             raise DV3DError(f"combined plot: no component handles key {key!r}")
         return deltas
 
@@ -136,8 +145,7 @@ class CombinedPlot(Plot3D):
         if mode in ("camera", "zoom", "pan"):
             # navigation applies to the shared camera
             delta = super().handle_drag(dx, dy, mode)
-            for component in self.components:
-                component.camera = self.camera
+            self._lead()
             return delta
         deltas: Dict[str, Any] = {}
         for i, component in enumerate(self.components):
@@ -169,9 +177,9 @@ class CombinedPlot(Plot3D):
         return base
 
     def _stage_state(self, state: Dict[str, Any]) -> Callable[[], None]:
-        """Every component's keys and the base plot's are checked before
-        any is applied: a component that refuses its own leaves the time
-        step, and every other component, where they were."""
+        """All keys are checked before any is applied, so a refusal leaves
+        every plot as it was; the components' keys apply first, then this
+        plot's, whose step, exaggeration and camera they all then take."""
         subs = state.get("components", [])
         if not isinstance(subs, (list, tuple)) or not all(isinstance(sub, dict) for sub in subs):
             raise DV3DError(f"components must be a list of mappings, got {subs!r}")
@@ -181,11 +189,9 @@ class CombinedPlot(Plot3D):
         apply_base = super()._stage_state(state)
 
         def apply() -> None:
-            apply_base()
             for apply_component in apply_components:
                 apply_component()
-            if self.camera is not None:
-                for component in self.components:
-                    component.camera = self.camera
+            apply_base()
+            self._lead()
 
         return apply

@@ -16,8 +16,6 @@ from repro.cdms.slabs import require_finite_range
 from repro.cdms.variable import Variable
 from repro.dv3d.interaction import number, number_pair
 from repro.dv3d.plot import Plot3D
-from repro.dv3d.translation import add_variable_to_volume
-from repro.rendering.image_data import ImageData
 from repro.rendering.isosurface import color_surface_by_field, marching_tetrahedra
 from repro.rendering.scene import Actor, Scene
 from repro.util.errors import DV3DError
@@ -27,6 +25,7 @@ class IsosurfacePlot(Plot3D):
     """An isovalue surface of variable A, colored by variable B."""
 
     plot_type = "isosurface"
+    added_variables = ("color_variable",)
 
     def __init__(
         self,
@@ -45,13 +44,6 @@ class IsosurfacePlot(Plot3D):
                 color_variable, DV3DError, what="color variable"
             )
         self.color_range = color_range
-
-    def _build_volume(self) -> ImageData:
-        volume = super()._build_volume()
-        if self.color_variable is not None:
-            add_variable_to_volume(volume, self.color_variable, self.time_index,
-                                   self.translation_plan("color_variable"))
-        return volume
 
     # -- interactive ops ----------------------------------------------------
 

@@ -25,7 +25,7 @@ from repro import obs
 from repro.cdms.slabs import padded_range, require_finite_range
 from repro.cdms.variable import Variable
 from repro.dv3d.interaction import number, number_pair, optional_positive
-from repro.dv3d.translation import TranslationPlan, translate_variable
+from repro.dv3d.translation import TranslationPlan, add_variable_to_volume, translate_variable
 from repro.rendering.camera import Camera
 from repro.rendering.colormap import Colormap
 from repro.rendering.framebuffer import Framebuffer
@@ -54,6 +54,8 @@ class Plot3D:
     """
 
     plot_type = "base"
+    #: the attributes naming variables added to the volume as arrays of their own
+    added_variables: Tuple[str, ...] = ()
 
     def __init__(
         self,
@@ -73,6 +75,8 @@ class Plot3D:
         self.scalar_range: Tuple[float, float] = padded_range(scalar_range)
         self.camera: Optional[Camera] = None
         self._volume: Optional[ImageData] = None
+        #: a weak reference to the combined plot whose volume this one draws, if any
+        self._volume_owner: Optional[Callable[[], Optional[Plot3D]]] = None
         label = self.plot_type
         self._scene_memo = Kept("dv3d.scene", plot=label)
         self._fitted = Kept("dv3d.fit", plot=label)
@@ -98,17 +102,23 @@ class Plot3D:
         return self._plans[name].get(variable.axes, lambda: TranslationPlan(variable))
 
     def _build_volume(self) -> ImageData:
-        return translate_variable(
+        volume = translate_variable(
             self.variable, self.time_index, self.vertical_exaggeration,
             self.translation_plan("variable"),
         )
+        for name in self.added_variables:
+            if getattr(self, name) is not None:
+                add_variable_to_volume(volume, getattr(self, name), self.time_index,
+                                       self.translation_plan(name))
+        return volume
 
     @property
     def volume(self) -> ImageData:
-        """The translated volume for the current time step (cached)."""
-        if self._volume is None:
-            self._volume = self._build_volume()
-        return self._volume
+        """The translated volume for the current time step, kept by its owner."""
+        owner = (self._volume_owner and self._volume_owner()) or self
+        if owner._volume is None:
+            owner._volume = owner._build_volume()
+        return owner._volume
 
     def invalidate(self) -> None:
         """Drop the cached volume (after a time step or data change), so
@@ -291,8 +301,7 @@ class Plot3D:
         A subclass checks its own keys, stages its base's, and returns
         a call that applies the base's keys, then its own."""
         # absent, the time step is left alone when the call runs, not
-        # set back to the one read now: a combined plot moves its
-        # components' steps between staging them and applying them
+        # set back to the one read now
         time_index = None
         if "time_index" in state:
             time_index = number(state, "time_index", integral=True)

@@ -23,7 +23,6 @@ import numpy as np
 from repro.cdms.variable import Variable
 from repro.dv3d.interaction import number
 from repro.dv3d.plot import Plot3D
-from repro.dv3d.translation import add_variable_to_volume
 from repro.rendering.contour2d import contour_levels, marching_squares
 from repro.rendering.geometry import PolyData
 from repro.rendering.image_data import ImageData
@@ -61,6 +60,7 @@ class SlicerPlot(Plot3D):
     """Draggable orthogonal slice planes with pseudocolor + contours."""
 
     plot_type = "slicer"
+    added_variables = ("overlay_variable",)
 
     def __init__(
         self,
@@ -82,13 +82,6 @@ class SlicerPlot(Plot3D):
         self.apply_state({"enabled_planes": enabled_planes, "contour_count": contour_count})
 
     # -- data -------------------------------------------------------------
-
-    def _build_volume(self) -> ImageData:
-        volume = super()._build_volume()
-        if self.overlay_variable is not None:
-            add_variable_to_volume(volume, self.overlay_variable, self.time_index,
-                                   self.translation_plan("overlay_variable"))
-        return volume
 
     def plane_world_coordinate(self, plane: str) -> float:
         axis = _AXIS_NAMES[plane]

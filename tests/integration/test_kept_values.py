@@ -190,13 +190,14 @@ CENSUS = {
                   "geometry.projection 0/2",
     },
     # the combined plot and each component keep a scene and an outline;
-    # only the combined plot's is asked for while it answers
+    # only the combined plot's is asked for while it answers.  It keeps
+    # the one plan: both components draw the volume it translates
     "combined": {
         "open": "accel.blocked 0/1, fit 0/1, frame 0/1, furnish 0/1, layout 0/1, "
-                "legend 0/1, outline 0/2, plan 0/2, scene 0/3, slice_plane 0/3, "
+                "legend 0/1, outline 0/2, plan 0/1, scene 0/3, slice_plane 0/3, "
                 "geometry.projection 0/5, raycast.rays 0/1",
         "step": "accel.blocked 0/1, fit 1/0, frame 0/1, furnish 0/1, layout 1/0, "
-                "legend 1/0, outline 2/0, plan 2/0, scene 0/3, slice_plane 3/0, "
+                "legend 1/0, outline 2/0, plan 1/0, scene 0/3, slice_plane 3/0, "
                 "geometry.projection 5/0, raycast.rays 1/0",
         "orbit": "accel.blocked 1/0, fit 1/0, frame 0/1, furnish 1/0, legend 1/0, "
                  "orbit 0/1, scene 1/0, geometry.projection 0/5, raycast.rays 0/1",

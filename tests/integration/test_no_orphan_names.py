@@ -20,10 +20,18 @@ class body inside a function defines attributes, not locals.  A read
 anywhere in the function, a nested scope's included, counts, as does a
 ``global``/``nonlocal`` declaration; names starting with ``_`` are
 throwaways, and a function that calls ``locals()`` is skipped.
+
+And so is a line ending in spaces or tabs (ruff's W291, and W293 on a
+blank line) or a string literal with an invalid escape sequence (W605,
+``"\\d"`` unraw: the compiler warns ``DeprecationWarning`` on 3.11 and
+``SyntaxWarning`` on 3.12), in any Python file under ``src``,
+``tests``, ``benchmarks`` or ``tools`` — the offline twins of CI's
+``lint`` job.
 """
 
 import ast
 import re
+import warnings
 from collections import Counter
 from pathlib import Path
 
@@ -166,3 +174,47 @@ def test_every_local_is_read():
               for path in sorted((ROOT / tree).rglob("*.py"))
               for entry in _unused_locals(path)]
     assert unused == [], "assigned and never read"
+
+
+_LINTED = ("src", "tests", "benchmarks", "tools")
+
+
+def _python_files():
+    return [path for tree in _LINTED for path in sorted((ROOT / tree).rglob("*.py"))]
+
+
+def _trailing_whitespace(source: str, name: str) -> list:
+    return [f"{name}:{number}" for number, line in enumerate(source.split("\n"), 1)
+            if line.rstrip("\r").endswith((" ", "\t"))]
+
+
+def test_no_line_ends_in_whitespace():
+    trailing = [entry for path in _python_files()
+                for entry in _trailing_whitespace(path.read_text(encoding="utf-8"),
+                                                  str(path.relative_to(ROOT)))]
+    assert trailing == [], "trailing whitespace (W291/W293)"
+
+
+def _invalid_escapes(source: str, name: str) -> list:
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        compile(source, name, "exec")
+    return [f"{name}:{w.lineno} {w.message}" for w in caught
+            if "invalid escape sequence" in str(w.message)]
+
+
+def test_no_string_has_an_invalid_escape_sequence():
+    invalid = [entry for path in _python_files()
+               for entry in _invalid_escapes(path.read_text(encoding="utf-8"),
+                                             str(path.relative_to(ROOT)))]
+    assert invalid == [], "invalid escape sequence (W605)"
+
+
+def test_the_lint_twins_see_what_they_look_for():
+    """Each twin finds its fault in a line made to have it, so a scan
+    that stopped reading cannot pass vacuously."""
+    assert _invalid_escapes('pattern = "\\d+"\nraw = r"\\d+"\n', "probe.py") == [
+        "probe.py:1 invalid escape sequence '\\d'"]
+    assert _trailing_whitespace("x = 1 \r\n\n\t\ny = 2\r\n", "probe.py") == [
+        "probe.py:1", "probe.py:3"]
+    assert _python_files() and all(path.suffix == ".py" for path in _python_files())

@@ -8,9 +8,8 @@ through a :class:`~repro.dv3d.view.View` and never moves a plot's time
 index or orbits a camera itself.  This scan fails when a second
 spelling comes back under ``src/repro``:
 
-* ``default_camera()`` called anywhere but the resolver, the ``r``
-  key's reset to the default framing, and ``CombinedPlot``'s
-  delegation to its primary component;
+* ``default_camera()`` called anywhere but the resolver and the ``r``
+  key's reset to the default framing;
 * ``set_time_index(...)`` or ``.orbit(...)`` called from
   ``repro.serving``;
 * a cell or a plot drawn anywhere but :meth:`View.draw
@@ -29,7 +28,6 @@ SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
 DEFAULT_CAMERA_CALLERS = {
     ("dv3d/plot.py", "resolve_camera"),  # the one fallback chain
     ("dv3d/interaction.py", "handle_key"),  # "r": reset to the default framing
-    ("dv3d/combined.py", "default_camera"),  # the primary component's framing
 }
 
 
